@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
   const float eps = static_cast<float>(flags.get_double("eps", 0.3));
   const auto min_pts =
       static_cast<std::uint32_t>(flags.get_int("minpts", 20));
-  const auto width = cli::width_flag(flags);
-  if (!width) return EXIT_FAILURE;
-  const rt::TraversalWidth forced_width = *width;
+  const auto width_arg = cli::width_flag(flags);
+  if (!width_arg) return EXIT_FAILURE;
+  const rt::TraversalWidth forced_width = *width_arg;
   const auto dataset = data::taxi_gps(n, 2023);
   const dbscan::Params params{eps, min_pts};
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -129,16 +130,29 @@ struct Clusterer::Impl {
   // Incremental-maintenance scratch (capacities reused: warm mutations
   // below the rebuild threshold allocate only at the documented growth
   // points — point-storage append, mask/scratch growth to a new high-water
-  // slot count, DSU growth).
+  // slot count, DSU growth).  The slot-sized maps (wloc, claim_owner) and
+  // cluster_affected are never filled wholesale: each repair clears the
+  // entries the previous one set through that one's dirty lists (wlist,
+  // claimed_slots, affected_list), so a repair a fault interrupted leaves
+  // nothing stale behind either.
   std::vector<std::uint32_t> rem_sorted;     ///< validated removal batch
   std::vector<std::uint32_t> expire_scratch; ///< advance() expiry ids
-  std::vector<std::uint8_t> new_core;        ///< post-mutation core flags
+  std::vector<std::uint32_t> touched;  ///< slots whose count changed
   std::vector<std::uint8_t> cluster_affected;  ///< old cluster lost a core
+  std::vector<std::uint32_t> affected_list;  ///< .. its set entries
   std::vector<std::uint32_t> wloc;   ///< slot -> mini-DSU node, kNoneId out
   std::vector<std::uint32_t> wlist;  ///< mini-DSU node -> slot
   std::vector<std::uint8_t> claim;   ///< in-W border claims (serial CAS)
   std::vector<std::uint32_t> claim_owner;  ///< out-of-W noise -> claiming node
+  std::vector<std::uint32_t> claimed_slots;  ///< .. its set entries
   std::optional<dsu::AtomicDisjointSet> mini_dsu;  ///< |W| + C_old nodes
+  std::vector<std::uint32_t> stay_count;   ///< old cluster -> members kept
+  std::vector<std::uint32_t> root_keeper;  ///< mini-DSU root -> kept old id
+  std::vector<std::uint32_t> group_base;   ///< new group -> spliced old group
+  std::vector<std::uint64_t> group_outs;   ///< (old group, slot) leaving
+  std::vector<std::uint64_t> group_ins;    ///< (new group, slot) entering
+  std::vector<std::uint32_t> members_next;  ///< spliced membership table
+  std::vector<std::uint32_t> starts_next;   ///< .. and its group offsets
   std::vector<std::uint32_t> rem_nbr_ids;     ///< removal-batch neighbor CSR
   std::vector<std::uint32_t> rem_nbr_starts;  ///< .. per-removed-id offsets
   std::vector<std::uint32_t> ins_nbr_ids;     ///< insert-batch neighbor CSR
@@ -206,6 +220,13 @@ struct Clusterer::Impl {
 
   [[nodiscard]] bool is_live_slot(std::size_t i) const {
     return live.empty() || live[i] != 0;
+  }
+
+  /// Post-mutation core flag during a label repair (counts and the live
+  /// mask already hold the batch; result.is_core still holds the old flags
+  /// until the relabel).
+  [[nodiscard]] bool core_now(std::size_t i) const {
+    return is_live_slot(i) && counts[i] + 1 >= last_min_pts;
   }
 
   [[nodiscard]] std::size_t live_slots() const {
@@ -884,7 +905,7 @@ struct Clusterer::Impl {
     // Stage 5 — label repair.  The result buffers are rewritten in place;
     // rollback is impossible mid-way, so a throw degrades.
     try {
-      maintain_labels(first_new, eps, min_pts);
+      maintain_labels(first_new, eps);
     } catch (...) {
       set_health(SessionHealth::kDegraded);
       result_current = false;
@@ -904,45 +925,120 @@ struct Clusterer::Impl {
     return first_new;
   }
 
+  /// Join slot i to the repair set W (wlist), wloc being the slot -> node
+  /// map.  The dirty list is appended before the map entry is set, so a
+  /// throwing append leaves nothing marked that the next repair cannot
+  /// clear.
+  void add_w(std::uint32_t i) {
+    if (wloc[i] == kNoneId) {
+      wlist.push_back(i);
+      wloc[i] = static_cast<std::uint32_t>(wlist.size() - 1);
+    }
+  }
+
+  /// Flag old cluster c for full repair (a proven or possible split).
+  void mark_affected(std::int32_t c) {
+    std::uint8_t& flag = cluster_affected[static_cast<std::size_t>(c)];
+    if (!flag) {
+      affected_list.push_back(static_cast<std::uint32_t>(c));
+      flag = 1;
+    }
+  }
+
+  /// A fresh epoch for seed_mark / visit_mark.
+  std::uint32_t next_epoch() {
+    if (++mark_epoch == 0) {  // wrap: invalidate all stale marks once
+      std::fill(seed_mark.begin(), seed_mark.end(), 0u);
+      std::fill(visit_mark.begin(), visit_mark.end(), 0u);
+      mark_epoch = 1;
+    }
+    return mark_epoch;
+  }
+
   /// Localized label repair after one mutation batch — the incremental
   /// phase 2.  Correctness rests on two monotonicity facts:
   ///   * insertions cannot SPLIT a cluster (ε-edges only appear), and
   ///   * removals cannot MERGE clusters (ε-edges only disappear);
   /// so only clusters that LOST a core point (removal or demotion) can
   /// change shape; every other cluster keeps its partition.  For clusters
-  /// that did lose cores, split detection (see the inline proof sketch)
-  /// certifies most of them intact by connecting the cut-adjacent
-  /// surviving cores — usually by plain distance checks, else a localized
-  /// BFS — so the repair set W stays small: the cut's non-core neighbors,
-  /// demoted cores, promoted cores, and the inserted batch; only a PROVEN
-  /// split expands a cluster's full membership into W.  A miniature
-  /// union-find over W plus one ANCHOR node per old cluster re-runs phase
-  /// 2's union rules with queries only from W's cores; the relabel pass
-  /// then maps old labels through the anchors, so intact clusters merge
-  /// or persist without their members ever being queried.
-  void maintain_labels(std::size_t first_new, float eps,
-                       std::uint32_t min_pts) {
+  /// that did lose cores, split detection (detect_splits) certifies most
+  /// of them intact by connecting the cut-adjacent surviving cores —
+  /// usually by plain distance checks, else a localized BFS — so the
+  /// repair set W stays small: the cut's non-core neighbors, demoted
+  /// cores, promoted cores, and the inserted batch; only a PROVEN split
+  /// expands a cluster's full membership into W.  A miniature union-find
+  /// over W plus one ANCHOR node per old cluster re-runs phase 2's union
+  /// rules with queries only from W's cores; the relabel pass then maps
+  /// old labels through the anchors, so intact clusters merge or persist
+  /// without their members ever being queried.
+  ///
+  /// No step walks every slot: core flags can flip only where a neighbor
+  /// count changed (the touched set), scratch is cleared through dirty
+  /// lists, and cluster ids are stable (relabel_repair), so the cost is
+  /// O(|touched| + |W| + C) plus one block copy of the membership table.
+  void maintain_labels(std::size_t first_new, float eps) {
     RTD_TRACE_SPAN("session.repair");
     const Timer phase_timer;
     ClusterResult& r = result;
     const std::size_t n = pts.size();
     const std::uint32_t c_old = r.cluster_count;
 
-    // Post-mutation core flags; r.is_core keeps the PRE-mutation flags
-    // until the relabel pass (the affected-set logic needs both).
-    new_core.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      new_core[i] = is_live_slot(i) && counts[i] + 1 >= min_pts ? 1 : 0;
+    // r.is_core and r.labels keep the PRE-mutation state until the relabel
+    // (the affected-set logic needs both).  The inserted slots grow in as
+    // non-core noise — a new slot is never an old core nor an old member —
+    // so every old-state read stays in bounds.
+    r.labels.resize(n, kNoise);
+    r.is_core.resize(n, 0);
+    r.neighbor_counts.resize(n, 0);
+
+    // Clear what the previous repair marked (completed or interrupted by a
+    // fault), then grow to the slot count: grown entries start clear.
+    // (Scratch buffers grow via resize, not assign: resize grows
+    // geometrically, so warm mutations on a growing session amortize to
+    // allocation-free instead of reallocating.)
+    for (const std::uint32_t i : wlist) wloc[i] = kNoneId;
+    wlist.clear();
+    for (const std::uint32_t i : claimed_slots) claim_owner[i] = kNoneId;
+    claimed_slots.clear();
+    for (const std::uint32_t c : affected_list) cluster_affected[c] = 0;
+    affected_list.clear();
+    wloc.resize(n, kNoneId);
+    claim_owner.resize(n, kNoneId);
+    cluster_affected.resize(c_old, 0);
+    seed_mark.resize(n);
+    visit_mark.resize(n);
+    visit_origin.resize(n);  // valid only where visit_mark holds the epoch
+
+    // The touched set: the removed ids, their captured neighbors, the
+    // inserted slots and their pre-existing neighbors — every slot whose
+    // count changed, so the only slots whose core flag can have flipped.
+    // (seed_mark dedupes; split detection takes fresh epochs after.)  Each
+    // neighbor CSR holds the last batch that had a side of its kind.
+    const std::uint32_t touch_epoch = next_epoch();
+    touched.clear();
+    const auto touch = [&](std::uint32_t i) {
+      if (seed_mark[i] != touch_epoch) {
+        seed_mark[i] = touch_epoch;
+        touched.push_back(i);
+      }
+    };
+    if (!rem_sorted.empty()) {
+      for (const std::uint32_t i : rem_sorted) touch(i);
+      for (const std::uint32_t j : rem_nbr_ids) touch(j);
+    }
+    if (first_new < n) {
+      for (std::size_t i = first_new; i < n; ++i) {
+        touch(static_cast<std::uint32_t>(i));
+      }
+      for (const std::uint32_t j : ins_nbr_ids) touch(j);
     }
 
     // CUT nodes: old cores that are no longer cores (removed, or demoted by
     // the batch).  Only paths through them can break, so only their clusters
-    // can split or shed borders.  (Scratch buffers grow via resize, not
-    // assign: resize grows geometrically, so warm mutations on a growing
-    // session amortize to allocation-free instead of reallocating.)
+    // can split or shed borders.
     cut_list.clear();
-    for (std::uint32_t i = 0; i < first_new; ++i) {
-      if (r.is_core[i] && !new_core[i] && r.labels[i] >= 0) {
+    for (const std::uint32_t i : touched) {
+      if (r.is_core[i] && !core_now(i) && r.labels[i] >= 0) {
         cut_list.push_back(i);
       }
     }
@@ -951,49 +1047,71 @@ struct Clusterer::Impl {
                 return r.labels[a] != r.labels[b] ? r.labels[a] < r.labels[b]
                                                   : a < b;
               });
-    cluster_affected.resize(c_old);  // 1 = proven/possible split: full repair
-    std::fill(cluster_affected.begin(), cluster_affected.end(),
-              std::uint8_t{0});
 
-    // The repair set W (wlist), with wloc as the slot -> node map.
-    wloc.resize(n);
-    std::fill(wloc.begin(), wloc.end(), kNoneId);
-    wlist.clear();
-    const auto add_w = [&](std::uint32_t i) {
-      if (wloc[i] == kNoneId) {
-        wloc[i] = static_cast<std::uint32_t>(wlist.size());
-        wlist.push_back(i);
-      }
-    };
-
-    // Split detection, per cluster that lost a core.  A cluster splits only
-    // if some ε-connected GROUP of its cut nodes disconnects the surviving
-    // cores around it: any old core-path between surviving cores enters and
-    // leaves a cut group through cut-adjacent surviving cores ("seeds"), so
-    // if every group's seeds stay mutually reachable through surviving
-    // cores, every old path can be rerouted and the cluster is intact —
-    // its out-of-W members keep their label through the cluster anchor,
-    // and only the LOCAL damage joins W: demoted cores and the non-core
-    // neighbors of cut nodes (their witness core may be gone).  The proof
-    // is usually free: seeds directly within ε of each other unite by
-    // distance alone; only unresolved groups pay a BFS over surviving
-    // cores, and only a proven disconnection falls back to re-clustering
-    // the whole membership (the split really happened; the work is real).
     rt::TraversalStats work;
-    const float eps2 = eps * eps;
-    seed_mark.resize(n);
-    visit_mark.resize(n);
-    visit_origin.resize(n);  // valid only where visit_mark holds the epoch
-    const auto next_epoch = [&] {
-      if (++mark_epoch == 0) {  // wrap: invalidate all stale marks once
-        std::fill(seed_mark.begin(), seed_mark.end(), 0u);
-        std::fill(visit_mark.begin(), visit_mark.end(), 0u);
-        mark_epoch = 1;
+    {
+      RTD_TRACE_SPAN("repair.split");
+      RTD_FAILPOINT("repair.split");
+      detect_splits(eps, work);
+    }
+    // Promoted border/noise points and the inserted batch (always live).
+    for (const std::uint32_t i : touched) {
+      if (i >= first_new || (!r.is_core[i] && core_now(i))) {
+        add_w(i);
       }
-      return mark_epoch;
-    };
+    }
+
+    const std::size_t nodes = wlist.size() + c_old;
+    if (!mini_dsu.has_value()) {
+      mini_dsu.emplace(nodes);
+    } else {
+      mini_dsu->reset(nodes);
+    }
+    claim.resize(wlist.size());
+    std::fill(claim.begin(), claim.end(), std::uint8_t{0});
+    {
+      RTD_TRACE_SPAN("repair.union");
+      RTD_FAILPOINT("repair.union");
+      union_pass(eps, work);
+    }
+    {
+      RTD_TRACE_SPAN("repair.border");
+      RTD_FAILPOINT("repair.border");
+      border_pass(eps, work);
+    }
+    {
+      RTD_TRACE_SPAN("repair.relabel");
+      RTD_FAILPOINT("repair.relabel");
+      relabel_repair(first_new);
+      for (const std::uint32_t i : touched) {
+        r.is_core[i] = core_now(i) ? 1 : 0;
+        r.neighbor_counts[i] = counts[i];
+      }
+    }
+
+    RunStats& st = r.stats;
+    st.phase2.work += work;
+    st.phase2.seconds += phase_timer.seconds();
+    st.timings.cluster_phase_seconds = st.phase2.seconds;
+  }
+
+  /// Split detection, per cluster that lost a core.  A cluster splits only
+  /// if some ε-connected GROUP of its cut nodes disconnects the surviving
+  /// cores around it: any old core-path between surviving cores enters and
+  /// leaves a cut group through cut-adjacent surviving cores ("seeds"), so
+  /// if every group's seeds stay mutually reachable through surviving
+  /// cores, every old path can be rerouted and the cluster is intact —
+  /// its out-of-W members keep their label through the cluster anchor,
+  /// and only the LOCAL damage joins W: demoted cores and the non-core
+  /// neighbors of cut nodes (their witness core may be gone).  The proof
+  /// is usually free: seeds directly within ε of each other unite by
+  /// distance alone; only unresolved groups pay a BFS over surviving
+  /// cores, and only a proven disconnection falls back to re-clustering
+  /// the whole membership (the split really happened; the work is real).
+  void detect_splits(float eps, rt::TraversalStats& work) {
+    const ClusterResult& r = result;
+    const float eps2 = eps * eps;
     if (!site_dsu.has_value()) site_dsu.emplace(0);
-    RTD_FAILPOINT("repair.split");
     for (std::size_t lo = 0; lo < cut_list.size();) {
       const std::int32_t c = r.labels[cut_list[lo]];
       std::size_t hi = lo;
@@ -1005,7 +1123,7 @@ struct Clusterer::Impl {
       // expand the membership directly (big batches converge toward the
       // full-recluster path anyway).
       if (k * 8 >= r.members_of(c).size()) {
-        cluster_affected[static_cast<std::size_t>(c)] = 1;
+        mark_affected(c);
         for (const std::uint32_t m : r.members_of(c)) {
           if (is_live_slot(m)) add_w(m);
         }
@@ -1049,7 +1167,7 @@ struct Clusterer::Impl {
         seed_list.clear();
         const auto classify = [&](std::uint32_t j) {
           if (!is_live_slot(j)) return;
-          if (new_core[j]) {
+          if (core_now(j)) {
             if (r.is_core[j] && r.labels[j] == c && seed_mark[j] != epoch) {
               seed_mark[j] = epoch;
               seed_list.push_back(j);
@@ -1215,7 +1333,7 @@ struct Clusterer::Impl {
             index->query_sphere(
                 pts[u], eps, u,
                 [&](std::uint32_t j) {
-                  if (!is_live_slot(j) || !new_core[j] || !r.is_core[j] ||
+                  if (!core_now(j) || !r.is_core[j] ||
                       r.labels[j] != c) {
                     return;
                   }
@@ -1240,7 +1358,7 @@ struct Clusterer::Impl {
             // the most-visited — keeps the label; every other component
             // was flooded to exhaustion, so its visited cores ARE the
             // splinter and join W.
-            cluster_affected[static_cast<std::size_t>(c)] = 1;
+            mark_affected(c);
             std::uint32_t residual = kNoneId;
             if (active > 0) {
               for (std::uint32_t q = 0; q < s; ++q) {
@@ -1274,61 +1392,42 @@ struct Clusterer::Impl {
       }
       lo = hi;
     }
-    for (std::uint32_t i = 0; i < first_new; ++i) {
-      if (!r.is_core[i] && new_core[i]) add_w(i);  // promoted border/noise
-    }
-    for (std::uint32_t i = static_cast<std::uint32_t>(first_new); i < n;
-         ++i) {
-      add_w(i);  // the inserted batch (always live)
-    }
+  }
 
-    const std::size_t w_count = wlist.size();
-    const std::size_t nodes = w_count + c_old;
-    const auto cluster_node = [&](std::int32_t c) {
-      return static_cast<std::uint32_t>(w_count +
-                                        static_cast<std::size_t>(c));
-    };
-    if (!mini_dsu.has_value()) {
-      mini_dsu.emplace(nodes);
-    } else {
-      mini_dsu->reset(nodes);
-    }
-    claim.resize(w_count);
-    std::fill(claim.begin(), claim.end(), std::uint8_t{0});
-    claim_owner.resize(n);
-    std::fill(claim_owner.begin(), claim_owner.end(), kNoneId);
-
-    // Pass A — phase 2's union rules, queried only from W's core points:
-    // core-core merges (to an in-W node or an out-of-W cluster anchor),
-    // in-W border claims, and first-claim capture of out-of-W points a
-    // new core now reaches (old noise, or borders of split clusters).
-    // Out-of-W cores anchor to their old label: their cluster is proven
-    // intact, or they are the residual component of a split (splinters
-    // joined W).  Out-of-W borders of intact clusters keep their labels
-    // the same way: a border whose witness core was cut is in some cut
-    // node's neighbor list and therefore in W.
-    RTD_FAILPOINT("repair.union");
+  /// Pass A — phase 2's union rules, queried only from W's core points:
+  /// core-core merges (to an in-W node or an out-of-W cluster anchor),
+  /// in-W border claims, and first-claim capture of out-of-W points a
+  /// new core now reaches (old noise, or borders of split clusters).
+  /// Out-of-W cores anchor to their old label: their cluster is proven
+  /// intact, or they are the residual component of a split (splinters
+  /// joined W).  Out-of-W borders of intact clusters keep their labels
+  /// the same way: a border whose witness core was cut is in some cut
+  /// node's neighbor list and therefore in W.
+  void union_pass(float eps, rt::TraversalStats& work) {
+    const ClusterResult& r = result;
+    const auto w_count = static_cast<std::uint32_t>(wlist.size());
     for (std::uint32_t w = 0; w < w_count; ++w) {
       const std::uint32_t i = wlist[w];
-      if (!new_core[i]) continue;
+      if (!core_now(i)) continue;
       index->query_sphere(
           pts[i], eps, i,
           [&](std::uint32_t j) {
             const std::uint32_t wj = wloc[j];
             if (wj != kNoneId) {
-              if (new_core[j]) {
+              if (core_now(j)) {
                 if (j > i) mini_dsu->unite(w, wj);
               } else if (!claim[wj]) {
                 claim[wj] = 1;
                 mini_dsu->unite(w, wj);
               }
-            } else if (new_core[j]) {
+            } else if (core_now(j)) {
               // Out-of-W core: proven intact, or the residual component
               // of a split cluster (splinters joined W; a splinter core
               // within ε of a residual core would have merged with it
               // during detection's flood).  Either way its old label is
               // its valid cluster identity.
-              mini_dsu->unite(w, cluster_node(r.labels[j]));
+              mini_dsu->unite(
+                  w, w_count + static_cast<std::uint32_t>(r.labels[j]));
             } else if (claim_owner[j] == kNoneId &&
                        (r.labels[j] == kNoise ||
                         cluster_affected[static_cast<std::size_t>(
@@ -1339,78 +1438,250 @@ struct Clusterer::Impl {
               // valid home — claim it.  Borders of intact clusters keep
               // their anchor: their witness either survived out of W or
               // sits in W with its old label's identity.
+              claimed_slots.push_back(j);
               claim_owner[j] = w;
             }
           },
           work);
     }
+  }
 
-    // Pass B — unclaimed non-core W members: border iff ANY live core is
-    // within ε (pass A only queried from in-W cores; an out-of-W core can
-    // hold them too).  Attach to the first one found, else noise.
-    RTD_FAILPOINT("repair.border");
+  /// Pass B — unclaimed non-core W members: border iff ANY live core is
+  /// within ε (pass A only queried from in-W cores; an out-of-W core can
+  /// hold them too).  Attach to the first one found, else noise.
+  void border_pass(float eps, rt::TraversalStats& work) {
+    const ClusterResult& r = result;
+    const auto w_count = static_cast<std::uint32_t>(wlist.size());
     for (std::uint32_t w = 0; w < w_count; ++w) {
       const std::uint32_t i = wlist[w];
-      if (new_core[i] || claim[w]) continue;
+      if (core_now(i) || claim[w]) continue;
       index->query_sphere(
           pts[i], eps, i,
           [&](std::uint32_t j) {
-            if (claim[w] || !new_core[j]) return;
+            if (claim[w] || !core_now(j)) return;
             claim[w] = 1;
             const std::uint32_t wj = wloc[j];
             mini_dsu->unite(
-                w, wj != kNoneId ? wj : cluster_node(r.labels[j]));
+                w, wj != kNoneId
+                       ? wj
+                       : w_count + static_cast<std::uint32_t>(r.labels[j]));
           },
           work);
     }
+  }
 
-    // Relabel: first-seen dense ids over the mini-DSU roots.  In-W slots
-    // resolve through their own node, out-of-W labeled slots through their
-    // cluster's anchor, claimed out-of-W noise through the claiming node.
-    // (Label VALUES are not stable across mutations — only the partition.)
-    RTD_FAILPOINT("repair.relabel");
-    r.labels.resize(n, kNoise);
-    root_scratch.resize(nodes);
-    std::fill(root_scratch.begin(), root_scratch.end(), dbscan::kNoiseLabel);
-    std::int32_t next = 0;
-    const auto label_of = [&](std::uint32_t node) {
-      const std::uint32_t root = mini_dsu->find(node);
-      if (root_scratch[root] == dbscan::kNoiseLabel) {
-        root_scratch[root] = next++;
-      }
-      return root_scratch[root];
+  /// The relabel, with STABLE cluster ids.  A mini-DSU class holding old
+  /// clusters' anchors keeps the id of the largest of them, so a cluster W
+  /// does not touch keeps its id and only the smaller side of a merge is
+  /// relabelled (enumerated through the old members_of()).  Classes
+  /// without an anchor — new clusters, splinters — take freed ids first,
+  /// and ids stay dense: the highest kept ids move down into any holes
+  /// left, one cluster relabelled per hole.  Visits W, the claimed slots,
+  /// the removed batch and the members of merged or moved clusters only,
+  /// recording every move for splice_membership.
+  void relabel_repair(std::size_t first_new) {
+    ClusterResult& r = result;
+    const std::uint32_t c_old = r.cluster_count;
+    const auto w_count = static_cast<std::uint32_t>(wlist.size());
+    const auto root_of_cluster = [&](std::uint32_t c) {
+      return mini_dsu->find(w_count + c);
     };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!is_live_slot(i)) {
-        r.labels[i] = kNoise;
-        continue;
-      }
-      const std::uint32_t w = wloc[i];
-      if (w != kNoneId) {
-        r.labels[i] = new_core[i] || claim[w] ? label_of(w) : kNoise;
-      } else if (r.labels[i] >= 0 &&
-                 !(claim_owner[i] != kNoneId &&
-                   cluster_affected[static_cast<std::size_t>(
-                       r.labels[i])])) {
-        r.labels[i] = label_of(cluster_node(r.labels[i]));
-      } else if (claim_owner[i] != kNoneId) {
-        // Claimed: old noise a new core reached, or a border of a split
-        // cluster re-homed by a W core (its old witness may be in a
-        // splinter; the claiming core is a live witness by construction).
-        r.labels[i] = label_of(claim_owner[i]);
+    const auto old_size = [&](std::uint32_t c) {
+      return r.member_starts[c + 1] - r.member_starts[c];
+    };
+    const auto labeled = [&](std::uint32_t w) {
+      return claim[w] != 0 || core_now(wlist[w]);
+    };
+
+    // Members each old cluster keeps through its anchor: all but those in
+    // W, claimed by a W core, or removed.  Only a kept member can tie an
+    // anchor to anything, so an anchor with none is an empty singleton.
+    stay_count.resize(c_old);
+    for (std::uint32_t c = 0; c < c_old; ++c) stay_count[c] = old_size(c);
+    const auto leave = [&](std::uint32_t i) {
+      if (r.labels[i] >= 0) --stay_count[static_cast<std::size_t>(r.labels[i])];
+    };
+    for (const std::uint32_t i : wlist) leave(i);
+    for (const std::uint32_t i : claimed_slots) leave(i);
+    for (const std::uint32_t i : rem_sorted) leave(i);
+
+    // Count the final classes: one per root holding a kept anchor (keeper:
+    // its largest old cluster, ties to the lower id), one per root of
+    // labeled W nodes only.  root_scratch holds the final id per root.
+    constexpr std::uint32_t kNewClass = kNoneId - 1;
+    root_keeper.assign(w_count + c_old, kNoneId);
+    root_scratch.assign(w_count + c_old, kNoise);
+    std::uint32_t c_new = 0;
+    for (std::uint32_t c = 0; c < c_old; ++c) {
+      if (stay_count[c] == 0) continue;
+      std::uint32_t& keeper = root_keeper[root_of_cluster(c)];
+      if (keeper == kNoneId) {
+        keeper = c;
+        ++c_new;
+      } else if (old_size(c) > old_size(keeper)) {
+        keeper = c;
       }
     }
-    r.cluster_count = static_cast<std::uint32_t>(next);
-    r.is_core.resize(n);
-    std::copy(new_core.begin(), new_core.end(), r.is_core.begin());
-    r.neighbor_counts.resize(n);
-    std::copy(counts.begin(), counts.end(), r.neighbor_counts.begin());
-    build_membership();
+    for (std::uint32_t w = 0; w < w_count; ++w) {
+      if (!labeled(w)) continue;
+      std::uint32_t& keeper = root_keeper[mini_dsu->find(w)];
+      if (keeper == kNoneId) {
+        keeper = kNewClass;
+        ++c_new;
+      }
+    }
 
-    RunStats& st = r.stats;
-    st.phase2.work += work;
-    st.phase2.seconds += phase_timer.seconds();
-    st.timings.cluster_phase_seconds = st.phase2.seconds;
+    // Dense ids.  Kept ids below c_new stay; the holes below c_new go to
+    // the new classes first, then to the kept ids at or above c_new,
+    // highest first.  There are exactly as many holes as takers: c_new
+    // counts every keeper and every new class, so the holes below c_new
+    // number the new classes plus the keepers at or above c_new.
+    // group_base maps each new group to the old group its members are
+    // spliced from (noise onto noise; none for new classes).
+    group_base.assign(static_cast<std::size_t>(c_new) + 1, kNoneId);
+    group_base[c_new] = c_old;
+    for (std::uint32_t c = 0; c < std::min(c_old, c_new); ++c) {
+      if (stay_count[c] == 0) continue;
+      const std::uint32_t root = root_of_cluster(c);
+      if (root_keeper[root] == c) {
+        group_base[c] = c;
+        root_scratch[root] = static_cast<std::int32_t>(c);
+      }
+    }
+    std::uint32_t hole = 0;
+    const auto take_hole = [&] {
+      while (group_base[hole] != kNoneId) ++hole;
+      assert(hole < c_new);
+      return hole++;
+    };
+    for (std::uint32_t w = 0; w < w_count; ++w) {
+      if (!labeled(w)) continue;
+      const std::uint32_t root = mini_dsu->find(w);
+      if (root_keeper[root] == kNewClass && root_scratch[root] == kNoise) {
+        root_scratch[root] = static_cast<std::int32_t>(take_hole());
+      }
+    }
+    for (std::uint32_t c = c_old; c-- > c_new;) {
+      if (stay_count[c] == 0) continue;
+      const std::uint32_t root = root_of_cluster(c);
+      if (root_keeper[root] != c) continue;
+      const std::uint32_t g = take_hole();
+      group_base[g] = c;
+      root_scratch[root] = static_cast<std::int32_t>(g);
+    }
+
+    // Relabel, recording each slot that changes group: (old group, slot)
+    // leaves, (new group, slot) enters.  Noise is group c_old before and
+    // c_new after; the inserted slots had no old group.
+    group_outs.clear();
+    group_ins.clear();
+    const auto relabel_slot = [&](std::uint32_t i, std::int32_t label) {
+      if (i < first_new) {
+        const std::int32_t was = r.labels[i];
+        group_outs.push_back(
+            group_key(was == kNoise ? c_old : static_cast<std::uint32_t>(was),
+                      i));
+      }
+      group_ins.push_back(group_key(
+          label == kNoise ? c_new : static_cast<std::uint32_t>(label), i));
+      r.labels[i] = label;
+    };
+    for (std::uint32_t w = 0; w < w_count; ++w) {
+      relabel_slot(wlist[w],
+                   labeled(w) ? root_scratch[mini_dsu->find(w)] : kNoise);
+    }
+    // Claimed: old noise a new core reached, or a border of a split
+    // cluster re-homed by a W core (its old witness may be in a splinter;
+    // the claiming core is a live witness by construction).
+    for (const std::uint32_t i : claimed_slots) {
+      relabel_slot(i, root_scratch[mini_dsu->find(claim_owner[i])]);
+    }
+    for (const std::uint32_t i : rem_sorted) relabel_slot(i, kNoise);
+    // Kept members of clusters merged into a larger one (they enter its
+    // group, even when the keeper moved down into this cluster's own freed
+    // id) or moved down into a hole (the whole group moves, so the splice
+    // copies it as one block).
+    for (std::uint32_t c = 0; c < c_old; ++c) {
+      if (stay_count[c] == 0) continue;
+      const std::uint32_t root = root_of_cluster(c);
+      const std::int32_t id = root_scratch[root];
+      const bool merged = root_keeper[root] != c;
+      if (!merged && id == static_cast<std::int32_t>(c)) continue;
+      for (const std::uint32_t m :
+           r.members_of(static_cast<std::int32_t>(c))) {
+        if (!is_live_slot(m) || wloc[m] != kNoneId ||
+            claim_owner[m] != kNoneId) {
+          continue;
+        }
+        r.labels[m] = id;
+        if (merged) {
+          group_ins.push_back(group_key(static_cast<std::uint32_t>(id), m));
+        }
+      }
+    }
+    splice_membership(c_new);
+    r.cluster_count = c_new;
+  }
+
+  /// Sort key of one membership move: group in the high half, slot low.
+  [[nodiscard]] static std::uint64_t group_key(std::uint32_t group,
+                                               std::uint32_t slot) {
+    return std::uint64_t{group} << 32 | slot;
+  }
+
+  /// Rebuild the membership table from the old one and relabel_repair's
+  /// moves: new group g is old group group_base[g] (if any) minus the
+  /// slots leaving it, plus the slots entering g, all ascending.  A group
+  /// with neither is block-copied; the others copy the runs between the
+  /// binary-searched positions of their moves.  Noise stays last.
+  void splice_membership(std::uint32_t c_new) {
+    ClusterResult& r = result;
+    std::sort(group_outs.begin(), group_outs.end());
+    std::sort(group_ins.begin(), group_ins.end());
+    members_next.resize(pts.size());
+    starts_next.resize(static_cast<std::size_t>(c_new) + 2);
+    starts_next[0] = 0;
+    auto dst = members_next.begin();
+    auto in = group_ins.cbegin();
+    for (std::uint32_t g = 0; g <= c_new; ++g) {
+      auto b = r.members.cbegin();
+      auto e = b;
+      auto out = group_outs.cend();
+      auto out_end = out;
+      if (const std::uint32_t h = group_base[g]; h != kNoneId) {
+        b += r.member_starts[h];
+        e = r.members.cbegin() + r.member_starts[h + 1];
+        out = std::lower_bound(group_outs.cbegin(), group_outs.cend(),
+                               group_key(h, 0));
+        out_end = std::lower_bound(out, group_outs.cend(),
+                                   group_key(h + 1, 0));
+      }
+      const auto in_end = std::lower_bound(in, group_ins.cend(),
+                                           group_key(g + 1, 0));
+      for (;;) {
+        const std::uint32_t o =
+            out != out_end ? static_cast<std::uint32_t>(*out) : kNoneId;
+        const std::uint32_t i =
+            in != in_end ? static_cast<std::uint32_t>(*in) : kNoneId;
+        const std::uint32_t stop = std::min(o, i);
+        const auto at = stop == kNoneId ? e : std::lower_bound(b, e, stop);
+        dst = std::copy(b, at, dst);
+        b = at;
+        if (stop == kNoneId) break;
+        // On a tie the slot leaves first: it may re-enter the same group.
+        if (o == stop) {  // a leaving slot is in the old group, at b
+          ++b;
+          ++out;
+        } else {
+          *dst++ = i;
+          ++in;
+        }
+      }
+      starts_next[g + 1] =
+          static_cast<std::uint32_t>(dst - members_next.begin());
+    }
+    r.members.swap(members_next);
+    r.member_starts.swap(starts_next);
   }
 };
 

@@ -44,11 +44,17 @@
 //     amortized refits; grid/dense-box rebuild — they cannot absorb
 //     inserts), neighbor counts are maintained with one ε-query per mutated
 //     point, and labels are repaired by re-unioning only the affected
-//     ε-neighborhoods through a miniature phase 2 (unaffected clusters keep
-//     their labels untouched).  result() is the maintained clustering,
-//     identical (up to border ambiguity) to a from-scratch run at the same
-//     parameters — tests/test_incremental.cpp enforces parity after every
-//     mutation.
+//     ε-neighborhoods through a miniature phase 2, at a cost that follows
+//     the repair set, not the session size.  result() is the maintained
+//     clustering, identical (up to border ambiguity) to a from-scratch run
+//     at the same parameters — tests/test_incremental.cpp enforces parity
+//     after every mutation.
+//   * Cluster ids are stable and stay dense in [0, cluster_count): a
+//     cluster the repair does not touch keeps its id; a merged cluster
+//     keeps the id of its larger side; new clusters and splinters take
+//     freed ids first; and when a mutation frees ids, the highest ids move
+//     down into the holes (relabelling one cluster per hole — the only way
+//     an untouched cluster's id changes).
 //   * Ids are SLOT ids and stay stable across mutations: removed points
 //     keep their slot, labeled kNoise with is_core 0 and neighbor count 0
 //     (they also remain in the result's noise bucket — filter with

@@ -214,6 +214,10 @@ const std::vector<std::string>& all_span_sites() {
       "index.insert",          // NeighborIndex::try_insert absorption
       "index.refit",           // NeighborIndex::try_set_eps retarget
       "index.remove",          // NeighborIndex::try_remove masking
+      "repair.border",         // label repair: border re-claim pass
+      "repair.relabel",        // label repair: stable ids + membership splice
+      "repair.split",          // label repair: cut-group split detection
+      "repair.union",          // label repair: mini-DSU union pass
       "session.advance",       // Clusterer::advance window step
       "session.insert",        // Clusterer::insert batch
       "session.publish",       // snapshot creation under publish_mu

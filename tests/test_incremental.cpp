@@ -53,7 +53,8 @@ LiveView live_view(const Clusterer& session) {
 }
 
 /// Structural invariants of the maintained result: sizes agree, the CSR
-/// membership table matches the labels, dead slots sit in the noise bucket.
+/// membership table matches the labels with ascending slots in every
+/// group, dead slots sit in the noise bucket.
 void expect_result_consistent(const Clusterer& session, const char* what) {
   const ClusterResult& r = session.result();
   const std::size_t n = session.size();
@@ -76,6 +77,14 @@ void expect_result_consistent(const Clusterer& session, const char* what) {
   for (const std::uint32_t m : r.noise()) {
     EXPECT_EQ(r.labels[m], kNoise) << what;
     seen[m] = 1;
+  }
+  for (std::int32_t c = 0; c <= static_cast<std::int32_t>(r.cluster_count);
+       ++c) {
+    const auto group = c < static_cast<std::int32_t>(r.cluster_count)
+                           ? r.members_of(c)
+                           : r.noise();
+    EXPECT_TRUE(std::is_sorted(group.begin(), group.end()))
+        << what << ": membership group " << c << " is not ascending";
   }
   EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
             static_cast<std::ptrdiff_t>(n))
@@ -288,6 +297,35 @@ TEST(IncrementalEdge, InsertPromotesBorderAndCapturesOldNoise) {
   expect_oracle_parity(session, "promotion");
 }
 
+TEST(IncrementalEdge, InsertedCoreNearADemotedCoreSeesNoStaleState) {
+  // x has exactly four neighbors (eps 1, min_pts 4): the three oldest
+  // slots and the head of a long chain.  One advance() expires those three
+  // and inserts q within eps of x plus two points that make q a core, so x
+  // is demoted in the same batch that adds a core beside it.  Split
+  // detection then meets q among x's neighbors before the result vectors
+  // have grown to cover it: q must read as "not an old core, not an old
+  // member", never as whatever lies past the pre-mutation arrays.
+  std::vector<Vec3> pts = {
+      {0.0f, 0.7f, 0}, {0.0f, -0.7f, 0}, {0.3f, 0.7f, 0},  // expire first
+      {0.0f, 0.0f, 0}};                                       // x
+  for (int k = 0; k < 60; ++k) {
+    pts.push_back({0.6f + 0.45f * static_cast<float>(k), 0.0f, 0.0f});
+  }
+  const std::vector<Vec3> batch = {
+      {-0.5f, 0.0f, 0}, {-1.2f, 0.0f, 0}, {-1.0f, 0.6f, 0}};
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    Clusterer session(pts, Options().with_backend(kind));
+    (void)session.run(1.0f, 4);
+    ASSERT_TRUE(session.result().is_core[3]) << index::to_string(kind);
+    const std::size_t q = session.advance(batch, 3);
+    const ClusterResult& r = session.result();
+    EXPECT_FALSE(r.is_core[3]) << index::to_string(kind) << ": x demoted";
+    EXPECT_TRUE(r.is_core[q]) << index::to_string(kind) << ": q is core";
+    EXPECT_EQ(r.cluster_count, 2u) << index::to_string(kind);
+    expect_oracle_parity(session, index::to_string(kind));
+  }
+}
+
 TEST(IncrementalEdge, EmptySessionStreamsFromNothing) {
   Clusterer session(std::vector<Vec3>{}, Options());
   (void)session.run(0.3f, 4);
@@ -308,6 +346,144 @@ TEST(IncrementalEdge, MutationsAfterSweepMaintainTheLastLadderEntry) {
   (void)session.insert(data::taxi_gps(60, 109).points);
   session.remove(std::vector<std::uint32_t>{3, 500, 899});
   expect_oracle_parity(session, "post-sweep stream");
+}
+
+// ---------------------------------------------------------------------------
+// Stable cluster ids: clusters the repair leaves alone keep their label
+// values; ids stay dense in [0, cluster_count).
+// ---------------------------------------------------------------------------
+
+/// `sides` square grids of side x side points at pitch 0.1 — all core at
+/// eps 0.25, min_pts 4 — centred 10 apart along x, in slot order.
+std::vector<Vec3> grid_blobs(std::initializer_list<int> sides) {
+  std::vector<Vec3> pts;
+  float x0 = 0.0f;
+  for (const int side : sides) {
+    for (int i = 0; i < side * side; ++i) {
+      pts.push_back({x0 + 0.1f * static_cast<float>(i % side),
+                     0.1f * static_cast<float>(i / side), 0.0f});
+    }
+    x0 += 10.0f;
+  }
+  return pts;
+}
+
+/// Every id in [0, cluster_count) labels at least one point.
+void expect_dense_ids(const ClusterResult& r, const char* what) {
+  for (std::int32_t c = 0; c < static_cast<std::int32_t>(r.cluster_count);
+       ++c) {
+    EXPECT_FALSE(r.members_of(c).empty()) << what << ": id " << c
+                                          << " is unused";
+  }
+}
+
+TEST(StableIds, RepairInsideOneClusterKeepsEveryOtherLabel) {
+  // advance() expires slot 0 and inserts one point, both inside blob 0:
+  // the repair set lies inside that one cluster.
+  const std::vector<Vec3> pts = grid_blobs({4, 4, 4, 4, 4});
+  Clusterer session(pts, Options());
+  (void)session.run(0.25f, 4);
+  ASSERT_EQ(session.result().cluster_count, 5u);
+  const std::vector<std::int32_t> before = session.result().labels;
+  const std::size_t q =
+      session.advance(std::vector<Vec3>{{0.15f, 0.15f, 0.0f}}, 1);
+  const ClusterResult& r = session.result();
+  EXPECT_EQ(r.cluster_count, 5u);
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    EXPECT_EQ(r.labels[i], before[i]) << "slot " << i;
+  }
+  EXPECT_EQ(r.labels[q], before[1]);
+  expect_dense_ids(r, "one-cluster repair");
+  expect_oracle_parity(session, "one-cluster repair");
+}
+
+TEST(StableIds, MergeKeepsTheLargerClustersIdAndFillsTheFreedOne) {
+  // Blob 0 (3x3) is bridged into blob 1 (4x4, 10 to its right) by a chain
+  // of cores at pitch 0.1; blobs 2-4 are untouched.
+  const std::vector<Vec3> pts = grid_blobs({3, 4, 4, 4, 4});
+  Clusterer session(pts, Options());
+  (void)session.run(0.25f, 4);
+  ASSERT_EQ(session.result().cluster_count, 5u);
+  const std::vector<std::int32_t> before = session.result().labels;
+  const std::int32_t small = before[0];
+  const std::int32_t large = before[9];
+  std::vector<Vec3> bridge;
+  for (int k = 3; k < 100; ++k) {
+    bridge.push_back({0.1f * static_cast<float>(k), 0.0f, 0.0f});
+  }
+  (void)session.insert(bridge);
+  const ClusterResult& r = session.result();
+  ASSERT_EQ(r.cluster_count, 4u);
+  // The merged cluster keeps the larger side's id; the highest old id (4)
+  // moves into the freed one unless the freed one was the highest.
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    std::int32_t want = before[i];
+    if (want == small) want = large;
+    if (want == 4 && small != 4) want = small;
+    EXPECT_EQ(r.labels[i], want) << "slot " << i;
+  }
+  expect_dense_ids(r, "merge");
+  expect_oracle_parity(session, "merge");
+}
+
+TEST(StableIds, MergeIntoTheHighestIdMovesItIntoTheFreedOne) {
+  // Blob 3 (3x3) is bridged into blob 4 (4x4), the cluster with the
+  // highest id: the merged cluster keeps blob 4's id, which is then
+  // moved down into the hole blob 3 left — its own old id.
+  const std::vector<Vec3> pts = grid_blobs({4, 4, 4, 3, 4});
+  Clusterer session(pts, Options());
+  (void)session.run(0.25f, 4);
+  ASSERT_EQ(session.result().cluster_count, 5u);
+  const std::vector<std::int32_t> before = session.result().labels;
+  const std::int32_t small = before[48];
+  const std::int32_t large = before[57];
+  ASSERT_EQ(large, 4);
+  std::vector<Vec3> bridge;
+  for (int k = 3; k < 100; ++k) {
+    bridge.push_back({30.0f + 0.1f * static_cast<float>(k), 0.0f, 0.0f});
+  }
+  const std::size_t first_bridge = session.insert(bridge);
+  {
+    const ClusterResult& r = session.result();
+    ASSERT_EQ(r.cluster_count, 4u);
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      const std::int32_t want =
+          before[i] == small || before[i] == large ? small : before[i];
+      EXPECT_EQ(r.labels[i], want) << "slot " << i;
+    }
+    expect_dense_ids(r, "merge into the highest id");
+    expect_oracle_parity(session, "merge into the highest id");
+  }
+  // The next repair works from the spliced table: cutting two bridge
+  // points (a 0.3 gap) splits the cluster again.
+  const auto mid = static_cast<std::uint32_t>(first_bridge + 48);
+  session.remove(std::vector<std::uint32_t>{mid, mid + 1});
+  EXPECT_EQ(session.result().cluster_count, 5u);
+  expect_dense_ids(session.result(), "split after the merge");
+  expect_oracle_parity(session, "split after the merge");
+}
+
+TEST(StableIds, DissolvedClusterHoleTakesTheHighestId) {
+  const std::vector<Vec3> pts = grid_blobs({4, 4, 4, 4, 4});
+  Clusterer session(pts, Options());
+  (void)session.run(0.25f, 4);
+  ASSERT_EQ(session.result().cluster_count, 5u);
+  const std::vector<std::int32_t> before = session.result().labels;
+  // Remove all of blob 1 (slots 16..31).
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t i = 16; i < 32; ++i) ids.push_back(i);
+  const std::int32_t freed = before[16];
+  session.remove(ids);
+  const ClusterResult& r = session.result();
+  ASSERT_EQ(r.cluster_count, 4u);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (i >= 16 && i < 32) continue;
+    const std::int32_t want =
+        before[i] == 4 && freed != 4 ? freed : before[i];
+    EXPECT_EQ(r.labels[i], want) << "slot " << i;
+  }
+  expect_dense_ids(r, "dissolve");
+  expect_oracle_parity(session, "dissolve");
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -373,6 +374,54 @@ TEST_F(TelemetryArmed, FullCycleDrainsValidChromeTrace) {
   // Draining consumed the events: a second drain is empty.
   EXPECT_NE(telemetry::trace_json().find("\"traceEvents\":[]"),
             std::string::npos);
+}
+
+TEST_F(TelemetryArmed, AdvanceTraceSplitsTheRepairIntoStages) {
+  // One advance() must show where its label repair went: a span per
+  // repair stage, each inside the session.repair span.
+  telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
+  const auto dataset = data::taxi_gps(1600, 99);
+  const std::span<const geom::Vec3> all(dataset.points);
+  Clusterer session(all.subspan(0, 1500));
+  (void)session.run(0.15f, 5);
+  (void)telemetry::trace_json();  // keep only the advance below
+  (void)session.advance(all.subspan(1500, 64), 64);
+
+  struct Span {
+    std::string name;
+    double begin_us = 0.0;
+    double end_us = 0.0;
+  };
+  std::vector<Span> spans;
+  const std::string trace = telemetry::trace_json();
+  ASSERT_TRUE(is_valid_json(trace));
+  const std::string open = "{\"name\":\"";
+  for (std::size_t at = trace.find(open); at != std::string::npos;
+       at = trace.find(open, at + 1)) {
+    const std::size_t b = at + open.size();
+    Span sp;
+    sp.name = trace.substr(b, trace.find('"', b) - b);
+    sp.begin_us =
+        std::strtod(trace.c_str() + trace.find("\"ts\":", b) + 5, nullptr);
+    sp.end_us = sp.begin_us + std::strtod(trace.c_str() +
+                                              trace.find("\"dur\":", b) + 6,
+                                          nullptr);
+    spans.push_back(sp);
+  }
+  const auto named = [&](const std::string& name) {
+    return std::find_if(spans.begin(), spans.end(),
+                        [&](const Span& sp) { return sp.name == name; });
+  };
+  const auto repair = named("session.repair");
+  ASSERT_NE(repair, spans.end());
+  const double slack_us = 1.0;  // the JSON prints 9 significant digits
+  for (const char* stage : {"repair.split", "repair.union", "repair.border",
+                            "repair.relabel"}) {
+    const auto it = named(stage);
+    ASSERT_NE(it, spans.end()) << stage;
+    EXPECT_GE(it->begin_us, repair->begin_us - slack_us) << stage;
+    EXPECT_LE(it->end_us, repair->end_us + slack_us) << stage;
+  }
 }
 
 TEST_F(TelemetryArmed, RingOverflowEvictsOldestAndCountsDrops) {
