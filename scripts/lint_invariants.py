@@ -61,6 +61,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -431,26 +432,32 @@ def check_headers_self_contained(repo: Path, cxx: str | None) -> list[Violation]
         return [Violation(
             "header-self-contained", "src", 0,
             "no C++ compiler found (tried --cxx, $CXX, c++, g++, clang++)")]
-    violations = []
+
+    def probe(tmp: Path, index: int, header: Path) -> Violation | None:
+        # One generated TU per header, so the probes can run side by side.
+        tu = tmp / f"lint_tu_{index}.cpp"
+        tu.write_text(f'#include "{header.relative_to(src).as_posix()}"\n')
+        proc = subprocess.run(
+            [compiler, "-std=c++20", "-fsyntax-only", "-fopenmp",
+             "-I", str(src), str(tu)],
+            capture_output=True, text=True)
+        if proc.returncode == 0:
+            return None
+        first_error = next(
+            (l for l in proc.stderr.splitlines() if "error" in l),
+            proc.stderr.strip().splitlines()[0] if proc.stderr.strip()
+            else "compiler failed")
+        return Violation(
+            "header-self-contained", str(header.relative_to(repo)), 1,
+            "header does not compile standalone "
+            f"(generated TU, {compiler} -fsyntax-only): {first_error}")
+
     with tempfile.TemporaryDirectory(prefix="rtd_lint_") as tmp:
-        tu = Path(tmp) / "lint_tu.cpp"
-        for header in headers:
-            rel = header.relative_to(src).as_posix()
-            tu.write_text(f'#include "{rel}"\n')
-            proc = subprocess.run(
-                [compiler, "-std=c++20", "-fsyntax-only", "-fopenmp",
-                 "-I", str(src), str(tu)],
-                capture_output=True, text=True)
-            if proc.returncode != 0:
-                first_error = next(
-                    (l for l in proc.stderr.splitlines() if "error" in l),
-                    proc.stderr.strip().splitlines()[0] if proc.stderr.strip()
-                    else "compiler failed")
-                violations.append(Violation(
-                    "header-self-contained", str(header.relative_to(repo)), 1,
-                    "header does not compile standalone "
-                    f"(generated TU, {compiler} -fsyntax-only): {first_error}"))
-    return violations
+        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+            results = pool.map(probe, [Path(tmp)] * len(headers),
+                               range(len(headers)), headers)
+            violations = [v for v in results if v is not None]
+    return sorted(violations, key=lambda v: v.path)
 
 
 # --- rule: stale-suppression --------------------------------------------------

@@ -159,6 +159,7 @@ struct Clusterer::Impl {
   std::vector<std::uint32_t> ins_nbr_starts;  ///< .. per-new-id offsets
   std::vector<std::uint32_t> cut_list;    ///< removed/demoted cores, by label
   std::vector<std::uint32_t> cut_order;   ///< cut indices grouped by ε-site
+  std::vector<std::uint32_t> cut_root;    ///< cut index -> its ε-site's root
   std::vector<std::uint32_t> seed_list;   ///< cut-adjacent surviving cores
   std::vector<std::uint32_t> bfs_queue;   ///< connectivity-proof frontier
   std::vector<std::uint32_t> bfs_origin;  ///< .. origin seed per entry
@@ -945,6 +946,15 @@ struct Clusterer::Impl {
     }
   }
 
+  /// Re-cluster old cluster c from scratch: flag it and put every live
+  /// member into W.
+  void recluster(std::int32_t c) {
+    mark_affected(c);
+    for (const std::uint32_t m : result.members_of(c)) {
+      if (is_live_slot(m)) add_w(m);
+    }
+  }
+
   /// A fresh epoch for seed_mark / visit_mark.
   std::uint32_t next_epoch() {
     if (++mark_epoch == 0) {  // wrap: invalidate all stale marks once
@@ -1096,18 +1106,22 @@ struct Clusterer::Impl {
   }
 
   /// Split detection, per cluster that lost a core.  A cluster splits only
-  /// if some ε-connected GROUP of its cut nodes disconnects the surviving
-  /// cores around it: any old core-path between surviving cores enters and
-  /// leaves a cut group through cut-adjacent surviving cores ("seeds"), so
-  /// if every group's seeds stay mutually reachable through surviving
-  /// cores, every old path can be rerouted and the cluster is intact —
-  /// its out-of-W members keep their label through the cluster anchor,
-  /// and only the LOCAL damage joins W: demoted cores and the non-core
-  /// neighbors of cut nodes (their witness core may be gone).  The proof
-  /// is usually free: seeds directly within ε of each other unite by
-  /// distance alone; only unresolved groups pay a BFS over surviving
-  /// cores, and only a proven disconnection falls back to re-clustering
-  /// the whole membership (the split really happened; the work is real).
+  /// if some ε-connected GROUP of its cut nodes (an ε-site) disconnects the
+  /// surviving cores around it: any old core-path between surviving cores
+  /// enters and leaves a cut group through cut-adjacent surviving cores
+  /// ("seeds"), so if every group's seeds stay mutually reachable through
+  /// surviving cores, every old path can be rerouted and the cluster is
+  /// intact — its out-of-W members keep their label through the cluster
+  /// anchor, and only the LOCAL damage joins W: demoted cores and the
+  /// non-core neighbors of cut nodes (their witness core may be gone).
+  /// The groups are fixed before any seed search.  The proof is usually
+  /// free: seeds directly within ε of each other unite by distance alone;
+  /// only unresolved groups pay a search over surviving cores, which
+  /// costs the splinters' size when a group really splits.  The verdict
+  /// is per cluster: at most one split site keeps an open residual under
+  /// the old label (two residuals of one cluster may be disconnected), so
+  /// a second split site, or one whose every component was exhausted,
+  /// re-clusters the whole membership.
   void detect_splits(float eps, rt::TraversalStats& work) {
     const ClusterResult& r = result;
     const float eps2 = eps * eps;
@@ -1123,17 +1137,15 @@ struct Clusterer::Impl {
       // expand the membership directly (big batches converge toward the
       // full-recluster path anyway).
       if (k * 8 >= r.members_of(c).size()) {
-        mark_affected(c);
-        for (const std::uint32_t m : r.members_of(c)) {
-          if (is_live_slot(m)) add_w(m);
-        }
+        recluster(c);
         lo = hi;
         continue;
       }
 
       // ε-transitive grouping of this cluster's cut nodes: consecutive cut
       // nodes on an old path are within ε, so a maximal cut run lies in one
-      // group and its flanking seeds belong to that group's seed set.
+      // group and its flanking seeds belong to that group's seed set.  The
+      // grouping is frozen into cut_root: the seed search reuses site_dsu.
       site_dsu->reset(k);
       for (std::size_t a = 0; a < k; ++a) {
         for (std::size_t b = a + 1; b < k; ++b) {
@@ -1145,18 +1157,22 @@ struct Clusterer::Impl {
         }
       }
       cut_order.resize(k);
+      cut_root.resize(k);
       for (std::size_t a = 0; a < k; ++a) {
         cut_order[a] = static_cast<std::uint32_t>(a);
+        cut_root[a] = site_dsu->find(static_cast<std::uint32_t>(a));
       }
       std::sort(cut_order.begin(), cut_order.end(),
                 [&](std::uint32_t a, std::uint32_t b) {
-                  return site_dsu->find(a) < site_dsu->find(b);
+                  return cut_root[a] != cut_root[b] ? cut_root[a] < cut_root[b]
+                                                    : a < b;
                 });
 
+      bool residual_kept = false;  // a split site of c kept its residual
       for (std::size_t glo = 0; glo < k;) {
-        const std::uint32_t root = site_dsu->find(cut_order[glo]);
+        const std::uint32_t root = cut_root[cut_order[glo]];
         std::size_t ghi = glo;
-        while (ghi < k && site_dsu->find(cut_order[ghi]) == root) ++ghi;
+        while (ghi < k && cut_root[cut_order[ghi]] == root) ++ghi;
 
         // Seeds: surviving old cores adjacent to any cut node of the
         // group.  Non-core neighbors of this cluster join W — their
@@ -1199,7 +1215,7 @@ struct Clusterer::Impl {
 
         // Query-free fast path: seeds directly within ε unite by distance
         // alone.  The DSU survives into the search below as its starting
-        // components (cut grouping is already materialized in cut_order).
+        // components (the cut grouping was frozen into cut_root above).
         site_dsu->reset(s);
         std::size_t comps = s;
         if (s <= 512) {
@@ -1354,31 +1370,23 @@ struct Clusterer::Impl {
         if (comps > 1) {
           flood(false);
           if (comps > 1) {
-            // Proven split.  The residual component — still active, else
-            // the most-visited — keeps the label; every other component
-            // was flooded to exhaustion, so its visited cores ARE the
-            // splinter and join W.
+            // Proven split.  A second split site of c, or one with no open
+            // residual, re-clusters the whole membership; that covers
+            // every later group of c too.
+            if (residual_kept || active == 0) {
+              recluster(c);
+              break;
+            }
+            // The still-active residual keeps the label; every other
+            // component was flooded to exhaustion, so its visited cores
+            // ARE the splinter and join W.
+            residual_kept = true;
             mark_affected(c);
             std::uint32_t residual = kNoneId;
-            if (active > 0) {
-              for (std::uint32_t q = 0; q < s; ++q) {
-                if (bfs_pending[site_dsu->find(q)] > 0) {
-                  residual = site_dsu->find(q);
-                  break;
-                }
-              }
-            } else {
-              std::fill(bfs_pending.begin(), bfs_pending.end(), 0u);
-              for (const std::uint32_t o : bfs_origin) {
-                ++bfs_pending[site_dsu->find(o)];
-              }
-              std::uint32_t best = 0;
-              for (std::uint32_t q = 0; q < s; ++q) {
-                const std::uint32_t rq = site_dsu->find(q);
-                if (bfs_pending[rq] > best) {
-                  best = bfs_pending[rq];
-                  residual = rq;
-                }
+            for (std::uint32_t q = 0; q < s; ++q) {
+              if (bfs_pending[site_dsu->find(q)] > 0) {
+                residual = site_dsu->find(q);
+                break;
               }
             }
             for (std::size_t e = 0; e < bfs_queue.size(); ++e) {

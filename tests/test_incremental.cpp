@@ -14,7 +14,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -626,6 +629,176 @@ TEST(IncrementalSoak, SeededMutationStormMatchesOracleOnEveryBackend) {
       expect_oracle_parity(session, index::to_string(kind));
       if (::testing::Test::HasFailure()) return;  // first divergence only
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Split sites: several ε-separated cuts in one cluster.  A disc with chains
+// leaving its edge; at eps 1, min_pts 3 every point of a chain (step 0.4)
+// is a core, so removing two or more consecutive chain points cuts it.
+// ---------------------------------------------------------------------------
+
+struct DiscWithChains {
+  std::vector<Vec3> points;  ///< the disc (slots [0, 120)), then each chain
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> chains;  ///< [lo, hi)
+};
+
+/// 120 points uniform in a disc of radius 2 at the origin, then 2-5 chains
+/// of 20-40 points leaving the disc edge in steps of 0.4 with a small
+/// random bend.
+DiscWithChains disc_with_chains(Rng& rng) {
+  DiscWithChains d;
+  const double two_pi = 2.0 * std::numbers::pi;
+  for (int i = 0; i < 120; ++i) {
+    const double rad = 2.0 * std::sqrt(rng.uniform());
+    const double a = two_pi * rng.uniform();
+    d.points.push_back({static_cast<float>(rad * std::cos(a)),
+                        static_cast<float>(rad * std::sin(a)), 0.0f});
+  }
+  const std::uint64_t chains = 2 + rng.below(4);
+  for (std::uint64_t c = 0; c < chains; ++c) {
+    const std::uint64_t len = 20 + rng.below(21);
+    double heading = two_pi * rng.uniform();
+    double x = 2.0 * std::cos(heading);
+    double y = 2.0 * std::sin(heading);
+    const auto lo = static_cast<std::uint32_t>(d.points.size());
+    for (std::uint64_t k = 0; k < len; ++k) {
+      heading += rng.uniform(-0.15, 0.15);
+      x += 0.4 * std::cos(heading);
+      y += 0.4 * std::sin(heading);
+      d.points.push_back({static_cast<float>(x), static_cast<float>(y), 0.0f});
+    }
+    d.chains.emplace_back(lo, static_cast<std::uint32_t>(d.points.size()));
+  }
+  return d;
+}
+
+/// One round of cuts: 3 random disc points plus 1-3 runs of 1-5
+/// consecutive chain points, each id taken only while live.
+std::vector<std::uint32_t> cut_round(Rng& rng, const Clusterer& session,
+                                     const DiscWithChains& d) {
+  std::vector<std::uint32_t> ids;
+  const auto take = [&](std::uint32_t id) {
+    if (session.is_live(id) &&
+        std::find(ids.begin(), ids.end(), id) == ids.end()) {
+      ids.push_back(id);
+    }
+  };
+  for (int t = 0; t < 3; ++t) {
+    take(static_cast<std::uint32_t>(rng.below(120)));
+  }
+  const std::uint64_t runs = 1 + rng.below(3);
+  for (std::uint64_t run = 0; run < runs; ++run) {
+    const auto [lo, hi] = d.chains[rng.below(d.chains.size())];
+    const std::uint64_t len = 1 + rng.below(5);
+    const auto start =
+        static_cast<std::uint32_t>(lo + rng.below(hi - lo));
+    for (std::uint32_t id = start; id < hi && id < start + len; ++id) {
+      take(id);
+    }
+  }
+  return ids;
+}
+
+/// Six cut rounds on the world of `seed`, oracle-checked after every
+/// remove().  With `inserts`, 1-3 points land beside a random chain point
+/// between rounds (possibly re-bridging a cut).  True when parity held.
+bool cut_rounds_match_oracle(std::uint64_t seed, IndexKind kind,
+                             bool inserts) {
+  Rng rng(seed);
+  const DiscWithChains d = disc_with_chains(rng);
+  Clusterer session(d.points, Options().with_backend(kind));
+  (void)session.run(1.0f, 3);
+  const std::string what = std::string(index::to_string(kind)) + " seed " +
+                           std::to_string(seed) +
+                           (inserts ? " with inserts" : "");
+  for (int round = 0; round < 6; ++round) {
+    session.remove(cut_round(rng, session, d));
+    expect_oracle_parity(session, what.c_str());
+    if (::testing::Test::HasFailure()) return false;
+    if (inserts) {
+      const auto [lo, hi] = d.chains[rng.below(d.chains.size())];
+      const Vec3 at = d.points[lo + rng.below(hi - lo)];
+      std::vector<Vec3> batch;
+      for (std::uint64_t p = 1 + rng.below(3); p > 0; --p) {
+        batch.push_back({at.x + rng.uniformf(-0.3f, 0.3f),
+                         at.y + rng.uniformf(-0.3f, 0.3f), 0.0f});
+      }
+      (void)session.insert(batch);
+      expect_oracle_parity(session, what.c_str());
+      if (::testing::Test::HasFailure()) return false;
+    }
+  }
+  return true;
+}
+
+TEST(IncrementalEdge, TwoCutsOnOneChainSplitOffTheMiddleAndTheTail) {
+  // Blob (10 x 10 at pitch 0.3), then a chain along +x in steps of 0.4:
+  // cut A (3 points), middle (6), cut B (3), tail (30).  Removing both
+  // cuts proves a split at each site; each site's search would keep a
+  // different residual (the blob at A, the tail at B), so the cluster
+  // must be settled as a whole.
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 100; ++i) {
+    pts.push_back({0.3f * static_cast<float>(i % 10),
+                   0.3f * static_cast<float>(i / 10), 0.0f});
+  }
+  const auto chain = [&](int k) {
+    return Vec3{2.7f + 0.4f * static_cast<float>(k + 1), 1.35f, 0.0f};
+  };
+  std::vector<std::uint32_t> cuts;
+  std::vector<std::uint32_t> middle;
+  std::vector<std::uint32_t> tail;
+  for (int k = 0; k < 42; ++k) {
+    const auto slot = static_cast<std::uint32_t>(pts.size());
+    pts.push_back(chain(k));
+    (k < 3 || (k >= 9 && k < 12) ? cuts : k < 9 ? middle : tail)
+        .push_back(slot);
+  }
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    Clusterer session(pts, Options().with_backend(kind));
+    (void)session.run(1.0f, 3);
+    ASSERT_EQ(session.result().cluster_count, 1u) << index::to_string(kind);
+    session.remove(cuts);
+    const ClusterResult& r = session.result();
+    EXPECT_EQ(r.cluster_count, 3u) << index::to_string(kind);
+    const std::int32_t blob = r.labels[0];
+    for (const std::uint32_t m : middle) {
+      EXPECT_EQ(r.labels[m], r.labels[middle[0]]) << index::to_string(kind);
+    }
+    for (const std::uint32_t t : tail) {
+      EXPECT_EQ(r.labels[t], r.labels[tail[0]]) << index::to_string(kind);
+    }
+    EXPECT_NE(r.labels[middle[0]], blob) << index::to_string(kind);
+    EXPECT_NE(r.labels[tail[0]], blob) << index::to_string(kind);
+    EXPECT_NE(r.labels[tail[0]], r.labels[middle[0]])
+        << index::to_string(kind);
+    expect_oracle_parity(session, index::to_string(kind));
+  }
+}
+
+TEST(IncrementalSplitSites, PinnedSeedsMatchOracle) {
+  // Seeds that catch a cut grouping read back after the seed search has
+  // reused its union-find: unrelated cut sites merge into one group and a
+  // split cluster's pieces stay under one label.
+  struct Pin {
+    std::uint64_t seed;
+    IndexKind kind;
+    bool inserts;
+  };
+  for (const Pin& pin : {Pin{1216, IndexKind::kAuto, false},
+                         Pin{2008, IndexKind::kAuto, false},
+                         Pin{736, IndexKind::kAuto, true},
+                         Pin{736, IndexKind::kBruteForce, true},
+                         Pin{736, IndexKind::kDenseBox, true}}) {
+    if (!cut_rounds_match_oracle(pin.seed, pin.kind, pin.inserts)) return;
+  }
+}
+
+TEST(IncrementalSoak, DiscWithChainsCutsMatchOracle) {
+  for (std::uint64_t seed = 1000; seed < 1150; ++seed) {
+    const bool inserts = seed % 2 == 1;
+    if (!cut_rounds_match_oracle(seed, IndexKind::kAuto, inserts)) return;
   }
 }
 

@@ -265,6 +265,8 @@ TEST(RtDbscanRunner, TriangleModeFirstRunMatchesOneShot) {
 TEST(RtDbscanRunner, TriangleModeEpsSweepRefitsInPlace) {
   // set_eps on a triangle session rescales the tessellation and REFITS —
   // results must match a from-scratch run at every eps, across widths.
+  // One thread: border points claimed by two clusters go to whichever
+  // claim lands first, so exact labels only repeat on a serial run.
   const auto dataset = data::taxi_gps(600, 94);
   for (const rt::TraversalWidth width :
        {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
@@ -272,6 +274,7 @@ TEST(RtDbscanRunner, TriangleModeEpsSweepRefitsInPlace) {
     RtDbscanOptions opts;
     opts.geometry = GeometryMode::kTriangles;
     opts.triangle_subdivisions = 0;
+    opts.device.threads = 1;
     opts.device.build.width = width;
     RtDbscanRunner runner(dataset.points, 0.2f, opts);
     (void)runner.run(5);
