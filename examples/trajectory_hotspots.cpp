@@ -5,10 +5,8 @@
 // rebuild per window.  The densest clusters of each window are the current
 // hotspots.
 //
-// Each window row also reports the step's mutation latency: from the
-// telemetry registry (Clusterer::metrics(), histogram mutation.latency)
-// when the build carries it, else from the maintained RunStats — both read
-// the same clock, so the numbers agree either way.
+// Each window row also reports the step's mutation latency from the
+// telemetry registry (Clusterer::metrics(), histogram mutation.latency).
 //
 //   ./trajectory_hotspots [--n 80000] [--eps 0.25] [--minpts 50]
 //                         [--window 20000] [--step 5000] [--trace out.json]
@@ -53,20 +51,16 @@ std::vector<Hotspot> hotspots(const rtd::Clusterer& session) {
   return spots;
 }
 
-// This step's mutation latency in ms.  With metrics armed, the delta of the
-// process-wide mutation.latency histogram sum since the previous window
-// (`last_sum` carries the running total); compiled out or disarmed, the
-// maintained result's own per-mutation timing — the same Timer value.
+// This step's mutation latency in ms: the delta of the process-wide
+// mutation.latency histogram sum since the previous window (`last_sum`
+// carries the running total).
 double window_mutation_ms(const rtd::Clusterer& session, double& last_sum) {
-  if (rtd::telemetry::metrics_armed()) {
-    const rtd::telemetry::MetricsSnapshot m = session.metrics();
-    const rtd::telemetry::HistogramSnapshot& h =
-        m.histogram(rtd::telemetry::Histogram::kMutationLatency);
-    const double ms = (h.sum_seconds - last_sum) * 1e3;
-    last_sum = h.sum_seconds;
-    return ms;
-  }
-  return session.result().stats.timings.total_seconds * 1e3;
+  const rtd::telemetry::MetricsSnapshot m = session.metrics();
+  const rtd::telemetry::HistogramSnapshot& h =
+      m.histogram(rtd::telemetry::Histogram::kMutationLatency);
+  const double ms = (h.sum_seconds - last_sum) * 1e3;
+  last_sum = h.sum_seconds;
+  return ms;
 }
 
 void print_window(const char* tag, const rtd::Clusterer& session,
@@ -106,11 +100,9 @@ int main(int argc, char** argv) {
       "step %zu\n",
       stream.size(), window, step);
 
-  // Arm the metric updates when the build carries them, so the per-window
-  // latency below comes from the registry (no-op request otherwise).
-  if (rtd::telemetry::compiled_in()) {
-    rtd::telemetry::arm(rtd::telemetry::kMetrics);
-  }
+  // Arm the metric updates, so the per-window latency below comes from the
+  // registry.
+  rtd::telemetry::arm(rtd::telemetry::kMetrics);
 
   rtd::Clusterer session(stream.subspan(0, window));
   (void)session.run(eps, min_pts);

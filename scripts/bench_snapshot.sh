@@ -32,24 +32,7 @@
 #   * streaming: steady-state small-batch advance() (B = 1 and B = 64) on a
 #     1M-point live session must stay >= 5x faster than a full rebuild +
 #     recluster of the window (PR 7 floor — incremental maintenance exists
-#     to beat the batch pipeline; the 4096 row is characterization only);
-#   * failpoint overhead: when BENCH_FP_BUILD_DIR (default build/fp) holds a
-#     bench_streaming compiled with -DRTDBSCAN_FAILPOINTS=ON, the same
-#     streaming pass runs there and its gated rows (B = 1 and B = 64) must
-#     stay within 3% of the failpoints-OFF numbers measured in THIS
-#     invocation (the PR 7 baseline shape, re-measured on this machine so
-#     the gate compares like with like).  Configure the instrumented tree
-#     with the same optimization flags as the baseline build or the gate
-#     measures your compiler flags, not the failpoints.  Absent binary ==
-#     the pass is skipped with a note.
-#   * telemetry overhead: when BENCH_TELEM_BUILD_DIR (default build/telem)
-#     holds bench_streaming and bench_serving compiled with
-#     -DRTDBSCAN_TELEMETRY=ON, both rerun there with NOTHING armed and must
-#     stay within 3% of this invocation's telemetry-OFF numbers — streaming
-#     per-mutation latency at B = 1 and B = 64, and quiescent serving QPS
-#     (the snapshot read path carries a histogram sample + counter per
-#     query, so it is the most exposed surface).  Same same-flags caveat and
-#     skip-with-note behavior as the failpoint gate.
+#     to beat the batch pipeline; the 4096 row is characterization only).
 set -euo pipefail
 
 build_dir="${1:-build/release}"
@@ -101,49 +84,14 @@ echo "== bench_streaming (live-session advance() vs full rebuild+recluster)"
 "${streaming}" --json --n "${BENCH_STREAM_N:-1000000}" \
   --reps "${BENCH_REPS:-3}" >"${tmp_dir}/streaming.json"
 
-fp_build_dir="${BENCH_FP_BUILD_DIR:-build/fp}"
-fp_streaming="${fp_build_dir}/bench/bench_streaming"
-if [[ -x "${fp_streaming}" ]]; then
-  echo "== bench_streaming (failpoints-ON build: unarmed overhead <= 3%)"
-  "${fp_streaming}" --json --n "${BENCH_STREAM_N:-1000000}" \
-    --reps "${BENCH_REPS:-3}" >"${tmp_dir}/streaming_fp.json"
-else
-  echo "note: ${fp_streaming} not found — skipping the failpoint overhead" \
-       "gate (build one with cmake -B ${fp_build_dir} -S ." \
-       "-DRTDBSCAN_FAILPOINTS=ON plus the baseline's optimization flags)" >&2
-  echo '{}' >"${tmp_dir}/streaming_fp.json"
-fi
-
-telem_build_dir="${BENCH_TELEM_BUILD_DIR:-build/telem}"
-telem_streaming="${telem_build_dir}/bench/bench_streaming"
-telem_serving="${telem_build_dir}/bench/bench_serving"
-if [[ -x "${telem_streaming}" && -x "${telem_serving}" ]]; then
-  echo "== bench_streaming (telemetry-ON build: disarmed overhead <= 3%)"
-  "${telem_streaming}" --json --n "${BENCH_STREAM_N:-1000000}" \
-    --reps "${BENCH_REPS:-3}" >"${tmp_dir}/streaming_telem.json"
-  echo "== bench_serving (telemetry-ON build: disarmed read path <= 3%)"
-  "${telem_serving}" --json --reps "${BENCH_REPS:-3}" \
-    >"${tmp_dir}/serving_telem.json"
-else
-  echo "note: ${telem_build_dir} lacks bench_streaming/bench_serving —" \
-       "skipping the telemetry overhead gate (build with cmake -B" \
-       "${telem_build_dir} -S . -DRTDBSCAN_TELEMETRY=ON plus the" \
-       "baseline's optimization flags)" >&2
-  echo '{}' >"${tmp_dir}/streaming_telem.json"
-  echo '{}' >"${tmp_dir}/serving_telem.json"
-fi
-
 python3 - "${tmp_dir}/micro.json" "${tmp_dir}/sweep.json" \
   "${tmp_dir}/breakdown.csv" "${tmp_dir}/serving.json" \
-  "${tmp_dir}/streaming.json" "${tmp_dir}/streaming_fp.json" \
-  "${tmp_dir}/streaming_telem.json" "${tmp_dir}/serving_telem.json" \
-  "${out_file}" <<'PYEOF'
+  "${tmp_dir}/streaming.json" "${out_file}" <<'PYEOF'
 import json
 import sys
 
 (micro_path, sweep_path, breakdown_path, serving_path, streaming_path,
- streaming_fp_path, streaming_telem_path, serving_telem_path,
- out_path) = sys.argv[1:10]
+ out_path) = sys.argv[1:7]
 with open(micro_path) as f:
     micro = json.load(f)
 with open(sweep_path) as f:
@@ -154,12 +102,6 @@ with open(serving_path) as f:
     serving = json.load(f)
 with open(streaming_path) as f:
     streaming = json.load(f)
-with open(streaming_fp_path) as f:
-    streaming_fp = json.load(f)  # {} when the instrumented build is absent
-with open(streaming_telem_path) as f:
-    streaming_telem = json.load(f)  # {} when the telemetry build is absent
-with open(serving_telem_path) as f:
-    serving_telem = json.load(f)
 
 def median_time(doc, name):
     for b in doc["benchmarks"]:
@@ -190,57 +132,6 @@ for backend in session_backends:
         "session_sweep_ms": refit,
         "session_speedup": ratio(rebuild, refit),
     }
-
-fp_overhead_rows = []
-if streaming_fp.get("rows"):
-    off_by_batch = {r["batch"]: r for r in streaming["rows"]}
-    for fp_row in streaming_fp["rows"]:
-        off_row = off_by_batch.get(fp_row["batch"])
-        if off_row is None:
-            continue
-        fp_overhead_rows.append({
-            "batch": fp_row["batch"],
-            "off_per_mutation_ms": off_row["per_mutation_ms"],
-            "failpoints_on_per_mutation_ms": fp_row["per_mutation_ms"],
-            "overhead_ratio": fp_row["per_mutation_ms"] /
-                              off_row["per_mutation_ms"],
-        })
-
-# Telemetry gate rows: disarmed telemetry-ON vs telemetry-OFF, both from
-# THIS invocation (same machine state), on the two most exposed surfaces —
-# per-mutation streaming latency and the quiescent snapshot read path.
-telem_mutation_rows = []
-if streaming_telem.get("rows"):
-    off_by_batch = {r["batch"]: r for r in streaming["rows"]}
-    for t_row in streaming_telem["rows"]:
-        off_row = off_by_batch.get(t_row["batch"])
-        if off_row is None:
-            continue
-        telem_mutation_rows.append({
-            "batch": t_row["batch"],
-            "off_per_mutation_ms": off_row["per_mutation_ms"],
-            "telemetry_on_per_mutation_ms": t_row["per_mutation_ms"],
-            "overhead_ratio": t_row["per_mutation_ms"] /
-                              off_row["per_mutation_ms"],
-        })
-telem_serving_rows = []
-if serving_telem.get("rows"):
-    off_rows = {(r["backend"], r["readers"]): r
-                for r in serving["rows"] if not r["churn"]}
-    for t_row in serving_telem["rows"]:
-        if t_row["churn"]:
-            continue  # churn rows are characterization in the base pass too
-        off_row = off_rows.get((t_row["backend"], t_row["readers"]))
-        if off_row is None:
-            continue
-        telem_serving_rows.append({
-            "backend": t_row["backend"],
-            "readers": t_row["readers"],
-            "off_qps": off_row["qps"],
-            "telemetry_on_qps": t_row["qps"],
-            # >= 1 means the telemetry build served at least as fast.
-            "qps_ratio": t_row["qps"] / off_row["qps"],
-        })
 
 snapshot = {
     "pr": 8,
@@ -301,27 +192,6 @@ snapshot = {
             "target": "per-mutation latency at B = 1 and B = 64 >= 5x "
                       "faster than full rebuild + recluster (B = 4096 is "
                       "characterization only)",
-        },
-        "failpoint_overhead": {
-            "benchmark": "bench_streaming rerun from a "
-                         "-DRTDBSCAN_FAILPOINTS=ON build with nothing "
-                         "armed (the unarmed fast path is one relaxed "
-                         "atomic load per site)",
-            "rows": fp_overhead_rows,
-            "target": "per-mutation latency at B = 1 and B = 64 within "
-                      "3% of the failpoints-OFF build measured in the "
-                      "same invocation",
-        },
-        "telemetry_overhead": {
-            "benchmark": "bench_streaming and bench_serving rerun from a "
-                         "-DRTDBSCAN_TELEMETRY=ON build with nothing "
-                         "armed (the disarmed fast path is one relaxed "
-                         "atomic load per instrumented site)",
-            "streaming_rows": telem_mutation_rows,
-            "serving_rows": telem_serving_rows,
-            "target": "per-mutation latency at B = 1 and B = 64 within 3% "
-                      "of the telemetry-OFF build, and quiescent serving "
-                      "QPS >= 0.97x of it, measured in the same invocation",
         },
     },
     "context": micro.get("context", {}),
@@ -397,60 +267,4 @@ if not gated_batches <= seen_batches:
     print("FAIL: streaming rows for the gated batch sizes (1, 64) missing",
           file=sys.stderr)
     sys.exit(1)
-if fp_overhead_rows:
-    fp_seen = set()
-    for row in fp_overhead_rows:
-        print(f"headline: failpoints-ON B={row['batch']} "
-              f"{row['failpoints_on_per_mutation_ms']:.2f}ms/mutation "
-              f"({row['overhead_ratio']:.3f}x the failpoints-OFF build)")
-        fp_seen.add(row["batch"])
-        if row["batch"] in gated_batches and row["overhead_ratio"] > 1.03:
-            print(f"FAIL: failpoint instrumentation costs "
-                  f"{(row['overhead_ratio'] - 1) * 100:.1f}% at "
-                  f"B={row['batch']} (floor: <= 3% unarmed overhead)",
-                  file=sys.stderr)
-            sys.exit(1)
-    if not gated_batches <= fp_seen:
-        print("FAIL: failpoints-ON streaming rows for the gated batch "
-              "sizes (1, 64) missing", file=sys.stderr)
-        sys.exit(1)
-else:
-    print("note: failpoint overhead gate skipped (no instrumented "
-          "bench_streaming)")
-if telem_mutation_rows:
-    telem_seen = set()
-    for row in telem_mutation_rows:
-        print(f"headline: telemetry-ON B={row['batch']} "
-              f"{row['telemetry_on_per_mutation_ms']:.2f}ms/mutation "
-              f"({row['overhead_ratio']:.3f}x the telemetry-OFF build)")
-        telem_seen.add(row["batch"])
-        if row["batch"] in gated_batches and row["overhead_ratio"] > 1.03:
-            print(f"FAIL: disarmed telemetry costs "
-                  f"{(row['overhead_ratio'] - 1) * 100:.1f}% per mutation "
-                  f"at B={row['batch']} (floor: <= 3% disarmed overhead)",
-                  file=sys.stderr)
-            sys.exit(1)
-    if not gated_batches <= telem_seen:
-        print("FAIL: telemetry-ON streaming rows for the gated batch "
-              "sizes (1, 64) missing", file=sys.stderr)
-        sys.exit(1)
-    if not telem_serving_rows:
-        # Fail closed: the serving half of the gate must not vanish
-        # silently when the streaming half ran.
-        print("FAIL: telemetry-ON serving produced no quiescent rows",
-              file=sys.stderr)
-        sys.exit(1)
-    for row in telem_serving_rows:
-        print(f"headline: telemetry-ON serving {row['backend']} "
-              f"x{row['readers']} readers {row['telemetry_on_qps']:.0f} QPS "
-              f"({row['qps_ratio']:.3f}x the telemetry-OFF build)")
-        if row["qps_ratio"] < 0.97:
-            print(f"FAIL: disarmed telemetry costs "
-                  f"{(1 - row['qps_ratio']) * 100:.1f}% quiescent serving "
-                  f"QPS at {row['readers']} readers on {row['backend']} "
-                  f"(floor: >= 0.97x)", file=sys.stderr)
-            sys.exit(1)
-else:
-    print("note: telemetry overhead gate skipped (no instrumented "
-          "bench_streaming/bench_serving)")
 PYEOF

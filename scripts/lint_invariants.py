@@ -3,31 +3,22 @@
 
 Rules (each can be listed with --list-rules):
 
-  failpoint-in-omp        RTD_FAILPOINT / RTD_FAILPOINT_DECLINES must never
-                          appear lexically inside an `#pragma omp parallel`
-                          region: a fault thrown from a worker thread cannot
-                          cross the OpenMP region boundary and terminates the
-                          process.  Sites belong at serial boundaries only.
-  failpoint-site-registry Every site name used in code is in the canonical
-                          all_sites() list (src/common/failpoint.cpp), every
-                          canonical name is used at least once, and the list
+  stage-in-omp            RTD_STAGE / RTD_STAGE_AS must never appear
+                          lexically inside an `#pragma omp parallel` region:
+                          a fault thrown from a worker thread cannot cross
+                          the OpenMP region boundary and terminates the
+                          process, and a per-worker span would hammer the
+                          thread rings from inside the hot launch and skew
+                          the very latencies it reports.  Stages belong at
+                          serial boundaries only.
+  stage-site-registry     Every stage name used in code is in the canonical
+                          all_sites() table (src/common/stage.cpp), every
+                          canonical name is used at least once, and the table
                           stays sorted (its comment promises it).
-  failpoint-site-docs     Every canonical site appears in the
-                          docs/ARCHITECTURE.md site table and in the chaos
+  stage-site-docs         Every canonical stage appears in the
+                          docs/ARCHITECTURE.md stage table and in the chaos
                           soak's coverage dispatch (tests/test_chaos.cpp), so
-                          new sites cannot land undocumented or untested.
-  trace-span-in-omp       RTD_TRACE_SPAN must never appear lexically inside
-                          an `#pragma omp parallel` region: spans belong at
-                          serial boundaries (a per-worker span would hammer
-                          the thread rings from inside the hot launch and
-                          skew the very latencies it reports).
-  trace-span-site-registry Every RTD_TRACE_SPAN site name is in the canonical
-                          all_span_sites() list (src/telemetry/telemetry.cpp),
-                          every canonical name is used at least once, and the
-                          list stays sorted (its comment promises it).
-  trace-span-site-docs    Every canonical span site appears in the
-                          docs/ARCHITECTURE.md span-site table, so new spans
-                          cannot land undocumented.
+                          new stages cannot land undocumented or untested.
   thread-local-header     No `static thread_local` in headers: names
                           referenced from inside an OMP worker lambda resolve
                           to the EXECUTING thread's instance, not the
@@ -65,8 +56,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-FAILPOINT_RE = re.compile(r"RTD_FAILPOINT(?:_DECLINES)?\s*\(\s*\"([^\"]+)\"")
-TRACE_SPAN_RE = re.compile(r"RTD_TRACE_SPAN\s*\(\s*\"([^\"]+)\"")
+STAGE_RE = re.compile(r"RTD_STAGE(?:_AS\s*\(\s*\w+\s*,|\s*\()\s*\"([^\"]+)\"")
 OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b", re.MULTILINE)
 THREAD_LOCAL_RE = re.compile(r"\bstatic\s+thread_local\b|\bthread_local\s+static\b")
 THREAD_LOCAL_WAIVER_RE = re.compile(r"lint:allow\(static-thread-local\):\s*\S")
@@ -87,7 +77,7 @@ class Violation:
 def strip_comments_and_strings(text: str) -> str:
     """Blank out comments and string/char literals, preserving offsets and
     newlines, so brace/paren scanning and token searches cannot be fooled by
-    `"{"` in a string or `RTD_FAILPOINT` in a comment."""
+    `"{"` in a string or `RTD_STAGE` in a comment."""
     out = list(text)
     i, n = 0, len(text)
     while i < n:
@@ -142,7 +132,7 @@ def line_of(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
-# --- rule: failpoint-in-omp -------------------------------------------------
+# --- rule: stage-in-omp -----------------------------------------------------
 
 def omp_region_span(clean: str, pragma_end: int) -> tuple[int, int]:
     """Lexical extent of the structured block following a pragma at
@@ -177,11 +167,11 @@ def omp_region_span(clean: str, pragma_end: int) -> tuple[int, int]:
     return (start, n)
 
 
-def check_failpoint_in_omp(repo: Path) -> list[Violation]:
+def check_stage_in_omp(repo: Path) -> list[Violation]:
     violations = []
     for path in source_files(repo):
         text = path.read_text(encoding="utf-8", errors="replace")
-        if "RTD_FAILPOINT" not in text or "pragma omp parallel" not in text:
+        if "RTD_STAGE" not in text or "pragma omp parallel" not in text:
             continue
         clean = strip_comments_and_strings(text)
         rel = str(path.relative_to(repo))
@@ -193,23 +183,24 @@ def check_failpoint_in_omp(repo: Path) -> list[Violation]:
             if line_end == -1:
                 line_end = len(clean)
             lo, hi = omp_region_span(clean, line_end)
-            for fp in re.finditer(r"RTD_FAILPOINT(?:_DECLINES)?\b", clean[lo:hi]):
+            for st in re.finditer(r"RTD_STAGE(?:_AS)?\b", clean[lo:hi]):
                 violations.append(Violation(
-                    "failpoint-in-omp", rel, line_of(clean, lo + fp.start()),
-                    "failpoint site inside an '#pragma omp parallel' region "
+                    "stage-in-omp", rel, line_of(clean, lo + st.start()),
+                    "stage inside an '#pragma omp parallel' region "
                     f"(region opened at line {line_of(clean, m.start())}); "
-                    "a fault thrown on a worker thread aborts the process — "
-                    "move the site to a serial boundary"))
+                    "a fault thrown on a worker thread aborts the process "
+                    "and a per-worker span skews the latencies it reports — "
+                    "move the stage to a serial boundary"))
     return violations
 
 
-# --- rules: failpoint-site-registry / failpoint-site-docs --------------------
+# --- rules: stage-site-registry / stage-site-docs ----------------------------
 
 def canonical_sites(repo: Path) -> tuple[list[str], Path | None, int]:
-    """Site names from the kSites initializer in src/common/failpoint.cpp,
-    with the file and the list's first line (None when the registry is not
-    part of this tree, e.g. minimal lint fixtures)."""
-    reg = repo / "src" / "common" / "failpoint.cpp"
+    """Stage names from the kSites initializer in src/common/stage.cpp, with
+    the file and the table's first line (None when the table is not part of
+    this tree, e.g. minimal lint fixtures)."""
+    reg = repo / "src" / "common" / "stage.cpp"
     if not reg.is_file():
         return ([], None, 0)
     text = reg.read_text(encoding="utf-8", errors="replace")
@@ -221,20 +212,20 @@ def canonical_sites(repo: Path) -> tuple[list[str], Path | None, int]:
 
 
 def used_sites(repo: Path) -> dict[str, tuple[str, int]]:
-    """site name -> first (file, line) using it, excluding the registry's
-    own files (the macro definition and the canonical list)."""
+    """stage name -> first (file, line) using it, excluding the facility's
+    own files (the macro definitions and the canonical table)."""
     uses: dict[str, tuple[str, int]] = {}
     for path in source_files(repo):
-        if path.name in ("failpoint.hpp", "failpoint.cpp"):
+        if path.name in ("stage.hpp", "stage.cpp"):
             continue
         text = path.read_text(encoding="utf-8", errors="replace")
-        for m in FAILPOINT_RE.finditer(text):
+        for m in STAGE_RE.finditer(text):
             uses.setdefault(m.group(1),
                             (str(path.relative_to(repo)), line_of(text, m.start())))
     return uses
 
 
-def check_failpoint_sites(repo: Path) -> list[Violation]:
+def check_stage_sites(repo: Path) -> list[Violation]:
     sites, reg, reg_line = canonical_sites(repo)
     if reg is None:
         return []
@@ -242,33 +233,33 @@ def check_failpoint_sites(repo: Path) -> list[Violation]:
     rel_reg = str(reg.relative_to(repo))
     if sites != sorted(sites):
         violations.append(Violation(
-            "failpoint-site-registry", rel_reg, reg_line,
-            "all_sites() list is not sorted (its comment promises it is; "
+            "stage-site-registry", rel_reg, reg_line,
+            "all_sites() table is not sorted (its comment promises it is; "
             "the chaos soak and the docs table rely on stable order)"))
     uses = used_sites(repo)
     for name, (path, line) in sorted(uses.items()):
         if name not in sites:
             violations.append(Violation(
-                "failpoint-site-registry", path, line,
-                f"site '{name}' is not in the canonical all_sites() list "
-                f"({rel_reg}) — arm() would reject it and the chaos soak "
-                "would never exercise it"))
+                "stage-site-registry", path, line,
+                f"stage '{name}' is not in the canonical all_sites() table "
+                f"({rel_reg}) — fault arming would reject it, the chaos soak "
+                "would never exercise it and the docs would never list it"))
     for name in sites:
         if name not in uses:
             violations.append(Violation(
-                "failpoint-site-registry", rel_reg, reg_line,
-                f"canonical site '{name}' has no RTD_FAILPOINT use in src/ "
-                "— remove it or wire the site"))
+                "stage-site-registry", rel_reg, reg_line,
+                f"canonical stage '{name}' has no RTD_STAGE use in src/ "
+                "— remove it or wire the stage"))
 
     docs = repo / "docs" / "ARCHITECTURE.md"
     chaos = repo / "tests" / "test_chaos.cpp"
-    for target, label in ((docs, "the docs/ARCHITECTURE.md site table"),
+    for target, label in ((docs, "the docs/ARCHITECTURE.md stage table"),
                           (chaos, "the chaos-soak coverage dispatch "
                                   "(tests/test_chaos.cpp)")):
         if not target.is_file():
             if sites:
                 violations.append(Violation(
-                    "failpoint-site-docs", rel_reg, reg_line,
+                    "stage-site-docs", rel_reg, reg_line,
                     f"cannot check {label}: {target.relative_to(repo)} "
                     "does not exist"))
             continue
@@ -276,112 +267,8 @@ def check_failpoint_sites(repo: Path) -> list[Violation]:
         for name in sites:
             if name not in text:
                 violations.append(Violation(
-                    "failpoint-site-docs", str(target.relative_to(repo)), 1,
-                    f"canonical failpoint site '{name}' is missing from "
-                    f"{label}"))
-    return violations
-
-
-# --- rule: trace-span-in-omp --------------------------------------------------
-
-def check_trace_span_in_omp(repo: Path) -> list[Violation]:
-    violations = []
-    for path in source_files(repo):
-        text = path.read_text(encoding="utf-8", errors="replace")
-        if "RTD_TRACE_SPAN" not in text or "pragma omp parallel" not in text:
-            continue
-        clean = strip_comments_and_strings(text)
-        rel = str(path.relative_to(repo))
-        for m in OMP_PARALLEL_RE.finditer(clean):
-            line_end = clean.find("\n", m.end())
-            while line_end != -1 and clean[line_end - 1] == "\\":
-                line_end = clean.find("\n", line_end + 1)
-            if line_end == -1:
-                line_end = len(clean)
-            lo, hi = omp_region_span(clean, line_end)
-            for sp in re.finditer(r"RTD_TRACE_SPAN\b", clean[lo:hi]):
-                violations.append(Violation(
-                    "trace-span-in-omp", rel, line_of(clean, lo + sp.start()),
-                    "trace span inside an '#pragma omp parallel' region "
-                    f"(region opened at line {line_of(clean, m.start())}); "
-                    "spans belong at serial boundaries — a per-worker span "
-                    "hammers the thread rings from inside the hot launch and "
-                    "skews the very latencies it reports"))
-    return violations
-
-
-# --- rules: trace-span-site-registry / trace-span-site-docs --------------------
-
-def canonical_span_sites(repo: Path) -> tuple[list[str], Path | None, int]:
-    """Span-site names from the kSpanSites initializer in
-    src/telemetry/telemetry.cpp, with the file and the list's first line
-    (None when the registry is not part of this tree, e.g. lint fixtures)."""
-    reg = repo / "src" / "telemetry" / "telemetry.cpp"
-    if not reg.is_file():
-        return ([], None, 0)
-    text = reg.read_text(encoding="utf-8", errors="replace")
-    m = re.search(r"kSpanSites\s*=\s*\{(.*?)\};", text, re.DOTALL)
-    if not m:
-        return ([], reg, 0)
-    names = re.findall(r"\"([^\"]+)\"", m.group(1))
-    return (names, reg, line_of(text, m.start()))
-
-
-def used_span_sites(repo: Path) -> dict[str, tuple[str, int]]:
-    """span site name -> first (file, line) using it, excluding the telemetry
-    subsystem's own files (the macro definition and the canonical list)."""
-    uses: dict[str, tuple[str, int]] = {}
-    for path in source_files(repo):
-        if path.name in ("telemetry.hpp", "telemetry.cpp"):
-            continue
-        text = path.read_text(encoding="utf-8", errors="replace")
-        for m in TRACE_SPAN_RE.finditer(text):
-            uses.setdefault(m.group(1),
-                            (str(path.relative_to(repo)), line_of(text, m.start())))
-    return uses
-
-
-def check_trace_span_sites(repo: Path) -> list[Violation]:
-    sites, reg, reg_line = canonical_span_sites(repo)
-    if reg is None:
-        return []
-    violations = []
-    rel_reg = str(reg.relative_to(repo))
-    if sites != sorted(sites):
-        violations.append(Violation(
-            "trace-span-site-registry", rel_reg, reg_line,
-            "all_span_sites() list is not sorted (its comment promises it "
-            "is; the docs table relies on stable order)"))
-    uses = used_span_sites(repo)
-    for name, (path, line) in sorted(uses.items()):
-        if name not in sites:
-            violations.append(Violation(
-                "trace-span-site-registry", path, line,
-                f"span site '{name}' is not in the canonical "
-                f"all_span_sites() list ({rel_reg}) — the trace viewer's "
-                "site legend and the docs table would never mention it"))
-    for name in sites:
-        if name not in uses:
-            violations.append(Violation(
-                "trace-span-site-registry", rel_reg, reg_line,
-                f"canonical span site '{name}' has no RTD_TRACE_SPAN use in "
-                "src/ — remove it or wire the span"))
-
-    docs = repo / "docs" / "ARCHITECTURE.md"
-    if not docs.is_file():
-        if sites:
-            violations.append(Violation(
-                "trace-span-site-docs", rel_reg, reg_line,
-                "cannot check the docs/ARCHITECTURE.md span-site table: "
-                "docs/ARCHITECTURE.md does not exist"))
-        return violations
-    text = docs.read_text(encoding="utf-8", errors="replace")
-    for name in sites:
-        if name not in text:
-            violations.append(Violation(
-                "trace-span-site-docs", "docs/ARCHITECTURE.md", 1,
-                f"canonical span site '{name}' is missing from the "
-                "docs/ARCHITECTURE.md span-site table"))
+                    "stage-site-docs", str(target.relative_to(repo)), 1,
+                    f"canonical stage '{name}' is missing from {label}"))
     return violations
 
 
@@ -512,12 +399,9 @@ def check_suppressions(repo: Path) -> list[Violation]:
 # --- driver -------------------------------------------------------------------
 
 RULES = [
-    ("failpoint-in-omp", lambda repo, args: check_failpoint_in_omp(repo)),
-    ("failpoint-site-registry / failpoint-site-docs",
-     lambda repo, args: check_failpoint_sites(repo)),
-    ("trace-span-in-omp", lambda repo, args: check_trace_span_in_omp(repo)),
-    ("trace-span-site-registry / trace-span-site-docs",
-     lambda repo, args: check_trace_span_sites(repo)),
+    ("stage-in-omp", lambda repo, args: check_stage_in_omp(repo)),
+    ("stage-site-registry / stage-site-docs",
+     lambda repo, args: check_stage_sites(repo)),
     ("thread-local-header", lambda repo, args: check_thread_local_headers(repo)),
     ("header-self-contained",
      lambda repo, args: [] if args.skip_compile

@@ -43,13 +43,6 @@ TraceSink::TraceSink(const Flags& flags, const char* name) {
     std::fprintf(stderr, "--%s needs a file path; tracing disabled\n", name);
     return;
   }
-  if (!telemetry::compiled_in()) {
-    std::fprintf(
-        stderr,
-        "--%s ignored: this build was compiled without RTDBSCAN_TELEMETRY=ON\n",
-        name);
-    return;
-  }
   telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
   active_ = true;
 }

@@ -45,9 +45,7 @@ std::optional<rt::TraversalWidth> width_flag(
 /// When the flag is present, arms telemetry (metrics + trace spans) for the
 /// process and, on destruction, drains every recorded span into `file` as
 /// Chrome trace-event JSON (load it in chrome://tracing or
-/// ui.perfetto.dev).  In a build compiled without RTDBSCAN_TELEMETRY=ON the
-/// flag degrades to a stderr note and the binary runs untraced.  Inactive
-/// — and cost-free — when the flag is absent.
+/// ui.perfetto.dev).  Inactive when the flag is absent.
 class TraceSink {
  public:
   explicit TraceSink(const Flags& flags, const char* name = "trace");

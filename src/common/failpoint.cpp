@@ -1,41 +1,21 @@
 #include "common/failpoint.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <charconv>
 #include <new>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 #include <unordered_map>
 
 #include "common/mutex.hpp"
+#include "common/stage.hpp"
 #include "common/thread_annotations.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rtd::fail {
-
-const std::vector<std::string>& all_sites() {
-  // One entry per RTD_FAILPOINT / RTD_FAILPOINT_DECLINES site in the tree.
-  // Keep sorted; the chaos soak iterates this list to prove every site fires.
-  static const std::vector<std::string> kSites = {
-      "dsu.grow",                 // AtomicDisjointSet::reset growth realloc
-      "engine.phase1",            // full recount launch (run/sweep/heal)
-      "engine.phase1_insert",     // insert count maintenance, post-capture
-      "engine.phase1_remove",     // remove count maintenance, post-capture
-      "engine.phase2",            // core-merge launch
-      "index.build",              // make_index backend construction
-      "index.compacted_rebuild",  // CompactedIndex dense rebuild
-      "index.insert",             // NeighborIndex::try_insert (declinable)
-      "index.refit",              // NeighborIndex::try_set_eps (declinable)
-      "index.remove",             // NeighborIndex::try_remove (declinable)
-      "repair.border",            // label repair: border re-claim pass
-      "repair.relabel",           // label repair: final relabel + membership
-      "repair.split",             // label repair: cut-group split detection
-      "repair.union",             // label repair: mini-DSU union pass
-      "session.publish",          // snapshot creation before atomic swap
-      "sweep.scratch",            // sweep shared-scratch sizing
-  };
-  return kSites;
-}
 
 namespace {
 
@@ -54,8 +34,6 @@ struct Registry {
   std::unordered_map<std::string, Armed> retired RTD_GUARDED_BY(mu);
 };
 
-std::atomic<std::uint64_t> g_armed_count{0};
-
 Registry& registry() {
   static Registry* r = [] {
     auto* reg = new Registry();  // leaked: outlives all static destructors
@@ -65,28 +43,23 @@ Registry& registry() {
 }
 
 bool known_site(std::string_view site) {
-  for (const auto& s : all_sites()) {
-    if (s == site) return true;
+  const auto& sites = stage::all_sites();
+  return std::binary_search(sites.begin(), sites.end(), site);
+}
+
+// The kFaults bit of the stage word mirrors "the armed map is non-empty".
+void sync_faults_bit(Registry& r) RTD_REQUIRES(r.mu) {
+  if (r.armed.empty()) {
+    stage::detail::g_armed.fetch_and(~stage::kFaults,
+                                     std::memory_order_relaxed);
+  } else {
+    stage::detail::g_armed.fetch_or(stage::kFaults, std::memory_order_relaxed);
   }
-  return false;
 }
 
 [[noreturn]] void throw_for(Action action, const std::string& site) {
   if (action == Action::kThrowBadAlloc) throw std::bad_alloc();
   throw std::runtime_error("failpoint fired: " + site);
-}
-
-void parse_env_spec(Registry& r, const char* spec) RTD_REQUIRES(r.mu);
-
-// Parse RTDBSCAN_FAILPOINTS once, lazily, so env-armed sites work without
-// any code calling arm().  Callers hold the registry mutex.
-void ensure_env_parsed(Registry& r) RTD_REQUIRES(r.mu) {
-  static bool parsed = false;
-  if (parsed) return;
-  parsed = true;
-  if (const char* spec = std::getenv("RTDBSCAN_FAILPOINTS")) {
-    parse_env_spec(r, spec);
-  }
 }
 
 void arm_locked(Registry& r, const std::string& site, const Config& config)
@@ -104,17 +77,17 @@ void arm_locked(Registry& r, const std::string& site, const Config& config)
     throw std::invalid_argument(
         "failpoint: probability must be in [0, 1]");
   }
-  auto [it, inserted] = r.armed.try_emplace(site);
-  it->second.config = config;
-  it->second.rng.seed(config.seed);
-  if (inserted) g_armed_count.fetch_add(1, std::memory_order_relaxed);
+  Armed& a = r.armed[site];
+  a.config = config;
+  a.rng.seed(config.seed);
+  sync_faults_bit(r);
 }
 
 // spec: site=action[@trigger][;site=action[@trigger]]...
 // action: badalloc | error | decline
 // trigger: hit:N | every:K | p:P[:seed]
-void parse_env_spec(Registry& r, const char* spec) {
-  std::string_view rest(spec);
+void parse_spec(Registry& r, std::string_view rest) RTD_REQUIRES(r.mu) {
+  constexpr std::string_view kWhat = "RTDBSCAN_FAILPOINTS";
   while (!rest.empty()) {
     const std::size_t semi = rest.find(';');
     std::string_view entry = rest.substr(0, semi);
@@ -143,26 +116,27 @@ void parse_env_spec(Registry& r, const char* spec) {
     }
     if (at != std::string_view::npos) {
       std::string_view trig = value.substr(at + 1);
-      const auto parse_u64 = [](std::string_view s) {
-        if (s.empty()) {
-          throw std::invalid_argument(
-              "RTDBSCAN_FAILPOINTS: empty trigger number");
-        }
-        return std::stoull(std::string(s));
-      };
       if (trig.rfind("hit:", 0) == 0) {
         config.trigger = Trigger::kOnHit;
-        config.n = parse_u64(trig.substr(4));
+        config.n = stage::detail::parse_count(trig.substr(4), kWhat);
       } else if (trig.rfind("every:", 0) == 0) {
         config.trigger = Trigger::kEveryNth;
-        config.n = parse_u64(trig.substr(6));
+        config.n = stage::detail::parse_count(trig.substr(6), kWhat);
       } else if (trig.rfind("p:", 0) == 0) {
         config.trigger = Trigger::kChance;
         std::string_view p = trig.substr(2);
         const std::size_t colon = p.find(':');
-        config.probability = std::stod(std::string(p.substr(0, colon)));
+        const std::string_view prob = p.substr(0, colon);
+        const char* const end = prob.data() + prob.size();
+        const auto [stop, ec] =
+            std::from_chars(prob.data(), end, config.probability);
+        if (prob.empty() || ec != std::errc() || stop != end) {
+          throw std::invalid_argument(
+              "RTDBSCAN_FAILPOINTS: bad probability '" + std::string(prob) +
+              "'");
+        }
         if (colon != std::string_view::npos) {
-          config.seed = parse_u64(p.substr(colon + 1));
+          config.seed = stage::detail::parse_count(p.substr(colon + 1), kWhat);
         }
       } else {
         throw std::invalid_argument("RTDBSCAN_FAILPOINTS: unknown trigger '" +
@@ -176,17 +150,19 @@ void parse_env_spec(Registry& r, const char* spec) {
 }  // namespace
 
 void arm(std::string_view site, const Config& config) {
-  if (!compiled_in()) {
-    throw std::logic_error(
-        "failpoint: build compiled without RTDBSCAN_FAILPOINTS=ON");
-  }
+  (void)stage::armed();  // env-armed sites first, so this call wins
   Registry& r = registry();
   const MutexLock lock(r.mu);
-  ensure_env_parsed(r);
   arm_locked(r, std::string(site), config);
 }
 
+void arm_spec(std::string_view spec) {
+  (void)stage::armed();
+  detail::apply_spec(spec);
+}
+
 void disarm(std::string_view site) {
+  (void)stage::armed();  // an env parse must not re-arm after this
   Registry& r = registry();
   const MutexLock lock(r.mu);
   auto it = r.armed.find(std::string(site));
@@ -196,10 +172,11 @@ void disarm(std::string_view site) {
   retired.hits += it->second.hits;
   retired.fires += it->second.fires;
   r.armed.erase(it);
-  g_armed_count.fetch_sub(1, std::memory_order_relaxed);
+  sync_faults_bit(r);
 }
 
 void disarm_all() {
+  (void)stage::armed();
   Registry& r = registry();
   const MutexLock lock(r.mu);
   for (auto& [site, armed] : r.armed) {
@@ -207,8 +184,8 @@ void disarm_all() {
     retired.hits += armed.hits;
     retired.fires += armed.fires;
   }
-  g_armed_count.fetch_sub(r.armed.size(), std::memory_order_relaxed);
   r.armed.clear();
+  sync_faults_bit(r);
 }
 
 std::uint64_t hit_count(std::string_view site) {
@@ -239,17 +216,10 @@ std::uint64_t fire_count(std::string_view site) {
 
 namespace detail {
 
-bool any_armed() noexcept {
-  // Env-armed processes need one slow-path pass to populate the registry;
-  // after that this is a single relaxed load.
-  static std::atomic<bool> env_checked{false};
-  if (!env_checked.load(std::memory_order_acquire)) {
-    Registry& r = registry();
-    const MutexLock lock(r.mu);
-    ensure_env_parsed(r);
-    env_checked.store(true, std::memory_order_release);
-  }
-  return g_armed_count.load(std::memory_order_relaxed) > 0;
+void apply_spec(std::string_view spec) {
+  Registry& r = registry();
+  const MutexLock lock(r.mu);
+  parse_spec(r, spec);
 }
 
 bool hit(const char* site) {

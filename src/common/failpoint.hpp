@@ -1,32 +1,26 @@
 #pragma once
 
-// Named failpoints for fault-injection testing.
+// Fault injection at the named stages of common/stage.hpp.
 //
-// A failpoint is a named site in production code where a test can arm a
-// fault: throw std::bad_alloc, throw std::runtime_error, or force the
-// surrounding operation to decline (return false) as if a capacity probe
-// had failed.  Sites fire on the Nth hit, every Kth hit, or with a seeded
-// probability per hit.
+// Any stage can be armed with a fault: throw std::bad_alloc, throw
+// std::runtime_error, or force the surrounding operation to decline (return
+// false) as if a capacity probe had failed — the last only at the stages
+// whose operation can report failure (RTD_STAGE_AS sites).  Stages fire on
+// the Nth hit, every Kth hit, or with a seeded probability per hit.
 //
-// The whole facility compiles to NOTHING unless the build defines
-// RTD_FAILPOINTS_ENABLED (CMake option RTDBSCAN_FAILPOINTS=ON): the macros
-// expand to no-ops/false and the registry symbols are not referenced, so
-// release binaries carry zero extra branches or allocations on hot paths
-// (test_query_alloc.cpp enforces this).
-//
-// Activation is programmatic (rtd::fail::arm) or via the environment
-// variable RTDBSCAN_FAILPOINTS, parsed once at first registry use:
+// Activation is programmatic (rtd::fail::arm / arm_spec) or via the
+// environment variable RTDBSCAN_FAILPOINTS, read once with
+// RTDBSCAN_TELEMETRY at the first stage check of the process:
 //
 //   RTDBSCAN_FAILPOINTS="index.insert=decline@every:3;engine.phase1=badalloc@hit:2"
 //
 // where action is one of {badalloc,error,decline} and the optional trigger
 // is `hit:N` (fire once on the Nth hit, default hit:1), `every:K` (fire on
-// every Kth hit), or `p:P[:seed]` (fire with probability P per hit).
+// every Kth hit), or `p:P[:seed]` (fire with probability P per hit).  N, K
+// and the seed are whole tokens of decimal digits.
 
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace rtd::fail {
 
@@ -50,61 +44,30 @@ struct Config {
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;  // kChance RNG seed
 };
 
-// True when the build carries the failpoint machinery.
-constexpr bool compiled_in() {
-#ifdef RTD_FAILPOINTS_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
-// The canonical site list; arm() rejects names not in it so tests cannot
-// silently arm a typo that never fires.
-const std::vector<std::string>& all_sites();
-
-// Arm `site` with `config`.  Throws std::logic_error when the facility is
-// compiled out and std::invalid_argument for unknown site names or invalid
+// Arm `site` with `config`.  Throws std::invalid_argument for names not in
+// stage::all_sites() (so a typo cannot silently never fire) and for invalid
 // configs (kEveryNth with n == 0, kChance outside [0, 1]).
 void arm(std::string_view site, const Config& config);
+
+// Arm from a spec in the RTDBSCAN_FAILPOINTS grammar.  Throws
+// std::invalid_argument on malformed entries.
+void arm_spec(std::string_view spec);
 
 // Disarm one site / all sites.  Safe to call for sites that are not armed.
 void disarm(std::string_view site);
 void disarm_all();
 
 // Counters (0 for unknown or never-hit sites): how many times the site was
-// reached, and how many times it actually fired a fault.
+// reached while armed, and how many times it fired a fault.
 std::uint64_t hit_count(std::string_view site);
 std::uint64_t fire_count(std::string_view site);
 
 namespace detail {
-// Fast armed-anything gate: a relaxed atomic counter of armed sites, so an
-// unarmed failpoints-ON build pays one relaxed load per site.
-bool any_armed() noexcept;
-// Slow path: count a hit on `site`; throws if an armed throw-action fires.
-// Returns true when an armed kDecline fires.
+// Parse and arm a spec without passing the env gate (the gate's own parse).
+void apply_spec(std::string_view spec);
+// Slow path of an armed stage: count a hit on `site`; throws if an armed
+// throw-action fires.  Returns true when an armed kDecline fires.
 bool hit(const char* site);
 }  // namespace detail
 
 }  // namespace rtd::fail
-
-#ifdef RTD_FAILPOINTS_ENABLED
-// Statement form: may throw bad_alloc/runtime_error, never "declines".
-#define RTD_FAILPOINT(site)                                      \
-  do {                                                           \
-    if (::rtd::fail::detail::any_armed()) {                      \
-      (void)::rtd::fail::detail::hit(site);                      \
-    }                                                            \
-  } while (false)
-// Expression form for decline-capable sites: true when the operation should
-// report failure (e.g. `if (RTD_FAILPOINT_DECLINES("index.insert")) return
-// false;`).  Throw actions still throw from here.
-#define RTD_FAILPOINT_DECLINES(site)                             \
-  (::rtd::fail::detail::any_armed() &&                           \
-   ::rtd::fail::detail::hit(site))
-#else
-#define RTD_FAILPOINT(site) \
-  do {                      \
-  } while (false)
-#define RTD_FAILPOINT_DECLINES(site) false
-#endif

@@ -9,8 +9,8 @@
 // analysis & concurrency contracts" and scripts/lint_invariants.py):
 //  * Loop bodies passed to these helpers run on OMP worker threads.  They
 //    must not take locks the launching thread may hold, must not touch
-//    mutex-guarded session state, and must not contain failpoint sites
-//    (RTD_FAILPOINT throwing from inside a parallel region would terminate
+//    mutex-guarded session state, and must not contain stage sites
+//    (RTD_STAGE throwing from inside a parallel region would terminate
 //    the process — the linter rejects any lexically-nested site).
 //  * `static thread_local` names referenced from a loop body resolve to the
 //    EXECUTING worker's instance, not the launching thread's — the PR 6

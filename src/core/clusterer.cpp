@@ -9,8 +9,8 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/failpoint.hpp"
 #include "common/mutex.hpp"
+#include "common/stage.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/timer.hpp"
 #include "dbscan/engine.hpp"
@@ -389,13 +389,11 @@ struct Clusterer::Impl {
           "Clusterer: no index to snapshot yet — run() or sweep() builds "
           "it (kAuto needs an eps to resolve against)");
     }
-    // Span covers only the creation slow path — the steady-state atomic
-    // load above stays untraced (and unmeasured: it is the serving fast
-    // path the overhead gate protects).
-    RTD_TRACE_SPAN("session.publish");
-    // A throw here (injected or real) is harmless: nothing was published,
-    // the session index is untouched, and the caller can simply retry.
-    RTD_FAILPOINT("session.publish");
+    // The stage covers only the creation slow path — the steady-state
+    // atomic load above (the serving fast path) stays untraced.  A throw
+    // here (injected or real) is harmless: nothing was published, the
+    // session index is untouched, and the caller can simply retry.
+    RTD_STAGE("session.publish");
     auto created =
         std::make_shared<const IndexSnapshot>(index, storage, pts, index_eps);
     published.store(created);
@@ -493,7 +491,7 @@ struct Clusterer::Impl {
   const ClusterResult& do_run(float eps, std::uint32_t min_pts) {
     // Covers the whole run, heal re-clusters included (a heal shows up as
     // a session.run span nested inside the mutation's wrapper span).
-    RTD_TRACE_SPAN("session.run");
+    RTD_STAGE("session.run");
     telemetry::count(telemetry::Counter::kSessionRuns);
     ClusterResult& r = result;
     const std::size_t n = pts.size();
@@ -987,7 +985,7 @@ struct Clusterer::Impl {
   /// lists, and cluster ids are stable (relabel_repair), so the cost is
   /// O(|touched| + |W| + C) plus one block copy of the membership table.
   void maintain_labels(std::size_t first_new, float eps) {
-    RTD_TRACE_SPAN("session.repair");
+    RTD_STAGE("session.repair");
     const Timer phase_timer;
     ClusterResult& r = result;
     const std::size_t n = pts.size();
@@ -1060,8 +1058,7 @@ struct Clusterer::Impl {
 
     rt::TraversalStats work;
     {
-      RTD_TRACE_SPAN("repair.split");
-      RTD_FAILPOINT("repair.split");
+      RTD_STAGE("repair.split");
       detect_splits(eps, work);
     }
     // Promoted border/noise points and the inserted batch (always live).
@@ -1080,18 +1077,15 @@ struct Clusterer::Impl {
     claim.resize(wlist.size());
     std::fill(claim.begin(), claim.end(), std::uint8_t{0});
     {
-      RTD_TRACE_SPAN("repair.union");
-      RTD_FAILPOINT("repair.union");
+      RTD_STAGE("repair.union");
       union_pass(eps, work);
     }
     {
-      RTD_TRACE_SPAN("repair.border");
-      RTD_FAILPOINT("repair.border");
+      RTD_STAGE("repair.border");
       border_pass(eps, work);
     }
     {
-      RTD_TRACE_SPAN("repair.relabel");
-      RTD_FAILPOINT("repair.relabel");
+      RTD_STAGE("repair.relabel");
       relabel_repair(first_new);
       for (const std::uint32_t i : touched) {
         r.is_core[i] = core_now(i) ? 1 : 0;
@@ -1753,7 +1747,7 @@ ClusterResult Clusterer::take_result() {
 }
 
 std::size_t Clusterer::insert(std::span<const Vec3> new_points) {
-  RTD_TRACE_SPAN("session.insert");
+  RTD_STAGE("session.insert");
   const std::size_t first_new = impl_->mutate(new_points, {});
   // Counted after the return: a throwing mutation left the session
   // untouched (or degraded — either way no batch was applied).
@@ -1764,7 +1758,7 @@ std::size_t Clusterer::insert(std::span<const Vec3> new_points) {
 }
 
 void Clusterer::remove(std::span<const std::uint32_t> ids) {
-  RTD_TRACE_SPAN("session.remove");
+  RTD_STAGE("session.remove");
   impl_->mutate({}, ids);
   telemetry::count(telemetry::Counter::kSessionRemoves);
   telemetry::count(telemetry::Counter::kSessionPointsRemoved, ids.size());
@@ -1772,7 +1766,7 @@ void Clusterer::remove(std::span<const std::uint32_t> ids) {
 
 std::size_t Clusterer::advance(std::span<const Vec3> new_points,
                                std::size_t expire_count) {
-  RTD_TRACE_SPAN("session.advance");
+  RTD_STAGE("session.advance");
   Impl& im = *impl_;
   if (expire_count > im.live_slots()) {
     throw std::invalid_argument(
@@ -1831,7 +1825,7 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   // The sweep span covers the whole ladder (per-entry runs nest their own
   // session.run spans on the rerun paths); the latency histogram likewise
   // records the full ladder wall clock, throwing sweeps included.
-  RTD_TRACE_SPAN("session.sweep");
+  RTD_STAGE("session.sweep");
   telemetry::count(telemetry::Counter::kSessionSweeps);
   const telemetry::LatencyTimer sweep_lat(telemetry::Histogram::kSweepLatency);
 
@@ -1880,8 +1874,10 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   // Everything up to the entry loop touches only the index and scratch
   // buffers: a throw (including this injected one) leaves the previous
   // result intact — strong.
-  RTD_FAILPOINT("sweep.scratch");
-  im.sweep_counts.assign(ku * n, 0);
+  {
+    RTD_STAGE("sweep.scratch");
+    im.sweep_counts.assign(ku * n, 0);
+  }
   const std::span<const geom::Vec3> pts = im.pts;
   // One query per ORDER entry (live slots only): tombstoned slots keep the
   // zero counts from the assign above and are never core.

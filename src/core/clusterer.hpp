@@ -520,9 +520,9 @@ class Clusterer {
   /// One coherent read of the telemetry registry (counters, gauges, latency
   /// histograms — src/telemetry/telemetry.hpp names them all).  The
   /// registry is PROCESS-wide, not per-session: a host serving several
-  /// sessions reads their combined activity.  All zeros when the build is
-  /// compiled without RTDBSCAN_TELEMETRY=ON or metrics were never armed
-  /// (arm via rtd::telemetry::arm() or RTDBSCAN_TELEMETRY=metrics).
+  /// sessions reads their combined activity.  All zeros when metrics were
+  /// never armed (arm via rtd::telemetry::arm() or
+  /// RTDBSCAN_TELEMETRY=metrics).
   [[nodiscard]] telemetry::MetricsSnapshot metrics() const;
 
   /// Self-audit of the session's invariants, from cheap structural checks

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/stage.hpp"
 #include "rt/parallel_launch.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -110,7 +111,7 @@ void IndexSnapshot::query_neighbors_into(
     std::vector<std::uint32_t>& out) const {
   // The read-path histogram ("what is p99 snapshot-read latency right
   // now"): reads the clock only when metrics are armed, so the disarmed
-  // cost stays one relaxed load (bench_snapshot.sh gates it at <= 3%).
+  // cost stays one relaxed load.
   const telemetry::LatencyTimer lat(
       telemetry::Histogram::kSnapshotReadLatency);
   telemetry::count(telemetry::Counter::kSnapshotReads);
@@ -148,7 +149,7 @@ void IndexSnapshot::query_batch_into(std::span<const Vec3> centers, float eps,
                                      BatchQueryResult& out) const {
   // Span + histogram wrap BOTH launches from this serial boundary (never
   // inside the parallel regions below).
-  RTD_TRACE_SPAN("snapshot.query_batch");
+  RTD_STAGE("snapshot.query_batch");
   const telemetry::LatencyTimer lat(
       telemetry::Histogram::kQueryBatchLatency);
   telemetry::count(telemetry::Counter::kSnapshotQueryBatches);

@@ -4,8 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/failpoint.hpp"
 #include "common/parallel.hpp"
+#include "common/stage.hpp"
 #include "common/timer.hpp"
 #include "geom/morton.hpp"
 #include "rt/parallel_launch.hpp"
@@ -47,9 +47,8 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
   // Before the launch: a throw from inside the parallel region would
   // terminate, so faults inject at the serial boundary only.  The span
   // wraps the launch from outside for the same reason.
-  RTD_TRACE_SPAN("engine.phase1");
+  RTD_STAGE("engine.phase1");
   telemetry::count(telemetry::Counter::kEnginePhase1Launches);
-  RTD_FAILPOINT("engine.phase1");
 
   // One query per ORDER entry, not per slot: a live session passes an order
   // that skips tombstoned slots, whose counts stay 0 from the assign above.
@@ -66,7 +65,8 @@ rt::LaunchStats index_phase1_remove(const index::NeighborIndex& index,
                                     std::vector<std::uint32_t>& counts,
                                     std::vector<std::uint32_t>& nbr_ids,
                                     std::vector<std::uint32_t>& nbr_starts) {
-  RTD_TRACE_SPAN("engine.phase1_remove");
+  // Before the capture: a fault here leaves counts and the CSR untouched.
+  RTD_STAGE("engine.phase1_remove");
   telemetry::count(telemetry::Counter::kEnginePhase1RemoveLaunches);
   const std::span<const geom::Vec3> points = index.points();
   nbr_ids.clear();
@@ -84,7 +84,6 @@ rt::LaunchStats index_phase1_remove(const index::NeighborIndex& index,
                            stats);
         nbr_starts[k + 1] = static_cast<std::uint32_t>(nbr_ids.size());
       });
-  RTD_FAILPOINT("engine.phase1_remove");
   // Apply: noexcept decrements over the captured neighborhoods.
   for (const std::uint32_t j : nbr_ids) --counts[j];
   return launch;
@@ -95,7 +94,7 @@ rt::LaunchStats index_phase1_insert(const index::NeighborIndex& index,
                                     std::vector<std::uint32_t>& counts,
                                     std::vector<std::uint32_t>& nbr_ids,
                                     std::vector<std::uint32_t>& nbr_starts) {
-  RTD_TRACE_SPAN("engine.phase1_insert");
+  RTD_STAGE("engine.phase1_insert");
   telemetry::count(telemetry::Counter::kEnginePhase1InsertLaunches);
   const std::size_t n = index.size();
   const std::span<const geom::Vec3> points = index.points();
@@ -111,10 +110,9 @@ rt::LaunchStats index_phase1_insert(const index::NeighborIndex& index,
                            stats);
         nbr_starts[k + 1] = static_cast<std::uint32_t>(nbr_ids.size());
       });
-  // Growth before the failpoint: a throw here (or injected after) leaves the
-  // pre-existing entries untouched; the caller shrinks on rollback.
+  // A throw from the growth leaves the pre-existing entries untouched; the
+  // caller shrinks on rollback.
   counts.resize(n, 0);
-  RTD_FAILPOINT("engine.phase1_insert");
   // Apply: noexcept.  A new point's count is its CSR row size (new-new pairs
   // resolve through each side's own query); pre-existing neighbors gain one.
   for (std::size_t k = 0; first_new + k < n; ++k) {
@@ -134,9 +132,8 @@ rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<std::atomic<std::uint8_t>> claimed,
                              int threads) {
   const std::span<const geom::Vec3> points = index.points();
-  RTD_TRACE_SPAN("engine.phase2");
+  RTD_STAGE("engine.phase2");
   telemetry::count(telemetry::Counter::kEnginePhase2Launches);
-  RTD_FAILPOINT("engine.phase2");
 
   // Like phase 1: the order defines which points query (live sessions pass
   // a live-only order; dead slots are never core, so skipping is free).

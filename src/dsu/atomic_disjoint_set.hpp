@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/failpoint.hpp"
+#include "common/stage.hpp"
 
 namespace rtd::dsu {
 
@@ -42,7 +42,7 @@ class AtomicDisjointSet {
   /// Quiescent only, like reset().
   void reset(std::size_t n) {
     if (n > parent_.size()) {
-      RTD_FAILPOINT("dsu.grow");
+      RTD_STAGE("dsu.grow");
       parent_ = std::vector<std::atomic<std::uint32_t>>(n);
     }
     for (std::uint32_t i = 0; i < n; ++i) {

@@ -1,6 +1,6 @@
 #include "index/compacted_index.hpp"
 
-#include "common/failpoint.hpp"
+#include "common/stage.hpp"
 
 namespace rtd::index {
 
@@ -26,7 +26,7 @@ CompactedIndex::CompactedIndex(std::span<const geom::Vec3> slots,
     slot_of_.push_back(static_cast<std::uint32_t>(i));
     dense_points_.push_back(slots[i]);
   }
-  RTD_FAILPOINT("index.compacted_rebuild");
+  RTD_STAGE("index.compacted_rebuild");
   inner_ = make_index(dense_points_, eps, kind, options);
 }
 

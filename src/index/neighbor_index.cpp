@@ -5,8 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/failpoint.hpp"
 #include "common/parallel.hpp"
+#include "common/stage.hpp"
 #include "common/timer.hpp"
 #include "index/brute_force_index.hpp"
 #include "index/bvh_rt_index.hpp"
@@ -37,8 +37,8 @@ bool NeighborIndex::try_set_eps(float eps) {
   if (!(eps > 0.0f) || !std::isfinite(eps)) {
     throw std::invalid_argument("try_set_eps: eps must be positive and finite");
   }
-  RTD_TRACE_SPAN("index.refit");
-  if (RTD_FAILPOINT_DECLINES("index.refit")) {
+  RTD_STAGE_AS(stage, "index.refit");
+  if (stage.declined()) {
     telemetry::count(telemetry::Counter::kIndexRefitsDeclined);
     return false;
   }
@@ -57,8 +57,8 @@ bool NeighborIndex::try_insert(std::span<const geom::Vec3> all_points,
         "try_insert: all_points must be the current points plus an appended "
         "batch (first_new == size() <= all_points.size())");
   }
-  RTD_TRACE_SPAN("index.insert");
-  if (RTD_FAILPOINT_DECLINES("index.insert")) {
+  RTD_STAGE_AS(stage, "index.insert");
+  if (stage.declined()) {
     telemetry::count(telemetry::Counter::kIndexInsertsDeclined);
     return false;
   }
@@ -78,10 +78,10 @@ bool NeighborIndex::try_remove(std::span<const std::uint32_t> ids) {
     }
   }
   if (ids.empty()) return true;
-  RTD_TRACE_SPAN("index.remove");
   // Before the mask mutates: a decline here leaves the index untouched, like
   // a backend that cannot absorb the removal batch.
-  if (RTD_FAILPOINT_DECLINES("index.remove")) {
+  RTD_STAGE_AS(stage, "index.remove");
+  if (stage.declined()) {
     telemetry::count(telemetry::Counter::kIndexRemovesDeclined);
     return false;
   }
@@ -166,9 +166,8 @@ std::unique_ptr<NeighborIndex> make_index(std::span<const geom::Vec3> points,
     throw std::invalid_argument("make_index: eps must be positive");
   }
   if (kind == IndexKind::kAuto) kind = choose_index_kind(points, eps);
-  RTD_TRACE_SPAN("index.build");
+  RTD_STAGE("index.build");
   telemetry::count(telemetry::Counter::kIndexBuilds);
-  RTD_FAILPOINT("index.build");
   // Honor the requested build parallelism (the tree backends build with
   // parallel_for / parallel builders).
   const ThreadCountGuard guard(

@@ -5,12 +5,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 
 #include "common/mutex.hpp"
+#include "common/stage.hpp"
 #include "common/thread_annotations.hpp"
 
 namespace rtd::telemetry {
@@ -104,9 +104,7 @@ struct State {
   std::uint32_t next_tid RTD_GUARDED_BY(trace_mu) = 1;
 };
 
-std::atomic<unsigned> g_armed{0};
 std::atomic<std::size_t> g_ring_capacity{8192};
-std::atomic<bool> g_env_checked{false};
 
 State& state() {
   static State* s = [] {
@@ -115,57 +113,6 @@ State& state() {
   }();
   return *s;
 }
-
-void apply_spec(std::string_view spec) {
-  unsigned modes = 0;
-  std::string_view rest = spec;
-  while (!rest.empty()) {
-    const std::size_t sep = rest.find_first_of(";,");
-    std::string_view token = rest.substr(0, sep);
-    rest = sep == std::string_view::npos ? std::string_view{}
-                                         : rest.substr(sep + 1);
-    if (token.empty()) continue;
-    if (token == "metrics") {
-      modes |= kMetrics;
-    } else if (token == "trace") {
-      modes |= kTrace;
-    } else if (token == "on" || token == "all" || token == "1") {
-      modes |= kMetrics | kTrace;
-    } else if (token.rfind("ring:", 0) == 0) {
-      const std::string n(token.substr(5));
-      if (n.empty()) {
-        throw std::invalid_argument(
-            "RTDBSCAN_TELEMETRY: empty ring capacity");
-      }
-      const unsigned long long cap = std::stoull(n);
-      g_ring_capacity.store(
-          std::clamp<std::size_t>(static_cast<std::size_t>(cap), 16,
-                                  std::size_t{1} << 22),
-          std::memory_order_relaxed);
-    } else {
-      throw std::invalid_argument("RTDBSCAN_TELEMETRY: unknown token '" +
-                                  std::string(token) + "'");
-    }
-  }
-  if (modes != 0) g_armed.fetch_or(modes, std::memory_order_relaxed);
-}
-
-// Parse RTDBSCAN_TELEMETRY once, lazily, so env-armed processes work
-// without any code calling arm().  A malformed spec throws through the
-// noexcept fast path and terminates loudly — exactly the failpoint
-// registry's contract for RTDBSCAN_FAILPOINTS.
-void ensure_env_parsed() noexcept {
-  if (g_env_checked.load(std::memory_order_acquire)) return;
-  State& s = state();
-  const MutexLock lock(s.trace_mu);
-  if (g_env_checked.load(std::memory_order_acquire)) return;
-  if (const char* spec = std::getenv("RTDBSCAN_TELEMETRY")) {
-    apply_spec(spec);
-  }
-  g_env_checked.store(true, std::memory_order_release);
-}
-
-#ifdef RTD_TELEMETRY_ENABLED
 
 std::size_t bucket_for_ns(std::uint64_t dur_ns) noexcept {
   // Bucket b covers durations <= 2^b microseconds.
@@ -191,8 +138,6 @@ void atomic_max(std::atomic<std::uint64_t>& cell, std::uint64_t v) noexcept {
   }
 }
 
-#endif  // RTD_TELEMETRY_ENABLED
-
 void append_double(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.9g", v);
@@ -200,35 +145,6 @@ void append_double(std::string& out, double v) {
 }
 
 }  // namespace
-
-const std::vector<std::string>& all_span_sites() {
-  // One entry per RTD_TRACE_SPAN site in the tree.  Keep sorted; the
-  // trace-span-in-omp lint rule cross-checks every use against this list
-  // and the docs/ARCHITECTURE.md span table.
-  static const std::vector<std::string> kSpanSites = {
-      "engine.phase1",         // full recount launch (run/sweep/heal)
-      "engine.phase1_insert",  // insert count maintenance
-      "engine.phase1_remove",  // remove count maintenance
-      "engine.phase2",         // core-merge launch
-      "index.build",           // make_index backend construction
-      "index.insert",          // NeighborIndex::try_insert absorption
-      "index.refit",           // NeighborIndex::try_set_eps retarget
-      "index.remove",          // NeighborIndex::try_remove masking
-      "repair.border",         // label repair: border re-claim pass
-      "repair.relabel",        // label repair: stable ids + membership splice
-      "repair.split",          // label repair: cut-group split detection
-      "repair.union",          // label repair: mini-DSU union pass
-      "session.advance",       // Clusterer::advance window step
-      "session.insert",        // Clusterer::insert batch
-      "session.publish",       // snapshot creation under publish_mu
-      "session.remove",        // Clusterer::remove batch
-      "session.repair",        // incremental label repair (maintain_labels)
-      "session.run",           // Clusterer::run / heal re-cluster
-      "session.sweep",         // Clusterer::sweep ladder
-      "snapshot.query_batch",  // IndexSnapshot::query_batch CSR fill
-  };
-  return kSpanSites;
-}
 
 const char* name(Counter c) noexcept {
   const auto i = static_cast<std::size_t>(c);
@@ -269,40 +185,26 @@ double HistogramSnapshot::quantile(double q) const noexcept {
   return max_seconds;
 }
 
+// The public entry points pass the env gate first, so an env spec can
+// never land after (and override) a programmatic call.
 void arm(unsigned modes) {
-  if (!compiled_in()) {
-    throw std::logic_error(
-        "telemetry: build compiled without RTDBSCAN_TELEMETRY=ON");
-  }
   if (modes == 0 || (modes & ~(kMetrics | kTrace)) != 0) {
     throw std::invalid_argument(
         "telemetry: arm() takes an OR of kMetrics / kTrace");
   }
-  ensure_env_parsed();
-  g_armed.fetch_or(modes, std::memory_order_relaxed);
+  (void)stage::armed();
+  stage::detail::g_armed.fetch_or(modes, std::memory_order_relaxed);
 }
 
 void arm_spec(std::string_view spec) {
-  if (!compiled_in()) {
-    throw std::logic_error(
-        "telemetry: build compiled without RTDBSCAN_TELEMETRY=ON");
-  }
-  ensure_env_parsed();
-  apply_spec(spec);
+  (void)stage::armed();
+  detail::apply_spec(spec);
 }
 
 void disarm_all() noexcept {
-  g_armed.store(0, std::memory_order_relaxed);
-}
-
-bool metrics_armed() noexcept {
-  return compiled_in() &&
-         (g_armed.load(std::memory_order_relaxed) & kMetrics) != 0;
-}
-
-bool trace_armed() noexcept {
-  return compiled_in() &&
-         (g_armed.load(std::memory_order_relaxed) & kTrace) != 0;
+  (void)stage::armed();
+  stage::detail::g_armed.fetch_and(~(kMetrics | kTrace),
+                                   std::memory_order_relaxed);
 }
 
 MetricsSnapshot snapshot() {
@@ -462,10 +364,6 @@ std::string trace_json() {
 }
 
 void write_trace(const std::string& path) {
-  if (!compiled_in()) {
-    throw std::logic_error(
-        "telemetry: build compiled without RTDBSCAN_TELEMETRY=ON");
-  }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     throw std::runtime_error("telemetry: cannot open trace file: " + path);
@@ -476,22 +374,49 @@ void write_trace(const std::string& path) {
   }
 }
 
-#ifdef RTD_TELEMETRY_ENABLED
+namespace detail {
 
-void count(Counter c, std::uint64_t delta) noexcept {
-  if (!detail::metrics_on()) return;
+void apply_spec(std::string_view spec) {
+  unsigned modes = 0;
+  std::string_view rest = spec;
+  while (!rest.empty()) {
+    const std::size_t sep = rest.find_first_of(";,");
+    std::string_view token = rest.substr(0, sep);
+    rest = sep == std::string_view::npos ? std::string_view{}
+                                         : rest.substr(sep + 1);
+    if (token.empty()) continue;
+    if (token == "metrics") {
+      modes |= kMetrics;
+    } else if (token == "trace") {
+      modes |= kTrace;
+    } else if (token == "on" || token == "all" || token == "1") {
+      modes |= kMetrics | kTrace;
+    } else if (token.rfind("ring:", 0) == 0) {
+      const std::uint64_t cap =
+          stage::detail::parse_count(token.substr(5), "RTDBSCAN_TELEMETRY");
+      g_ring_capacity.store(
+          std::clamp<std::size_t>(static_cast<std::size_t>(cap), 16,
+                                  std::size_t{1} << 22),
+          std::memory_order_relaxed);
+    } else {
+      throw std::invalid_argument("RTDBSCAN_TELEMETRY: unknown token '" +
+                                  std::string(token) + "'");
+    }
+  }
+  stage::detail::g_armed.fetch_or(modes, std::memory_order_relaxed);
+}
+
+void add(Counter c, std::uint64_t delta) noexcept {
   state().counters[static_cast<std::size_t>(c)].fetch_add(
       delta, std::memory_order_relaxed);
 }
 
-void gauge_set(Gauge g, std::int64_t value) noexcept {
-  if (!detail::metrics_on()) return;
+void set(Gauge g, std::int64_t value) noexcept {
   state().gauges[static_cast<std::size_t>(g)].store(
       value, std::memory_order_relaxed);
 }
 
-void observe(Histogram h, double seconds) noexcept {
-  if (!detail::metrics_on()) return;
+void record(Histogram h, double seconds) noexcept {
   const auto ns = seconds > 0.0
                       ? static_cast<std::uint64_t>(seconds * 1e9)
                       : 0;
@@ -501,18 +426,6 @@ void observe(Histogram h, double seconds) noexcept {
   cells.sum_ns.fetch_add(ns, std::memory_order_relaxed);
   atomic_min(cells.min_ns, ns);
   atomic_max(cells.max_ns, ns);
-}
-
-namespace detail {
-
-bool metrics_on() noexcept {
-  ensure_env_parsed();
-  return (g_armed.load(std::memory_order_relaxed) & kMetrics) != 0;
-}
-
-bool trace_on() noexcept {
-  ensure_env_parsed();
-  return (g_armed.load(std::memory_order_relaxed) & kTrace) != 0;
 }
 
 std::uint64_t now_ns() noexcept {
@@ -563,7 +476,5 @@ void span_end(const char* site, std::uint64_t begin_ns) noexcept {
 }
 
 }  // namespace detail
-
-#endif  // RTD_TELEMETRY_ENABLED
 
 }  // namespace rtd::telemetry

@@ -5,31 +5,24 @@
 // trace spans drainable as Chrome trace-event JSON (chrome://tracing /
 // ui.perfetto.dev).
 //
-// The design mirrors common/failpoint.hpp exactly:
+// The spans are the named stages of common/stage.hpp (RTD_STAGE), and the
+// arm modes are bits of the same process-wide word:
 //
-//   * The whole facility compiles to NOTHING unless the build defines
-//     RTD_TELEMETRY_ENABLED (CMake option RTDBSCAN_TELEMETRY=ON): the hot
-//     update functions become empty inlines, RTD_TRACE_SPAN expands to a
-//     no-op statement, and the registry symbols are never referenced
-//     (test_query_alloc.cpp enforces the zero-cost contract).
-//   * Compiled in but DISARMED, every instrumented site costs one relaxed
-//     atomic load (bench_snapshot.sh gates the overhead at <= 3% per
-//     mutation and per snapshot read, like the failpoint gate).
-//   * Activation is programmatic (rtd::telemetry::arm) or via the
-//     environment variable RTDBSCAN_TELEMETRY, parsed once at first use:
+//   * Always compiled in.  Disarmed, every metric update and every stage
+//     costs one inline relaxed load of the stage word.
+//   * Activation is programmatic (rtd::telemetry::arm / arm_spec) or via the
+//     environment variable RTDBSCAN_TELEMETRY, read once with
+//     RTDBSCAN_FAILPOINTS at the first stage check of the process:
 //
 //       RTDBSCAN_TELEMETRY="metrics;trace;ring:8192"
 //
 //     where the tokens are `metrics` (arm the metric updates), `trace`
 //     (arm the spans), `on`/`all`/`1` (both), and `ring:N` (per-thread
-//     span ring capacity in events, default 8192).
+//     span ring capacity in events, default 8192; N is a whole token of
+//     decimal digits).
 //   * Armed warm paths never allocate: metrics are fixed arrays of atomics,
 //     and each thread's span ring is preallocated the first time that
 //     thread records a span (the one cold allocation per thread).
-//   * Spans belong at serial boundaries only — NEVER inside an OpenMP
-//     parallel region (scripts/lint_invariants.py rule trace-span-in-omp).
-//     Site names are canonical: all_span_sites() lists them and the linter
-//     cross-checks every use against the list and the docs table.
 //
 // RunStats is populated from the same steady_clock these spans and
 // histograms read (common/timer.hpp), so per-run timings and the telemetry
@@ -40,26 +33,14 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#ifdef RTD_TELEMETRY_ENABLED
-#include <chrono>
-#endif
+#include "common/stage.hpp"
 
 namespace rtd::telemetry {
 
-// True when the build carries the telemetry machinery.
-constexpr bool compiled_in() {
-#ifdef RTD_TELEMETRY_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-
 /// Arm-mode bitmask: metric updates and trace spans arm independently.
-inline constexpr unsigned kMetrics = 1u << 0;
-inline constexpr unsigned kTrace = 1u << 1;
+using stage::kMetrics;
+using stage::kTrace;
 
 // Monotonic event counters.  Enumerator order matches the sorted name list
 // in telemetry.cpp (keep both in sync; test_telemetry.cpp checks).
@@ -164,28 +145,27 @@ struct MetricsSnapshot {
   }
 };
 
-/// Arm the facility (OR of kMetrics / kTrace).  Throws std::logic_error
-/// when the build is compiled without RTDBSCAN_TELEMETRY=ON and
+/// Arm the facility (OR of kMetrics / kTrace).  Throws
 /// std::invalid_argument when `modes` names no known mode.
 void arm(unsigned modes = kMetrics | kTrace);
 
 /// Parse and apply an activation spec ("metrics;trace;ring:4096") — the
 /// same grammar the RTDBSCAN_TELEMETRY environment variable uses.  Throws
-/// like arm(), plus std::invalid_argument on unknown tokens.
+/// std::invalid_argument on unknown tokens and malformed numbers.
 void arm_spec(std::string_view spec);
 
-/// Disarm everything.  Metric values and undrained spans are kept (reset()
-/// clears them).  Safe in any build.
+/// Disarm metrics and spans.  Metric values and undrained spans are kept
+/// (reset() clears them).
 void disarm_all() noexcept;
 
-[[nodiscard]] bool metrics_armed() noexcept;  // false when compiled out
-[[nodiscard]] bool trace_armed() noexcept;
+[[nodiscard]] inline bool metrics_armed() noexcept {
+  return (stage::armed() & kMetrics) != 0;
+}
+[[nodiscard]] inline bool trace_armed() noexcept {
+  return (stage::armed() & kTrace) != 0;
+}
 
-/// The canonical span-site list, sorted; scripts/lint_invariants.py checks
-/// every RTD_TRACE_SPAN site in the tree against it.
-const std::vector<std::string>& all_span_sites();
-
-/// Read every metric (zeros when compiled out or never armed).
+/// Read every metric (zeros when never armed).
 MetricsSnapshot snapshot();
 
 /// The full registry as a JSON object: {"counters": {...}, "gauges": {...},
@@ -197,50 +177,39 @@ void reset() noexcept;
 
 /// Drain every thread's span ring into one Chrome trace-event JSON document
 /// ({"traceEvents": [...]}, "X" complete events, ts/dur in microseconds).
-/// Draining consumes the events.  Returns the empty document when compiled
-/// out or nothing was recorded.
+/// Draining consumes the events.  Returns the empty document when nothing
+/// was recorded.
 std::string trace_json();
 
-/// write_trace(path): trace_json() into a file.  Throws std::logic_error
-/// when compiled out and std::runtime_error when the file cannot be
-/// written.
+/// write_trace(path): trace_json() into a file.  Throws std::runtime_error
+/// when the file cannot be written.
 void write_trace(const std::string& path);
 
-#ifdef RTD_TELEMETRY_ENABLED
-
-/// Hot-path update API: one relaxed atomic load when disarmed, relaxed
-/// atomic read-modify-writes when armed.  Never allocates, never throws.
-void count(Counter c, std::uint64_t delta = 1) noexcept;
-void gauge_set(Gauge g, std::int64_t value) noexcept;
-void observe(Histogram h, double seconds) noexcept;
-
 namespace detail {
-// Fast armed gates (env parse happens once, on the first call).
-[[nodiscard]] bool metrics_on() noexcept;
-[[nodiscard]] bool trace_on() noexcept;
+// Out-of-line halves of the armed update API.
+void add(Counter c, std::uint64_t delta) noexcept;
+void set(Gauge g, std::int64_t value) noexcept;
+void record(Histogram h, double seconds) noexcept;
+// Parse and apply a spec without passing the env gate (the gate's own
+// parse).
+void apply_spec(std::string_view spec);
 // Nanoseconds since the process-local steady_clock epoch.
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 // Record a finished span into the calling thread's ring.
 void span_end(const char* site, std::uint64_t begin_ns) noexcept;
-
-/// RAII span body behind RTD_TRACE_SPAN.  `site` must be a string literal
-/// from the canonical list (its pointer is stored, not copied).
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* site) noexcept
-      : site_(trace_on() ? site : nullptr),
-        begin_ns_(site_ != nullptr ? now_ns() : 0) {}
-  ~ScopedSpan() {
-    if (site_ != nullptr) span_end(site_, begin_ns_);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  const char* site_;
-  std::uint64_t begin_ns_;
-};
 }  // namespace detail
+
+/// Hot-path update API: one inline relaxed load when disarmed, relaxed
+/// atomic read-modify-writes when armed.  Never allocates, never throws.
+inline void count(Counter c, std::uint64_t delta = 1) noexcept {
+  if (metrics_armed()) detail::add(c, delta);
+}
+inline void gauge_set(Gauge g, std::int64_t value) noexcept {
+  if (metrics_armed()) detail::set(g, value);
+}
+inline void observe(Histogram h, double seconds) noexcept {
+  if (metrics_armed()) detail::record(h, seconds);
+}
 
 /// RAII latency sampler for read paths that have no Timer of their own:
 /// reads the clock only when metrics are armed, observes on destruction.
@@ -248,7 +217,7 @@ class LatencyTimer {
  public:
   explicit LatencyTimer(Histogram h) noexcept
       : hist_(h),
-        active_(detail::metrics_on()),
+        active_(metrics_armed()),
         begin_ns_(active_ ? detail::now_ns() : 0) {}
   ~LatencyTimer() {
     if (active_) {
@@ -264,32 +233,4 @@ class LatencyTimer {
   std::uint64_t begin_ns_;
 };
 
-#else  // !RTD_TELEMETRY_ENABLED
-
-// Compiled out: empty inlines the optimizer erases entirely; the registry
-// translation unit keeps the cold reader API (snapshot(), trace_json())
-// linkable so callers need no #ifdefs.
-inline void count(Counter, std::uint64_t = 1) noexcept {}
-inline void gauge_set(Gauge, std::int64_t) noexcept {}
-inline void observe(Histogram, double) noexcept {}
-
-class LatencyTimer {
- public:
-  explicit LatencyTimer(Histogram) noexcept {}
-};
-
-#endif  // RTD_TELEMETRY_ENABLED
-
 }  // namespace rtd::telemetry
-
-#ifdef RTD_TELEMETRY_ENABLED
-#define RTD_TELEMETRY_CONCAT_INNER(a, b) a##b
-#define RTD_TELEMETRY_CONCAT(a, b) RTD_TELEMETRY_CONCAT_INNER(a, b)
-// Declares a block-scoped RAII span.  Serial boundaries only — never inside
-// an OpenMP parallel region (lint rule trace-span-in-omp).
-#define RTD_TRACE_SPAN(site)                               \
-  const ::rtd::telemetry::detail::ScopedSpan               \
-      RTD_TELEMETRY_CONCAT(rtd_trace_span_, __LINE__)(site)
-#else
-#define RTD_TRACE_SPAN(site) static_assert(true, "telemetry compiled out")
-#endif

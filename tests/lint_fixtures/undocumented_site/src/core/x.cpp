@@ -1,5 +1,5 @@
 void f() {
-  RTD_FAILPOINT("alpha.one");
-  RTD_FAILPOINT("beta.two");
-  RTD_FAILPOINT("gamma.rogue");  // not in the canonical list
+  RTD_STAGE("alpha.one");
+  RTD_STAGE_AS(stage, "beta.two");
+  RTD_STAGE("gamma.rogue");  // not in the canonical table
 }

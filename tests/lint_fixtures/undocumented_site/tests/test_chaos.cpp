@@ -1,2 +1,2 @@
-// coverage dispatch mentions alpha.one only
-const bool a = site == "alpha.one";
+// coverage dispatch mentions alpha.one and delta.four only
+const bool a = site == "alpha.one" || site == "delta.four";

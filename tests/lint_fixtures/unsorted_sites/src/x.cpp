@@ -1,4 +1,4 @@
 void f() {
-  RTD_FAILPOINT("alpha.one");
-  RTD_FAILPOINT("beta.two");
+  RTD_STAGE("alpha.one");
+  RTD_STAGE("beta.two");
 }

@@ -1,13 +1,14 @@
-// Chaos soak for the failpoint framework (common/failpoint.hpp): a seeded
-// randomized mutation stream with a fault injected at every registered site
-// in turn, on every point backend.  After EVERY fault the session must be
-// either STATE-IDENTICAL to the pre-call observable state (strong guarantee)
-// or kDegraded and healed by the next writer call — and validate(kDeep),
-// which includes full oracle parity, must come back clean.  A snapshot held
-// across the faults must keep answering queries consistently (readers are
-// never torn).  The whole suite SKIPS unless the build compiled the
-// failpoint machinery in (cmake -DRTDBSCAN_FAILPOINTS=ON); run it under the
-// asan and tsan presets for the sanitizer legs (CI job `chaos`).
+// Chaos soak for fault injection (common/failpoint.hpp): a seeded
+// randomized mutation stream with a fault injected at every stage of the
+// table (common/stage.hpp) in turn, on every point backend.  After EVERY
+// fault the session must be either STATE-IDENTICAL to the pre-call
+// observable state (strong guarantee) or kDegraded and healed by the next
+// writer call — and validate(kDeep), which includes full oracle parity,
+// must come back clean.  A snapshot held across the faults must keep
+// answering queries consistently (readers are never torn), and is itself
+// the reader that takes the reader-side faults.
+// Run it under the asan and tsan presets for the sanitizer legs (CI job
+// `instrumentation`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,9 @@
 
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
+#include "common/stage.hpp"
 #include "core/clusterer.hpp"
+#include "core/index_snapshot.hpp"
 #include "data/generators.hpp"
 #include "index/index_kind.hpp"
 
@@ -134,36 +137,44 @@ void clean_step(Clusterer& s, Rng& rng, float eps, std::uint32_t min_pts) {
   }
 }
 
-/// The operation that reaches `site`, with the fault armed by the caller.
-/// Returns true if the op threw.
-bool faulted_op(Clusterer& s, Rng& rng, const std::string& site, float& eps,
-                std::uint32_t min_pts) {
+/// The operation that reaches `site`, with the fault armed by the caller:
+/// a writer call on `s`, or a read on the held snapshot `reader`.  Returns
+/// true if the op threw.
+bool faulted_op(Clusterer& s, const IndexSnapshot& reader, Rng& rng,
+                const std::string& site, float& eps, std::uint32_t min_pts) {
   try {
     if (site == "dsu.grow" || site == "engine.phase1" ||
-        site == "engine.phase2") {
-      // A fresh ε forces a full recount + merge; dsu.grow needs n to have
-      // grown since the last finish_run, which the clean steps provide.
+        site == "engine.phase2" || site == "index.refit" ||
+        site == "session.run") {
+      // A fresh ε forces a refit, a full recount + merge; dsu.grow needs n
+      // to have grown since the last finish_run, which the clean steps
+      // provide.
       eps = rng.uniformf(0.25f, 0.45f);
       (void)s.run(eps, min_pts);
     } else if (site == "engine.phase1_insert" || site == "index.insert" ||
-               site == "repair.union" || site == "repair.relabel") {
+               site == "repair.union" || site == "repair.relabel" ||
+               site == "session.insert" || site == "session.repair") {
       (void)s.insert(cluster_batch(rng, 2 + rng.below(10)));
     } else if (site == "engine.phase1_remove" || site == "index.remove" ||
-               site == "repair.split" || site == "repair.border") {
+               site == "repair.split" || site == "repair.border" ||
+               site == "session.remove") {
       s.remove(random_live_ids(rng, s, 2 + rng.below(6)));
+    } else if (site == "session.advance") {
+      (void)s.advance(cluster_batch(rng, 1 + rng.below(8)),
+                      rng.below(std::min<std::uint64_t>(6, s.live_count())));
     } else if (site == "index.build" || site == "index.compacted_rebuild") {
       // A batch past the rebuild threshold forces a fresh build; with
       // tombstones around (the clean removals guarantee some) the build
       // goes through the CompactedIndex path.
       (void)s.insert(cluster_batch(rng, 70));
-    } else if (site == "index.refit") {
-      eps = rng.uniformf(0.25f, 0.45f);
-      (void)s.run(eps, min_pts);
     } else if (site == "session.publish") {
       (void)s.snapshot();
-    } else if (site == "sweep.scratch") {
+    } else if (site == "session.sweep" || site == "sweep.scratch") {
       const std::vector<float> ladder{eps * 0.8f, eps, eps * 1.2f};
       (void)s.sweep(ladder, min_pts);
+    } else if (site == "snapshot.query_batch") {
+      (void)reader.query_batch(reader.points().subspan(0, 16), reader.eps(),
+                               /*threads=*/1);
     } else {
       ADD_FAILURE() << "chaos soak has no op for site " << site;
     }
@@ -174,9 +185,6 @@ bool faulted_op(Clusterer& s, Rng& rng, const std::string& site, float& eps,
 }
 
 void chaos_soak(IndexKind kind) {
-  if (!fail::compiled_in()) {
-    GTEST_SKIP() << "build compiled without RTDBSCAN_FAILPOINTS=ON";
-  }
   fail::disarm_all();
   Rng rng(0xC4A05 + static_cast<std::uint64_t>(kind));
   const auto base = data::taxi_gps(400, 31);
@@ -191,9 +199,9 @@ void chaos_soak(IndexKind kind) {
   const auto held = session.snapshot();
   const std::size_t held_n = held->size();
 
-  const std::vector<std::string>& sites = fail::all_sites();
+  const std::vector<std::string>& sites = stage::all_sites();
   std::size_t steps = 0;
-  const int kCycles = 7;  // 7 × 16 sites × (clean + faulted) ≥ 200 steps
+  const int kCycles = 7;  // 7 × 23 stages × (clean + faulted) ≥ 200 steps
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     for (std::size_t si = 0; si < sites.size(); ++si) {
       const std::string& site = sites[si];
@@ -228,7 +236,7 @@ void chaos_soak(IndexKind kind) {
 
       const ObservableState before = capture(session);
       fail::arm(site, cfg);
-      const bool threw = faulted_op(session, rng, site, eps, min_pts);
+      const bool threw = faulted_op(session, *held, rng, site, eps, min_pts);
       fail::disarm_all();
       ++steps;
 
@@ -283,9 +291,6 @@ TEST(ChaosSoak, BvhRt) { chaos_soak(IndexKind::kBvhRt); }
 // ---------------------------------------------------------------------------
 
 TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
-  if (!fail::compiled_in()) {
-    GTEST_SKIP() << "build compiled without RTDBSCAN_FAILPOINTS=ON";
-  }
   fail::disarm_all();
   const auto base = data::taxi_gps(300, 32);
   Clusterer session(base.points,

@@ -4,8 +4,7 @@
 // discovered late, take_result shells) and runs in every build; the second
 // half uses the failpoint registry to force faults at specific sites and
 // pins down which operations give the STRONG guarantee and which degrade
-// then heal.  Failpoint-gated cases skip unless the build was configured
-// with -DRTDBSCAN_FAILPOINTS=ON.
+// then heal.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -108,20 +107,13 @@ TEST(ExceptionSafety, InvalidMutationArgumentsAreStrong) {
 }
 
 // ---------------------------------------------------------------------------
-// Failpoint-gated cases: specific sites, specific guarantees.
+// Fault-injected cases: specific sites, specific guarantees.
 // ---------------------------------------------------------------------------
 
 class FailpointGated : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!fail::compiled_in()) {
-      GTEST_SKIP() << "build compiled without RTDBSCAN_FAILPOINTS=ON";
-    }
-    fail::disarm_all();
-  }
-  void TearDown() override {
-    if (fail::compiled_in()) fail::disarm_all();
-  }
+  void SetUp() override { fail::disarm_all(); }
+  void TearDown() override { fail::disarm_all(); }
 };
 
 TEST_F(FailpointGated, InsertCountFaultRollsBackStorageAndCounts) {

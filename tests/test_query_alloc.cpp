@@ -11,7 +11,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "common/failpoint.hpp"
+#include "common/stage.hpp"
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
 #include "index/neighbor_index.hpp"
@@ -215,64 +215,52 @@ TEST(QueryAllocation, WarmMutationCyclesAllocateNothingOnAbsorbingBackends) {
 }
 
 TEST(QueryAllocation, FailpointSitesAddNoAllocationsToWarmPaths) {
-  // The hazardous-site instrumentation (common/failpoint.hpp) must not
-  // perturb the zero-allocation contracts this binary certifies.  In the
-  // shipped configuration (RTDBSCAN_FAILPOINTS=OFF) the macros expand to
-  // nothing, so the warm-path tests above already measure the true hot
-  // path; this test pins the macro cost itself to zero allocations.  In a
-  // failpoints-ON test build the unarmed fast path is one relaxed atomic
-  // load per site — still allocation-free once the registry's lazy env
+  // The stages (common/stage.hpp) must not perturb the zero-allocation
+  // contracts this binary certifies: with no fault armed, a stage is one
+  // relaxed load of the armed word — allocation-free once the lazy env
   // parse has run (warmed below).
-  RTD_FAILPOINT("engine.phase1");  // warm: triggers the one-time env parse
+  { RTD_STAGE("engine.phase1"); }  // warm: triggers the one-time env parse
   const std::uint64_t during = allocations_during([] {
     for (int i = 0; i < 4096; ++i) {
-      RTD_FAILPOINT("engine.phase1");
-      if (RTD_FAILPOINT_DECLINES("index.insert")) std::abort();
+      RTD_STAGE("engine.phase1");
+      RTD_STAGE_AS(stage, "index.insert");
+      if (stage.declined()) std::abort();
     }
   });
-  EXPECT_EQ(during, 0u)
-      << (fail::compiled_in() ? "unarmed failpoints-ON build allocated"
-                              : "compiled-out failpoint macro allocated");
+  EXPECT_EQ(during, 0u) << "disarmed stage allocated";
 }
 
 TEST(QueryAllocation, TelemetrySitesAddNoAllocationsToWarmPaths) {
-  // The observability instrumentation (telemetry/telemetry.hpp) carries the
-  // same contract as the failpoints: compiled out the macros and update
-  // calls expand to nothing, compiled in but disarmed each site is one
-  // relaxed atomic load — allocation-free either way once the lazy env
-  // parse has run (warmed below).
-  telemetry::count(telemetry::Counter::kSessionRuns);  // warm: env parse
+  // The metric updates (telemetry/telemetry.hpp) carry the same contract:
+  // disarmed, each is one relaxed load of the same word.
+  telemetry::count(telemetry::Counter::kSessionRuns);
   const std::uint64_t disarmed = allocations_during([] {
     for (int i = 0; i < 4096; ++i) {
       telemetry::count(telemetry::Counter::kSnapshotReads);
       telemetry::gauge_set(telemetry::Gauge::kSessionLivePoints, i);
       telemetry::observe(telemetry::Histogram::kSnapshotReadLatency, 1e-6);
-      RTD_TRACE_SPAN("session.run");
+      RTD_STAGE("session.run");
     }
   });
-  EXPECT_EQ(disarmed, 0u)
-      << (telemetry::compiled_in() ? "disarmed telemetry-ON build allocated"
-                                   : "compiled-out telemetry site allocated");
+  EXPECT_EQ(disarmed, 0u) << "disarmed telemetry site allocated";
 
   // Armed, the metric updates are relaxed RMWs into fixed arrays and a span
   // pushes into this thread's ring — preallocated at the first span (the
   // one cold allocation per thread, warmed below), so the armed warm path
   // is zero-allocation too.
-  if (telemetry::compiled_in()) {
-    telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
-    { RTD_TRACE_SPAN("session.run"); }  // warm: ring preallocation
-    const std::uint64_t armed = allocations_during([] {
-      for (int i = 0; i < 4096; ++i) {
-        telemetry::count(telemetry::Counter::kSnapshotReads);
-        telemetry::gauge_set(telemetry::Gauge::kSessionLivePoints, i);
-        telemetry::observe(telemetry::Histogram::kSnapshotReadLatency, 1e-6);
-        RTD_TRACE_SPAN("session.run");
-      }
-    });
-    EXPECT_EQ(armed, 0u) << "armed telemetry warm path allocated";
-    telemetry::disarm_all();
-    telemetry::reset();
-  }
+  telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
+  { RTD_STAGE("session.run"); }  // warm: ring preallocation
+  const std::uint64_t armed = allocations_during([] {
+    for (int i = 0; i < 4096; ++i) {
+      telemetry::count(telemetry::Counter::kSnapshotReads);
+      telemetry::gauge_set(telemetry::Gauge::kSessionLivePoints, i);
+      telemetry::observe(telemetry::Histogram::kSnapshotReadLatency, 1e-6);
+      RTD_STAGE("session.run");
+    }
+  });
+  EXPECT_EQ(armed, 0u) << "armed telemetry warm path allocated";
+  telemetry::disarm_all();
+  telemetry::reset();
 }
 
 TEST(QueryAllocation, ScratchArenaReusesCapacity) {

@@ -1,8 +1,5 @@
 // Unit tests for the telemetry registry itself: env-var activation, counter
-// / gauge / histogram semantics, the compiled-out contract, Chrome trace
-// drain, and a concurrent soak.  Everything that needs an armed registry is
-// gated on telemetry::compiled_in(); the binary still builds and passes
-// (mostly skipping) in a plain build.
+// / gauge / histogram semantics, Chrome trace drain, and a concurrent soak.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/stage.hpp"
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
 #include "telemetry/telemetry.hpp"
@@ -125,10 +123,11 @@ std::size_t parse_value(const std::string& s, std::size_t i) {
 
 // -----------------------------------------------------------------------------
 
-// The registry parses RTDBSCAN_TELEMETRY exactly once, at its first use in
-// the process.  Setting the variable from a static initializer guarantees
-// it is in place before any test touches the registry; the env test below
-// must therefore stay the FIRST test registered in this file.
+// The stage gate parses RTDBSCAN_TELEMETRY exactly once, at the first
+// stage check of the process.  Setting the variable from a static
+// initializer guarantees it is in place before any test touches the
+// registry; the env test below must therefore stay the FIRST test
+// registered in this file.
 const bool g_env_spec_set = [] {
   ::setenv("RTDBSCAN_TELEMETRY", "metrics", 1);
   return true;
@@ -136,12 +135,6 @@ const bool g_env_spec_set = [] {
 
 TEST(TelemetryEnv, SpecIsParsedLazilyAndArmsMetrics) {
   ASSERT_TRUE(g_env_spec_set);
-  if (!telemetry::compiled_in()) {
-    // Compiled out, the env var is inert and the update API is a no-op.
-    telemetry::count(telemetry::Counter::kSessionRuns);
-    EXPECT_FALSE(telemetry::metrics_armed());
-    GTEST_SKIP() << "build compiled without RTDBSCAN_TELEMETRY=ON";
-  }
   // The first update triggers the lazy parse; "metrics" arms the metric
   // updates but not the spans.
   telemetry::count(telemetry::Counter::kSessionRuns, 3);
@@ -179,10 +172,23 @@ TEST(Telemetry, NameTablesMatchEnumOrder) {
 }
 
 TEST(Telemetry, SpanSiteListIsSortedAndUnique) {
-  const auto& sites = telemetry::all_span_sites();
+  // Every stage of the one table records a span when tracing is armed.
+  const auto& sites = stage::all_sites();
   ASSERT_FALSE(sites.empty());
   for (std::size_t i = 1; i < sites.size(); ++i) {
     EXPECT_LT(sites[i - 1], sites[i]);
+  }
+  telemetry::arm(telemetry::kTrace);
+  (void)telemetry::trace_json();  // start every ring empty
+  for (const auto& site : sites) {
+    const stage::Scope scope(site.c_str());
+  }
+  const std::string trace = telemetry::trace_json();
+  telemetry::disarm_all();
+  ASSERT_TRUE(is_valid_json(trace));
+  for (const auto& site : sites) {
+    EXPECT_NE(trace.find("\"name\":\"" + site + "\""), std::string::npos)
+        << site;
   }
 }
 
@@ -195,54 +201,16 @@ TEST(Telemetry, HistogramBucketGeometry) {
       telemetry::kHistogramBuckets - 1)));
 }
 
-TEST(Telemetry, CompiledOutContract) {
-  if (telemetry::compiled_in()) {
-    GTEST_SKIP() << "facility compiled in; the logic_error paths are inert";
-  }
-  EXPECT_THROW(telemetry::arm(), std::logic_error);
-  EXPECT_THROW(telemetry::arm_spec("metrics"), std::logic_error);
-  EXPECT_THROW(telemetry::write_trace("/dev/null"), std::logic_error);
-  EXPECT_FALSE(telemetry::metrics_armed());
-  EXPECT_FALSE(telemetry::trace_armed());
-
-  // The update API is inert and the macro is a plain no-op statement.
-  telemetry::count(telemetry::Counter::kSessionRuns);
-  telemetry::gauge_set(telemetry::Gauge::kSessionLivePoints, 42);
-  telemetry::observe(telemetry::Histogram::kRunLatency, 0.5);
-  { RTD_TRACE_SPAN("session.run"); }
-  { const telemetry::LatencyTimer t(telemetry::Histogram::kRunLatency); }
-
-  const telemetry::MetricsSnapshot snap = telemetry::snapshot();
-  for (std::size_t i = 0; i < telemetry::kNumCounters; ++i) {
-    EXPECT_EQ(snap.counters[i], 0u);
-  }
-  for (std::size_t i = 0; i < telemetry::kNumGauges; ++i) {
-    EXPECT_EQ(snap.gauges[i], 0);
-  }
-  EXPECT_EQ(snap.histogram(telemetry::Histogram::kRunLatency).count, 0u);
-
-  // The cold readers stay linkable and emit valid (empty) documents.
-  EXPECT_TRUE(is_valid_json(telemetry::to_json()));
-  const std::string trace = telemetry::trace_json();
-  EXPECT_TRUE(is_valid_json(trace));
-  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-}
-
 class TelemetryArmed : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!telemetry::compiled_in()) {
-      GTEST_SKIP() << "build compiled without RTDBSCAN_TELEMETRY=ON";
-    }
     telemetry::disarm_all();
     telemetry::reset();
     telemetry::arm(telemetry::kMetrics);
   }
   void TearDown() override {
-    if (telemetry::compiled_in()) {
-      telemetry::disarm_all();
-      telemetry::reset();
-    }
+    telemetry::disarm_all();
+    telemetry::reset();
   }
 };
 
@@ -289,7 +257,7 @@ TEST_F(TelemetryArmed, DisarmedUpdatesAreDropped) {
   telemetry::disarm_all();
   telemetry::count(telemetry::Counter::kSessionRuns, 100);
   telemetry::observe(telemetry::Histogram::kRunLatency, 1.0);
-  { RTD_TRACE_SPAN("session.run"); }
+  { RTD_STAGE("session.run"); }
   const auto snap = telemetry::snapshot();
   EXPECT_EQ(snap.counter(telemetry::Counter::kSessionRuns), 1u);
   EXPECT_EQ(snap.histogram(telemetry::Histogram::kRunLatency).count, 0u);
@@ -300,6 +268,10 @@ TEST_F(TelemetryArmed, ArmSpecGrammar) {
   EXPECT_THROW(telemetry::arm(~0u), std::invalid_argument);
   EXPECT_THROW(telemetry::arm_spec("bogus"), std::invalid_argument);
   EXPECT_THROW(telemetry::arm_spec("ring:"), std::invalid_argument);
+  // Capacities are whole digit tokens: no sign wrapping to a huge cap, no
+  // trailing garbage.
+  EXPECT_THROW(telemetry::arm_spec("ring:-5"), std::invalid_argument);
+  EXPECT_THROW(telemetry::arm_spec("ring:64k"), std::invalid_argument);
   telemetry::disarm_all();
   telemetry::arm_spec("trace");
   EXPECT_TRUE(telemetry::trace_armed());
@@ -430,7 +402,7 @@ TEST_F(TelemetryArmed, RingOverflowEvictsOldestAndCountsDrops) {
   // A fresh thread gets the 16-event ring; 40 spans overflow it by 24.
   std::thread recorder([] {
     for (int i = 0; i < 40; ++i) {
-      RTD_TRACE_SPAN("session.run");
+      RTD_STAGE("session.run");
     }
   });
   recorder.join();
@@ -465,7 +437,7 @@ TEST_F(TelemetryArmed, TelemetryConcurrentSoak) {
                              static_cast<std::int64_t>(i));
         telemetry::observe(telemetry::Histogram::kSnapshotReadLatency,
                            static_cast<double>(w + 1) * 1e-6);
-        RTD_TRACE_SPAN("snapshot.query_batch");
+        RTD_STAGE("snapshot.query_batch");
       }
     });
   }
