@@ -62,6 +62,7 @@ const std::vector<std::string>& all_sites() {
       "engine.phase1_remove",     // remove count maintenance
       "engine.phase2",            // core-merge launch
       "index.build",              // make_index backend construction
+      "index.clone",              // NeighborIndex::clone (new version)
       "index.compacted_rebuild",  // CompactedIndex dense rebuild
       "index.insert",             // NeighborIndex::try_insert (declinable)
       "index.refit",              // NeighborIndex::try_set_eps (declinable)

@@ -68,8 +68,8 @@ struct Clusterer::Impl {
 
   // --- sphere geometry: the NeighborIndex session state -------------------
   /// Built at the first run.  Shared (not unique) so a published
-  /// IndexSnapshot can keep the structure alive after the session swaps to
-  /// a replacement.
+  /// IndexSnapshot can keep its version alive after the session moves on
+  /// to a clone or a rebuild.
   std::shared_ptr<index::NeighborIndex> index;
   IndexKind resolved = IndexKind::kAuto;  ///< kAuto pinned at first build
   float index_eps = 0.0f;
@@ -105,8 +105,9 @@ struct Clusterer::Impl {
   // writer index mutation/retargeting and first-snapshot creation.
   // index_shared (guarded by publish_mu) records whether the CURRENT index
   // object is aliased by any snapshot — if so, the writer must never mutate
-  // it: it swaps in a freshly built replacement instead, and the old
-  // structure is reclaimed when the last snapshot holder releases it.
+  // it: unshare_index() swaps in a clone (a new version sharing the built
+  // trees) first, and the old version is reclaimed when the last snapshot
+  // holder releases it.
   Mutex publish_mu;
   std::atomic<std::shared_ptr<const IndexSnapshot>> published;
   bool index_shared RTD_GUARDED_BY(publish_mu) = false;
@@ -278,6 +279,17 @@ struct Clusterer::Impl {
     pending_mutations = 0;
   }
 
+  /// Before any index mutation: if a snapshot holds the current index,
+  /// continue on a clone of it — a new version that shares the built trees
+  /// and copies a tree only when it refits or retargets it.  A throw
+  /// leaves the session index as it was.
+  void unshare_index() RTD_REQUIRES(publish_mu) {
+    if (!index_shared) return;
+    index = index->clone();
+    index_shared = false;  // the snapshot keeps its own reference
+    telemetry::count(telemetry::Counter::kIndexClones);
+  }
+
   /// Rebuild the live-only query launch order if mutations invalidated it.
   void ensure_order() {
     if (order_valid) return;
@@ -322,16 +334,12 @@ struct Clusterer::Impl {
       const MutexLock lock(publish_mu);
       // Unpublish first: new readers re-snapshot the post-retarget index;
       // in-flight readers' own shared_ptr copies keep the old snapshot
-      // (and through it the old structure) alive until they finish.
+      // (and through it the old version) alive until they finish.
       published.store(nullptr);
-      if (index_shared) {
-        // The current structure may be mid-traversal in a reader right now
-        // — never mutate it.  Swap in a freshly built replacement; the old
-        // one is reclaimed when the last snapshot holder releases it.
-        index_shared = false;  // the snapshot keeps its own reference
-        build_index_now(eps);
-        es.rebuilt = true;
-      } else if (index->try_set_eps(eps)) {
+      // Clone only a version that will be refitted; grid/dense-box rebuild.
+      const bool refit = index->refittable();
+      if (refit) unshare_index();
+      if (refit && index->try_set_eps(eps)) {
         index_eps = eps;
         es.refitted = true;
       } else {
@@ -346,23 +354,14 @@ struct Clusterer::Impl {
   /// Retarget inside sweep(): prefer a refit; the rebuild-only backends
   /// (grid/dense-box) deliberately STAY at the ladder-maximum build, which
   /// legally serves any smaller query radius.  If a snapshot aliases the
-  /// structure (a reader snapped it mid-sweep), the aliased structure is
-  /// abandoned and a replacement built at ε_max — so later, larger ladder
-  /// values stay servable — then refit down to this entry's ε.
-  void sweep_retarget(float eps, float eps_max, EnsureStats& step) {
-    if (eps == index_eps) return;
+  /// index (a reader snapped it mid-sweep), the refit runs on a clone.
+  void sweep_retarget(float eps, EnsureStats& step) {
+    if (eps == index_eps || !index->refittable()) return;
     const Timer t;
     const MutexLock lock(publish_mu);
     published.store(nullptr);
-    if (index_shared) {
-      build_index_now(eps_max);
-      step.rebuilt = true;
-      if (index->try_set_eps(eps)) {
-        index_eps = eps;
-        step.refitted = true;
-      }
-      step.seconds += t.seconds();
-    } else if (index->try_set_eps(eps)) {
+    unshare_index();
+    if (index->try_set_eps(eps)) {
       index_eps = eps;
       step.refitted = true;
       step.seconds += t.seconds();
@@ -809,6 +808,15 @@ struct Clusterer::Impl {
       const MutexLock lock(publish_mu);
       published.store(nullptr);
       try {
+        pending_mutations += add.size() + rem_sorted.size();
+        // Absorb in place while the mutation budget lasts and the backend
+        // can take the batch — on a clone if a snapshot holds the index
+        // (before anything else moves, so a failed clone needs only the
+        // removal rollback).  Grid/dense-box inserts rebuild uncloned.
+        const bool absorb =
+            pending_mutations <= rebuild_threshold(n_new - dead_count) &&
+            (add.empty() || index->refittable());
+        if (absorb) unshare_index();
         if (!add.empty()) {
           const bool borrowed = !storage || storage->data() != pts.data();
           if (borrowed || storage.use_count() > 1) {
@@ -837,25 +845,21 @@ struct Clusterer::Impl {
             live_grown = true;
           }
         }
-        pending_mutations += add.size() + rem_sorted.size();
         bool absorbed = false;
         index_hazard = true;  // the structure mutates below
-        if (!index_shared &&
-            pending_mutations <= rebuild_threshold(n_new - dead_count)) {
-          // In-place absorption: mask the removals (amortized refit inside
-          // the backend), then hand the appended span over (delta-tail
-          // contract — the call also re-binds after a storage relocation).
+        if (absorb) {
+          // Mask the removals (amortized refit inside the backend), then
+          // hand the appended span over (delta-tail contract — the call
+          // also re-binds after a storage relocation).
           bool ok = rem_sorted.empty() || index->try_remove(rem_sorted);
           if (ok && !add.empty()) ok = index->try_insert(pts, first_new);
           absorbed = ok;
         }
         if (!absorbed) {
-          // Aliased by a snapshot, over the mutation budget, or a backend
-          // that cannot absorb inserts (grid/dense-box): fresh build over
-          // the live set.  Dropping index_shared releases only OUR
-          // reference — snapshot readers keep the old structure alive.
+          // Over the mutation budget, or a backend that cannot absorb
+          // inserts (grid/dense-box): fresh build over the live set.  A
+          // snapshot still holding the old index keeps it alive.
           telemetry::count(telemetry::Counter::kIndexRebuildFallbacks);
-          index_shared = false;
           build_index_now(eps);
           st.index_rebuilt = true;
         }
@@ -1919,10 +1923,10 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
       // (the RT scene's radius is baked in, so its phase-2 queries need
       // it).  Where it is not (grid/dense-box), the ε_max build legally
       // serves any query radius <= its build ε — no rebuild happens in a
-      // sweep at all (unless a concurrent reader snapped the structure
-      // mid-sweep; see sweep_retarget).
+      // sweep at all (a reader that snapped the index mid-sweep makes the
+      // retarget run on a clone; see sweep_retarget).
       Impl::EnsureStats step;
-      im.sweep_retarget(eps, eps_max, step);
+      im.sweep_retarget(eps, step);
       if (v == 0) {
         // The first entry is charged with the shared work: the ε_max index
         // step and the one counting launch that served the whole ladder.

@@ -61,10 +61,11 @@
 //     is_live()).  size() counts all slots; live_count() the survivors.
 //   * Mutations are WRITER operations (same column as run() in the
 //     thread-safety table).  Concurrent readers are never torn: a mutation
-//     unpublishes the current snapshot and either mutates a structure no
-//     snapshot aliases or swaps in a replacement; readers holding the old
-//     snapshot keep the pre-mutation index AND the pre-mutation storage
-//     alive (appends copy-on-write when a snapshot co-owns the buffer).
+//     unpublishes the current snapshot and mutates an index no snapshot
+//     holds — a clone of the held one if need be; readers holding the old
+//     snapshot keep the pre-mutation index version AND the pre-mutation
+//     storage alive (appends copy-on-write when a snapshot co-owns the
+//     buffer).
 //
 // The one-shot rtd::cluster() free function (core/api.hpp) is a thin
 // wrapper over a throwaway session; existing callers are unaffected.
@@ -78,9 +79,10 @@
 //     immutable IndexSnapshot published behind an atomic shared_ptr — the
 //     steady-state read path is one atomic load, no locks.
 //   * The writer never mutates an index a snapshot aliases: retargeting ε
-//     while snapshots exist builds a REPLACEMENT structure and drops the
-//     session's reference; readers holding the old snapshot finish at the
-//     old ε and the structure is reclaimed when the last one releases it
+//     while snapshots exist clones the index (a new version sharing the
+//     built trees), refits the clone and drops the session's reference to
+//     the old version; readers holding the old snapshot finish at the old
+//     ε and that version is reclaimed when the last one releases it
 //     (shared_ptr-epoch reclamation).  Results are never torn.
 #pragma once
 
@@ -366,10 +368,13 @@ class Clusterer {
   /// and not on an early-exit session (its cached counts are capped, and
   /// maintenance needs exact ones) or a triangle-geometry session.  Throws
   /// std::invalid_argument on non-finite coordinates (session unchanged).
-  /// The index absorbs the batch in place while the accumulated mutation
-  /// delta stays under the rebuild threshold (max(64, live/8) slots) and no
-  /// snapshot aliases the structure; past either, this mutation rebuilds
-  /// the index over the live set (stats.index_rebuilt reports which).
+  /// The index absorbs the batch while the accumulated mutation delta
+  /// stays under the rebuild threshold (max(64, live/8) slots) — in place,
+  /// or on a clone of the index when a snapshot holds it (a new version
+  /// sharing the built trees; the snapshot keeps the old one).  Past the
+  /// threshold, or on a backend that cannot absorb inserts (kGrid,
+  /// kDenseBox), this mutation rebuilds the index over the live set
+  /// (stats.index_rebuilt reports which).
   std::size_t insert(std::span<const geom::Vec3> new_points);
 
   /// Tombstone the given slot ids and update the last clustering
@@ -452,7 +457,8 @@ class Clusterer {
   /// (one atomic load); the first call after a retarget creates the
   /// snapshot under a short writer-synchronized critical section.  Readers
   /// may hold the snapshot for any length of time — a writer retargeting ε
-  /// switches to a replacement structure instead of mutating this one.
+  /// or mutating the session moves on to a clone of the index instead of
+  /// mutating this one.
   /// Throws std::logic_error before the first run()/sweep() (kAuto needs an
   /// ε to resolve against, so there is no index yet) and on
   /// triangle-geometry sessions (their accel is not a point-query

@@ -14,12 +14,16 @@
 //   auto ids   = snap->query_neighbors(center);  // at the snapshot's ε
 //   auto batch = snap->query_batch(centers, 0.4f);
 //
-// Reclamation is shared_ptr-epoch style: when the session later retargets
-// its ε, it never mutates a structure a snapshot aliases — it builds a
-// replacement and drops its own reference.  Readers holding the old
-// snapshot finish safely at the old ε; the structure is freed when the last
-// reader releases it.  A snapshot's results are therefore always internally
-// consistent: entirely old-ε or entirely new-ε, never torn.
+// Reclamation is shared_ptr-epoch style: a snapshot pins one immutable
+// VERSION of the index.  When the session later retargets its ε or absorbs
+// a mutation, it never mutates a version a snapshot holds — it clones it
+// (NeighborIndex::clone: the new version shares the built trees and copies
+// a tree only to refit or retarget it, and the dead mask whole), mutates
+// the clone and drops its own reference to the old version.  Readers
+// holding the old snapshot finish safely against their epoch (old ε, old
+// points, old liveness); the version is freed when the last reader
+// releases it.  A snapshot's results are therefore always internally
+// consistent: entirely old or entirely new, never torn.
 //
 // Query radius rules (per backend, enforced with std::invalid_argument):
 //  * eps == eps()      — served directly on every backend;

@@ -8,6 +8,7 @@
 // algorithm defaults to this backend.
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "index/neighbor_index.hpp"
@@ -29,6 +30,7 @@ class BruteForceIndex final : public NeighborIndex {
     return points_;
   }
   [[nodiscard]] float build_eps() const override { return eps_; }
+  [[nodiscard]] bool refittable() const override { return true; }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,
@@ -39,6 +41,10 @@ class BruteForceIndex final : public NeighborIndex {
       rt::TraversalStats& stats, std::uint32_t stop_at) const override;
 
  private:
+  std::unique_ptr<NeighborIndex> do_clone() override {
+    return std::make_unique<BruteForceIndex>(*this);
+  }
+
   /// Refit contract: trivially satisfiable — there is no structure, only
   /// the recorded build ε.  Reached through NeighborIndex::try_set_eps,
   /// which owns the eps validation.

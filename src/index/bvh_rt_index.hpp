@@ -14,9 +14,12 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
 #include <span>
 
+#include "common/copy_on_write.hpp"
 #include "index/neighbor_index.hpp"
+#include "index/point_tree.hpp"
 #include "rt/context.hpp"
 
 namespace rtd::index {
@@ -33,7 +36,8 @@ class BvhRtIndex final : public NeighborIndex {
   [[nodiscard]] std::span<const geom::Vec3> points() const override {
     return points_;
   }
-  [[nodiscard]] float build_eps() const override { return accel_.radius(); }
+  [[nodiscard]] float build_eps() const override { return accel_->radius(); }
+  [[nodiscard]] bool refittable() const override { return true; }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,
@@ -50,32 +54,42 @@ class BvhRtIndex final : public NeighborIndex {
 
   /// REFIT the sphere scene to a new radius (accel update, not rebuild);
   /// subsequent queries must use the new eps.
-  void set_radius(float eps) { accel_.set_radius(eps); }
+  void set_radius(float eps) { accel_.mut().set_radius(eps); }
 
   /// The underlying acceleration structure (build statistics, RT k-NN).
-  [[nodiscard]] const rt::SphereAccel& accel() const { return accel_; }
+  /// It covers the build-time points; appended ones live in the delta tail.
+  [[nodiscard]] const rt::SphereAccel& accel() const { return *accel_; }
   /// The RT device context the scene was built with.
   [[nodiscard]] const rt::Context& context() const { return ctx_; }
 
  private:
+  /// Versioning: the clone shares the sphere scene (copied by the first
+  /// set_radius or masked refit of either version) and the tail tree.
+  std::unique_ptr<NeighborIndex> do_clone() override {
+    accel_.share();
+    return std::make_unique<BvhRtIndex>(*this);
+  }
+
   /// Refit contract: always satisfiable — set_radius() rescales the sphere
   /// scene and refits every traversal layout in place, 5-10x cheaper than
   /// a rebuild (§VI-B).  Reached through NeighborIndex::try_set_eps, which
-  /// owns the eps validation.  The delta tail carries no structure, so the
-  /// refit covers it trivially (its exact test reads the new radius).
+  /// owns the eps validation.  The delta-tail tree is over bare points, so
+  /// the refit covers it trivially (the exact test reads the radius).
   bool do_try_set_eps(float eps) override {
-    accel_.set_radius(eps);
+    accel_.mut().set_radius(eps);
     return true;
   }
 
   /// Insert contract: rebind the external span — the sphere scene keeps
   /// covering the build-time prefix [0, built_count_) (the accel owns its
-  /// own copy of those centers) and queries scan the appended DELTA TAIL
-  /// [built_count_, size) with the exact point-in-sphere test.  The
-  /// session's rebuild threshold bounds the tail length.
+  /// own copy of those centers) and the appended ids join the DELTA TAIL
+  /// [built_count_, size), queried through its own tree plus a short
+  /// linear residue with the exact point-in-sphere test.  The session's
+  /// rebuild threshold bounds the tail length.
   bool do_try_insert(std::span<const geom::Vec3> all_points,
                      std::size_t first_new) override {
     (void)first_new;
+    tail_.absorb(all_points, ctx_.build_options());
     points_ = all_points;
     return true;
   }
@@ -90,10 +104,22 @@ class BvhRtIndex final : public NeighborIndex {
 
   void require_radius(float eps) const;
 
+  /// Exact tail candidates for a query box: the tail's tree + residue.
+  template <typename OnPoint>
+  void scan_tail(const geom::Aabb& box, rt::TraversalStats& stats,
+                 OnPoint&& on_point) const {
+    tail_.for_each_candidate(points_, box, stats, [&](std::uint32_t j) {
+      ++stats.isect_calls;
+      if (!is_dead(j)) on_point(j);
+      return rt::TraversalControl::kContinue;
+    });
+  }
+
   rt::Context ctx_;
-  rt::SphereAccel accel_;
+  CopyOnWrite<rt::SphereAccel> accel_;
   std::span<const geom::Vec3> points_;  ///< full span incl. the delta tail
   std::size_t built_count_;  ///< prims the scene covers; the rest is delta
+  DeltaTail tail_;
   std::size_t removed_since_refit_ = 0;
 };
 

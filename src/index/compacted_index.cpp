@@ -8,7 +8,7 @@ CompactedIndex::CompactedIndex(std::span<const geom::Vec3> slots,
                                std::span<const std::uint8_t> live, float eps,
                                IndexKind kind,
                                const IndexBuildOptions& options)
-    : slots_(slots) {
+    : slots_(slots), dense_(std::make_shared<std::vector<geom::Vec3>>()) {
   const std::size_t n = slots.size();
   // kNoSelf doubles as the "no dense id" sentinel so dense_self() can pass
   // a dead slot straight through as "nothing to exclude".
@@ -18,16 +18,25 @@ CompactedIndex::CompactedIndex(std::span<const geom::Vec3> slots,
     live_guess = 0;
     for (std::size_t i = 0; i < n; ++i) live_guess += (live[i] != 0);
   }
-  dense_points_.reserve(live_guess);
+  std::vector<geom::Vec3>& dense = dense_.mut();
+  dense.reserve(live_guess);
   slot_of_.reserve(live_guess);
   for (std::size_t i = 0; i < n; ++i) {
     if (!live.empty() && live[i] == 0) continue;
-    dense_of_[i] = static_cast<std::uint32_t>(dense_points_.size());
+    dense_of_[i] = static_cast<std::uint32_t>(dense.size());
     slot_of_.push_back(static_cast<std::uint32_t>(i));
-    dense_points_.push_back(slots[i]);
+    dense.push_back(slots[i]);
   }
   RTD_STAGE("index.compacted_rebuild");
-  inner_ = make_index(dense_points_, eps, kind, options);
+  inner_ = make_index(dense, eps, kind, options);
+}
+
+std::unique_ptr<NeighborIndex> CompactedIndex::do_clone() {
+  std::shared_ptr<NeighborIndex> inner = inner_->clone();
+  dense_.share();
+  auto copy = std::make_unique<CompactedIndex>(*this);
+  copy->inner_ = std::move(inner);
+  return copy;
 }
 
 std::uint32_t CompactedIndex::dense_self(std::uint32_t self) const {
@@ -72,17 +81,20 @@ bool CompactedIndex::do_try_insert(std::span<const geom::Vec3> all_points,
   // Probe with a pure rebind first: an inner backend that declines inserts
   // (grid/dense-box) declines the rebind too, and we bail before mutating
   // the dense copy — the inner span stays valid on the false path.
-  if (!inner_->try_insert(dense_points_, dense_points_.size())) return false;
-  const std::size_t first_dense = dense_points_.size();
+  if (!inner_->try_insert(*dense_, dense_->size())) return false;
+  const std::size_t first_dense = dense_->size();
+  // Another version's inner index may read this buffer: mut() appends to a
+  // copy then.
+  std::vector<geom::Vec3>& dense = dense_.mut();
   dense_of_.reserve(all_points.size());
   for (std::size_t i = first_new; i < all_points.size(); ++i) {
-    dense_of_.push_back(static_cast<std::uint32_t>(dense_points_.size()));
+    dense_of_.push_back(static_cast<std::uint32_t>(dense.size()));
     slot_of_.push_back(static_cast<std::uint32_t>(i));
-    dense_points_.push_back(all_points[i]);
+    dense.push_back(all_points[i]);
   }
   slots_ = all_points;
-  // dense_points_ may have relocated; the inner rebind-or-absorb covers it.
-  return inner_->try_insert(dense_points_, first_dense);
+  // The dense copy may have relocated; the inner rebind-or-absorb covers it.
+  return inner_->try_insert(dense, first_dense);
 }
 
 bool CompactedIndex::do_try_remove(std::span<const std::uint32_t> ids) {

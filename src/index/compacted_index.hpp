@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "common/copy_on_write.hpp"
 #include "index/neighbor_index.hpp"
 
 namespace rtd::index {
@@ -46,6 +47,9 @@ class CompactedIndex final : public NeighborIndex {
   [[nodiscard]] float build_eps() const override {
     return inner_->build_eps();
   }
+  [[nodiscard]] bool refittable() const override {
+    return inner_->refittable();
+  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,
@@ -63,10 +67,14 @@ class CompactedIndex final : public NeighborIndex {
 
   /// Number of live (dense) points the inner index covers.
   [[nodiscard]] std::size_t live_count() const {
-    return dense_points_.size() - inner_->removed_count();
+    return dense_->size() - inner_->removed_count();
   }
 
  private:
+  /// Versioning: clone the inner index, copy the id maps, share the dense
+  /// copy until either version appends to it.
+  std::unique_ptr<NeighborIndex> do_clone() override;
+
   bool do_try_set_eps(float eps) override {
     return inner_->try_set_eps(eps);
   }
@@ -79,11 +87,12 @@ class CompactedIndex final : public NeighborIndex {
   [[nodiscard]] std::uint32_t dense_self(std::uint32_t self) const;
 
   std::span<const geom::Vec3> slots_;      ///< full slot span (id space)
-  std::vector<geom::Vec3> dense_points_;   ///< owned live copy, dense ids
+  /// Owned live copy, dense ids; the inner index reads it.
+  CopyOnWrite<std::vector<geom::Vec3>> dense_;
   std::vector<std::uint32_t> slot_of_;     ///< dense id -> slot id
   std::vector<std::uint32_t> dense_of_;    ///< slot id -> dense id / kNone
   std::vector<std::uint32_t> remove_scratch_;
-  std::unique_ptr<NeighborIndex> inner_;
+  std::shared_ptr<NeighborIndex> inner_;  ///< a clone gets its own
 };
 
 }  // namespace rtd::index

@@ -54,7 +54,8 @@ DenseBoxIndex::DenseBoxIndex(std::span<const Vec3> points, float eps)
           "large for the 21-bit cell key)");
     }
   }
-  cells_.reserve(points_.size() / 4);
+  auto cells = std::make_shared<CellMap>();
+  cells->reserve(points_.size() / 4);
   for (std::uint32_t i = 0; i < points_.size(); ++i) {
     const std::int64_t cx = coord(points_[i].x, origin_.x);
     const std::int64_t cy = coord(points_[i].y, origin_.y);
@@ -62,10 +63,11 @@ DenseBoxIndex::DenseBoxIndex(std::span<const Vec3> points, float eps)
     cmax_[0] = std::max(cmax_[0], cx);
     cmax_[1] = std::max(cmax_[1], cy);
     cmax_[2] = std::max(cmax_[2], cz);
-    Cell& c = cells_[key(cx, cy, cz)];
+    Cell& c = (*cells)[key(cx, cy, cz)];
     c.bounds.grow(points_[i]);
     c.members.push_back(i);
   }
+  cells_ = std::move(cells);
 }
 
 std::int64_t DenseBoxIndex::coord(float v, float lo) const {
@@ -102,8 +104,8 @@ bool DenseBoxIndex::for_cells_overlapping(const Aabb& box,
   for (std::int64_t cz = z0; cz <= z1; ++cz) {
     for (std::int64_t cy = y0; cy <= y1; ++cy) {
       for (std::int64_t cx = x0; cx <= x1; ++cx) {
-        const auto it = cells_.find(key(cx, cy, cz));
-        if (it == cells_.end()) continue;
+        const auto it = cells_->find(key(cx, cy, cz));
+        if (it == cells_->end()) continue;
         if (!f(it->second)) return true;
       }
     }
@@ -202,7 +204,7 @@ void DenseBoxIndex::query_box(const Aabb& box, NeighborVisitor visit,
 
 void DenseBoxIndex::for_each_cell(
     FunctionRef<void(std::span<const std::uint32_t>)> f) const {
-  for (const auto& [k, cell] : cells_) {
+  for (const auto& [k, cell] : *cells_) {
     f(cell.members);
   }
 }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -56,7 +57,7 @@ class DenseBoxIndex final : public NeighborIndex {
   [[nodiscard]] float cell_edge() const { return cell_; }
 
   /// Number of non-empty cells.
-  [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
+  [[nodiscard]] std::size_t cell_count() const { return cells_->size(); }
 
   /// Enumerate every non-empty cell's member ids (dataset indices).  Cell
   /// order is unspecified but stable for a given build.
@@ -64,6 +65,12 @@ class DenseBoxIndex final : public NeighborIndex {
       FunctionRef<void(std::span<const std::uint32_t>)> f) const;
 
  private:
+  /// Versioning: the clone shares the cell table, which no mutation
+  /// touches, and copies the dead mask.
+  std::unique_ptr<NeighborIndex> do_clone() override {
+    return std::make_unique<DenseBoxIndex>(*this);
+  }
+
   // Mutation contract: inserts decline (base do_try_insert — cells hold
   // their own membership copy, so the caller rebuilds); removals ride the
   // base dead mask, filtered in BOTH member branches of the walk (the
@@ -108,7 +115,8 @@ class DenseBoxIndex final : public NeighborIndex {
   float cell_ = 0.0f;
   geom::Vec3 origin_;
   std::int64_t cmax_[3] = {0, 0, 0};  ///< max occupied cell coord per axis
-  std::unordered_map<std::uint64_t, Cell> cells_;
+  using CellMap = std::unordered_map<std::uint64_t, Cell>;
+  std::shared_ptr<const CellMap> cells_;  ///< immutable; versions share it
 };
 
 }  // namespace rtd::index

@@ -1,12 +1,15 @@
 #include "index/grid_index.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 namespace rtd::index {
 
 GridIndex::GridIndex(std::span<const geom::Vec3> points, float eps)
-    : points_(points), eps_(eps), grid_(points, eps) {}
+    : points_(points),
+      eps_(eps),
+      grid_(std::make_shared<const dbscan::GridIndex>(points, eps)) {}
 
 void GridIndex::require_radius(float eps) const {
   if (eps > eps_) {
@@ -23,7 +26,7 @@ void GridIndex::query_sphere(const geom::Vec3& center, float eps,
   require_radius(eps);
   ++stats.rays;
   const float eps2 = eps * eps;
-  grid_.for_candidates(center, [&](std::uint32_t j) {
+  grid_->for_candidates(center, [&](std::uint32_t j) {
     ++stats.isect_calls;
     if (j != self && !is_dead(j) &&
         geom::distance_squared(center, points_[j]) <= eps2) {
@@ -41,7 +44,7 @@ std::uint32_t GridIndex::query_count(const geom::Vec3& center, float eps,
   if (stop_at == 0) return 0;
   const float eps2 = eps * eps;
   std::uint32_t count = 0;
-  grid_.for_candidates_until(center, [&](std::uint32_t j) {
+  grid_->for_candidates_until(center, [&](std::uint32_t j) {
     ++stats.isect_calls;
     if (j != self && !is_dead(j) &&
         geom::distance_squared(center, points_[j]) <= eps2) {
@@ -60,7 +63,7 @@ void GridIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
   }
   // Clamp the walk to the occupied coordinate range; the exact filter
   // below still tests against the caller's box.
-  const geom::Aabb& bounds = grid_.bounds();
+  const geom::Aabb& bounds = grid_->bounds();
   const geom::Vec3 lo = geom::max(box.lo, bounds.lo);
   const geom::Vec3 hi = geom::min(box.hi, bounds.hi);
   if (lo.x > hi.x || lo.y > hi.y || lo.z > hi.z) {
@@ -72,7 +75,7 @@ void GridIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
   // base linear scan when the cell walk cannot win.
   double span = 1.0;
   for (const float e : {hi.x - lo.x, hi.y - lo.y, hi.z - lo.z}) {
-    span *= static_cast<double>(e) / static_cast<double>(grid_.cell_size()) +
+    span *= static_cast<double>(e) / static_cast<double>(grid_->cell_size()) +
             1.0;
   }
   if (span > static_cast<double>(points_.size()) + 1024.0) {
@@ -80,7 +83,7 @@ void GridIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
     return;
   }
   ++stats.rays;
-  grid_.for_candidates_in_box(lo, hi, [&](std::uint32_t j) {
+  grid_->for_candidates_in_box(lo, hi, [&](std::uint32_t j) {
     ++stats.isect_calls;
     if (!is_dead(j) && box.contains(points_[j])) visit(j);
   });

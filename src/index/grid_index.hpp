@@ -8,6 +8,7 @@
 // up to the cell edge, so query eps must be <= build_eps.
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "dbscan/grid_index.hpp"
@@ -41,9 +42,15 @@ class GridIndex final : public NeighborIndex {
 
   /// The wrapped grid, for consumers that need raw candidate enumeration
   /// (the CUDA-DClust+ port counts device distance tests that way).
-  [[nodiscard]] const dbscan::GridIndex& grid() const { return grid_; }
+  [[nodiscard]] const dbscan::GridIndex& grid() const { return *grid_; }
 
  private:
+  /// Versioning: the clone shares the cell arrays, which no mutation
+  /// touches, and copies the dead mask.
+  std::unique_ptr<NeighborIndex> do_clone() override {
+    return std::make_unique<GridIndex>(*this);
+  }
+
   // Mutation contract: inserts decline (base do_try_insert — the wrapped
   // grid's cell arrays hold their own membership copy, so the caller
   // rebuilds); removals ride the base dead mask, filtered in the candidate
@@ -53,7 +60,7 @@ class GridIndex final : public NeighborIndex {
 
   std::span<const geom::Vec3> points_;
   float eps_;
-  dbscan::GridIndex grid_;
+  std::shared_ptr<const dbscan::GridIndex> grid_;  ///< immutable; shared
 };
 
 }  // namespace rtd::index

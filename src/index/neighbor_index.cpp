@@ -30,6 +30,11 @@ void count_outcome(bool ok, telemetry::Counter accepted,
 
 }  // namespace
 
+std::unique_ptr<NeighborIndex> NeighborIndex::clone() {
+  RTD_STAGE("index.clone");
+  return do_clone();
+}
+
 bool NeighborIndex::try_set_eps(float eps) {
   // The ε argument is validated here, once, so a bad sweep value fails
   // loudly on every backend — supported or not.  NaN fails every

@@ -17,10 +17,12 @@
 //    visit ORDER is backend-defined (tests/test_neighbor_index.cpp enforces
 //    set parity).
 //  * Queries are const and safe to run concurrently from many threads.
-//  * Live-session mutations (try_insert/try_remove below) are WRITER
-//    operations — single-threaded, never concurrent with queries on the
-//    same index object (rtd::Clusterer's snapshot layer enforces that by
-//    swapping aliased structures instead of mutating them).
+//  * Live-session mutations (try_set_eps/try_insert/try_remove below) are
+//    WRITER operations — single-threaded, never concurrent with queries on
+//    the same index object.  rtd::Clusterer's snapshot layer enforces that
+//    with versions: before it mutates an index a snapshot holds, it
+//    clone()s it and mutates the clone, which shares the built structure
+//    and copies it only where a mutation would change it.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +62,21 @@ using PairVisitor = FunctionRef<void(std::uint32_t, std::uint32_t)>;
 /// caller owns the point storage, which must outlive the index.
 class NeighborIndex {
  public:
+  NeighborIndex() = default;
+  NeighborIndex& operator=(const NeighborIndex&) = delete;
   virtual ~NeighborIndex() = default;
+
+  /// A new VERSION of this index: it answers every query exactly like this
+  /// one and can be mutated (try_*) while readers keep querying this one.
+  /// Shallow — the built trees (kBvhRt's sphere scene, kPointBvh's point
+  /// BVH and both backends' delta-tail tree) are shared, and whichever
+  /// version next refits or retargets a shared tree copies it first
+  /// (common/copy_on_write.hpp); the dead mask is copied whole.
+  /// kGrid/kDenseBox share their cell arrays, which no mutation touches.
+  /// A writer operation: it marks this object's trees shared, so it must
+  /// not run concurrently with another writer on this object (concurrent
+  /// queries are fine — they read nothing the call writes).
+  [[nodiscard]] std::unique_ptr<NeighborIndex> clone();
 
   /// Stable backend name, equal to to_string(kind()).
   [[nodiscard]] virtual const char* name() const { return to_string(kind()); }
@@ -80,6 +96,12 @@ class NeighborIndex {
   /// is baked into the geometry); brute force, dense-box and point-BVH
   /// accept any radius.  A violation throws std::invalid_argument.
   [[nodiscard]] virtual float build_eps() const = 0;
+
+  /// Whether try_set_eps and try_insert can succeed here: true on kBvhRt,
+  /// kPointBvh and kBruteForce; false on kGrid/kDenseBox, whose cells bake
+  /// in the build ε and their membership.  Removals are always absorbable.
+  /// Lets a caller skip cloning a version it would only rebuild.
+  [[nodiscard]] virtual bool refittable() const { return false; }
 
   /// Retarget the index to a new build ε WITHOUT a rebuild, where the
   /// backend supports it.  Returns true on success — build_eps() now
@@ -113,9 +135,11 @@ class NeighborIndex {
   /// `all_points` and queries see the new ids:
   ///   * kBruteForce — true: rebind, the scan covers the new tail natively;
   ///   * kPointBvh / kBvhRt — true: the tree keeps covering the build-time
-  ///     prefix and the appended DELTA TAIL is scanned linearly per query
-  ///     (exact filter, same set semantics).  The session's rebuild
-  ///     threshold bounds how long that tail can grow;
+  ///     prefix and the appended DELTA TAIL gets a second point BVH of its
+  ///     own, rebuilt once enough tail ids are unindexed
+  ///     (DeltaTail::absorb); queries scan that residue linearly (exact filter, same
+  ///     set semantics; index/point_tree.hpp).  The session's rebuild
+  ///     threshold bounds how long the tail can grow;
   ///   * kGrid / kDenseBox — false, index untouched: their cell arrays hold
   ///     their own copy of the membership and cannot absorb new ids — the
   ///     caller rebuilds via make_index() (their build is O(n) anyway).
@@ -170,6 +194,12 @@ class NeighborIndex {
                                     int threads = 0) const;
 
  protected:
+  NeighborIndex(const NeighborIndex&) = default;
+
+  /// Backend hook behind clone(): mark the trees this object shares with
+  /// the copy as shared, then copy-construct (the base copies the mask).
+  [[nodiscard]] virtual std::unique_ptr<NeighborIndex> do_clone() = 0;
+
   /// Backend hook behind try_set_eps(): `eps` is already validated
   /// positive.  Default: refit unsupported — the caller rebuilds.
   virtual bool do_try_set_eps(float eps) {

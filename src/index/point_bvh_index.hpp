@@ -9,9 +9,12 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
 #include <span>
 
+#include "common/copy_on_write.hpp"
 #include "index/neighbor_index.hpp"
+#include "index/point_tree.hpp"
 
 namespace rtd::index {
 
@@ -29,6 +32,7 @@ class PointBvhIndex final : public NeighborIndex {
     return points_;
   }
   [[nodiscard]] float build_eps() const override { return eps_; }
+  [[nodiscard]] bool refittable() const override { return true; }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,
@@ -41,17 +45,25 @@ class PointBvhIndex final : public NeighborIndex {
   void query_box(const geom::Aabb& box, NeighborVisitor visit,
                  rt::TraversalStats& stats) const override;
 
-  /// The underlying tree (build statistics, ablation benches).
-  [[nodiscard]] const rt::Bvh& bvh() const { return bvh_; }
+  /// The underlying tree over the build-time points (build statistics,
+  /// ablation benches).
+  [[nodiscard]] const rt::Bvh& bvh() const { return tree_->bvh; }
   /// The collapsed wide layout; empty when queries walk the binary tree or
   /// the quantized layout (rt::BuildOptions::width, rt::use_wide_traversal).
-  [[nodiscard]] const rt::WideBvh& wide_bvh() const { return wide_; }
+  [[nodiscard]] const rt::WideBvh& wide_bvh() const { return tree_->wide; }
   /// The quantized layout; empty unless width == kWideQuantized.
   [[nodiscard]] const rt::QuantizedWideBvh& quantized_bvh() const {
-    return quantized_;
+    return tree_->quantized;
   }
 
  private:
+  /// Versioning: the clone shares the tree (copied by the first masked
+  /// refit of either version) and the tail tree.
+  std::unique_ptr<NeighborIndex> do_clone() override {
+    tree_.share();
+    return std::make_unique<PointBvhIndex>(*this);
+  }
+
   /// Refit contract: always satisfiable — the tree is over the bare points
   /// (the query volume carries the radius), so retargeting ε only updates
   /// the recorded build ε.  One tree serves every sweep value.  Reached
@@ -62,12 +74,14 @@ class PointBvhIndex final : public NeighborIndex {
   }
 
   /// Insert contract: rebind the span — the tree keeps covering the
-  /// build-time prefix [0, built_count_) and every query scans the appended
-  /// DELTA TAIL [built_count_, size) linearly with the same exact filter.
-  /// The session's rebuild threshold bounds the tail length.
+  /// build-time prefix [0, built_count_) and the appended ids join the
+  /// DELTA TAIL [built_count_, size), queried through its own tree plus a
+  /// short linear residue with the same exact filter.  The session's
+  /// rebuild threshold bounds the tail length.
   bool do_try_insert(std::span<const geom::Vec3> all_points,
                      std::size_t first_new) override {
     (void)first_new;
+    tail_.absorb(all_points, build_);
     points_ = all_points;
     return true;
   }
@@ -81,22 +95,30 @@ class PointBvhIndex final : public NeighborIndex {
     return std::max<std::size_t>(256, built_count_ / 64);
   }
 
-  /// Exact-filter scan of the delta tail, shared by the three queries.
+  /// Every candidate id for a query box — the main tree's, then the delta
+  /// tail's — each counted as one exact-filter call; `on_candidate`
+  /// returns rt::TraversalControl.
   template <typename Fn>
-  void scan_delta(Fn&& fn) const {
-    for (std::uint32_t j = static_cast<std::uint32_t>(built_count_);
-         j < points_.size(); ++j) {
-      fn(j);
-    }
+  void for_each_candidate(const geom::Aabb& box, rt::TraversalStats& stats,
+                          Fn&& on_candidate) const {
+    bool stopped = false;
+    const auto counted = [&](std::uint32_t j) {
+      ++stats.isect_calls;
+      const rt::TraversalControl c = on_candidate(j);
+      stopped = c == rt::TraversalControl::kTerminate;
+      return c;
+    };
+    tree_->overlap(box, counted, stats);
+    if (!stopped) tail_.for_each_candidate(points_, box, stats, counted);
   }
 
   std::span<const geom::Vec3> points_;
   float eps_;
+  rt::BuildOptions build_;  ///< the tail tree is built with it too
   std::size_t built_count_;  ///< prims the tree covers; the rest is delta
   std::size_t removed_since_refit_ = 0;
-  rt::Bvh bvh_;
-  rt::WideBvh wide_;  ///< collapsed layout; empty when traversal is binary
-  rt::QuantizedWideBvh quantized_;  ///< kWideQuantized only
+  CopyOnWrite<PointTree> tree_;
+  DeltaTail tail_;
 };
 
 }  // namespace rtd::index

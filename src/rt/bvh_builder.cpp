@@ -85,9 +85,14 @@ class LbvhBuilder : public Builder {
     // 1. Morton codes of primitive centroids, normalized to scene bounds.
     codes_.resize(n);
     const Aabb scene = bvh.scene_bounds;
-    parallel_for(n, [&](std::size_t i) {
+    const auto encode = [&](std::size_t i) {
       codes_[i] = geom::morton3_in(scene, prim_bounds[i].center());
-    });
+    };
+    if (options.parallel) {
+      parallel_for(n, encode);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) encode(i);
+    }
     bvh.prim_index.resize(n);
     std::iota(bvh.prim_index.begin(), bvh.prim_index.end(), 0u);
 
@@ -97,10 +102,12 @@ class LbvhBuilder : public Builder {
     } else {
       std::vector<std::uint32_t> order(n);
       std::iota(order.begin(), order.end(), 0u);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return codes_[a] < codes_[b];
-                       });
+      // Ties broken by id: the stable order the radix sort produces.
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return codes_[a] < codes_[b] ||
+                         (codes_[a] == codes_[b] && a < b);
+                });
       std::vector<std::uint32_t> sorted_codes(n), sorted_prims(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         sorted_codes[i] = codes_[order[i]];

@@ -26,6 +26,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "engine.phase2.launches",
     "failpoint.fires",
     "index.builds",
+    "index.clones",
     "index.inserts.absorbed",
     "index.inserts.declined",
     "index.rebuild_fallbacks",

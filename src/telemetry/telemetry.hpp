@@ -51,6 +51,7 @@ enum class Counter : std::uint16_t {
   kEnginePhase2Launches,       // engine.phase2.launches
   kFailpointFires,             // failpoint.fires
   kIndexBuilds,                // index.builds
+  kIndexClones,                // index.clones
   kIndexInsertsAbsorbed,       // index.inserts.absorbed
   kIndexInsertsDeclined,       // index.inserts.declined
   kIndexRebuildFallbacks,      // index.rebuild_fallbacks

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <numbers>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,6 +26,8 @@
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
 #include "dbscan/equivalence.hpp"
+#include "index/point_tree.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace rtd {
 namespace {
@@ -542,36 +545,182 @@ TEST(IncrementalMaintenance, RerunAndRetargetAfterMutationsStayExact) {
   }
 }
 
-TEST(IncrementalMaintenance, SnapshotsAreIsolatedFromMutations) {
-  const auto base = data::taxi_gps(600, 116);
-  Clusterer session(base.points, Options().with_backend(IndexKind::kBvhRt));
-  (void)session.run(0.3f, 6);
-  const auto before = session.snapshot();
-  ASSERT_NE(before, nullptr);
-  EXPECT_EQ(before->size(), base.size());
-
-  const auto probe = Vec3{0.5f, 0.5f, 0.0f};
-  const auto before_ids = before->query_neighbors(probe);
-  (void)session.insert(data::taxi_gps(80, 117).points);
-  session.remove(std::vector<std::uint32_t>{0, 10, 20});
-
-  // The old epoch answers exactly as before the mutations...
-  EXPECT_EQ(before->size(), base.size());
-  EXPECT_EQ(before->query_neighbors(probe), before_ids);
-  // ...and a fresh snapshot serves the post-mutation live set.
-  const auto after = session.snapshot();
-  EXPECT_EQ(after->size(), session.size());
-  const auto after_ids = after->query_neighbors(probe);
-  std::size_t live_hits = 0;
-  const float eps2 = session.result().eps * session.result().eps;
-  for (std::uint32_t j = 0; j < session.size(); ++j) {
-    if (session.is_live(j) &&
-        geom::distance_squared(probe, session.points()[j]) <= eps2) {
-      ++live_hits;
+/// Brute-force answer of one epoch: the ids of `points` within ε of `probe`
+/// that `live` marks live (an empty mask marks every id live).
+std::vector<std::uint32_t> epoch_neighbors(
+    std::span<const Vec3> points, const std::vector<std::uint8_t>& live,
+    const Vec3& probe, float eps) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t j = 0; j < points.size(); ++j) {
+    if ((live.empty() || live[j] != 0) &&
+        geom::distance_squared(probe, points[j]) <= eps * eps) {
+      ids.push_back(j);
     }
   }
-  EXPECT_EQ(after_ids.size(), live_hits);
-  expect_oracle_parity(session, "mutations under snapshots");
+  return ids;
+}
+
+std::vector<std::uint8_t> live_mask(const Clusterer& session) {
+  std::vector<std::uint8_t> live(session.size());
+  for (std::uint32_t j = 0; j < live.size(); ++j) live[j] = session.is_live(j);
+  return live;
+}
+
+TEST(IncrementalMaintenance, SnapshotsAreIsolatedFromMutations) {
+  // Every write below runs while a snapshot holds the current index: the
+  // session absorbs it into a cloned version (no rebuild), the held
+  // snapshot keeps answering for its own epoch, and a fresh snapshot
+  // serves the post-write live set.  The writes insert more points than
+  // the delta tail scans linearly, so later epochs query the tail's tree,
+  // and the last one removes enough points for a masked refit of the
+  // main tree, which must not reach the held version.
+  const auto base = data::taxi_gps(8000, 116);
+  const auto extra = data::taxi_gps(4000, 117);
+  const float eps = 0.3f;
+  constexpr int kRounds = 9;
+  constexpr std::size_t kInsert = 40;
+  static_assert(kRounds * kInsert > index::DeltaTail::kResidue);
+  std::vector<Vec3> probes;
+  for (std::size_t q = 0; q < 24; ++q) probes.push_back(base.points[q * 97]);
+
+  for (const IndexKind kind :
+       {IndexKind::kBvhRt, IndexKind::kPointBvh, IndexKind::kBruteForce}) {
+    const std::string what = index::to_string(kind);
+    Clusterer session(base.points, Options().with_backend(kind));
+    (void)session.run(eps, 6);
+    std::size_t next = 0;  // next unused point of `extra`
+    for (int round = 0; round < kRounds; ++round) {
+      const auto held = session.snapshot();
+      const std::vector<std::uint8_t> held_live = live_mask(session);
+      std::vector<std::vector<std::uint32_t>> held_ids;
+      for (const Vec3& p : probes) {
+        held_ids.push_back(epoch_neighbors(held->points(), held_live, p, eps));
+      }
+
+      // New points land on the probes (they must stay invisible to the
+      // held epoch); removals take a probe's neighbors (they must stay
+      // visible to it).
+      const auto fresh_points =
+          std::span<const Vec3>(extra.points).subspan(next, kInsert);
+      std::vector<Vec3> batch(fresh_points.begin(), fresh_points.end());
+      next += kInsert;
+      for (std::size_t k = 0; k < 8; ++k) {
+        batch[k] = probes[(static_cast<std::size_t>(round) + k) %
+                          probes.size()];
+      }
+      const bool last = round + 1 == kRounds;
+      std::vector<std::uint32_t> doomed;
+      for (const std::uint32_t j :
+           held_ids[static_cast<std::size_t>(round) % probes.size()]) {
+        if (doomed.size() < 3) doomed.push_back(j);
+      }
+      if (last) {  // every probe loses neighbors; past the refit trigger
+        std::vector<std::uint8_t> picked(held_live.size(), 0);
+        doomed.clear();
+        const auto pick = [&](std::uint32_t j) {
+          if (held_live[j] != 0 && picked[j] == 0) {
+            picked[j] = 1;
+            doomed.push_back(j);
+          }
+        };
+        for (const auto& ids : held_ids) {
+          for (std::size_t k = 0; k < ids.size() && k < 8; ++k) pick(ids[k]);
+        }
+        for (std::uint32_t j = 0; doomed.size() < 320; j += 23) pick(j);
+      }
+      switch (round % 3) {
+        case 0:
+          (void)session.insert(batch);
+          break;
+        case 1:
+          (void)session.advance(batch, 4);
+          break;
+        default:
+          (void)session.insert(batch);
+          EXPECT_FALSE(session.result().stats.index_rebuilt) << what;
+          if (!doomed.empty()) session.remove(doomed);
+          break;
+      }
+      EXPECT_FALSE(session.result().stats.index_rebuilt)
+          << what << " round " << round;
+
+      // The held epoch answers exactly as before the write...
+      for (std::size_t q = 0; q < probes.size(); ++q) {
+        EXPECT_EQ(held->query_neighbors(probes[q]), held_ids[q])
+            << what << " round " << round << " probe " << q;
+      }
+      // ...and a fresh snapshot serves the post-write live set.
+      const auto fresh = session.snapshot();
+      EXPECT_EQ(fresh->size(), session.size()) << what;
+      const std::vector<std::uint8_t> live_now = live_mask(session);
+      for (std::size_t q = 0; q < probes.size(); ++q) {
+        EXPECT_EQ(fresh->query_neighbors(probes[q]),
+                  epoch_neighbors(session.points(), live_now, probes[q], eps))
+            << what << " round " << round << " probe " << q;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    expect_oracle_parity(session, "mutations under snapshots");
+  }
+}
+
+TEST(IncrementalMaintenance, WritesUnderSnapshotsCloneOnlyWhatTheyMutate) {
+  // Grid/dense-box cannot absorb inserts or retarget ε, so a write under a
+  // held snapshot that needs either rebuilds straight away instead of
+  // cloning a version it would discard.  A removal is absorbed on a clone
+  // (which shares the immutable cells), and the held epoch keeps seeing
+  // the removed points.  A tree backend clones for an insert.
+  const auto base = data::taxi_gps(2000, 118);
+  const auto extra = data::taxi_gps(64, 119);
+  const float eps = 0.3f;
+  Vec3 probe = base.points[0];  // a point with a few neighbors
+  for (const Vec3& p : base.points) {
+    probe = p;
+    if (epoch_neighbors(base.points, {}, p, eps).size() >= 4) break;
+  }
+  const auto clones = [] {
+    return telemetry::snapshot().counter(telemetry::Counter::kIndexClones);
+  };
+  telemetry::arm(telemetry::kMetrics);
+  for (const IndexKind kind : {IndexKind::kGrid, IndexKind::kDenseBox}) {
+    const std::string what = index::to_string(kind);
+    telemetry::reset();
+    Clusterer session(base.points, Options().with_backend(kind));
+    (void)session.run(eps, 6);
+
+    auto held = session.snapshot();
+    const auto held_ids = held->query_neighbors(probe);
+    ASSERT_GE(held_ids.size(), 2u) << what;
+    const std::vector<std::uint32_t> doomed(held_ids.begin(),
+                                            held_ids.begin() + 2);
+    session.remove(doomed);
+    EXPECT_FALSE(session.result().stats.index_rebuilt) << what;
+    EXPECT_EQ(clones(), 1u) << what;
+    EXPECT_EQ(held->query_neighbors(probe), held_ids) << what;
+    EXPECT_EQ(session.snapshot()->query_neighbors(probe),
+              std::vector<std::uint32_t>(held_ids.begin() + 2, held_ids.end()))
+        << what;
+
+    held = session.snapshot();
+    (void)session.insert(extra.points);
+    EXPECT_TRUE(session.result().stats.index_rebuilt) << what;
+    held = session.snapshot();
+    (void)session.run(eps * 0.5f, 6);  // ε retarget: a rebuild
+    held = session.snapshot();
+    (void)session.sweep(std::vector<float>{eps * 0.25f, eps * 0.5f}, 6);
+    EXPECT_EQ(clones(), 1u) << what << ": no clone for a rebuild";
+    expect_oracle_parity(session, what.c_str());
+  }
+
+  telemetry::reset();
+  Clusterer session(base.points, Options().with_backend(IndexKind::kPointBvh));
+  (void)session.run(eps, 6);
+  const auto held = session.snapshot();
+  (void)session.insert(extra.points);
+  EXPECT_FALSE(session.result().stats.index_rebuilt);
+  EXPECT_EQ(clones(), 1u);
+  telemetry::disarm_all();
+  telemetry::reset();
 }
 
 // ---------------------------------------------------------------------------

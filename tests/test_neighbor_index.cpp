@@ -24,6 +24,7 @@
 #include "dbscan_test_util.hpp"
 #include "index/bvh_rt_index.hpp"
 #include "index/grid_index.hpp"
+#include "index/point_tree.hpp"
 
 namespace rtd::index {
 namespace {
@@ -258,6 +259,62 @@ TEST(NeighborIndex, QueryAllVisitsEveryPairOnce) {
     std::sort(pairs.begin(), pairs.end());
     EXPECT_EQ(pairs, expected) << index->name();
     EXPECT_EQ(stats.work.rays, dataset.points.size()) << index->name();
+  }
+}
+
+TEST(DeltaTail, CandidatesCoverEveryTailIdOnceAcrossRebuilds) {
+  // Uneven append batches drive the tail past both re-index triggers
+  // (kResidue, then indexed / kResidueShare once the indexed tail passes
+  // kResidue * kResidueShare), in every traversal layout.  After each append,
+  // every tail id must surface exactly once for a box holding all points,
+  // no id below the tail may surface, and a small box must yield a
+  // superset of the tail points inside it.
+  constexpr std::size_t kFirst = 500;
+  constexpr std::size_t kLongTail =
+      DeltaTail::kResidue * DeltaTail::kResidueShare * 3 / 2;
+  const auto pts = data::uniform_cube(kFirst + kLongTail, 20.0f, 3, 107).points;
+  const std::span<const Vec3> all(pts);
+  geom::Aabb everything;
+  for (const Vec3& p : all) everything.grow(p);
+  for (const rt::TraversalWidth width :
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
+        rt::TraversalWidth::kWideQuantized}) {
+    rt::BuildOptions build;
+    build.width = width;
+    DeltaTail tail(kFirst);
+    std::size_t size = kFirst;
+    std::size_t step = 1;
+    int rounds = 0;
+    while (size < all.size()) {
+      size = std::min(all.size(), size + step);
+      step = step * 7 % 389 + 1;
+      tail.absorb(all.first(size), build);
+      ++rounds;
+      const std::span<const Vec3> now = all.first(size);
+      rt::TraversalStats stats;
+      std::vector<int> seen(size, 0);
+      tail.for_each_candidate(now, everything, stats, [&](std::uint32_t j) {
+        EXPECT_LT(j, size);
+        if (j < size) ++seen[j];
+        return rt::TraversalControl::kContinue;
+      });
+      for (std::size_t j = 0; j < size; ++j) {
+        ASSERT_EQ(seen[j], j < kFirst ? 0 : 1)
+            << "id " << j << " after " << size << " points";
+      }
+      const geom::Aabb box = geom::Aabb::of_sphere(all[size - 1], 1.5f);
+      std::vector<int> hit(size, 0);
+      tail.for_each_candidate(now, box, stats, [&](std::uint32_t j) {
+        if (j < size) hit[j] = 1;
+        return rt::TraversalControl::kContinue;
+      });
+      for (std::size_t j = kFirst; j < size; ++j) {
+        if (box.contains(all[j])) {
+          ASSERT_EQ(hit[j], 1) << "id " << j;
+        }
+      }
+    }
+    EXPECT_GT(rounds, 20);
   }
 }
 

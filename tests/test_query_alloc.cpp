@@ -15,6 +15,7 @@
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
 #include "index/neighbor_index.hpp"
+#include "index/point_tree.hpp"
 #include "index/query_scratch.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -137,37 +138,53 @@ TEST(QueryAllocation, WarmSnapshotReadsAllocateNothing) {
   // contract as the raw index: once the snapshot exists and one pass has
   // warmed the caller-owned output buffers and the thread-local query
   // scratch, query_neighbors_into and query_batch_into allocate nothing.
+  // Checked on a freshly built index and again on a later version whose
+  // delta tail has its own tree AND a linearly scanned residue (the tree
+  // backends; the others rebuild or rescan).
   const auto dataset = data::taxi_gps(10000, 80);
+  const auto extra = data::taxi_gps(DeltaTail::kResidue + 64, 82);
   const float eps = 0.15f;
   for (const IndexKind kind : kAllIndexKinds) {
     Clusterer session(dataset.points,
                       Options().with_backend(kind).with_threads(1));
     (void)session.run(eps, 5);
-    const auto snap = session.snapshot();
 
-    std::vector<std::uint32_t> ids;
-    std::uint64_t sum = 0;
-    const auto singles = [&] {
-      for (std::uint32_t q = 0; q < 256; ++q) {
-        snap->query_neighbors_into(dataset.points[q], eps, q, ids);
-        sum += ids.size();
-        sum += snap->query_count(dataset.points[q], eps, q);
-      }
-    };
-    singles();  // warm: ids reaches its high-water capacity
-    singles();
-    EXPECT_EQ(allocations_during(singles), 0u) << to_string(kind);
-    EXPECT_GT(sum, 0u) << to_string(kind);
+    const auto check_reads = [&](const char* version) {
+      const auto snap = session.snapshot();
+      std::vector<std::uint32_t> ids;
+      std::uint64_t sum = 0;
+      const auto singles = [&] {
+        for (std::uint32_t q = 0; q < 256; ++q) {
+          snap->query_neighbors_into(dataset.points[q], eps, q, ids);
+          sum += ids.size();
+          sum += snap->query_count(dataset.points[q], eps, q);
+        }
+      };
+      singles();  // warm: ids reaches its high-water capacity
+      singles();
+      EXPECT_EQ(allocations_during(singles), 0u)
+          << to_string(kind) << " " << version;
+      EXPECT_GT(sum, 0u) << to_string(kind) << " " << version;
 
-    const std::span<const geom::Vec3> centers(dataset.points.data(), 512);
-    BatchQueryResult batch;
-    const auto batched = [&] {
-      snap->query_batch_into(centers, eps, /*threads=*/1, batch);
-      sum += batch.ids.size();
+      const std::span<const geom::Vec3> centers(dataset.points.data(), 512);
+      BatchQueryResult batch;
+      const auto batched = [&] {
+        snap->query_batch_into(centers, eps, /*threads=*/1, batch);
+        sum += batch.ids.size();
+      };
+      batched();  // warm: CSR buffers reach their high-water mark
+      batched();
+      EXPECT_EQ(allocations_during(batched), 0u)
+          << to_string(kind) << " " << version;
     };
-    batched();  // warm: CSR buffers reach their high-water mark
-    batched();
-    EXPECT_EQ(allocations_during(batched), 0u) << to_string(kind);
+    check_reads("built");
+
+    // Past the residue in one batch (re-indexed into the tail tree), then
+    // a short batch that stays in the residue.
+    const std::span<const geom::Vec3> more(extra.points);
+    (void)session.insert(more.first(DeltaTail::kResidue + 8));
+    (void)session.insert(more.subspan(DeltaTail::kResidue + 8));
+    check_reads("tail tree + residue");
   }
 }
 

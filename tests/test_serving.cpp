@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -431,22 +432,29 @@ TEST(ServingConcurrent, ReadersHammerSnapshotsDuringLiveMutations) {
   // the writer's published point counts, and every answer must be
   // geometrically valid against the snapshot's own points — a torn
   // structure (mid-mutation index, relocated storage) yields out-of-range
-  // ids or neighbors outside ε.  Run under the `tsan` preset for the
-  // data-race leg.
-  const auto dataset = data::taxi_gps(500, 88);
+  // ids or neighbors outside ε.  Every write runs under snapshots the
+  // readers hold, so the tree backends absorb it into a cloned version;
+  // the writer appends enough points that the delta tail is re-indexed
+  // (its own tree, rebuilt past DeltaTail::kResidue) while readers still
+  // query older versions, and one budget rebuild happens mid-stream.  Run
+  // under the `tsan` preset for the data-race leg.
+  const auto dataset = data::taxi_gps(3000, 88);
   const float eps = 0.25f;
   constexpr int kReaders = 4;
-  constexpr int kWriterBatches = 40;
+  constexpr int kWriterBatches = 120;
   constexpr std::size_t kBatch = 5;
-  const Vec3 probe{0.5f, 0.5f, 0.0f};
   const auto extra = data::taxi_gps(kWriterBatches * kBatch, 89);
+  // One fixed probe in the base set, one on a point the writer appends.
+  const std::array<Vec3, 2> probes = {
+      Vec3{0.5f, 0.5f, 0.0f}, extra.points[kWriterBatches * kBatch / 2]};
 
   std::vector<std::size_t> valid_sizes;
   for (int b = 0; b <= kWriterBatches; ++b) {
     valid_sizes.push_back(dataset.size() + static_cast<std::size_t>(b) * kBatch);
   }
 
-  for (const IndexKind kind : {IndexKind::kBvhRt, IndexKind::kGrid}) {
+  for (const IndexKind kind :
+       {IndexKind::kBvhRt, IndexKind::kPointBvh, IndexKind::kGrid}) {
     Clusterer session(dataset.points,
                       Options().with_backend(kind).with_threads(1));
     (void)session.run(eps, 5);
@@ -466,21 +474,23 @@ TEST(ServingConcurrent, ReadersHammerSnapshotsDuringLiveMutations) {
                         snap->size()) == valid_sizes.end()) {
             torn.fetch_add(1, std::memory_order_relaxed);
           }
-          const auto ids = snap->query_neighbors(probe);
           const std::span<const Vec3> pts = snap->points();
-          std::uint32_t prev = 0;
-          bool first = true;
-          for (const std::uint32_t j : ids) {
-            const bool in_range = j < pts.size();
-            const bool in_ball =
-                in_range && geom::distance_squared(probe, pts[j]) <= eps2;
-            const bool ascending = first || j > prev;
-            if (!in_range || !in_ball || !ascending) {
-              torn.fetch_add(1, std::memory_order_relaxed);
-              break;
+          for (const Vec3& probe : probes) {
+            const auto ids = snap->query_neighbors(probe);
+            std::uint32_t prev = 0;
+            bool first = true;
+            for (const std::uint32_t j : ids) {
+              const bool in_range = j < pts.size();
+              const bool in_ball =
+                  in_range && geom::distance_squared(probe, pts[j]) <= eps2;
+              const bool ascending = first || j > prev;
+              if (!in_range || !in_ball || !ascending) {
+                torn.fetch_add(1, std::memory_order_relaxed);
+                break;
+              }
+              prev = j;
+              first = false;
             }
-            prev = j;
-            first = false;
           }
           reads.fetch_add(1, std::memory_order_relaxed);
         }
@@ -519,7 +529,7 @@ TEST(ServingConcurrent, ReadersHammerSnapshotsDuringLiveMutations) {
     // neighbor counts still match a brute count over the live set.
     const ClusterResult& r = session.result();
     const float eps2 = eps * eps;
-    for (const std::uint32_t q : {0u, 250u, 499u, 520u}) {
+    for (const std::uint32_t q : {0u, 1500u, 2999u, 3020u, 3400u}) {
       if (!session.is_live(q)) continue;
       std::uint32_t want = 0;
       for (std::uint32_t j = 0; j < session.size(); ++j) {
