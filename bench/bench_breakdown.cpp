@@ -135,20 +135,18 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------------------
   // Traversal width sweep: the two BVH-backed backends run the same engine
-  // over all three layouts.  nodes/query shows the pop reduction the SoA
-  // kernels buy; isect/query shows the (bounded) candidate inflation of
-  // the coarser wide leaves (plus the conservative uint8 rounding for
-  // quantized).
+  // over both layouts.  nodes/query shows the pop reduction the SoA kernel
+  // buys; isect/query shows the (bounded) candidate inflation of the
+  // coarser wide leaves.
   // -------------------------------------------------------------------------
-  std::printf("\n--- Binary vs wide vs quantized BVH traversal "
+  std::printf("\n--- Binary vs wide BVH traversal "
               "(rtd::Clusterer, n=%zu) ---\n", total_n);
   Table widths({"backend", "width", "build", "phase 1", "phase 2", "total",
                 "nodes/query", "isect/query"});
   for (const index::IndexKind kind :
        {index::IndexKind::kPointBvh, index::IndexKind::kBvhRt}) {
     for (const rt::TraversalWidth width :
-         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-          rt::TraversalWidth::kWideQuantized}) {
+         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
       ClusterResult run;
       bench::time_median(cfg.reps, [&] {
         Clusterer session = Clusterer::borrowing(

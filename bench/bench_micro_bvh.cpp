@@ -1,10 +1,9 @@
 // Substrate micro-benchmarks: BVH build and traversal throughput
 // (google-benchmark).  Characterizes the RT-core simulator itself,
-// including the binary-vs-wide-vs-quantized traversal trade: the *_Wide /
-// *_Quantized benchmarks mirror their binary counterparts over the
-// collapsed 8-ary SoA layouts, the QuerySweep1M trio is the sphere-mode
-// headline and the TriangleSweep trio the §VI-C triangle-mode headline
-// recorded in BENCH_PR4.json (scripts/bench_snapshot.sh).
+// including the binary-vs-wide traversal trade: the *_Wide benchmarks
+// mirror their binary counterparts over the collapsed 8-ary SoA layout,
+// the QuerySweep1M pair is the sphere-mode headline and the TriangleSweep
+// pair the §VI-C triangle-mode headline (scripts/bench_snapshot.sh).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -35,30 +34,14 @@ std::vector<geom::Aabb> sphere_bounds(std::size_t n, float radius) {
 void BM_BuildLbvh(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto bounds = sphere_bounds(n, 0.3f);
-  rt::BuildOptions opts;
-  opts.algorithm = rt::BuildAlgorithm::kLbvh;
   for (auto _ : state) {
-    auto bvh = rt::build_bvh(bounds, opts);
+    auto bvh = rt::build_bvh(bounds);
     benchmark::DoNotOptimize(bvh.nodes.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_BuildLbvh)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_BuildSah(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto bounds = sphere_bounds(n, 0.3f);
-  rt::BuildOptions opts;
-  opts.algorithm = rt::BuildAlgorithm::kBinnedSah;
-  for (auto _ : state) {
-    auto bvh = rt::build_bvh(bounds, opts);
-    benchmark::DoNotOptimize(bvh.nodes.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BuildSah)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_CollapseWide(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -259,34 +242,12 @@ void BM_QuerySweep1M_Wide(benchmark::State& state) {
 }
 BENCHMARK(BM_QuerySweep1M_Wide)->Unit(benchmark::kMicrosecond);
 
-void BM_QuerySweep1M_Quantized(benchmark::State& state) {
-  const auto& dataset = uniform_1m();
-  static const rt::QuantizedWideBvh quant =
-      rt::quantize_bvh(rt::collapse_bvh(uniform_1m_bvh()));
-  rt::TraversalStats stats;
-  std::size_t q = 0;
-  for (auto _ : state) {
-    std::uint64_t hits = 0;
-    rt::traverse(
-        quant, geom::Ray::point_query(dataset.points[q]),
-        [&](std::uint32_t) {
-          ++hits;
-          return rt::TraversalControl::kContinue;
-        },
-        stats);
-    benchmark::DoNotOptimize(hits);
-    q = (q + 1) % dataset.points.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QuerySweep1M_Quantized)->Unit(benchmark::kMicrosecond);
-
 // ---------------------------------------------------------------------------
-// §VI-C triangle-mode sweeps: the same binary/wide/quantized trade over a
+// §VI-C triangle-mode sweeps: the same binary/wide trade over a
 // tessellated-sphere scene.  One iteration = one +z query ray through the
 // exact Moller-Trumbore filter (the AnyHit workload), cycling through the
 // data points.  Arg = TRIANGLE count: 10000 for the CI smoke pass,
-// 1000000 for the headline recorded in BENCH_PR4.json.
+// 1000000 for the headline.
 // ---------------------------------------------------------------------------
 
 struct TriScene {
@@ -295,7 +256,6 @@ struct TriScene {
   float tmax = 0.0f;
   rt::Bvh bvh;
   rt::WideBvh wide;
-  rt::QuantizedWideBvh quant;
 };
 
 const TriScene& tri_scene(std::size_t n_triangles) {
@@ -322,7 +282,6 @@ const TriScene& tri_scene(std::size_t n_triangles) {
   }
   scene.bvh = rt::build_bvh(bounds, {});
   scene.wide = rt::collapse_bvh(scene.bvh);
-  scene.quant = rt::quantize_bvh(scene.wide);
   return scene;
 }
 
@@ -365,15 +324,6 @@ void BM_TriangleSweep_Wide(benchmark::State& state) {
   triangle_sweep(state, scene, scene.wide);
 }
 BENCHMARK(BM_TriangleSweep_Wide)
-    ->Arg(10000)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_TriangleSweep_Quantized(benchmark::State& state) {
-  const auto& scene = tri_scene(static_cast<std::size_t>(state.range(0)));
-  triangle_sweep(state, scene, scene.quant);
-}
-BENCHMARK(BM_TriangleSweep_Quantized)
     ->Arg(10000)
     ->Arg(1000000)
     ->Unit(benchmark::kMicrosecond);

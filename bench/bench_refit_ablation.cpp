@@ -8,7 +8,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "core/rt_dbscan.hpp"
+#include "core/clusterer.hpp"
 #include "data/generators.hpp"
 #include "rt/context.hpp"
 
@@ -51,16 +51,16 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  // End-to-end check: a refit runner sweep produces the same clusterings.
-  std::printf("\nend-to-end eps sweep with RtDbscanRunner::set_eps:\n");
-  core::RtDbscanRunner runner(dataset.points, eps_sweep.front());
+  // End to end: an RT session refits its scene at every new eps.
+  std::printf("\nend-to-end eps sweep with an RT session (refit per eps):\n");
+  Clusterer session(dataset.points,
+                    Options().with_backend(index::IndexKind::kBvhRt));
   for (const float eps : eps_sweep) {
-    runner.set_eps(eps);
     Timer t;
-    const auto r = runner.run(25);
-    std::printf("  eps=%.2f: %u clusters, %zu noise, %.1f ms\n",
-                static_cast<double>(eps), r.clustering.cluster_count,
-                r.clustering.noise_count(), t.millis());
+    const ClusterResult& r = session.run(eps, 25);
+    std::printf("  eps=%.2f: %u clusters, %zu noise, %.1f ms (%s)\n",
+                static_cast<double>(eps), r.cluster_count, r.noise_count(),
+                t.millis(), r.stats.index_refitted ? "refit" : "build");
   }
   return 0;
 }

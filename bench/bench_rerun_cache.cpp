@@ -8,6 +8,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "core/clusterer.hpp"
 #include "core/rt_dbscan.hpp"
 #include "data/generators.hpp"
 
@@ -24,6 +25,7 @@ int main(int argc, char** argv) {
   const float eps = static_cast<float>(flags.get_double("eps", 0.3));
   const auto dataset = data::taxi_gps(n, 2023);
   const std::vector<std::uint32_t> sweep{5, 10, 20, 50, 100, 200};
+  const Options session_opts = Options().with_backend(index::IndexKind::kBvhRt);
 
   // Cold: a fresh one-shot run per minPts (what an early-exit system that
   // discarded counts would have to do).
@@ -34,19 +36,16 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Warm: one RtDbscanRunner; phase 1 runs once.
+  // Warm: one RT session; phase 1 runs once.
   const double warm_total = bench::time_median(cfg.reps, [&] {
-    core::RtDbscanRunner runner(dataset.points, eps);
-    for (const auto mp : sweep) {
-      const auto r = runner.run(mp);
-      (void)r;
-    }
+    Clusterer session(dataset.points, session_opts);
+    for (const auto mp : sweep) (void)session.run(eps, mp);
   });
 
   Table table({"strategy", "total time", "speedup"});
   table.add_row({"one-shot per minPts (6 runs)", Table::seconds(cold_total),
                  "1.00x"});
-  table.add_row({"cached counts (runner)", Table::seconds(warm_total),
+  table.add_row({"cached counts (session)", Table::seconds(warm_total),
                  Table::speedup(cold_total / warm_total)});
   if (cfg.csv) {
     table.print_csv();
@@ -54,15 +53,15 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  // Per-run detail with the runner.
-  std::printf("\nper-run detail (runner):\n");
-  core::RtDbscanRunner runner(dataset.points, eps);
+  // Per-run detail with the session.
+  std::printf("\nper-run detail (session):\n");
+  Clusterer session(dataset.points, session_opts);
   for (const auto mp : sweep) {
     Timer t;
-    const auto r = runner.run(mp);
+    const ClusterResult& r = session.run(eps, mp);
     std::printf("  minPts=%-4u %8.2f ms  (phase1 %s)  clusters=%u\n", mp,
-                t.millis(), r.phase1.work.rays > 0 ? "computed" : "cached",
-                r.clustering.cluster_count);
+                t.millis(), r.stats.counts_reused ? "cached" : "computed",
+                r.cluster_count);
   }
   return 0;
 }

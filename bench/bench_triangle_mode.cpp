@@ -4,10 +4,10 @@
 // (triangles multiply the primitive count and add AnyHit invocations).
 //
 //   ./bench_triangle_mode [--scale F] [--reps N]
-//                         [--width auto|binary|wide|quantized]
+//                         [--width auto|binary|wide]
 //
 // --width forces one traversal layout for every run (default auto); the
-// second table sweeps triangle mode across all three layouts regardless,
+// second table sweeps triangle mode across both layouts regardless,
 // so the §VI-C experiment reports the wide-kernel trade alongside the
 // sphere-vs-triangle one.
 #include <cstdio>
@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   const rt::TraversalWidth forced_width = *width_arg;
   const auto dataset = data::taxi_gps(n, 2023);
   const dbscan::Params params{eps, min_pts};
+  const dbscan::Params tri_params{eps, min_pts, index::IndexKind::kTriangles};
 
   Table table({"geometry", "prims/point", "dev time", "slowdown", "cpu time",
                "anyhit calls"});
@@ -55,12 +56,11 @@ int main(int argc, char** argv) {
 
   for (const int subdiv : {0, 1}) {
     core::RtDbscanOptions opts;
-    opts.geometry = core::GeometryMode::kTriangles;
     opts.triangle_subdivisions = subdiv;
     opts.device.build.width = forced_width;
     core::RtDbscanResult tri_result;
     const double tri_cpu = bench::time_median(cfg.reps, [&] {
-      tri_result = core::rt_dbscan(dataset.points, params, opts);
+      tri_result = core::rt_dbscan(dataset.points, tri_params, opts);
     });
     bench::verify(dataset.points, params, sphere_result.clustering,
                   tri_result.clustering, "sphere vs triangle geometry");
@@ -92,10 +92,10 @@ int main(int argc, char** argv) {
               "land in/near that band.\n");
 
   // -------------------------------------------------------------------------
-  // Triangle-mode traversal width sweep (PR 4): the §VI-C scene over the
-  // binary, wide (8-ary SoA) and quantized (128-byte node) kernels.  Same
-  // clustering on all three (verified); nodes/query shows the pop
-  // reduction the wide layouts buy on the triangle-inflated tree.
+  // Triangle-mode traversal width sweep: the §VI-C scene over the binary
+  // and wide (8-ary SoA) kernels.  Same clustering on both (verified);
+  // nodes/query shows the pop reduction the wide layout buys on the
+  // triangle-inflated tree.
   // -------------------------------------------------------------------------
   std::printf("\n--- triangle-mode traversal width sweep (icosphere s=1, "
               "%zu tris) ---\n", dataset.size() * 80);
@@ -103,15 +103,13 @@ int main(int argc, char** argv) {
                 "isect/query"});
   double binary_cpu = 0.0;
   for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-        rt::TraversalWidth::kWideQuantized}) {
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
     core::RtDbscanOptions opts;
-    opts.geometry = core::GeometryMode::kTriangles;
     opts.triangle_subdivisions = 1;
     opts.device.build.width = width;
     core::RtDbscanResult r;
     const double cpu = bench::time_median(cfg.reps, [&] {
-      r = core::rt_dbscan(dataset.points, params, opts);
+      r = core::rt_dbscan(dataset.points, tri_params, opts);
     });
     bench::verify(dataset.points, params, sphere_result.clustering,
                   r.clustering, rt::to_string(width));

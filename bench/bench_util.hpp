@@ -149,7 +149,7 @@ inline void print_header(const char* title, const char* paper_ref,
               cfg.reps);
   std::printf(
       "note: CPU RT-core simulator; compare shapes/ratios, not absolute "
-      "times (see EXPERIMENTS.md)\n\n");
+      "times (see docs/BENCHMARKS.md)\n\n");
 }
 
 }  // namespace rtd::bench

@@ -4,9 +4,9 @@
 //   ./quickstart [--n 20000] [--eps 0.4] [--minpts 10] [--backend auto]
 //                [--width auto] [--trace out.json]
 //
-// --backend is any rtd::index::IndexKind name (auto, bvhrt, pointbvh, grid,
-// densebox, brute); --width picks the BVH traversal layout (auto, binary,
-// wide, quantized); --trace drains the run's telemetry spans into a Chrome
+// --backend is any rtd::index::IndexKind name (auto, bvhrt, triangles,
+// pointbvh, grid, densebox, brute); --width picks the BVH traversal layout
+// (auto, binary, wide); --trace drains the run's telemetry spans into a Chrome
 // trace-event JSON file.
 // Demonstrates rtd::Clusterer — the session is built once, the first run()
 // pays the index build, and the second run() at a new min_pts reuses the

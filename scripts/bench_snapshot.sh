@@ -5,9 +5,9 @@
 # Usage: scripts/bench_snapshot.sh [build-dir] [output.json]
 #   scripts/bench_snapshot.sh build/release BENCH_PR5.json
 #
-# Runs the binary/wide/quantized micro sweeps of bench_micro_bvh
+# Runs the binary/wide micro sweeps of bench_micro_bvh
 # (google-benchmark JSON) for BOTH geometry modes — the sphere-mode
-# QuerySweep1M trio and the §VI-C triangle-mode TriangleSweep/1000000 trio
+# QuerySweep1M pair and the §VI-C triangle-mode TriangleSweep/1000000 pair
 # — plus the session-vs-rebuild ε-sweep of bench_micro_sweep and the width
 # sweep of bench_breakdown (CSV), then merges everything into one JSON
 # document.  Fails if any headline regresses below its recorded floor, so
@@ -55,7 +55,7 @@ done
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "${tmp_dir}"' EXIT
 
-echo "== bench_micro_bvh (binary/wide/quantized sweeps, both geometries)"
+echo "== bench_micro_bvh (binary/wide sweeps, both geometries)"
 "${micro}" \
   --benchmark_filter='QuerySweep1M|TriangleSweep.*/1000000$|PointQueryTraversal|OverlapQueryTraversal|CollapseWide|BuildLbvh' \
   --benchmark_repetitions="${BENCH_REPS:-3}" \
@@ -113,14 +113,12 @@ def ratio(a, b):
     return (a / b) if (a and b) else None
 
 sphere = {w: median_time(micro, f"BM_QuerySweep1M_{w}")
-          for w in ("Binary", "Wide", "Quantized")}
+          for w in ("Binary", "Wide")}
 tri = {w: median_time(micro, f"BM_TriangleSweep_{w}/1000000")
-       for w in ("Binary", "Wide", "Quantized")}
+       for w in ("Binary", "Wide")}
 
 sphere_wide = ratio(sphere["Binary"], sphere["Wide"])
-sphere_quant = ratio(sphere["Binary"], sphere["Quantized"])
 tri_wide = ratio(tri["Binary"], tri["Wide"])
-tri_quant = ratio(tri["Binary"], tri["Quantized"])
 
 session_backends = ("bvhrt", "pointbvh", "grid", "densebox")
 session_sweep = {}
@@ -141,9 +139,7 @@ snapshot = {
                          "eps-sphere point queries, single core)",
             "binary_us_per_query": sphere["Binary"],
             "wide_us_per_query": sphere["Wide"],
-            "quantized_us_per_query": sphere["Quantized"],
             "wide_speedup": sphere_wide,
-            "quantized_speedup": sphere_quant,
             "target": "wide >= 1.35x (measured 1.5x+; margin absorbs VM "
                       "scheduler noise)",
         },
@@ -153,9 +149,7 @@ snapshot = {
                          "AnyHit query rays, single core)",
             "binary_us_per_query": tri["Binary"],
             "wide_us_per_query": tri["Wide"],
-            "quantized_us_per_query": tri["Quantized"],
             "wide_speedup": tri_wide,
-            "quantized_speedup": tri_quant,
             "target": "wide >= 1.10x (exact triangle tests are "
                       "width-invariant; see docs/BENCHMARKS.md)",
         },
@@ -204,7 +198,7 @@ with open(out_path, "w") as f:
     f.write("\n")
 print(f"wrote {out_path}")
 
-gate_ratios = [sphere_wide, sphere_quant, tri_wide, tri_quant] + [
+gate_ratios = [sphere_wide, tri_wide] + [
     session_sweep[b]["session_speedup"] for b in ("bvhrt", "pointbvh")]
 if None in gate_ratios:
     # Fail closed: a renamed benchmark or filter drift must not silently
@@ -212,10 +206,8 @@ if None in gate_ratios:
     print("FAIL: headline sweep medians not found in benchmark output",
           file=sys.stderr)
     sys.exit(1)
-print(f"headline: sphere mode wide {sphere_wide:.2f}x / quantized "
-      f"{sphere_quant:.2f}x the binary walk")
-print(f"headline: triangle mode wide {tri_wide:.2f}x / quantized "
-      f"{tri_quant:.2f}x the binary walk")
+print(f"headline: sphere mode wide {sphere_wide:.2f}x the binary walk")
+print(f"headline: triangle mode wide {tri_wide:.2f}x the binary walk")
 for backend in session_backends:
     s = session_sweep[backend]["session_speedup"]
     if s is not None:

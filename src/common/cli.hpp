@@ -21,10 +21,10 @@ namespace rtd::cli {
 
 /// Accepted --backend spellings, for usage strings.
 inline constexpr const char* kBackendChoices =
-    "auto, brute, grid, densebox, pointbvh, bvhrt";
+    "auto, brute, grid, densebox, pointbvh, bvhrt, triangles";
 
 /// Accepted --width spellings, for usage strings.
-inline constexpr const char* kWidthChoices = "auto, binary, wide, quantized";
+inline constexpr const char* kWidthChoices = "auto, binary, wide";
 
 /// Parse `--<name>` (default "backend") from `flags`.  Returns the parsed
 /// kind (`fallback` when the flag is absent), or std::nullopt after

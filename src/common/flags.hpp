@@ -2,7 +2,7 @@
 //
 // Supports `--name value`, `--name=value` and boolean `--name` forms.  Every
 // bench binary runs with no arguments at its default (CI-sized) scale; flags
-// let a user grow experiments toward paper scale (see EXPERIMENTS.md).
+// let a user grow experiments toward paper scale (see docs/BENCHMARKS.md).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Deterministic, seedable random number generation.
 //
 // All dataset generators and property tests use this generator so that every
-// experiment in EXPERIMENTS.md is exactly reproducible from its seed.  We use
+// benchmark in docs/BENCHMARKS.md is exactly reproducible from its seed.  We use
 // xoshiro256++ (public-domain, Blackman & Vigna) seeded through splitmix64,
 // which is both faster and statistically stronger than std::mt19937 and has a
 // trivially copyable state that is cheap to fork per OpenMP thread.

@@ -1,8 +1,9 @@
 // Fixed-width ASCII table printer.
 //
 // Every benchmark binary prints its results in the same row/column layout the
-// paper's tables and figure series use, so EXPERIMENTS.md can quote output
-// verbatim.  Also supports CSV emission for plotting.
+// paper's tables and figure series use (docs/BENCHMARKS.md maps each binary
+// to its figure), so output compares with the paper row by row.  Also
+// supports CSV emission for plotting.
 #pragma once
 
 #include <cstdio>

@@ -66,7 +66,7 @@ struct Clusterer::Impl {
   std::span<const Vec3> pts;
   Options opts;
 
-  // --- sphere geometry: the NeighborIndex session state -------------------
+  // --- the NeighborIndex session state ------------------------------------
   /// Built at the first run.  Shared (not unique) so a published
   /// IndexSnapshot can keep its version alive after the session moves on
   /// to a clone or a rebuild.
@@ -111,9 +111,6 @@ struct Clusterer::Impl {
   Mutex publish_mu;
   std::atomic<std::shared_ptr<const IndexSnapshot>> published;
   bool index_shared RTD_GUARDED_BY(publish_mu) = false;
-
-  // --- triangle geometry (§VI-C): delegate to the RT runner ---------------
-  std::optional<core::RtDbscanRunner> runner;
 
   // Neighbor-count cache: counts are a pure function of (points, eps), so
   // they survive index refits/rebuilds and min_pts changes at the same eps.
@@ -194,30 +191,15 @@ struct Clusterer::Impl {
     index::IndexBuildOptions o;
     o.build.width = opts.width;
     o.threads = opts.threads;
-    return o;
-  }
-
-  [[nodiscard]] core::RtDbscanOptions runner_options() const {
-    core::RtDbscanOptions o;
-    o.geometry = core::GeometryMode::kTriangles;
     o.triangle_subdivisions = opts.triangle_subdivisions;
-    o.reorder_queries = opts.reorder_queries;
-    o.device.build.width = opts.width;
-    o.device.threads = opts.threads;
     return o;
   }
 
-  /// The traversal layout RunStats reports: the resolved layout of the
-  /// tree-backed backends, kBinary for the others (no BVH walk).  Called
-  /// only after ensure_index(), so the accel exists and is the source of
-  /// truth for the triangle count (its guards may drop degenerate inputs).
-  [[nodiscard]] rt::TraversalWidth stats_width() const {
-    if (opts.geometry == core::GeometryMode::kTriangles) {
-      return rt::resolved_traversal_width(opts.width, runner->prim_count());
-    }
-    return resolved == IndexKind::kPointBvh || resolved == IndexKind::kBvhRt
-               ? rt::resolved_traversal_width(opts.width, pts.size())
-               : rt::TraversalWidth::kBinary;
+  /// Whether the resolved backend stops counting at a phase-1 cap: the RT
+  /// scenes cannot terminate traversal (OptiX) and return exact counts.
+  [[nodiscard]] bool counts_capped_by_early_exit() const {
+    return opts.early_exit && resolved != IndexKind::kBvhRt &&
+           resolved != IndexKind::kTriangles;
   }
 
   [[nodiscard]] bool is_live_slot(std::size_t i) const {
@@ -307,22 +289,6 @@ struct Clusterer::Impl {
   /// does not.  Records what happened and what it cost.
   EnsureStats ensure_index(float eps) {
     EnsureStats es;
-    if (opts.geometry == core::GeometryMode::kTriangles) {
-      if (!runner.has_value()) {
-        Timer t;
-        runner.emplace(std::vector<Vec3>(pts.begin(), pts.end()), eps,
-                       runner_options());
-        resolved = IndexKind::kBvhRt;  // triangle mode IS the RT pipeline
-        es.rebuilt = true;
-        es.seconds = t.seconds();
-      } else if (eps != runner->eps()) {
-        Timer t;
-        runner->set_eps(eps);  // rescale + refit, no retessellation
-        es.refitted = true;
-        es.seconds = t.seconds();
-      }
-      return es;
-    }
     if (!index) {
       Timer t;
       const MutexLock lock(publish_mu);
@@ -373,11 +339,6 @@ struct Clusterer::Impl {
   /// after a (re)build or retarget.  The fast path is the lock-free atomic
   /// load at the top.
   [[nodiscard]] std::shared_ptr<const IndexSnapshot> acquire_snapshot() {
-    if (opts.geometry == core::GeometryMode::kTriangles) {
-      throw std::logic_error(
-          "Clusterer: snapshots serve sphere-geometry sessions only (the "
-          "triangle accel is not a point-query structure)");
-    }
     std::shared_ptr<const IndexSnapshot> snap = published.load();
     if (snap) return snap;
     const MutexLock lock(publish_mu);
@@ -513,7 +474,6 @@ struct Clusterer::Impl {
     r.eps = eps;
     r.min_pts = min_pts;
     r.stats = RunStats{};
-    r.stats.geometry = opts.geometry;
     r.stats.backend = resolved;
 
     if (n == 0) {
@@ -533,50 +493,6 @@ struct Clusterer::Impl {
       return r;
     }
 
-    if (opts.geometry == core::GeometryMode::kTriangles) {
-      core::RtDbscanResult rr;
-      EnsureStats es;
-      bool counts_reused = false;
-      try {
-        es = ensure_index(eps);
-        counts_reused = runner->counts_cached();
-        rr = runner->run(min_pts);
-      } catch (...) {
-        restore_metadata();  // strong: the runner computed into locals
-        throw;
-      }
-      r.labels = std::move(rr.clustering.labels);
-      r.is_core = std::move(rr.clustering.is_core);
-      r.cluster_count = rr.clustering.cluster_count;
-      r.neighbor_counts = std::move(rr.neighbor_counts);
-      r.stats.backend = IndexKind::kBvhRt;
-      r.stats.width = stats_width();
-      r.stats.index_rebuilt = es.rebuilt;
-      r.stats.index_refitted = es.refitted;
-      r.stats.counts_reused = counts_reused;
-      r.stats.phase1 = rr.phase1;
-      r.stats.phase2 = rr.phase2;
-      r.stats.timings = rr.clustering.timings;
-      r.stats.timings.index_build_seconds = es.seconds;
-      last_eps = eps;
-      last_min_pts = min_pts;
-      params_valid = true;
-      try {
-        build_membership();
-      } catch (...) {
-        // Labels are the new run's, members the old run's: torn.
-        set_health(SessionHealth::kDegraded);
-        result_current = false;
-        throw;
-      }
-      r.stats.timings.total_seconds = total.seconds();
-      r.seconds = r.stats.timings.total_seconds;
-      set_health(SessionHealth::kHealthy);
-      result_current = true;
-      telemetry::observe(telemetry::Histogram::kRunLatency, r.seconds);
-      return r;
-    }
-
     EnsureStats es;
     try {
       es = ensure_index(eps);
@@ -586,7 +502,7 @@ struct Clusterer::Impl {
       throw;
     }
     r.stats.backend = resolved;
-    r.stats.width = stats_width();
+    r.stats.width = index->traversal_width();
     r.stats.index_rebuilt = es.rebuilt;
     r.stats.index_refitted = es.refitted;
     r.stats.timings.index_build_seconds = es.seconds;
@@ -613,12 +529,10 @@ struct Clusterer::Impl {
       }
       counts_valid = true;
       counts_eps = eps;
-      // The RT backend ignores the early-exit hint (OptiX) and returned
+      // The RT backends ignore the early-exit hint (OptiX) and returned
       // exact counts — record them as such so any later min_pts reuses
       // them.
-      counts_cap = opts.early_exit && resolved != IndexKind::kBvhRt
-                       ? min_pts - 1
-                       : index::kNoCap;
+      counts_cap = counts_capped_by_early_exit() ? min_pts - 1 : index::kNoCap;
       r.stats.timings.core_phase_seconds = r.stats.phase1.seconds;
     }
 
@@ -650,11 +564,6 @@ struct Clusterer::Impl {
   /// repair.  Returns the first inserted slot id.
   std::size_t mutate(std::span<const Vec3> add,
                      std::span<const std::uint32_t> rem) {
-    if (opts.geometry == core::GeometryMode::kTriangles) {
-      throw std::logic_error(
-          "Clusterer: insert/remove/advance serve sphere-geometry sessions "
-          "only (the triangle accel cannot absorb point mutations)");
-    }
     // Heal first: a degraded session has coherent committed state (points,
     // mask, counts) but torn labels — one full re-cluster at the last
     // requested parameters restores the baseline this mutation maintains.
@@ -1694,14 +1603,6 @@ struct Clusterer::Impl {
 namespace {
 
 void validate_options(const Options& options) {
-  if (options.geometry == core::GeometryMode::kTriangles &&
-      options.backend != IndexKind::kAuto &&
-      options.backend != IndexKind::kBvhRt) {
-    throw std::invalid_argument(
-        std::string("Clusterer: triangle geometry (§VI-C) runs the RT "
-                    "pipeline only — backend '") +
-        index::to_string(options.backend) + "' cannot answer it");
-  }
   if (options.triangle_subdivisions < 0) {
     throw std::invalid_argument(
         "Clusterer: triangle_subdivisions must be >= 0");
@@ -1833,10 +1734,8 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   telemetry::count(telemetry::Counter::kSessionSweeps);
   const telemetry::LatencyTimer sweep_lat(telemetry::Histogram::kSweepLatency);
 
-  // Triangle sessions (and trivially empty ones) sweep by plain reruns —
-  // the runner already refits per step.
-  if (im.opts.geometry == core::GeometryMode::kTriangles ||
-      im.pts.empty()) {
+  // Empty sessions sweep by plain reruns (there is nothing to count).
+  if (im.pts.empty()) {
     for (const float eps : eps_values) {
       out.push_back(run(eps, min_pts));
       telemetry::count(telemetry::Counter::kSessionSweepEntries);
@@ -1915,9 +1814,8 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
       r.eps = eps;
       r.min_pts = min_pts;
       r.stats = RunStats{};
-      r.stats.geometry = im.opts.geometry;
       r.stats.backend = im.resolved;
-      r.stats.width = im.stats_width();
+      r.stats.width = im.index->traversal_width();
 
       // Retarget the index to this ladder value where refit is supported
       // (the RT scene's radius is baked in, so its phase-2 queries need
@@ -1984,18 +1882,7 @@ std::vector<std::uint32_t> Clusterer::query_neighbors(const Vec3& center,
   validate_center(center);
   Impl& im = *impl_;
   std::vector<std::uint32_t> ids;
-  if (im.opts.geometry == core::GeometryMode::kTriangles ||
-      im.pts.empty()) {
-    // The triangle accel answers finite-ray queries, not point queries —
-    // enumerate exactly instead of faking a ray.
-    const float eps2 = eps * eps;
-    for (std::uint32_t j = 0; j < im.pts.size(); ++j) {
-      if (geom::distance_squared(center, im.pts[j]) <= eps2) {
-        ids.push_back(j);
-      }
-    }
-    return ids;
-  }
+  if (im.pts.empty()) return ids;
   im.ensure_index(eps);
   rt::TraversalStats stats;
   im.index->query_sphere(center, eps, index::kNoSelf,
@@ -2095,19 +1982,12 @@ index::IndexKind Clusterer::backend() const { return impl_->resolved; }
 
 std::optional<float> Clusterer::current_eps() const {
   const Impl& im = *impl_;
-  if (im.opts.geometry == core::GeometryMode::kTriangles) {
-    if (!im.runner.has_value()) return std::nullopt;
-    return im.runner->eps();
-  }
   if (!im.index) return std::nullopt;
   return im.index_eps;
 }
 
 bool Clusterer::counts_cached() const {
   const Impl& im = *impl_;
-  if (im.opts.geometry == core::GeometryMode::kTriangles) {
-    return im.runner.has_value() && im.runner->counts_cached();
-  }
   // The cache is keyed on ε alone (counts are a pure function of points
   // and ε) — it can outlive the index's current build ε, e.g. after a
   // sweep on a rebuild-only backend.
@@ -2273,8 +2153,7 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
   // there.
   {
     const float eps2 = r.eps * r.eps;
-    const bool exact = !im.opts.early_exit ||
-                       im.resolved == IndexKind::kBvhRt;
+    const bool exact = !im.counts_capped_by_early_exit();
     for (std::size_t i = 0; i < n && rep.ok; ++i) {
       if (!im.is_live_slot(i)) continue;
       std::uint32_t truth = 0;

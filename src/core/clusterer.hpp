@@ -20,20 +20,19 @@
 //   * first run builds the index (backend per Options, kAuto resolved once
 //     from the data and pinned for the session's lifetime);
 //   * an eps change REFITS the index in place where the backend supports it
-//     (NeighborIndex::try_set_eps: kBvhRt refits the sphere scene, kPointBvh
-//     and kBruteForce are radius-agnostic) and rebuilds only where it
-//     cannot (kGrid / kDenseBox re-bin their cells);
+//     (NeighborIndex::try_set_eps: kBvhRt refits the sphere scene,
+//     kTriangles rescales its tessellation, kPointBvh and kBruteForce are
+//     radius-agnostic) and rebuilds only where it cannot (kGrid /
+//     kDenseBox re-bin their cells);
 //   * a min_pts-only change reuses the cached neighbor counts and pays just
 //     the cluster-formation phase (§VI-B).
 // Which of those paths a run took is recorded in ClusterResult::stats.
 //
 // run() returns a reference to session-owned storage: the result is valid
 // until the next run()/sweep() or the session's destruction — copy it
-// (ClusterResult is a regular value type) to keep it.  For sphere-geometry
-// sessions (every IndexKind), warm run() calls reuse every internal buffer
-// and perform no heap allocations (tests/test_query_alloc.cpp enforces
-// this); triangle-geometry sessions delegate to RtDbscanRunner, whose runs
-// allocate their result vectors.
+// (ClusterResult is a regular value type) to keep it.  On every backend,
+// warm run() calls reuse every internal buffer and perform no heap
+// allocations (tests/test_query_alloc.cpp enforces this).
 //
 // Live sessions (streaming / incremental maintenance):
 //   * insert(points) appends new points, remove(ids) tombstones existing
@@ -96,7 +95,6 @@
 
 #include "core/index_snapshot.hpp"
 #include "core/kdist.hpp"
-#include "core/rt_dbscan.hpp"
 #include "core/rt_knn.hpp"
 #include "dbscan/core.hpp"
 #include "dsu/atomic_disjoint_set.hpp"
@@ -119,12 +117,10 @@ struct Options {
   /// for the session so sweep results are comparable across eps.
   index::IndexKind backend = index::IndexKind::kAuto;
   /// BVH traversal layout for the tree-backed backends (kBvhRt, kPointBvh,
-  /// triangle geometry); kAuto applies the rt::kWideBvhMinPrims threshold.
+  /// kTriangles); kAuto applies the rt::kWideBvhMinPrims threshold.
   rt::TraversalWidth width = rt::TraversalWidth::kAuto;
-  /// kSpheres is the paper's default pipeline; kTriangles (§VI-C) runs the
-  /// tessellated configuration and requires backend kAuto or kBvhRt.
-  core::GeometryMode geometry = core::GeometryMode::kSpheres;
-  /// Icosphere subdivision level for kTriangles (20 * 4^s triangles/point).
+  /// Icosphere subdivision level for the kTriangles backend (20 * 4^s
+  /// triangles/point).
   int triangle_subdivisions = 1;
   /// Thread count for index builds and query launches; 0 = all hardware
   /// threads.
@@ -139,7 +135,6 @@ struct Options {
 
   Options& with_backend(index::IndexKind k) { backend = k; return *this; }
   Options& with_width(rt::TraversalWidth w) { width = w; return *this; }
-  Options& with_geometry(core::GeometryMode g) { geometry = g; return *this; }
   Options& with_triangle_subdivisions(int s) {
     triangle_subdivisions = s;
     return *this;
@@ -159,7 +154,6 @@ struct RunStats {
   /// primitive count).  kBinary for the non-tree backends — grid, dense-box
   /// and brute force have no BVH walk.
   rt::TraversalWidth width = rt::TraversalWidth::kBinary;
-  core::GeometryMode geometry = core::GeometryMode::kSpheres;
   /// This run built the index from scratch (first run, or an eps change on
   /// a backend whose try_set_eps cannot refit).
   bool index_rebuilt = false;
@@ -319,8 +313,8 @@ struct ValidationReport {
 class Clusterer {
  public:
   /// Take ownership of `points` (no copy).  Throws std::invalid_argument on
-  /// non-finite coordinates or an Options combination the session cannot
-  /// honor (kTriangles with a non-RT backend).  The index itself is built
+  /// non-finite coordinates or invalid Options (a negative
+  /// triangle_subdivisions).  The index itself is built
   /// lazily at the first run — kAuto needs an ε to resolve against.
   explicit Clusterer(std::vector<geom::Vec3> points, Options options = {});
   /// Copying constructor for callers that keep their own storage.
@@ -358,7 +352,7 @@ class Clusterer {
   /// result rather than moved-from remains).
   [[nodiscard]] ClusterResult take_result();
 
-  // --- Live sessions: incremental mutation (sphere-geometry sessions) -----
+  // --- Live sessions: incremental mutation --------------------------------
 
   /// Append `new_points` to the session and update the last clustering
   /// incrementally (see the file comment).  Returns the slot id of the
@@ -366,7 +360,7 @@ class Clusterer {
   /// WRITER operation.  Requires a current result — call after run() or
   /// sweep(), not before and not after take_result() (std::logic_error),
   /// and not on an early-exit session (its cached counts are capped, and
-  /// maintenance needs exact ones) or a triangle-geometry session.  Throws
+  /// maintenance needs exact ones).  Throws
   /// std::invalid_argument on non-finite coordinates (session unchanged).
   /// The index absorbs the batch while the accumulated mutation delta
   /// stays under the rebuild threshold (max(64, live/8) slots) — in place,
@@ -441,16 +435,14 @@ class Clusterer {
   /// path.  Throws std::invalid_argument on a non-finite `center` or a
   /// non-positive/non-finite `eps` — validated BEFORE the index is touched,
   /// so a garbage request can never drive a degenerate retarget.  `center`
-  /// is treated as off-dataset: no self exclusion.  Triangle-geometry
-  /// sessions answer with an exact scan (their accel is not a point-query
-  /// structure).
+  /// is treated as off-dataset: no self exclusion.
   std::vector<std::uint32_t> query_neighbors(const geom::Vec3& center,
                                              float eps);
   /// Same, for dataset point `i` (excluded from its own neighborhood).
   /// Throws std::invalid_argument for an out-of-range or removed slot.
   std::vector<std::uint32_t> query_neighbors(std::uint32_t i, float eps);
 
-  // --- Concurrent serving layer (sphere-geometry sessions) ----------------
+  // --- Concurrent serving layer -------------------------------------------
 
   /// Publish (or fetch) the session's immutable index snapshot: the current
   /// index at its current ε behind shared ownership.  O(1) steady state
@@ -460,9 +452,7 @@ class Clusterer {
   /// or mutating the session moves on to a clone of the index instead of
   /// mutating this one.
   /// Throws std::logic_error before the first run()/sweep() (kAuto needs an
-  /// ε to resolve against, so there is no index yet) and on
-  /// triangle-geometry sessions (their accel is not a point-query
-  /// structure; the serving layer is sphere-geometry only).
+  /// ε to resolve against, so there is no index yet).
   [[nodiscard]] std::shared_ptr<const IndexSnapshot> snapshot() const;
 
   /// Genuinely const read: the ε-neighbors of `center` at the SNAPSHOT's

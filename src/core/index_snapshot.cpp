@@ -65,8 +65,9 @@ void IndexSnapshot::visit_neighbors(const Vec3& center, float eps,
     return;
   }
   if (eps < eps_) {
-    // kBvhRt: the ε is baked into the sphere geometry, so enumerate at the
-    // built radius — a strict superset of the eps-ball — and filter exactly.
+    // kBvhRt/kTriangles: the ε is baked into the geometry, so enumerate at
+    // the built radius — a strict superset of the eps-ball — and filter
+    // exactly.
     const float eps2 = eps * eps;
     index_->query_sphere(
         center, eps_, self,

@@ -28,14 +28,15 @@
 // Query radius rules (per backend, enforced with std::invalid_argument):
 //  * eps == eps()      — served directly on every backend;
 //  * eps <  eps()      — served on every backend (radius-agnostic backends
-//                        query natively; kBvhRt, whose ε is baked into the
-//                        sphere geometry, enumerates at its built ε and
-//                        filters exactly by d² <= eps² — a strict superset,
-//                        so the filter is exact);
+//                        query natively; kBvhRt and kTriangles, whose ε is
+//                        baked into the geometry, enumerate at their built
+//                        ε and filter exactly by d² <= eps² — a strict
+//                        superset, so the filter is exact);
 //  * eps >  eps()      — served only where the structure is radius-agnostic
 //                        (kPointBvh, kBruteForce, kDenseBox); kGrid's
-//                        one-ring guarantee and kBvhRt's baked radius cannot
-//                        answer it — retarget the session and re-snapshot.
+//                        one-ring guarantee and the RT scenes' baked radius
+//                        cannot answer it — retarget the session and
+//                        re-snapshot.
 //
 // Thread-safety: every member function is const and safe to call
 // concurrently from any number of threads (the underlying NeighborIndex

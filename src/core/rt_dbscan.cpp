@@ -1,404 +1,74 @@
 #include "core/rt_dbscan.hpp"
 
-#include <atomic>
-#include <functional>
-#include <optional>
 #include <stdexcept>
+#include <string>
 
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "dbscan/engine.hpp"
-#include "dsu/atomic_disjoint_set.hpp"
 #include "index/bvh_rt_index.hpp"
+#include "index/triangle_index.hpp"
 
 namespace rtd::core {
 
-const char* to_string(GeometryMode mode) {
-  switch (mode) {
-    case GeometryMode::kSpheres: return "spheres";
-    case GeometryMode::kTriangles: return "triangles";
-  }
-  return "?";
-}
-
 namespace {
 
-using dbscan::Clustering;
-using dbscan::kNoiseLabel;
-using dbscan::Params;
-using geom::Ray;
-using geom::Vec3;
+using index::IndexKind;
 
-void validate_params(const Params& params) {
+void validate_params(const dbscan::Params& params) {
   if (params.eps <= 0.0f) {
     throw std::invalid_argument("rt_dbscan: eps must be positive");
   }
   if (params.min_pts == 0) {
     throw std::invalid_argument("rt_dbscan: min_pts must be >= 1");
   }
-  // rt_dbscan IS the kBvhRt backend; asking it for another one is a caller
+  // rt_dbscan runs an RT scene; asking it for another backend is a caller
   // error (use rtd::cluster or the engine for backend-generic runs).
-  if (params.index != index::IndexKind::kAuto &&
-      params.index != index::IndexKind::kBvhRt) {
+  if (params.index != IndexKind::kAuto && params.index != IndexKind::kBvhRt &&
+      params.index != IndexKind::kTriangles) {
     throw std::invalid_argument(
         std::string("rt_dbscan: Params::index requests '") +
         index::to_string(params.index) +
-        "' but rt_dbscan always runs the RT sphere scene (kBvhRt)");
+        "' but rt_dbscan runs an RT scene (kBvhRt or kTriangles)");
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sphere-geometry phases (the paper's default configuration, §III).
-//
-// Since the NeighborIndex refactor both phases are the generic engine
-// (dbscan::index_phase1 / index_phase2) running over index::BvhRtIndex —
-// the same clustering logic every other backend uses, with the RT scene
-// answering the ε-queries.
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Triangle-geometry phases (§VI-C): tessellated spheres, hardware triangle
-// tests, hits delivered via AnyHit.  A ray crossing a tessellated sphere can
-// hit more than one of its triangles, so the counting phase deduplicates
-// owners with a per-thread last-ray stamp.  This mode stays outside the
-// NeighborIndex layer: its query is not a point query (finite ray vs
-// tessellated shells) and the paper measured it 2-5x slower — it exists to
-// reproduce that result, not to serve as a backend.
-// ---------------------------------------------------------------------------
-
-struct TriangleQuery {
-  const rt::TriangleAccel& accel;
-  std::span<const Vec3> points;
-  float eps2;
-  float tmax;
-
-  [[nodiscard]] Ray make_ray(const Vec3& q) const {
-    return Ray{q, {0.0f, 0.0f, 1.0f}, 0.0f, tmax};
-  }
-};
-
-struct TriangleThreadCtx {
-  rt::TraversalStats* stats = nullptr;
-  std::vector<std::uint32_t> stamp;  ///< last ray id that counted owner j
-};
-
-rt::LaunchStats phase1_triangles(const TriangleQuery& query,
-                                 std::vector<std::uint32_t>& counts,
-                                 int threads) {
-  const std::size_t n = query.points.size();
-  counts.assign(n, 0);
-  Timer timer;
-  const int t = threads > 0 ? threads : hardware_threads();
-  std::vector<rt::TraversalStats> per_thread(static_cast<std::size_t>(t));
-  {
-    ThreadCountGuard guard(t);
-    parallel_for_ctx(
-        n,
-        [&](std::size_t tid) {
-          TriangleThreadCtx ctx;
-          ctx.stats = &per_thread[tid];
-          ctx.stamp.assign(n, index::kNoSelf);
-          return ctx;
-        },
-        [&](TriangleThreadCtx& ctx, std::size_t i) {
-          const Vec3 q = query.points[i];
-          const Ray ray = query.make_ray(q);
-          std::uint32_t count = 0;
-          query.accel.trace(
-              ray,
-              [&](std::uint32_t owner, float /*t_hit*/) {
-                // AnyHit program: exact distance filter + self filter +
-                // owner dedup (several triangles of one sphere can be hit).
-                if (owner == i) return;
-                if (ctx.stamp[owner] == static_cast<std::uint32_t>(i)) return;
-                if (geom::distance_squared(q, query.points[owner]) <=
-                    query.eps2) {
-                  ctx.stamp[owner] = static_cast<std::uint32_t>(i);
-                  ++count;
-                }
-              },
-              *ctx.stats);
-          counts[i] = count;
-        });
-  }
-  rt::LaunchStats out;
-  out.seconds = timer.seconds();
-  for (const auto& s : per_thread) out.work += s;
-  return out;
-}
-
-rt::LaunchStats phase2_triangles(const TriangleQuery& query,
-                                 std::span<const std::uint8_t> is_core,
-                                 dsu::AtomicDisjointSet& dsu,
-                                 std::span<std::atomic<std::uint8_t>> claimed,
-                                 int threads) {
-  const std::size_t n = query.points.size();
-  Timer timer;
-  const int t = threads > 0 ? threads : hardware_threads();
-  std::vector<rt::TraversalStats> per_thread(static_cast<std::size_t>(t));
-  {
-    ThreadCountGuard guard(t);
-    parallel_for_ctx(
-        n,
-        [&](std::size_t tid) { return &per_thread[tid]; },
-        [&](rt::TraversalStats* st, std::size_t i) {
-          if (!is_core[i]) return;
-          const Vec3 q = query.points[i];
-          const Ray ray = query.make_ray(q);
-          query.accel.trace(
-              ray,
-              [&](std::uint32_t j, float /*t_hit*/) {
-                if (j == i) return;
-                if (geom::distance_squared(q, query.points[j]) > query.eps2) {
-                  return;
-                }
-                // Union/claim are idempotent, so duplicate triangle hits of
-                // the same owner are harmless here (no dedup needed).
-                if (is_core[j]) {
-                  if (j > i) dsu.unite(static_cast<std::uint32_t>(i), j);
-                } else {
-                  std::uint8_t expected = 0;
-                  if (claimed[j].compare_exchange_strong(
-                          expected, 1, std::memory_order_acq_rel)) {
-                    dsu.unite(static_cast<std::uint32_t>(i), j);
-                  }
-                }
-              },
-              *st);
-        });
-  }
-  rt::LaunchStats out;
-  out.seconds = timer.seconds();
-  for (const auto& s : per_thread) out.work += s;
-  return out;
-}
-
-/// Shared epilogue: core flags from counts, phase 2, label finalization.
-void run_phase2_and_finalize(
-    const Params& params, std::span<const std::uint32_t> counts,
-    RtDbscanResult& result,
-    const std::function<rt::LaunchStats(
-        std::span<const std::uint8_t>, dsu::AtomicDisjointSet&,
-        std::span<std::atomic<std::uint8_t>>)>& phase2) {
-  const std::size_t n = counts.size();
-  Clustering& out = result.clustering;
-
-  // Core test: counts exclude self; the classic |N_eps(p)| >= minPts
-  // includes it (see dbscan/core.hpp).
-  out.is_core.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.is_core[i] = counts[i] + 1 >= params.min_pts ? 1 : 0;
-  }
-
-  dsu::AtomicDisjointSet dsu(n);
-  std::vector<std::atomic<std::uint8_t>> claimed(n);
-  parallel_for(n, [&](std::size_t i) {
-    claimed[i].store(0, std::memory_order_relaxed);
-  });
-
-  result.phase2 = phase2(out.is_core, dsu, claimed);
-
-  dbscan::finalize_labels(
-      n, [&](std::uint32_t x) { return dsu.find(x); }, out.is_core, out);
 }
 
 }  // namespace
 
-RtDbscanResult rt_dbscan(std::span<const Vec3> points, const Params& params,
+RtDbscanResult rt_dbscan(std::span<const geom::Vec3> points,
+                         const dbscan::Params& params,
                          const RtDbscanOptions& options) {
   validate_params(params);
   dbscan::require_finite(points);
-  const std::size_t n = points.size();
 
   RtDbscanResult result;
-  result.clustering.labels.assign(n, kNoiseLabel);
-  result.clustering.is_core.assign(n, 0);
-  if (n == 0) return result;
+  result.clustering.labels.assign(points.size(), dbscan::kNoiseLabel);
+  result.clustering.is_core.assign(points.size(), 0);
+  if (points.empty()) return result;
 
-  Timer total;
-
-  if (options.geometry == GeometryMode::kSpheres) {
-    // Input transformation + hardware BVH build (§III-B).
-    Timer build_timer;
-    const index::BvhRtIndex index(points, params.eps, options.device);
+  // Input transformation + hardware BVH build (§III-B), then both phases
+  // through the generic engine over the built scene.
+  const Timer total;
+  const auto cluster = [&](const auto& index) {
     result.accel_build = index.accel().build_stats();
-    result.clustering.timings.index_build_seconds = build_timer.seconds();
-
-    const std::vector<std::uint32_t> order =
-        dbscan::query_launch_order(points, options.reorder_queries);
-    result.phase1 =
-        dbscan::index_phase1(index, params, order, /*early_exit=*/false,
-                             options.device.threads, result.neighbor_counts);
-    result.clustering.timings.core_phase_seconds = result.phase1.seconds;
-
-    run_phase2_and_finalize(
-        params, result.neighbor_counts, result,
-        [&](std::span<const std::uint8_t> is_core,
-            dsu::AtomicDisjointSet& dsu,
-            std::span<std::atomic<std::uint8_t>> claimed) {
-          return dbscan::index_phase2(index, params.eps, order, is_core,
-                                      dsu, claimed, options.device.threads);
-        });
+    const double build_seconds = total.seconds();
+    dbscan::IndexEngineOptions engine;
+    engine.reorder_queries = options.reorder_queries;
+    engine.threads = options.device.threads;
+    dbscan::IndexEngineResult run =
+        dbscan::cluster_with_index(index, params, engine);
+    result.clustering = std::move(run.clustering);
+    result.clustering.timings.index_build_seconds = build_seconds;
+    result.phase1 = run.phase1;
+    result.phase2 = run.phase2;
+    result.neighbor_counts = std::move(run.neighbor_counts);
+  };
+  if (params.index == IndexKind::kTriangles) {
+    cluster(index::TriangleIndex(points, params.eps,
+                                 options.triangle_subdivisions,
+                                 options.device));
   } else {
-    Timer build_timer;
-    const rt::Context ctx(options.device);
-    const rt::TriangleAccel accel = ctx.build_triangles(
-        points, params.eps, options.triangle_subdivisions);
-    result.accel_build = accel.build_stats();
-    result.clustering.timings.index_build_seconds = build_timer.seconds();
-
-    // tmax must cover the exit through the circumscribed shell: the mesh
-    // vertex scale is the accel's own (radius / inradius).
-    const TriangleQuery query{accel, points, params.eps_squared(),
-                              1.01f * (params.eps + accel.vertex_scale())};
-
-    result.phase1 = phase1_triangles(query, result.neighbor_counts,
-                                     options.device.threads);
-    result.clustering.timings.core_phase_seconds = result.phase1.seconds;
-
-    run_phase2_and_finalize(
-        params, result.neighbor_counts, result,
-        [&](std::span<const std::uint8_t> is_core,
-            dsu::AtomicDisjointSet& dsu,
-            std::span<std::atomic<std::uint8_t>> claimed) {
-          return phase2_triangles(query, is_core, dsu, claimed,
-                                  options.device.threads);
-        });
+    cluster(index::BvhRtIndex(points, params.eps, options.device));
   }
-
-  result.clustering.timings.cluster_phase_seconds = result.phase2.seconds;
-  result.clustering.timings.total_seconds = total.seconds();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// RtDbscanRunner: §VI-B multi-run session with cached neighbor counts.
-// ---------------------------------------------------------------------------
-
-struct RtDbscanRunner::Impl {
-  std::vector<Vec3> points;
-  float eps;
-  RtDbscanOptions options;
-  std::optional<index::BvhRtIndex> index;       ///< kSpheres sessions
-  std::optional<rt::TriangleAccel> tri_accel;   ///< kTriangles sessions
-  std::vector<std::uint32_t> order;
-  double accel_build_seconds = 0.0;
-  std::vector<std::uint32_t> counts;
-  rt::LaunchStats phase1_stats;
-  bool counts_cached = false;
-
-  [[nodiscard]] TriangleQuery make_triangle_query() const {
-    return TriangleQuery{*tri_accel, points, eps * eps,
-                         1.01f * (eps + tri_accel->vertex_scale())};
-  }
-};
-
-RtDbscanRunner::RtDbscanRunner(std::vector<Vec3> points, float eps,
-                               const RtDbscanOptions& options)
-    : impl_(std::make_unique<Impl>()) {
-  if (eps <= 0.0f) {
-    throw std::invalid_argument("RtDbscanRunner: eps must be positive");
-  }
-  dbscan::require_finite(points);
-  impl_->points = std::move(points);
-  impl_->eps = eps;
-  impl_->options = options;
-
-  Timer build_timer;
-  if (options.geometry == GeometryMode::kSpheres) {
-    impl_->index.emplace(impl_->points, eps, options.device);
-    impl_->order =
-        dbscan::query_launch_order(impl_->points, options.reorder_queries);
-  } else {
-    const rt::Context ctx(options.device);
-    impl_->tri_accel.emplace(ctx.build_triangles(
-        impl_->points, eps, options.triangle_subdivisions));
-    // The triangle phases launch in input order (reorder_queries is a
-    // sphere-pipeline scheduling knob, ignored by the one-shot triangle
-    // path too) — don't compute an order nobody reads.
-  }
-  impl_->accel_build_seconds = build_timer.seconds();
-}
-
-RtDbscanRunner::~RtDbscanRunner() = default;
-RtDbscanRunner::RtDbscanRunner(RtDbscanRunner&&) noexcept = default;
-RtDbscanRunner& RtDbscanRunner::operator=(RtDbscanRunner&&) noexcept =
-    default;
-
-void RtDbscanRunner::set_eps(float eps) {
-  if (eps <= 0.0f) {
-    throw std::invalid_argument("RtDbscanRunner: eps must be positive");
-  }
-  if (eps == impl_->eps) return;
-  Timer refit_timer;
-  if (impl_->index.has_value()) {
-    impl_->index->set_radius(eps);
-  } else {
-    // §VI-C triangle mode: rescale the tessellation in place and refit —
-    // an accel update, not the retessellate+rebuild ε sweeps used to pay.
-    impl_->tri_accel->set_radius(eps);
-  }
-  impl_->accel_build_seconds = refit_timer.seconds();
-  impl_->eps = eps;
-  impl_->counts_cached = false;
-  impl_->counts.clear();
-}
-
-bool RtDbscanRunner::counts_cached() const { return impl_->counts_cached; }
-float RtDbscanRunner::eps() const { return impl_->eps; }
-std::size_t RtDbscanRunner::size() const { return impl_->points.size(); }
-
-std::size_t RtDbscanRunner::prim_count() const {
-  return impl_->index.has_value() ? impl_->index->accel().size()
-                                  : impl_->tri_accel->triangle_count();
-}
-
-RtDbscanResult RtDbscanRunner::run(std::uint32_t min_pts) {
-  if (min_pts == 0) {
-    throw std::invalid_argument("RtDbscanRunner: min_pts must be >= 1");
-  }
-  const std::size_t n = impl_->points.size();
-  const bool spheres = impl_->index.has_value();
-  RtDbscanResult result;
-  result.accel_build = spheres ? impl_->index->accel().build_stats()
-                               : impl_->tri_accel->build_stats();
-  result.clustering.labels.assign(n, kNoiseLabel);
-  result.clustering.is_core.assign(n, 0);
-  if (n == 0) return result;
-
-  Timer total;
-  const Params params{impl_->eps, min_pts};
-  if (!impl_->counts_cached) {
-    impl_->phase1_stats =
-        spheres ? dbscan::index_phase1(*impl_->index, params, impl_->order,
-                                       /*early_exit=*/false,
-                                       impl_->options.device.threads,
-                                       impl_->counts)
-                : phase1_triangles(impl_->make_triangle_query(),
-                                   impl_->counts,
-                                   impl_->options.device.threads);
-    impl_->counts_cached = true;
-    result.phase1 = impl_->phase1_stats;
-    result.clustering.timings.index_build_seconds =
-        impl_->accel_build_seconds;
-    result.clustering.timings.core_phase_seconds = result.phase1.seconds;
-  }
-  // Cached runs: phase 1 cost is zero (result.phase1 default-initialized).
-
-  result.neighbor_counts = impl_->counts;
-  run_phase2_and_finalize(
-      params, impl_->counts, result,
-      [&](std::span<const std::uint8_t> is_core, dsu::AtomicDisjointSet& dsu,
-          std::span<std::atomic<std::uint8_t>> claimed) {
-        if (spheres) {
-          return dbscan::index_phase2(*impl_->index, impl_->eps,
-                                      impl_->order, is_core, dsu, claimed,
-                                      impl_->options.device.threads);
-        }
-        return phase2_triangles(impl_->make_triangle_query(), is_core, dsu,
-                                claimed, impl_->options.device.threads);
-      });
-  result.clustering.timings.cluster_phase_seconds = result.phase2.seconds;
   result.clustering.timings.total_seconds = total.seconds();
   return result;
 }

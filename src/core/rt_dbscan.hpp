@@ -9,16 +9,18 @@
 //     and merges clusters in a concurrent DisjointSet; border points are
 //     claimed atomically so each joins exactly one cluster.
 //
-// Geometry modes:
-//   kSpheres (default, §III): custom sphere primitives, clustering logic in
-//     the Intersection program, AnyHit/ClosestHit disabled.
+// Both phases are the generic engine (dbscan::cluster_with_index) over an
+// RT backend; Params::index picks the geometry:
+//   kBvhRt (or kAuto, the default, §III): custom sphere primitives,
+//     clustering logic in the Intersection program, AnyHit disabled.
 //   kTriangles (§VI-C): each ε-sphere tessellated into triangles so the
 //     primitive test runs "in hardware", with hits delivered through the
 //     AnyHit program — the configuration the paper measured 2-5x slower.
+// Multi-run sessions over either geometry are rtd::Clusterer with that
+// backend.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,13 +29,9 @@
 
 namespace rtd::core {
 
-enum class GeometryMode { kSpheres, kTriangles };
-
-const char* to_string(GeometryMode mode);
-
 struct RtDbscanOptions {
-  GeometryMode geometry = GeometryMode::kSpheres;
-  /// Icosphere subdivision level for kTriangles (20 * 4^s triangles/point).
+  /// Icosphere subdivision level for Params::index == kTriangles
+  /// (20 * 4^s triangles/point).
   int triangle_subdivisions = 1;
   /// Launch rays in Morton (Z-curve) order of their origins instead of
   /// input order.  This is the ray-coherence optimization of RTNN [Zhu,
@@ -42,7 +40,7 @@ struct RtDbscanOptions {
   /// subtrees, improving cache/SIMT locality.  Results are unaffected
   /// (test-enforced); only scheduling changes.
   bool reorder_queries = false;
-  /// RT device configuration (BVH builder, threads).
+  /// RT device configuration (BVH build settings, threads).
   rt::Context::Options device;
 };
 
@@ -59,55 +57,10 @@ struct RtDbscanResult {
   std::vector<std::uint32_t> neighbor_counts;
 };
 
-/// One-shot RT-DBSCAN run.
+/// One-shot RT-DBSCAN run.  Params::index must be kAuto, kBvhRt or
+/// kTriangles (std::invalid_argument otherwise).
 RtDbscanResult rt_dbscan(std::span<const geom::Vec3> points,
                          const dbscan::Params& params,
                          const RtDbscanOptions& options = {});
-
-/// Multi-run session over a fixed dataset and ε (§VI-B's "typical DBSCAN
-/// use case where the user is expected to run DBSCAN multiple times with
-/// different parameter values").
-///
-/// The acceleration structure is built once per ε; neighbor counts are
-/// computed on the first run and re-used for any later minPts, so repeated
-/// runs pay only the cluster-formation phase.  Both geometry modes are
-/// supported: sphere sessions refit the ε-sphere scene on set_eps(), and
-/// triangle (§VI-C) sessions rescale the tessellation in place and refit
-/// (TriangleAccel::set_radius) instead of retessellating and rebuilding.
-class RtDbscanRunner {
- public:
-  RtDbscanRunner(std::vector<geom::Vec3> points, float eps,
-                 const RtDbscanOptions& options = {});
-  ~RtDbscanRunner();
-  RtDbscanRunner(RtDbscanRunner&&) noexcept;
-  RtDbscanRunner& operator=(RtDbscanRunner&&) noexcept;
-
-  /// Cluster with the given minPts.  First call runs both phases; later
-  /// calls reuse cached neighbor counts and run only phase 2.
-  RtDbscanResult run(std::uint32_t min_pts);
-
-  /// Change ε for subsequent runs.  The acceleration structure is REFIT in
-  /// place (sphere mode: the BVH topology depends only on the centers;
-  /// triangle mode: vertices rescale about their owning center, same
-  /// topology — no rebuild either way, 5-10x cheaper); cached neighbor
-  /// counts are invalidated, so the next run() recomputes phase 1.
-  void set_eps(float eps);
-
-  /// True once neighbor counts are cached (after the first run()).
-  [[nodiscard]] bool counts_cached() const;
-
-  [[nodiscard]] float eps() const;
-  [[nodiscard]] std::size_t size() const;
-
-  /// Primitive count of the session's acceleration structure: one sphere
-  /// per point in sphere mode, the actual tessellated triangle count in
-  /// triangle mode (the accel is the source of truth — tessellation
-  /// guards may drop degenerate inputs).
-  [[nodiscard]] std::size_t prim_count() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace rtd::core

@@ -1,5 +1,6 @@
 // Dataset container and the catalog of synthetic stand-ins for the paper's
-// four evaluation datasets (see DESIGN.md substitution table).
+// four evaluation datasets (the "Dataset stand-ins" table of
+// docs/BENCHMARKS.md).
 #pragma once
 
 #include <cstdint>

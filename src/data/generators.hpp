@@ -1,7 +1,8 @@
 // Seeded synthetic dataset generators.
 //
 // Each generator reproduces the density structure that drives the paper's
-// results on the corresponding real dataset (DESIGN.md, substitution table):
+// results on the corresponding real dataset (docs/BENCHMARKS.md, "Dataset
+// stand-ins"):
 // elongated road-shaped clusters, hotspot-heavy taxi GPS, extremely dense
 // multi-lane trajectories, and a smooth 3-D ionosphere field.  All output is
 // deterministic in (n, seed).

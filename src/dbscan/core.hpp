@@ -48,7 +48,7 @@ struct Params {
   /// index::choose_index_kind().  Consistency is enforced: entry points
   /// that receive a pre-built index (dbscan::cluster_with_index) reject a
   /// concrete value that contradicts it, and core::rt_dbscan rejects
-  /// anything but kAuto/kBvhRt.
+  /// anything but kAuto/kBvhRt/kTriangles.
   index::IndexKind index = index::IndexKind::kAuto;
 
   /// ε², the quantity every exact distance filter compares against.

@@ -6,7 +6,8 @@
 // and merged afterwards — the incremental cluster-growth design CUDA-DClust
 // introduced, with CUDA-DClust+'s GPU-side index build.
 //
-// Port notes (documented deviations, see DESIGN.md):
+// Port notes (deviations from the CUDA original; docs/BENCHMARKS.md lists
+// the benches that compare against this port):
 //  * chains run on OpenMP threads instead of CUDA blocks;
 //  * neighbor counts are precomputed in a parallel pass so chain expansion
 //    and collision handling always know point coreness (the original

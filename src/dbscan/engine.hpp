@@ -9,7 +9,8 @@
 //     clusters in a concurrent DisjointSet; border points are claimed
 //     atomically so each joins exactly one cluster.
 //
-// RT-DBSCAN (core/rt_dbscan.cpp) is this engine over BvhRtIndex; FDBSCAN
+// RT-DBSCAN (core/rt_dbscan.cpp) is this engine over BvhRtIndex (or
+// TriangleIndex for the §VI-C tessellated geometry); FDBSCAN
 // (dbscan/fdbscan.cpp) is this engine over PointBvhIndex.  Swapping the
 // index swaps the query substrate without touching the clustering logic,
 // which is what makes backend comparisons honest.

@@ -94,7 +94,7 @@ void BvhRtIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
   const rt::SphereAccel& accel = *accel_;
   const auto& centers = accel.centers();
   rt::traverse_overlap(
-      accel.bvh(), accel.wide_bvh(), accel.quantized_bvh(), box,
+      accel.bvh(), accel.wide_bvh(), box,
       [&](std::uint32_t prim) {
         ++stats.isect_calls;
         if (!is_dead(prim) && box.contains(centers[prim])) visit(prim);

@@ -38,6 +38,10 @@ class BvhRtIndex final : public NeighborIndex {
   }
   [[nodiscard]] float build_eps() const override { return accel_->radius(); }
   [[nodiscard]] bool refittable() const override { return true; }
+  [[nodiscard]] rt::TraversalWidth traversal_width() const override {
+    return accel_->wide_bvh().empty() ? rt::TraversalWidth::kBinary
+                                      : rt::TraversalWidth::kWide;
+  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,

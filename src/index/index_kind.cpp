@@ -10,6 +10,7 @@ const char* to_string(IndexKind kind) {
     case IndexKind::kDenseBox: return "densebox";
     case IndexKind::kPointBvh: return "pointbvh";
     case IndexKind::kBvhRt: return "bvhrt";
+    case IndexKind::kTriangles: return "triangles";
   }
   return "?";
 }
@@ -21,6 +22,7 @@ std::optional<IndexKind> parse_index_kind(std::string_view name) {
   if (name == "densebox") return IndexKind::kDenseBox;
   if (name == "pointbvh") return IndexKind::kPointBvh;
   if (name == "bvhrt" || name == "rt") return IndexKind::kBvhRt;
+  if (name == "triangles") return IndexKind::kTriangles;
   return std::nullopt;
 }
 

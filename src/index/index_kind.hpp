@@ -38,10 +38,15 @@ enum class IndexKind : std::uint8_t {
   /// simulator (rt/scene + rt/traversal).  Faithful to OptiX semantics:
   /// traversal cannot terminate early.
   kBvhRt,
+  /// The paper's §VI-C alternative: each ε-sphere tessellated into
+  /// triangles, hits delivered through an AnyHit program (rt::TriangleAccel).
+  /// Same baked-radius and no-early-exit semantics as kBvhRt, measured 2-5x
+  /// slower; never picked by kAuto.
+  kTriangles,
 };
 
 /// Short stable name ("auto", "brute", "grid", "densebox", "pointbvh",
-/// "bvhrt") for logs, flags and benchmark labels.
+/// "bvhrt", "triangles") for logs, flags and benchmark labels.
 const char* to_string(IndexKind kind);
 
 /// Inverse of to_string(); std::nullopt for unknown names.
@@ -59,7 +64,7 @@ std::optional<IndexKind> parse_index_kind(std::string_view name);
 /// benchmarks.
 inline constexpr IndexKind kAllIndexKinds[] = {
     IndexKind::kBruteForce, IndexKind::kGrid,     IndexKind::kDenseBox,
-    IndexKind::kPointBvh,   IndexKind::kBvhRt,
+    IndexKind::kPointBvh,   IndexKind::kBvhRt,    IndexKind::kTriangles,
 };
 
 }  // namespace rtd::index

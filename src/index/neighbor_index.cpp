@@ -13,6 +13,7 @@
 #include "index/densebox_index.hpp"
 #include "index/grid_index.hpp"
 #include "index/point_bvh_index.hpp"
+#include "index/triangle_index.hpp"
 #include "rt/parallel_launch.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -26,6 +27,13 @@ namespace {
 void count_outcome(bool ok, telemetry::Counter accepted,
                    telemetry::Counter declined) noexcept {
   telemetry::count(ok ? accepted : declined);
+}
+
+rt::Context::Options device_options(const IndexBuildOptions& options) {
+  rt::Context::Options device;
+  device.build = options.build;
+  device.threads = options.threads;
+  return device;
 }
 
 }  // namespace
@@ -186,12 +194,11 @@ std::unique_ptr<NeighborIndex> make_index(std::span<const geom::Vec3> points,
       return std::make_unique<DenseBoxIndex>(points, eps);
     case IndexKind::kPointBvh:
       return std::make_unique<PointBvhIndex>(points, eps, options.build);
-    case IndexKind::kBvhRt: {
-      rt::Context::Options device;
-      device.build = options.build;
-      device.threads = options.threads;
-      return std::make_unique<BvhRtIndex>(points, eps, device);
-    }
+    case IndexKind::kBvhRt:
+      return std::make_unique<BvhRtIndex>(points, eps, device_options(options));
+    case IndexKind::kTriangles:
+      return std::make_unique<TriangleIndex>(
+          points, eps, options.triangle_subdivisions, device_options(options));
     case IndexKind::kAuto: break;  // resolved above
   }
   throw std::invalid_argument("make_index: unknown IndexKind");

@@ -3,8 +3,8 @@
 // The paper's contribution is answering DBSCAN's ε-neighborhood queries with
 // ray-tracing traversal, but that is one of several possible substrates.
 // This interface is the single contract every query engine in the repository
-// implements (RT sphere scene, uniform grid, dense-box grid, point BVH,
-// brute force), and every DBSCAN variant consumes — so algorithms and
+// implements (RT sphere scene, RT triangle scene, uniform grid, dense-box
+// grid, point BVH, brute force), and every DBSCAN variant consumes — so algorithms and
 // backends can be swapped and compared independently.
 //
 // Contract (see docs/ARCHITECTURE.md for the full invariants):
@@ -68,8 +68,8 @@ class NeighborIndex {
 
   /// A new VERSION of this index: it answers every query exactly like this
   /// one and can be mutated (try_*) while readers keep querying this one.
-  /// Shallow — the built trees (kBvhRt's sphere scene, kPointBvh's point
-  /// BVH and both backends' delta-tail tree) are shared, and whichever
+  /// Shallow — the built trees (kBvhRt's sphere scene, kTriangles' triangle
+  /// scene, kPointBvh's point BVH and their delta-tail trees) are shared, and whichever
   /// version next refits or retargets a shared tree copies it first
   /// (common/copy_on_write.hpp); the dead mask is copied whole.
   /// kGrid/kDenseBox share their cell arrays, which no mutation touches.
@@ -92,16 +92,23 @@ class NeighborIndex {
 
   /// The ε the index was built for.  Per-query `eps` constraints against it
   /// are backend-specific: grid requires eps <= build_eps (one-ring
-  /// guarantee), the RT sphere scene requires eps == build_eps (the radius
-  /// is baked into the geometry); brute force, dense-box and point-BVH
+  /// guarantee), the RT scenes (kBvhRt, kTriangles) require eps ==
+  /// build_eps (the radius is baked into the geometry); brute force, dense-box and point-BVH
   /// accept any radius.  A violation throws std::invalid_argument.
   [[nodiscard]] virtual float build_eps() const = 0;
 
   /// Whether try_set_eps and try_insert can succeed here: true on kBvhRt,
-  /// kPointBvh and kBruteForce; false on kGrid/kDenseBox, whose cells bake
+  /// kTriangles, kPointBvh and kBruteForce; false on kGrid/kDenseBox, whose cells bake
   /// in the build ε and their membership.  Removals are always absorbable.
   /// Lets a caller skip cloning a version it would only rebuild.
   [[nodiscard]] virtual bool refittable() const { return false; }
+
+  /// The BVH layout queries walk: kWide when the tree backends collapsed
+  /// their tree (rt::BuildOptions::width), kBinary otherwise — also for the
+  /// backends without a BVH.
+  [[nodiscard]] virtual rt::TraversalWidth traversal_width() const {
+    return rt::TraversalWidth::kBinary;
+  }
 
   /// Retarget the index to a new build ε WITHOUT a rebuild, where the
   /// backend supports it.  Returns true on success — build_eps() now
@@ -111,6 +118,8 @@ class NeighborIndex {
   /// refit contract the session API (rtd::Clusterer) sweeps ε through:
   ///   * kBvhRt    — true: the ε-sphere scene REFITS in place (accel
   ///                 update; the BVH topology depends only on the centers);
+  ///   * kTriangles — true: the tessellation rescales about its centers
+  ///                 and the triangle BVH refits in place;
   ///   * kPointBvh — true: the tree is over the bare points, radius-
   ///                 agnostic — only the recorded ε changes;
   ///   * kBruteForce — true: no structure at all;
@@ -134,12 +143,12 @@ class NeighborIndex {
   /// Returns true when the index absorbed the batch — points() now reports
   /// `all_points` and queries see the new ids:
   ///   * kBruteForce — true: rebind, the scan covers the new tail natively;
-  ///   * kPointBvh / kBvhRt — true: the tree keeps covering the build-time
-  ///     prefix and the appended DELTA TAIL gets a second point BVH of its
-  ///     own, rebuilt once enough tail ids are unindexed
-  ///     (DeltaTail::absorb); queries scan that residue linearly (exact filter, same
-  ///     set semantics; index/point_tree.hpp).  The session's rebuild
-  ///     threshold bounds how long the tail can grow;
+  ///   * kPointBvh / kBvhRt / kTriangles — true: the tree keeps covering
+  ///     the build-time prefix and the appended DELTA TAIL gets a second
+  ///     point BVH of its own, rebuilt once enough tail ids are unindexed
+  ///     (DeltaTail::absorb); queries scan that residue linearly (exact
+  ///     filter, same set semantics; index/point_tree.hpp).  The session's
+  ///     rebuild threshold bounds how long the tail can grow;
   ///   * kGrid / kDenseBox — false, index untouched: their cell arrays hold
   ///     their own copy of the membership and cannot absorb new ids — the
   ///     caller rebuilds via make_index() (their build is O(n) anyway).
@@ -245,8 +254,12 @@ class NeighborIndex {
 
 /// Build configuration shared by the tree-based backends.
 struct IndexBuildOptions {
-  /// BVH construction settings (point-BVH and RT sphere backends).
+  /// BVH construction settings (the tree backends: point-BVH, RT spheres,
+  /// triangles).
   rt::BuildOptions build;
+  /// kTriangles only: icosphere subdivision level (20·4^s triangles per
+  /// point).
+  int triangle_subdivisions = 1;
   /// Thread count for index construction and batched queries; 0 = all
   /// hardware threads.
   int threads = 0;

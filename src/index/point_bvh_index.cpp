@@ -27,8 +27,8 @@ bool PointBvhIndex::do_try_remove(std::span<const std::uint32_t> ids) {
 }
 
 // Queries walk the main tree and then the delta tail through
-// for_each_candidate: the wide or quantized SoA kernel when a collapse ran,
-// the binary node walk otherwise.  The wide walks surface a conservative
+// for_each_candidate: the wide SoA kernel when a collapse ran, the binary
+// node walk otherwise.  The wide walks surface a conservative
 // candidate superset; the exact distance filter in every caller makes
 // results identical (test-enforced).
 

@@ -33,6 +33,10 @@ class PointBvhIndex final : public NeighborIndex {
   }
   [[nodiscard]] float build_eps() const override { return eps_; }
   [[nodiscard]] bool refittable() const override { return true; }
+  [[nodiscard]] rt::TraversalWidth traversal_width() const override {
+    return tree_->wide.empty() ? rt::TraversalWidth::kBinary
+                               : rt::TraversalWidth::kWide;
+  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,
@@ -48,13 +52,9 @@ class PointBvhIndex final : public NeighborIndex {
   /// The underlying tree over the build-time points (build statistics,
   /// ablation benches).
   [[nodiscard]] const rt::Bvh& bvh() const { return tree_->bvh; }
-  /// The collapsed wide layout; empty when queries walk the binary tree or
-  /// the quantized layout (rt::BuildOptions::width, rt::use_wide_traversal).
+  /// The collapsed wide layout; empty when queries walk the binary tree
+  /// (rt::BuildOptions::width, rt::use_wide_traversal).
   [[nodiscard]] const rt::WideBvh& wide_bvh() const { return tree_->wide; }
-  /// The quantized layout; empty unless width == kWideQuantized.
-  [[nodiscard]] const rt::QuantizedWideBvh& quantized_bvh() const {
-    return tree_->quantized;
-  }
 
  private:
   /// Versioning: the clone shares the tree (copied by the first masked

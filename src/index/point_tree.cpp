@@ -27,15 +27,13 @@ std::vector<geom::Aabb> point_bounds(std::span<const geom::Vec3> points,
 
 PointTree::PointTree(std::span<const geom::Vec3> points,
                      const rt::BuildOptions& build)
-    : bvh(rt::build_bvh(point_bounds(points, build.parallel), build)) {
-  rt::derive_wide_layouts(bvh, build, points.size(), wide, quantized);
-}
+    : bvh(rt::build_bvh(point_bounds(points, build.parallel), build)),
+      wide(rt::derive_wide_layout(bvh, build, points.size())) {}
 
 void PointTree::refit(std::span<const geom::Vec3> points,
                       std::span<const std::uint8_t> dead) {
   bvh.refit(point_bounds(points, /*parallel=*/true), dead);
   if (!wide.empty()) wide.refit_from(bvh);
-  if (!quantized.empty()) quantized.refit_from(bvh);
 }
 
 void DeltaTail::absorb(std::span<const geom::Vec3> points,

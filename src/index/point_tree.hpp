@@ -29,7 +29,7 @@
 namespace rtd::index {
 
 /// BVH over `points` (primitive ids are positions in that span), with the
-/// wide or quantized layout `build.width` resolves to.
+/// wide layout when `build.width` resolves to one.
 struct PointTree {
   PointTree(std::span<const geom::Vec3> points, const rt::BuildOptions& build);
 
@@ -43,13 +43,12 @@ struct PointTree {
   template <typename Callback>
   void overlap(const geom::Aabb& box, Callback&& on_candidate,
                rt::TraversalStats& stats) const {
-    rt::traverse_overlap(bvh, wide, quantized, box,
+    rt::traverse_overlap(bvh, wide, box,
                          std::forward<Callback>(on_candidate), stats);
   }
 
   rt::Bvh bvh;
   rt::WideBvh wide;  ///< collapsed layout; empty when traversal is binary
-  rt::QuantizedWideBvh quantized;  ///< kWideQuantized only
 };
 
 /// The ids [first, size) an index absorbed after its main build: a tree

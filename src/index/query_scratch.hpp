@@ -30,6 +30,14 @@ struct QueryScratch {
   std::vector<std::uint32_t> neighbors;
   /// Cluster-expansion worklist / frontier buffer.
   std::vector<std::uint32_t> worklist;
+  /// Per-id "last query that saw it" stamps, for walks that meet one id
+  /// several times but must report it once (kTriangles: a ray crosses
+  /// several triangles of one sphere).  `stamp_epoch` numbers the queries;
+  /// `stamp_busy` marks a query in flight, so one started from inside its
+  /// visitor on the same thread knows not to reuse the table.
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t stamp_epoch = 0;
+  bool stamp_busy = false;
 
   /// This thread's arena.
   static QueryScratch& local() {

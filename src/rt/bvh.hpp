@@ -12,41 +12,25 @@
 
 namespace rtd::rt {
 
-/// Which build algorithm the "driver" uses.
-///
-/// kLbvh mirrors what GPU hardware builders do: sort primitives along a
-/// Morton curve and derive the tree from the sorted order — very fast builds,
-/// slightly worse traversal quality.  kBinnedSah is the classical
-/// quality-first builder; we keep both so the build-vs-traversal trade-off
-/// the paper observes (§V-D: BVH build dominates at small n) can be ablated.
-enum class BuildAlgorithm { kLbvh, kBinnedSah };
-
-const char* to_string(BuildAlgorithm algo);
-
 /// Which traversal layout the structures owning a BVH use at query time.
 ///
 /// kBinary walks the 2-ary node tree below directly; kWide collapses it
 /// into the 8-ary structure-of-arrays layout of rt/wide_bvh.hpp, whose
 /// one-node-tests-8-children kernel is the fast path on large trees.
-/// kWideQuantized further compresses the wide node to 128 bytes by
-/// storing child bounds as uint8 offsets against a per-node anchor/scale,
-/// conservatively rounded outward (candidate supersets stay conservative,
-/// exact filters unchanged).  kAuto picks plain wide above a measured
-/// primitive-count threshold (rt::kWideBvhMinPrims); the quantized layout
-/// is an explicit opt-in.  This is a layout choice of the traversal
+/// kAuto picks wide above a measured primitive-count threshold
+/// (rt::kWideBvhMinPrims).  This is a layout choice of the traversal
 /// *consumers* (SphereAccel, TriangleAccel, index::PointBvhIndex) —
-/// build_bvh() always produces the binary tree; the wide layouts are
+/// build_bvh() always produces the binary tree; the wide layout is
 /// derived from it.
 enum class TraversalWidth : std::uint8_t {
   kAuto = 0,
   kBinary,
   kWide,
-  kWideQuantized,
 };
 
 const char* to_string(TraversalWidth width);
 
-/// Parse "auto" / "binary" / "wide" / "quantized" (bench/CLI width flags).
+/// Parse "auto" / "binary" / "wide" (bench/CLI width flags).
 /// Returns false and leaves `out` untouched on an unknown name.
 bool parse_traversal_width(const char* name, TraversalWidth& out);
 
@@ -104,23 +88,19 @@ struct Bvh {
   /// excluded from the leaf unions, shrinking node bounds around the LIVE
   /// primitives only (incremental removal maintenance — the topology keeps
   /// the dead slots, traversal just never tightens onto them again).  A leaf
-  /// whose primitives are ALL dead keeps its previous bounds: a never-hit
-  /// stale box is conservative and stays finite, which the quantized layout
-  /// requires (an inverted empty box has no representable anchor/scale).
+  /// whose primitives are ALL dead keeps its previous bounds: a stale box is
+  /// conservative, and the exact filter drops its dead candidates.
   /// `dead` must cover every primitive id (size >= prim_count()).
   void refit(std::span<const geom::Aabb> prim_bounds,
              std::span<const std::uint8_t> dead);
 };
 
-/// Options shared by both builders.
+/// Build settings.
 struct BuildOptions {
-  BuildAlgorithm algorithm = BuildAlgorithm::kLbvh;
   /// Maximum primitives per leaf.  RT hardware uses small leaves; 4 is a
   /// common software default and what we validated against brute force.
   std::uint32_t leaf_size = 4;
-  /// SAH builder only: number of bins per axis.
-  std::uint32_t sah_bins = 16;
-  /// Parallelize the build across OpenMP tasks (LBVH sort + top-down split).
+  /// Parallelize the build (Morton codes and the radix sort).
   bool parallel = true;
   /// Traversal layout the owning structure derives from the built tree
   /// (ignored by build_bvh itself — see TraversalWidth).
@@ -128,7 +108,11 @@ struct BuildOptions {
 };
 
 /// Build a BVH over primitives with the given bounds.  This is the
-/// simulator's `optixAccelBuild`.
+/// simulator's `optixAccelBuild`, and like the hardware builders it is an
+/// LBVH: primitives sorted along a Morton curve of their centroids, the
+/// tree derived from the sorted order — very fast builds, slightly worse
+/// traversal quality than a SAH builder (which measured slower end to end
+/// here: its 6-10x longer builds never paid back in traversal).
 Bvh build_bvh(std::span<const geom::Aabb> prim_bounds,
               const BuildOptions& options = {});
 

@@ -1,4 +1,4 @@
-// BVH construction: Morton-order LBVH (hardware-style) and binned SAH.
+// BVH construction: Morton-order LBVH (hardware-style).
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
@@ -14,58 +14,10 @@
 
 namespace rtd::rt {
 
-const char* to_string(BuildAlgorithm algo) {
-  switch (algo) {
-    case BuildAlgorithm::kLbvh: return "lbvh";
-    case BuildAlgorithm::kBinnedSah: return "binned-sah";
-  }
-  return "?";
-}
-
 namespace {
 
 using geom::Aabb;
 using geom::Vec3;
-
-/// Shared state for one build.
-struct Builder {
-  std::span<const Aabb> prim_bounds;
-  const BuildOptions& options;
-  Bvh& bvh;
-  std::uint32_t max_depth = 0;
-
-  explicit Builder(std::span<const Aabb> bounds, const BuildOptions& opts,
-                   Bvh& out)
-      : prim_bounds(bounds), options(opts), bvh(out) {}
-
-  Aabb range_bounds(std::uint32_t first, std::uint32_t count) const {
-    Aabb box;
-    for (std::uint32_t i = first; i < first + count; ++i) {
-      box.grow(prim_bounds[bvh.prim_index[i]]);
-    }
-    return box;
-  }
-
-  Aabb range_centroid_bounds(std::uint32_t first, std::uint32_t count) const {
-    Aabb box;
-    for (std::uint32_t i = first; i < first + count; ++i) {
-      box.grow(prim_bounds[bvh.prim_index[i]].center());
-    }
-    return box;
-  }
-
-  std::uint32_t alloc_node() {
-    bvh.nodes.emplace_back();
-    return static_cast<std::uint32_t>(bvh.nodes.size() - 1);
-  }
-
-  void make_leaf(std::uint32_t node, std::uint32_t first,
-                 std::uint32_t count) {
-    bvh.nodes[node].bounds = range_bounds(first, count);
-    bvh.nodes[node].left_or_first = first;
-    bvh.nodes[node].count = count;
-  }
-};
 
 // --------------------------------------------------------------------------
 // LBVH: primitives sorted by the Morton code of their centroid; ranges are
@@ -73,11 +25,13 @@ struct Builder {
 // (Karras-style top-down formulation).  Duplicated codes fall back to a
 // median split so the tree stays balanced on degenerate input.
 // --------------------------------------------------------------------------
-class LbvhBuilder : public Builder {
+class LbvhBuilder {
  public:
   LbvhBuilder(std::span<const Aabb> bounds, const BuildOptions& opts,
               Bvh& out)
-      : Builder(bounds, opts, out) {}
+      : prim_bounds(bounds), options(opts), bvh(out) {}
+
+  std::uint32_t max_depth = 0;
 
   void build() {
     const auto n = static_cast<std::uint32_t>(prim_bounds.size());
@@ -124,6 +78,22 @@ class LbvhBuilder : public Builder {
   }
 
  private:
+  std::uint32_t alloc_node() {
+    bvh.nodes.emplace_back();
+    return static_cast<std::uint32_t>(bvh.nodes.size() - 1);
+  }
+
+  void make_leaf(std::uint32_t node, std::uint32_t first,
+                 std::uint32_t count) {
+    Aabb box;
+    for (std::uint32_t i = first; i < first + count; ++i) {
+      box.grow(prim_bounds[bvh.prim_index[i]]);
+    }
+    bvh.nodes[node].bounds = box;
+    bvh.nodes[node].left_or_first = first;
+    bvh.nodes[node].count = count;
+  }
+
   /// Index of the first element in [first, first+count) whose code differs
   /// from codes_[first] in the given bit.  The range is sorted, so this is a
   /// binary search.
@@ -172,112 +142,10 @@ class LbvhBuilder : public Builder {
                                          bvh.nodes[child + 1].bounds);
   }
 
+  std::span<const Aabb> prim_bounds;
+  const BuildOptions& options;
+  Bvh& bvh;
   std::vector<std::uint32_t> codes_;
-};
-
-// --------------------------------------------------------------------------
-// Binned SAH: classical quality-first top-down builder.  Sixteen bins on the
-// widest centroid axis; the split minimizing the surface-area heuristic cost
-// is chosen; degenerate distributions fall back to a median split.
-// --------------------------------------------------------------------------
-class SahBuilder : public Builder {
- public:
-  SahBuilder(std::span<const Aabb> bounds, const BuildOptions& opts, Bvh& out)
-      : Builder(bounds, opts, out) {}
-
-  void build() {
-    const auto n = static_cast<std::uint32_t>(prim_bounds.size());
-    bvh.prim_index.resize(n);
-    std::iota(bvh.prim_index.begin(), bvh.prim_index.end(), 0u);
-    bvh.nodes.reserve(2 * static_cast<std::size_t>(n));
-    const std::uint32_t root = alloc_node();
-    build_range(root, 0, n, 1);
-  }
-
- private:
-  struct Bin {
-    Aabb bounds;
-    std::uint32_t count = 0;
-  };
-
-  void build_range(std::uint32_t node, std::uint32_t first,
-                   std::uint32_t count, std::uint32_t depth) {
-    max_depth = std::max(max_depth, depth);
-    const Aabb bounds = range_bounds(first, count);
-    if (count <= options.leaf_size) {
-      make_leaf(node, first, count);
-      return;
-    }
-
-    const Aabb centroid_bounds = range_centroid_bounds(first, count);
-    const int axis = centroid_bounds.widest_axis();
-    const float axis_lo = centroid_bounds.lo[static_cast<std::size_t>(axis)];
-    const float axis_extent =
-        centroid_bounds.extent()[static_cast<std::size_t>(axis)];
-
-    std::uint32_t mid = first + count / 2;
-    if (axis_extent > 0.0f) {
-      const std::uint32_t n_bins = options.sah_bins;
-      std::vector<Bin> bins(n_bins);
-      const float scale = static_cast<float>(n_bins) / axis_extent;
-      auto bin_of = [&](std::uint32_t prim) {
-        const float c =
-            prim_bounds[prim].center()[static_cast<std::size_t>(axis)];
-        const auto b = static_cast<std::uint32_t>((c - axis_lo) * scale);
-        return std::min(b, n_bins - 1);
-      };
-      for (std::uint32_t i = first; i < first + count; ++i) {
-        Bin& bin = bins[bin_of(bvh.prim_index[i])];
-        bin.bounds.grow(prim_bounds[bvh.prim_index[i]]);
-        ++bin.count;
-      }
-
-      // Sweep to find the minimum-cost split between bins.
-      std::vector<float> right_area(n_bins);
-      std::vector<std::uint32_t> right_count(n_bins);
-      Aabb acc;
-      std::uint32_t cnt = 0;
-      for (std::uint32_t b = n_bins; b-- > 1;) {
-        acc.grow(bins[b].bounds);
-        cnt += bins[b].count;
-        right_area[b] = acc.surface_area();
-        right_count[b] = cnt;
-      }
-      acc = Aabb{};
-      cnt = 0;
-      float best_cost = std::numeric_limits<float>::max();
-      std::uint32_t best_bin = 0;
-      for (std::uint32_t b = 0; b + 1 < n_bins; ++b) {
-        acc.grow(bins[b].bounds);
-        cnt += bins[b].count;
-        if (cnt == 0 || right_count[b + 1] == 0) continue;
-        const float cost =
-            acc.surface_area() * static_cast<float>(cnt) +
-            right_area[b + 1] * static_cast<float>(right_count[b + 1]);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_bin = b;
-        }
-      }
-
-      if (best_cost < std::numeric_limits<float>::max()) {
-        auto* base = bvh.prim_index.data();
-        auto* split_ptr = std::partition(
-            base + first, base + first + count,
-            [&](std::uint32_t prim) { return bin_of(prim) <= best_bin; });
-        const auto part = static_cast<std::uint32_t>(split_ptr - base);
-        if (part > first && part < first + count) mid = part;
-      }
-    }
-
-    const std::uint32_t child = alloc_node();
-    alloc_node();
-    bvh.nodes[node].left_or_first = child;
-    bvh.nodes[node].count = 0;
-    build_range(child, first, mid - first, depth + 1);
-    build_range(child + 1, mid, first + count - mid, depth + 1);
-    bvh.nodes[node].bounds = bounds;
-  }
 };
 
 float compute_sah_cost(const Bvh& bvh) {
@@ -302,16 +170,8 @@ Bvh build_bvh(std::span<const geom::Aabb> prim_bounds,
 
   for (const auto& b : prim_bounds) bvh.scene_bounds.grow(b);
 
-  std::uint32_t max_depth = 0;
-  if (options.algorithm == BuildAlgorithm::kLbvh) {
-    LbvhBuilder builder(prim_bounds, options, bvh);
-    builder.build();
-    max_depth = builder.max_depth;
-  } else {
-    SahBuilder builder(prim_bounds, options, bvh);
-    builder.build();
-    max_depth = builder.max_depth;
-  }
+  LbvhBuilder builder(prim_bounds, options, bvh);
+  builder.build();
 
   bvh.stats.build_seconds = timer.seconds();
   bvh.stats.node_count = static_cast<std::uint32_t>(bvh.nodes.size());
@@ -319,7 +179,7 @@ Bvh build_bvh(std::span<const geom::Aabb> prim_bounds,
   for (const auto& node : bvh.nodes) {
     if (node.is_leaf()) ++bvh.stats.leaf_count;
   }
-  bvh.stats.max_depth = max_depth;
+  bvh.stats.max_depth = builder.max_depth;
   bvh.stats.sah_cost = compute_sah_cost(bvh);
   return bvh;
 }
@@ -368,9 +228,7 @@ void Bvh::refit(std::span<const geom::Aabb> prim_bounds,
         box.grow(prim_bounds[prim]);
         any_live = true;
       }
-      // An all-dead leaf keeps its stale (finite, conservative) bounds —
-      // see the header comment: the quantized layout cannot encode an
-      // inverted empty box.
+      // An all-dead leaf keeps its stale, conservative bounds.
       if (any_live) node.bounds = box;
     } else {
       node.bounds = geom::Aabb::unite(nodes[node.left_or_first].bounds,

@@ -18,7 +18,7 @@ SphereAccel::SphereAccel(std::vector<geom::Vec3> centers, float radius,
     bounds[i] = geom::Aabb::of_sphere(centers_[i], radius_);
   });
   bvh_ = build_bvh(bounds, options);
-  derive_wide_layouts(bvh_, options, centers_.size(), wide_, quantized_);
+  wide_ = derive_wide_layout(bvh_, options, centers_.size());
 }
 
 void SphereAccel::set_radius(float radius) {
@@ -31,10 +31,9 @@ void SphereAccel::set_radius(float radius) {
     bounds[i] = geom::Aabb::of_sphere(centers_[i], radius_);
   });
   bvh_.refit(bounds);
-  // The wide layouts share the binary topology, so a refit replays in place
-  // (no re-collapse; the quantized grid re-derives its anchor/scale).
+  // The wide layout shares the binary topology, so a refit replays in place
+  // (no re-collapse).
   if (!wide_.empty()) wide_.refit_from(bvh_);
-  if (!quantized_.empty()) quantized_.refit_from(bvh_);
 }
 
 void SphereAccel::refit_live(std::span<const std::uint8_t> dead) {
@@ -44,7 +43,6 @@ void SphereAccel::refit_live(std::span<const std::uint8_t> dead) {
   });
   bvh_.refit(bounds, dead);
   if (!wide_.empty()) wide_.refit_from(bvh_);
-  if (!quantized_.empty()) quantized_.refit_from(bvh_);
 }
 
 TriangleAccel::TriangleAccel(std::vector<geom::Triangle> triangles,
@@ -77,7 +75,7 @@ void TriangleAccel::build(const BuildOptions& options) {
     bounds[i] = triangles_[i].bounds();
   });
   bvh_ = build_bvh(bounds, options);
-  derive_wide_layouts(bvh_, options, triangles_.size(), wide_, quantized_);
+  wide_ = derive_wide_layout(bvh_, options, triangles_.size());
 }
 
 void TriangleAccel::set_radius(float radius) {
@@ -111,7 +109,6 @@ void TriangleAccel::set_radius(float radius) {
   });
   bvh_.refit(bounds);
   if (!wide_.empty()) wide_.refit_from(bvh_);
-  if (!quantized_.empty()) quantized_.refit_from(bvh_);
 }
 
 }  // namespace rtd::rt

@@ -40,26 +40,21 @@ class SphereAccel {
   }
   [[nodiscard]] const Bvh& bvh() const { return bvh_; }
   [[nodiscard]] const BuildStats& build_stats() const { return bvh_.stats; }
-  /// The collapsed wide layout; empty when the build resolved to binary or
-  /// quantized traversal (BuildOptions::width, rt::use_wide_traversal).
+  /// The collapsed wide layout; empty when the build resolved to binary
+  /// traversal (BuildOptions::width, rt::use_wide_traversal).
   [[nodiscard]] const WideBvh& wide_bvh() const { return wide_; }
-  /// The quantized wide layout; empty unless BuildOptions::width requested
-  /// TraversalWidth::kWideQuantized (and the collapse succeeded).
-  [[nodiscard]] const QuantizedWideBvh& quantized_bvh() const {
-    return quantized_;
-  }
 
   /// Trace one ray.  `isect_program(prim_id)` is invoked for every candidate
   /// sphere whose AABB the ray hits; per OptiX semantics it cannot terminate
   /// traversal.  The program is responsible for the exact distance test —
-  /// helpers below provide it.  The walk runs over the wide or quantized
-  /// layout when one was built — a conservative candidate superset that the
-  /// exact test filters identically (test-enforced).
+  /// helpers below provide it.  The walk runs over the wide layout when one
+  /// was built — a conservative candidate superset that the exact test
+  /// filters identically (test-enforced).
   template <typename IsectProgram>
   void trace(const geom::Ray& ray, IsectProgram&& isect_program,
              TraversalStats& stats) const {
     traverse(
-        bvh_, wide_, quantized_, ray,
+        bvh_, wide_, ray,
         [&](std::uint32_t prim) {
           ++stats.isect_calls;
           isect_program(prim);
@@ -93,7 +88,6 @@ class SphereAccel {
   float radius_;
   Bvh bvh_;
   WideBvh wide_;  ///< collapsed layout; empty when traversal is binary
-  QuantizedWideBvh quantized_;  ///< 128-byte-node layout; kWideQuantized only
 };
 
 /// Acceleration structure over triangles, each owned by a data point
@@ -101,10 +95,10 @@ class SphereAccel {
 /// (Moller-Trumbore here); accepted hits are delivered to the user AnyHit
 /// program, which is exactly the costly path the paper measured (§VI-C).
 ///
-/// Like SphereAccel, the triangle scene traverses the wide (8-ary SoA) or
-/// quantized layout when BuildOptions::width selects one — the ray-vs-8-slab
-/// kernel feeds the same exact ray-triangle filter, so results are
-/// identical and owner dedup in the AnyHit program is unchanged.
+/// Like SphereAccel, the triangle scene traverses the wide (8-ary SoA)
+/// layout when BuildOptions::width selects it — the ray-vs-8-slab kernel
+/// feeds the same exact ray-triangle filter, so results are identical and
+/// owner dedup in the AnyHit program is unchanged.
 class TriangleAccel {
  public:
   /// Generic build over arbitrary triangles.  set_radius() is unavailable
@@ -125,12 +119,8 @@ class TriangleAccel {
   }
   [[nodiscard]] const Bvh& bvh() const { return bvh_; }
   [[nodiscard]] const BuildStats& build_stats() const { return bvh_.stats; }
-  /// The collapsed wide layout; empty when traversal is binary/quantized.
+  /// The collapsed wide layout; empty when traversal is binary.
   [[nodiscard]] const WideBvh& wide_bvh() const { return wide_; }
-  /// The quantized layout; empty unless width == kWideQuantized.
-  [[nodiscard]] const QuantizedWideBvh& quantized_bvh() const {
-    return quantized_;
-  }
   /// Owning data point of each triangle.
   [[nodiscard]] const std::vector<std::uint32_t>& owners() const {
     return owners_;
@@ -144,7 +134,7 @@ class TriangleAccel {
   /// generic constructor).
   [[nodiscard]] float radius() const { return radius_; }
   /// Applied vertex scale (>= radius: the mesh circumscribes the ε-ball).
-  /// Query rays need it for their tmax (core/rt_dbscan.cpp).
+  /// Query rays need it for their tmax (index/triangle_index.cpp).
   [[nodiscard]] float vertex_scale() const { return scale_; }
 
   /// Change the tessellation radius and REFIT in place — the §VI-C
@@ -162,7 +152,7 @@ class TriangleAccel {
   void trace(const geom::Ray& ray, AnyHitProgram&& anyhit,
              TraversalStats& stats) const {
     traverse(
-        bvh_, wide_, quantized_, ray,
+        bvh_, wide_, ray,
         [&](std::uint32_t prim) {
           ++stats.isect_calls;  // hardware ray-triangle test
           float t = 0.0f;
@@ -188,7 +178,6 @@ class TriangleAccel {
   bool rescalable_ = false;
   Bvh bvh_;
   WideBvh wide_;  ///< collapsed layout; empty when traversal is binary
-  QuantizedWideBvh quantized_;  ///< 128-byte-node layout; kWideQuantized only
 };
 
 }  // namespace rtd::rt

@@ -275,104 +275,19 @@ inline std::uint32_t wide_overlap_hits(const WideBvhNode& node,
   return hits;
 }
 
-// Quantized-node overloads of the three kernels above: decode the uint8
-// grid coordinates into per-lane bound arrays (one fused multiply-add per
-// bound, straight-line and auto-vectorizable), then run the identical
-// slab/overlap logic.  Decoded boxes are conservative supersets of the
-// exact lane boxes (rt/wide_bvh.hpp), so verdicts may only flip miss→hit —
-// never hit→miss — relative to the uncompressed node.
-
-inline std::uint32_t wide_point_ray_hits(const QuantizedWideBvhNode& node,
-                                         const geom::Ray& ray) {
-  const float ox = ray.origin.x;
-  const float oy = ray.origin.y;
-  const float oz = ray.origin.z;
-  const float tmax = ray.tmax;
-  std::uint32_t hits = 0;
-  for (unsigned i = 0; i < kWideBvhArity; ++i) {
-    const bool hit = ox >= node.lane_lo(0, i) && ox <= node.lane_hi(0, i) &&
-                     oy >= node.lane_lo(1, i) && oy <= node.lane_hi(1, i) &&
-                     node.lane_lo(2, i) - oz <= tmax &&
-                     node.lane_hi(2, i) >= oz;
-    hits |= static_cast<std::uint32_t>(hit) << i;
-  }
-  return hits;
-}
-
-inline std::uint32_t wide_ray_hits(const QuantizedWideBvhNode& node,
-                                   const geom::Ray& ray) {
-  float t0[kWideBvhArity];
-  float t1[kWideBvhArity];
-  std::uint32_t alive = (1u << kWideBvhArity) - 1;
-  for (unsigned i = 0; i < kWideBvhArity; ++i) {
-    t0[i] = ray.tmin;
-    t1[i] = ray.tmax;
-  }
-  for (unsigned axis = 0; axis < 3; ++axis) {
-    const float o = ray.origin[axis];
-    const float d = ray.direction[axis];
-    float lo[kWideBvhArity];
-    float hi[kWideBvhArity];
-    for (unsigned i = 0; i < kWideBvhArity; ++i) {
-      lo[i] = node.lane_lo(axis, i);
-      hi[i] = node.lane_hi(axis, i);
-    }
-    if (d != 0.0f) {
-      const float inv = 1.0f / d;
-      for (unsigned i = 0; i < kWideBvhArity; ++i) {
-        const float tn = (lo[i] - o) * inv;
-        const float tf = (hi[i] - o) * inv;
-        const float near_t = tn < tf ? tn : tf;
-        const float far_t = tn < tf ? tf : tn;
-        t0[i] = near_t > t0[i] ? near_t : t0[i];
-        t1[i] = far_t < t1[i] ? far_t : t1[i];
-      }
-    } else {
-      std::uint32_t inside = 0;
-      for (unsigned i = 0; i < kWideBvhArity; ++i) {
-        inside |= static_cast<std::uint32_t>(o >= lo[i] && o <= hi[i]) << i;
-      }
-      alive &= inside;
-    }
-  }
-  std::uint32_t hits = 0;
-  for (unsigned i = 0; i < kWideBvhArity; ++i) {
-    hits |= static_cast<std::uint32_t>(t0[i] <= t1[i]) << i;
-  }
-  return hits & alive;
-}
-
-inline std::uint32_t wide_overlap_hits(const QuantizedWideBvhNode& node,
-                                       const geom::Aabb& query) {
-  std::uint32_t hits = (1u << kWideBvhArity) - 1;
-  for (unsigned axis = 0; axis < 3; ++axis) {
-    const float q_lo = query.lo[axis];
-    const float q_hi = query.hi[axis];
-    std::uint32_t axis_hits = 0;
-    for (unsigned i = 0; i < kWideBvhArity; ++i) {
-      axis_hits |= static_cast<std::uint32_t>(q_lo <= node.lane_hi(axis, i) &&
-                                              q_hi >= node.lane_lo(axis, i))
-                   << i;
-    }
-    hits &= axis_hits;
-  }
-  return hits;
-}
-
 }  // namespace detail
 
-/// Walk a wide BVH (plain SoA or quantized — any tree whose nodes expose
-/// the 8-lane topology contract) with `ray`; semantics identical to the
-/// binary traverse() above.  Internal children are pushed so the nearest
+/// Walk a wide BVH with `ray`; semantics identical to the binary
+/// traverse() above.  Internal children are pushed so the nearest
 /// one along each node's sort axis is popped first (the collapse pre-sorts
 /// lanes ascending; the walk flips direction with the ray) — a near-first
 /// SUBTREE order that helps kTerminate-capable callers exit early.  Leaf
 /// lanes resolve inline in far-to-near order within their node, so no
 /// global near-first ordering of candidates is guaranteed; callers
 /// needing distance order (a future closest-hit query) must sort.
-template <typename WideTreeT, typename Callback>
-void traverse_wide_tree(const WideTreeT& bvh, const geom::Ray& ray,
-                        Callback&& on_candidate, TraversalStats& stats) {
+template <typename Callback>
+void traverse(const WideBvh& bvh, const geom::Ray& ray,
+              Callback&& on_candidate, TraversalStats& stats) {
   if (bvh.empty()) return;
   ++stats.rays;
 
@@ -390,7 +305,7 @@ void traverse_wide_tree(const WideTreeT& bvh, const geom::Ray& ray,
   stack[top++] = 0;
 
   while (top > 0) {
-    const auto& node = bvh.nodes[stack[--top]];
+    const WideBvhNode& node = bvh.nodes[stack[--top]];
     ++stats.nodes_visited;
     stats.aabb_tests += node.child_count;
     std::uint32_t pending =
@@ -428,29 +343,11 @@ void traverse_wide_tree(const WideTreeT& bvh, const geom::Ray& ray,
   }
 }
 
+/// Volume-overlap walk over a wide BVH; semantics identical to the binary
+/// traverse_overlap() above.
 template <typename Callback>
-void traverse(const WideBvh& bvh, const geom::Ray& ray,
-              Callback&& on_candidate, TraversalStats& stats) {
-  traverse_wide_tree(bvh, ray, std::forward<Callback>(on_candidate), stats);
-}
-
-/// Quantized walk: identical control flow; each pop decodes eight lanes
-/// from uint8 grid coordinates (one FMA per bound) before the slab test.
-/// Decoded boxes are conservative supersets, so the candidate contract is
-/// the wide walk's, slightly looser — exactness lives in the caller's
-/// filter, unchanged.
-template <typename Callback>
-void traverse(const QuantizedWideBvh& bvh, const geom::Ray& ray,
-              Callback&& on_candidate, TraversalStats& stats) {
-  traverse_wide_tree(bvh, ray, std::forward<Callback>(on_candidate), stats);
-}
-
-/// Volume-overlap walk over a wide BVH (plain or quantized); semantics
-/// identical to the binary traverse_overlap() above.
-template <typename WideTreeT, typename Callback>
-void traverse_overlap_wide_tree(const WideTreeT& bvh, const geom::Aabb& query,
-                                Callback&& on_candidate,
-                                TraversalStats& stats) {
+void traverse_overlap(const WideBvh& bvh, const geom::Aabb& query,
+                      Callback&& on_candidate, TraversalStats& stats) {
   if (bvh.empty()) return;
   ++stats.rays;
 
@@ -462,7 +359,7 @@ void traverse_overlap_wide_tree(const WideTreeT& bvh, const geom::Aabb& query,
   stack[top++] = 0;
 
   while (top > 0) {
-    const auto& node = bvh.nodes[stack[--top]];
+    const WideBvhNode& node = bvh.nodes[stack[--top]];
     ++stats.nodes_visited;
     stats.aabb_tests += node.child_count;
     std::uint32_t pending =
@@ -486,27 +383,12 @@ void traverse_overlap_wide_tree(const WideTreeT& bvh, const geom::Aabb& query,
   }
 }
 
-template <typename Callback>
-void traverse_overlap(const WideBvh& bvh, const geom::Aabb& query,
-                      Callback&& on_candidate, TraversalStats& stats) {
-  traverse_overlap_wide_tree(bvh, query,
-                             std::forward<Callback>(on_candidate), stats);
-}
-
-template <typename Callback>
-void traverse_overlap(const QuantizedWideBvh& bvh, const geom::Aabb& query,
-                      Callback&& on_candidate, TraversalStats& stats) {
-  traverse_overlap_wide_tree(bvh, query,
-                             std::forward<Callback>(on_candidate), stats);
-}
-
 // ---------------------------------------------------------------------------
 // Layout dispatch — the one place that picks the walk for a structure that
-// owns several layouts of the same tree.  An owner materializes at most ONE
-// derived layout (wide or quantized, per rt::BuildOptions::width); whichever
-// is non-empty wins, and both empty (collapse skipped, or unavailable — an
-// oversize leaf makes collapse_bvh() return empty) falls back to the binary
-// walk.  Every consumer (SphereAccel, TriangleAccel, the BVH-backed
+// owns both layouts of the same tree.  A non-empty wide layout wins; an
+// empty one (collapse skipped per rt::BuildOptions::width, or unavailable —
+// an oversize leaf makes collapse_bvh() return empty) falls back to the
+// binary walk.  Every consumer (SphereAccel, TriangleAccel, the BVH-backed
 // indexes) routes through these so the selection rule lives in exactly one
 // spot.
 // ---------------------------------------------------------------------------
@@ -522,17 +404,6 @@ void traverse(const Bvh& bvh, const WideBvh& wide, const geom::Ray& ray,
 }
 
 template <typename Callback>
-void traverse(const Bvh& bvh, const WideBvh& wide,
-              const QuantizedWideBvh& quantized, const geom::Ray& ray,
-              Callback&& on_candidate, TraversalStats& stats) {
-  if (!quantized.empty()) {
-    traverse(quantized, ray, std::forward<Callback>(on_candidate), stats);
-  } else {
-    traverse(bvh, wide, ray, std::forward<Callback>(on_candidate), stats);
-  }
-}
-
-template <typename Callback>
 void traverse_overlap(const Bvh& bvh, const WideBvh& wide,
                       const geom::Aabb& query, Callback&& on_candidate,
                       TraversalStats& stats) {
@@ -542,20 +413,6 @@ void traverse_overlap(const Bvh& bvh, const WideBvh& wide,
   } else {
     traverse_overlap(bvh, query, std::forward<Callback>(on_candidate),
                      stats);
-  }
-}
-
-template <typename Callback>
-void traverse_overlap(const Bvh& bvh, const WideBvh& wide,
-                      const QuantizedWideBvh& quantized,
-                      const geom::Aabb& query, Callback&& on_candidate,
-                      TraversalStats& stats) {
-  if (!quantized.empty()) {
-    traverse_overlap(quantized, query,
-                     std::forward<Callback>(on_candidate), stats);
-  } else {
-    traverse_overlap(bvh, wide, query,
-                     std::forward<Callback>(on_candidate), stats);
   }
 }
 

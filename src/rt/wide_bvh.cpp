@@ -2,7 +2,6 @@
 #include "rt/wide_bvh.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <sstream>
 #include <string_view>
@@ -14,7 +13,6 @@ const char* to_string(TraversalWidth width) {
     case TraversalWidth::kAuto: return "auto";
     case TraversalWidth::kBinary: return "binary";
     case TraversalWidth::kWide: return "wide";
-    case TraversalWidth::kWideQuantized: return "quantized";
   }
   return "?";
 }
@@ -22,8 +20,7 @@ const char* to_string(TraversalWidth width) {
 bool parse_traversal_width(const char* name, TraversalWidth& out) {
   const std::string_view s{name};
   for (const TraversalWidth w :
-       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide,
-        TraversalWidth::kWideQuantized}) {
+       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide}) {
     if (s == to_string(w)) {
       out = w;
       return true;
@@ -331,258 +328,10 @@ std::string WideBvh::validate(
   return {};
 }
 
-// ---------------------------------------------------------------------------
-// Quantized wide nodes.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Smallest per-axis scale whose DECODE expression (anchor + 255 * scale,
-/// evaluated in float exactly as lane_hi does) lands at/after `top`.
-/// Starting from (top - anchor) / 255 and nudging by ulps guarantees grid
-/// coordinate 255 covers the union max despite rounding.
-float conservative_scale(float anchor, float top) {
-  if (top <= anchor) return 0.0f;
-  float scale = (top - anchor) / static_cast<float>(kQuantGridMax);
-  while (anchor + scale * static_cast<float>(kQuantGridMax) < top) {
-    scale = std::nextafter(scale, std::numeric_limits<float>::infinity());
-  }
-  return scale;
-}
-
-/// Largest grid coordinate whose decode is <= v (round the LOWER bound
-/// down).  The verify-and-step loop absorbs any rounding of the forward
-/// division, so the decoded lo never exceeds the exact lo.
-std::uint8_t encode_floor(float v, float anchor, float scale) {
-  if (scale == 0.0f) return 0;
-  const float q = std::floor((v - anchor) / scale);
-  auto qi = static_cast<std::uint32_t>(
-      std::clamp(q, 0.0f, static_cast<float>(kQuantGridMax)));
-  while (qi > 0 && anchor + scale * static_cast<float>(qi) > v) --qi;
-  return static_cast<std::uint8_t>(qi);
-}
-
-/// Smallest grid coordinate whose decode is >= v (round the UPPER bound
-/// up).  conservative_scale() guarantees coordinate 255 qualifies.
-std::uint8_t encode_ceil(float v, float anchor, float scale) {
-  if (scale == 0.0f) return 0;
-  const float q = std::ceil((v - anchor) / scale);
-  auto qi = static_cast<std::uint32_t>(
-      std::clamp(q, 0.0f, static_cast<float>(kQuantGridMax)));
-  while (qi < kQuantGridMax &&
-         anchor + scale * static_cast<float>(qi) < v) {
-    ++qi;
-  }
-  return static_cast<std::uint8_t>(qi);
-}
-
-}  // namespace
-
-void QuantizedWideBvhNode::encode_lanes(const geom::Aabb* lanes,
-                                        unsigned lane_count) {
-  geom::Aabb united;
-  for (unsigned lane = 0; lane < lane_count; ++lane) {
-    united.grow(lanes[lane]);
-  }
-  for (std::size_t axis = 0; axis < 3; ++axis) {
-    anchor[axis] = united.lo[axis];
-    scale[axis] = conservative_scale(united.lo[axis], united.hi[axis]);
-  }
-  for (unsigned lane = 0; lane < lane_count; ++lane) {
-    for (std::size_t axis = 0; axis < 3; ++axis) {
-      qlo[axis][lane] =
-          encode_floor(lanes[lane].lo[axis], anchor[axis], scale[axis]);
-      qhi[axis][lane] =
-          encode_ceil(lanes[lane].hi[axis], anchor[axis], scale[axis]);
-    }
-  }
-  // Unused lanes: inverted grid box (empty on every non-flat axis) and
-  // zeroed topology; traversal masks them off via lane_mask() regardless.
-  for (unsigned lane = lane_count; lane < kWideBvhArity; ++lane) {
-    for (std::size_t axis = 0; axis < 3; ++axis) {
-      qlo[axis][lane] = static_cast<std::uint8_t>(kQuantGridMax);
-      qhi[axis][lane] = 0;
-    }
-    child[lane] = 0;
-    count[lane] = 0;
-  }
-}
-
-QuantizedWideBvh quantize_bvh(const WideBvh& source) {
-  QuantizedWideBvh out;
-  if (source.empty()) return out;
-  out.prim_index = source.prim_index;
-  out.scene_bounds = source.scene_bounds;
-  out.max_depth = source.max_depth;
-  out.source_node = source.source_node;
-  out.nodes.resize(source.nodes.size());
-  for (std::size_t n = 0; n < source.nodes.size(); ++n) {
-    const WideBvhNode& w = source.nodes[n];
-    QuantizedWideBvhNode& q = out.nodes[n];
-    q.child_count = w.child_count;
-    q.sort_axis = w.sort_axis;
-    geom::Aabb lanes[kWideBvhArity];
-    for (unsigned lane = 0; lane < w.child_count; ++lane) {
-      lanes[lane] = {{w.lo[0][lane], w.lo[1][lane], w.lo[2][lane]},
-                     {w.hi[0][lane], w.hi[1][lane], w.hi[2][lane]}};
-    }
-    q.encode_lanes(lanes, w.child_count);
-    for (unsigned lane = 0; lane < w.child_count; ++lane) {
-      q.child[lane] = w.child[lane];
-      q.count[lane] = w.count[lane];
-    }
-  }
-  return out;
-}
-
-QuantizedWideBvh collapse_bvh_quantized(const Bvh& source,
-                                        std::uint32_t wide_leaf_size) {
-  return quantize_bvh(collapse_bvh(source, wide_leaf_size));
-}
-
-void derive_wide_layouts(const Bvh& bvh, const BuildOptions& options,
-                         std::size_t prim_count, WideBvh& wide,
-                         QuantizedWideBvh& quantized) {
-  wide = WideBvh{};
-  quantized = QuantizedWideBvh{};
-  if (!use_wide_traversal(options.width, prim_count)) return;
-  WideBvh collapsed = collapse_bvh(bvh);
-  if (use_quantized_nodes(options.width)) {
-    quantized = quantize_bvh(collapsed);
-  } else {
-    wide = std::move(collapsed);
-  }
-}
-
-void QuantizedWideBvh::refit_from(const Bvh& source) {
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    QuantizedWideBvhNode& node = nodes[n];
-    geom::Aabb lanes[kWideBvhArity];
-    for (unsigned lane = 0; lane < node.child_count; ++lane) {
-      lanes[lane] = source.nodes[source_node[n][lane]].bounds;
-    }
-    node.encode_lanes(lanes, node.child_count);
-  }
-  scene_bounds = source.scene_bounds;
-}
-
-namespace {
-
-/// Recursive content check for QuantizedWideBvh::validate — returns the
-/// exact union of primitive bounds under `idx` and verifies every decoded
-/// lane box contains its lane's exact content (the conservative-superset
-/// guarantee; decoded PARENT boxes need not contain decoded CHILD boxes,
-/// each level only owes containment of the exact geometry).
-struct QuantizedChecker {
-  const QuantizedWideBvh& bvh;
-  std::span<const geom::Aabb> prim_bounds;
-  std::vector<bool>& prim_seen;
-  std::vector<bool>& node_seen;
-  std::ostringstream& err;
-  bool failed = false;
-
-  geom::Aabb check_node(std::uint32_t idx) {
-    geom::Aabb content;
-    if (failed) return content;
-    if (idx >= bvh.nodes.size()) {
-      err << "node index " << idx << " out of range";
-      failed = true;
-      return content;
-    }
-    if (node_seen[idx]) {
-      err << "node " << idx << " reachable twice";
-      failed = true;
-      return content;
-    }
-    node_seen[idx] = true;
-    const QuantizedWideBvhNode& node = bvh.nodes[idx];
-    if (node.child_count == 0 || node.child_count > kWideBvhArity) {
-      err << "node " << idx << " has " << static_cast<int>(node.child_count)
-          << " children";
-      failed = true;
-      return content;
-    }
-    for (unsigned lane = 0; lane < node.child_count; ++lane) {
-      const geom::Aabb decoded = node.lane_bounds(lane);
-      geom::Aabb lane_content;
-      if (node.lane_is_leaf(lane)) {
-        const std::uint32_t first = node.child[lane];
-        const std::uint32_t count = node.count[lane];
-        if (first + count > bvh.prim_index.size()) {
-          err << "node " << idx << " lane " << lane << " range out of bounds";
-          failed = true;
-          return content;
-        }
-        for (std::uint32_t i = first; i < first + count; ++i) {
-          const std::uint32_t prim = bvh.prim_index[i];
-          if (prim >= prim_bounds.size()) {
-            err << "primitive id " << prim << " out of range";
-            failed = true;
-            return content;
-          }
-          if (prim_seen[prim]) {
-            err << "primitive " << prim << " appears in two leaves";
-            failed = true;
-            return content;
-          }
-          prim_seen[prim] = true;
-          lane_content.grow(prim_bounds[prim]);
-        }
-      } else {
-        lane_content = check_node(node.child[lane]);
-        if (failed) return content;
-      }
-      if (!decoded.contains(lane_content)) {
-        err << "node " << idx << " lane " << lane
-            << " decoded bounds do not contain exact content";
-        failed = true;
-        return content;
-      }
-      content.grow(lane_content);
-    }
-    for (unsigned lane = node.child_count; lane < kWideBvhArity; ++lane) {
-      if (node.child[lane] != 0 || node.count[lane] != 0) {
-        err << "node " << idx << " unused lane " << lane
-            << " has live topology";
-        failed = true;
-        return content;
-      }
-    }
-    return content;
-  }
-};
-
-}  // namespace
-
-std::string QuantizedWideBvh::validate(
-    std::span<const geom::Aabb> prim_bounds) const {
-  if (nodes.empty()) {
-    return prim_index.empty() ? std::string{}
-                              : "empty node list with primitives";
-  }
-  if (prim_index.size() != prim_bounds.size()) {
-    return "prim_index size mismatch";
-  }
-  std::vector<bool> prim_seen(prim_index.size(), false);
-  std::vector<bool> node_seen(nodes.size(), false);
-  std::ostringstream err;
-  QuantizedChecker checker{*this, prim_bounds, prim_seen, node_seen, err};
-  checker.check_node(0);
-  if (checker.failed) return err.str();
-
-  for (std::size_t i = 0; i < prim_seen.size(); ++i) {
-    if (!prim_seen[i]) {
-      err << "primitive " << i << " not referenced by any leaf";
-      return err.str();
-    }
-  }
-  for (std::size_t i = 0; i < node_seen.size(); ++i) {
-    if (!node_seen[i]) {
-      err << "node " << i << " unreachable from root";
-      return err.str();
-    }
-  }
-  return {};
+WideBvh derive_wide_layout(const Bvh& bvh, const BuildOptions& options,
+                           std::size_t prim_count) {
+  if (!use_wide_traversal(options.width, prim_count)) return {};
+  return collapse_bvh(bvh);
 }
 
 }  // namespace rtd::rt

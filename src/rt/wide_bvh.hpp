@@ -42,9 +42,9 @@ inline constexpr std::size_t kWideBvhMinPrims = 4096;
 ///
 /// Empty-input rule (uniform across widths): zero primitives NEVER build a
 /// wide tree — there is no binary tree to collapse either, and every walk
-/// on an empty structure returns immediately — so an explicit kWide /
-/// kWideQuantized request resolves to the (trivial) binary path at
-/// prim_count == 0, exactly like kAuto does.  For any non-zero count an
+/// on an empty structure returns immediately — so an explicit kWide
+/// request resolves to the (trivial) binary path at prim_count == 0,
+/// exactly like kAuto does.  For any non-zero count an
 /// explicit request is honored as asked; only kAuto applies the
 /// kWideBvhMinPrims amortization threshold.  Covered by
 /// tests/test_wide_bvh.cpp (WidthResolution).
@@ -53,24 +53,7 @@ inline constexpr std::size_t kWideBvhMinPrims = 4096;
   if (prim_count == 0) return false;
   if (width == TraversalWidth::kBinary) return false;
   if (width == TraversalWidth::kAuto) return prim_count >= kWideBvhMinPrims;
-  return true;  // kWide, kWideQuantized: explicit request, any non-empty size
-}
-
-/// Does this width select the quantized (uint8-bounds) wide layout?
-[[nodiscard]] inline bool use_quantized_nodes(TraversalWidth width) {
-  return width == TraversalWidth::kWideQuantized;
-}
-
-/// The concrete layout a tree-owning structure walks for `width` at
-/// `prim_count` primitives: kBinary, kWide or kWideQuantized (never
-/// kAuto).  Defined via use_wide_traversal/use_quantized_nodes so it
-/// cannot drift from the collapse decision the owners actually make;
-/// RunStats::width in the session API reports this.
-[[nodiscard]] inline TraversalWidth resolved_traversal_width(
-    TraversalWidth width, std::size_t prim_count) {
-  if (!use_wide_traversal(width, prim_count)) return TraversalWidth::kBinary;
-  return use_quantized_nodes(width) ? TraversalWidth::kWideQuantized
-                                    : TraversalWidth::kWide;
+  return true;  // kWide: explicit request, any non-empty size
 }
 
 /// Upper bound on the traversal stack for a wide walk: a pop can push up to
@@ -166,120 +149,14 @@ inline constexpr std::uint32_t kWideLeafSize = 8;
                                    std::uint32_t wide_leaf_size =
                                        kWideLeafSize);
 
-// ---------------------------------------------------------------------------
-// Quantized wide nodes — the ROADMAP follow-up: halve the 256-byte node by
-// storing child bounds as uint8 grid coordinates against a per-node
-// anchor/scale, in the spirit of the compressed wide-node layouts of the
-// related RT/BVH work (CWBVH-style).  Decoding a lane costs one fused
-// multiply-add per bound; the win is footprint: a node is 128 bytes (two
-// cache lines), so twice as many nodes fit in cache and half the bytes
-// move per pop on DRAM-bound trees.
-// ---------------------------------------------------------------------------
-
-/// Quantization grid resolution per axis (uint8 coordinates).
-inline constexpr std::uint32_t kQuantGridMax = 255;
-
-/// One quantized wide node, exactly 128 bytes (two cache lines).
-///
-/// Real child bounds decode as
-///   lo[axis][lane] = anchor[axis] + scale[axis] * qlo[axis][lane]
-///   hi[axis][lane] = anchor[axis] + scale[axis] * qhi[axis][lane]
-/// with qlo rounded DOWN and qhi rounded UP at encode time (and the scale
-/// nudged so grid coordinate 255 decodes at/after the true union max), so
-/// every decoded lane box CONTAINS the exact lane box: traversal over the
-/// quantized tree surfaces a conservative superset of the wide walk's
-/// candidates, and the caller's exact primitive filter restores identical
-/// results (test-enforced).  Topology fields mirror WideBvhNode; unused
-/// lanes hold qlo > qhi (empty on every non-flat axis) and zero topology,
-/// and are masked off by lane_mask() regardless.
-struct alignas(64) QuantizedWideBvhNode {
-  float anchor[3];
-  float scale[3];
-  std::uint8_t qlo[3][kWideBvhArity];
-  std::uint8_t qhi[3][kWideBvhArity];
-  std::uint32_t child[kWideBvhArity];
-  std::uint16_t count[kWideBvhArity];
-  std::uint8_t child_count = 0;
-  std::uint8_t sort_axis = 0;
-
-  /// Bit mask of the real lanes.
-  [[nodiscard]] std::uint32_t lane_mask() const {
-    return (1u << child_count) - 1u;
-  }
-
-  [[nodiscard]] bool lane_is_leaf(unsigned lane) const {
-    return count[lane] > 0;
-  }
-
-  [[nodiscard]] float lane_lo(unsigned axis, unsigned lane) const {
-    return anchor[axis] + scale[axis] * static_cast<float>(qlo[axis][lane]);
-  }
-  [[nodiscard]] float lane_hi(unsigned axis, unsigned lane) const {
-    return anchor[axis] + scale[axis] * static_cast<float>(qhi[axis][lane]);
-  }
-  /// Decoded (conservative) bounds of one lane.
-  [[nodiscard]] geom::Aabb lane_bounds(unsigned lane) const {
-    return {{lane_lo(0, lane), lane_lo(1, lane), lane_lo(2, lane)},
-            {lane_hi(0, lane), lane_hi(1, lane), lane_hi(2, lane)}};
-  }
-
-  /// Re-encode the real lanes [0, lane_count) from exact boxes: picks the
-  /// anchor/scale from their union and rounds every bound outward.  Used
-  /// by quantize_bvh() and refit_from().
-  void encode_lanes(const geom::Aabb* lanes, unsigned lane_count);
-};
-
-static_assert(sizeof(QuantizedWideBvhNode) == 128,
-              "quantized wide node must stay 2 lines");
-
-/// Flattened quantized wide BVH.  Same shape contract as WideBvh: nodes[0]
-/// is the root, `prim_index` is the binary permutation, `source_node` maps
-/// every lane back to the binary node it was cut at so refit_from() can
-/// replay an ε sweep without re-collapsing.
-struct QuantizedWideBvh {
-  std::vector<QuantizedWideBvhNode> nodes;
-  std::vector<std::uint32_t> prim_index;
-  geom::Aabb scene_bounds;
-  std::uint32_t max_depth = 0;
-
-  [[nodiscard]] bool empty() const { return nodes.empty(); }
-  [[nodiscard]] std::size_t prim_count() const { return prim_index.size(); }
-
-  /// Re-encode every node from a REFIT binary tree (same topology, updated
-  /// bounds — the ε-sweep path).  O(nodes); no re-collapse, but each node
-  /// re-derives its anchor/scale so the grids track the new extents.
-  void refit_from(const Bvh& source);
-
-  /// Structural validation used by tests: topology checks as for WideBvh,
-  /// plus every decoded lane box must CONTAIN the exact bounds of all
-  /// primitives under that lane (the conservative-superset guarantee).
-  /// Empty string when valid.
-  [[nodiscard]] std::string validate(
-      std::span<const geom::Aabb> prim_bounds) const;
-
-  /// Per node, the binary-tree node each lane was cut at (cold data).
-  std::vector<std::array<std::uint32_t, kWideBvhArity>> source_node;
-};
-
-/// Derive the quantized layout from a collapsed wide tree (topology copied,
-/// bounds conservatively re-encoded).  An empty source yields an empty
-/// quantized tree.
-[[nodiscard]] QuantizedWideBvh quantize_bvh(const WideBvh& source);
-
-/// Convenience: collapse + quantize in one step.  Returns an empty tree in
-/// exactly the cases collapse_bvh() does (empty source, oversize leaf).
-[[nodiscard]] QuantizedWideBvh collapse_bvh_quantized(
-    const Bvh& source, std::uint32_t wide_leaf_size = kWideLeafSize);
-
-/// Materialize the derived layout(s) an owner's BuildOptions::width
-/// selects, shared by every structure that owns a binary tree
-/// (SphereAccel, TriangleAccel, index::PointBvhIndex).  At most one of
-/// `wide` / `quantized` ends up non-empty; both stay empty when the width
-/// resolves to binary, or when collapse_bvh() could not represent the tree
-/// (oversize leaf) — the traversal dispatch falls back to the binary walk
-/// in that case (rt/traversal.hpp).
-void derive_wide_layouts(const Bvh& bvh, const BuildOptions& options,
-                         std::size_t prim_count, WideBvh& wide,
-                         QuantizedWideBvh& quantized);
+/// Materialize the wide layout an owner's BuildOptions::width selects,
+/// shared by every structure that owns a binary tree (SphereAccel,
+/// TriangleAccel, index::PointTree).  Empty when the width resolves to
+/// binary, or when collapse_bvh() could not represent the tree (oversize
+/// leaf) — the traversal dispatch falls back to the binary walk then
+/// (rt/traversal.hpp).
+[[nodiscard]] WideBvh derive_wide_layout(const Bvh& bvh,
+                                         const BuildOptions& options,
+                                         std::size_t prim_count);
 
 }  // namespace rtd::rt

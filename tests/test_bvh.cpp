@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "data/generators.hpp"
 
 namespace rtd::rt {
 namespace {
@@ -27,11 +26,20 @@ std::vector<Aabb> random_sphere_bounds(std::size_t n, float radius,
   return bounds;
 }
 
-class BvhBuilderTest : public ::testing::TestWithParam<BuildAlgorithm> {};
+/// The two code paths of the LBVH builder: the parallel build (radix sort)
+/// and the serial one (std::sort) the delta-tail trees use.
+enum class LbvhMode { kParallel, kSerial };
+
+BuildOptions options_for(LbvhMode mode) {
+  BuildOptions opts;
+  opts.parallel = mode == LbvhMode::kParallel;
+  return opts;
+}
+
+class BvhBuilderTest : public ::testing::TestWithParam<LbvhMode> {};
 
 TEST_P(BvhBuilderTest, EmptyInputGivesEmptyBvh) {
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   const Bvh bvh = build_bvh({}, opts);
   EXPECT_TRUE(bvh.empty());
   EXPECT_EQ(bvh.prim_count(), 0u);
@@ -39,8 +47,7 @@ TEST_P(BvhBuilderTest, EmptyInputGivesEmptyBvh) {
 }
 
 TEST_P(BvhBuilderTest, SinglePrimitiveIsLeafRoot) {
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   const std::vector<Aabb> bounds{Aabb::of_sphere(Vec3{1, 2, 3}, 0.5f)};
   const Bvh bvh = build_bvh(bounds, opts);
   ASSERT_EQ(bvh.nodes.size(), 1u);
@@ -50,8 +57,7 @@ TEST_P(BvhBuilderTest, SinglePrimitiveIsLeafRoot) {
 }
 
 TEST_P(BvhBuilderTest, ValidStructureOnRandomInput) {
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   for (const std::size_t n : {2u, 3u, 17u, 100u, 1000u, 20000u}) {
     const auto bounds = random_sphere_bounds(n, 1.0f, n);
     const Bvh bvh = build_bvh(bounds, opts);
@@ -64,8 +70,7 @@ TEST_P(BvhBuilderTest, ValidStructureOnRandomInput) {
 TEST_P(BvhBuilderTest, ValidOnAllIdenticalPrimitives) {
   // Degenerate: all Morton codes equal; builders must fall back to median
   // splits and still terminate with a valid tree.
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   const std::vector<Aabb> bounds(5000, Aabb::of_sphere(Vec3{5, 5, 5}, 1.0f));
   const Bvh bvh = build_bvh(bounds, opts);
   const std::string err = bvh.validate(bounds);
@@ -74,8 +79,7 @@ TEST_P(BvhBuilderTest, ValidOnAllIdenticalPrimitives) {
 }
 
 TEST_P(BvhBuilderTest, ValidOnCollinearPoints) {
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   std::vector<Aabb> bounds;
   for (int i = 0; i < 3000; ++i) {
     bounds.push_back(
@@ -87,8 +91,7 @@ TEST_P(BvhBuilderTest, ValidOnCollinearPoints) {
 }
 
 TEST_P(BvhBuilderTest, RootBoundsEncloseScene) {
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   const auto bounds = random_sphere_bounds(2000, 0.5f, 99);
   const Bvh bvh = build_bvh(bounds, opts);
   for (const auto& b : bounds) {
@@ -97,8 +100,7 @@ TEST_P(BvhBuilderTest, RootBoundsEncloseScene) {
 }
 
 TEST_P(BvhBuilderTest, LeafSizeRespected) {
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   opts.leaf_size = 8;
   const auto bounds = random_sphere_bounds(5000, 0.5f, 7);
   const Bvh bvh = build_bvh(bounds, opts);
@@ -111,8 +113,7 @@ TEST_P(BvhBuilderTest, LeafSizeRespected) {
 }
 
 TEST_P(BvhBuilderTest, StatsAreConsistent) {
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   const auto bounds = random_sphere_bounds(10000, 0.5f, 21);
   const Bvh bvh = build_bvh(bounds, opts);
   EXPECT_EQ(bvh.stats.node_count, bvh.nodes.size());
@@ -127,8 +128,7 @@ TEST_P(BvhBuilderTest, StatsAreConsistent) {
 }
 
 TEST_P(BvhBuilderTest, ParallelAndSerialProduceValidTrees) {
-  BuildOptions opts;
-  opts.algorithm = GetParam();
+  BuildOptions opts = options_for(GetParam());
   const auto bounds = random_sphere_bounds(8000, 0.5f, 33);
   opts.parallel = true;
   const Bvh par = build_bvh(bounds, opts);
@@ -143,34 +143,25 @@ TEST_P(BvhBuilderTest, ParallelAndSerialProduceValidTrees) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Builders, BvhBuilderTest,
-                         ::testing::Values(BuildAlgorithm::kLbvh,
-                                           BuildAlgorithm::kBinnedSah),
+                         ::testing::Values(LbvhMode::kParallel,
+                                           LbvhMode::kSerial),
                          [](const auto& param_info) {
-                           return param_info.param == BuildAlgorithm::kLbvh
+                           return param_info.param == LbvhMode::kParallel
                                       ? "Lbvh"
-                                      : "BinnedSah";
+                                      : "SerialLbvh";
                          });
 
-TEST(BvhQuality, SahBuilderHasLowerOrSimilarSahCost) {
-  // The quality builder should not be much worse than the fast builder on a
-  // clustered dataset (it is usually better).
-  const auto dataset = data::taxi_gps(20000, 5);
-  std::vector<Aabb> bounds;
-  bounds.reserve(dataset.points.size());
-  for (const auto& p : dataset.points) {
-    bounds.push_back(Aabb::of_sphere(p, 0.3f));
+TEST(BvhToString, TraversalWidthNames) {
+  for (const TraversalWidth w :
+       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide}) {
+    TraversalWidth parsed = TraversalWidth::kAuto;
+    ASSERT_TRUE(parse_traversal_width(to_string(w), parsed)) << to_string(w);
+    EXPECT_EQ(parsed, w);
   }
-  BuildOptions opts;
-  opts.algorithm = BuildAlgorithm::kLbvh;
-  const Bvh lbvh = build_bvh(bounds, opts);
-  opts.algorithm = BuildAlgorithm::kBinnedSah;
-  const Bvh sah = build_bvh(bounds, opts);
-  EXPECT_LT(sah.stats.sah_cost, lbvh.stats.sah_cost * 1.25f);
-}
-
-TEST(BvhToString, BuildAlgorithmNames) {
-  EXPECT_STREQ(to_string(BuildAlgorithm::kLbvh), "lbvh");
-  EXPECT_STREQ(to_string(BuildAlgorithm::kBinnedSah), "binned-sah");
+  EXPECT_STREQ(to_string(TraversalWidth::kWide), "wide");
+  TraversalWidth untouched = TraversalWidth::kBinary;
+  EXPECT_FALSE(parse_traversal_width("quantized", untouched));
+  EXPECT_EQ(untouched, TraversalWidth::kBinary);
 }
 
 }  // namespace

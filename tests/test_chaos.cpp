@@ -302,6 +302,7 @@ TEST(ChaosSoak, Grid) { chaos_soak(IndexKind::kGrid); }
 TEST(ChaosSoak, DenseBox) { chaos_soak(IndexKind::kDenseBox); }
 TEST(ChaosSoak, PointBvh) { chaos_soak(IndexKind::kPointBvh); }
 TEST(ChaosSoak, BvhRt) { chaos_soak(IndexKind::kBvhRt); }
+TEST(ChaosSoak, Triangles) { chaos_soak(IndexKind::kTriangles); }
 
 // ---------------------------------------------------------------------------
 // Concurrent readers while the writer faults (the tsan leg): reader threads

@@ -58,6 +58,7 @@ TEST(ClustererSweep, MatchesOneShotClusterOnEveryBackend) {
     const auto curve = session.sweep(kSweepEps, min_pts);
     ASSERT_EQ(curve.size(), kSweepEps.size());
     const bool refittable = kind == IndexKind::kBvhRt ||
+                            kind == IndexKind::kTriangles ||
                             kind == IndexKind::kPointBvh ||
                             kind == IndexKind::kBruteForce;
     for (std::size_t s = 0; s < curve.size(); ++s) {
@@ -112,7 +113,7 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
   for (const IndexKind kind : {IndexKind::kPointBvh, IndexKind::kBvhRt}) {
     for (const rt::TraversalWidth width :
          {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-          rt::TraversalWidth::kWideQuantized, rt::TraversalWidth::kAuto}) {
+          rt::TraversalWidth::kAuto}) {
       Clusterer session(dataset.points,
                         Options().with_backend(kind).with_width(width));
       const auto curve = session.sweep(kSweepEps, min_pts);
@@ -132,13 +133,9 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
       // The resolved layout is reported: explicit requests are honored,
       // kAuto picks wide at this size.
       const rt::TraversalWidth reported = curve.back().stats.width;
-      if (width == rt::TraversalWidth::kBinary) {
-        EXPECT_EQ(reported, rt::TraversalWidth::kBinary);
-      } else if (width == rt::TraversalWidth::kWideQuantized) {
-        EXPECT_EQ(reported, rt::TraversalWidth::kWideQuantized);
-      } else {
-        EXPECT_EQ(reported, rt::TraversalWidth::kWide);
-      }
+      EXPECT_EQ(reported, width == rt::TraversalWidth::kBinary
+                              ? rt::TraversalWidth::kBinary
+                              : rt::TraversalWidth::kWide);
     }
   }
 }
@@ -451,35 +448,114 @@ TEST(Clusterer, KdistAndKnnPassthrough) {
 }
 
 // ---------------------------------------------------------------------------
-// Triangle geometry (§VI-C) sessions.
+// Triangle (§VI-C) sessions: the kTriangles backend through the one
+// session path.
 // ---------------------------------------------------------------------------
+
+const Options kTriangleSession = Options().with_backend(IndexKind::kTriangles);
 
 TEST(ClustererTriangle, SweepMatchesOneShotAndRefits) {
   const auto pts = data::taxi_gps(600, 71).points;
   const std::uint32_t min_pts = 5;
-  Clusterer session(
-      pts, Options().with_geometry(core::GeometryMode::kTriangles));
+  Clusterer session(pts, kTriangleSession);
   const std::vector<float> eps_values = {0.25f, 0.35f, 0.5f};
   const auto curve = session.sweep(eps_values, min_pts);
   for (std::size_t s = 0; s < curve.size(); ++s) {
     const ClusterResult& r = curve[s];
-    EXPECT_EQ(r.stats.geometry, core::GeometryMode::kTriangles);
-    EXPECT_EQ(r.stats.backend, IndexKind::kBvhRt);
-    EXPECT_EQ(r.stats.index_refitted, s > 0);  // rescale + refit, no rebuild
-    core::RtDbscanOptions opts;
-    opts.geometry = core::GeometryMode::kTriangles;
-    const auto oracle =
-        core::rt_dbscan(pts, Params{eps_values[s], min_pts}, opts);
+    EXPECT_EQ(r.stats.backend, IndexKind::kTriangles);
+    // Entry 0 builds the scene; every later step rescales and refits it.
+    EXPECT_EQ(r.stats.index_rebuilt, s == 0);
+    if (s > 0) {
+      EXPECT_TRUE(r.stats.index_refitted) << s;
+    }
+    const auto oracle = core::rt_dbscan(
+        pts, Params{eps_values[s], min_pts, IndexKind::kTriangles});
     EXPECT_EQ(r.labels, oracle.clustering.labels);
     EXPECT_EQ(r.is_core, oracle.clustering.is_core);
     EXPECT_EQ(r.cluster_count, oracle.clustering.cluster_count);
   }
-  // The accessor reports the resolved pipeline, not kAuto.
-  EXPECT_EQ(session.backend(), IndexKind::kBvhRt);
+  // The accessor reports the resolved backend, not kAuto.
+  EXPECT_EQ(session.backend(), IndexKind::kTriangles);
   // min_pts rerun reuses the cached counts.
   (void)session.run(0.5f, min_pts);
   const ClusterResult& rerun = session.run(0.5f, min_pts * 2);
   EXPECT_TRUE(rerun.stats.counts_reused);
+}
+
+TEST(ClustererTriangle, EpsSweepRefitsInPlace) {
+  // Each new ε rescales the tessellation and REFITS — results must match a
+  // from-scratch run at every ε, on both layouts.  One thread: border
+  // points claimed by two clusters go to whichever claim lands first, so
+  // exact labels only repeat on a serial run.
+  const auto dataset = data::taxi_gps(600, 94);
+  for (const rt::TraversalWidth width :
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
+    Clusterer session(dataset.points, Options(kTriangleSession)
+                                          .with_triangle_subdivisions(0)
+                                          .with_threads(1)
+                                          .with_width(width));
+    (void)session.run(0.2f, 5);
+    for (const float eps : {0.45f, 0.15f, 0.3f}) {
+      const Params params{eps, 5};
+      const ClusterResult& swept = session.run(eps, params.min_pts);
+      EXPECT_TRUE(swept.stats.index_refitted) << eps;
+      EXPECT_FALSE(swept.stats.index_rebuilt) << eps;
+      EXPECT_FALSE(swept.stats.counts_reused) << eps;
+      EXPECT_EQ(swept.stats.width, width);
+      testutil::expect_matches_reference(dataset.points, params,
+                                         swept.to_clustering(),
+                                         "triangle session eps sweep");
+      core::RtDbscanOptions opts;
+      opts.triangle_subdivisions = 0;
+      opts.device.threads = 1;
+      opts.device.build.width = width;
+      const auto oneshot = core::rt_dbscan(
+          dataset.points, Params{eps, 5, IndexKind::kTriangles}, opts);
+      EXPECT_EQ(swept.labels, oneshot.clustering.labels)
+          << rt::to_string(width) << " eps=" << eps;
+      EXPECT_EQ(swept.neighbor_counts, oneshot.neighbor_counts)
+          << rt::to_string(width) << " eps=" << eps;
+    }
+  }
+}
+
+TEST(ClustererTriangle, EmptyInputSweeps) {
+  // An empty triangle session sweeps like every other, and an empty
+  // triangle scene refits (rescaling nothing is a valid ε sweep).
+  Clusterer session(std::vector<Vec3>{}, kTriangleSession);
+  const auto curve = session.sweep(std::vector<float>{0.3f, 0.5f}, 3);
+  ASSERT_EQ(curve.size(), 2u);
+  for (const ClusterResult& r : curve) {
+    EXPECT_EQ(r.size(), 0u);
+    EXPECT_EQ(r.cluster_count, 0u);
+  }
+  const auto empty =
+      index::make_index(std::span<const Vec3>{}, 0.3f, IndexKind::kTriangles);
+  EXPECT_TRUE(empty->try_set_eps(0.5f));
+  EXPECT_EQ(empty->build_eps(), 0.5f);
+}
+
+TEST(ClustererTriangle, MinPtsRerunReusesCachedCounts) {
+  const auto dataset = data::taxi_gps(800, 93);
+  const Params params{0.3f, 8};
+  Clusterer session(dataset.points, kTriangleSession);
+  EXPECT_FALSE(session.counts_cached());
+  const ClusterResult first = session.run(params.eps, params.min_pts);
+  EXPECT_TRUE(session.counts_cached());
+  EXPECT_GT(first.stats.phase1.work.anyhit_calls, 0u);
+  const auto oneshot = core::rt_dbscan(
+      dataset.points, Params{params.eps, params.min_pts,
+                             IndexKind::kTriangles});
+  EXPECT_EQ(first.neighbor_counts, oneshot.neighbor_counts);
+  EXPECT_EQ(first.is_core, oneshot.clustering.is_core);
+  // A minPts rerun skips phase 1 entirely.
+  const ClusterResult& second = session.run(params.eps, 2 * params.min_pts);
+  EXPECT_TRUE(second.stats.counts_reused);
+  EXPECT_EQ(second.stats.phase1.work.rays, 0u);
+  testutil::expect_matches_reference(dataset.points,
+                                     {params.eps, 2 * params.min_pts},
+                                     second.to_clustering(),
+                                     "triangle-session-rerun");
 }
 
 // ---------------------------------------------------------------------------
@@ -511,12 +587,10 @@ TEST(Clusterer, RejectsInvalidArguments) {
                                     std::numeric_limits<float>::quiet_NaN()),
       std::invalid_argument);
   EXPECT_EQ(session.current_eps(), std::nullopt);  // index never built
-  // Triangle geometry cannot run on a non-RT backend.
-  EXPECT_THROW(Clusterer(pts, Options()
-                                  .with_geometry(
-                                      core::GeometryMode::kTriangles)
-                                  .with_backend(IndexKind::kGrid)),
-               std::invalid_argument);
+  // A negative icosphere subdivision level is rejected up front.
+  EXPECT_THROW(
+      Clusterer(pts, Options(kTriangleSession).with_triangle_subdivisions(-1)),
+      std::invalid_argument);
   // Non-finite coordinates fail at construction.
   std::vector<Vec3> bad = pts;
   bad.push_back(Vec3{0.0f, std::numeric_limits<float>::quiet_NaN(), 0.0f});

@@ -172,11 +172,10 @@ TEST(Flags, BooleanValueForms) {
 TEST(Cli, BackendAndWidthFlagsParseShareOneSpelling) {
   // The shared helpers are the single source of truth for the --backend /
   // --width CLI spellings across examples and benches.
-  const char* argv[] = {"prog", "--backend", "pointbvh", "--width",
-                        "quantized"};
+  const char* argv[] = {"prog", "--backend", "triangles", "--width", "wide"};
   Flags flags(5, const_cast<char**>(argv));
-  EXPECT_EQ(cli::backend_flag(flags), index::IndexKind::kPointBvh);
-  EXPECT_EQ(cli::width_flag(flags), rt::TraversalWidth::kWideQuantized);
+  EXPECT_EQ(cli::backend_flag(flags), index::IndexKind::kTriangles);
+  EXPECT_EQ(cli::width_flag(flags), rt::TraversalWidth::kWide);
 
   const char* none[] = {"prog"};
   Flags empty(1, const_cast<char**>(none));
@@ -185,7 +184,7 @@ TEST(Cli, BackendAndWidthFlagsParseShareOneSpelling) {
             index::IndexKind::kGrid);
   EXPECT_EQ(cli::width_flag(empty), rt::TraversalWidth::kAuto);
 
-  const char* bad[] = {"prog", "--backend=kdtree", "--width=narrow"};
+  const char* bad[] = {"prog", "--backend=kdtree", "--width=quantized"};
   Flags unknown(3, const_cast<char**>(bad));
   EXPECT_EQ(cli::backend_flag(unknown), std::nullopt);
   EXPECT_EQ(cli::width_flag(unknown), std::nullopt);

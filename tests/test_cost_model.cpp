@@ -1,6 +1,7 @@
 // The device cost model is part of the reproduction's scientific claim, so
 // its invariants are tested: calibration ratios from the paper, monotonicity
-// in work, and the qualitative orderings EXPERIMENTS.md relies on.
+// in work, and the qualitative orderings the benches of docs/BENCHMARKS.md
+// rely on.
 #include "rt/cost_model.hpp"
 
 #include <gtest/gtest.h>

@@ -84,15 +84,14 @@ TEST(Fdbscan, EarlyExitDoesLessPhase1Work) {
   EXPECT_EQ(early.phase2_work.isect_calls, full.phase2_work.isect_calls);
 }
 
-TEST(Fdbscan, BothBuildersGiveEquivalentResults) {
+TEST(Fdbscan, SerialAndParallelBuildsGiveEquivalentResults) {
   const auto dataset = data::road_network(3000, 33);
   const Params params{0.5f, 10};
-  FdbscanOptions lbvh;
-  lbvh.build.algorithm = rt::BuildAlgorithm::kLbvh;
-  FdbscanOptions sah;
-  sah.build.algorithm = rt::BuildAlgorithm::kBinnedSah;
-  const auto a = fdbscan(dataset.points, params, lbvh);
-  const auto b = fdbscan(dataset.points, params, sah);
+  FdbscanOptions parallel;
+  FdbscanOptions serial;
+  serial.build.parallel = false;
+  const auto a = fdbscan(dataset.points, params, parallel);
+  const auto b = fdbscan(dataset.points, params, serial);
   const auto eq =
       check_equivalent(dataset.points, params, a.clustering, b.clustering);
   EXPECT_TRUE(eq.equivalent) << eq.reason;

@@ -188,13 +188,12 @@ TEST(IncrementalParity, RemovalsMatchOracleOnEveryBackend) {
 }
 
 TEST(IncrementalParity, WidthParityOnTreeBackends) {
-  // Above rt::kWideBvhMinPrims so kWide/kQuantized exercise the SoA walk.
+  // Above rt::kWideBvhMinPrims so kWide exercises the SoA walk.
   const auto base = data::taxi_gps(6000, 104);
   const auto extra = data::taxi_gps(200, 105);
   for (const IndexKind kind : {IndexKind::kPointBvh, IndexKind::kBvhRt}) {
     for (const rt::TraversalWidth width :
-         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-          rt::TraversalWidth::kWideQuantized}) {
+         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
       Clusterer session(base.points,
                         Options().with_backend(kind).with_width(width));
       (void)session.run(0.25f, 10);
@@ -982,13 +981,23 @@ TEST(IncrementalErrors, EarlyExitSessionsRefuseToStream) {
                std::logic_error);
 }
 
-TEST(IncrementalErrors, TriangleSessionsRefuseToStream) {
-  const auto base = data::taxi_gps(50, 121);
-  Options o;
-  o.geometry = core::GeometryMode::kTriangles;
-  Clusterer session(base.points, o);
-  EXPECT_THROW((void)session.insert(std::vector<Vec3>{{0, 0, 0}}),
-               std::logic_error);
+TEST(IncrementalParity, TriangleSessionAdvanceMatchesFreshRecluster) {
+  // §VI-C sessions stream through the same path as every backend: the
+  // triangle scene absorbs appended points into its delta tail until the
+  // mutation budget (max(64, live/8) = 75 slots here) forces a rebuild.
+  const auto base = data::taxi_gps(600, 121);
+  const auto extra = data::taxi_gps(48, 124);
+  Clusterer session(base.points,
+                    Options().with_backend(IndexKind::kTriangles));
+  (void)session.run(0.3f, 6);
+  const std::span<const Vec3> add(extra.points);
+  for (std::size_t step = 0; step < 6; ++step) {
+    (void)session.advance(add.subspan(step * 8, 8), 8);
+    EXPECT_TRUE(session.result().stats.incremental);
+    EXPECT_EQ(session.result().stats.index_rebuilt, step == 4) << step;
+    EXPECT_EQ(session.backend(), IndexKind::kTriangles);
+    expect_oracle_parity(session, "triangles advance");
+  }
 }
 
 TEST(IncrementalErrors, InvalidBatchesThrowAndLeaveTheSessionUntouched) {

@@ -277,8 +277,7 @@ TEST(DeltaTail, CandidatesCoverEveryTailIdOnceAcrossRebuilds) {
   geom::Aabb everything;
   for (const Vec3& p : all) everything.grow(p);
   for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-        rt::TraversalWidth::kWideQuantized}) {
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
     rt::BuildOptions build;
     build.width = width;
     DeltaTail tail(kFirst);

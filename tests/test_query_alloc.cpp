@@ -60,6 +60,20 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace rtd::index {
 namespace {
 
+// kTriangles builds at icosphere level 0 (20 triangles per point) here:
+// its per-query owner dedup is the same at every level, and level 1 would
+// multiply this binary's runtime, its sanitizer legs most of all.
+IndexBuildOptions build_options() {
+  IndexBuildOptions o;
+  o.triangle_subdivisions = 0;
+  return o;
+}
+
+Options session_options(IndexKind kind) {
+  return Options().with_backend(kind).with_threads(1)
+      .with_triangle_subdivisions(0);
+}
+
 std::uint64_t allocations_during(FunctionRef<void()> f) {
   const std::uint64_t before =
       g_live_allocations.load(std::memory_order_relaxed);
@@ -74,7 +88,7 @@ TEST(QueryAllocation, WarmQueryAllPassAllocatesNothingOnAnyBackend) {
   const float eps = 0.15f;
 
   for (const IndexKind kind : kAllIndexKinds) {
-    const auto index = make_index(dataset.points, eps, kind);
+    const auto index = make_index(dataset.points, eps, kind, build_options());
     std::uint64_t pair_count = 0;
     const auto pass = [&] {
       (void)index->query_all(
@@ -93,7 +107,7 @@ TEST(QueryAllocation, WarmSingleQueriesAllocateNothing) {
   const auto dataset = data::taxi_gps(10000, 78);
   const float eps = 0.15f;
   for (const IndexKind kind : kAllIndexKinds) {
-    const auto index = make_index(dataset.points, eps, kind);
+    const auto index = make_index(dataset.points, eps, kind, build_options());
     rt::TraversalStats stats;
     std::uint64_t sum = 0;
     const auto queries = [&] {
@@ -117,9 +131,7 @@ TEST(QueryAllocation, WarmClustererRunsAllocateNothing) {
   const auto dataset = data::taxi_gps(10000, 79);
   const float eps = 0.15f;
   for (const IndexKind kind : kAllIndexKinds) {
-    Clusterer session(dataset.points, Options()
-                                          .with_backend(kind)
-                                          .with_threads(1));
+    Clusterer session(dataset.points, session_options(kind));
     std::uint64_t clusters = 0;
     const auto pass = [&] {
       clusters += session.run(eps, 5).cluster_count;
@@ -145,8 +157,7 @@ TEST(QueryAllocation, WarmSnapshotReadsAllocateNothing) {
   const auto extra = data::taxi_gps(DeltaTail::kResidue + 64, 82);
   const float eps = 0.15f;
   for (const IndexKind kind : kAllIndexKinds) {
-    Clusterer session(dataset.points,
-                      Options().with_backend(kind).with_threads(1));
+    Clusterer session(dataset.points, session_options(kind));
     (void)session.run(eps, 5);
 
     const auto check_reads = [&](const char* version) {

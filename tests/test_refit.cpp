@@ -1,14 +1,9 @@
-// BVH refit + SphereAccel::set_radius + RtDbscanRunner::set_eps.
+// BVH refit + SphereAccel::set_radius.
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/rng.hpp"
-#include "core/rt_dbscan.hpp"
 #include "core/rt_find_neighbors.hpp"
 #include "data/generators.hpp"
-#include "dbscan/equivalence.hpp"
-#include "dbscan/sequential.hpp"
 #include "rt/bvh.hpp"
 #include "rt/context.hpp"
 
@@ -76,42 +71,6 @@ TEST(SphereAccelRefit, RejectsNonPositiveRadius) {
   SphereAccel accel = ctx.build_spheres({{0, 0, 0}}, 1.0f);
   EXPECT_THROW(accel.set_radius(0.0f), std::invalid_argument);
   EXPECT_THROW(accel.set_radius(-2.0f), std::invalid_argument);
-}
-
-TEST(RunnerSetEps, RerunsMatchOneShotAcrossEpsChanges) {
-  const auto dataset = data::taxi_gps(3000, 403);
-  core::RtDbscanRunner runner(dataset.points, 0.2f);
-
-  for (const float eps : {0.2f, 0.5f, 0.1f}) {
-    runner.set_eps(eps);
-    EXPECT_FALSE(runner.counts_cached());
-    const auto cached = runner.run(10);
-    const auto oneshot = core::rt_dbscan(dataset.points, {eps, 10});
-    const auto eq = dbscan::check_equivalent(
-        dataset.points, {eps, 10}, oneshot.clustering, cached.clustering);
-    EXPECT_TRUE(eq.equivalent) << "eps=" << eps << ": " << eq.reason;
-    // minPts re-run on the refit accel still uses the cache.
-    EXPECT_TRUE(runner.counts_cached());
-    const auto rerun = runner.run(25);
-    const auto oneshot25 = core::rt_dbscan(dataset.points, {eps, 25});
-    const auto eq25 = dbscan::check_equivalent(
-        dataset.points, {eps, 25}, oneshot25.clustering, rerun.clustering);
-    EXPECT_TRUE(eq25.equivalent) << "eps=" << eps << ": " << eq25.reason;
-  }
-}
-
-TEST(RunnerSetEps, SameEpsKeepsCache) {
-  const auto dataset = data::taxi_gps(1000, 404);
-  core::RtDbscanRunner runner(dataset.points, 0.3f);
-  runner.run(10);
-  ASSERT_TRUE(runner.counts_cached());
-  runner.set_eps(0.3f);  // no-op
-  EXPECT_TRUE(runner.counts_cached());
-}
-
-TEST(RunnerSetEps, RejectsNonPositive) {
-  core::RtDbscanRunner runner({{0, 0, 0}}, 1.0f);
-  EXPECT_THROW(runner.set_eps(0.0f), std::invalid_argument);
 }
 
 }  // namespace

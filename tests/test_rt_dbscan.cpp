@@ -17,6 +17,9 @@ TEST(RtDbscan, RejectsBadParams) {
   const std::vector<geom::Vec3> pts{{0, 0, 0}};
   EXPECT_THROW(rt_dbscan(pts, {0.0f, 3}), std::invalid_argument);
   EXPECT_THROW(rt_dbscan(pts, {1.0f, 0}), std::invalid_argument);
+  // Only the RT scenes: spheres (kBvhRt, kAuto) or triangles.
+  EXPECT_THROW(rt_dbscan(pts, {1.0f, 3, index::IndexKind::kGrid}),
+               std::invalid_argument);
 }
 
 TEST(RtDbscan, EmptyInput) {
@@ -67,15 +70,20 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(data::PaperDataset::k3DIono, 2.0f, 10u),
         std::make_tuple(data::PaperDataset::k3DIono, 4.0f, 40u)));
 
+/// The same parameters on the §VI-C triangle backend.
+Params triangles_of(const Params& params) {
+  return Params{params.eps, params.min_pts, index::IndexKind::kTriangles};
+}
+
 TEST(RtDbscan, TriangleModeMatchesSphereMode) {
   const auto dataset = data::taxi_gps(1500, 81);
   const Params params{0.3f, 10};
   const auto spheres = rt_dbscan(dataset.points, params);
 
   RtDbscanOptions tri_opts;
-  tri_opts.geometry = GeometryMode::kTriangles;
   tri_opts.triangle_subdivisions = 1;
-  const auto triangles = rt_dbscan(dataset.points, params, tri_opts);
+  const auto triangles =
+      rt_dbscan(dataset.points, triangles_of(params), tri_opts);
 
   const auto eq = dbscan::check_equivalent(
       dataset.points, params, spheres.clustering, triangles.clustering);
@@ -88,9 +96,8 @@ TEST(RtDbscan, TriangleModeMatchesReferenceAtZeroSubdivisions) {
   const auto dataset = data::road_network(1000, 82);
   const Params params{0.5f, 5};
   RtDbscanOptions opts;
-  opts.geometry = GeometryMode::kTriangles;
   opts.triangle_subdivisions = 0;
-  const auto r = rt_dbscan(dataset.points, params, opts);
+  const auto r = rt_dbscan(dataset.points, triangles_of(params), opts);
   expect_matches_reference(dataset.points, params, r.clustering,
                            "rt-dbscan-triangles");
 }
@@ -101,9 +108,7 @@ TEST(RtDbscan, TriangleModeDoesMoreWork) {
   const auto dataset = data::taxi_gps(1500, 83);
   const Params params{0.3f, 10};
   const auto spheres = rt_dbscan(dataset.points, params);
-  RtDbscanOptions opts;
-  opts.geometry = GeometryMode::kTriangles;
-  const auto triangles = rt_dbscan(dataset.points, params, opts);
+  const auto triangles = rt_dbscan(dataset.points, triangles_of(params));
 
   EXPECT_EQ(spheres.phase1.work.anyhit_calls, 0u);
   EXPECT_GT(triangles.phase1.work.anyhit_calls, 0u);
@@ -126,30 +131,6 @@ TEST(RtDbscan, ReorderedQueriesGiveEquivalentResults) {
   EXPECT_EQ(a.phase1.work.nodes_visited, b.phase1.work.nodes_visited);
   EXPECT_EQ(a.phase1.work.isect_calls, b.phase1.work.isect_calls);
   EXPECT_EQ(a.neighbor_counts, b.neighbor_counts);
-}
-
-TEST(RtDbscanRunner, ReorderedRunnerMatches) {
-  const auto dataset = data::taxi_gps(2000, 79);
-  RtDbscanOptions reordered;
-  reordered.reorder_queries = true;
-  RtDbscanRunner runner(dataset.points, 0.3f, reordered);
-  const auto cached = runner.run(10);
-  const auto oneshot = rt_dbscan(dataset.points, {0.3f, 10});
-  const auto eq = dbscan::check_equivalent(
-      dataset.points, {0.3f, 10}, oneshot.clustering, cached.clustering);
-  EXPECT_TRUE(eq.equivalent) << eq.reason;
-}
-
-TEST(RtDbscan, BothBuildersEquivalent) {
-  const auto dataset = data::ionosphere3d(3000, 84);
-  const Params params{2.0f, 10};
-  RtDbscanOptions sah;
-  sah.device.build.algorithm = rt::BuildAlgorithm::kBinnedSah;
-  const auto a = rt_dbscan(dataset.points, params);
-  const auto b = rt_dbscan(dataset.points, params, sah);
-  const auto eq = dbscan::check_equivalent(dataset.points, params,
-                                           a.clustering, b.clustering);
-  EXPECT_TRUE(eq.equivalent) << eq.reason;
 }
 
 TEST(RtDbscan, SingleThreadMatchesParallel) {
@@ -202,126 +183,18 @@ TEST(RtDbscan, MemoryFootprintHasNoNeighborLists) {
   EXPECT_EQ(r.neighbor_counts.size(), dataset.size());
 }
 
-TEST(RtDbscanRunner, FirstRunMatchesOneShot) {
-  const auto dataset = data::taxi_gps(3000, 89);
-  const Params params{0.3f, 10};
-  RtDbscanRunner runner(dataset.points, params.eps);
-  EXPECT_FALSE(runner.counts_cached());
-  const auto cached = runner.run(params.min_pts);
-  EXPECT_TRUE(runner.counts_cached());
-  const auto oneshot = rt_dbscan(dataset.points, params);
-  const auto eq = dbscan::check_equivalent(
-      dataset.points, params, oneshot.clustering, cached.clustering);
-  EXPECT_TRUE(eq.equivalent) << eq.reason;
-}
-
-TEST(RtDbscanRunner, RerunsWithDifferentMinPtsMatchOneShots) {
-  const auto dataset = data::taxi_gps(3000, 90);
-  const float eps = 0.3f;
-  RtDbscanRunner runner(dataset.points, eps);
-  for (const std::uint32_t min_pts : {5u, 10u, 40u, 2u}) {
-    const auto cached = runner.run(min_pts);
-    const auto oneshot = rt_dbscan(dataset.points, {eps, min_pts});
-    const auto eq =
-        dbscan::check_equivalent(dataset.points, {eps, min_pts},
-                                 oneshot.clustering, cached.clustering);
-    EXPECT_TRUE(eq.equivalent) << "minPts=" << min_pts << ": " << eq.reason;
-  }
-}
-
-TEST(RtDbscanRunner, CachedRunsSkipPhase1) {
-  const auto dataset = data::taxi_gps(3000, 91);
-  RtDbscanRunner runner(dataset.points, 0.3f);
-  const auto first = runner.run(10);
-  EXPECT_GT(first.phase1.work.rays, 0u);
-  const auto second = runner.run(20);
-  EXPECT_EQ(second.phase1.work.rays, 0u);  // no rays launched for phase 1
-  EXPECT_EQ(second.phase1.seconds, 0.0);
-}
-
-TEST(RtDbscanRunner, TriangleModeFirstRunMatchesOneShot) {
-  // §VI-C sessions are supported since the TriangleAccel refit path landed:
-  // the runner tessellates once and replays phases over the cached counts.
-  const auto dataset = data::taxi_gps(800, 93);
-  const Params params{0.3f, 8};
-  RtDbscanOptions opts;
-  opts.geometry = GeometryMode::kTriangles;
-  opts.triangle_subdivisions = 1;
-  RtDbscanRunner runner(dataset.points, params.eps, opts);
-  EXPECT_FALSE(runner.counts_cached());
-  const auto cached = runner.run(params.min_pts);
-  EXPECT_TRUE(runner.counts_cached());
-  EXPECT_GT(cached.phase1.work.anyhit_calls, 0u);
-  const auto oneshot = rt_dbscan(dataset.points, params, opts);
-  EXPECT_EQ(cached.clustering.labels, oneshot.clustering.labels);
-  EXPECT_EQ(cached.neighbor_counts, oneshot.neighbor_counts);
-  // minPts re-run skips phase 1 entirely.
-  const auto second = runner.run(2 * params.min_pts);
-  EXPECT_EQ(second.phase1.work.rays, 0u);
-  expect_matches_reference(dataset.points, {params.eps, 2 * params.min_pts},
-                           second.clustering, "triangle-runner-rerun");
-}
-
-TEST(RtDbscanRunner, TriangleModeEpsSweepRefitsInPlace) {
-  // set_eps on a triangle session rescales the tessellation and REFITS —
-  // results must match a from-scratch run at every eps, across widths.
-  // One thread: border points claimed by two clusters go to whichever
-  // claim lands first, so exact labels only repeat on a serial run.
-  const auto dataset = data::taxi_gps(600, 94);
-  for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-        rt::TraversalWidth::kWideQuantized}) {
-    RtDbscanOptions opts;
-    opts.geometry = GeometryMode::kTriangles;
-    opts.triangle_subdivisions = 0;
-    opts.device.threads = 1;
-    opts.device.build.width = width;
-    RtDbscanRunner runner(dataset.points, 0.2f, opts);
-    (void)runner.run(5);
-    for (const float eps : {0.45f, 0.15f, 0.3f}) {
-      runner.set_eps(eps);
-      EXPECT_FALSE(runner.counts_cached());
-      const Params params{eps, 5};
-      const auto swept = runner.run(params.min_pts);
-      expect_matches_reference(dataset.points, params, swept.clustering,
-                               "triangle-runner-eps-sweep");
-      const auto oneshot = rt_dbscan(dataset.points, params, opts);
-      EXPECT_EQ(swept.clustering.labels, oneshot.clustering.labels)
-          << rt::to_string(width) << " eps=" << eps;
-      EXPECT_EQ(swept.neighbor_counts, oneshot.neighbor_counts)
-          << rt::to_string(width) << " eps=" << eps;
-    }
-  }
-}
-
-TEST(RtDbscanRunner, TriangleModeEmptyInputSweeps) {
-  // Regression: an empty triangle session must allow set_eps (rescaling
-  // nothing is a valid ε sweep), exactly like the sphere session does.
-  RtDbscanOptions opts;
-  opts.geometry = GeometryMode::kTriangles;
-  RtDbscanRunner runner(std::vector<geom::Vec3>{}, 0.3f, opts);
-  EXPECT_NO_THROW(runner.set_eps(0.5f));
-  const auto r = runner.run(3);
-  EXPECT_EQ(r.clustering.size(), 0u);
-  EXPECT_EQ(r.clustering.cluster_count, 0u);
-}
-
 TEST(RtDbscan, TriangleModeWideWidthsMatchSphereMode) {
-  // The §VI-C acceptance path: triangle geometry over the wide and
-  // quantized kernels clusters identically to sphere mode.
+  // The §VI-C acceptance path: triangle geometry over the wide kernel
+  // clusters identically to sphere mode.
   const auto dataset = data::taxi_gps(1200, 95);
   const Params params{0.3f, 10};
   const auto spheres = rt_dbscan(dataset.points, params);
-  for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kWide, rt::TraversalWidth::kWideQuantized}) {
-    RtDbscanOptions opts;
-    opts.geometry = GeometryMode::kTriangles;
-    opts.device.build.width = width;
-    const auto triangles = rt_dbscan(dataset.points, params, opts);
-    const auto eq = dbscan::check_equivalent(
-        dataset.points, params, spheres.clustering, triangles.clustering);
-    EXPECT_TRUE(eq.equivalent) << rt::to_string(width) << ": " << eq.reason;
-  }
+  RtDbscanOptions opts;
+  opts.device.build.width = rt::TraversalWidth::kWide;
+  const auto triangles = rt_dbscan(dataset.points, triangles_of(params), opts);
+  const auto eq = dbscan::check_equivalent(
+      dataset.points, params, spheres.clustering, triangles.clustering);
+  EXPECT_TRUE(eq.equivalent) << eq.reason;
 }
 
 TEST(PublicApi, ClusterConvenienceWrapper) {
@@ -331,11 +204,6 @@ TEST(PublicApi, ClusterConvenienceWrapper) {
   EXPECT_EQ(r.labels.size(), pts.size());
   EXPECT_EQ(r.labels[8], rtd::kNoise);
   EXPECT_GE(r.seconds, 0.0);
-}
-
-TEST(GeometryModeNames, ToString) {
-  EXPECT_STREQ(to_string(GeometryMode::kSpheres), "spheres");
-  EXPECT_STREQ(to_string(GeometryMode::kTriangles), "triangles");
 }
 
 }  // namespace

@@ -128,7 +128,6 @@ TEST(Context, LaunchAggregatesPerThreadStats) {
 
 TEST(Context, BuildOptionsPropagate) {
   Context::Options opts;
-  opts.build.algorithm = BuildAlgorithm::kBinnedSah;
   opts.build.leaf_size = 2;
   Context ctx(opts);
   const auto dataset = data::taxi_gps(1000, 603);

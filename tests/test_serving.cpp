@@ -84,6 +84,33 @@ TEST(Serving, SnapshotMatchesBruteOracleOnEveryBackend) {
   }
 }
 
+TEST(Serving, TriangleSnapshotsMatchBruteForceAcrossAdvance) {
+  // §VI-C sessions serve through the same snapshot path: a held snapshot
+  // answers over ITS epoch while the session streams past it, and a fresh
+  // one answers over the live set.
+  const auto base = data::taxi_gps(600, 87);
+  const auto extra = data::taxi_gps(40, 88);
+  const float eps = 0.3f;
+  Clusterer session(base.points,
+                    Options().with_backend(IndexKind::kTriangles));
+  (void)session.run(eps, 5);
+  const auto held = session.snapshot();
+  (void)session.advance(extra.points, extra.size());  // expires slots 0..39
+  const auto fresh = session.snapshot();
+  ASSERT_NE(held, fresh);
+  EXPECT_EQ(fresh->backend(), IndexKind::kTriangles);
+  const std::span<const Vec3> all = session.points();
+  for (const Vec3& c : {base.points[0], base.points[300], extra.points[5]}) {
+    EXPECT_EQ(held->query_neighbors(c),
+              brute_neighbors(base.points, c, eps, index::kNoSelf));
+    std::vector<std::uint32_t> live =
+        brute_neighbors(all, c, eps, index::kNoSelf);
+    std::erase_if(live, [&](std::uint32_t j) { return j < extra.size(); });
+    EXPECT_EQ(fresh->query_neighbors(c), live);
+    EXPECT_EQ(std::as_const(session).query_neighbors(c), live);
+  }
+}
+
 TEST(Serving, RadiusRulesPerBackend) {
   const auto dataset = data::taxi_gps(800, 82);
   const float eps = 0.25f;
@@ -233,12 +260,6 @@ TEST(Serving, RejectsInvalidRequests) {
                std::logic_error);
   EXPECT_THROW((void)std::as_const(fresh).query_neighbors(0u),
                std::logic_error);
-
-  // Triangle-geometry sessions are excluded from serving altogether.
-  Clusterer tri(dataset.points,
-                Options().with_geometry(core::GeometryMode::kTriangles));
-  (void)tri.run(0.3f, 5);
-  EXPECT_THROW((void)tri.snapshot(), std::logic_error);
 
   Clusterer session(dataset.points);
   (void)session.run(0.3f, 5);

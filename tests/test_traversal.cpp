@@ -22,8 +22,18 @@ struct Scene {
   Bvh bvh;
 };
 
+/// The two code paths of the LBVH builder: the parallel build (radix sort)
+/// and the serial one (std::sort) the delta-tail trees use.
+enum class LbvhMode { kParallel, kSerial };
+
+BuildOptions options_for(LbvhMode mode) {
+  BuildOptions opts;
+  opts.parallel = mode == LbvhMode::kParallel;
+  return opts;
+}
+
 Scene make_scene(std::size_t n, float radius, std::uint64_t seed,
-                 BuildAlgorithm algo) {
+                 LbvhMode mode) {
   Rng rng(seed);
   Scene s;
   for (std::size_t i = 0; i < n; ++i) {
@@ -31,9 +41,7 @@ Scene make_scene(std::size_t n, float radius, std::uint64_t seed,
                              rng.uniformf(0, 20)});
     s.bounds.push_back(Aabb::of_sphere(s.centers.back(), radius));
   }
-  BuildOptions opts;
-  opts.algorithm = algo;
-  s.bvh = build_bvh(s.bounds, opts);
+  s.bvh = build_bvh(s.bounds, options_for(mode));
   return s;
 }
 
@@ -82,7 +90,7 @@ void expect_complete_candidates(const Scene& s, const Ray& ray,
   EXPECT_EQ(filtered, brute) << "trial " << trial;
 }
 
-class TraversalTest : public ::testing::TestWithParam<BuildAlgorithm> {};
+class TraversalTest : public ::testing::TestWithParam<LbvhMode> {};
 
 TEST_P(TraversalTest, PointQueryCandidatesCoverBruteForce) {
   const Scene s = make_scene(3000, 0.7f, 17, GetParam());
@@ -265,9 +273,7 @@ TEST_P(TraversalTest, StackDepthSufficientForAdversarialInput) {
     centers.push_back(Vec3{t, t, t});
     bounds.push_back(Aabb::of_sphere(centers.back(), 0.5f));
   }
-  BuildOptions opts;
-  opts.algorithm = GetParam();
-  const Bvh bvh = build_bvh(bounds, opts);
+  const Bvh bvh = build_bvh(bounds, options_for(GetParam()));
   ASSERT_LE(bvh.stats.max_depth + 1, 64u) << "would overflow traversal stack";
 
   TraversalStats stats;
@@ -283,12 +289,12 @@ TEST_P(TraversalTest, StackDepthSufficientForAdversarialInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Builders, TraversalTest,
-                         ::testing::Values(BuildAlgorithm::kLbvh,
-                                           BuildAlgorithm::kBinnedSah),
+                         ::testing::Values(LbvhMode::kParallel,
+                                           LbvhMode::kSerial),
                          [](const auto& param_info) {
-                           return param_info.param == BuildAlgorithm::kLbvh
+                           return param_info.param == LbvhMode::kParallel
                                       ? "Lbvh"
-                                      : "BinnedSah";
+                                      : "SerialLbvh";
                          });
 
 }  // namespace

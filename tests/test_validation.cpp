@@ -56,7 +56,9 @@ TEST(Validation, AllEntryPointsRejectNan) {
   EXPECT_THROW(dbscan::dclust_plus(pts, params), std::invalid_argument);
   EXPECT_THROW(core::rt_dbscan(pts, params), std::invalid_argument);
   EXPECT_THROW(core::rt_knn(pts, 3), std::invalid_argument);
-  EXPECT_THROW(core::RtDbscanRunner(pts, 1.0f), std::invalid_argument);
+  EXPECT_THROW(
+      core::rt_dbscan(pts, {1.0f, 3, index::IndexKind::kTriangles}),
+      std::invalid_argument);
 }
 
 TEST(Validation, AllEntryPointsRejectInfinity) {

@@ -102,138 +102,19 @@ void expect_candidate_contract(const std::vector<std::uint32_t>& wide_ids,
   EXPECT_EQ(wide_exact, binary_exact) << what;
 }
 
-TEST(WideBvh, CollapseValidatesOnBothBuilders) {
+TEST(WideBvh, CollapseValidatesOnSerialAndParallelBuilds) {
   const auto dataset = data::taxi_gps(4000, 7);
   const auto bounds = sphere_bounds(dataset.points, 0.3f);
-  for (const BuildAlgorithm algo :
-       {BuildAlgorithm::kLbvh, BuildAlgorithm::kBinnedSah}) {
+  for (const bool parallel : {true, false}) {
     BuildOptions opts;
-    opts.algorithm = algo;
+    opts.parallel = parallel;
     const Bvh binary = build_bvh(bounds, opts);
     ASSERT_EQ(binary.validate(bounds), "");
     const WideBvh wide = collapse_bvh(binary);
-    EXPECT_EQ(wide.validate(bounds), "") << to_string(algo);
-    EXPECT_EQ(wide.prim_index, binary.prim_index) << to_string(algo);
-    EXPECT_LT(wide.nodes.size(), binary.nodes.size()) << to_string(algo);
-    EXPECT_LE(wide.max_depth, binary.stats.max_depth) << to_string(algo);
-    // The quantized derivation keeps the same topology and validates its
-    // conservative-containment contract.
-    const QuantizedWideBvh quant = quantize_bvh(wide);
-    EXPECT_EQ(quant.validate(bounds), "") << to_string(algo);
-    EXPECT_EQ(quant.nodes.size(), wide.nodes.size()) << to_string(algo);
-    EXPECT_EQ(quant.prim_index, binary.prim_index) << to_string(algo);
-  }
-}
-
-TEST(QuantizedWideBvh, NodeIsExactly128Bytes) {
-  EXPECT_EQ(sizeof(QuantizedWideBvhNode), 128u);
-  EXPECT_EQ(sizeof(WideBvhNode), 256u);
-}
-
-TEST(QuantizedWideBvh, DecodedLaneBoundsAreConservative) {
-  // Every decoded lane box must contain the exact (uncompressed) lane box —
-  // the property that makes quantized candidate sets a superset.
-  const auto dataset = data::taxi_gps(3000, 23);
-  const auto bounds = sphere_bounds(dataset.points, 0.3f);
-  const WideBvh wide = collapse_bvh(build_bvh(bounds, {}));
-  const QuantizedWideBvh quant = quantize_bvh(wide);
-  ASSERT_EQ(quant.nodes.size(), wide.nodes.size());
-  for (std::size_t n = 0; n < wide.nodes.size(); ++n) {
-    const WideBvhNode& w = wide.nodes[n];
-    const QuantizedWideBvhNode& q = quant.nodes[n];
-    ASSERT_EQ(q.child_count, w.child_count);
-    for (unsigned lane = 0; lane < w.child_count; ++lane) {
-      const Aabb exact{{w.lo[0][lane], w.lo[1][lane], w.lo[2][lane]},
-                       {w.hi[0][lane], w.hi[1][lane], w.hi[2][lane]}};
-      EXPECT_TRUE(q.lane_bounds(lane).contains(exact))
-          << "node " << n << " lane " << lane;
-      EXPECT_EQ(q.child[lane], w.child[lane]);
-      EXPECT_EQ(q.count[lane], w.count[lane]);
-    }
-  }
-}
-
-TEST(QuantizedWideBvh, TraversalParityWithBinaryAndWide) {
-  const auto dataset = data::taxi_gps(3000, 29);
-  const auto bounds = sphere_bounds(dataset.points, 0.25f);
-  const Bvh binary = build_bvh(bounds, {});
-  const WideBvh wide = collapse_bvh(binary);
-  const QuantizedWideBvh quant = quantize_bvh(wide);
-  Rng rng(31);
-
-  TraversalStats sb;
-  TraversalStats sw;
-  TraversalStats sq;
-  for (std::size_t q = 0; q < dataset.points.size(); q += 41) {
-    const Ray point_ray = Ray::point_query(dataset.points[q]);
-    const Ray finite{dataset.points[q],
-                     {static_cast<float>(rng.uniform() - 0.5),
-                      q % 3 == 0 ? 0.0f
-                                 : static_cast<float>(rng.uniform() - 0.5),
-                      static_cast<float>(rng.uniform() - 0.5)},
-                     0.0f,
-                     q % 5 == 0 ? 2.0f : 1e30f};
-    for (const Ray& ray : {point_ray, finite}) {
-      const auto b = ray_candidates(binary, ray, sb);
-      const auto w = ray_candidates(wide, ray, sw);
-      const auto qc = ray_candidates(quant, ray, sq);
-      // Superset chain: binary ⊆ wide ⊆ quantized.
-      EXPECT_TRUE(is_subset(b, w)) << "q=" << q;
-      EXPECT_TRUE(is_subset(w, qc)) << "q=" << q;
-      expect_candidate_contract(
-          qc, b,
-          [&](std::uint32_t id) {
-            return geom::ray_intersects_aabb(ray, bounds[id]);
-          },
-          "quantized ray");
-    }
-    const Aabb box = Aabb::of_sphere(dataset.points[q], 0.5f);
-    const auto ob = overlap_candidates(binary, box, sb);
-    const auto ow = overlap_candidates(wide, box, sw);
-    const auto oq = overlap_candidates(quant, box, sq);
-    EXPECT_TRUE(is_subset(ob, ow)) << "q=" << q;
-    EXPECT_TRUE(is_subset(ow, oq)) << "q=" << q;
-    expect_candidate_contract(
-        oq, ob, [&](std::uint32_t id) { return box.overlaps(bounds[id]); },
-        "quantized overlap");
-  }
-  EXPECT_EQ(sq.rays, sb.rays);
-  EXPECT_LT(sq.nodes_visited, sb.nodes_visited);
-}
-
-TEST(QuantizedWideBvh, RefitTracksRadiusSweep) {
-  const auto dataset = data::taxi_gps(2000, 37);
-  BuildOptions opts;
-  opts.width = TraversalWidth::kWideQuantized;
-  SphereAccel accel(dataset.points, 0.2f, opts);
-  ASSERT_FALSE(accel.quantized_bvh().empty());
-  ASSERT_TRUE(accel.wide_bvh().empty());  // at most one derived layout
-
-  for (const float radius : {0.4f, 0.1f, 0.25f}) {
-    accel.set_radius(radius);
-    const auto bounds = sphere_bounds(dataset.points, radius);
-    EXPECT_EQ(accel.quantized_bvh().validate(bounds), "") << radius;
-    const float r2 = radius * radius;
-    TraversalStats stats;
-    for (std::size_t q = 0; q < dataset.points.size(); q += 97) {
-      const Ray ray = Ray::point_query(dataset.points[q]);
-      std::vector<std::uint32_t> exact;
-      for (const auto id : ray_candidates(accel.quantized_bvh(), ray,
-                                          stats)) {
-        if (geom::distance_squared(dataset.points[q], dataset.points[id]) <=
-            r2) {
-          exact.push_back(id);
-        }
-      }
-      std::vector<std::uint32_t> oracle;
-      for (std::uint32_t j = 0; j < dataset.points.size(); ++j) {
-        if (geom::distance_squared(dataset.points[q], dataset.points[j]) <=
-            r2) {
-          oracle.push_back(j);
-        }
-      }
-      EXPECT_EQ(exact, oracle) << radius << " q=" << q;
-    }
+    EXPECT_EQ(wide.validate(bounds), "") << parallel;
+    EXPECT_EQ(wide.prim_index, binary.prim_index) << parallel;
+    EXPECT_LT(wide.nodes.size(), binary.nodes.size()) << parallel;
+    EXPECT_LE(wide.max_depth, binary.stats.max_depth) << parallel;
   }
 }
 
@@ -380,32 +261,24 @@ TEST(WideBvh, RefitTracksRadiusSweep) {
 TEST(WideBvh, WidthResolution) {
   EXPECT_FALSE(use_wide_traversal(TraversalWidth::kBinary, 1u << 20));
   EXPECT_TRUE(use_wide_traversal(TraversalWidth::kWide, 1));
-  EXPECT_TRUE(use_wide_traversal(TraversalWidth::kWideQuantized, 1));
   EXPECT_FALSE(use_wide_traversal(TraversalWidth::kAuto,
                                   kWideBvhMinPrims - 1));
   EXPECT_TRUE(use_wide_traversal(TraversalWidth::kAuto, kWideBvhMinPrims));
 
   // Unified empty-input rule: EVERY width resolves to the (trivial) binary
-  // path at zero primitives — an explicit kWide/kWideQuantized request is
-  // not "quietly disabled" at some other threshold, zero is the one size
-  // with nothing to collapse (see the use_wide_traversal header comment).
+  // path at zero primitives — an explicit kWide request is not "quietly
+  // disabled" at some other threshold, zero is the one size with nothing
+  // to collapse (see the use_wide_traversal header comment).
   for (const TraversalWidth w :
-       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide,
-        TraversalWidth::kWideQuantized}) {
+       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide}) {
     EXPECT_FALSE(use_wide_traversal(w, 0)) << to_string(w);
   }
-
-  EXPECT_FALSE(use_quantized_nodes(TraversalWidth::kAuto));
-  EXPECT_FALSE(use_quantized_nodes(TraversalWidth::kWide));
-  EXPECT_TRUE(use_quantized_nodes(TraversalWidth::kWideQuantized));
 
   EXPECT_STREQ(to_string(TraversalWidth::kAuto), "auto");
   EXPECT_STREQ(to_string(TraversalWidth::kBinary), "binary");
   EXPECT_STREQ(to_string(TraversalWidth::kWide), "wide");
-  EXPECT_STREQ(to_string(TraversalWidth::kWideQuantized), "quantized");
   for (const TraversalWidth w :
-       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide,
-        TraversalWidth::kWideQuantized}) {
+       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide}) {
     TraversalWidth parsed = TraversalWidth::kBinary;
     EXPECT_TRUE(parse_traversal_width(to_string(w), parsed));
     EXPECT_EQ(parsed, w);
@@ -429,14 +302,12 @@ TEST(WideBvh, WidthResolution) {
   wide_opts.build.width = TraversalWidth::kWide;
   const index::PointBvhIndex empty_idx(none, 0.3f, wide_opts.build);
   EXPECT_TRUE(empty_idx.wide_bvh().empty());
-  EXPECT_TRUE(empty_idx.quantized_bvh().empty());
   EXPECT_EQ(neighbor_set(empty_idx, Vec3{0, 0, 0}, 0.3f, index::kNoSelf),
             std::vector<std::uint32_t>{});
   BuildOptions tri_opts;
-  tri_opts.width = TraversalWidth::kWideQuantized;
+  tri_opts.width = TraversalWidth::kWide;
   const TriangleAccel empty_tri({}, {}, tri_opts);
   EXPECT_TRUE(empty_tri.wide_bvh().empty());
-  EXPECT_TRUE(empty_tri.quantized_bvh().empty());
 }
 
 // Satellite: collapse_bvh() returns an EMPTY tree when a binary leaf
@@ -455,13 +326,11 @@ TEST(WideBvh, OversizeLeafFallsBackToBinaryOnEveryOwner) {
   const auto bounds = sphere_bounds(dataset.points, 0.5f);
   const Bvh binary = build_bvh(bounds, absurd);
   ASSERT_TRUE(collapse_bvh(binary).empty());
-  ASSERT_TRUE(collapse_bvh_quantized(binary).empty());
 
   // SphereAccel: explicit kWide request, collapse unrepresentable → the
   // accel must report an empty wide tree and still answer correctly.
   SphereAccel accel(dataset.points, 0.5f, absurd);
   EXPECT_TRUE(accel.wide_bvh().empty());
-  EXPECT_TRUE(accel.quantized_bvh().empty());
   TraversalStats stats;
   const Ray probe = Ray::point_query(dataset.points[7]);
   std::vector<std::uint32_t> got;
@@ -484,7 +353,6 @@ TEST(WideBvh, OversizeLeafFallsBackToBinaryOnEveryOwner) {
   // PointBvhIndex detects the empty collapse the same way.
   const index::PointBvhIndex idx(dataset.points, 0.5f, absurd);
   EXPECT_TRUE(idx.wide_bvh().empty());
-  EXPECT_TRUE(idx.quantized_bvh().empty());
   EXPECT_EQ(neighbor_set(idx, dataset.points[7], 0.5f, 7),
             [&] {
               std::vector<std::uint32_t> o;
@@ -498,8 +366,7 @@ TEST(WideBvh, OversizeLeafFallsBackToBinaryOnEveryOwner) {
               return o;
             }());
 
-  // TriangleAccel: an oversize-leaf build over triangles falls back too
-  // (kWideQuantized request this time).
+  // TriangleAccel: an oversize-leaf build over triangles falls back too.
   std::vector<geom::Triangle> tris;
   std::vector<std::uint32_t> owners;
   const std::size_t tri_n = static_cast<std::size_t>(kWideMaxLeafCount) + 2;
@@ -512,12 +379,8 @@ TEST(WideBvh, OversizeLeafFallsBackToBinaryOnEveryOwner) {
     tris.push_back({base, base + Vec3{0.1f, 0, 0}, base + Vec3{0, 0.1f, 0}});
     owners.push_back(i);
   }
-  BuildOptions absurd_q = absurd;
-  absurd_q.width = TraversalWidth::kWideQuantized;
-  const TriangleAccel tri_accel(std::move(tris), std::move(owners),
-                                absurd_q);
+  const TriangleAccel tri_accel(std::move(tris), std::move(owners), absurd);
   EXPECT_TRUE(tri_accel.wide_bvh().empty());
-  EXPECT_TRUE(tri_accel.quantized_bvh().empty());
   EXPECT_FALSE(tri_accel.bvh().empty());
 }
 
@@ -567,8 +430,8 @@ TEST(WideBvhIndexParity, NeighborSetsMatchBinaryOnEveryBvhBackend) {
          {index::IndexKind::kPointBvh, index::IndexKind::kBvhRt}) {
       const auto binary =
           make_width_index(c.points, c.eps, kind, TraversalWidth::kBinary);
-      for (const TraversalWidth width :
-           {TraversalWidth::kWide, TraversalWidth::kWideQuantized}) {
+      {
+        const TraversalWidth width = TraversalWidth::kWide;
         const auto wide = make_width_index(c.points, c.eps, kind, width);
         for (std::uint32_t q = 0; q < c.points.size(); q += 17) {
           EXPECT_EQ(neighbor_set(*wide, c.points[q], c.eps, q),
@@ -592,8 +455,7 @@ TEST(WideBvhIndexParity, NeighborSetsMatchBinaryOnEveryBvhBackend) {
 
 TEST(WideBvhIndexParity, QueryBoxMatchesBinaryOnEveryBvhBackend) {
   // query_box routes through the same layout dispatch as the sphere
-  // queries — including for the quantized layout (regression: BvhRtIndex
-  // once fell back to the binary walk here).
+  // queries.
   const auto c = width_cases().front();
   const auto box_set = [](const index::NeighborIndex& idx, const Aabb& box,
                           TraversalStats& stats) {
@@ -606,8 +468,8 @@ TEST(WideBvhIndexParity, QueryBoxMatchesBinaryOnEveryBvhBackend) {
        {index::IndexKind::kPointBvh, index::IndexKind::kBvhRt}) {
     const auto binary =
         make_width_index(c.points, c.eps, kind, TraversalWidth::kBinary);
-    for (const TraversalWidth width :
-         {TraversalWidth::kWide, TraversalWidth::kWideQuantized}) {
+    {
+      const TraversalWidth width = TraversalWidth::kWide;
       const auto other = make_width_index(c.points, c.eps, kind, width);
       TraversalStats sb;
       TraversalStats so;
@@ -635,8 +497,8 @@ TEST(WideBvhClusteringParity, EngineIdenticalAcrossWidths) {
       const auto binary =
           make_width_index(c.points, p.eps, kind, TraversalWidth::kBinary);
       const auto run_b = dbscan::cluster_with_index(*binary, p);
-      for (const TraversalWidth width :
-           {TraversalWidth::kWide, TraversalWidth::kWideQuantized}) {
+      {
+        const TraversalWidth width = TraversalWidth::kWide;
         const auto wide = make_width_index(c.points, p.eps, kind, width);
         const auto run_w = dbscan::cluster_with_index(*wide, p);
         // Identical, not merely equivalent: the candidate sets match
@@ -695,9 +557,9 @@ TEST(WideBvhClusteringParity, VariantsMatchReferenceWithForcedWide) {
 
 // ---------------------------------------------------------------------------
 // Triangle mode (§VI-C) on the wide kernel: the tessellated scene must
-// surface identical owner sets and identical clusterings across binary /
-// wide / quantized, on the standard degenerate datasets, and the wide
-// layouts must refit through a TriangleAccel ε sweep.
+// surface identical owner sets and identical clusterings across binary and
+// wide, on the standard degenerate datasets, and the wide layout must
+// refit through a TriangleAccel ε sweep.
 // ---------------------------------------------------------------------------
 
 /// Owner set a +z §VI-C query ray hits (exact AnyHit dedup), sorted.
@@ -747,16 +609,12 @@ TEST(TriangleWideParity, OwnerSetsIdenticalAcrossWidths) {
     binary_opts.width = TraversalWidth::kBinary;
     const TriangleAccel binary(c.points, c.eps, 1, binary_opts);
     const float tmax = 1.01f * (c.eps + binary.vertex_scale());
-    for (const TraversalWidth width :
-         {TraversalWidth::kWide, TraversalWidth::kWideQuantized}) {
+    {
+      const TraversalWidth width = TraversalWidth::kWide;
       BuildOptions opts;
       opts.width = width;
       const TriangleAccel other(c.points, c.eps, 1, opts);
-      if (width == TraversalWidth::kWide) {
-        ASSERT_FALSE(other.wide_bvh().empty()) << c.name;
-      } else {
-        ASSERT_FALSE(other.quantized_bvh().empty()) << c.name;
-      }
+      ASSERT_FALSE(other.wide_bvh().empty()) << c.name;
       TraversalStats s1;
       TraversalStats s2;
       for (std::size_t q = 0; q < c.points.size(); q += 7) {
@@ -776,21 +634,22 @@ TEST(TriangleWideParity, OwnerSetsIdenticalAcrossWidths) {
 TEST(TriangleWideParity, ClusteringsIdenticalAcrossWidths) {
   const auto dataset = data::gaussian_blobs(700, 4, 0.4f, 9.0f, 3, 67);
   const dbscan::Params params{0.5f, 6};
+  const dbscan::Params tri{params.eps, params.min_pts,
+                           index::IndexKind::kTriangles};
   core::RtDbscanOptions base;
-  base.geometry = core::GeometryMode::kTriangles;
   base.triangle_subdivisions = 1;
 
   core::RtDbscanOptions binary = base;
   binary.device.build.width = TraversalWidth::kBinary;
-  const auto rt_b = core::rt_dbscan(dataset.points, params, binary);
+  const auto rt_b = core::rt_dbscan(dataset.points, tri, binary);
   testutil::expect_matches_reference(dataset.points, params, rt_b.clustering,
                                      "triangles+binary");
 
-  for (const TraversalWidth width :
-       {TraversalWidth::kWide, TraversalWidth::kWideQuantized}) {
+  {
+    const TraversalWidth width = TraversalWidth::kWide;
     core::RtDbscanOptions opts = base;
     opts.device.build.width = width;
-    const auto rt_w = core::rt_dbscan(dataset.points, params, opts);
+    const auto rt_w = core::rt_dbscan(dataset.points, tri, opts);
     EXPECT_EQ(rt_w.clustering.labels, rt_b.clustering.labels)
         << to_string(width);
     EXPECT_EQ(rt_w.clustering.is_core, rt_b.clustering.is_core)
@@ -807,8 +666,7 @@ TEST(TriangleWideParity, ClusteringsIdenticalAcrossWidths) {
 TEST(TriangleWideParity, RefitAfterEpsSweepKeepsParity) {
   const auto dataset = data::taxi_gps(500, 71);
   for (const TraversalWidth width :
-       {TraversalWidth::kBinary, TraversalWidth::kWide,
-        TraversalWidth::kWideQuantized}) {
+       {TraversalWidth::kBinary, TraversalWidth::kWide}) {
     BuildOptions opts;
     opts.width = width;
     TriangleAccel accel(dataset.points, 0.2f, 1, opts);
