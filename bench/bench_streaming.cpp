@@ -14,10 +14,16 @@
 // batches converge toward the rebuild path by design (the rebuild
 // threshold absorbs them less often).
 //
+// With --hold-snapshot every advance() runs while a reader holds the
+// session's snapshot (the serving case); the run then also counts the
+// advances that moved the session's points into a new buffer (expected:
+// only the first, which grows the buffer the session was built with).
+//
 //   ./bench_streaming [--n N] [--eps E] [--minpts M] [--reps R] [--json]
-//                     [--trace out.json]
+//                     [--hold-snapshot] [--trace out.json]
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +57,7 @@ int main(int argc, char** argv) {
   const cli::TraceSink trace(flags);
   const auto cfg = bench::BenchConfig::from_flags(flags);
   const bool json = flags.get_bool("json", false);
+  const bool hold_snapshot = flags.get_bool("hold-snapshot", false);
   const auto n =
       cfg.scaled(static_cast<std::size_t>(flags.get_int("n", 1000000)));
   // taxi_gps has a FIXED 50x50 extent, so density — and per-query
@@ -92,21 +99,28 @@ int main(int argc, char** argv) {
   (void)session.run(eps, min_pts);
 
   std::size_t cursor = n;
+  int advances = 0;
+  int point_copies = 0;
+  // One window step; with --hold-snapshot a snapshot is held across it
+  // (taken untimed, before the timer starts).
+  const auto step = [&](std::size_t batch, std::vector<double>* samples) {
+    std::shared_ptr<const IndexSnapshot> held;
+    if (hold_snapshot) held = session.snapshot();
+    const Vec3* const before = session.points().data();
+    Timer t;
+    (void)session.advance(all.subspan(cursor, batch), batch);
+    if (samples != nullptr) samples->push_back(t.seconds());
+    cursor += batch;
+    ++advances;
+    if (session.points().data() != before) ++point_copies;
+  };
   std::vector<StreamRow> rows;
   for (const std::size_t batch : batches) {
     constexpr int kWarm = 3;
     const int ops = batch >= 4096 ? 5 : 9;
-    for (int w = 0; w < kWarm; ++w) {
-      (void)session.advance(all.subspan(cursor, batch), batch);
-      cursor += batch;
-    }
+    for (int w = 0; w < kWarm; ++w) step(batch, nullptr);
     std::vector<double> samples;
-    for (int op = 0; op < ops; ++op) {
-      Timer t;
-      (void)session.advance(all.subspan(cursor, batch), batch);
-      samples.push_back(t.seconds());
-      cursor += batch;
-    }
+    for (int op = 0; op < ops; ++op) step(batch, &samples);
     StreamRow row;
     row.batch = batch;
     row.ops = ops;
@@ -132,10 +146,12 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "{\n  \"n\": %zu,\n  \"eps\": %g,\n  \"min_pts\": %u,\n"
-        "  \"backend\": \"bvhrt\",\n"
+        "  \"backend\": \"bvhrt\",\n  \"hold_snapshot\": %s,\n"
+        "  \"point_copies\": %d,\n  \"advances\": %d,\n"
         "  \"full_rebuild_recluster_ms\": %f,\n  \"rows\": [\n    %s\n  ]\n}\n",
-        n, static_cast<double>(eps), min_pts, rebuild_s * 1e3,
-        rows_json.c_str());
+        n, static_cast<double>(eps), min_pts,
+        hold_snapshot ? "true" : "false", point_copies, advances,
+        rebuild_s * 1e3, rows_json.c_str());
   } else {
     std::printf("full rebuild + recluster at n=%zu: %.1f ms\n\n", n,
                 rebuild_s * 1e3);
@@ -147,6 +163,9 @@ int main(int argc, char** argv) {
                      Table::speedup(r.speedup_vs_rebuild)});
     }
     table.print();
+    std::printf("\nadvances that copied the points%s: %d of %d\n",
+                hold_snapshot ? " (snapshot held)" : "", point_copies,
+                advances);
   }
   return 0;
 }

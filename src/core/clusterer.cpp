@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "common/stage.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/timer.hpp"
+#include "core/point_buffer.hpp"
 #include "dbscan/engine.hpp"
 #include "dbscan/equivalence.hpp"
 #include "index/compacted_index.hpp"
@@ -56,13 +58,12 @@ void validate_center(const Vec3& center) {
 }  // namespace
 
 struct Clusterer::Impl {
-  /// Owned storage (an empty vector for borrowing sessions) and the view
-  /// every internal consumer reads.  `pts` aliases `*storage` when owning.
-  /// Shared so snapshots can co-own the points past the session's lifetime;
-  /// non-const so insert()/advance() can append — with copy-on-write when a
-  /// snapshot co-owns the buffer (an in-place append could relocate a span
-  /// a reader is traversing).
-  std::shared_ptr<std::vector<Vec3>> storage;
+  /// Owned storage (null for a borrowing session until its first insert)
+  /// and the view every internal consumer reads: the session's prefix of
+  /// the buffer.  Shared so snapshots co-own the points past the session's
+  /// lifetime; appends write past every snapshot's prefix
+  /// (core/point_buffer.hpp).
+  std::shared_ptr<PointBuffer> storage;
   std::span<const Vec3> pts;
   Options opts;
 
@@ -123,12 +124,11 @@ struct Clusterer::Impl {
   std::optional<dsu::AtomicDisjointSet> dsu;
   std::vector<std::atomic<std::uint8_t>> claimed;
   std::vector<std::int32_t> root_scratch;
-  std::vector<std::uint32_t> csr_cursor;
 
   // Incremental-maintenance scratch (capacities reused: warm mutations
   // below the rebuild threshold allocate only at the documented growth
-  // points — point-storage append, mask/scratch growth to a new high-water
-  // slot count, DSU growth).  The slot-sized maps (wloc, claim_owner) and
+  // points — point-buffer growth, mask/scratch/member-list growth to a new
+  // high-water mark, DSU growth).  The slot-sized maps (wloc, claim_owner) and
   // cluster_affected are never filled wholesale: each repair clears the
   // entries the previous one set through that one's dirty lists (wlist,
   // claimed_slots, affected_list), so a repair a fault interrupted leaves
@@ -143,14 +143,18 @@ struct Clusterer::Impl {
   std::vector<std::uint8_t> claim;   ///< in-W border claims (serial CAS)
   std::vector<std::uint32_t> claim_owner;  ///< out-of-W noise -> claiming node
   std::vector<std::uint32_t> claimed_slots;  ///< .. its set entries
-  std::optional<dsu::AtomicDisjointSet> mini_dsu;  ///< |W| + C_old nodes
-  std::vector<std::uint32_t> stay_count;   ///< old cluster -> members kept
-  std::vector<std::uint32_t> root_keeper;  ///< mini-DSU root -> kept old id
-  std::vector<std::uint32_t> group_base;   ///< new group -> spliced old group
-  std::vector<std::uint64_t> group_outs;   ///< (old group, slot) leaving
-  std::vector<std::uint64_t> group_ins;    ///< (new group, slot) entering
-  std::vector<std::uint32_t> members_next;  ///< spliced membership table
-  std::vector<std::uint32_t> starts_next;   ///< .. and its group offsets
+  /// The repair's union-find (parent links, the lower index is the root):
+  /// W's nodes, then one ANCHOR node per old cluster the repair reaches,
+  /// created on first use (anchor()), so its size follows the repair and
+  /// not the cluster count.
+  std::vector<std::uint32_t> mini_parent;
+  std::vector<std::uint32_t> anchor_node;  ///< old cluster -> node, kNoneId
+  std::vector<std::uint32_t> anchored;     ///< .. its set entries, by node
+  std::vector<std::uint32_t> stay_count;   ///< anchor -> members it keeps
+  std::vector<std::uint32_t> root_keeper;  ///< root -> the list it builds in
+  std::vector<std::uint32_t> hole_list;    ///< freed ids below the new count
+  /// (freed id, list built for it): the swaps that finish a relabel.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> renumber;
   std::vector<std::uint32_t> rem_nbr_ids;     ///< removal-batch neighbor CSR
   std::vector<std::uint32_t> rem_nbr_starts;  ///< .. per-removed-id offsets
   std::vector<std::uint32_t> ins_nbr_ids;     ///< insert-batch neighbor CSR
@@ -404,42 +408,10 @@ struct Clusterer::Impl {
         n, [&](std::uint32_t x) { return dsu->find(x); }, r.is_core,
         r.labels, root_scratch);
     r.neighbor_counts.assign(cts.begin(), cts.end());
-    build_membership();
+    r.membership.assign(r.labels, r.cluster_count);
 
     r.stats.timings.total_seconds = total.seconds();
     r.seconds = r.stats.timings.total_seconds;
-  }
-
-  /// Rebuild result.members / result.member_starts from result.labels: a
-  /// counting sort into cluster buckets, noise last.
-  void build_membership() {
-    ClusterResult& r = result;
-    const std::size_t n = r.labels.size();
-    const std::size_t buckets = static_cast<std::size_t>(r.cluster_count) + 1;
-    r.member_starts.resize(buckets + 1);
-    std::fill(r.member_starts.begin(), r.member_starts.end(), 0u);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int32_t label = r.labels[i];
-      const std::size_t b = label == kNoise
-                                ? buckets - 1
-                                : static_cast<std::size_t>(label);
-      ++r.member_starts[b + 1];
-    }
-    for (std::size_t b = 1; b <= buckets; ++b) {
-      r.member_starts[b] += r.member_starts[b - 1];
-    }
-    r.members.resize(n);
-    csr_cursor.resize(buckets);
-    std::copy(r.member_starts.begin(),
-              r.member_starts.begin() + static_cast<std::ptrdiff_t>(buckets),
-              csr_cursor.begin());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int32_t label = r.labels[i];
-      const std::size_t b = label == kNoise
-                                ? buckets - 1
-                                : static_cast<std::size_t>(label);
-      r.members[csr_cursor[b]++] = static_cast<std::uint32_t>(i);
-    }
   }
 
   /// The body of run(), parameters pre-validated — and the HEAL path for a
@@ -480,8 +452,7 @@ struct Clusterer::Impl {
       r.labels.clear();
       r.is_core.clear();
       r.neighbor_counts.clear();
-      r.members.clear();
-      r.member_starts.assign(2, 0);
+      r.membership.assign({}, 0);
       r.cluster_count = 0;
       r.seconds = total.seconds();
       last_eps = eps;
@@ -680,18 +651,22 @@ struct Clusterer::Impl {
 
     // Stage 3 — storage append + index mutation, under the publish lock so
     // snapshot creation can never interleave with a half-applied batch.
-    bool appended_in_place = false;
-    bool storage_replaced = false;
+    // The append never moves a point a reader (or the index) can see: it
+    // writes past every prefix in place, or copies into a grown buffer
+    // while the old one lives on in its holders — here also in
+    // storage_backup until the batch commits.
     bool live_grown = false;
     bool index_hazard = false;
-    std::shared_ptr<std::vector<Vec3>> storage_backup;
+    std::shared_ptr<PointBuffer> storage_backup = storage;
     const std::span<const Vec3> pts_backup = pts;
     // Undo stages 2+3.  Noexcept; call with publish_mu HELD.  When the
-    // index may be mid-mutation (a backend threw partway through absorb)
-    // or reading a relocated span (in-place append moved the buffer), it
-    // is dropped — derived state the next ensure_index rebuilds.  Readers
-    // stay safe: published is nulled and any snapshot taken meanwhile owns
-    // its own references to whatever structure it captured.
+    // index may be mid-mutation (a backend threw partway through absorb),
+    // it is dropped — derived state the next ensure_index rebuilds.
+    // Readers stay safe: published is nulled and any snapshot taken
+    // meanwhile owns its own references to whatever it captured.  The
+    // rolled-back session length sits below the buffer's write cursor, so
+    // the next append copies instead of overwriting what such a snapshot
+    // reads.
     const auto rollback_batch_locked = [&]() noexcept {
       // Defined outside the lock scope but only ever called with publish_mu
       // held (both call sites below) — re-assert for the analysis, which
@@ -703,13 +678,8 @@ struct Clusterer::Impl {
         index_shared = false;
       }
       if (live_grown) live.resize(n);
-      if (storage_replaced) {
-        storage = std::move(storage_backup);
-        pts = pts_backup;
-      } else if (appended_in_place) {
-        storage->resize(n);  // shrink: never reallocates
-        pts = *storage;
-      }
+      storage = std::move(storage_backup);
+      pts = pts_backup;
       pending_mutations = pending_backup;
       rollback_removal();
     };
@@ -727,28 +697,7 @@ struct Clusterer::Impl {
             (add.empty() || index->refittable());
         if (absorb) unshare_index();
         if (!add.empty()) {
-          const bool borrowed = !storage || storage->data() != pts.data();
-          if (borrowed || storage.use_count() > 1) {
-            // Borrowed points, or a snapshot co-owns the buffer: an
-            // in-place append could relocate a span a reader is traversing
-            // — copy on write instead (the old buffer lives until its
-            // readers finish; here also until rollback can no longer need
-            // it, via storage_backup).
-            storage_backup = storage;
-            auto fresh = std::make_shared<std::vector<Vec3>>();
-            fresh->reserve(n_new);
-            fresh->assign(pts.begin(), pts.end());
-            fresh->insert(fresh->end(), add.begin(), add.end());
-            storage = std::move(fresh);
-            storage_replaced = true;
-          } else {
-            // In-place append may relocate the buffer the index reads —
-            // from here on a throw must drop the index.
-            index_hazard = true;
-            storage->insert(storage->end(), add.begin(), add.end());
-            appended_in_place = true;
-          }
-          pts = *storage;
+          pts = PointBuffer::append(storage, pts, add);
           if (!live.empty()) {
             live.resize(n_new, 1);
             live_grown = true;
@@ -759,7 +708,7 @@ struct Clusterer::Impl {
         if (absorb) {
           // Mask the removals (amortized refit inside the backend), then
           // hand the appended span over (delta-tail contract — the call
-          // also re-binds after a storage relocation).
+          // also re-binds after the buffer grew).
           bool ok = rem_sorted.empty() || index->try_remove(rem_sorted);
           if (ok && !add.empty()) ok = index->try_insert(pts, first_new);
           absorbed = ok;
@@ -866,6 +815,36 @@ struct Clusterer::Impl {
     }
   }
 
+  [[nodiscard]] std::uint32_t mini_find(std::uint32_t x) {
+    while (mini_parent[x] != x) {
+      mini_parent[x] = mini_parent[mini_parent[x]];  // path halving
+      x = mini_parent[x];
+    }
+    return x;
+  }
+
+  void mini_unite(std::uint32_t a, std::uint32_t b) {
+    a = mini_find(a);
+    b = mini_find(b);
+    if (a != b) mini_parent[std::max(a, b)] = std::min(a, b);
+  }
+
+  /// The anchor node of old cluster c, created on first use with c's
+  /// whole membership as its kept count.  The dirty list is appended
+  /// first, as in add_w.
+  std::uint32_t anchor(std::int32_t c) {
+    std::uint32_t& node = anchor_node[static_cast<std::size_t>(c)];
+    if (node == kNoneId) {
+      anchored.push_back(static_cast<std::uint32_t>(c));
+      stay_count.push_back(
+          static_cast<std::uint32_t>(result.members_of(c).size()));
+      const auto fresh = static_cast<std::uint32_t>(mini_parent.size());
+      mini_parent.push_back(fresh);
+      node = fresh;
+    }
+    return node;
+  }
+
   /// A fresh epoch for seed_mark / visit_mark.
   std::uint32_t next_epoch() {
     if (++mark_epoch == 0) {  // wrap: invalidate all stale marks once
@@ -888,15 +867,18 @@ struct Clusterer::Impl {
   /// repair set W stays small: the cut's non-core neighbors, demoted
   /// cores, promoted cores, and the inserted batch; only a PROVEN split
   /// expands a cluster's full membership into W.  A miniature union-find
-  /// over W plus one ANCHOR node per old cluster re-runs phase 2's union
-  /// rules with queries only from W's cores; the relabel pass then maps
-  /// old labels through the anchors, so intact clusters merge or persist
-  /// without their members ever being queried.
+  /// over W plus one ANCHOR node per old cluster it reaches re-runs phase
+  /// 2's union rules with queries only from W's cores; the relabel pass
+  /// then maps old labels through the anchors, so intact clusters merge
+  /// or persist without their members ever being queried.
   ///
   /// No step walks every slot: core flags can flip only where a neighbor
   /// count changed (the touched set), scratch is cleared through dirty
-  /// lists, and cluster ids are stable (relabel_repair), so the cost is
-  /// O(|touched| + |W| + C) plus one block copy of the membership table.
+  /// lists, old clusters enter the union-find only when the repair reaches
+  /// them, cluster ids are stable (relabel_repair), and each relabelled
+  /// slot moves between member lists in O(1), so the cost is
+  /// O(|touched| + |W| + the clusters reached) plus the members of merged
+  /// or renumbered clusters.
   void maintain_labels(std::size_t first_new, float eps) {
     RTD_STAGE("session.repair");
     const Timer phase_timer;
@@ -911,6 +893,7 @@ struct Clusterer::Impl {
     r.labels.resize(n, kNoise);
     r.is_core.resize(n, 0);
     r.neighbor_counts.resize(n, 0);
+    r.membership.grow(n);
 
     // Clear what the previous repair marked (completed or interrupted by a
     // fault), then grow to the slot count: grown entries start clear.
@@ -923,9 +906,13 @@ struct Clusterer::Impl {
     claimed_slots.clear();
     for (const std::uint32_t c : affected_list) cluster_affected[c] = 0;
     affected_list.clear();
+    for (const std::uint32_t c : anchored) anchor_node[c] = kNoneId;
+    anchored.clear();
+    stay_count.clear();
     wloc.resize(n, kNoneId);
     claim_owner.resize(n, kNoneId);
     cluster_affected.resize(c_old, 0);
+    anchor_node.resize(c_old, kNoneId);
     seed_mark.resize(n);
     visit_mark.resize(n);
     visit_origin.resize(n);  // valid only where visit_mark holds the epoch
@@ -980,13 +967,14 @@ struct Clusterer::Impl {
         add_w(i);
       }
     }
+    // Query W in slot order: a re-clustered membership arrives in member
+    // list order, which edits scramble, and slot order keeps the
+    // neighboring queries of a trajectory-ordered stream close in memory.
+    std::sort(wlist.begin(), wlist.end());
+    for (std::uint32_t w = 0; w < wlist.size(); ++w) wloc[wlist[w]] = w;
 
-    const std::size_t nodes = wlist.size() + c_old;
-    if (!mini_dsu.has_value()) {
-      mini_dsu.emplace(nodes);
-    } else {
-      mini_dsu->reset(nodes);
-    }
+    mini_parent.resize(wlist.size());
+    std::iota(mini_parent.begin(), mini_parent.end(), 0u);
     claim.resize(wlist.size());
     std::fill(claim.begin(), claim.end(), std::uint8_t{0});
     {
@@ -999,7 +987,7 @@ struct Clusterer::Impl {
     }
     {
       RTD_STAGE("repair.relabel");
-      relabel_repair(first_new);
+      relabel_repair();
       for (const std::uint32_t i : touched) {
         r.is_core[i] = core_now(i) ? 1 : 0;
         r.neighbor_counts[i] = counts[i];
@@ -1330,10 +1318,10 @@ struct Clusterer::Impl {
             const std::uint32_t wj = wloc[j];
             if (wj != kNoneId) {
               if (core_now(j)) {
-                if (j > i) mini_dsu->unite(w, wj);
+                if (j > i) mini_unite(w, wj);
               } else if (!claim[wj]) {
                 claim[wj] = 1;
-                mini_dsu->unite(w, wj);
+                mini_unite(w, wj);
               }
             } else if (core_now(j)) {
               // Out-of-W core: proven intact, or the residual component
@@ -1341,8 +1329,7 @@ struct Clusterer::Impl {
               // within ε of a residual core would have merged with it
               // during detection's flood).  Either way its old label is
               // its valid cluster identity.
-              mini_dsu->unite(
-                  w, w_count + static_cast<std::uint32_t>(r.labels[j]));
+              mini_unite(w, anchor(r.labels[j]));
             } else if (claim_owner[j] == kNoneId &&
                        (r.labels[j] == kNoise ||
                         cluster_affected[static_cast<std::size_t>(
@@ -1376,10 +1363,7 @@ struct Clusterer::Impl {
             if (claim[w] || !core_now(j)) return;
             claim[w] = 1;
             const std::uint32_t wj = wloc[j];
-            mini_dsu->unite(
-                w, wj != kNoneId
-                       ? wj
-                       : w_count + static_cast<std::uint32_t>(r.labels[j]));
+            mini_unite(w, wj != kNoneId ? wj : anchor(r.labels[j]));
           },
           work);
     }
@@ -1392,211 +1376,176 @@ struct Clusterer::Impl {
   /// without an anchor — new clusters, splinters — take freed ids first,
   /// and ids stay dense: the highest kept ids move down into any holes
   /// left, one cluster relabelled per hole.  Visits W, the claimed slots,
-  /// the removed batch and the members of merged or moved clusters only,
-  /// recording every move for splice_membership.
-  void relabel_repair(std::size_t first_new) {
+  /// the removed batch, the anchored clusters and the members of merged or
+  /// moved clusters only; the member lists follow with O(1) moves and
+  /// list swaps (core/membership.hpp).
+  void relabel_repair() {
     ClusterResult& r = result;
+    Membership& groups = r.membership;
     const std::uint32_t c_old = r.cluster_count;
     const auto w_count = static_cast<std::uint32_t>(wlist.size());
-    const auto root_of_cluster = [&](std::uint32_t c) {
-      return mini_dsu->find(w_count + c);
-    };
     const auto old_size = [&](std::uint32_t c) {
-      return r.member_starts[c + 1] - r.member_starts[c];
+      return groups.members_of(static_cast<std::int32_t>(c)).size();
     };
     const auto labeled = [&](std::uint32_t w) {
       return claim[w] != 0 || core_now(wlist[w]);
     };
 
-    // Members each old cluster keeps through its anchor: all but those in
-    // W, claimed by a W core, or removed.  Only a kept member can tie an
-    // anchor to anything, so an anchor with none is an empty singleton.
-    stay_count.resize(c_old);
-    for (std::uint32_t c = 0; c < c_old; ++c) stay_count[c] = old_size(c);
-    const auto leave = [&](std::uint32_t i) {
-      if (r.labels[i] >= 0) --stay_count[static_cast<std::size_t>(r.labels[i])];
-    };
-    for (const std::uint32_t i : wlist) leave(i);
-    for (const std::uint32_t i : claimed_slots) leave(i);
-    for (const std::uint32_t i : rem_sorted) leave(i);
+    // A cluster that loses a member gets an anchor too, so the anchored
+    // clusters are exactly those whose members or id the repair can
+    // change: every other one keeps its members, and its id unless that
+    // id must move down into a hole.  stay_count ends as the members each
+    // anchored cluster keeps: all but those in W, claimed by a W core, or
+    // removed.  Only a kept member can tie an anchor to anything, so an
+    // anchor with none is an empty singleton.
+    const std::array<std::span<const std::uint32_t>, 3> leavers = {
+        wlist, claimed_slots, rem_sorted};
+    for (const auto slots : leavers) {
+      for (const std::uint32_t i : slots) {
+        if (r.labels[i] >= 0) --stay_count[anchor(r.labels[i]) - w_count];
+      }
+    }
+    const auto a_count = static_cast<std::uint32_t>(anchored.size());
 
-    // Count the final classes: one per root holding a kept anchor (keeper:
-    // its largest old cluster, ties to the lower id), one per root of
-    // labeled W nodes only.  root_scratch holds the final id per root.
+    // Count the final classes: every cluster without an anchor keeps
+    // itself; one per root holding a kept anchor (keeper: its largest
+    // cluster, ties to the lower id); one per root of labeled W nodes
+    // only.  root_scratch holds the final id per root, root_keeper the
+    // member list the class is built in — its keeper's old list, or for a
+    // new class a scratch list past every old and new id.
     constexpr std::uint32_t kNewClass = kNoneId - 1;
-    root_keeper.assign(w_count + c_old, kNoneId);
-    root_scratch.assign(w_count + c_old, kNoise);
-    std::uint32_t c_new = 0;
-    for (std::uint32_t c = 0; c < c_old; ++c) {
-      if (stay_count[c] == 0) continue;
-      std::uint32_t& keeper = root_keeper[root_of_cluster(c)];
+    root_keeper.assign(mini_parent.size(), kNoneId);
+    root_scratch.assign(mini_parent.size(), kNoise);
+    std::uint32_t c_new = c_old - a_count;
+    for (std::uint32_t k = 0; k < a_count; ++k) {
+      if (stay_count[k] == 0) continue;
+      const std::uint32_t c = anchored[k];
+      std::uint32_t& keeper = root_keeper[mini_find(w_count + k)];
       if (keeper == kNoneId) {
         keeper = c;
         ++c_new;
-      } else if (old_size(c) > old_size(keeper)) {
+      } else if (old_size(c) > old_size(keeper) ||
+                 (old_size(c) == old_size(keeper) && c < keeper)) {
         keeper = c;
       }
     }
     for (std::uint32_t w = 0; w < w_count; ++w) {
       if (!labeled(w)) continue;
-      std::uint32_t& keeper = root_keeper[mini_dsu->find(w)];
+      std::uint32_t& keeper = root_keeper[mini_find(w)];
       if (keeper == kNoneId) {
         keeper = kNewClass;
         ++c_new;
       }
     }
+    // Whether old cluster c is kept as a class of its own members.
+    const auto kept = [&](std::uint32_t c) {
+      const std::uint32_t node = anchor_node[c];
+      return node == kNoneId || (stay_count[node - w_count] > 0 &&
+                                 root_keeper[mini_find(node)] == c);
+    };
 
     // Dense ids.  Kept ids below c_new stay; the holes below c_new go to
     // the new classes first, then to the kept ids at or above c_new,
     // highest first.  There are exactly as many holes as takers: c_new
-    // counts every keeper and every new class, so the holes below c_new
-    // number the new classes plus the keepers at or above c_new.
-    // group_base maps each new group to the old group its members are
-    // spliced from (noise onto noise; none for new classes).
-    group_base.assign(static_cast<std::size_t>(c_new) + 1, kNoneId);
-    group_base[c_new] = c_old;
-    for (std::uint32_t c = 0; c < std::min(c_old, c_new); ++c) {
-      if (stay_count[c] == 0) continue;
-      const std::uint32_t root = root_of_cluster(c);
-      if (root_keeper[root] == c) {
-        group_base[c] = c;
-        root_scratch[root] = static_cast<std::int32_t>(c);
+    // counts every kept cluster and every new class, so the holes below
+    // c_new number the new classes plus the kept ids at or above c_new.
+    // A hole is the id of an anchored cluster that is not kept, or a new
+    // id past c_old.  Each taker is recorded in `renumber` with the list
+    // it builds in, swapped into place at the end.
+    hole_list.clear();
+    for (const std::uint32_t c : anchored) {
+      if (c < c_new && !kept(c)) hole_list.push_back(c);
+    }
+    for (std::uint32_t c = c_old; c < c_new; ++c) hole_list.push_back(c);
+    std::sort(hole_list.begin(), hole_list.end());
+    renumber.clear();
+    for (std::uint32_t k = 0; k < a_count; ++k) {
+      const std::uint32_t c = anchored[k];
+      if (c < c_new && kept(c)) {
+        root_scratch[mini_find(w_count + k)] = static_cast<std::int32_t>(c);
       }
     }
-    std::uint32_t hole = 0;
-    const auto take_hole = [&] {
-      while (group_base[hole] != kNoneId) ++hole;
-      assert(hole < c_new);
-      return hole++;
-    };
+    std::uint32_t scratch = std::max(c_old, c_new);
     for (std::uint32_t w = 0; w < w_count; ++w) {
       if (!labeled(w)) continue;
-      const std::uint32_t root = mini_dsu->find(w);
-      if (root_keeper[root] == kNewClass && root_scratch[root] == kNoise) {
-        root_scratch[root] = static_cast<std::int32_t>(take_hole());
+      const std::uint32_t root = mini_find(w);
+      if (root_keeper[root] == kNewClass) {
+        const std::uint32_t hole = hole_list[renumber.size()];
+        renumber.emplace_back(hole, scratch);
+        root_keeper[root] = scratch++;
+        root_scratch[root] = static_cast<std::int32_t>(hole);
       }
     }
     for (std::uint32_t c = c_old; c-- > c_new;) {
-      if (stay_count[c] == 0) continue;
-      const std::uint32_t root = root_of_cluster(c);
-      if (root_keeper[root] != c) continue;
-      const std::uint32_t g = take_hole();
-      group_base[g] = c;
-      root_scratch[root] = static_cast<std::int32_t>(g);
-    }
-
-    // Relabel, recording each slot that changes group: (old group, slot)
-    // leaves, (new group, slot) enters.  Noise is group c_old before and
-    // c_new after; the inserted slots had no old group.
-    group_outs.clear();
-    group_ins.clear();
-    const auto relabel_slot = [&](std::uint32_t i, std::int32_t label) {
-      if (i < first_new) {
-        const std::int32_t was = r.labels[i];
-        group_outs.push_back(
-            group_key(was == kNoise ? c_old : static_cast<std::uint32_t>(was),
-                      i));
+      if (!kept(c)) continue;
+      const std::uint32_t hole = hole_list[renumber.size()];
+      renumber.emplace_back(hole, c);
+      if (anchor_node[c] != kNoneId) {
+        root_scratch[mini_find(anchor_node[c])] =
+            static_cast<std::int32_t>(hole);
+      } else {
+        // Untouched by the repair: only its id moves.
+        for (const std::uint32_t m :
+             groups.members_of(static_cast<std::int32_t>(c))) {
+          r.labels[m] = static_cast<std::int32_t>(hole);
+        }
       }
-      group_ins.push_back(group_key(
-          label == kNoise ? c_new : static_cast<std::uint32_t>(label), i));
+    }
+    assert(renumber.size() == hole_list.size());
+
+    // Relabel: each slot that changes class moves from its old list to the
+    // list its class is built in.  The inserted slots start in noise.
+    const auto relabel_slot = [&](std::uint32_t i, std::int32_t label,
+                                  std::uint32_t list) {
+      groups.move(i, r.labels[i],
+                  label == kNoise ? kNoise : static_cast<std::int32_t>(list));
       r.labels[i] = label;
     };
+    const auto join_root = [&](std::uint32_t i, std::uint32_t root) {
+      relabel_slot(i, root_scratch[root], root_keeper[root]);
+    };
     for (std::uint32_t w = 0; w < w_count; ++w) {
-      relabel_slot(wlist[w],
-                   labeled(w) ? root_scratch[mini_dsu->find(w)] : kNoise);
+      if (labeled(w)) {
+        join_root(wlist[w], mini_find(w));
+      } else {
+        relabel_slot(wlist[w], kNoise, kNoneId);
+      }
     }
     // Claimed: old noise a new core reached, or a border of a split
     // cluster re-homed by a W core (its old witness may be in a splinter;
     // the claiming core is a live witness by construction).
     for (const std::uint32_t i : claimed_slots) {
-      relabel_slot(i, root_scratch[mini_dsu->find(claim_owner[i])]);
+      join_root(i, mini_find(claim_owner[i]));
     }
-    for (const std::uint32_t i : rem_sorted) relabel_slot(i, kNoise);
-    // Kept members of clusters merged into a larger one (they enter its
-    // group, even when the keeper moved down into this cluster's own freed
-    // id) or moved down into a hole (the whole group moves, so the splice
-    // copies it as one block).
-    for (std::uint32_t c = 0; c < c_old; ++c) {
-      if (stay_count[c] == 0) continue;
-      const std::uint32_t root = root_of_cluster(c);
+    for (const std::uint32_t i : rem_sorted) relabel_slot(i, kNoise, kNoneId);
+    // What is left in an anchored cluster's list are exactly its kept
+    // members.  Those of a cluster merged into a larger one join the
+    // keeper's list (even when the keeper moved down into this cluster's
+    // own freed id); those of a keeper that moved down into a hole keep
+    // their list, which the swaps below renumber.
+    for (std::uint32_t k = 0; k < a_count; ++k) {
+      if (stay_count[k] == 0) continue;
+      const std::uint32_t c = anchored[k];
+      const std::uint32_t root = mini_find(w_count + k);
       const std::int32_t id = root_scratch[root];
-      const bool merged = root_keeper[root] != c;
-      if (!merged && id == static_cast<std::int32_t>(c)) continue;
-      for (const std::uint32_t m :
-           r.members_of(static_cast<std::int32_t>(c))) {
-        if (!is_live_slot(m) || wloc[m] != kNoneId ||
-            claim_owner[m] != kNoneId) {
-          continue;
-        }
+      const std::uint32_t keeper = root_keeper[root];
+      if (keeper == c && id == static_cast<std::int32_t>(c)) continue;
+      const auto cluster = static_cast<std::int32_t>(c);
+      for (const std::uint32_t m : groups.members_of(cluster)) {
         r.labels[m] = id;
-        if (merged) {
-          group_ins.push_back(group_key(static_cast<std::uint32_t>(id), m));
-        }
+      }
+      if (keeper != c) {
+        groups.merge(cluster, static_cast<std::int32_t>(keeper));
       }
     }
-    splice_membership(c_new);
+    // Each freed id takes its list: a hole holds an emptied old list, and
+    // every source sits at or above c_new, so no swap disturbs a later one.
+    for (const auto& [hole, list] : renumber) {
+      groups.swap_groups(static_cast<std::int32_t>(hole),
+                         static_cast<std::int32_t>(list));
+    }
+    groups.set_cluster_count(c_new);
     r.cluster_count = c_new;
-  }
-
-  /// Sort key of one membership move: group in the high half, slot low.
-  [[nodiscard]] static std::uint64_t group_key(std::uint32_t group,
-                                               std::uint32_t slot) {
-    return std::uint64_t{group} << 32 | slot;
-  }
-
-  /// Rebuild the membership table from the old one and relabel_repair's
-  /// moves: new group g is old group group_base[g] (if any) minus the
-  /// slots leaving it, plus the slots entering g, all ascending.  A group
-  /// with neither is block-copied; the others copy the runs between the
-  /// binary-searched positions of their moves.  Noise stays last.
-  void splice_membership(std::uint32_t c_new) {
-    ClusterResult& r = result;
-    std::sort(group_outs.begin(), group_outs.end());
-    std::sort(group_ins.begin(), group_ins.end());
-    members_next.resize(pts.size());
-    starts_next.resize(static_cast<std::size_t>(c_new) + 2);
-    starts_next[0] = 0;
-    auto dst = members_next.begin();
-    auto in = group_ins.cbegin();
-    for (std::uint32_t g = 0; g <= c_new; ++g) {
-      auto b = r.members.cbegin();
-      auto e = b;
-      auto out = group_outs.cend();
-      auto out_end = out;
-      if (const std::uint32_t h = group_base[g]; h != kNoneId) {
-        b += r.member_starts[h];
-        e = r.members.cbegin() + r.member_starts[h + 1];
-        out = std::lower_bound(group_outs.cbegin(), group_outs.cend(),
-                               group_key(h, 0));
-        out_end = std::lower_bound(out, group_outs.cend(),
-                                   group_key(h + 1, 0));
-      }
-      const auto in_end = std::lower_bound(in, group_ins.cend(),
-                                           group_key(g + 1, 0));
-      for (;;) {
-        const std::uint32_t o =
-            out != out_end ? static_cast<std::uint32_t>(*out) : kNoneId;
-        const std::uint32_t i =
-            in != in_end ? static_cast<std::uint32_t>(*in) : kNoneId;
-        const std::uint32_t stop = std::min(o, i);
-        const auto at = stop == kNoneId ? e : std::lower_bound(b, e, stop);
-        dst = std::copy(b, at, dst);
-        b = at;
-        if (stop == kNoneId) break;
-        // On a tie the slot leaves first: it may re-enter the same group.
-        if (o == stop) {  // a leaving slot is in the old group, at b
-          ++b;
-          ++out;
-        } else {
-          *dst++ = i;
-          ++in;
-        }
-      }
-      starts_next[g + 1] =
-          static_cast<std::uint32_t>(dst - members_next.begin());
-    }
-    r.members.swap(members_next);
-    r.member_starts.swap(starts_next);
   }
 };
 
@@ -1615,8 +1564,8 @@ Clusterer::Clusterer(std::vector<Vec3> points, Options options)
     : impl_(std::make_unique<Impl>()) {
   dbscan::require_finite(points);
   validate_options(options);
-  impl_->storage = std::make_shared<std::vector<Vec3>>(std::move(points));
-  impl_->pts = *impl_->storage;
+  impl_->storage = std::make_shared<PointBuffer>(std::move(points));
+  impl_->pts = impl_->storage->written();
   impl_->opts = options;
 }
 
@@ -1627,6 +1576,7 @@ Clusterer Clusterer::borrowing(std::span<const Vec3> points,
                                Options options) {
   dbscan::require_finite(points);
   Clusterer session(std::vector<Vec3>{}, options);  // validates options
+  session.impl_->storage.reset();
   session.impl_->pts = points;  // rebind the view to the caller's storage
   return session;
 }
@@ -2100,39 +2050,33 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
     }
   }
 
-  // Membership CSR: a permutation of the slots, bucketed by label with the
-  // noise bucket last.
-  const std::size_t buckets = static_cast<std::size_t>(r.cluster_count) + 1;
-  if (r.member_starts.size() != buckets + 1 || r.members.size() != n ||
-      r.member_starts.front() != 0 || r.member_starts.back() != n) {
-    fail("membership CSR shape is wrong for " +
-         std::to_string(r.cluster_count) + " clusters over " +
-         std::to_string(n) + " slots");
+  // Membership: every slot in exactly one group, the group of its label.
+  const Membership& groups = r.membership;
+  if (groups.cluster_count() != r.cluster_count || groups.slot_count() != n) {
+    fail("membership covers " + std::to_string(groups.slot_count()) +
+         " slots in " + std::to_string(groups.cluster_count()) +
+         " clusters, result has " + std::to_string(n) + " in " +
+         std::to_string(r.cluster_count));
   } else {
     std::vector<std::uint8_t> seen(n, 0);
-    bool csr_ok = true;
-    for (std::size_t b = 0; b + 1 < r.member_starts.size() && csr_ok; ++b) {
-      if (r.member_starts[b] > r.member_starts[b + 1]) {
-        fail("membership CSR starts are not monotone at bucket " +
-             std::to_string(b));
-        csr_ok = false;
-        break;
-      }
-      const std::int32_t want = b + 1 == buckets
-                                    ? kNoise
-                                    : static_cast<std::int32_t>(b);
-      for (std::uint32_t t = r.member_starts[b];
-           t < r.member_starts[b + 1]; ++t) {
-        const std::uint32_t m = r.members[t];
-        if (m >= n || seen[m] || r.labels[m] != want) {
-          fail("membership bucket " + std::to_string(b) +
-               " holds slot " + std::to_string(m) +
-               " out of place");
-          csr_ok = false;
+    std::size_t covered = 0;
+    bool placed = true;
+    for (std::int32_t g = kNoise; g < c_count && placed; ++g) {
+      for (const std::uint32_t m :
+           g == kNoise ? groups.noise() : groups.members_of(g)) {
+        if (m >= n || seen[m] || r.labels[m] != g) {
+          fail("membership group " + std::to_string(g) + " holds slot " +
+               std::to_string(m) + " out of place");
+          placed = false;
           break;
         }
         seen[m] = 1;
+        ++covered;
       }
+    }
+    if (placed && covered != n) {
+      fail("membership covers " + std::to_string(covered) + " of " +
+           std::to_string(n) + " slots");
     }
   }
 

@@ -62,9 +62,10 @@
 //     thread-safety table).  Concurrent readers are never torn: a mutation
 //     unpublishes the current snapshot and mutates an index no snapshot
 //     holds — a clone of the held one if need be; readers holding the old
-//     snapshot keep the pre-mutation index version AND the pre-mutation
-//     storage alive (appends copy-on-write when a snapshot co-owns the
-//     buffer).
+//     snapshot keep the pre-mutation index version alive, and their own
+//     prefix of the point buffer: appends write past every snapshot's
+//     length, in place while capacity lasts, and a buffer that must grow
+//     is copied into a new one the old holders keep alive.
 //
 // The one-shot rtd::cluster() free function (core/api.hpp) is a thin
 // wrapper over a throwaway session; existing callers are unaffected.
@@ -95,6 +96,7 @@
 
 #include "core/index_snapshot.hpp"
 #include "core/kdist.hpp"
+#include "core/membership.hpp"
 #include "core/rt_knn.hpp"
 #include "dbscan/core.hpp"
 #include "dsu/atomic_disjoint_set.hpp"
@@ -210,32 +212,25 @@ struct ClusterResult {
   /// keeps the caching run's higher cap).
   std::vector<std::uint32_t> neighbor_counts;
 
-  /// Membership table: dataset indices grouped by cluster id (ascending
-  /// index within each group), with the noise points as the final group.
-  /// members_of()/noise() are views into it.
-  std::vector<std::uint32_t> members;
-  /// Group boundaries into `members`: cluster id c spans
-  /// [member_starts[c], member_starts[c+1]); the noise group is bucket
-  /// cluster_count.  Size cluster_count + 2 (empty result: {0, 0}).
-  std::vector<std::uint32_t> member_starts;
+  /// Member lists: dataset indices grouped by cluster id, plus the noise
+  /// points (core/membership.hpp).  members_of()/noise() are views into
+  /// it.  A mutation edits the lists in place, so the order WITHIN a group
+  /// is unspecified — sort a view when you need ascending ids.
+  Membership membership;
 
   [[nodiscard]] std::size_t size() const { return labels.size(); }
 
-  /// Dataset indices of cluster `id`, ascending; empty for out-of-range ids.
+  /// Dataset indices of cluster `id`, in unspecified order; empty for
+  /// out-of-range ids.
   [[nodiscard]] std::span<const std::uint32_t> members_of(
       std::int32_t id) const {
-    if (id < 0 || static_cast<std::uint32_t>(id) >= cluster_count) return {};
-    const auto c = static_cast<std::size_t>(id);
-    return std::span<const std::uint32_t>(members)
-        .subspan(member_starts[c], member_starts[c + 1] - member_starts[c]);
+    return membership.members_of(id);
   }
 
-  /// Dataset indices of the noise points, ascending.
+  /// Dataset indices of the noise points, in unspecified order (removed
+  /// slots of a live session included).
   [[nodiscard]] std::span<const std::uint32_t> noise() const {
-    if (member_starts.size() < 2) return {};
-    const std::size_t c = cluster_count;
-    return std::span<const std::uint32_t>(members)
-        .subspan(member_starts[c], member_starts[c + 1] - member_starts[c]);
+    return membership.noise();
   }
 
   [[nodiscard]] std::size_t noise_count() const { return noise().size(); }
@@ -283,8 +278,8 @@ enum class SessionHealth : std::uint8_t {
 /// How deep validate() audits the session (cost grows with the level).
 enum class ValidationLevel : std::uint8_t {
   /// O(n) structural invariants: mask/result/count buffer agreement, label
-  /// ranges, membership-CSR well-formedness, dead-slot hygiene, core-flag
-  /// consistency with the cached counts.
+  /// ranges, membership coverage (every slot once, in its label's group),
+  /// dead-slot hygiene, core-flag consistency with the cached counts.
   kQuick,
   /// kQuick + an exact neighbor recount of every live point against the raw
   /// coordinates (O(n_live²) — no index involved, so it also cross-checks

@@ -40,7 +40,7 @@ void validate_center(const Vec3& center) {
 
 IndexSnapshot::IndexSnapshot(
     std::shared_ptr<const index::NeighborIndex> index,
-    std::shared_ptr<const std::vector<Vec3>> storage,
+    std::shared_ptr<const void> storage,
     std::span<const Vec3> points, float eps)
     : index_(std::move(index)),
       storage_(std::move(storage)),

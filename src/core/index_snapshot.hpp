@@ -41,8 +41,10 @@
 // Thread-safety: every member function is const and safe to call
 // concurrently from any number of threads (the underlying NeighborIndex
 // query contract).  The snapshot shares ownership of the session's owned
-// point storage; for sessions created with Clusterer::borrowing, the
-// caller's storage must outlive every snapshot, not just the session.
+// point buffer and pins its own prefix of it (the session appends past
+// that prefix without moving it, core/point_buffer.hpp); for sessions
+// created with Clusterer::borrowing, the caller's storage must outlive
+// every snapshot, not just the session.
 //
 // Under the Clang thread-safety gate (common/thread_annotations.hpp) this
 // class deliberately carries no capability annotations: it is immutable
@@ -93,12 +95,13 @@ struct BatchQueryResult {
 /// result directly.
 class IndexSnapshot {
  public:
-  /// Wrap `index` built at `eps` over `points`.  `storage` may be null
-  /// (borrowed points) — when set, the snapshot co-owns it so the points
-  /// outlive the session.  Throws std::invalid_argument on a null index or
-  /// a non-positive/non-finite eps.
+  /// Wrap `index` built at `eps` over `points`.  `storage` owns the
+  /// memory `points` views and may be null (borrowed points) — when set,
+  /// the snapshot co-owns it so the points outlive the session.  Throws
+  /// std::invalid_argument on a null index or a non-positive/non-finite
+  /// eps.
   IndexSnapshot(std::shared_ptr<const index::NeighborIndex> index,
-                std::shared_ptr<const std::vector<geom::Vec3>> storage,
+                std::shared_ptr<const void> storage,
                 std::span<const geom::Vec3> points, float eps);
 
   /// The ε the snapshot's index is built/refit for.
@@ -153,7 +156,7 @@ class IndexSnapshot {
                        rt::TraversalStats& stats) const;
 
   std::shared_ptr<const index::NeighborIndex> index_;
-  std::shared_ptr<const std::vector<geom::Vec3>> storage_;
+  std::shared_ptr<const void> storage_;
   std::span<const geom::Vec3> points_;
   float eps_ = 0.0f;
   /// Backend accepts any query radius natively (kPointBvh, kBruteForce,

@@ -38,6 +38,14 @@ rt::Context::Options device_options(const IndexBuildOptions& options) {
 
 }  // namespace
 
+NeighborIndex::NeighborIndex(const NeighborIndex& other)
+    : dead_count_(other.dead_count_), has_dead_(other.has_dead_) {
+  if (other.dead_.empty()) return;  // no mask yet: nothing to grow
+  const std::size_t n = other.dead_.size();
+  dead_.reserve(n + std::max<std::size_t>(64, n / 8));
+  dead_.assign(other.dead_.begin(), other.dead_.end());
+}
+
 std::unique_ptr<NeighborIndex> NeighborIndex::clone() {
   RTD_STAGE("index.clone");
   return do_clone();

@@ -71,7 +71,7 @@ class NeighborIndex {
   /// Shallow — the built trees (kBvhRt's sphere scene, kTriangles' triangle
   /// scene, kPointBvh's point BVH and their delta-tail trees) are shared, and whichever
   /// version next refits or retargets a shared tree copies it first
-  /// (common/copy_on_write.hpp); the dead mask is copied whole.
+  /// (common/copy_on_write.hpp); the dead mask is copied whole, once.
   /// kGrid/kDenseBox share their cell arrays, which no mutation touches.
   /// A writer operation: it marks this object's trees shared, so it must
   /// not run concurrently with another writer on this object (concurrent
@@ -203,7 +203,10 @@ class NeighborIndex {
                                     int threads = 0) const;
 
  protected:
-  NeighborIndex(const NeighborIndex&) = default;
+  /// Copies the dead mask with headroom (an eighth, at least 64 ids), so
+  /// the inserts a clone is made to absorb grow the mask in place instead
+  /// of copying it a second time.
+  NeighborIndex(const NeighborIndex& other);
 
   /// Backend hook behind clone(): mark the trees this object shares with
   /// the copy as shared, then copy-construct (the base copies the mask).

@@ -1,6 +1,7 @@
 // Installed-package consumer: exercises the session API end to end through
 // the exported target only.  Exits non-zero on any contract violation so
 // the CI job fails loudly.
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -35,6 +36,41 @@ int main() {
   const auto curve = session.sweep(ladder, 3);
   if (curve.size() != ladder.size()) {
     std::fprintf(stderr, "FAIL: sweep size\n");
+    return 1;
+  }
+
+  // Streaming through the installed package: one window step expires the
+  // oldest point and appends two, and the maintained member lists must
+  // still match the maintained labels (order within a group is
+  // unspecified, so each group is checked as a set).
+  (void)session.run(1.5f, 3);
+  const std::vector<rtd::geom::Vec3> arrivals = {{10.5f, 10.5f, 0},
+                                                 {50, 50, 0}};
+  (void)session.advance(arrivals, 1);
+  const rtd::ClusterResult& live = session.result();
+  if (session.is_live(0) || live.cluster_count != 2 ||
+      live.noise().size() != 3) {
+    std::fprintf(stderr,
+                 "FAIL: after advance expected 2 clusters + 3 noise slots, "
+                 "got %u + %zu\n",
+                 live.cluster_count, live.noise().size());
+    return 1;
+  }
+  std::size_t covered = 0;
+  for (std::int32_t c = rtd::kNoise;
+       c < static_cast<std::int32_t>(live.cluster_count); ++c) {
+    const auto group = c == rtd::kNoise ? live.noise() : live.members_of(c);
+    for (const std::uint32_t m : group) {
+      if (m >= live.size() || live.labels[m] != c) {
+        std::fprintf(stderr, "FAIL: slot %u sits in group %d\n", m, c);
+        return 1;
+      }
+    }
+    covered += group.size();
+  }
+  if (covered != live.size()) {
+    std::fprintf(stderr, "FAIL: member lists cover %zu of %zu slots\n",
+                 covered, live.size());
     return 1;
   }
 

@@ -372,6 +372,12 @@ TEST(ChaosConcurrent, ReadersSurviveWriterFaults) {
     const ValidationReport rep = session.validate(ValidationLevel::kQuick);
     EXPECT_TRUE(rep.ok) << (rep.issues.empty() ? "" : rep.issues.front());
   }
+  // The 60 steps can finish before a reader thread is even scheduled.
+  // The last step is a clean run(), so the session serves snapshots now:
+  // keep it up until the readers got a read in.
+  while (reads.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
   stop.store(true);
   for (auto& r : readers) r.join();
   EXPECT_GT(reads.load(), 0u);

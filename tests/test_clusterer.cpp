@@ -224,29 +224,29 @@ TEST(Clusterer, MembershipViewsAgreeWithLabels) {
   Clusterer session(dataset.points);
   const ClusterResult& r = session.run(0.5f, 8);
   ASSERT_GT(r.cluster_count, 0u);
-  ASSERT_EQ(r.member_starts.size(), r.cluster_count + 2);
-  ASSERT_EQ(r.members.size(), r.labels.size());
+  ASSERT_EQ(r.membership.cluster_count(), r.cluster_count);
+  ASSERT_EQ(r.membership.slot_count(), r.labels.size());
 
-  std::vector<bool> seen(r.labels.size(), false);
+  // Each group is exactly the set of slots carrying its label (the order
+  // within a group is unspecified).
+  const auto slots_labeled = [&](std::int32_t label) {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t i = 0; i < r.labels.size(); ++i) {
+      if (r.labels[i] == label) out.push_back(i);
+    }
+    return out;
+  };
+  const auto sorted = [](std::span<const std::uint32_t> group) {
+    std::vector<std::uint32_t> out(group.begin(), group.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
   for (std::int32_t c = 0; c < static_cast<std::int32_t>(r.cluster_count);
        ++c) {
-    const auto members = r.members_of(c);
-    EXPECT_EQ(members.size(), static_cast<std::size_t>(std::count(
-                                  r.labels.begin(), r.labels.end(), c)));
-    EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
-    for (const std::uint32_t i : members) {
-      EXPECT_EQ(r.labels[i], c);
-      seen[i] = true;
-    }
+    EXPECT_EQ(sorted(r.members_of(c)), slots_labeled(c)) << "cluster " << c;
   }
-  const auto noise = r.noise();
-  EXPECT_EQ(noise.size(), r.noise_count());
-  EXPECT_TRUE(std::is_sorted(noise.begin(), noise.end()));
-  for (const std::uint32_t i : noise) {
-    EXPECT_EQ(r.labels[i], kNoise);
-    seen[i] = true;
-  }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
+  EXPECT_EQ(sorted(r.noise()), slots_labeled(kNoise));
+  EXPECT_EQ(r.noise().size(), r.noise_count());
 
   // Out-of-range ids yield empty views, not UB.
   EXPECT_TRUE(r.members_of(-1).empty());
@@ -315,15 +315,15 @@ TEST(Clusterer, TakeResultRunTakeResultCycleYieldsIndependentResults) {
   (void)session.run(0.25f, 6);
   const ClusterResult first = session.take_result();
   ASSERT_EQ(first.labels.size(), dataset.size());
-  ASSERT_EQ(first.members.size(), dataset.size());
-  ASSERT_EQ(first.member_starts.size(), first.cluster_count + 2);
+  ASSERT_EQ(first.membership.slot_count(), dataset.size());
+  ASSERT_EQ(first.membership.cluster_count(), first.cluster_count);
   EXPECT_EQ(first.eps, 0.25f);
 
   (void)session.run(0.5f, 6);
   const ClusterResult second = session.take_result();
   ASSERT_EQ(second.labels.size(), dataset.size());
-  ASSERT_EQ(second.members.size(), dataset.size());
-  ASSERT_EQ(second.member_starts.size(), second.cluster_count + 2);
+  ASSERT_EQ(second.membership.slot_count(), dataset.size());
+  ASSERT_EQ(second.membership.cluster_count(), second.cluster_count);
   EXPECT_EQ(second.eps, 0.5f);
 
   // Both match their own fresh oracle — the second run did not recycle the
@@ -339,7 +339,8 @@ TEST(Clusterer, TakeResultRunTakeResultCycleYieldsIndependentResults) {
   // moved-from remains with stale scalars.
   const ClusterResult stray = session.take_result();
   EXPECT_TRUE(stray.labels.empty());
-  EXPECT_TRUE(stray.members.empty());
+  EXPECT_EQ(stray.membership.slot_count(), 0u);
+  EXPECT_TRUE(stray.noise().empty());
   EXPECT_EQ(stray.cluster_count, 0u);
   EXPECT_EQ(stray.eps, 0.0f);
 

@@ -81,8 +81,7 @@ TEST(ExceptionSafety, BadLadderValueMidSweepLeavesSessionRunnable) {
   // the streaming baseline.
   const ClusterResult taken = session.take_result();
   EXPECT_EQ(taken.labels.size(), session.size());
-  EXPECT_EQ(taken.member_starts.size(),
-            static_cast<std::size_t>(taken.cluster_count) + 2);
+  EXPECT_EQ(taken.membership.cluster_count(), taken.cluster_count);
   EXPECT_THROW((void)session.result(), std::logic_error);
   (void)session.run(0.3f, 5);
   expect_oracle_clean(session, "after take_result rerun");
@@ -233,8 +232,7 @@ TEST_F(FailpointGated, MidSweepFaultDegradesKeepsCompletedPrefixSemantics) {
   expect_oracle_clean(session, "sweep after healed mid-sweep fault");
   const ClusterResult taken = session.take_result();
   EXPECT_EQ(taken.eps, ladder.back());
-  EXPECT_EQ(taken.member_starts.size(),
-            static_cast<std::size_t>(taken.cluster_count) + 2);
+  EXPECT_EQ(taken.membership.cluster_count(), taken.cluster_count);
 }
 
 TEST_F(FailpointGated, SnapshotPublishFaultLeavesReadersRetryable) {

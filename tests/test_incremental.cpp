@@ -58,43 +58,40 @@ LiveView live_view(const Clusterer& session) {
   return v;
 }
 
-/// Structural invariants of the maintained result: sizes agree, the CSR
-/// membership table matches the labels with ascending slots in every
-/// group, dead slots sit in the noise bucket.
+/// Structural invariants of the maintained result: sizes agree, every
+/// membership group is exactly the set of slots carrying its label (the
+/// order within a group is unspecified), dead slots sit in the noise group.
 void expect_result_consistent(const Clusterer& session, const char* what) {
   const ClusterResult& r = session.result();
   const std::size_t n = session.size();
   ASSERT_EQ(r.labels.size(), n) << what;
   ASSERT_EQ(r.is_core.size(), n) << what;
   ASSERT_EQ(r.neighbor_counts.size(), n) << what;
-  ASSERT_EQ(r.members.size(), n) << what;
-  ASSERT_EQ(r.member_starts.size(),
-            static_cast<std::size_t>(r.cluster_count) + 2)
-      << what;
-  std::vector<std::uint8_t> seen(n, 0);
-  for (std::int32_t c = 0; c < static_cast<std::int32_t>(r.cluster_count);
+  ASSERT_EQ(r.membership.slot_count(), n) << what;
+  ASSERT_EQ(r.membership.cluster_count(), r.cluster_count) << what;
+  // Bucket the labels once, ascending within each group.
+  std::vector<std::vector<std::uint32_t>> want(
+      static_cast<std::size_t>(r.cluster_count) + 1);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::int32_t label = r.labels[i];
+    ASSERT_GE(label, kNoise) << what;
+    ASSERT_LT(label, static_cast<std::int32_t>(r.cluster_count)) << what;
+    want[static_cast<std::size_t>(label + 1)].push_back(i);
+  }
+  for (std::int32_t c = kNoise; c < static_cast<std::int32_t>(r.cluster_count);
        ++c) {
-    for (const std::uint32_t m : r.members_of(c)) {
-      EXPECT_EQ(r.labels[m], c) << what;
-      EXPECT_TRUE(session.is_live(m)) << what << ": dead slot in cluster";
-      seen[m] = 1;
+    const auto group = c == kNoise ? r.noise() : r.members_of(c);
+    std::vector<std::uint32_t> got(group.begin(), group.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want[static_cast<std::size_t>(c + 1)])
+        << what << ": membership group " << c
+        << " is not the set of slots labeled " << c;
+    if (c != kNoise) {
+      for (const std::uint32_t m : group) {
+        EXPECT_TRUE(session.is_live(m)) << what << ": dead slot in cluster";
+      }
     }
   }
-  for (const std::uint32_t m : r.noise()) {
-    EXPECT_EQ(r.labels[m], kNoise) << what;
-    seen[m] = 1;
-  }
-  for (std::int32_t c = 0; c <= static_cast<std::int32_t>(r.cluster_count);
-       ++c) {
-    const auto group = c < static_cast<std::int32_t>(r.cluster_count)
-                           ? r.members_of(c)
-                           : r.noise();
-    EXPECT_TRUE(std::is_sorted(group.begin(), group.end()))
-        << what << ": membership group " << c << " is not ascending";
-  }
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
-            static_cast<std::ptrdiff_t>(n))
-      << what << ": membership table does not cover every slot";
   std::size_t live = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     if (session.is_live(i)) {

@@ -3,6 +3,7 @@
 // to each other) across datasets and parameters.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/rt_dbscan.hpp"
@@ -26,6 +27,14 @@ struct Case {
   float eps;
   std::uint32_t min_pts;
 };
+
+// gtest prints a parameter into every registered test name; without this it
+// would dump the struct's raw bytes, padding included, which differ from
+// build to build.  The fields in declaration order, kept short.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << data::to_string(c.dataset) << '/' << c.n << '/' << c.eps << '/'
+      << c.min_pts;
+}
 
 class AllImplementationsTest : public ::testing::TestWithParam<Case> {};
 

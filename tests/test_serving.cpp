@@ -13,10 +13,14 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
 
@@ -177,6 +181,60 @@ TEST(Serving, SnapshotSurvivesSessionRetargetUnchanged) {
   EXPECT_EQ(parked->query_neighbors(dataset.points[13]),
             brute_neighbors(dataset.points, dataset.points[13], eps2,
                             index::kNoSelf));
+}
+
+TEST(Serving, SnapshotPointsSurviveInPlaceAppends) {
+  // Writes under a held snapshot append past the snapshot's prefix of the
+  // point buffer instead of copying the session's points: once one insert
+  // has grown the buffer, later inserts and advances leave points().data()
+  // where it was, and every held snapshot's points byte-identical.
+  const auto dataset = data::taxi_gps(1500, 93);
+  const auto extra = data::taxi_gps(80, 94);
+  const std::span<const Vec3> more(extra.points);
+  const float eps = 0.25f;
+  Clusterer session(dataset.points,
+                    Options().with_backend(IndexKind::kBvhRt).with_threads(1));
+  (void)session.run(eps, 5);
+  (void)session.insert(more.first(8));  // the adopted vector is full: grow
+  const Vec3* const buffer = session.points().data();
+
+  std::vector<std::shared_ptr<const IndexSnapshot>> held;
+  std::vector<std::vector<Vec3>> copies;
+  for (std::size_t k = 1; k < 10; ++k) {
+    held.push_back(session.snapshot());
+    const std::span<const Vec3> pts = held.back()->points();
+    copies.emplace_back(pts.begin(), pts.end());
+    const auto batch = more.subspan(8 * k, 8);
+    if (k % 2 == 0) {
+      (void)session.advance(batch, 3);
+    } else {
+      (void)session.insert(batch);
+    }
+    EXPECT_EQ(session.points().data(), buffer)
+        << "write " << k << " under a held snapshot copied the points";
+    for (std::size_t h = 0; h < held.size(); ++h) {
+      const std::span<const Vec3> snap_pts = held[h]->points();
+      ASSERT_EQ(snap_pts.size(), copies[h].size());
+      EXPECT_EQ(std::memcmp(snap_pts.data(), copies[h].data(),
+                            copies[h].size() * sizeof(Vec3)),
+                0)
+          << "snapshot " << h << " changed under write " << k;
+    }
+  }
+  // The session's view is the base points followed by every batch.
+  ASSERT_EQ(session.size(), dataset.size() + more.size());
+  EXPECT_EQ(std::memcmp(session.points().data(), dataset.points.data(),
+                        dataset.size() * sizeof(Vec3)),
+            0);
+  EXPECT_EQ(std::memcmp(session.points().data() + dataset.size(), more.data(),
+                        more.size() * sizeof(Vec3)),
+            0);
+  // Held snapshots still answer exactly over their own points.
+  const Vec3& probe = dataset.points[700];
+  EXPECT_EQ(held.front()->query_neighbors(probe),
+            brute_neighbors(held.front()->points(), probe, eps,
+                            index::kNoSelf));
+  EXPECT_TRUE(session.validate(ValidationLevel::kCounts)) << "after appends";
 }
 
 TEST(Serving, SnapshotIsCachedUntilRetarget) {
@@ -564,6 +622,97 @@ TEST(ServingConcurrent, ReadersHammerSnapshotsDuringLiveMutations) {
           << index::to_string(kind) << " slot " << q;
     }
   }
+}
+
+TEST(ServingConcurrent, SnapshotPointsStayIntactWhileFaultingInsertsRollBack) {
+  // Soak of the point buffer's rollback rule.  Every third insert fails in
+  // its count stage, after its points were appended; a reader may already
+  // have published a snapshot of that longer prefix, so the writer's next
+  // append must not overwrite it.  Reader threads copy each snapshot's
+  // points and re-check them while the writer keeps going.  Run under the
+  // `tsan` preset for the data-race leg.
+  const auto dataset = data::taxi_gps(2000, 95);
+  constexpr int kReaders = 3;
+  constexpr int kWriterBatches = 60;
+  constexpr std::size_t kBatch = 4;
+  const auto extra = data::taxi_gps(kWriterBatches * kBatch, 96);
+  Clusterer session(dataset.points,
+                    Options().with_backend(IndexKind::kBvhRt).with_threads(1));
+  (void)session.run(0.25f, 5);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> attempts{0};
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      started.fetch_add(1, std::memory_order_relaxed);
+      while (!done.load(std::memory_order_relaxed)) {
+        std::shared_ptr<const IndexSnapshot> snap;
+        try {
+          snap = session.snapshot();
+        } catch (const std::logic_error&) {
+          // A rolled-back insert drops the index it had mutated; the
+          // writer's next call rebuilds it.  Retry.
+          std::this_thread::yield();
+          continue;
+        }
+        const std::span<const Vec3> pts = snap->points();
+        const std::vector<Vec3> copy(pts.begin(), pts.end());
+        if (std::memcmp(pts.data(), dataset.points.data(),
+                        dataset.size() * sizeof(Vec3)) != 0) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+        // Hold the snapshot across the writer's next two attempts, so a
+        // snapshot of a rolled-back prefix sees the append that follows.
+        const std::uint64_t seen = attempts.load(std::memory_order_acquire);
+        while (attempts.load(std::memory_order_acquire) < seen + 2 &&
+               !done.load(std::memory_order_relaxed)) {
+          std::this_thread::yield();
+        }
+        if (std::memcmp(pts.data(), copy.data(),
+                        copy.size() * sizeof(Vec3)) != 0) {
+          torn.fetch_add(1, std::memory_order_relaxed);
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  while (started.load(std::memory_order_relaxed) < kReaders) {
+    std::this_thread::yield();
+  }
+  fail::disarm_all();
+  fail::arm("engine.phase1_insert",
+            {.action = fail::Action::kThrowError,
+             .trigger = fail::Trigger::kEveryNth,
+             .n = 3});
+  std::size_t committed = 0;
+  int faults = 0;
+  for (int b = 0; b < kWriterBatches; ++b) {
+    try {
+      (void)session.insert(
+          std::span<const Vec3>(extra.points)
+              .subspan(static_cast<std::size_t>(b) * kBatch, kBatch));
+      committed += kBatch;
+    } catch (const std::runtime_error&) {
+      ++faults;
+    }
+    attempts.fetch_add(1, std::memory_order_release);
+  }
+  fail::disarm_all();
+  done.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(faults, kWriterBatches / 3);
+  EXPECT_EQ(session.health(), SessionHealth::kHealthy);
+  EXPECT_EQ(session.size(), dataset.size() + committed);
+  EXPECT_TRUE(session.validate(ValidationLevel::kCounts));
 }
 
 }  // namespace
