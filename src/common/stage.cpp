@@ -68,6 +68,7 @@ const std::vector<std::string>& all_sites() {
       "index.refit",              // NeighborIndex::try_set_eps (declinable)
       "index.remove",             // NeighborIndex::try_remove (declinable)
       "repair.border",            // label repair: border re-claim pass
+      "repair.commit",            // label repair: touched flags + counts
       "repair.relabel",           // label repair: stable ids + member moves
       "repair.split",             // label repair: cut-group split detection
       "repair.union",             // label repair: mini-DSU union pass

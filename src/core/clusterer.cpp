@@ -11,10 +11,12 @@
 #include <utility>
 
 #include "common/mutex.hpp"
+#include "common/prefetch.hpp"
 #include "common/stage.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/timer.hpp"
 #include "core/point_buffer.hpp"
+#include "core/seed_closure.hpp"
 #include "dbscan/engine.hpp"
 #include "dbscan/equivalence.hpp"
 #include "index/compacted_index.hpp"
@@ -166,7 +168,7 @@ struct Clusterer::Impl {
   std::vector<std::uint32_t> bfs_queue;   ///< connectivity-proof frontier
   std::vector<std::uint32_t> bfs_origin;  ///< .. origin seed per entry
   std::vector<std::uint32_t> bfs_pending;  ///< frontier entries per seed root
-  std::vector<std::array<std::int32_t, 4>> seed_cells;  ///< ε-cell collapse
+  SeedClosureScratch seed_closure;        ///< seed fast-path buffers
   std::unordered_map<std::uint64_t, std::uint32_t> cell_seen;  ///< sparse tier
   std::vector<std::uint32_t> seed_mark;   ///< slot epochs: is a seed
   std::vector<std::uint32_t> visit_mark;  ///< slot epochs: BFS visited
@@ -341,7 +343,11 @@ struct Clusterer::Impl {
   /// The reader slow path behind snapshot() and the const queries: fetch
   /// the published snapshot, creating it under publish_mu on first access
   /// after a (re)build or retarget.  The fast path is the lock-free atomic
-  /// load at the top.
+  /// load at the top.  There is no index before the first run() or
+  /// sweep(), nor after a batch that was absorbed in place (no snapshot
+  /// held the index) rolled back: that drops the index, and the next
+  /// writer call rebuilds it.  Both throw.  A batch absorbed into a clone
+  /// rolls back to the pre-clone version instead, which keeps serving.
   [[nodiscard]] std::shared_ptr<const IndexSnapshot> acquire_snapshot() {
     std::shared_ptr<const IndexSnapshot> snap = published.load();
     if (snap) return snap;
@@ -657,23 +663,29 @@ struct Clusterer::Impl {
     // storage_backup until the batch commits.
     bool live_grown = false;
     bool index_hazard = false;
+    std::shared_ptr<index::NeighborIndex> index_backup;  // pre-clone
     std::shared_ptr<PointBuffer> storage_backup = storage;
     const std::span<const Vec3> pts_backup = pts;
     // Undo stages 2+3.  Noexcept; call with publish_mu HELD.  When the
-    // index may be mid-mutation (a backend threw partway through absorb),
-    // it is dropped — derived state the next ensure_index rebuilds.
-    // Readers stay safe: published is nulled and any snapshot taken
-    // meanwhile owns its own references to whatever it captured.  The
-    // rolled-back session length sits below the buffer's write cursor, so
-    // the next append copies instead of overwriting what such a snapshot
-    // reads.
+    // batch was absorbed into a clone, the pre-clone version (which a
+    // snapshot holds, so it was never mutated) becomes the session index
+    // again.  Otherwise an index that may be mid-mutation (a backend threw
+    // partway through an in-place absorb) is dropped — derived state the
+    // next ensure_index rebuilds.  Readers stay safe: published is nulled
+    // and any snapshot taken meanwhile owns its own references to whatever
+    // it captured.  The rolled-back session length sits below the
+    // buffer's write cursor, so the next append copies instead of
+    // overwriting what such a snapshot reads.
     const auto rollback_batch_locked = [&]() noexcept {
       // Defined outside the lock scope but only ever called with publish_mu
       // held (both call sites below) — re-assert for the analysis, which
       // treats the lambda body as a separate function.
       publish_mu.assert_held();
       published.store(nullptr);
-      if (index_hazard) {
+      if (index_backup) {
+        index = std::move(index_backup);
+        index_shared = true;
+      } else if (index_hazard) {
         index.reset();
         index_shared = false;
       }
@@ -695,7 +707,10 @@ struct Clusterer::Impl {
         const bool absorb =
             pending_mutations <= rebuild_threshold(n_new - dead_count) &&
             (add.empty() || index->refittable());
-        if (absorb) unshare_index();
+        if (absorb && index_shared) {
+          index_backup = index;
+          unshare_index();
+        }
         if (!add.empty()) {
           pts = PointBuffer::append(storage, pts, add);
           if (!live.empty()) {
@@ -868,7 +883,8 @@ struct Clusterer::Impl {
   /// cores, promoted cores, and the inserted batch; only a PROVEN split
   /// expands a cluster's full membership into W.  A miniature union-find
   /// over W plus one ANCHOR node per old cluster it reaches re-runs phase
-  /// 2's union rules with queries only from W's cores; the relabel pass
+  /// 2's union rules from W's cores (an inserted core replays the row
+  /// its count maintenance captured instead of querying); the relabel pass
   /// then maps old labels through the anchors, so intact clusters merge
   /// or persist without their members ever being queried.
   ///
@@ -979,16 +995,25 @@ struct Clusterer::Impl {
     std::fill(claim.begin(), claim.end(), std::uint8_t{0});
     {
       RTD_STAGE("repair.union");
-      union_pass(eps, work);
+      union_pass(first_new, eps, work);
     }
     {
       RTD_STAGE("repair.border");
-      border_pass(eps, work);
+      border_pass(first_new, eps, work);
     }
     {
       RTD_STAGE("repair.relabel");
       relabel_repair();
-      for (const std::uint32_t i : touched) {
+    }
+    {
+      // The touched slots' core flags and counts: the only ones that moved.
+      RTD_STAGE("repair.commit");
+      for (std::size_t k = 0; k < touched.size(); ++k) {
+        if (k + 16 < touched.size()) {  // scattered slots: fetch ahead
+          RTD_PREFETCH(&r.neighbor_counts[touched[k + 16]]);
+          RTD_PREFETCH(&counts[touched[k + 16]]);
+        }
+        const std::uint32_t i = touched[k];
         r.is_core[i] = core_now(i) ? 1 : 0;
         r.neighbor_counts[i] = counts[i];
       }
@@ -1010,7 +1035,8 @@ struct Clusterer::Impl {
   /// anchor, and only the LOCAL damage joins W: demoted cores and the
   /// non-core neighbors of cut nodes (their witness core may be gone).
   /// The groups are fixed before any seed search.  The proof is usually
-  /// free: seeds directly within ε of each other unite by distance alone;
+  /// free: seeds joined by chains of direct ε-edges unite by distance
+  /// alone (close_seeds, O(s log s) over ε/√3 cells for any seed count);
   /// only unresolved groups pay a search over surviving cores, which
   /// costs the splinters' size when a group really splits.  The verdict
   /// is per cluster: at most one split site keeps an open residual under
@@ -1108,54 +1134,14 @@ struct Clusterer::Impl {
           continue;
         }
 
-        // Query-free fast path: seeds directly within ε unite by distance
-        // alone.  The DSU survives into the search below as its starting
-        // components (the cut grouping was frozen into cut_root above).
+        // Query-free fast path: seeds joined by chains of direct ε-edges
+        // unite by distance alone, in O(s log s) through their ε/√3 cells
+        // (core/seed_closure.hpp).  The DSU survives into the search below
+        // as its starting components (the cut grouping was frozen into
+        // cut_root above).
         site_dsu->reset(s);
-        std::size_t comps = s;
-        if (s <= 512) {
-          for (std::size_t a = 0; a < s && comps > 1; ++a) {
-            for (std::size_t b = a + 1; b < s && comps > 1; ++b) {
-              if (site_dsu->find(static_cast<std::uint32_t>(a)) !=
-                      site_dsu->find(static_cast<std::uint32_t>(b)) &&
-                  geom::distance_squared(pts[seed_list[a]],
-                                         pts[seed_list[b]]) <= eps2) {
-                site_dsu->unite(static_cast<std::uint32_t>(a),
-                                static_cast<std::uint32_t>(b));
-                --comps;
-              }
-            }
-          }
-        } else {
-          // Too many seeds for pairwise (a cut in a dense region): collapse
-          // by ε/√3 grid cell — any two points in one cell are within ε,
-          // so each occupied cell is one component.  O(s log s), and it
-          // shrinks thousands of dense-ball seeds to the handful of cells
-          // the cut spans; the search below settles the rest.
-          const double h = static_cast<double>(eps) / std::sqrt(3.0);
-          seed_cells.resize(s);
-          for (std::uint32_t q = 0; q < s; ++q) {
-            const Vec3& p = pts[seed_list[q]];
-            seed_cells[q] = {static_cast<std::int32_t>(
-                                 std::floor(static_cast<double>(p.x) / h)),
-                             static_cast<std::int32_t>(
-                                 std::floor(static_cast<double>(p.y) / h)),
-                             static_cast<std::int32_t>(
-                                 std::floor(static_cast<double>(p.z) / h)),
-                             static_cast<std::int32_t>(q)};
-          }
-          std::sort(seed_cells.begin(), seed_cells.end());
-          for (std::size_t a = 1; a < s; ++a) {
-            if (seed_cells[a][0] == seed_cells[a - 1][0] &&
-                seed_cells[a][1] == seed_cells[a - 1][1] &&
-                seed_cells[a][2] == seed_cells[a - 1][2]) {
-              site_dsu->unite(
-                  static_cast<std::uint32_t>(seed_cells[a][3]),
-                  static_cast<std::uint32_t>(seed_cells[a - 1][3]));
-              --comps;
-            }
-          }
-        }
+        std::size_t comps =
+            close_seeds(pts, seed_list, eps, *site_dsu, seed_closure);
 
         // Multi-source component search over the cluster's surviving
         // cores: every seed floods in FIFO rounds and fronts UNITE where
@@ -1213,7 +1199,7 @@ struct Clusterer::Impl {
             bfs_pending[site_dsu->find(ra)] = pending;
             --comps;
           };
-          const double h = static_cast<double>(eps) / std::sqrt(3.0);
+          const double inv_h = std::sqrt(3.0) / static_cast<double>(eps);
           for (std::size_t head = 0;
                head < bfs_queue.size() && comps > 1 && active > 1; ++head) {
             const std::uint32_t u = bfs_queue[head];
@@ -1221,17 +1207,8 @@ struct Clusterer::Impl {
             adjust(site_dsu->find(uo), false);
             if (sparse) {
               const Vec3& pu = pts[u];
-              const auto cx = static_cast<std::int64_t>(
-                  std::floor(static_cast<double>(pu.x) / h));
-              const auto cy = static_cast<std::int64_t>(
-                  std::floor(static_cast<double>(pu.y) / h));
-              const auto cz = static_cast<std::int64_t>(
-                  std::floor(static_cast<double>(pu.z) / h));
-              const std::uint64_t key =
-                  (static_cast<std::uint64_t>(cx & 0x1FFFFF) << 42) |
-                  (static_cast<std::uint64_t>(cy & 0x1FFFFF) << 21) |
-                  static_cast<std::uint64_t>(cz & 0x1FFFFF);
-              const auto [it, fresh] = cell_seen.try_emplace(key, u);
+              const auto [it, fresh] =
+                  cell_seen.try_emplace(cell_key(pu, inv_h), u);
               if (!fresh &&
                   geom::distance_squared(pu, pts[it->second]) <= eps2) {
                 // The cell's owner already expanded here (the packed key
@@ -1297,7 +1274,19 @@ struct Clusterer::Impl {
     }
   }
 
-  /// Pass A — phase 2's union rules, queried only from W's core points:
+  /// The ε-neighbors of inserted slot i, as index_phase1_insert captured
+  /// them (stage 4): the same query on the same index state — removals
+  /// were masked before it, and nothing mutates the index between stage 4
+  /// and the repair — so the row holds what a fresh query would visit, in
+  /// the same order.
+  [[nodiscard]] std::span<const std::uint32_t> inserted_row(
+      std::uint32_t i, std::size_t first_new) const {
+    const std::size_t k = i - first_new;
+    return std::span<const std::uint32_t>(ins_nbr_ids)
+        .subspan(ins_nbr_starts[k], ins_nbr_starts[k + 1] - ins_nbr_starts[k]);
+  }
+
+  /// Pass A — phase 2's union rules, run only from W's core points:
   /// core-core merges (to an in-W node or an out-of-W cluster anchor),
   /// in-W border claims, and first-claim capture of out-of-W points a
   /// new core now reaches (old noise, or borders of split clusters).
@@ -1305,67 +1294,78 @@ struct Clusterer::Impl {
   /// intact, or they are the residual component of a split (splinters
   /// joined W).  Out-of-W borders of intact clusters keep their labels
   /// the same way: a border whose witness core was cut is in some cut
-  /// node's neighbor list and therefore in W.
-  void union_pass(float eps, rt::TraversalStats& work) {
+  /// node's neighbor list and therefore in W.  Inserted slots replay
+  /// their captured rows (inserted_row) instead of querying again.
+  void union_pass(std::size_t first_new, float eps,
+                  rt::TraversalStats& work) {
     const ClusterResult& r = result;
     const auto w_count = static_cast<std::uint32_t>(wlist.size());
     for (std::uint32_t w = 0; w < w_count; ++w) {
       const std::uint32_t i = wlist[w];
       if (!core_now(i)) continue;
-      index->query_sphere(
-          pts[i], eps, i,
-          [&](std::uint32_t j) {
-            const std::uint32_t wj = wloc[j];
-            if (wj != kNoneId) {
-              if (core_now(j)) {
-                if (j > i) mini_unite(w, wj);
-              } else if (!claim[wj]) {
-                claim[wj] = 1;
-                mini_unite(w, wj);
-              }
-            } else if (core_now(j)) {
-              // Out-of-W core: proven intact, or the residual component
-              // of a split cluster (splinters joined W; a splinter core
-              // within ε of a residual core would have merged with it
-              // during detection's flood).  Either way its old label is
-              // its valid cluster identity.
-              mini_unite(w, anchor(r.labels[j]));
-            } else if (claim_owner[j] == kNoneId &&
-                       (r.labels[j] == kNoise ||
-                        cluster_affected[static_cast<std::size_t>(
-                            r.labels[j])])) {
-              // Old noise a new core now reaches, or a border of a SPLIT
-              // cluster whose witness core may have ended up in w's side
-              // (a splinter): w is a core within ε, so w's cluster is a
-              // valid home — claim it.  Borders of intact clusters keep
-              // their anchor: their witness either survived out of W or
-              // sits in W with its old label's identity.
-              claimed_slots.push_back(j);
-              claim_owner[j] = w;
-            }
-          },
-          work);
+      const auto visit = [&](std::uint32_t j) {
+        const std::uint32_t wj = wloc[j];
+        if (wj != kNoneId) {
+          if (core_now(j)) {
+            if (j > i) mini_unite(w, wj);
+          } else if (!claim[wj]) {
+            claim[wj] = 1;
+            mini_unite(w, wj);
+          }
+        } else if (core_now(j)) {
+          // Out-of-W core: proven intact, or the residual component of a
+          // split cluster (splinters joined W; a splinter core within ε
+          // of a residual core would have merged with it during
+          // detection's flood).  Either way its old label is its valid
+          // cluster identity.
+          mini_unite(w, anchor(r.labels[j]));
+        } else if (claim_owner[j] == kNoneId &&
+                   (r.labels[j] == kNoise ||
+                    cluster_affected[static_cast<std::size_t>(
+                        r.labels[j])])) {
+          // Old noise a new core now reaches, or a border of a SPLIT
+          // cluster whose witness core may have ended up in w's side (a
+          // splinter): w is a core within ε, so w's cluster is a valid
+          // home — claim it.  Borders of intact clusters keep their
+          // anchor: their witness either survived out of W or sits in W
+          // with its old label's identity.
+          claimed_slots.push_back(j);
+          claim_owner[j] = w;
+        }
+      };
+      if (i >= first_new) {
+        for (const std::uint32_t j : inserted_row(i, first_new)) visit(j);
+      } else {
+        index->query_sphere(pts[i], eps, i, visit, work);
+      }
     }
   }
 
   /// Pass B — unclaimed non-core W members: border iff ANY live core is
   /// within ε (pass A only queried from in-W cores; an out-of-W core can
-  /// hold them too).  Attach to the first one found, else noise.
-  void border_pass(float eps, rt::TraversalStats& work) {
+  /// hold them too).  Attach to the first one found, else noise.  An
+  /// inserted slot walks its captured row and stops at that first core.
+  void border_pass(std::size_t first_new, float eps,
+                   rt::TraversalStats& work) {
     const ClusterResult& r = result;
     const auto w_count = static_cast<std::uint32_t>(wlist.size());
     for (std::uint32_t w = 0; w < w_count; ++w) {
       const std::uint32_t i = wlist[w];
       if (core_now(i) || claim[w]) continue;
-      index->query_sphere(
-          pts[i], eps, i,
-          [&](std::uint32_t j) {
-            if (claim[w] || !core_now(j)) return;
-            claim[w] = 1;
-            const std::uint32_t wj = wloc[j];
-            mini_unite(w, wj != kNoneId ? wj : anchor(r.labels[j]));
-          },
-          work);
+      const auto visit = [&](std::uint32_t j) {
+        if (claim[w] || !core_now(j)) return;
+        claim[w] = 1;
+        const std::uint32_t wj = wloc[j];
+        mini_unite(w, wj != kNoneId ? wj : anchor(r.labels[j]));
+      };
+      if (i >= first_new) {
+        for (const std::uint32_t j : inserted_row(i, first_new)) {
+          visit(j);
+          if (claim[w]) break;
+        }
+      } else {
+        index->query_sphere(pts[i], eps, i, visit, work);
+      }
     }
   }
 

@@ -171,9 +171,11 @@ struct RunStats {
   /// The result was updated IN PLACE by insert()/remove()/advance() instead
   /// of a full run: phase1/phase2 and the timings cover only the LAST
   /// mutation's maintenance work (per-mutated-point count queries and the
-  /// localized label repair).  index_rebuilt reports whether that mutation
-  /// crossed the rebuild threshold (or hit a backend that cannot absorb the
-  /// batch) and rebuilt the index over the live set.
+  /// localized label repair, which reads an inserted point's neighbors
+  /// from its count query, so phase2 counts no ray for inserted points).
+  /// index_rebuilt reports whether that mutation crossed the rebuild
+  /// threshold (or hit a backend that cannot absorb the batch) and rebuilt
+  /// the index over the live set.
   bool incremental = false;
   /// Per-phase wall clock.  index_build_seconds is the build OR refit cost
   /// this run paid (0 when the index was reused as-is).

@@ -16,18 +16,11 @@
 #include <cstdint>
 #include <utility>
 
+#include "common/prefetch.hpp"
 #include "geom/ray.hpp"
 #include "rt/bvh.hpp"
 #include "rt/wide_bvh.hpp"
 
-// Software prefetch of a node about to be pushed: the wide walk is
-// DRAM-latency-bound on large trees, and stack entries are consumed a few
-// pops later — enough slack to hide most of the miss.
-#if defined(__GNUC__) || defined(__clang__)
-#define RTD_PREFETCH(addr) __builtin_prefetch(addr)
-#else
-#define RTD_PREFETCH(addr) ((void)0)
-#endif
 
 namespace rtd::rt {
 
@@ -336,6 +329,9 @@ void traverse(const WideBvh& bvh, const geom::Ray& ray,
           }
         }
       } else {
+        // The wide walk is DRAM-latency-bound on large trees, and a
+        // pushed entry is popped a few steps later: enough slack to hide
+        // most of the miss.
         stack[top++] = node.child[lane];
         RTD_PREFETCH(&bvh.nodes[node.child[lane]]);
       }

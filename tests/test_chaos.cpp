@@ -153,6 +153,7 @@ bool faulted_op(Clusterer& s, const IndexSnapshot& reader, Rng& rng,
       (void)s.run(eps, min_pts);
     } else if (site == "engine.phase1_insert" || site == "index.insert" ||
                site == "repair.union" || site == "repair.relabel" ||
+               site == "repair.commit" ||
                site == "session.insert" || site == "session.repair") {
       (void)s.insert(cluster_batch(rng, 2 + rng.below(10)));
     } else if (site == "engine.phase1_remove" || site == "index.remove" ||
@@ -211,7 +212,7 @@ void chaos_soak(IndexKind kind) {
     fired_before.push_back(fail::fire_count(site));
   }
   std::size_t steps = 0;
-  const int kCycles = 7;  // 7 × 23 stages × (clean + faulted) ≥ 200 steps
+  const int kCycles = 7;  // 7 × 25 stages × (clean + faulted) ≥ 200 steps
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     for (std::size_t si = 0; si < sites.size(); ++si) {
       const std::string& site = sites[si];

@@ -161,27 +161,31 @@ TEST_F(FailpointGated, RemovalCaptureFaultIsStrong) {
 }
 
 TEST_F(FailpointGated, RepairFaultDegradesThenNextCallHeals) {
-  const auto base = data::taxi_gps(200, 45);
-  Clusterer session(base.points, Options());
-  (void)session.run(0.3f, 5);
+  // The relabel, and the touched-slot commit after it.
+  for (const char* site : {"repair.relabel", "repair.commit"}) {
+    const auto base = data::taxi_gps(200, 45);
+    Clusterer session(base.points, Options());
+    (void)session.run(0.3f, 5);
 
-  fail::arm("repair.relabel", {.action = fail::Action::kThrowError});
-  EXPECT_THROW((void)session.insert(std::vector<Vec3>{{2.0f, 2.0f, 0.0f}}),
-               std::runtime_error);
-  fail::disarm_all();
+    fail::arm(site, {.action = fail::Action::kThrowError});
+    EXPECT_THROW((void)session.insert(std::vector<Vec3>{{2.0f, 2.0f, 0.0f}}),
+                 std::runtime_error)
+        << site;
+    fail::disarm_all();
 
-  // Degraded: the batch is committed (the slot exists) but the labels are
-  // torn — result() is gated off while the bookkeeping stays sound.
-  EXPECT_EQ(session.health(), SessionHealth::kDegraded);
-  EXPECT_THROW((void)session.result(), std::logic_error);
-  EXPECT_TRUE(session.validate(ValidationLevel::kQuick).ok);
+    // Degraded: the batch is committed (the slot exists) but the labels
+    // are torn — result() is gated off while the bookkeeping stays sound.
+    EXPECT_EQ(session.health(), SessionHealth::kDegraded) << site;
+    EXPECT_THROW((void)session.result(), std::logic_error) << site;
+    EXPECT_TRUE(session.validate(ValidationLevel::kQuick).ok) << site;
 
-  // The next writer call heals: here another mutation, which re-clusters
-  // at the last requested parameters first and then applies its batch.
-  (void)session.insert(std::vector<Vec3>{{2.1f, 2.0f, 0.0f}});
-  EXPECT_EQ(session.health(), SessionHealth::kHealthy);
-  EXPECT_TRUE(session.validate(ValidationLevel::kDeep).ok);
-  expect_oracle_clean(session, "healed after repair fault");
+    // The next writer call heals: here another mutation, which re-clusters
+    // at the last requested parameters first and then applies its batch.
+    (void)session.insert(std::vector<Vec3>{{2.1f, 2.0f, 0.0f}});
+    EXPECT_EQ(session.health(), SessionHealth::kHealthy) << site;
+    EXPECT_TRUE(session.validate(ValidationLevel::kDeep).ok) << site;
+    expect_oracle_clean(session, site);
+  }
 }
 
 TEST_F(FailpointGated, DeclinedAbsorptionFallsBackToRebuild) {

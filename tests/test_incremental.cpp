@@ -328,6 +328,41 @@ TEST(IncrementalEdge, InsertedCoreNearADemotedCoreSeesNoStaleState) {
   }
 }
 
+TEST(IncrementalEdge, InsertedSlotsAreNotQueriedAgainByTheRepair) {
+  // The union and border passes read an inserted slot's neighbors from the
+  // row its count maintenance captured, so a batch that reaches no old
+  // point traces no repair ray: neither a far-away dense batch that forms
+  // a new cluster, nor a batch of isolated noise points.
+  const auto base = data::taxi_gps(600, 47);
+  std::vector<Vec3> dense;
+  for (int k = 0; k < 36; ++k) {
+    dense.push_back({70.0f + 0.05f * static_cast<float>(k % 6),
+                     70.0f + 0.05f * static_cast<float>(k / 6), 0.0f});
+  }
+  std::vector<Vec3> isolated;
+  for (int k = 0; k < 8; ++k) {
+    isolated.push_back({5.0f * static_cast<float>(k), -20.0f, 0.0f});
+  }
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    const std::string what = index::to_string(kind);
+    Clusterer session(base.points, Options().with_backend(kind));
+    (void)session.run(0.3f, 5);
+    const std::uint32_t clusters = session.result().cluster_count;
+
+    const std::size_t first = session.insert(dense);
+    EXPECT_EQ(session.result().stats.phase2.work.rays, 0u) << what;
+    EXPECT_EQ(session.result().cluster_count, clusters + 1) << what;
+    EXPECT_TRUE(session.result().is_core[first]) << what;
+    expect_oracle_parity(session, (what + " dense batch").c_str());
+
+    const std::size_t lone = session.insert(isolated);
+    EXPECT_EQ(session.result().stats.phase2.work.rays, 0u) << what;
+    EXPECT_EQ(session.result().cluster_count, clusters + 1) << what;
+    EXPECT_EQ(session.result().labels[lone], kNoise) << what;
+    expect_oracle_parity(session, (what + " isolated batch").c_str());
+  }
+}
+
 TEST(IncrementalEdge, EmptySessionStreamsFromNothing) {
   Clusterer session(std::vector<Vec3>{}, Options());
   (void)session.run(0.3f, 4);

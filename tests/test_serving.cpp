@@ -237,6 +237,53 @@ TEST(Serving, SnapshotPointsSurviveInPlaceAppends) {
   EXPECT_TRUE(session.validate(ValidationLevel::kCounts)) << "after appends";
 }
 
+TEST(Serving, BatchRolledBackUnderAHeldSnapshotKeepsServing) {
+  // A held snapshot makes the write absorb its batch into a clone of the
+  // index.  When the batch then fails (here in its insert counting, after
+  // the absorb), the session goes back to the pre-clone version: it keeps
+  // answering reads with the pre-batch points instead of throwing until
+  // the next write rebuilds an index.
+  const auto dataset = data::taxi_gps(1216, 95);
+  const std::span<const Vec3> all(dataset.points);
+  const std::span<const Vec3> base = all.first(1200);
+  const std::span<const Vec3> batch = all.subspan(1200, 16);
+  const float eps = 0.25f;
+  Clusterer session(base,
+                    Options().with_backend(IndexKind::kBvhRt).with_threads(1));
+  (void)session.run(eps, 5);
+  const auto held = session.snapshot();
+  const std::vector<std::uint32_t> probes{0, 3, 640, 1199};
+  std::vector<std::vector<std::uint32_t>> before;
+  for (const std::uint32_t q : probes) {
+    before.push_back(std::as_const(session).query_neighbors(base[q]));
+  }
+
+  fail::disarm_all();
+  fail::arm("engine.phase1_insert", {.action = fail::Action::kThrowError});
+  EXPECT_THROW((void)session.advance(batch, 8), std::runtime_error);
+  fail::disarm_all();
+
+  EXPECT_EQ(session.health(), SessionHealth::kHealthy);
+  ASSERT_EQ(session.size(), base.size());
+  std::shared_ptr<const IndexSnapshot> snap;
+  ASSERT_NO_THROW(snap = session.snapshot());
+  EXPECT_EQ(snap->size(), base.size());
+  for (std::size_t k = 0; k < probes.size(); ++k) {
+    const Vec3& c = base[probes[k]];
+    EXPECT_EQ(std::as_const(session).query_neighbors(c), before[k]) << k;
+    EXPECT_EQ(snap->query_neighbors(c),
+              brute_neighbors(base, c, eps, index::kNoSelf))
+        << k;
+  }
+
+  // The restored version is still shared with `held`: the retry clones it
+  // again and commits.
+  (void)session.advance(batch, 8);
+  EXPECT_EQ(session.size(), base.size() + batch.size());
+  EXPECT_EQ(held->size(), base.size());
+  EXPECT_TRUE(session.validate(ValidationLevel::kCounts)) << "after retry";
+}
+
 TEST(Serving, SnapshotIsCachedUntilRetarget) {
   const auto dataset = data::taxi_gps(400, 84);
   Clusterer session(dataset.points);

@@ -388,7 +388,7 @@ TEST_F(TelemetryArmed, AdvanceTraceSplitsTheRepairIntoStages) {
   ASSERT_NE(repair, spans.end());
   const double slack_us = 1.0;  // the JSON prints 9 significant digits
   for (const char* stage : {"repair.split", "repair.union", "repair.border",
-                            "repair.relabel"}) {
+                            "repair.relabel", "repair.commit"}) {
     const auto it = named(stage);
     ASSERT_NE(it, spans.end()) << stage;
     EXPECT_GE(it->begin_us, repair->begin_us - slack_us) << stage;
