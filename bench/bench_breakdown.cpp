@@ -19,7 +19,10 @@
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [60000]"},
+      {"eps", "search radius [0.8]"},
+      {"minpts", "minPts [5]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header("Sec V-D: runtime breakdown (BVH build vs clustering)",
                       "paper §V-D (3DIono 1M, eps=0.25, minPts=100)", cfg);

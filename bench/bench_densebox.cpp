@@ -60,7 +60,8 @@ void run_case(const char* label, const data::Dataset& dataset,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [60000]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header(
       "FDBSCAN-DenseBox vs FDBSCAN vs RT-DBSCAN",

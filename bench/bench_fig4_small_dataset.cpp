@@ -17,7 +17,9 @@
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [16384]"},
+      {"minpts", "minPts [100]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header(
       "Fig 4: speedup over CUDA-DClust+ on 16K 3DRoad, varying eps",

@@ -64,7 +64,9 @@ void run_dataset(const DatasetCase& dcase, std::size_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [60000]"},
+      {"minpts", "minPts [25]"}});
   const BenchConfig cfg = BenchConfig::from_flags(flags);
   bench::print_header("Fig 5: speedup over FDBSCAN vs search radius",
                       "paper Fig 5a/5b/5c (1M pts, minPts=100)", cfg);

@@ -63,7 +63,7 @@ void run_dataset(data::PaperDataset which, const std::vector<std::size_t>& ns,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv);
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header(
       "Fig 6 + Table I: RT-DBSCAN vs FDBSCAN on varying dataset size",

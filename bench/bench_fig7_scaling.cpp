@@ -13,7 +13,9 @@
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"eps", "search radius [2.0]"},
+      {"minpts", "minPts [10]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header("Fig 7: execution-time scalability on 3DIono",
                       "paper Fig 7 (3DIono, time vs n)", cfg);

@@ -86,7 +86,9 @@ void vary_size(data::Dataset& full, float eps, std::uint32_t min_pts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [100000]"},
+      {"minpts", "minPts [100]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header("Fig 8 + Tables II/III: NGSIM dense-dataset regime",
                       "paper §V-C (zero clusters at tiny eps)", cfg);

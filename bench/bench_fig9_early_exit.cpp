@@ -65,7 +65,7 @@ void run_dataset(data::PaperDataset which, float eps, std::uint32_t min_pts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv);
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header("Fig 9: impact of early traversal termination",
                       "paper Fig 9a/9b/9c (§VI-B)", cfg);

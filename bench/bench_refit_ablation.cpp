@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [100000]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header("Ablation: accel refit vs rebuild across eps sweep",
                       "extension of §VI-B to eps changes", cfg);

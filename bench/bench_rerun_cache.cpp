@@ -14,7 +14,9 @@
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [60000]"},
+      {"eps", "search radius [0.3]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header(
       "Sec VI-B: repeated runs with cached neighbor counts",

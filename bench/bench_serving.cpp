@@ -119,7 +119,12 @@ ServeResult serve(const Clusterer& session, std::span<const Vec3> requests,
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      cli::kTraceFlag,
+      {"json", "print one JSON object instead of tables"},
+      {"n", "session points [60000]"},
+      {"requests", "read requests per row [40000]"},
+      {"readers", "largest reader-thread count [4]"}});
   const cli::TraceSink trace(flags);
   const auto cfg = bench::BenchConfig::from_flags(flags);
   const bool json = flags.get_bool("json", false);

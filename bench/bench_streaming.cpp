@@ -53,7 +53,13 @@ struct StreamRow {
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      cli::kTraceFlag,
+      {"json", "print one JSON object instead of tables"},
+      {"hold-snapshot", "hold a snapshot across every advance()"},
+      {"n", "window points [1000000]"},
+      {"eps", "search radius [0.05]"},
+      {"minpts", "minPts [8]"}});
   const cli::TraceSink trace(flags);
   const auto cfg = bench::BenchConfig::from_flags(flags);
   const bool json = flags.get_bool("json", false);

@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [40000]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header("Thread scaling of the simulator",
                       "infrastructure validation (not a paper figure)", cfg);

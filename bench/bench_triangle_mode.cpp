@@ -21,7 +21,11 @@
 
 int main(int argc, char** argv) {
   using namespace rtd;
-  const Flags flags(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {
+      {"n", "points [20000]"},
+      {"eps", "search radius [0.3]"},
+      {"minpts", "minPts [20]"},
+      cli::kWidthFlag});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header(
       "Sec VI-C: sphere Intersection program vs triangle+AnyHit geometry",

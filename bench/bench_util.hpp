@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -141,6 +142,17 @@ struct BenchConfig {
     return static_cast<std::size_t>(static_cast<double>(n) * scale);
   }
 };
+
+/// Parse a bench binary's flags: `extra` plus the BenchConfig flags every
+/// bench accepts.  `--help` lists them; any other flag exits with an error
+/// before the bench does any work (Flags::parse_or_exit).
+inline Flags parse_flags(int argc, char** argv,
+                         std::vector<FlagSpec> extra = {}) {
+  extra.push_back({"scale", "multiply the dataset sizes [1.0]"});
+  extra.push_back({"reps", "repetitions; the median is reported [3]"});
+  extra.push_back({"csv", "print result tables as CSV, where supported"});
+  return Flags::parse_or_exit(argc, argv, std::move(extra));
+}
 
 inline void print_header(const char* title, const char* paper_ref,
                          const BenchConfig& cfg) {

@@ -11,7 +11,10 @@
 #include "data/generators.hpp"
 
 int main(int argc, char** argv) {
-  const rtd::Flags flags(argc, argv);
+  const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
+      {"n", "points [40000]"},
+      {"k", "k of the k-distance graph [4]"},
+      rtd::cli::kBackendFlag});
   const auto n = static_cast<std::size_t>(flags.get_int("n", 40000));
   const auto k = static_cast<std::uint32_t>(flags.get_int("k", 4));
   const auto backend = rtd::cli::backend_flag(flags);

@@ -14,7 +14,11 @@
 #include "data/io.hpp"
 
 int main(int argc, char** argv) {
-  const rtd::Flags flags(argc, argv);
+  const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
+      {"n", "points [50000]"},
+      {"eps", "search radius [0.4]"},
+      {"minpts", "minPts [20]"},
+      {"out", "write labeled points to this CSV file"}});
   const auto n = static_cast<std::size_t>(flags.get_int("n", 50000));
   const float eps = static_cast<float>(flags.get_double("eps", 0.4));
   const auto min_pts =

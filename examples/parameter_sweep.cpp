@@ -15,7 +15,11 @@
 #include "data/generators.hpp"
 
 int main(int argc, char** argv) {
-  const rtd::Flags flags(argc, argv);
+  const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
+      {"n", "points [50000]"},
+      {"eps", "base search radius [0.3]"},
+      rtd::cli::kBackendFlag,
+      rtd::cli::kWidthFlag});
   const auto n = static_cast<std::size_t>(flags.get_int("n", 50000));
   const float eps = static_cast<float>(flags.get_double("eps", 0.3));
   const auto backend = rtd::cli::backend_flag(flags);

@@ -42,7 +42,10 @@ Vec3 analytic_normal(float x, float y) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const rtd::Flags flags(argc, argv);
+  const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
+      {"n", "points [40000]"},
+      {"k", "neighbors per normal estimate [12]"},
+      {"outliers", "injected outliers [400]"}});
   const auto n = static_cast<std::size_t>(flags.get_int("n", 40000));
   const auto k = static_cast<std::uint32_t>(flags.get_int("k", 12));
   const auto n_outliers =

@@ -19,7 +19,13 @@
 #include "data/generators.hpp"
 
 int main(int argc, char** argv) {
-  const rtd::Flags flags(argc, argv);
+  const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
+      rtd::cli::kTraceFlag,
+      {"n", "points [20000]"},
+      {"eps", "search radius [0.4]"},
+      {"minpts", "minPts [10]"},
+      rtd::cli::kBackendFlag,
+      rtd::cli::kWidthFlag});
   // Arms telemetry when --trace is given; writes the trace on scope exit.
   const rtd::cli::TraceSink trace(flags);
   const auto n = static_cast<std::size_t>(flags.get_int("n", 20000));

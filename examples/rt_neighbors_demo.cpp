@@ -14,7 +14,9 @@
 #include "rt/context.hpp"
 
 int main(int argc, char** argv) {
-  const rtd::Flags flags(argc, argv);
+  const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
+      {"n", "points [50000]"},
+      {"radius", "kernel radius [0.5]"}});
   const auto n = static_cast<std::size_t>(flags.get_int("n", 50000));
   const float radius = static_cast<float>(flags.get_double("radius", 0.5));
 

@@ -82,7 +82,13 @@ void print_window(const char* tag, const rtd::Clusterer& session,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const rtd::Flags flags(argc, argv);
+  const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
+      rtd::cli::kTraceFlag,
+      {"n", "stream points [80000]"},
+      {"eps", "search radius [0.25]"},
+      {"minpts", "minPts [50]"},
+      {"window", "window points [20000]"},
+      {"step", "points per advance() [5000]"}});
   const rtd::cli::TraceSink trace(flags);  // --trace out.json
   const auto n = static_cast<std::size_t>(flags.get_int("n", 80000));
   const float eps = static_cast<float>(flags.get_double("eps", 0.25));

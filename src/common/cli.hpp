@@ -6,6 +6,8 @@
 // are exactly the to_string()/parse round-trips of the enums, and every
 // binary rejects unknown spellings with the same message.  Use:
 //
+//   const auto flags = rtd::Flags::parse_or_exit(argc, argv,
+//                                                {rtd::cli::kBackendFlag});
 //   const auto backend = rtd::cli::backend_flag(flags);
 //   if (!backend) return 1;               // message already printed
 #pragma once
@@ -25,6 +27,16 @@ inline constexpr const char* kBackendChoices =
 
 /// Accepted --width spellings, for usage strings.
 inline constexpr const char* kWidthChoices = "auto, binary, wide";
+
+/// Declarations of the shared flags, for Flags::parse_or_exit().
+inline constexpr FlagSpec kBackendFlag{
+    "backend",
+    "neighbor index: auto, brute, grid, densebox, pointbvh, bvhrt, "
+    "triangles [auto]"};
+inline constexpr FlagSpec kWidthFlag{
+    "width", "BVH traversal layout: auto, binary, wide [auto]"};
+inline constexpr FlagSpec kTraceFlag{
+    "trace", "write the run's telemetry spans to this Chrome trace file"};
 
 /// Parse `--<name>` (default "backend") from `flags`.  Returns the parsed
 /// kind (`fallback` when the flag is absent), or std::nullopt after

@@ -278,10 +278,10 @@ struct Clusterer::Impl {
     telemetry::count(telemetry::Counter::kIndexClones);
   }
 
-  /// Rebuild the live-only query launch order if mutations invalidated it.
+  /// Rebuild the live-only Morton launch order if mutations invalidated it.
   void ensure_order() {
     if (order_valid) return;
-    order = dbscan::query_launch_order(pts, opts.reorder_queries);
+    order = dbscan::query_launch_order(pts, true, opts.threads);
     if (dead_count > 0) {
       order.erase(std::remove_if(order.begin(), order.end(),
                                  [&](std::uint32_t i) { return !live[i]; }),

@@ -113,6 +113,11 @@ inline constexpr std::int32_t kNoise = dbscan::kNoiseLabel;
 ///   rtd::Options().with_backend(rtd::index::IndexKind::kBvhRt)
 ///                 .with_width(rtd::rt::TraversalWidth::kWide)
 ///                 .with_threads(4)
+///
+/// The query launch order is not an option: every full query pass (run()'s
+/// two phases, sweep()'s counting and cluster-formation launches) launches
+/// in Morton order of the points, so neighboring queries walk the same
+/// subtrees back to back (RTNN-style launch coherence).
 struct Options {
   /// Neighbor-index backend answering the ε-queries.  kAuto resolves from
   /// the data (index::choose_index_kind) at the first run and stays pinned
@@ -124,16 +129,14 @@ struct Options {
   /// Icosphere subdivision level for the kTriangles backend (20 * 4^s
   /// triangles/point).
   int triangle_subdivisions = 1;
-  /// Thread count for index builds and query launches; 0 = all hardware
-  /// threads.
+  /// Thread count for index builds, the launch-order sort and query
+  /// launches; 0 = all hardware threads.
   int threads = 0;
   /// Stop phase-1 counting at min_pts (FDBSCAN §VI-B) on backends whose
   /// traversal can terminate.  Off by default in sessions: exact counts are
   /// reusable across ANY later min_pts at the same eps, capped ones only
   /// for smaller min_pts.
   bool early_exit = false;
-  /// Launch queries in Morton order of the points (RTNN ray coherence).
-  bool reorder_queries = false;
 
   Options& with_backend(index::IndexKind k) { backend = k; return *this; }
   Options& with_width(rt::TraversalWidth w) { width = w; return *this; }
@@ -143,7 +146,6 @@ struct Options {
   }
   Options& with_threads(int t) { threads = t; return *this; }
   Options& with_early_exit(bool e) { early_exit = e; return *this; }
-  Options& with_reorder_queries(bool r) { reorder_queries = r; return *this; }
 };
 
 /// What one run() actually did and what it cost, per phase.

@@ -52,7 +52,6 @@ RtDbscanResult rt_dbscan(std::span<const geom::Vec3> points,
     result.accel_build = index.accel().build_stats();
     const double build_seconds = total.seconds();
     dbscan::IndexEngineOptions engine;
-    engine.reorder_queries = options.reorder_queries;
     engine.threads = options.device.threads;
     dbscan::IndexEngineResult run =
         dbscan::cluster_with_index(index, params, engine);

@@ -10,7 +10,10 @@
 //     claimed atomically so each joins exactly one cluster.
 //
 // Both phases are the generic engine (dbscan::cluster_with_index) over an
-// RT backend; Params::index picks the geometry:
+// RT backend, launching rays in Morton order of their origins — the RTNN
+// [Zhu, PPoPP'22] ray-coherence optimization the paper's related-work
+// section says "would further improve performance".  Params::index picks
+// the geometry:
 //   kBvhRt (or kAuto, the default, §III): custom sphere primitives,
 //     clustering logic in the Intersection program, AnyHit disabled.
 //   kTriangles (§VI-C): each ε-sphere tessellated into triangles so the
@@ -33,13 +36,6 @@ struct RtDbscanOptions {
   /// Icosphere subdivision level for Params::index == kTriangles
   /// (20 * 4^s triangles/point).
   int triangle_subdivisions = 1;
-  /// Launch rays in Morton (Z-curve) order of their origins instead of
-  /// input order.  This is the ray-coherence optimization of RTNN [Zhu,
-  /// PPoPP'22] that the paper's related-work section says "would further
-  /// improve performance": spatially adjacent rays traverse the same BVH
-  /// subtrees, improving cache/SIMT locality.  Results are unaffected
-  /// (test-enforced); only scheduling changes.
-  bool reorder_queries = false;
   /// RT device configuration (BVH build settings, threads).
   rt::Context::Options device;
 };

@@ -1,6 +1,5 @@
 #include "dbscan/engine.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -9,25 +8,25 @@
 #include "common/timer.hpp"
 #include "geom/morton.hpp"
 #include "rt/parallel_launch.hpp"
+#include "rt/radix_sort.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rtd::dbscan {
 
 std::vector<std::uint32_t> query_launch_order(
-    std::span<const geom::Vec3> points, bool morton) {
+    std::span<const geom::Vec3> points, bool morton, int threads) {
   std::vector<std::uint32_t> order(points.size());
   std::iota(order.begin(), order.end(), 0u);
-  if (!morton || points.empty()) return order;
+  if (!morton || points.size() < 2) return order;
+  const ThreadCountGuard guard(threads > 0 ? threads : hardware_threads());
   geom::Aabb bounds;
   for (const auto& p : points) bounds.grow(p);
   std::vector<std::uint32_t> codes(points.size());
   parallel_for(points.size(), [&](std::size_t i) {
     codes[i] = geom::morton3_in(bounds, points[i]);
   });
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return codes[a] < codes[b];
-                   });
+  // Stable over the iota values: equal codes stay in slot order.
+  rt::radix_sort_pairs(codes, order);
   return order;
 }
 
@@ -192,7 +191,7 @@ IndexEngineResult cluster_with_index(const index::NeighborIndex& index,
   if (n == 0) return result;
 
   const std::vector<std::uint32_t> order =
-      query_launch_order(index.points(), options.reorder_queries);
+      query_launch_order(index.points(), true, options.threads);
 
   result.phase1 = index_phase1(index, params, order, options.early_exit,
                                options.threads, result.neighbor_counts);

@@ -14,6 +14,12 @@
 // (dbscan/fdbscan.cpp) is this engine over PointBvhIndex.  Swapping the
 // index swaps the query substrate without touching the clustering logic,
 // which is what makes backend comparisons honest.
+//
+// Every full pass launches its queries in Morton order of the points
+// (query_launch_order): spatially adjacent queries run back to back and
+// walk the same subtrees while they are still in cache — the launch-order
+// coherence RTNN [Zhu, PPoPP'22] gets from RT hardware.  Results do not
+// depend on the order; only scheduling does.
 #pragma once
 
 #include <atomic>
@@ -32,11 +38,8 @@ struct IndexEngineOptions {
   /// Stop phase-1 counting at minPts (FDBSCAN §VI-B).  Honored by backends
   /// whose traversal can terminate; the RT backend ignores it (OptiX).
   bool early_exit = false;
-  /// Launch queries in Morton (Z-curve) order of the points instead of
-  /// input order (the RTNN ray-coherence optimization).  Results are
-  /// unaffected; only scheduling changes.
-  bool reorder_queries = false;
-  /// Thread count; 0 = all hardware threads.
+  /// Thread count for the launch-order sort and both phases; 0 = all
+  /// hardware threads.
   int threads = 0;
 };
 
@@ -50,9 +53,12 @@ struct IndexEngineResult {
   std::vector<std::uint32_t> neighbor_counts;
 };
 
-/// Query launch order: identity, or Morton order of the points.
+/// Query launch order: identity, or the Morton (Z-curve) order of the
+/// points — a stable radix sort of their codes, so slots sharing a code
+/// keep slot order.  The sort runs under `threads` (0 = all hardware
+/// threads) and restores the caller's OpenMP thread count.
 [[nodiscard]] std::vector<std::uint32_t> query_launch_order(
-    std::span<const geom::Vec3> points, bool morton);
+    std::span<const geom::Vec3> points, bool morton, int threads = 0);
 
 /// Phase 1 over any index: per-point ε-neighbor counts (excluding self)
 /// into `counts`, queried in `order`.

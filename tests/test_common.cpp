@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -128,10 +130,25 @@ TEST(Percentile, InterpolatesCorrectly) {
   EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
 }
 
+/// The flags the Flags tests declare.
+const std::vector<FlagSpec> kTestFlags = {{"n", "points [100]"},
+                                          {"eps", "radius [0.5]"},
+                                          {"verbose", "chatty output"},
+                                          {"threads", "workers [0]"},
+                                          {"a", "a"},
+                                          {"b", "b"},
+                                          {"c", "c"},
+                                          cli::kBackendFlag,
+                                          cli::kWidthFlag};
+
+Flags parse(std::vector<const char*> argv) {
+  return Flags(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+               kTestFlags);
+}
+
 TEST(Flags, ParsesAllForms) {
-  const char* argv[] = {"prog",        "positional", "--n",      "100",
-                        "--eps=0.5",   "--verbose",  "--threads", "8"};
-  Flags flags(8, const_cast<char**>(argv));
+  const Flags flags = parse({"prog", "positional", "--n", "100", "--eps=0.5",
+                             "--verbose", "--threads", "8"});
   EXPECT_EQ(flags.get_int("n", 0), 100);
   EXPECT_DOUBLE_EQ(flags.get_double("eps", 0.0), 0.5);
   EXPECT_TRUE(flags.get_bool("verbose", false));
@@ -139,53 +156,92 @@ TEST(Flags, ParsesAllForms) {
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "positional");
   EXPECT_EQ(flags.program(), "prog");
+  EXPECT_TRUE(flags.unknown().empty());
+  EXPECT_FALSE(flags.help_requested());
 }
 
 TEST(Flags, BareFlagConsumesFollowingValueToken) {
   // `--verbose positional` is parsed as --verbose=positional: documented
   // behaviour of the value-greedy `--name value` form.
-  const char* argv[] = {"prog", "--verbose", "positional"};
-  Flags flags(3, const_cast<char**>(argv));
+  const Flags flags = parse({"prog", "--verbose", "positional"});
   EXPECT_EQ(flags.get("verbose", ""), "positional");
   EXPECT_TRUE(flags.positional().empty());
 }
 
 TEST(Flags, FallbacksWhenAbsent) {
-  const char* argv[] = {"prog"};
-  Flags flags(1, const_cast<char**>(argv));
-  EXPECT_FALSE(flags.has("missing"));
-  EXPECT_EQ(flags.get("missing", "dflt"), "dflt");
-  EXPECT_EQ(flags.get_int("missing", -7), -7);
-  EXPECT_DOUBLE_EQ(flags.get_double("missing", 2.5), 2.5);
-  EXPECT_FALSE(flags.get_bool("missing", false));
-  EXPECT_TRUE(flags.get_bool("missing", true));
+  const Flags flags = parse({"prog"});
+  EXPECT_FALSE(flags.has("n"));
+  EXPECT_EQ(flags.get("n", "dflt"), "dflt");
+  EXPECT_EQ(flags.get_int("n", -7), -7);
+  EXPECT_DOUBLE_EQ(flags.get_double("eps", 2.5), 2.5);
+  EXPECT_FALSE(flags.get_bool("verbose", false));
+  EXPECT_TRUE(flags.get_bool("verbose", true));
 }
 
 TEST(Flags, BooleanValueForms) {
-  const char* argv[] = {"prog", "--a=true", "--b=0", "--c"};
-  Flags flags(4, const_cast<char**>(argv));
+  const Flags flags = parse({"prog", "--a=true", "--b=0", "--c"});
   EXPECT_TRUE(flags.get_bool("a", false));
   EXPECT_FALSE(flags.get_bool("b", true));
   EXPECT_TRUE(flags.get_bool("c", false));
 }
 
+TEST(Flags, UndeclaredFlagsAreRecordedNotRead) {
+  // `--no-such-flag 5` consumes its value like any flag, so the value does
+  // not turn into a positional argument.
+  const Flags flags =
+      parse({"prog", "--no-such-flag", "5", "--n", "3", "--typo=1"});
+  EXPECT_EQ(flags.unknown(),
+            (std::vector<std::string>{"no-such-flag", "typo"}));
+  EXPECT_EQ(flags.get_int("n", 0), 3);
+  EXPECT_TRUE(flags.positional().empty());
+  // Reading a name the binary never declared is a programming error.
+  EXPECT_THROW((void)flags.get_int("no-such-flag", 0), std::logic_error);
+  EXPECT_THROW((void)flags.has("typo"), std::logic_error);
+}
+
+TEST(Flags, UsageListsEveryDeclaredFlag) {
+  const Flags flags = parse({"./prog", "--help"});
+  EXPECT_TRUE(flags.help_requested());
+  EXPECT_TRUE(flags.unknown().empty());
+  const std::string usage = flags.usage();
+  EXPECT_NE(usage.find("usage: ./prog"), std::string::npos);
+  for (const FlagSpec& f : kTestFlags) {
+    const std::size_t at = usage.find(std::string("--") + f.name + " ");
+    ASSERT_NE(at, std::string::npos) << f.name;
+    EXPECT_NE(usage.find(f.help, at), std::string::npos) << f.name;
+  }
+  EXPECT_NE(usage.find("--help"), std::string::npos);
+}
+
+TEST(FlagsDeathTest, ParseOrExitRejectsUnknownFlagAndAnswersHelp) {
+  const auto parse_or_exit = [](std::vector<const char*> argv) {
+    (void)Flags::parse_or_exit(static_cast<int>(argv.size()),
+                               const_cast<char**>(argv.data()), kTestFlags);
+  };
+  EXPECT_EXIT(parse_or_exit({"prog", "--n", "3", "--no-such-flag"}),
+              ::testing::ExitedWithCode(2), "unknown flag --no-such-flag");
+  EXPECT_EXIT(parse_or_exit({"prog", "--help"}), ::testing::ExitedWithCode(0),
+              "");
+  // A valid command line returns normally.
+  parse_or_exit({"prog", "--n", "3", "--backend=grid"});
+}
+
 TEST(Cli, BackendAndWidthFlagsParseShareOneSpelling) {
   // The shared helpers are the single source of truth for the --backend /
   // --width CLI spellings across examples and benches.
-  const char* argv[] = {"prog", "--backend", "triangles", "--width", "wide"};
-  Flags flags(5, const_cast<char**>(argv));
+  const Flags flags =
+      parse({"prog", "--backend", "triangles", "--width", "wide"});
   EXPECT_EQ(cli::backend_flag(flags), index::IndexKind::kTriangles);
   EXPECT_EQ(cli::width_flag(flags), rt::TraversalWidth::kWide);
 
-  const char* none[] = {"prog"};
-  Flags empty(1, const_cast<char**>(none));
+  const Flags empty = parse({"prog"});
   EXPECT_EQ(cli::backend_flag(empty), index::IndexKind::kAuto);
   EXPECT_EQ(cli::backend_flag(empty, index::IndexKind::kGrid),
             index::IndexKind::kGrid);
   EXPECT_EQ(cli::width_flag(empty), rt::TraversalWidth::kAuto);
 
-  const char* bad[] = {"prog", "--backend=kdtree", "--width=quantized"};
-  Flags unknown(3, const_cast<char**>(bad));
+  const Flags unknown =
+      parse({"prog", "--backend=kdtree", "--width=quantized"});
   EXPECT_EQ(cli::backend_flag(unknown), std::nullopt);
   EXPECT_EQ(cli::width_flag(unknown), std::nullopt);
 }

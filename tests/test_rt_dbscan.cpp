@@ -1,10 +1,23 @@
 #include "core/rt_dbscan.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
+#include <atomic>
+#include <numeric>
+#include <vector>
+
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "core/api.hpp"
+#include "core/clusterer.hpp"
 #include "data/generators.hpp"
+#include "dbscan/engine.hpp"
 #include "dbscan_test_util.hpp"
+#include "dsu/atomic_disjoint_set.hpp"
+#include "geom/morton.hpp"
+#include "index/bvh_rt_index.hpp"
 
 namespace rtd::core {
 namespace {
@@ -116,21 +129,107 @@ TEST(RtDbscan, TriangleModeDoesMoreWork) {
             spheres.phase1.work.isect_calls);
 }
 
+/// Both engine phases over `index`, launched in `order` — the body of
+/// dbscan::cluster_with_index with the launch order made explicit.
+struct OrderedRun {
+  dbscan::Clustering clustering;
+  rt::LaunchStats phase1;
+  rt::LaunchStats phase2;
+  std::vector<std::uint32_t> counts;
+};
+
+OrderedRun run_in_order(const index::NeighborIndex& index,
+                        const Params& params,
+                        std::span<const std::uint32_t> order) {
+  OrderedRun r;
+  const std::size_t n = index.size();
+  r.phase1 = dbscan::index_phase1(index, params, order, false, 0, r.counts);
+  r.clustering.is_core.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    r.clustering.is_core[i] = r.counts[i] + 1 >= params.min_pts ? 1 : 0;
+  }
+  dsu::AtomicDisjointSet dsu(n);
+  std::vector<std::atomic<std::uint8_t>> claimed(n);
+  r.phase2 = dbscan::index_phase2(index, params.eps, order,
+                                  r.clustering.is_core, dsu, claimed, 0);
+  dbscan::finalize_labels(
+      n, [&](std::uint32_t x) { return dsu.find(x); }, r.clustering.is_core,
+      r.clustering);
+  return r;
+}
+
 TEST(RtDbscan, ReorderedQueriesGiveEquivalentResults) {
-  // The RTNN-style Morton launch order changes scheduling only.
+  // The Morton launch order every full pass uses changes scheduling only:
+  // on one index, both phases in identity order and in Morton order count
+  // the same neighbors, do the same traversal work and form the same
+  // partition.
   const auto dataset = data::taxi_gps(3000, 78);
   const Params params{0.3f, 10};
-  RtDbscanOptions reordered;
-  reordered.reorder_queries = true;
-  const auto a = rt_dbscan(dataset.points, params);
-  const auto b = rt_dbscan(dataset.points, params, reordered);
+  const index::BvhRtIndex index(dataset.points, params.eps);
+  const auto identity = dbscan::query_launch_order(dataset.points, false);
+  const auto morton = dbscan::query_launch_order(dataset.points, true);
+  ASSERT_NE(identity, morton);  // otherwise the comparison proves nothing
+
+  const OrderedRun a = run_in_order(index, params, identity);
+  const OrderedRun b = run_in_order(index, params, morton);
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.phase1.work.nodes_visited, b.phase1.work.nodes_visited);
+  EXPECT_EQ(a.phase1.work.isect_calls, b.phase1.work.isect_calls);
+  EXPECT_EQ(a.phase2.work.nodes_visited, b.phase2.work.nodes_visited);
+  EXPECT_EQ(a.phase2.work.isect_calls, b.phase2.work.isect_calls);
   const auto eq = dbscan::check_equivalent(dataset.points, params,
                                            a.clustering, b.clustering);
   EXPECT_TRUE(eq.equivalent) << eq.reason;
-  // Work counters are identical: the same rays trace, in another order.
-  EXPECT_EQ(a.phase1.work.nodes_visited, b.phase1.work.nodes_visited);
-  EXPECT_EQ(a.phase1.work.isect_calls, b.phase1.work.isect_calls);
-  EXPECT_EQ(a.neighbor_counts, b.neighbor_counts);
+  expect_matches_reference(dataset.points, params, b.clustering,
+                           "rt-dbscan-morton-order");
+}
+
+TEST(LaunchOrder, MortonOrderIsAStableSortOfTheCodes) {
+  // Points snapped to a coarse lattice: most slots share their Morton code
+  // with others, so the order is only right if ties keep slot order.
+  Rng rng(91);
+  std::vector<geom::Vec3> pts(5000);
+  for (auto& p : pts) {
+    p = {static_cast<float>(rng.below(8)), static_cast<float>(rng.below(8)),
+         static_cast<float>(rng.below(4))};
+  }
+  geom::Aabb bounds;
+  for (const auto& p : pts) bounds.grow(p);
+  std::vector<std::uint32_t> codes(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    codes[i] = geom::morton3_in(bounds, pts[i]);
+  }
+  std::vector<std::uint32_t> expected(pts.size());
+  std::iota(expected.begin(), expected.end(), 0u);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return codes[a] < codes[b];
+                   });
+
+  for (const int threads : {1, 3, 0}) {
+    EXPECT_EQ(dbscan::query_launch_order(pts, true, threads), expected)
+        << threads << " threads";
+  }
+  std::vector<std::uint32_t> identity(pts.size());
+  std::iota(identity.begin(), identity.end(), 0u);
+  EXPECT_EQ(dbscan::query_launch_order(pts, false), identity);
+  EXPECT_TRUE(dbscan::query_launch_order({}, true).empty());
+  EXPECT_EQ(dbscan::query_launch_order(std::span(pts).first(1), true),
+            std::vector<std::uint32_t>{0});
+}
+
+TEST(LaunchOrder, SingleThreadSessionRestoresCallerThreadCount) {
+  // The session sorts its launch order under its own thread count; the
+  // caller's OpenMP setting must survive run() (and the one-shot engine).
+  const ThreadCountGuard caller(3);
+  const auto dataset = data::taxi_gps(2000, 92);
+  Clusterer session(dataset.points, Options().with_threads(1));
+  (void)session.run(0.3f, 8);
+  EXPECT_EQ(omp_get_max_threads(), 3);
+  RtDbscanOptions serial;
+  serial.device.threads = 1;
+  (void)rt_dbscan(dataset.points, {0.3f, 8}, serial);
+  EXPECT_EQ(omp_get_max_threads(), 3);
 }
 
 TEST(RtDbscan, SingleThreadMatchesParallel) {

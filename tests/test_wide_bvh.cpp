@@ -534,23 +534,16 @@ TEST(WideBvhClusteringParity, VariantsMatchReferenceWithForcedWide) {
                                        "fdbscan+wide");
   }
 
-  // RT-DBSCAN over a forced-wide sphere scene, reordered and not.
-  for (const bool reorder : {false, true}) {
-    core::RtDbscanOptions options;
-    options.device.build.width = TraversalWidth::kWide;
-    options.reorder_queries = reorder;
-    const auto rt = core::rt_dbscan(dataset.points, params, options);
-    testutil::expect_matches_reference(dataset.points, params, rt.clustering,
-                                       "rt_dbscan+wide");
-  }
-
-  // Forced-binary and forced-wide RT runs are identical point for point.
+  // RT-DBSCAN over a forced-wide sphere scene matches the reference, and
+  // forced-binary and forced-wide RT runs are identical point for point.
   core::RtDbscanOptions narrow;
   narrow.device.build.width = TraversalWidth::kBinary;
   core::RtDbscanOptions wide;
   wide.device.build.width = TraversalWidth::kWide;
   const auto rt_b = core::rt_dbscan(dataset.points, params, narrow);
   const auto rt_w = core::rt_dbscan(dataset.points, params, wide);
+  testutil::expect_matches_reference(dataset.points, params, rt_w.clustering,
+                                     "rt_dbscan+wide");
   EXPECT_EQ(rt_w.clustering.labels, rt_b.clustering.labels);
   EXPECT_EQ(rt_w.neighbor_counts, rt_b.neighbor_counts);
 }
