@@ -3,14 +3,19 @@
 // including the binary-vs-wide traversal trade: the *_Wide benchmarks
 // mirror their binary counterparts over the collapsed 8-ary SoA layout,
 // the QuerySweep1M pair is the sphere-mode headline and the TriangleSweep
-// pair the §VI-C triangle-mode headline (scripts/bench_snapshot.sh).
+// pair the §VI-C triangle-mode headline (scripts/bench_snapshot.sh).  The
+// BM_PointQueryTraversal* trio walks the same queries in Morton order, the
+// launch order of every full query pass; *Packet traces them as 4-ray
+// packets (rt::traverse_points), so compare items_per_second.
 #include <benchmark/benchmark.h>
 
+#include <bit>
 #include <cmath>
 #include <map>
 
 #include "common/rng.hpp"
 #include "data/generators.hpp"
+#include "dbscan/engine.hpp"
 #include "geom/ray.hpp"
 #include "rt/bvh.hpp"
 #include "rt/tessellate.hpp"
@@ -20,6 +25,16 @@
 namespace {
 
 using namespace rtd;
+
+/// The queries of the point-query benchmarks: every point, Morton order.
+std::vector<geom::Vec3> morton_queries(std::span<const geom::Vec3> points) {
+  std::vector<geom::Vec3> queries;
+  queries.reserve(points.size());
+  for (const std::uint32_t i : dbscan::query_launch_order(points, true, 1)) {
+    queries.push_back(points[i]);
+  }
+  return queries;
+}
 
 std::vector<geom::Aabb> sphere_bounds(std::size_t n, float radius) {
   const auto dataset = data::taxi_gps(n, 7);
@@ -67,12 +82,13 @@ void BM_PointQueryTraversal(benchmark::State& state) {
     bounds.push_back(geom::Aabb::of_sphere(p, 0.3f));
   }
   const auto bvh = rt::build_bvh(bounds, {});
+  const auto queries = morton_queries(dataset.points);
   rt::TraversalStats stats;
   std::size_t q = 0;
   for (auto _ : state) {
     std::uint64_t hits = 0;
     rt::traverse(
-        bvh, geom::Ray::point_query(dataset.points[q]),
+        bvh, geom::Ray::point_query(queries[q]),
         [&](std::uint32_t) {
           ++hits;
           return rt::TraversalControl::kContinue;
@@ -125,12 +141,13 @@ void BM_PointQueryTraversalWide(benchmark::State& state) {
     bounds.push_back(geom::Aabb::of_sphere(p, 0.3f));
   }
   const auto wide = rt::collapse_bvh(rt::build_bvh(bounds, {}));
+  const auto queries = morton_queries(dataset.points);
   rt::TraversalStats stats;
   std::size_t q = 0;
   for (auto _ : state) {
     std::uint64_t hits = 0;
     rt::traverse(
-        wide, geom::Ray::point_query(dataset.points[q]),
+        wide, geom::Ray::point_query(queries[q]),
         [&](std::uint32_t) {
           ++hits;
           return rt::TraversalControl::kContinue;
@@ -142,6 +159,41 @@ void BM_PointQueryTraversalWide(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PointQueryTraversalWide)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The same tree and queries as BM_PointQueryTraversalWide, four consecutive
+// queries per packet walk: one iteration is one packet (4 items).
+void BM_PointQueryTraversalPacket(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto dataset = data::taxi_gps(n, 7);
+  std::vector<geom::Aabb> bounds;
+  for (const auto& p : dataset.points) {
+    bounds.push_back(geom::Aabb::of_sphere(p, 0.3f));
+  }
+  const auto wide = rt::collapse_bvh(rt::build_bvh(bounds, {}));
+  const auto queries = morton_queries(dataset.points);
+  rt::TraversalStats stats;
+  std::size_t q = 0;
+  for (auto _ : state) {
+    rt::PointPacket packet;
+    for (std::uint32_t k = 0; k < rt::kPacketWidth; ++k) {
+      packet.push(queries[(q + k) % n]);
+    }
+    std::uint64_t hits = 0;
+    rt::traverse_points(
+        wide, packet,
+        [&](std::uint32_t, std::uint32_t rays) {
+          hits += static_cast<std::uint64_t>(std::popcount(rays));
+        },
+        stats);
+    benchmark::DoNotOptimize(hits);
+    q = (q + rt::kPacketWidth) % n;
+  }
+  state.SetItemsProcessed(state.iterations() * rt::kPacketWidth);
+}
+BENCHMARK(BM_PointQueryTraversalPacket)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);

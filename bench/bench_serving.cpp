@@ -121,13 +121,12 @@ int main(int argc, char** argv) {
   using namespace rtd;
   const Flags flags = bench::parse_flags(argc, argv, {
       cli::kTraceFlag,
-      {"json", "print one JSON object instead of tables"},
       {"n", "session points [60000]"},
       {"requests", "read requests per row [40000]"},
-      {"readers", "largest reader-thread count [4]"}});
+      {"readers", "largest reader-thread count [4]"}},
+      bench::Output::kJson);
   const cli::TraceSink trace(flags);
   const auto cfg = bench::BenchConfig::from_flags(flags);
-  const bool json = flags.get_bool("json", false);
   const auto n =
       cfg.scaled(static_cast<std::size_t>(flags.get_int("n", 60000)));
   const auto total_requests = cfg.scaled(
@@ -136,7 +135,7 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.get_int("readers", 4));
   const float eps = 0.1f;
 
-  if (!json) {
+  if (!cfg.json) {
     bench::print_header(
         "Concurrent serving: snapshot read path QPS / latency",
         "serving-layer characterization (not a paper figure)", cfg);
@@ -220,7 +219,7 @@ int main(int argc, char** argv) {
     (void)session.run(eps, 8);
   }
 
-  if (json) {
+  if (cfg.json) {
     std::printf(
         "{\n  \"n\": %zu,\n  \"requests\": %zu,\n  \"eps\": %.4f,\n"
         "  \"gate\": \"aggregate QPS at R readers >= 0.9x single-reader "

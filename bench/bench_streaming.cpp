@@ -55,14 +55,13 @@ int main(int argc, char** argv) {
   using namespace rtd;
   const Flags flags = bench::parse_flags(argc, argv, {
       cli::kTraceFlag,
-      {"json", "print one JSON object instead of tables"},
       {"hold-snapshot", "hold a snapshot across every advance()"},
       {"n", "window points [1000000]"},
       {"eps", "search radius [0.05]"},
-      {"minpts", "minPts [8]"}});
+      {"minpts", "minPts [8]"}},
+      bench::Output::kJson);
   const cli::TraceSink trace(flags);
   const auto cfg = bench::BenchConfig::from_flags(flags);
-  const bool json = flags.get_bool("json", false);
   const bool hold_snapshot = flags.get_bool("hold-snapshot", false);
   const auto n =
       cfg.scaled(static_cast<std::size_t>(flags.get_int("n", 1000000)));
@@ -75,7 +74,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("minpts", 8));
   const std::vector<std::size_t> batches = {1, 64, 4096};
 
-  if (!json) {
+  if (!cfg.json) {
     bench::print_header(
         "Streaming maintenance: advance() vs full rebuild + recluster",
         "live-session characterization (not a paper figure)", cfg);
@@ -137,7 +136,7 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  if (json) {
+  if (cfg.json) {
     std::string rows_json;
     for (const StreamRow& r : rows) {
       rows_json += std::string(rows_json.empty() ? "" : ",\n    ") +

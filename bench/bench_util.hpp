@@ -124,17 +124,23 @@ inline bool verify(std::span<const geom::Vec3> points,
   return eq.equivalent;
 }
 
+/// A bench's machine-readable output: CSV result tables (--csv) or one JSON
+/// document (--json).  Each bench declares only the flag it honours.
+enum class Output { kCsv, kJson };
+
 /// Standard bench preamble: scale/reps flags + header line.
 struct BenchConfig {
   double scale = 1.0;
   int reps = 3;
-  bool csv = false;
+  bool csv = false;   ///< --csv given (Output::kCsv benches)
+  bool json = false;  ///< --json given (Output::kJson benches)
 
   static BenchConfig from_flags(const Flags& flags) {
     BenchConfig c;
     c.scale = flags.get_double("scale", 1.0);
     c.reps = static_cast<int>(flags.get_int("reps", 3));
-    c.csv = flags.get_bool("csv", false);
+    c.csv = flags.declared("csv") && flags.get_bool("csv", false);
+    c.json = flags.declared("json") && flags.get_bool("json", false);
     return c;
   }
 
@@ -144,13 +150,19 @@ struct BenchConfig {
 };
 
 /// Parse a bench binary's flags: `extra` plus the BenchConfig flags every
-/// bench accepts.  `--help` lists them; any other flag exits with an error
-/// before the bench does any work (Flags::parse_or_exit).
+/// bench accepts and the one `output` flag.  `--help` lists them; any other
+/// flag exits with an error before the bench does any work
+/// (Flags::parse_or_exit).
 inline Flags parse_flags(int argc, char** argv,
-                         std::vector<FlagSpec> extra = {}) {
+                         std::vector<FlagSpec> extra = {},
+                         Output output = Output::kCsv) {
   extra.push_back({"scale", "multiply the dataset sizes [1.0]"});
   extra.push_back({"reps", "repetitions; the median is reported [3]"});
-  extra.push_back({"csv", "print result tables as CSV, where supported"});
+  if (output == Output::kCsv) {
+    extra.push_back({"csv", "print result tables as CSV"});
+  } else {
+    extra.push_back({"json", "print one JSON object instead of tables"});
+  }
   return Flags::parse_or_exit(argc, argv, std::move(extra));
 }
 

@@ -27,14 +27,20 @@ ran=0
 for bench in "${bench_dir}"/bench_*; do
   [[ -x "${bench}" && -f "${bench}" ]] || continue
   name="$(basename "${bench}")"
-  # bench_micro_* are google-benchmark binaries with their own flag set; the
-  # --scale/--reps/--csv flags only apply to the paper benches.
+  # bench_micro_* are google-benchmark binaries with their own flag set;
+  # --scale/--reps apply to every other bench.  bench_streaming and
+  # bench_serving print JSON, not CSV tables, and reject --csv: they get
+  # --json in its place.
   if [[ "${name}" == bench_micro_* ]]; then
     echo "== ${name}"
     "${bench}" | tee "${out_dir}/${name}.txt"
   else
-    echo "== ${name} $*"
-    "${bench}" "$@" | tee "${out_dir}/${name}.txt"
+    args=("$@")
+    if [[ "${name}" == bench_streaming || "${name}" == bench_serving ]]; then
+      args=("${args[@]/#--csv/--json}")
+    fi
+    echo "== ${name} ${args[*]}"
+    "${bench}" "${args[@]}" | tee "${out_dir}/${name}.txt"
   fi
   ran=$((ran + 1))
 done

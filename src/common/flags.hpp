@@ -35,6 +35,9 @@ class Flags {
   [[nodiscard]] static Flags parse_or_exit(int argc, char** argv,
                                            std::vector<FlagSpec> known);
 
+  /// True if the binary declared --name, whether or not it was given.
+  [[nodiscard]] bool declared(const std::string& name) const;
+
   /// True if --name was present (with or without a value).  Reading a
   /// name that was not declared throws std::logic_error: the binary's
   /// --help would not list it and parse_or_exit() would reject it.
@@ -68,7 +71,6 @@ class Flags {
   [[nodiscard]] const std::string& program() const { return program_; }
 
  private:
-  [[nodiscard]] bool declared(const std::string& name) const;
   /// The value of a declared flag, or null when absent.
   [[nodiscard]] const std::string* find(const std::string& name) const;
 

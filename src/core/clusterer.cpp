@@ -162,6 +162,7 @@ struct Clusterer::Impl {
   std::vector<std::uint32_t> ins_nbr_ids;     ///< insert-batch neighbor CSR
   std::vector<std::uint32_t> ins_nbr_starts;  ///< .. per-new-id offsets
   std::vector<std::uint32_t> cut_list;    ///< removed/demoted cores, by label
+  std::vector<std::uint32_t> grow_list;   ///< promoted cores + inserted slots
   std::vector<std::uint32_t> cut_order;   ///< cut indices grouped by ε-site
   std::vector<std::uint32_t> cut_root;    ///< cut index -> its ε-site's root
   std::vector<std::uint32_t> seed_list;   ///< cut-adjacent surviving cores
@@ -938,13 +939,27 @@ struct Clusterer::Impl {
     // count changed, so the only slots whose core flag can have flipped.
     // (seed_mark dedupes; split detection takes fresh epochs after.)  Each
     // neighbor CSR holds the last batch that had a side of its kind.
+    //
+    // A slot is classified the moment it is first touched, so its scattered
+    // is_core / counts / live loads are paid once here rather than in one
+    // walk per list:
+    //  * CUT nodes — old cores that are no longer cores (removed, or
+    //    demoted by the batch).  Only paths through them can break, so
+    //    only their clusters can split or shed borders.
+    //  * GROW nodes — promoted border/noise points and the inserted batch
+    //    (always live); they join W after split detection.
     const std::uint32_t touch_epoch = next_epoch();
     touched.clear();
+    cut_list.clear();
+    grow_list.clear();
     const auto touch = [&](std::uint32_t i) {
-      if (seed_mark[i] != touch_epoch) {
-        seed_mark[i] = touch_epoch;
-        touched.push_back(i);
-      }
+      if (seed_mark[i] == touch_epoch) return;
+      seed_mark[i] = touch_epoch;
+      touched.push_back(i);
+      const bool was_core = r.is_core[i] != 0;
+      const bool is_core = core_now(i);
+      if (was_core && !is_core && r.labels[i] >= 0) cut_list.push_back(i);
+      if (i >= first_new || (!was_core && is_core)) grow_list.push_back(i);
     };
     if (!rem_sorted.empty()) {
       for (const std::uint32_t i : rem_sorted) touch(i);
@@ -957,15 +972,6 @@ struct Clusterer::Impl {
       for (const std::uint32_t j : ins_nbr_ids) touch(j);
     }
 
-    // CUT nodes: old cores that are no longer cores (removed, or demoted by
-    // the batch).  Only paths through them can break, so only their clusters
-    // can split or shed borders.
-    cut_list.clear();
-    for (const std::uint32_t i : touched) {
-      if (r.is_core[i] && !core_now(i) && r.labels[i] >= 0) {
-        cut_list.push_back(i);
-      }
-    }
     std::sort(cut_list.begin(), cut_list.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                 return r.labels[a] != r.labels[b] ? r.labels[a] < r.labels[b]
@@ -977,12 +983,7 @@ struct Clusterer::Impl {
       RTD_STAGE("repair.split");
       detect_splits(eps, work);
     }
-    // Promoted border/noise points and the inserted batch (always live).
-    for (const std::uint32_t i : touched) {
-      if (i >= first_new || (!r.is_core[i] && core_now(i))) {
-        add_w(i);
-      }
-    }
+    for (const std::uint32_t i : grow_list) add_w(i);
     // Query W in slot order: a re-clustered membership arrives in member
     // list order, which edits scramble, and slot order keeps the
     // neighboring queries of a trajectory-ordered stream close in memory.
@@ -1733,15 +1734,18 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   }
   const std::span<const geom::Vec3> pts = im.pts;
   // One query per ORDER entry (live slots only): tombstoned slots keep the
-  // zero counts from the assign above and are never core.
+  // zero counts from the assign above and are never core.  Each task is one
+  // packet of consecutive (Morton-adjacent) entries, like phase 1.
   const rt::LaunchStats shared_phase1 = rt::parallel_launch(
-      im.order.size(), im.opts.threads,
-      [&](rt::TraversalStats& stats, std::size_t q) {
-        const std::uint32_t i = im.order[q];
-        std::uint32_t* const buckets = im.sweep_counts.data() + i * ku;
-        im.index->query_sphere(
-            pts[i], eps_max, i,
-            [&](std::uint32_t j) {
+      dbscan::packet_count(im.order.size()), im.opts.threads,
+      [&](rt::TraversalStats& stats, std::size_t p) {
+        const std::span<const std::uint32_t> ids =
+            dbscan::packet_at(im.order, p);
+        im.index->query_sphere_packet(
+            ids, eps_max,
+            [&](std::uint32_t slot, std::uint32_t j) {
+              const std::uint32_t i = ids[slot];
+              std::uint32_t* const buckets = im.sweep_counts.data() + i * ku;
               const float d2 = geom::distance_squared(pts[i], pts[j]);
               for (std::size_t u = 0; u < ku; ++u) {
                 if (d2 <= im.sweep_eps2[u]) ++buckets[u];

@@ -1,5 +1,6 @@
 #include "dbscan/engine.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,6 +13,26 @@
 #include "telemetry/telemetry.hpp"
 
 namespace rtd::dbscan {
+
+namespace {
+
+/// Phase 2 gathers the core entries of this many consecutive launch slots
+/// into packets: wide enough that most packets fill, narrow enough that
+/// their rays stay Morton-adjacent.
+constexpr std::size_t kPhase2Window = 8 * rt::kPacketWidth;
+
+}  // namespace
+
+std::size_t packet_count(std::size_t n) {
+  return (n + rt::kPacketWidth - 1) / rt::kPacketWidth;
+}
+
+std::span<const std::uint32_t> packet_at(std::span<const std::uint32_t> ids,
+                                         std::size_t p) {
+  const std::size_t first = p * rt::kPacketWidth;
+  return ids.subspan(first, std::min<std::size_t>(rt::kPacketWidth,
+                                                  ids.size() - first));
+}
 
 std::vector<std::uint32_t> query_launch_order(
     std::span<const geom::Vec3> points, bool morton, int threads) {
@@ -42,7 +63,6 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
   // (the RT pipeline) ignore the cap and return exact counts.
   const std::uint32_t cap =
       early_exit ? params.min_pts - 1 : index::kNoCap;
-  const std::span<const geom::Vec3> points = index.points();
   // Before the launch: a throw from inside the parallel region would
   // terminate, so faults inject at the serial boundary only.  The span
   // wraps the launch from outside for the same reason.
@@ -51,10 +71,15 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
 
   // One query per ORDER entry, not per slot: a live session passes an order
   // that skips tombstoned slots, whose counts stay 0 from the assign above.
+  // Each task is one packet of consecutive (Morton-adjacent) entries.
   return rt::parallel_launch(
-      order.size(), threads, [&](rt::TraversalStats& stats, std::size_t k) {
-        const std::uint32_t i = order[k];
-        counts[i] = index.query_count(points[i], params.eps, i, stats, cap);
+      packet_count(order.size()), threads,
+      [&](rt::TraversalStats& stats, std::size_t p) {
+        const std::span<const std::uint32_t> ids = packet_at(order, p);
+        std::uint32_t got[rt::kPacketWidth] = {};
+        index.query_count_packet(ids, params.eps, {got, ids.size()}, stats,
+                                 cap);
+        for (std::size_t k = 0; k < ids.size(); ++k) counts[ids[k]] = got[k];
       });
 }
 
@@ -130,35 +155,48 @@ rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              dsu::AtomicDisjointSet& dsu,
                              std::span<std::atomic<std::uint8_t>> claimed,
                              int threads) {
-  const std::span<const geom::Vec3> points = index.points();
   RTD_STAGE("engine.phase2");
   telemetry::count(telemetry::Counter::kEnginePhase2Launches);
 
   // Like phase 1: the order defines which points query (live sessions pass
   // a live-only order; dead slots are never core, so skipping is free).
+  // Only core points initiate merges, so each task gathers the cores of a
+  // window of consecutive entries (on the stack) into full packets.
+  const std::size_t windows =
+      (order.size() + kPhase2Window - 1) / kPhase2Window;
   return rt::parallel_launch(
-      order.size(), threads, [&](rt::TraversalStats& stats, std::size_t k) {
-        const std::uint32_t i = order[k];
-        if (!is_core[i]) return;  // only core points initiate merges
-        index.query_sphere(
-            points[i], eps, i,
-            [&](std::uint32_t j) {
-              if (is_core[j]) {
-                // Core-core merge (Alg. 3 line 10); pairs are seen from
-                // both ends, so do each merge once.
-                if (j > i) dsu.unite(i, j);
-              } else {
-                // Border point: Alg. 3's critical section (lines 12-15) —
-                // an atomic claim guarantees the point joins exactly one
-                // cluster.
-                std::uint8_t expected = 0;
-                if (claimed[j].compare_exchange_strong(
-                        expected, 1, std::memory_order_acq_rel)) {
-                  dsu.unite(i, j);
+      windows, threads, [&](rt::TraversalStats& stats, std::size_t w) {
+        std::uint32_t cores[kPhase2Window] = {};
+        std::size_t c = 0;
+        const std::size_t end =
+            std::min(order.size(), (w + 1) * kPhase2Window);
+        for (std::size_t q = w * kPhase2Window; q < end; ++q) {
+          if (is_core[order[q]]) cores[c++] = order[q];
+        }
+        const std::span<const std::uint32_t> gathered(cores, c);
+        for (std::size_t p = 0; p < packet_count(c); ++p) {
+          const std::span<const std::uint32_t> ids = packet_at(gathered, p);
+          index.query_sphere_packet(
+              ids, eps,
+              [&](std::uint32_t k, std::uint32_t j) {
+                const std::uint32_t i = ids[k];
+                if (is_core[j]) {
+                  // Core-core merge (Alg. 3 line 10); pairs are seen from
+                  // both ends, so do each merge once.
+                  if (j > i) dsu.unite(i, j);
+                } else {
+                  // Border point: Alg. 3's critical section (lines 12-15)
+                  // — an atomic claim guarantees the point joins exactly
+                  // one cluster.
+                  std::uint8_t expected = 0;
+                  if (claimed[j].compare_exchange_strong(
+                          expected, 1, std::memory_order_acq_rel)) {
+                    dsu.unite(i, j);
+                  }
                 }
-              }
-            },
-            stats);
+              },
+              stats);
+        }
       });
 }
 

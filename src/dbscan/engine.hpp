@@ -20,6 +20,16 @@
 // walk the same subtrees while they are still in cache — the launch-order
 // coherence RTNN [Zhu, PPoPP'22] gets from RT hardware.  Results do not
 // depend on the order; only scheduling does.
+//
+// The full passes — phase 1, phase 2 and Clusterer::sweep()'s shared
+// counting launch — also issue their queries as 4-ray packets of
+// Morton-adjacent points (NeighborIndex::query_count_packet /
+// query_sphere_packet).  On kBvhRt's wide layout one packet walk
+// (rt::traverse_points) fetches each node once for every ray that reaches
+// it; the work counters stay per-ray sums, equal to the single-ray walk's.
+// Isolated queries keep the single-ray walk, because their arrival order
+// carries no coherence: the incremental count captures below, the label
+// repair passes, snapshot reads and query_neighbors.
 #pragma once
 
 #include <atomic>
@@ -60,8 +70,18 @@ struct IndexEngineResult {
 [[nodiscard]] std::vector<std::uint32_t> query_launch_order(
     std::span<const geom::Vec3> points, bool morton, int threads = 0);
 
+/// Number of packets covering `n` consecutive launch slots: one per
+/// rt::kPacketWidth, the last one possibly short.
+[[nodiscard]] std::size_t packet_count(std::size_t n);
+
+/// Packet `p` of `ids`: entries [p·kPacketWidth, (p+1)·kPacketWidth),
+/// clipped to ids.size().  p < packet_count(ids.size()).
+[[nodiscard]] std::span<const std::uint32_t> packet_at(
+    std::span<const std::uint32_t> ids, std::size_t p);
+
 /// Phase 1 over any index: per-point ε-neighbor counts (excluding self)
-/// into `counts`, queried in `order`.
+/// into `counts`, queried in `order` as packets of consecutive entries
+/// (NeighborIndex::query_count_packet).
 rt::LaunchStats index_phase1(const index::NeighborIndex& index,
                              const Params& params,
                              std::span<const std::uint32_t> order,
@@ -113,7 +133,8 @@ rt::LaunchStats index_phase1_insert(const index::NeighborIndex& index,
 
 /// Phase 2 over any index: concurrent union-find merges initiated by core
 /// points (Alg. 3 lines 7-18); border points claimed atomically through
-/// `claimed`.
+/// `claimed`.  The core entries of each small window of `order` are
+/// gathered into packets (NeighborIndex::query_sphere_packet).
 rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<const std::uint32_t> order,
                              std::span<const std::uint8_t> is_core,

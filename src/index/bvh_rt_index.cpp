@@ -1,5 +1,7 @@
 #include "index/bvh_rt_index.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -85,6 +87,69 @@ std::uint32_t BvhRtIndex::query_count(const geom::Vec3& center, float eps,
     }
   });
   return count;
+}
+
+template <typename OnPair>
+void BvhRtIndex::trace_packet(std::span<const std::uint32_t> ids, float eps,
+                              rt::TraversalStats& stats,
+                              OnPair&& on_pair) const {
+  if (ids.size() > rt::kPacketWidth) {
+    throw std::invalid_argument("BvhRtIndex: a packet holds at most " +
+                                std::to_string(rt::kPacketWidth) + " ids");
+  }
+  require_radius(eps);
+  const rt::SphereAccel& accel = *accel_;
+  rt::PointPacket packet;
+  for (const std::uint32_t id : ids) packet.push(points_[id]);
+  accel.trace_packet(
+      packet,
+      [&](std::uint32_t prim, std::uint32_t rays) {
+        // The Intersection program of every ray in `rays` at once: one
+        // dead check, one 4-wide point-in-sphere test.
+        if (is_dead(prim)) return;
+        for (std::uint32_t in = accel.origins_inside(packet, prim) & rays;
+             in != 0; in &= in - 1) {
+          const auto k = static_cast<std::uint32_t>(std::countr_zero(in));
+          if (prim != ids[k]) on_pair(k, prim);
+        }
+      },
+      stats);
+  const float eps2 = eps * eps;
+  for (std::uint32_t k = 0; k < ids.size(); ++k) {
+    const std::uint32_t self = ids[k];
+    const geom::Vec3& center = points_[self];
+    scan_tail(geom::Aabb::of_sphere(center, eps), stats,
+              [&](std::uint32_t j) {
+                if (j != self &&
+                    geom::distance_squared(center, points_[j]) <= eps2) {
+                  on_pair(k, j);
+                }
+              });
+  }
+}
+
+void BvhRtIndex::query_count_packet(std::span<const std::uint32_t> ids,
+                                    float eps,
+                                    std::span<std::uint32_t> counts,
+                                    rt::TraversalStats& stats,
+                                    std::uint32_t stop_at) const {
+  if (accel_->wide_bvh().empty()) {
+    NeighborIndex::query_count_packet(ids, eps, counts, stats, stop_at);
+    return;
+  }
+  std::fill(counts.begin(), counts.end(), 0u);
+  trace_packet(ids, eps, stats,
+               [&](std::uint32_t k, std::uint32_t) { ++counts[k]; });
+}
+
+void BvhRtIndex::query_sphere_packet(std::span<const std::uint32_t> ids,
+                                     float eps, PairVisitor visit,
+                                     rt::TraversalStats& stats) const {
+  if (accel_->wide_bvh().empty()) {
+    NeighborIndex::query_sphere_packet(ids, eps, visit, stats);
+    return;
+  }
+  trace_packet(ids, eps, stats, visit);
 }
 
 void BvhRtIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,

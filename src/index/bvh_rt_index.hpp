@@ -56,6 +56,18 @@ class BvhRtIndex final : public NeighborIndex {
   void query_box(const geom::Aabb& box, NeighborVisitor visit,
                  rt::TraversalStats& stats) const override;
 
+  /// Packet entries: one rt::traverse_points walk over the wide layout for
+  /// the whole packet, the delta tail scanned per ray.  A binary layout
+  /// runs the base class's per-query loop.  `stop_at` is ignored, as in
+  /// query_count.
+  void query_count_packet(std::span<const std::uint32_t> ids, float eps,
+                          std::span<std::uint32_t> counts,
+                          rt::TraversalStats& stats,
+                          std::uint32_t stop_at) const override;
+  void query_sphere_packet(std::span<const std::uint32_t> ids, float eps,
+                           PairVisitor visit,
+                           rt::TraversalStats& stats) const override;
+
   /// REFIT the sphere scene to a new radius (accel update, not rebuild);
   /// subsequent queries must use the new eps.
   void set_radius(float eps) { accel_.mut().set_radius(eps); }
@@ -118,6 +130,12 @@ class BvhRtIndex final : public NeighborIndex {
       return rt::TraversalControl::kContinue;
     });
   }
+
+  /// The packet walk behind both packet entries: `on_pair(k, j)` for every
+  /// exact neighbor j of ids[k], scene first, then each ray's tail scan.
+  template <typename OnPair>
+  void trace_packet(std::span<const std::uint32_t> ids, float eps,
+                    rt::TraversalStats& stats, OnPair&& on_pair) const;
 
   rt::Context ctx_;
   CopyOnWrite<rt::SphereAccel> accel_;

@@ -134,6 +134,27 @@ std::uint32_t NeighborIndex::query_count(const geom::Vec3& center, float eps,
   return count;
 }
 
+void NeighborIndex::query_count_packet(std::span<const std::uint32_t> ids,
+                                       float eps,
+                                       std::span<std::uint32_t> counts,
+                                       rt::TraversalStats& stats,
+                                       std::uint32_t stop_at) const {
+  const std::span<const geom::Vec3> pts = points();
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    counts[k] = query_count(pts[ids[k]], eps, ids[k], stats, stop_at);
+  }
+}
+
+void NeighborIndex::query_sphere_packet(std::span<const std::uint32_t> ids,
+                                        float eps, PairVisitor visit,
+                                        rt::TraversalStats& stats) const {
+  const std::span<const geom::Vec3> pts = points();
+  for (std::uint32_t k = 0; k < ids.size(); ++k) {
+    query_sphere(pts[ids[k]], eps, ids[k],
+                 [&](std::uint32_t j) { visit(k, j); }, stats);
+  }
+}
+
 void NeighborIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
                               rt::TraversalStats& stats) const {
   // Default: counted linear scan.  Grid/tree backends override.

@@ -187,6 +187,33 @@ class NeighborIndex {
       const geom::Vec3& center, float eps, std::uint32_t self,
       rt::TraversalStats& stats, std::uint32_t stop_at = kNoCap) const;
 
+  /// Packet entries — the full query passes in Morton order
+  /// (dbscan/engine.hpp) issue the queries of up to rt::kPacketWidth
+  /// consecutive launch slots together.  Query k of a packet is the query
+  /// of dataset point ids[k], excluding itself, exactly as a single
+  /// query_count / query_sphere call at points()[ids[k]] with self = ids[k]
+  /// (dead ids query too).  Results, visited pairs and the summed work
+  /// counters equal ids.size() single queries; only the visit order
+  /// differs.  1 <= ids.size() <= rt::kPacketWidth.
+  ///
+  /// The defaults loop the single-query virtuals.  kBvhRt overrides both
+  /// on its wide layout: one packet walk (rt::traverse_points) shares each
+  /// node fetch among the rays that reach it.
+
+  /// counts[k] = query_count(points()[ids[k]], eps, ids[k], stats, stop_at).
+  /// `counts` has ids.size() entries.
+  virtual void query_count_packet(std::span<const std::uint32_t> ids,
+                                  float eps, std::span<std::uint32_t> counts,
+                                  rt::TraversalStats& stats,
+                                  std::uint32_t stop_at = kNoCap) const;
+
+  /// `visit(k, j)` for every neighbor j that query_sphere(points()[ids[k]],
+  /// eps, ids[k], ...) would visit.  Pairs of one packet are delivered from
+  /// the calling thread.
+  virtual void query_sphere_packet(std::span<const std::uint32_t> ids,
+                                   float eps, PairVisitor visit,
+                                   rt::TraversalStats& stats) const;
+
   /// Visit every dataset index whose point lies inside `box` (closed).  Used
   /// by the dense-box DBSCAN phase that replaces per-point sphere queries
   /// with one inflated-box query per dense cell.  The default implementation

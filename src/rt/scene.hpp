@@ -7,8 +7,10 @@
 // program.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "geom/ray.hpp"
@@ -63,12 +65,42 @@ class SphereAccel {
         stats);
   }
 
+  /// Trace a packet of point-query rays through the wide layout
+  /// (rt::traverse_points): `isect_program(prim_id, rays)` fires once per
+  /// candidate sphere with the mask of packet rays that reached it, and
+  /// each of those rays counts one Intersection call — the counters equal
+  /// `packet.size` single trace() calls.  Requires the wide layout; an
+  /// accel whose build resolved to binary throws std::logic_error (its
+  /// callers trace ray by ray instead).
+  template <typename IsectProgram>
+  void trace_packet(const PointPacket& packet, IsectProgram&& isect_program,
+                    TraversalStats& stats) const {
+    if (wide_.empty() && !bvh_.empty()) {
+      throw std::logic_error("SphereAccel::trace_packet: no wide layout");
+    }
+    traverse_points(
+        wide_, packet,
+        [&](std::uint32_t prim, std::uint32_t rays) {
+          stats.isect_calls +=
+              static_cast<std::uint64_t>(std::popcount(rays));
+          isect_program(prim, rays);
+        },
+        stats);
+  }
+
   /// Exact test the Intersection program applies (Alg. 2 line 6): is the ray
   /// origin within the solid sphere `prim`?
   [[nodiscard]] bool origin_inside(const geom::Ray& ray,
                                    std::uint32_t prim) const {
     return geom::distance_squared(ray.origin, centers_[prim]) <=
            radius_ * radius_;
+  }
+
+  /// origin_inside() for a whole packet: bit k set iff ray k's origin is
+  /// within sphere `prim`.  Bits beyond packet.size are garbage.
+  [[nodiscard]] std::uint32_t origins_inside(const PointPacket& packet,
+                                             std::uint32_t prim) const {
+    return detail::packet_within(packet, centers_[prim], radius_ * radius_);
   }
 
   /// Change the shared sphere radius and REFIT the BVH in place (topology

@@ -10,11 +10,24 @@
 // Work counters substitute for the hardware's opaque acceleration: every
 // experiment can report nodes visited / AABB tests / Intersection-program
 // calls alongside wall-clock time.
+//
+// Three walk families live here: the binary walks, the wide (8-ary SoA)
+// walks, and the 4-ray point-query packet walk over the wide layout
+// (traverse_points) that the full query passes use — up to four
+// Morton-adjacent rays share each node fetch.  Its counters are per-ray
+// sums equal to the single-ray walk's; its lane compare and exact test
+// use SSE2, the x86-64 baseline (scalar bodies elsewhere).  Isolated
+// queries stay on the single-ray walk (see dbscan/engine.hpp for which
+// passes trace packets and why).
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/prefetch.hpp"
 #include "geom/ray.hpp"
@@ -374,6 +387,190 @@ void traverse_overlap(const WideBvh& bvh, const geom::Aabb& query,
         }
       } else {
         stack[top++] = node.child[lane];
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 4-ray point-query packets over the wide layout — the coherent-packet
+// technique of Wald et al. (EG 2001) and Embree's rtcIntersect4.  Up to
+// four Ray::point_query rays descend together: each stack entry carries
+// the mask of rays that hit that node, so one node fetch serves every ray
+// that takes the same path while each ray still visits exactly the nodes
+// and candidates its single-ray walk visits.  The counters stay per-ray
+// sums — `rays`, `nodes_visited` and `aabb_tests` grow by the packet's
+// active ray count at each step — so a packet of m rays reports exactly
+// what m single walks report.  Only full query passes in Morton order use
+// it (dbscan/engine.hpp): isolated queries carry no coherence for a packet
+// to share, so they keep the single-ray walk.
+//
+// The lane compare and the exact distance test are 4-wide SSE2 movemask
+// helpers (detail::point_ray_hits4, detail::packet_within).  SSE2 is the
+// x86-64 baseline, so no -march flag is needed; elsewhere those two
+// helpers fall back to scalar bodies with identical results.
+// ---------------------------------------------------------------------------
+
+/// Rays per packet: one SSE register of floats.
+inline constexpr std::uint32_t kPacketWidth = 4;
+
+/// Up to kPacketWidth point-query rays (geom::Ray::point_query) as SoA
+/// origins.  Rays [0, size) are live; unused slots hold zeros, and every
+/// verdict for them is masked off.
+struct PointPacket {
+  alignas(16) float x[kPacketWidth] = {};
+  alignas(16) float y[kPacketWidth] = {};
+  alignas(16) float z[kPacketWidth] = {};
+  std::uint32_t size = 0;
+
+  /// Append one ray's origin; at most kPacketWidth per packet.
+  void push(const geom::Vec3& origin) {
+    x[size] = origin.x;
+    y[size] = origin.y;
+    z[size] = origin.z;
+    ++size;
+  }
+
+  [[nodiscard]] geom::Vec3 origin(std::uint32_t k) const {
+    return {x[k], y[k], z[k]};
+  }
+};
+
+namespace detail {
+
+/// One point ray against lanes [first, first + 4) of `node`: bit i set iff
+/// lane first + i passes the wide_point_ray_hits test (same comparisons,
+/// same operands, so the verdicts are bit-identical).  `first` is 0 or 4.
+inline std::uint32_t point_ray_hits4(const WideBvhNode& node, unsigned first,
+                                     float ox, float oy, float oz,
+                                     float tmax) {
+#if defined(__SSE2__)
+  const __m128 x = _mm_set1_ps(ox);
+  const __m128 y = _mm_set1_ps(oy);
+  const __m128 z = _mm_set1_ps(oz);
+  __m128 m = _mm_and_ps(_mm_cmpge_ps(x, _mm_load_ps(&node.lo[0][first])),
+                        _mm_cmple_ps(x, _mm_load_ps(&node.hi[0][first])));
+  m = _mm_and_ps(m, _mm_cmpge_ps(y, _mm_load_ps(&node.lo[1][first])));
+  m = _mm_and_ps(m, _mm_cmple_ps(y, _mm_load_ps(&node.hi[1][first])));
+  m = _mm_and_ps(
+      m, _mm_cmple_ps(_mm_sub_ps(_mm_load_ps(&node.lo[2][first]), z),
+                      _mm_set1_ps(tmax)));
+  m = _mm_and_ps(m, _mm_cmpge_ps(_mm_load_ps(&node.hi[2][first]), z));
+  return static_cast<std::uint32_t>(_mm_movemask_ps(m));
+#else
+  std::uint32_t hits = 0;
+  for (unsigned i = 0; i < 4; ++i) {
+    const unsigned l = first + i;
+    const bool hit = ox >= node.lo[0][l] && ox <= node.hi[0][l] &&
+                     oy >= node.lo[1][l] && oy <= node.hi[1][l] &&
+                     node.lo[2][l] - oz <= tmax && node.hi[2][l] >= oz;
+    hits |= static_cast<std::uint32_t>(hit) << i;
+  }
+  return hits;
+#endif
+}
+
+/// The exact test for a whole packet: bit k set iff
+/// geom::distance_squared(packet.origin(k), c) <= r2, evaluated with the
+/// scalar expression's operations in its order (bit-identical verdicts).
+/// Bits of unused slots are garbage; callers mask them.
+inline std::uint32_t packet_within(const PointPacket& packet,
+                                   const geom::Vec3& c, float r2) {
+#if defined(__SSE2__)
+  const __m128 dx = _mm_sub_ps(_mm_load_ps(packet.x), _mm_set1_ps(c.x));
+  const __m128 dy = _mm_sub_ps(_mm_load_ps(packet.y), _mm_set1_ps(c.y));
+  const __m128 dz = _mm_sub_ps(_mm_load_ps(packet.z), _mm_set1_ps(c.z));
+  const __m128 d2 = _mm_add_ps(
+      _mm_add_ps(_mm_mul_ps(dx, dx), _mm_mul_ps(dy, dy)), _mm_mul_ps(dz, dz));
+  return static_cast<std::uint32_t>(
+      _mm_movemask_ps(_mm_cmple_ps(d2, _mm_set1_ps(r2))));
+#else
+  std::uint32_t inside = 0;
+  for (std::uint32_t k = 0; k < kPacketWidth; ++k) {
+    inside |= static_cast<std::uint32_t>(
+                  geom::distance_squared(packet.origin(k), c) <= r2)
+              << k;
+  }
+  return inside;
+#endif
+}
+
+}  // namespace detail
+
+/// Walk a wide BVH with a packet of point-query rays.  For every leaf
+/// candidate reached, `on_candidate(prim_id, rays)` receives the mask of
+/// packet rays whose single-ray walk (traverse() above) would surface that
+/// candidate at that leaf lane — the same (ray, candidate) multiset, in a
+/// different order.  Point queries never terminate early, so the callback
+/// returns nothing.  Counters are per-ray sums (see the section comment).
+template <typename Callback>
+void traverse_points(const WideBvh& bvh, const PointPacket& packet,
+                     Callback&& on_candidate, TraversalStats& stats) {
+  if (bvh.empty() || packet.size == 0) return;
+  const float tmax = geom::Ray::point_query({}).tmax;
+
+  // Root: exactly the single-ray walk's scene-bounds test, per ray.
+  stats.rays += packet.size;
+  stats.aabb_tests += packet.size;
+  std::uint32_t live = 0;
+  for (std::uint32_t k = 0; k < packet.size; ++k) {
+    if (geom::ray_intersects_aabb(geom::Ray::point_query(packet.origin(k)),
+                                  bvh.scene_bounds)) {
+      live |= 1u << k;
+    }
+  }
+  if (live == 0) return;
+
+  // A pop pushes at most one entry per lane, as in the single-ray walk, so
+  // the same capacity bounds the stack.
+  std::uint32_t stack[kWideStackCapacity];
+  std::uint8_t stack_rays[kWideStackCapacity];
+  std::size_t top = 0;
+  stack[top] = 0;
+  stack_rays[top++] = static_cast<std::uint8_t>(live);
+
+  while (top > 0) {
+    --top;
+    const WideBvhNode& node = bvh.nodes[stack[top]];
+    const std::uint32_t rays = stack_rays[top];
+    const auto active = static_cast<std::uint32_t>(std::popcount(rays));
+    stats.nodes_visited += active;
+    stats.aabb_tests += static_cast<std::uint64_t>(node.child_count) * active;
+
+    // Per ray, the 8-lane hit mask; transposed into per-lane ray masks.
+    std::uint32_t lane_rays[kWideBvhArity] = {};
+    std::uint32_t pending = 0;
+    for (std::uint32_t r = rays; r != 0; r &= r - 1) {
+      const auto k = static_cast<unsigned>(std::countr_zero(r));
+      const std::uint32_t hits =
+          (detail::point_ray_hits4(node, 0, packet.x[k], packet.y[k],
+                                   packet.z[k], tmax) |
+           detail::point_ray_hits4(node, 4, packet.x[k], packet.y[k],
+                                   packet.z[k], tmax)
+               << 4) &
+          node.lane_mask();
+      pending |= hits;
+      for (std::uint32_t h = hits; h != 0; h &= h - 1) {
+        lane_rays[std::countr_zero(h)] |= 1u << k;
+      }
+    }
+
+    // Far-to-near along the sort axis, like the single-ray walk (a point
+    // ray points +z, so that is descending lanes).
+    while (pending != 0) {
+      const unsigned lane =
+          31u - static_cast<unsigned>(std::countl_zero(pending));
+      pending &= ~(1u << lane);
+      const std::uint32_t lane_mask = lane_rays[lane];
+      if (node.lane_is_leaf(lane)) {
+        const std::uint32_t first = node.child[lane];
+        for (std::uint32_t i = first; i < first + node.count[lane]; ++i) {
+          on_candidate(bvh.prim_index[i], lane_mask);
+        }
+      } else {
+        stack[top] = node.child[lane];
+        stack_rays[top++] = static_cast<std::uint8_t>(lane_mask);
+        RTD_PREFETCH(&bvh.nodes[node.child[lane]]);
       }
     }
   }

@@ -4,16 +4,20 @@
 // the IDENTICAL neighbor set — ε-inclusive boundaries, self excluded by id,
 // duplicates reported — so the DBSCAN engine can swap backends freely.
 // These tests enforce set parity against a hand-rolled brute-force oracle
-// on generated and degenerate datasets, and clustering equivalence of every
-// DBSCAN variant across every backend.
+// on generated and degenerate datasets, packet parity (the packet entries
+// against the single-query virtuals, counters included), and clustering
+// equivalence of every DBSCAN variant across every backend.
 #include "index/neighbor_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/api.hpp"
 #include "data/generators.hpp"
 #include "dbscan/engine.hpp"
@@ -368,6 +372,200 @@ TEST(NeighborIndex, ToStringParseRoundTrip) {
   }
   EXPECT_EQ(parse_index_kind("auto"), IndexKind::kAuto);
   EXPECT_EQ(parse_index_kind("nonsense"), std::nullopt);
+}
+
+// ---------------------------------------------------------------------------
+// Packet entries: a packet of m ids must deliver exactly what m single
+// queries deliver — the same (k, j) pairs, the same counts and the same
+// summed work counters — on every backend and layout, in every index state.
+// ---------------------------------------------------------------------------
+
+using PairSet = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+void expect_same_work(const rt::TraversalStats& packet,
+                      const rt::TraversalStats& single,
+                      const std::string& what) {
+  EXPECT_EQ(packet.rays, single.rays) << what;
+  EXPECT_EQ(packet.nodes_visited, single.nodes_visited) << what;
+  EXPECT_EQ(packet.aabb_tests, single.aabb_tests) << what;
+  EXPECT_EQ(packet.isect_calls, single.isect_calls) << what;
+}
+
+/// Cut `ids` into packets of 1, 2, 3, 4, 1, ... ids and check both packet
+/// entries of every packet against the single-query virtuals.
+void expect_packet_parity(const NeighborIndex& index, float eps,
+                          std::span<const std::uint32_t> ids,
+                          const std::string& what) {
+  const std::span<const Vec3> pts = index.points();
+  std::size_t m = 1;
+  for (std::size_t pos = 0; pos < ids.size(); pos += m, m = m % 4 + 1) {
+    const auto packet = ids.subspan(pos, std::min(m, ids.size() - pos));
+    const std::string where = what + " " + index.name() + " packet@" +
+                              std::to_string(pos) + "/" +
+                              std::to_string(packet.size());
+
+    PairSet single_pairs;
+    rt::TraversalStats single_stats;
+    for (std::uint32_t k = 0; k < packet.size(); ++k) {
+      index.query_sphere(
+          pts[packet[k]], eps, packet[k],
+          [&](std::uint32_t j) { single_pairs.emplace_back(k, j); },
+          single_stats);
+    }
+    PairSet packet_pairs;
+    rt::TraversalStats packet_stats;
+    index.query_sphere_packet(
+        packet, eps,
+        [&](std::uint32_t k, std::uint32_t j) {
+          packet_pairs.emplace_back(k, j);
+        },
+        packet_stats);
+    std::sort(single_pairs.begin(), single_pairs.end());
+    std::sort(packet_pairs.begin(), packet_pairs.end());
+    EXPECT_EQ(packet_pairs, single_pairs) << where;
+    expect_same_work(packet_stats, single_stats, where + " pairs");
+
+    std::vector<std::uint32_t> single_counts;
+    rt::TraversalStats single_count_stats;
+    for (const std::uint32_t id : packet) {
+      single_counts.push_back(
+          index.query_count(pts[id], eps, id, single_count_stats));
+    }
+    std::vector<std::uint32_t> packet_counts(packet.size(), 12345u);
+    rt::TraversalStats packet_count_stats;
+    index.query_count_packet(packet, eps, packet_counts, packet_count_stats);
+    EXPECT_EQ(packet_counts, single_counts) << where;
+    expect_same_work(packet_count_stats, single_count_stats,
+                     where + " counts");
+  }
+}
+
+/// Both layouts of every backend (the non-tree backends ignore the width;
+/// kBvhRt's binary layout runs the per-query default loop).
+std::vector<std::unique_ptr<NeighborIndex>> all_backend_layouts(
+    std::span<const Vec3> points, float eps) {
+  std::vector<std::unique_ptr<NeighborIndex>> out;
+  for (const rt::TraversalWidth width :
+       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
+    IndexBuildOptions options;
+    options.build.width = width;
+    for (const IndexKind kind : kAllIndexKinds) {
+      out.push_back(make_index(points, eps, kind, options));
+    }
+  }
+  return out;
+}
+
+/// Coherent ids (a Morton-order run) followed by far-apart random ids.
+std::vector<std::uint32_t> packet_probe_ids(std::span<const Vec3> points,
+                                            std::uint64_t seed) {
+  auto ids = dbscan::query_launch_order(points, true, 1);
+  ids.resize(std::min<std::size_t>(150, ids.size()));
+  Rng rng(seed);
+  for (int r = 0; r < 150; ++r) {
+    ids.push_back(static_cast<std::uint32_t>(
+        rng.uniform() * static_cast<double>(points.size() - 1)));
+  }
+  return ids;
+}
+
+TEST(NeighborIndexPacket, MatchesSingleQueriesOnEveryBackend) {
+  for (const auto& c : parity_cases()) {
+    const auto ids = packet_probe_ids(c.points, 201);
+    for (const auto& index : all_backend_layouts(c.points, c.eps)) {
+      expect_packet_parity(*index, c.eps, ids, c.name);
+    }
+  }
+  // Exactly representable boundary distances (1 and the 3-4-5 triangle):
+  // the packet's exact test must stay ε-inclusive.
+  const std::vector<Vec3> pts{{0, 0, 0}, {1, 0, 0}, {0, 5, 0},
+                              {3, 9, 0}, {3, 4, 0}, {50, 0, 0}};
+  const std::vector<std::uint32_t> all_ids{0, 1, 2, 3, 4, 5, 4, 0, 1, 2};
+  for (const float eps : {1.0f, 5.0f}) {
+    for (const auto& index : all_backend_layouts(pts, eps)) {
+      expect_packet_parity(*index, eps, all_ids, "boundary");
+      std::uint32_t counts[2] = {};
+      rt::TraversalStats stats;
+      index->query_count_packet(std::span(all_ids).first(2), eps, counts,
+                                stats);
+      EXPECT_EQ(counts[0], eps == 1.0f ? 1u : 3u) << index->name();
+    }
+  }
+}
+
+TEST(NeighborIndexPacket, DeadIdsMatchAfterRemovalAndMaskedRefit) {
+  // Enough removals to trigger the tree backends' masked refit; the packets
+  // mix dead and live ids.
+  const auto pts = data::uniform_cube(3000, 20.0f, 3, 202).points;
+  const float eps = 0.9f;
+  std::vector<std::uint32_t> removed;
+  for (std::uint32_t i = 0; i < pts.size(); i += 3) removed.push_back(i);
+  const auto ids = packet_probe_ids(pts, 203);
+  for (const auto& index : all_backend_layouts(pts, eps)) {
+    ASSERT_TRUE(index->try_remove(removed)) << index->name();
+    expect_packet_parity(*index, eps, ids, "removed");
+    expect_packet_parity(*index, eps, removed, "dead ids");
+  }
+}
+
+TEST(NeighborIndexPacket, DeltaTailIdsMatchAfterInsert) {
+  // The appended batch includes points far outside the built scene's
+  // bounds; packets mix scene ids and delta-tail ids.
+  auto pts = data::uniform_cube(2500, 20.0f, 3, 204).points;
+  const std::size_t built = pts.size();
+  const auto extra = data::uniform_cube(400, 20.0f, 3, 205).points;
+  std::vector<Vec3> all = pts;
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    const float shift = i % 2 == 0 ? 0.0f : 30.0f;  // half outside
+    all.push_back({extra[i].x + shift, extra[i].y, extra[i].z - shift});
+  }
+  const float eps = 0.9f;
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t i = 0; i < all.size(); i += 7) ids.push_back(i);
+  for (auto id = static_cast<std::uint32_t>(built); id < all.size(); ++id) {
+    ids.push_back(id);
+  }
+  int absorbed = 0;
+  for (const auto& index : all_backend_layouts(pts, eps)) {
+    if (!index->try_insert(all, built)) continue;  // grid / dense-box
+    ++absorbed;
+    if (const auto* rt_index = dynamic_cast<const BvhRtIndex*>(index.get())) {
+      // The shifted tail ids trace from outside the scene's root box.
+      EXPECT_FALSE(rt_index->accel().bvh().scene_bounds.contains(all.back()));
+    }
+    expect_packet_parity(*index, eps, ids, "tail");
+  }
+  EXPECT_EQ(absorbed, 8);  // four insert-capable backends, two layouts
+}
+
+TEST(NeighborIndexPacket, MatchesAfterEpsRefit) {
+  const auto pts = data::gaussian_blobs(3000, 4, 0.6f, 10.0f, 3, 206).points;
+  const auto ids = packet_probe_ids(pts, 207);
+  int refit = 0;
+  for (const auto& index : all_backend_layouts(pts, 0.5f)) {
+    for (const float eps : {0.8f, 0.3f}) {
+      if (!index->try_set_eps(eps)) continue;  // grid / dense-box
+      ++refit;
+      expect_packet_parity(*index, eps, ids,
+                           "refit to " + std::to_string(eps));
+    }
+  }
+  EXPECT_EQ(refit, 16);
+}
+
+TEST(NeighborIndexPacket, KBvhRtRejectsOversizePacket) {
+  const auto pts = data::uniform_cube(5000, 20.0f, 3, 208).points;
+  const auto index = make_index(pts, 0.9f, IndexKind::kBvhRt);
+  ASSERT_EQ(index->traversal_width(), rt::TraversalWidth::kWide);
+  const std::vector<std::uint32_t> five{0, 1, 2, 3, 4};
+  std::vector<std::uint32_t> counts(5);
+  rt::TraversalStats stats;
+  EXPECT_THROW(index->query_count_packet(five, 0.9f, counts, stats),
+               std::invalid_argument);
+  // The scene radius is baked in: a packet at another ε throws too.
+  EXPECT_THROW(index->query_count_packet(std::span(five).first(2), 0.8f,
+                                         std::span(counts).first(2), stats),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

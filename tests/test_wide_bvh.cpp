@@ -1,11 +1,14 @@
 // Wide (8-ary) BVH: collapse validation, binary-vs-wide traversal parity,
-// leaf-collapse edge cases, refit, and wide-vs-binary clustering parity
-// through every BVH-backed variant and backend.
+// 4-ray packet-vs-single-ray parity, leaf-collapse edge cases, refit, and
+// wide-vs-binary clustering parity through every BVH-backed variant and
+// backend.
 #include "rt/wide_bvh.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -155,6 +158,172 @@ TEST(WideBvh, RayTraversalParityWithBinary) {
   // results and the same per-query launch count.
   EXPECT_EQ(wide_stats.rays, binary_stats.rays);
   EXPECT_LT(wide_stats.nodes_visited, binary_stats.nodes_visited);
+}
+
+// ---------------------------------------------------------------------------
+// 4-ray packets (rt::traverse_points): every packet of m point rays must
+// surface the same (ray, candidate) multiset and the same summed counters
+// as m single-ray wide walks.
+// ---------------------------------------------------------------------------
+
+using RayHits = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// Cut `origins` into packets of 1, 2, 3, 4, 1, ... rays and compare each
+/// packet walk with the single-ray walks of its rays.
+void expect_packet_walk_parity(const WideBvh& wide,
+                               std::span<const Vec3> origins,
+                               const char* what) {
+  std::size_t m = 1;
+  for (std::size_t pos = 0; pos < origins.size(); pos += m, m = m % 4 + 1) {
+    const auto rays = origins.subspan(pos, std::min(m, origins.size() - pos));
+    RayHits single;
+    TraversalStats single_stats;
+    PointPacket packet;
+    for (std::uint32_t k = 0; k < rays.size(); ++k) {
+      packet.push(rays[k]);
+      traverse(
+          wide, Ray::point_query(rays[k]),
+          [&](std::uint32_t prim) {
+            single.emplace_back(k, prim);
+            return TraversalControl::kContinue;
+          },
+          single_stats);
+    }
+    RayHits packed;
+    TraversalStats packet_stats;
+    traverse_points(
+        wide, packet,
+        [&](std::uint32_t prim, std::uint32_t mask) {
+          EXPECT_NE(mask, 0u);
+          EXPECT_EQ(mask >> packet.size, 0u);
+          for (std::uint32_t k = 0; k < rays.size(); ++k) {
+            if ((mask >> k) & 1u) packed.emplace_back(k, prim);
+          }
+        },
+        packet_stats);
+    std::sort(single.begin(), single.end());
+    std::sort(packed.begin(), packed.end());
+    EXPECT_EQ(packed, single) << what << " packet@" << pos;
+    EXPECT_EQ(packet_stats.rays, single_stats.rays) << what << " @" << pos;
+    EXPECT_EQ(packet_stats.nodes_visited, single_stats.nodes_visited)
+        << what << " @" << pos;
+    EXPECT_EQ(packet_stats.aabb_tests, single_stats.aabb_tests)
+        << what << " @" << pos;
+    EXPECT_EQ(packet_stats.isect_calls, single_stats.isect_calls)
+        << what << " @" << pos;
+  }
+}
+
+TEST(WidePacket, TraversePointsMatchesSingleRayWalks) {
+  const auto dataset = data::taxi_gps(3000, 12);
+  const auto bounds = sphere_bounds(dataset.points, 0.25f);
+  const WideBvh wide = collapse_bvh(build_bvh(bounds, {}));
+  ASSERT_FALSE(wide.empty());
+
+  // Coherent: a Morton-ordered run of dataset points.
+  std::vector<Vec3> coherent;
+  for (const std::uint32_t i :
+       dbscan::query_launch_order(dataset.points, true, 1)) {
+    coherent.push_back(dataset.points[i]);
+  }
+  expect_packet_walk_parity(wide, coherent, "morton");
+
+  // Far apart: random dataset points and random origins, some far outside
+  // the scene bounds (their rays die at the root test) and some on it.
+  Rng rng(13);
+  std::vector<Vec3> scattered;
+  for (int r = 0; r < 400; ++r) {
+    const auto i = static_cast<std::size_t>(
+        rng.uniform() * static_cast<double>(dataset.points.size() - 1));
+    scattered.push_back(dataset.points[i]);
+    scattered.push_back({rng.uniformf(-80.0f, 130.0f),
+                         rng.uniformf(-80.0f, 130.0f),
+                         rng.uniformf(-2.0f, 2.0f)});
+  }
+  scattered.push_back(wide.scene_bounds.lo);
+  scattered.push_back(wide.scene_bounds.hi);
+  expect_packet_walk_parity(wide, scattered, "scattered");
+
+  // After a radius refit the lanes' bounds moved; parity must hold.
+  Bvh refit = build_bvh(bounds, {});
+  WideBvh refit_wide = collapse_bvh(refit);
+  refit.refit(sphere_bounds(dataset.points, 0.6f));
+  refit_wide.refit_from(refit);
+  expect_packet_walk_parity(refit_wide, coherent, "refit");
+
+  // An empty tree answers nothing and counts nothing, like traverse().
+  TraversalStats stats;
+  PointPacket packet;
+  packet.push(dataset.points[0]);
+  traverse_points(
+      WideBvh{}, packet, [&](std::uint32_t, std::uint32_t) { FAIL(); },
+      stats);
+  EXPECT_EQ(stats.rays, 0u);
+}
+
+TEST(WidePacket, SphereAccelPacketMatchesTraceAndExactTest) {
+  const auto dataset = data::gaussian_blobs(5000, 4, 0.4f, 10.0f, 3, 14);
+  BuildOptions options;
+  options.width = TraversalWidth::kWide;
+  // Includes exact-boundary pairs: (0,0,0)-(3,4,0) sit exactly 5 apart.
+  std::vector<Vec3> centers = dataset.points;
+  centers.push_back({0.0f, 0.0f, 0.0f});
+  centers.push_back({3.0f, 4.0f, 0.0f});
+  for (const float radius : {0.3f, 5.0f}) {
+    const SphereAccel accel(centers, radius, options);
+    ASSERT_FALSE(accel.wide_bvh().empty());
+    const std::size_t n = centers.size();
+    for (std::size_t pos = 0; pos + 4 <= n; pos += 97) {
+      // Packet ending with the boundary pair on the last step.
+      const std::size_t first = pos + 4 + 97 > n ? n - 4 : pos;
+      PointPacket packet;
+      RayHits single;
+      TraversalStats single_stats;
+      for (std::uint32_t k = 0; k < 4; ++k) {
+        const Ray ray = Ray::point_query(centers[first + k]);
+        packet.push(ray.origin);
+        accel.trace(
+            ray,
+            [&](std::uint32_t prim) {
+              if (accel.origin_inside(ray, prim)) single.emplace_back(k, prim);
+            },
+            single_stats);
+      }
+      RayHits packed;
+      TraversalStats packet_stats;
+      accel.trace_packet(
+          packet,
+          [&](std::uint32_t prim, std::uint32_t mask) {
+            const std::uint32_t in = accel.origins_inside(packet, prim) & mask;
+            for (std::uint32_t k = 0; k < 4; ++k) {
+              if ((in >> k) & 1u) packed.emplace_back(k, prim);
+            }
+          },
+          packet_stats);
+      std::sort(single.begin(), single.end());
+      std::sort(packed.begin(), packed.end());
+      EXPECT_EQ(packed, single) << radius << " @" << first;
+      EXPECT_EQ(packet_stats.isect_calls, single_stats.isect_calls);
+      EXPECT_EQ(packet_stats.nodes_visited, single_stats.nodes_visited);
+      if (first == n - 4 && radius == 5.0f) {
+        // Ray 3 starts at (3,4,0); sphere n-2 is centered on the origin.
+        EXPECT_TRUE(std::find(packed.begin(), packed.end(),
+                              std::make_pair(3u, static_cast<std::uint32_t>(
+                                                     n - 2))) != packed.end());
+      }
+    }
+  }
+
+  // A binary-only accel has no packet walk: its callers trace per ray.
+  BuildOptions binary;
+  binary.width = TraversalWidth::kBinary;
+  const SphereAccel flat(centers, 0.3f, binary);
+  PointPacket packet;
+  packet.push(centers[0]);
+  TraversalStats stats;
+  EXPECT_THROW(flat.trace_packet(
+                   packet, [](std::uint32_t, std::uint32_t) {}, stats),
+               std::logic_error);
 }
 
 TEST(WideBvh, OverlapTraversalParityWithBinary) {
