@@ -2,17 +2,19 @@
 // ε ladder clustered (a) by constructing a fresh session per ε — what a
 // caller of the one-shot rtd::cluster() pays — and (b) by one
 // rtd::Clusterer::sweep, whose plan builds the index ONCE at the ladder
-// maximum, serves every value's phase 1 from one shared counting launch,
-// and refits per step where the backend supports it
-// (NeighborIndex::try_set_eps).  The gap is the amortized index builds
-// plus the k-1 counting launches the plan avoids; scripts/bench_snapshot.sh
+// maximum and clusters every value from two launches there: one counting
+// launch and one cluster-formation launch with a union-find per value.
+// No entry refits; the index is retargeted once, to the last value, after
+// the ladder commits (NeighborIndex::try_set_eps; none for an ascending
+// ladder).  The gap is the amortized index builds plus the k-1 counting
+// and k-1 cluster-formation launches the plan avoids; scripts/bench_snapshot.sh
 // gates session ≥ 1.3x over rebuild on the BVH-backed backends
 // (BENCH_PR5.json; its shipped snapshot records 1.4-2.3x across all four
 // indexed backends).
 //
 // grid/densebox are measured too: their refit contract returns false, so
-// a run()-loop would rebuild per step — but sweep() sidesteps even that
-// (its ε_max build legally answers every smaller query radius), which is
+// a run()-loop would rebuild per step — but sweep() never needs a smaller
+// radius (its ε_max build serves the whole ladder), which is
 // why their ratios land with the refit-capable backends' rather than at
 // 1.0x.
 //

@@ -12,7 +12,8 @@
 // size, small-batch mutations (B = 1 and B = 64) must stay >= 5x faster
 // than a full rebuild + recluster.  The 4096 row is characterization: big
 // batches converge toward the rebuild path by design (the rebuild
-// threshold absorbs them less often).
+// threshold absorbs them less often).  Each batch size is clamped to the
+// window, so a window below 4096 points runs its last row at B = n.
 //
 // With --hold-snapshot every advance() runs while a reader holds the
 // session's snapshot (the serving case); the run then also counts the
@@ -72,7 +73,14 @@ int main(int argc, char** argv) {
   const float eps = static_cast<float>(flags.get_double("eps", 0.05));
   const auto min_pts =
       static_cast<std::uint32_t>(flags.get_int("minpts", 8));
-  const std::vector<std::size_t> batches = {1, 64, 4096};
+  if (n == 0) {
+    std::fprintf(stderr, "bench_streaming: --n must be at least 1\n");
+    return 2;
+  }
+  // A batch expires as many points as it inserts, so no batch may exceed
+  // the window: below 4096 points the last row runs at B = n.
+  std::vector<std::size_t> batches = {1, 64, 4096};
+  for (std::size_t& b : batches) b = std::min(b, n);
 
   if (!cfg.json) {
     bench::print_header(

@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
       "\nphase1 cost is paid once: later rows reuse cached neighbor "
       "counts (the paper's §VI-B full-traversal payoff).\n");
 
-  // ε sweep: the same session refits the index per step instead of
-  // rebuilding it, where the backend supports refitting (see
-  // NeighborIndex::try_set_eps).
+  // ε sweep: the session builds the index once at the largest ε and
+  // clusters every value from one counting and one cluster-formation
+  // launch there — entry 0 reports the index step, the rest reuse it.
   std::vector<float> eps_values;
   for (const float scale : {0.6f, 0.8f, 1.0f, 1.2f, 1.5f}) {
     eps_values.push_back(eps * scale);
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     std::printf("%-10.3f %-10u %-10zu %-12.2f %s\n",
                 static_cast<double>(r.eps), r.cluster_count, r.noise_count(),
                 r.seconds * 1e3,
-                r.stats.index_rebuilt    ? "rebuild"  // dominant when both
+                r.stats.index_rebuilt    ? "rebuild"
                 : r.stats.index_refitted ? "refit"
                                          : "reused");
   }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -177,14 +178,14 @@ struct Clusterer::Impl {
   std::uint32_t mark_epoch = 0;           ///< current epoch for the 3 above
   std::optional<dsu::AtomicDisjointSet> site_dsu;  ///< cut grouping + seeds
 
-  // sweep() scratch: the shared multi-eps counting pass, laid out
-  // point-major (sweep_counts[i * ku + u]) so one query's ladder counters
-  // share a cache line in the per-neighbor hot loop.  Duplicate ladder
-  // values are deduplicated into one column each (sweep_col maps input
-  // position -> column), so the scratch is O(k_unique · n).
+  // sweep() scratch: the ladder's distinct ε² values as levels, sorted
+  // descending; its counts, point-major (sweep_counts[i * levels + l]) so
+  // one query's counters share a cache line; and its core flags,
+  // level-major (sweep_core[l * n + i]), the layout of the levels' slots in
+  // the shared dsu/claimed workspace.  O(k_unique · n).
   std::vector<std::uint32_t> sweep_counts;
-  std::vector<float> sweep_eps2;          ///< one ε² per UNIQUE ladder value
-  std::vector<std::uint32_t> sweep_col;   ///< input position -> column
+  std::vector<std::uint8_t> sweep_core;
+  std::vector<float> sweep_eps2;
 
   ClusterResult result;
 
@@ -324,23 +325,6 @@ struct Clusterer::Impl {
     return es;
   }
 
-  /// Retarget inside sweep(): prefer a refit; the rebuild-only backends
-  /// (grid/dense-box) deliberately STAY at the ladder-maximum build, which
-  /// legally serves any smaller query radius.  If a snapshot aliases the
-  /// index (a reader snapped it mid-sweep), the refit runs on a clone.
-  void sweep_retarget(float eps, EnsureStats& step) {
-    if (eps == index_eps || !index->refittable()) return;
-    const Timer t;
-    const MutexLock lock(publish_mu);
-    published.store(nullptr);
-    unshare_index();
-    if (index->try_set_eps(eps)) {
-      index_eps = eps;
-      step.refitted = true;
-      step.seconds += t.seconds();
-    }
-  }
-
   /// The reader slow path behind snapshot() and the const queries: fetch
   /// the published snapshot, creating it under publish_mu on first access
   /// after a (re)build or retarget.  The fast path is the lock-free atomic
@@ -373,14 +357,27 @@ struct Clusterer::Impl {
     return created;
   }
 
-  /// Shared epilogue of run() and each sweep() entry, from the ε-neighbor
-  /// counts in `cts` (the session cache for run(), a sweep_counts column
-  /// for sweep() — passed as a span so no intermediate copy is needed):
-  /// core flags, phase 2 over the reusable workspace, label finalization,
-  /// membership table, totals.  `query_eps` is passed to the per-query
-  /// phase-2 calls — it may sit below the index's build ε inside sweep()
-  /// (grid/dense-box radius contract).
-  void finish_run(float query_eps, std::uint32_t min_pts,
+  /// Fresh union-find and border claims for `slots` slots (n per ladder
+  /// level).  The workspace only grows, so warm run() calls after a
+  /// sweep() reuse the sweep's larger arrays.
+  void reset_workspace(std::size_t slots) {
+    if (!dsu.has_value()) {
+      dsu.emplace(slots);
+    } else {
+      dsu->reset(slots);  // mutations or a ladder may grow the slot space
+    }
+    if (claimed.size() < slots) {
+      claimed = std::vector<std::atomic<std::uint8_t>>(slots);
+    }
+    for (std::size_t i = 0; i < slots; ++i) {
+      claimed[i].store(0, std::memory_order_relaxed);
+    }
+  }
+
+  /// The epilogue of run(), from the ε-neighbor counts in `cts` (the
+  /// session cache): core flags, phase 2 over the reusable workspace,
+  /// label finalization, membership table, totals.
+  void finish_run(float eps, std::uint32_t min_pts,
                   std::span<const std::uint32_t> cts, const Timer& total) {
     ClusterResult& r = result;
     const std::size_t n = pts.size();
@@ -395,28 +392,25 @@ struct Clusterer::Impl {
           (!has_dead || live[i]) && cts[i] + 1 >= min_pts ? 1 : 0;
     }
 
-    if (!dsu.has_value()) {
-      dsu.emplace(n);
-    } else {
-      dsu->reset(n);  // mutations may have grown the slot space
-    }
-    if (claimed.size() != n) {
-      claimed = std::vector<std::atomic<std::uint8_t>>(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      claimed[i].store(0, std::memory_order_relaxed);
-    }
-    r.stats.phase2 = dbscan::index_phase2(*index, query_eps, order,
-                                          r.is_core, *dsu, claimed,
-                                          opts.threads);
+    reset_workspace(n);
+    r.stats.phase2 = dbscan::index_phase2(*index, eps, order, r.is_core,
+                                          *dsu, claimed, opts.threads);
     r.stats.timings.cluster_phase_seconds = r.stats.phase2.seconds;
 
-    r.cluster_count = dbscan::finalize_labels_into(
-        n, [&](std::uint32_t x) { return dsu->find(x); }, r.is_core,
-        r.labels, root_scratch);
     r.neighbor_counts.assign(cts.begin(), cts.end());
-    r.membership.assign(r.labels, r.cluster_count);
+    finalize(r, 0, total);
+  }
 
+  /// The tail of run() and of every sweep() entry: labels and member lists
+  /// of `r` from its core flags and the union-find slots [off, off + n)
+  /// (one ladder level), then the totals.
+  void finalize(ClusterResult& r, std::size_t off, const Timer& total) {
+    const auto base = static_cast<std::uint32_t>(off);
+    r.cluster_count = dbscan::finalize_labels_into(
+        pts.size(),
+        [&](std::uint32_t x) { return dsu->find(base + x) - base; },
+        r.is_core, r.labels, root_scratch);
+    r.membership.assign(r.labels, r.cluster_count);
     r.stats.timings.total_seconds = total.seconds();
     r.seconds = r.stats.timings.total_seconds;
   }
@@ -1678,9 +1672,9 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   if (eps_values.empty()) return out;
   for (const float eps : eps_values) validate_run_params(eps, min_pts);
 
-  // The sweep span covers the whole ladder (per-entry runs nest their own
-  // session.run spans on the rerun paths); the latency histogram likewise
-  // records the full ladder wall clock, throwing sweeps included.
+  // The sweep span covers the whole ladder (the empty-session reruns nest
+  // their own session.run spans); the latency histogram likewise records
+  // the full ladder wall clock, throwing sweeps included.
   RTD_STAGE("session.sweep");
   telemetry::count(telemetry::Counter::kSessionSweeps);
   const telemetry::LatencyTimer sweep_lat(telemetry::Histogram::kSweepLatency);
@@ -1694,135 +1688,118 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
     return out;
   }
 
-  // Shared phase 1: the index is built (or retargeted) ONCE at the
-  // ladder's maximum ε, and a single counting launch buckets every
-  // neighbor's exact d² against all ladder values at once — a query at
-  // ε_max enumerates a superset of every smaller ε-ball, and the bucket
-  // predicate d² <= ε² is the same test every backend's exact filter
-  // applies, so each column equals a native phase 1 at that ε.  The
-  // per-eps cost that remains is cluster formation; rebuild-per-eps pays
-  // k index builds AND k full counting passes (bench_micro_sweep
-  // measures the gap).  Duplicate ladder values share one column (their
-  // counts are identical by definition), so the scratch is O(k_unique·n)
-  // — the one deliberate deviation from the engine's O(n) memory, bounded
-  // by the ladder length.  Every value was validated finite above, so
-  // max_element can never be NaN-driven.
+  // The whole ladder is two launches over one index at ε_max.  Its
+  // distinct ε² values become levels, sorted descending so a pair's first
+  // failing level ends its walk; duplicates share a level.  One counting
+  // launch buckets every neighbor's exact d² into its point's levels, and
+  // one cluster-formation launch joins each pair into every level where it
+  // is an ε-edge (dbscan/engine.hpp) — no per-entry refit or traversal.
+  // Every value was validated finite above, so the sort is NaN-free.
   const std::size_t n = im.pts.size();
-  const std::size_t k = eps_values.size();
-  const float eps_max =
-      *std::max_element(eps_values.begin(), eps_values.end());
-  const Timer first_entry_timer;  // entry 0 is charged with the shared work
+  std::vector<float>& eps2 = im.sweep_eps2;
+  eps2.clear();
+  for (const float eps : eps_values) eps2.push_back(eps * eps);
+  std::sort(eps2.begin(), eps2.end(), std::greater<>());
+  eps2.erase(std::unique(eps2.begin(), eps2.end()), eps2.end());
+  const std::size_t levels = eps2.size();
+  const float eps_max = *std::max_element(eps_values.begin(), eps_values.end());
+  const std::span<const float> lower_eps2 = std::span(eps2).subspan(1);
+
+  // Everything up to the commit touches only the index and scratch: a
+  // throw in either launch leaves the previous result intact — strong.
+  const Timer total;  // entry 0 is charged with the shared work
   const Impl::EnsureStats build = im.ensure_index(eps_max);
   im.ensure_order();
-  im.sweep_eps2.clear();
-  im.sweep_col.resize(k);
-  for (std::size_t v = 0; v < k; ++v) {
-    const float eps2 = eps_values[v] * eps_values[v];
-    const auto it =
-        std::find(im.sweep_eps2.begin(), im.sweep_eps2.end(), eps2);
-    im.sweep_col[v] =
-        static_cast<std::uint32_t>(it - im.sweep_eps2.begin());
-    if (it == im.sweep_eps2.end()) im.sweep_eps2.push_back(eps2);
-  }
-  const std::size_t ku = im.sweep_eps2.size();
-  // Everything up to the entry loop touches only the index and scratch
-  // buffers: a throw (including this injected one) leaves the previous
-  // result intact — strong.
+  const rt::LaunchStats phase1 = dbscan::index_phase1(
+      *im.index, dbscan::Params{eps_max, min_pts, im.resolved}, im.order,
+      false, im.opts.threads, im.sweep_counts, lower_eps2);
   {
     RTD_STAGE("sweep.scratch");
-    im.sweep_counts.assign(ku * n, 0);
-  }
-  const std::span<const geom::Vec3> pts = im.pts;
-  // One query per ORDER entry (live slots only): tombstoned slots keep the
-  // zero counts from the assign above and are never core.  Each task is one
-  // packet of consecutive (Morton-adjacent) entries, like phase 1.
-  const rt::LaunchStats shared_phase1 = rt::parallel_launch(
-      dbscan::packet_count(im.order.size()), im.opts.threads,
-      [&](rt::TraversalStats& stats, std::size_t p) {
-        const std::span<const std::uint32_t> ids =
-            dbscan::packet_at(im.order, p);
-        im.index->query_sphere_packet(
-            ids, eps_max,
-            [&](std::uint32_t slot, std::uint32_t j) {
-              const std::uint32_t i = ids[slot];
-              std::uint32_t* const buckets = im.sweep_counts.data() + i * ku;
-              const float d2 = geom::distance_squared(pts[i], pts[j]);
-              for (std::size_t u = 0; u < ku; ++u) {
-                if (d2 <= im.sweep_eps2[u]) ++buckets[u];
-              }
-            },
-            stats);
-      });
-
-  for (std::size_t v = 0; v < k; ++v) {
-    const Timer entry_timer;
-    const float eps = eps_values[v];
-    ClusterResult& r = im.result;
-    // Each entry rewrites the session result in place; a throw mid-entry
-    // leaves it torn, so the whole entry body degrades on failure (the
-    // committed point/mask state is untouched — the next writer call heals
-    // by re-clustering at this entry's parameters).  A COMPLETED entry is
-    // a full, coherent clustering: commit it before moving on, so a later
-    // entry's fault only ever costs the remainder of the ladder.
-    try {
-      r.eps = eps;
-      r.min_pts = min_pts;
-      r.stats = RunStats{};
-      r.stats.backend = im.resolved;
-      r.stats.width = im.index->traversal_width();
-
-      // Retarget the index to this ladder value where refit is supported
-      // (the RT scene's radius is baked in, so its phase-2 queries need
-      // it).  Where it is not (grid/dense-box), the ε_max build legally
-      // serves any query radius <= its build ε — no rebuild happens in a
-      // sweep at all (a reader that snapped the index mid-sweep makes the
-      // retarget run on a clone; see sweep_retarget).
-      Impl::EnsureStats step;
-      im.sweep_retarget(eps, step);
-      if (v == 0) {
-        // The first entry is charged with the shared work: the ε_max index
-        // step and the one counting launch that served the whole ladder.
-        step.rebuilt = build.rebuilt;
-        step.refitted = step.refitted || build.refitted;
-        step.seconds += build.seconds;
-        r.stats.phase1 = shared_phase1;
-        r.stats.timings.core_phase_seconds = shared_phase1.seconds;
-      } else {
-        r.stats.counts_reused = true;
+    // Tombstoned slots are never core (their counts are 0, but a min_pts
+    // of 1 would otherwise resurrect them).
+    im.sweep_core.resize(levels * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool live = im.is_live_slot(i);
+      for (std::size_t l = 0; l < levels; ++l) {
+        im.sweep_core[l * n + i] =
+            live && im.sweep_counts[i * levels + l] + 1 >= min_pts ? 1 : 0;
       }
-      r.stats.index_rebuilt = step.rebuilt;
-      r.stats.index_refitted = step.refitted;
-      r.stats.timings.index_build_seconds = step.seconds;
-
-      // Gather this entry's strided counters into the session cache buffer
-      // (one linear pass; the per-neighbor hot loop above stays
-      // cache-tight).  The cache is invalid while being overwritten.
-      im.counts_valid = false;
-      const std::size_t column = im.sweep_col[v];
-      im.counts.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        im.counts[i] = im.sweep_counts[i * ku + column];
-      }
-      im.finish_run(eps, min_pts, im.counts,
-                    v == 0 ? first_entry_timer : entry_timer);
-      // Commit: the entry's exact counts become the session count cache
-      // (the multi-count pass never caps) and the result is current —
-      // mutations maintain the LAST completed ladder entry.
-      im.counts_valid = true;
-      im.counts_eps = eps;
-      im.counts_cap = index::kNoCap;
-      im.last_eps = eps;
-      im.last_min_pts = min_pts;
-      im.params_valid = true;
-      im.set_health(SessionHealth::kHealthy);
-      im.result_current = true;
-    } catch (...) {
-      im.set_health(SessionHealth::kDegraded);
-      im.result_current = false;
-      throw;
     }
-    out.push_back(r);
-    telemetry::count(telemetry::Counter::kSessionSweepEntries);
+    im.reset_workspace(levels * n);
+  }
+  const rt::LaunchStats phase2 = dbscan::index_phase2(
+      *im.index, eps_max, im.order, im.sweep_core, *im.dsu, im.claimed,
+      im.opts.threads, lower_eps2);
+
+  out.resize(eps_values.size());
+  for (std::size_t v = 0; v < out.size(); ++v) {
+    const Timer entry_timer;
+    const auto l = static_cast<std::size_t>(
+        std::lower_bound(eps2.begin(), eps2.end(),
+                         eps_values[v] * eps_values[v], std::greater<>()) -
+        eps2.begin());
+    ClusterResult& r = out[v];
+    r.eps = eps_values[v];
+    r.min_pts = min_pts;
+    r.stats.backend = im.resolved;
+    r.stats.width = im.index->traversal_width();
+    if (v == 0) {
+      r.stats.index_rebuilt = build.rebuilt;
+      r.stats.index_refitted = build.refitted;
+      r.stats.timings.index_build_seconds = build.seconds;
+      r.stats.phase1 = phase1;
+      r.stats.phase2 = phase2;
+      r.stats.timings.core_phase_seconds = phase1.seconds;
+      r.stats.timings.cluster_phase_seconds = phase2.seconds;
+    } else {
+      r.stats.counts_reused = true;
+    }
+    const auto level_core = std::span(im.sweep_core).subspan(l * n, n);
+    r.is_core.assign(level_core.begin(), level_core.end());
+    r.neighbor_counts.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      r.neighbor_counts[i] = im.sweep_counts[i * levels + l];
+    }
+    im.finalize(r, l * n, v == 0 ? total : entry_timer);
+  }
+
+  // Commit: the last entry becomes the session result and its exact counts
+  // the count cache — mutations maintain the LAST ladder entry.  A throw
+  // here tears the result buffers, so it degrades (the committed
+  // point/mask state is untouched; the next writer call heals).
+  const ClusterResult& last = out.back();
+  try {
+    im.counts_valid = false;
+    im.counts.assign(last.neighbor_counts.begin(),
+                     last.neighbor_counts.end());
+    im.result = last;
+  } catch (...) {
+    im.set_health(SessionHealth::kDegraded);
+    im.result_current = false;
+    throw;
+  }
+  im.counts_valid = true;
+  im.counts_eps = last.eps;
+  im.counts_cap = index::kNoCap;
+  im.last_eps = last.eps;
+  im.last_min_pts = min_pts;
+  im.params_valid = true;
+  im.set_health(SessionHealth::kHealthy);
+  im.result_current = true;
+  telemetry::count(telemetry::Counter::kSessionSweepEntries, out.size());
+
+  // Leave the index where a run() at the last entry's ε would: one refit,
+  // none for an ascending ladder (entry 0 reports ε_max's step, so this
+  // one, on a later entry, is the last entry's).  The rebuild-only
+  // backends (grid/dense-box) stay at the ε_max build, which legally
+  // serves any smaller radius.
+  if (im.index->refittable() && last.eps != im.index_eps) {
+    const Impl::EnsureStats step = im.ensure_index(last.eps);
+    for (ClusterResult* r : {&out.back(), &im.result}) {
+      r->stats.index_rebuilt = step.rebuilt;
+      r->stats.index_refitted = step.refitted;
+      r->stats.timings.index_build_seconds = step.seconds;
+    }
   }
   return out;
 }

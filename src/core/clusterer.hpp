@@ -162,10 +162,11 @@ struct RunStats {
   /// a backend whose try_set_eps cannot refit).
   bool index_rebuilt = false;
   /// This run refit the existing index in place (eps change on a
-  /// refit-capable backend) — the cheap §VI-B path.  Not mutually
-  /// exclusive with index_rebuilt: a sweep's first entry can both build
-  /// the index at the ladder's ε_max and refit it to its own ε; treat
-  /// index_rebuilt as the dominant label when both are set.
+  /// refit-capable backend) — the cheap §VI-B path.  In a sweep, the first
+  /// entry reports the step to the ladder's ε_max (build or refit) and the
+  /// last entry the final retarget to its own ε (a refit, or a rebuild
+  /// where the refit declined); no other entry touches the index.  Never
+  /// set together with index_rebuilt.
   bool index_refitted = false;
   /// Phase 1 was skipped: neighbor counts cached by an earlier run at this
   /// eps were reused (min_pts-only rerun).
@@ -267,7 +268,8 @@ struct ClusterResult {
 /// pre-call observable state (STRONG — validation failures, index build /
 /// refit / absorption faults, count-maintenance faults) or, where the
 /// result buffers were already partially overwritten (label repair, phase-2
-/// finalization, per-entry sweep work), leaves the session kDegraded: the
+/// finalization, the copy of a sweep's last entry into the result), leaves
+/// the session kDegraded: the
 /// points, liveness mask and neighbor counts are committed and coherent,
 /// but the labels are torn and result() is unavailable.  The NEXT writer
 /// call heals a degraded session by a full re-cluster at the last requested
@@ -406,24 +408,36 @@ class Clusterer {
   ///   * the index is built (or retargeted) ONCE at max(eps_values);
   ///   * ONE counting launch buckets every neighbor's exact d² against all
   ///     ladder values at once (a query at ε_max covers every smaller
-  ///     ε-ball, and d² <= ε² is exactly the filter each backend applies),
-  ///     so every entry's phase 1 is served by the shared pass;
-  ///   * per entry only cluster formation runs, over the reused index —
-  ///     refit per step on the refit-capable backends, and no rebuild at
-  ///     all on grid/dense-box (their build at ε_max legally answers any
-  ///     query radius below it).
+  ///     ε-ball, and d² <= ε² is exactly the filter each backend applies);
+  ///   * ONE cluster-formation launch at ε_max gives each core pair its d²
+  ///     once and joins it into every ladder value where it is an ε-edge,
+  ///     each value with its own union-find and border claims
+  ///     (dbscan::index_phase2 over a ladder);
+  ///   * per entry only label finalization runs — no refit, no traversal;
+  ///   * after the ladder commits, the index is retargeted once to the
+  ///     last value's ε where the backend refits (none for an ascending
+  ///     ladder); grid/dense-box stay at their ε_max build, which legally
+  ///     answers any smaller query radius.
   /// Every entry is an identical clustering to a fresh run at its eps (the
-  /// parity suite enforces it); entry stats record the shared work on
-  /// entry 0 and counts_reused on the rest.  Each element is an independent
-  /// owning copy.
+  /// parity suite enforces it); entry stats record the shared work (index
+  /// step, both launches) on entry 0 and counts_reused on the rest, and the
+  /// final retarget on the last entry.  Each element is an independent
+  /// owning copy; the session result and count cache become the last
+  /// entry's.
+  ///
+  /// Both launches and every entry's finalization run before anything
+  /// commits, so a fault in them is strong: health, result() and the count
+  /// cache stay those of the previous call.  Only a fault while the last
+  /// entry is copied into the result degrades the session.
   ///
   /// Every ladder value must be positive and finite (std::invalid_argument
   /// otherwise — validated up front, before any scratch is sized, so a NaN
   /// can never drive max(eps_values) or the bucketing pass).  Duplicate
-  /// values are legal: duplicates share ONE bucketing column (their counts
+  /// values are legal: duplicates share ONE ladder level (their clusterings
   /// are identical by definition) and each occurrence still yields its own
-  /// result entry, in input order.  Scratch is therefore O(k_unique·n) —
-  /// the one deliberate deviation from the engine's O(n) memory.
+  /// result entry, in input order.  Scratch — counts, core flags, union-find
+  /// and claim flags per level — is therefore O(k_unique·n), the one
+  /// deliberate deviation from the engine's O(n) memory.
   std::vector<ClusterResult> sweep(std::span<const float> eps_values,
                                    std::uint32_t min_pts);
 

@@ -1,6 +1,7 @@
 #include "dbscan/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -20,6 +21,51 @@ namespace {
 /// into packets: wide enough that most packets fill, narrow enough that
 /// their rays stay Morton-adjacent.
 constexpr std::size_t kPhase2Window = 8 * rt::kPacketWidth;
+
+/// A ladder's lower levels must descend strictly below the launch ε.
+void check_ladder(float eps, std::span<const float> lower_eps2) {
+  float above = eps * eps;
+  for (const float e2 : lower_eps2) {
+    if (!(e2 > 0.0f && e2 < above)) {
+      throw std::invalid_argument(
+          "engine: ladder ε² values must be positive and strictly descending "
+          "below the launch ε²");
+    }
+    above = e2;
+  }
+}
+
+/// Phase 2's launch: each task gathers the level-0 cores of a window of
+/// consecutive `order` entries (on the stack) into full packets, queries
+/// them at `eps` and hands every (core, neighbor) pair to `on_pair`.  Like
+/// phase 1, the order defines which points query (live sessions pass a
+/// live-only order; dead slots are never core, so skipping is free).
+template <typename OnPair>
+rt::LaunchStats phase2_launch(const index::NeighborIndex& index, float eps,
+                              std::span<const std::uint32_t> order,
+                              std::span<const std::uint8_t> is_core,
+                              int threads, const OnPair& on_pair) {
+  const std::size_t windows =
+      (order.size() + kPhase2Window - 1) / kPhase2Window;
+  return rt::parallel_launch(
+      windows, threads, [&](rt::TraversalStats& stats, std::size_t w) {
+        std::uint32_t cores[kPhase2Window] = {};
+        std::size_t c = 0;
+        const std::size_t end =
+            std::min(order.size(), (w + 1) * kPhase2Window);
+        for (std::size_t q = w * kPhase2Window; q < end; ++q) {
+          if (is_core[order[q]]) cores[c++] = order[q];
+        }
+        const std::span<const std::uint32_t> gathered(cores, c);
+        for (std::size_t p = 0; p < packet_count(c); ++p) {
+          const std::span<const std::uint32_t> ids = packet_at(gathered, p);
+          index.query_sphere_packet(
+              ids, eps,
+              [&](std::uint32_t k, std::uint32_t j) { on_pair(ids[k], j); },
+              stats);
+        }
+      });
+}
 
 }  // namespace
 
@@ -55,9 +101,12 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
                              const Params& params,
                              std::span<const std::uint32_t> order,
                              bool early_exit, int threads,
-                             std::vector<std::uint32_t>& counts) {
+                             std::vector<std::uint32_t>& counts,
+                             std::span<const float> lower_eps2) {
+  check_ladder(params.eps, lower_eps2);
   const std::size_t n = index.size();
-  counts.assign(n, 0);
+  const std::size_t levels = 1 + lower_eps2.size();
+  counts.assign(n * levels, 0);
   // Counting to minPts-1 (excluding self) is enough to decide the core
   // test `count + 1 >= minPts`; backends that cannot terminate traversal
   // (the RT pipeline) ignore the cap and return exact counts.
@@ -72,14 +121,41 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
   // One query per ORDER entry, not per slot: a live session passes an order
   // that skips tombstoned slots, whose counts stay 0 from the assign above.
   // Each task is one packet of consecutive (Morton-adjacent) entries.
+  if (levels == 1) {
+    return rt::parallel_launch(
+        packet_count(order.size()), threads,
+        [&](rt::TraversalStats& stats, std::size_t p) {
+          const std::span<const std::uint32_t> ids = packet_at(order, p);
+          std::uint32_t got[rt::kPacketWidth] = {};
+          index.query_count_packet(ids, params.eps, {got, ids.size()}, stats,
+                                   cap);
+          for (std::size_t k = 0; k < ids.size(); ++k) {
+            counts[ids[k]] = got[k];
+          }
+        });
+  }
+  // A ladder: each neighbor's exact d² is bucketed into the prefix of
+  // levels whose ε² admits it (levels descend), into the point's row.
+  const std::span<const geom::Vec3> pts = index.points();
+  const float top_eps2 = params.eps * params.eps;
   return rt::parallel_launch(
       packet_count(order.size()), threads,
       [&](rt::TraversalStats& stats, std::size_t p) {
         const std::span<const std::uint32_t> ids = packet_at(order, p);
-        std::uint32_t got[rt::kPacketWidth] = {};
-        index.query_count_packet(ids, params.eps, {got, ids.size()}, stats,
-                                 cap);
-        for (std::size_t k = 0; k < ids.size(); ++k) counts[ids[k]] = got[k];
+        index.query_sphere_packet(
+            ids, params.eps,
+            [&](std::uint32_t k, std::uint32_t j) {
+              const std::uint32_t i = ids[k];
+              const float d2 = geom::distance_squared(pts[i], pts[j]);
+              if (!(d2 <= top_eps2)) return;
+              std::uint32_t* const row = counts.data() + i * levels;
+              ++row[0];
+              for (std::size_t l = 1; l < levels && d2 <= lower_eps2[l - 1];
+                   ++l) {
+                ++row[l];
+              }
+            },
+            stats);
       });
 }
 
@@ -154,48 +230,61 @@ rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<const std::uint8_t> is_core,
                              dsu::AtomicDisjointSet& dsu,
                              std::span<std::atomic<std::uint8_t>> claimed,
-                             int threads) {
+                             int threads, std::span<const float> lower_eps2) {
+  check_ladder(eps, lower_eps2);
+  const std::size_t n = index.size();
+  const std::size_t levels = 1 + lower_eps2.size();
+  const std::size_t slots = n * levels;
+  if (is_core.size() != slots || claimed.size() < slots ||
+      dsu.size() < slots || slots > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "index_phase2: is_core must hold one flag per point and level, and "
+        "dsu/claimed at least as many 32-bit-addressable slots");
+  }
   RTD_STAGE("engine.phase2");
   telemetry::count(telemetry::Counter::kEnginePhase2Launches);
 
-  // Like phase 1: the order defines which points query (live sessions pass
-  // a live-only order; dead slots are never core, so skipping is free).
-  // Only core points initiate merges, so each task gathers the cores of a
-  // window of consecutive entries (on the stack) into full packets.
-  const std::size_t windows =
-      (order.size() + kPhase2Window - 1) / kPhase2Window;
-  return rt::parallel_launch(
-      windows, threads, [&](rt::TraversalStats& stats, std::size_t w) {
-        std::uint32_t cores[kPhase2Window] = {};
-        std::size_t c = 0;
-        const std::size_t end =
-            std::min(order.size(), (w + 1) * kPhase2Window);
-        for (std::size_t q = w * kPhase2Window; q < end; ++q) {
-          if (is_core[order[q]]) cores[c++] = order[q];
-        }
-        const std::span<const std::uint32_t> gathered(cores, c);
-        for (std::size_t p = 0; p < packet_count(c); ++p) {
-          const std::span<const std::uint32_t> ids = packet_at(gathered, p);
-          index.query_sphere_packet(
-              ids, eps,
-              [&](std::uint32_t k, std::uint32_t j) {
-                const std::uint32_t i = ids[k];
-                if (is_core[j]) {
-                  // Core-core merge (Alg. 3 line 10); pairs are seen from
-                  // both ends, so do each merge once.
-                  if (j > i) dsu.unite(i, j);
-                } else {
-                  // Border point: Alg. 3's critical section (lines 12-15)
-                  // — an atomic claim guarantees the point joins exactly
-                  // one cluster.
-                  std::uint8_t expected = 0;
-                  if (claimed[j].compare_exchange_strong(
-                          expected, 1, std::memory_order_acq_rel)) {
-                    dsu.unite(i, j);
-                  }
-                }
-              },
-              stats);
+  // Alg. 3 lines 9-16 for the pair (i, j) at the level whose slots start at
+  // `off`; i is core there.
+  const auto merge = [&](std::uint32_t i, std::uint32_t j, std::size_t off) {
+    const auto a = static_cast<std::uint32_t>(off + i);
+    const auto b = static_cast<std::uint32_t>(off + j);
+    if (is_core[b]) {
+      // Core-core merge (Alg. 3 line 10); pairs are seen from both ends,
+      // so do each merge once.
+      if (j > i) dsu.unite(a, b);
+    } else {
+      // Border point: Alg. 3's critical section (lines 12-15) — an atomic
+      // claim guarantees the point joins exactly one cluster.
+      std::uint8_t expected = 0;
+      if (claimed[b].compare_exchange_strong(expected, 1,
+                                             std::memory_order_acq_rel)) {
+        dsu.unite(a, b);
+      }
+    }
+  };
+  if (levels == 1) {
+    // The backend's own filter already decided d² <= ε²: no recompute.
+    return phase2_launch(index, eps, order, is_core, threads,
+                         [&](std::uint32_t i, std::uint32_t j) {
+                           merge(i, j, 0);
+                         });
+  }
+  // A ladder: the pair joins every level where it is an ε-edge and i is
+  // core — a prefix, since levels descend and a point core at some ε is
+  // core at every larger one.
+  const std::span<const geom::Vec3> pts = index.points();
+  const float top_eps2 = eps * eps;
+  return phase2_launch(
+      index, eps, order, is_core, threads,
+      [&](std::uint32_t i, std::uint32_t j) {
+        const float d2 = geom::distance_squared(pts[i], pts[j]);
+        if (!(d2 <= top_eps2)) return;
+        merge(i, j, 0);
+        std::size_t off = n;
+        for (std::size_t l = 1; l < levels; ++l, off += n) {
+          if (!(d2 <= lower_eps2[l - 1]) || !is_core[off + i]) break;
+          merge(i, j, off);
         }
       });
 }

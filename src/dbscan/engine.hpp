@@ -21,9 +21,9 @@
 // coherence RTNN [Zhu, PPoPP'22] gets from RT hardware.  Results do not
 // depend on the order; only scheduling does.
 //
-// The full passes — phase 1, phase 2 and Clusterer::sweep()'s shared
-// counting launch — also issue their queries as 4-ray packets of
-// Morton-adjacent points (NeighborIndex::query_count_packet /
+// The full passes — phase 1 and phase 2, for one ε or for a whole
+// Clusterer::sweep() ladder at once — also issue their queries as 4-ray
+// packets of Morton-adjacent points (NeighborIndex::query_count_packet /
 // query_sphere_packet).  On kBvhRt's wide layout one packet walk
 // (rt::traverse_points) fetches each node once for every ray that reaches
 // it; the work counters stay per-ray sums, equal to the single-ray walk's.
@@ -80,13 +80,27 @@ struct IndexEngineResult {
     std::span<const std::uint32_t> ids, std::size_t p);
 
 /// Phase 1 over any index: per-point ε-neighbor counts (excluding self)
-/// into `counts`, queried in `order` as packets of consecutive entries
-/// (NeighborIndex::query_count_packet).
+/// into `counts`, queried in `order` as packets of consecutive entries.
+///
+/// One level (`lower_eps2` empty, the default): counts[i] at params.eps,
+/// through NeighborIndex::query_count_packet, capped at minPts-1 with
+/// `early_exit`.
+///
+/// A LADDER of levels — params.eps, then the ε² values of `lower_eps2`,
+/// strictly descending below params.eps² — is counted by the same one
+/// launch at params.eps (Clusterer::sweep()): every neighbor's exact d² is
+/// bucketed into the prefix of levels with d² <= ε², so counts[i·levels +
+/// l] (point-major, so a query's counters share a cache line) is point
+/// i's count at level l.  A query at the largest ε enumerates a superset
+/// of every smaller ε-ball, and d² <= ε² is the filter every backend
+/// applies, so column l equals a one-level phase 1 at level l's ε.  Ladder
+/// counts are exact (`early_exit` is ignored).
 rt::LaunchStats index_phase1(const index::NeighborIndex& index,
                              const Params& params,
                              std::span<const std::uint32_t> order,
                              bool early_exit, int threads,
-                             std::vector<std::uint32_t>& counts);
+                             std::vector<std::uint32_t>& counts,
+                             std::span<const float> lower_eps2 = {});
 
 /// Incremental phase-1 maintenance for a REMOVAL batch: for every id in
 /// `removed`, one ε-query discovers its neighbors and decrements their
@@ -135,12 +149,33 @@ rt::LaunchStats index_phase1_insert(const index::NeighborIndex& index,
 /// points (Alg. 3 lines 7-18); border points claimed atomically through
 /// `claimed`.  The core entries of each small window of `order` are
 /// gathered into packets (NeighborIndex::query_sphere_packet).
+///
+/// One level (`lower_eps2` empty, the default): `is_core`, `dsu` and
+/// `claimed` are indexed by point, and the backend's filter decides the
+/// ε-edges.
+///
+/// A LADDER of levels (eps, then `lower_eps2` as for index_phase1) is
+/// clustered by ONE launch at eps — the OPTICS observation (Ankerst et al.,
+/// SIGMOD'99) that an ε_max neighbourhood pass yields the clustering for
+/// every smaller ε.  Level l owns the slots [l·n, (l+1)·n) of `is_core`
+/// (its core flags), `dsu` and `claimed`, so it is an independent
+/// clustering; the points core at level 0 query.  A pair (i, j) found at
+/// eps gets d² once and joins every level where d² <= ε² and i is core: a
+/// core j is a merge, a non-core j a first-claim border, exactly as a
+/// one-level phase 2 at that level's ε.  Levels descend and a point core
+/// at some ε is core at every larger one, so the first level that fails
+/// either test ends the pair's walk.  After the launch, level l's labels
+/// are finalize_labels over find(l·n + x) − l·n.
+///
+/// Throws std::invalid_argument for a malformed ladder or when `is_core`
+/// does not hold levels·n flags, or `dsu`/`claimed` fewer slots.
 rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<const std::uint32_t> order,
                              std::span<const std::uint8_t> is_core,
                              dsu::AtomicDisjointSet& dsu,
                              std::span<std::atomic<std::uint8_t>> claimed,
-                             int threads);
+                             int threads,
+                             std::span<const float> lower_eps2 = {});
 
 /// Full run: phase 1, core flags, phase 2, label finalization.  Sets the
 /// core/cluster phase timings and a total covering this call; the caller

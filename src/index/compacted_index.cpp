@@ -29,6 +29,7 @@ CompactedIndex::CompactedIndex(std::span<const geom::Vec3> slots,
   }
   RTD_STAGE("index.compacted_rebuild");
   inner_ = make_index(dense, eps, kind, options);
+  set_threads(options.threads);
 }
 
 std::unique_ptr<NeighborIndex> CompactedIndex::do_clone() {

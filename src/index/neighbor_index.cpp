@@ -39,7 +39,9 @@ rt::Context::Options device_options(const IndexBuildOptions& options) {
 }  // namespace
 
 NeighborIndex::NeighborIndex(const NeighborIndex& other)
-    : dead_count_(other.dead_count_), has_dead_(other.has_dead_) {
+    : dead_count_(other.dead_count_),
+      has_dead_(other.has_dead_),
+      threads_(other.threads_) {
   if (other.dead_.empty()) return;  // no mask yet: nothing to grow
   const std::size_t n = other.dead_.size();
   dead_.reserve(n + std::max<std::size_t>(64, n / 8));
@@ -63,7 +65,11 @@ bool NeighborIndex::try_set_eps(float eps) {
     telemetry::count(telemetry::Counter::kIndexRefitsDeclined);
     return false;
   }
-  const bool ok = do_try_set_eps(eps);
+  bool ok = false;
+  {
+    const ThreadCountGuard guard(threads_ > 0 ? threads_ : hardware_threads());
+    ok = do_try_set_eps(eps);
+  }
   count_outcome(ok, telemetry::Counter::kIndexRefits,
                 telemetry::Counter::kIndexRefitsDeclined);
   return ok;
@@ -116,7 +122,11 @@ bool NeighborIndex::try_remove(std::span<const std::uint32_t> ids) {
   has_dead_ = true;
   // The mask is set BEFORE the hook so a masked refit inside it sees the
   // whole batch; on a false return the caller discards the index anyway.
-  const bool ok = do_try_remove(ids);
+  bool ok = false;
+  {
+    const ThreadCountGuard guard(threads_ > 0 ? threads_ : hardware_threads());
+    ok = do_try_remove(ids);
+  }
   count_outcome(ok, telemetry::Counter::kIndexRemovesAbsorbed,
                 telemetry::Counter::kIndexRemovesDeclined);
   return ok;
@@ -214,23 +224,34 @@ std::unique_ptr<NeighborIndex> make_index(std::span<const geom::Vec3> points,
   // parallel_for / parallel builders).
   const ThreadCountGuard guard(
       options.threads > 0 ? options.threads : hardware_threads());
+  std::unique_ptr<NeighborIndex> index;
   switch (kind) {
     case IndexKind::kBruteForce:
-      return std::make_unique<BruteForceIndex>(points, eps);
+      index = std::make_unique<BruteForceIndex>(points, eps);
+      break;
     case IndexKind::kGrid:
-      return std::make_unique<GridIndex>(points, eps);
+      index = std::make_unique<GridIndex>(points, eps);
+      break;
     case IndexKind::kDenseBox:
-      return std::make_unique<DenseBoxIndex>(points, eps);
+      index = std::make_unique<DenseBoxIndex>(points, eps);
+      break;
     case IndexKind::kPointBvh:
-      return std::make_unique<PointBvhIndex>(points, eps, options.build);
+      index = std::make_unique<PointBvhIndex>(points, eps, options.build);
+      break;
     case IndexKind::kBvhRt:
-      return std::make_unique<BvhRtIndex>(points, eps, device_options(options));
+      index =
+          std::make_unique<BvhRtIndex>(points, eps, device_options(options));
+      break;
     case IndexKind::kTriangles:
-      return std::make_unique<TriangleIndex>(
+      index = std::make_unique<TriangleIndex>(
           points, eps, options.triangle_subdivisions, device_options(options));
+      break;
     case IndexKind::kAuto: break;  // resolved above
   }
-  throw std::invalid_argument("make_index: unknown IndexKind");
+  if (!index) throw std::invalid_argument("make_index: unknown IndexKind");
+  // The writer operations (refits) run under the build's thread budget.
+  index->set_threads(options.threads);
+  return index;
 }
 
 }  // namespace rtd::index

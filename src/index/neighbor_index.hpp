@@ -170,6 +170,14 @@ class NeighborIndex {
   /// Number of ids currently masked dead.
   [[nodiscard]] std::size_t removed_count() const { return dead_count_; }
 
+  /// Thread budget of the writer operations that run parallel loops —
+  /// try_set_eps (the RT scenes' radius refit) and try_remove (the tree
+  /// backends' masked refit) run under it and restore the caller's OpenMP
+  /// thread count; 0 keeps the caller's.  make_index() sets it from
+  /// IndexBuildOptions::threads, and clone() keeps it.
+  void set_threads(int threads) { threads_ = threads; }
+  [[nodiscard]] int threads() const { return threads_; }
+
   /// Visit every dataset index j != self with |points[j] - center| <= eps
   /// (inclusive).  Exactly one query's worth of work counters (one "ray")
   /// accumulates into `stats`.
@@ -280,6 +288,7 @@ class NeighborIndex {
   std::vector<std::uint8_t> dead_;  ///< 1 = masked out of every query
   std::size_t dead_count_ = 0;
   bool has_dead_ = false;
+  int threads_ = 0;
 };
 
 /// Build configuration shared by the tree-based backends.

@@ -66,22 +66,23 @@ TEST(ClustererSweep, MatchesOneShotClusterOnEveryBackend) {
       EXPECT_EQ(r.eps, kSweepEps[s]);
       EXPECT_EQ(r.min_pts, min_pts);
       EXPECT_EQ(r.stats.backend, kind);
-      // Entry 0 carries the one index build (at ε_max) and the shared
-      // counting launch; later entries never rebuild — they refit where
-      // the backend supports it (try_set_eps) and otherwise reuse the
-      // ε_max build outright (grid/dense-box serve radii below build ε).
+      // Entry 0 carries the one index build (at ε_max) and the two shared
+      // launches; later entries only finalize their level — an ascending
+      // ladder ends at ε_max, so nothing after entry 0 refits or rebuilds.
       if (s == 0) {
         EXPECT_TRUE(r.stats.index_rebuilt) << index::to_string(kind);
         EXPECT_FALSE(r.stats.counts_reused) << index::to_string(kind);
         EXPECT_GT(r.stats.phase1.work.rays, 0u) << index::to_string(kind);
+        EXPECT_GT(r.stats.phase2.work.rays, 0u) << index::to_string(kind);
       } else {
         EXPECT_FALSE(r.stats.index_rebuilt)
             << index::to_string(kind) << " step " << s;
-        EXPECT_EQ(r.stats.index_refitted, refittable)
+        EXPECT_FALSE(r.stats.index_refitted)
             << index::to_string(kind) << " step " << s;
         EXPECT_TRUE(r.stats.counts_reused)
             << index::to_string(kind) << " step " << s;
         EXPECT_EQ(r.stats.phase1.work.rays, 0u);  // shared pass, not rerun
+        EXPECT_EQ(r.stats.phase2.work.rays, 0u);  // shared launch, likewise
       }
       const ClusterResult fresh =
           cluster(dataset.points, kSweepEps[s], min_pts, kind);
@@ -89,12 +90,21 @@ TEST(ClustererSweep, MatchesOneShotClusterOnEveryBackend) {
                                   Params{kSweepEps[s], min_pts, kind}, r,
                                   fresh, index::to_string(kind));
     }
+    EXPECT_EQ(session.current_eps(), kSweepEps.back());
     // Descending re-sweep on the same session: same ε_max, so not even
-    // entry 0 rebuilds this time, and parity is order-independent.
+    // entry 0 rebuilds this time, and parity is order-independent.  The
+    // index ends where a run() at the last ε leaves it: one refit, on the
+    // last entry, where the backend refits; the rebuild-only backends stay
+    // at the ε_max build.
     std::vector<float> descending(kSweepEps.rbegin(), kSweepEps.rend());
     const auto down = session.sweep(descending, min_pts);
+    EXPECT_EQ(session.current_eps(),
+              refittable ? descending.back() : descending.front());
     for (std::size_t s = 0; s < down.size(); ++s) {
       EXPECT_FALSE(down[s].stats.index_rebuilt)
+          << index::to_string(kind) << " re-sweep step " << s;
+      EXPECT_EQ(down[s].stats.index_refitted,
+                refittable && s + 1 == down.size())
           << index::to_string(kind) << " re-sweep step " << s;
       const ClusterResult fresh =
           cluster(dataset.points, descending[s], min_pts, kind);
@@ -118,12 +128,9 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
                         Options().with_backend(kind).with_width(width));
       const auto curve = session.sweep(kSweepEps, min_pts);
       for (std::size_t s = 0; s < curve.size(); ++s) {
-        if (s == 0) {
-          EXPECT_TRUE(curve[s].stats.index_rebuilt);
-        } else {
-          EXPECT_TRUE(curve[s].stats.index_refitted);
-          EXPECT_FALSE(curve[s].stats.index_rebuilt);
-        }
+        // One build at ε_max; the ascending ladder refits nothing.
+        EXPECT_EQ(curve[s].stats.index_rebuilt, s == 0);
+        EXPECT_FALSE(curve[s].stats.index_refitted);
         const ClusterResult fresh =
             cluster(dataset.points, kSweepEps[s], min_pts, kind);
         expect_identical_clustering(
@@ -372,6 +379,68 @@ TEST(ClustererSweep, DuplicateLadderValuesShareColumnsAndMatch) {
   EXPECT_EQ(curve[1].neighbor_counts, curve[4].neighbor_counts);
 }
 
+// LadderSweep runs OpenMP teams of four, so it stays outside the TSan job's
+// suite filter: that build's OpenMP runtime is uninstrumented, and TSan
+// cannot see its barriers.
+TEST(LadderSweep, UnsortedLadderWithDuplicatesMatchesOnEveryBackend) {
+  // Nine values, unsorted, with duplicates: the levels are the distinct
+  // values sorted descending, and every entry still comes back in input
+  // order, identical to a fresh run at its ε — on every backend, serial
+  // and on four threads.
+  const auto dataset = data::taxi_gps(1500, 95);
+  const std::vector<float> ladder = {0.3f,  0.12f, 0.45f, 0.3f, 0.2f,
+                                     0.6f, 0.12f, 0.38f, 0.25f};
+  const std::uint32_t min_pts = 6;
+  for (const IndexKind kind : index::kAllIndexKinds) {
+    for (const int threads : {1, 4}) {
+      Clusterer session(dataset.points,
+                        Options().with_backend(kind).with_threads(threads));
+      const auto curve = session.sweep(ladder, min_pts);
+      ASSERT_EQ(curve.size(), ladder.size());
+      for (std::size_t s = 0; s < curve.size(); ++s) {
+        EXPECT_EQ(curve[s].eps, ladder[s]);
+        const ClusterResult fresh =
+            cluster(dataset.points, ladder[s], min_pts, kind);
+        expect_identical_clustering(dataset.points,
+                                    Params{ladder[s], min_pts, kind},
+                                    curve[s], fresh, index::to_string(kind));
+      }
+      EXPECT_EQ(curve[0].neighbor_counts, curve[3].neighbor_counts);
+      EXPECT_EQ(curve[1].neighbor_counts, curve[6].neighbor_counts);
+    }
+  }
+}
+
+TEST(LadderSweep, FourThreadLaddersMatchFreshRuns) {
+  // Four threads race for the border claims of every level at once; each
+  // level must still be a valid clustering identical (in the DBSCAN
+  // sense) to a fresh run, for ascending, descending and unsorted ladders.
+  const auto dataset = data::taxi_gps(6000, 97);
+  const std::uint32_t min_pts = 10;
+  const std::vector<std::vector<float>> ladders = {
+      {0.18f, 0.28f, 0.4f, 0.55f},
+      {0.55f, 0.4f, 0.28f, 0.18f},
+      {0.28f, 0.55f, 0.18f, 0.28f, 0.4f}};
+  for (const IndexKind kind : {IndexKind::kBvhRt, IndexKind::kPointBvh}) {
+    Clusterer session(dataset.points,
+                      Options().with_backend(kind).with_threads(4));
+    for (const auto& ladder : ladders) {
+      const auto curve = session.sweep(ladder, min_pts);
+      ASSERT_EQ(curve.size(), ladder.size());
+      for (std::size_t s = 0; s < curve.size(); ++s) {
+        const ClusterResult fresh =
+            cluster(dataset.points, ladder[s], min_pts, kind);
+        expect_identical_clustering(dataset.points,
+                                    Params{ladder[s], min_pts, kind},
+                                    curve[s], fresh, index::to_string(kind));
+      }
+      // The session result is the last entry.
+      EXPECT_EQ(session.result().eps, ladder.back());
+      EXPECT_EQ(session.result().labels, curve.back().labels);
+    }
+  }
+}
+
 TEST(ClustererSweep, RejectsNonFiniteAndNonPositiveLadderValues) {
   // A NaN in the ladder must fail up front — NEVER drive max(eps_values)
   // (NaN poisons max_element) or size the bucketing scratch.
@@ -460,21 +529,27 @@ TEST(ClustererTriangle, SweepMatchesOneShotAndRefits) {
   const std::uint32_t min_pts = 5;
   Clusterer session(pts, kTriangleSession);
   const std::vector<float> eps_values = {0.25f, 0.35f, 0.5f};
-  const auto curve = session.sweep(eps_values, min_pts);
-  for (std::size_t s = 0; s < curve.size(); ++s) {
-    const ClusterResult& r = curve[s];
-    EXPECT_EQ(r.stats.backend, IndexKind::kTriangles);
-    // Entry 0 builds the scene; every later step rescales and refits it.
-    EXPECT_EQ(r.stats.index_rebuilt, s == 0);
-    if (s > 0) {
-      EXPECT_TRUE(r.stats.index_refitted) << s;
+  const std::vector<float> descending(eps_values.rbegin(), eps_values.rend());
+  for (const bool first : {true, false}) {
+    const std::vector<float>& ladder = first ? eps_values : descending;
+    const auto curve = session.sweep(ladder, min_pts);
+    for (std::size_t s = 0; s < curve.size(); ++s) {
+      const ClusterResult& r = curve[s];
+      EXPECT_EQ(r.stats.backend, IndexKind::kTriangles);
+      // The first sweep builds the scene at ε_max on entry 0; an ascending
+      // ladder then refits nothing.  The descending re-sweep rescales and
+      // refits the scene once, to its last ε, after the ladder committed.
+      EXPECT_EQ(r.stats.index_rebuilt, first && s == 0) << s;
+      EXPECT_EQ(r.stats.index_refitted, !first && s + 1 == curve.size())
+          << s;
+      const auto oracle = core::rt_dbscan(
+          pts, Params{ladder[s], min_pts, IndexKind::kTriangles});
+      EXPECT_EQ(r.labels, oracle.clustering.labels);
+      EXPECT_EQ(r.is_core, oracle.clustering.is_core);
+      EXPECT_EQ(r.cluster_count, oracle.clustering.cluster_count);
     }
-    const auto oracle = core::rt_dbscan(
-        pts, Params{eps_values[s], min_pts, IndexKind::kTriangles});
-    EXPECT_EQ(r.labels, oracle.clustering.labels);
-    EXPECT_EQ(r.is_core, oracle.clustering.is_core);
-    EXPECT_EQ(r.cluster_count, oracle.clustering.cluster_count);
   }
+  EXPECT_EQ(session.current_eps(), descending.back());
   // The accessor reports the resolved backend, not kAuto.
   EXPECT_EQ(session.backend(), IndexKind::kTriangles);
   // min_pts rerun reuses the cached counts.

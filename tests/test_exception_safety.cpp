@@ -209,31 +209,38 @@ TEST_F(FailpointGated, DeclinedAbsorptionFallsBackToRebuild) {
   expect_oracle_clean(session, "declined refit");
 }
 
-TEST_F(FailpointGated, MidSweepFaultDegradesKeepsCompletedPrefixSemantics) {
+TEST_F(FailpointGated, MidSweepFaultLeavesPreviousResultIntact) {
   const auto base = data::taxi_gps(250, 47);
   Clusterer session(base.points, Options());
-  (void)session.run(0.3f, 5);
+  const ClusterResult before = session.run(0.3f, 5);
 
-  // Fire on the SECOND phase-2 launch: entry 0 completes and commits,
-  // entry 1 tears mid-rewrite.
-  fail::arm("engine.phase2",
-            {.action = fail::Action::kThrowError,
-             .trigger = fail::Trigger::kOnHit,
-             .n = 2});
+  // The ladder's whole query work — the counting launch, the core-flag
+  // scratch and the one cluster-formation launch — runs before any entry
+  // commits, so a fault in any of them is strong: health, the result and
+  // the count cache stay those of the previous run.
   const std::vector<float> ladder{0.25f, 0.35f, 0.45f};
-  EXPECT_THROW((void)session.sweep(ladder, 5), std::runtime_error);
-  fail::disarm_all();
+  for (const char* site : {"engine.phase1", "sweep.scratch", "engine.phase2"}) {
+    fail::arm(site, {.action = fail::Action::kThrowError});
+    EXPECT_THROW((void)session.sweep(ladder, 5), std::runtime_error) << site;
+    fail::disarm_all();
 
-  EXPECT_EQ(session.health(), SessionHealth::kDegraded);
-  EXPECT_TRUE(session.validate(ValidationLevel::kQuick).ok);
+    EXPECT_EQ(session.health(), SessionHealth::kHealthy) << site;
+    EXPECT_TRUE(session.validate(ValidationLevel::kQuick).ok) << site;
+    const ClusterResult& now = session.result();
+    EXPECT_EQ(now.eps, before.eps) << site;
+    EXPECT_EQ(now.labels, before.labels) << site;
+    EXPECT_EQ(now.is_core, before.is_core) << site;
+    EXPECT_EQ(now.neighbor_counts, before.neighbor_counts) << site;
+    expect_oracle_clean(session, site);
+  }
 
-  // run() heals; the session then sweeps the same ladder cleanly and
-  // take_result() is well-formed.
-  (void)session.run(0.3f, 5);
-  EXPECT_EQ(session.health(), SessionHealth::kHealthy);
+  // The session then sweeps the same ladder cleanly, mutates from its last
+  // entry, and take_result() is well-formed.
   const auto results = session.sweep(ladder, 5);
   ASSERT_EQ(results.size(), ladder.size());
-  expect_oracle_clean(session, "sweep after healed mid-sweep fault");
+  expect_oracle_clean(session, "sweep after faulted sweeps");
+  (void)session.insert(std::vector<Vec3>{{2.1f, 2.0f, 0.0f}});
+  expect_oracle_clean(session, "insert after faulted sweeps");
   const ClusterResult taken = session.take_result();
   EXPECT_EQ(taken.eps, ladder.back());
   EXPECT_EQ(taken.membership.cluster_count(), taken.cluster_count);

@@ -43,10 +43,9 @@ struct LiveView {
   dbscan::Clustering clustering;
 };
 
-LiveView live_view(const Clusterer& session) {
+LiveView live_view(const Clusterer& session, const ClusterResult& r) {
   LiveView v;
   const std::span<const Vec3> pts = session.points();
-  const ClusterResult& r = session.result();
   for (std::uint32_t i = 0; i < pts.size(); ++i) {
     if (!session.is_live(i)) continue;
     v.points.push_back(pts[i]);
@@ -104,13 +103,13 @@ void expect_result_consistent(const Clusterer& session, const char* what) {
   EXPECT_EQ(session.live_count(), live) << what;
 }
 
-/// The acceptance criterion: live-restricted session labels equivalent to a
-/// from-scratch cluster() over the live points.
-void expect_oracle_parity(const Clusterer& session, const char* what) {
-  expect_result_consistent(session, what);
-  const LiveView v = live_view(session);
-  const float eps = session.result().eps;
-  const std::uint32_t min_pts = session.result().min_pts;
+/// `r` (a result over the session's slots) restricted to the live slots is
+/// equivalent to a from-scratch cluster() over the live points.
+void expect_live_parity(const Clusterer& session, const ClusterResult& r,
+                        const char* what) {
+  const LiveView v = live_view(session, r);
+  const float eps = r.eps;
+  const std::uint32_t min_pts = r.min_pts;
   const ClusterResult oracle = cluster(v.points, eps, min_pts);
   ASSERT_EQ(v.clustering.labels.size(), oracle.labels.size()) << what;
   EXPECT_EQ(v.clustering.is_core, oracle.is_core)
@@ -126,6 +125,13 @@ void expect_oracle_parity(const Clusterer& session, const char* what) {
                                            oracle.to_clustering(),
                                            v.clustering);
   EXPECT_TRUE(eq.equivalent) << what << ": " << eq.reason;
+}
+
+/// The acceptance criterion: live-restricted session labels equivalent to a
+/// from-scratch cluster() over the live points.
+void expect_oracle_parity(const Clusterer& session, const char* what) {
+  expect_result_consistent(session, what);
+  expect_live_parity(session, session.result(), what);
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +231,7 @@ TEST(IncrementalParity, SlidingWindowAdvanceMatchesWindowedBatch) {
     expect_oracle_parity(session, "advanced window");
     // The live set IS the window — so the oracle comparison above already
     // equals a from-scratch batch run over exactly these window points.
-    const LiveView v = live_view(session);
+    const LiveView v = live_view(session, session.result());
     ASSERT_EQ(v.points.size(), window);
     for (std::size_t k = 0; k < window; ++k) {
       EXPECT_EQ(v.points[k], all[start + k]);
@@ -383,6 +389,37 @@ TEST(IncrementalEdge, MutationsAfterSweepMaintainTheLastLadderEntry) {
   (void)session.insert(data::taxi_gps(60, 109).points);
   session.remove(std::vector<std::uint32_t>{3, 500, 899});
   expect_oracle_parity(session, "post-sweep stream");
+}
+
+TEST(IncrementalEdge, SweepOverTombstonesMatchesFreshRunsOnTheLiveSet) {
+  // After advance() the session carries tombstones; the ladder's two
+  // launches skip them (live-only launch order, never core), so every
+  // entry is the fresh clustering of the live points at its ε.
+  const auto base = data::taxi_gps(1200, 116);
+  const auto stream = data::taxi_gps(200, 117);
+  for (const IndexKind kind :
+       {IndexKind::kBvhRt, IndexKind::kGrid, IndexKind::kPointBvh}) {
+    Clusterer session(base.points, Options().with_backend(kind));
+    (void)session.run(0.3f, 6);
+    (void)session.advance(stream.points, 150);
+    ASSERT_EQ(session.live_count(), base.size() + stream.size() - 150);
+    const std::vector<float> ladder = {0.35f, 0.2f, 0.5f, 0.2f, 0.28f};
+    const auto curve = session.sweep(ladder, 6);
+    ASSERT_EQ(curve.size(), ladder.size());
+    for (std::size_t s = 0; s < curve.size(); ++s) {
+      const std::string what =
+          std::string(index::to_string(kind)) + " entry " + std::to_string(s);
+      for (std::uint32_t i = 0; i < 150; ++i) {
+        EXPECT_EQ(curve[s].labels[i], kNoise) << what;
+        EXPECT_EQ(curve[s].is_core[i], 0) << what;
+      }
+      expect_live_parity(session, curve[s], what.c_str());
+    }
+    // The last entry is the maintained result, and streaming continues.
+    expect_oracle_parity(session, "after sweep over tombstones");
+    (void)session.advance(data::taxi_gps(40, 118).points, 40);
+    expect_oracle_parity(session, "advance after sweep over tombstones");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/api.hpp"
 #include "data/generators.hpp"
@@ -362,6 +364,73 @@ TEST(NeighborIndex, FactoryResolvesAutoAndRejectsBadEps) {
   EXPECT_NE(index->kind(), IndexKind::kAuto);
   EXPECT_EQ(choose_index_kind(small.points, 0.3f), IndexKind::kBruteForce);
   EXPECT_THROW(make_index(small.points, 0.0f), std::invalid_argument);
+}
+
+/// Records the OpenMP thread count each writer hook runs under.
+class ThreadProbeIndex final : public NeighborIndex {
+ public:
+  explicit ThreadProbeIndex(std::span<const Vec3> points) : points_(points) {}
+
+  [[nodiscard]] IndexKind kind() const override {
+    return IndexKind::kBruteForce;
+  }
+  [[nodiscard]] std::span<const Vec3> points() const override {
+    return points_;
+  }
+  [[nodiscard]] float build_eps() const override { return eps_; }
+  [[nodiscard]] bool refittable() const override { return true; }
+  void query_sphere(const Vec3&, float, std::uint32_t, NeighborVisitor,
+                    rt::TraversalStats&) const override {}
+
+  int set_eps_threads = -1;
+  int remove_threads = -1;
+
+ protected:
+  std::unique_ptr<NeighborIndex> do_clone() override {
+    return std::make_unique<ThreadProbeIndex>(*this);
+  }
+  bool do_try_set_eps(float eps) override {
+    set_eps_threads = omp_get_max_threads();
+    eps_ = eps;
+    return true;
+  }
+  bool do_try_remove(std::span<const std::uint32_t>) override {
+    remove_threads = omp_get_max_threads();
+    return true;
+  }
+
+ private:
+  std::span<const Vec3> points_;
+  float eps_ = 0.3f;
+};
+
+TEST(NeighborIndex, WriterOperationsRunUnderTheIndexThreadBudget) {
+  // The refits behind try_set_eps and try_remove use parallel_for: they
+  // must run under the index's budget, not whatever OpenMP thread count
+  // the caller left, and hand the caller's count back.
+  const auto pts = data::taxi_gps(64, 5).points;
+  const ThreadCountGuard caller(3);
+  ThreadProbeIndex probe(pts);
+  probe.set_threads(1);
+  EXPECT_TRUE(probe.try_set_eps(0.5f));
+  EXPECT_EQ(probe.set_eps_threads, 1);
+  EXPECT_TRUE(probe.try_remove(std::vector<std::uint32_t>{2, 7}));
+  EXPECT_EQ(probe.remove_threads, 1);
+  EXPECT_EQ(omp_get_max_threads(), 3);
+  // A clone keeps the budget; 0 keeps the caller's count.
+  auto copy = probe.clone();
+  EXPECT_EQ(copy->threads(), 1);
+  probe.set_threads(0);
+  EXPECT_TRUE(probe.try_set_eps(0.4f));
+  EXPECT_EQ(probe.set_eps_threads, 3);
+
+  // make_index hands IndexBuildOptions::threads to every backend.
+  IndexBuildOptions options;
+  options.threads = 2;
+  for (const IndexKind kind : kAllIndexKinds) {
+    EXPECT_EQ(make_index(pts, 0.3f, kind, options)->threads(), 2)
+        << to_string(kind);
+  }
 }
 
 TEST(NeighborIndex, ToStringParseRoundTrip) {

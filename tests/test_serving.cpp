@@ -503,10 +503,11 @@ TEST(ServingConcurrent, ColdSnapshotRaceYieldsOneSharedSnapshot) {
 }
 
 TEST(ServingConcurrent, ConcurrentBatchesDuringSweep) {
-  // sweep() is a writer that retargets per ladder entry; batched const
-  // readers running concurrently must see coherent ladder-ε answers.
+  // sweep() is a writer that retargets the index twice per call here — to
+  // the ladder's ε_max, then back to its last ε; batched const readers
+  // running concurrently must see coherent ladder-ε answers.
   const auto dataset = data::taxi_gps(700, 89);
-  const std::vector<float> ladder = {0.2f, 0.3f, 0.45f};
+  const std::vector<float> ladder = {0.2f, 0.45f, 0.3f};
   Clusterer session(dataset.points,
                     Options().with_backend(IndexKind::kBvhRt).with_threads(1));
   (void)session.run(ladder.front(), 5);

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/stage.hpp"
@@ -348,25 +349,15 @@ TEST_F(TelemetryArmed, FullCycleDrainsValidChromeTrace) {
             std::string::npos);
 }
 
-TEST_F(TelemetryArmed, AdvanceTraceSplitsTheRepairIntoStages) {
-  // One advance() must show where its label repair went: a span per
-  // repair stage, each inside the session.repair span.
-  telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
-  const auto dataset = data::taxi_gps(1600, 99);
-  const std::span<const geom::Vec3> all(dataset.points);
-  Clusterer session(all.subspan(0, 1500));
-  (void)session.run(0.15f, 5);
-  (void)telemetry::trace_json();  // keep only the advance below
-  (void)session.advance(all.subspan(1500, 64), 64);
+/// One complete ("X") event of a drained Chrome trace.
+struct Span {
+  std::string name;
+  double begin_us = 0.0;
+  double end_us = 0.0;
+};
 
-  struct Span {
-    std::string name;
-    double begin_us = 0.0;
-    double end_us = 0.0;
-  };
+std::vector<Span> parse_spans(const std::string& trace) {
   std::vector<Span> spans;
-  const std::string trace = telemetry::trace_json();
-  ASSERT_TRUE(is_valid_json(trace));
   const std::string open = "{\"name\":\"";
   for (std::size_t at = trace.find(open); at != std::string::npos;
        at = trace.find(open, at + 1)) {
@@ -380,6 +371,87 @@ TEST_F(TelemetryArmed, AdvanceTraceSplitsTheRepairIntoStages) {
                                           nullptr);
     spans.push_back(sp);
   }
+  return spans;
+}
+
+TEST_F(TelemetryArmed, SweepIsOneCountingAndOneClusteringLaunch) {
+  // A sweep is two launches at the ladder's ε_max whatever its length: one
+  // engine.phase1 and one engine.phase2 span inside session.sweep.  An
+  // ascending ladder ends at ε_max and refits nothing; any other ladder
+  // refits once, when it retargets the index to its last ε.
+  telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
+  const auto dataset = data::taxi_gps(3000, 99);
+  Clusterer session(dataset.points, Options()
+                                        .with_backend(index::IndexKind::kBvhRt)
+                                        .with_threads(1));
+  struct Case {
+    std::vector<float> ladder;
+    std::uint64_t refits;
+  };
+  const std::vector<Case> cases = {
+      {{0.15f, 0.2f, 0.25f, 0.3f}, 0},
+      {{0.3f, 0.25f, 0.2f, 0.15f}, 1},
+      {{0.2f, 0.3f, 0.1f, 0.2f, 0.15f, 0.25f, 0.12f, 0.3f, 0.18f}, 1},
+      {{0.3f}, 0}};
+  const auto counter = [&](telemetry::Counter c) {
+    return session.metrics().counter(c);
+  };
+  for (const Case& c : cases) {
+    (void)session.run(0.3f, 5);     // the index starts at ε_max
+    (void)telemetry::trace_json();  // keep only the sweep below
+    const std::uint64_t phase1 =
+        counter(telemetry::Counter::kEnginePhase1Launches);
+    const std::uint64_t phase2 =
+        counter(telemetry::Counter::kEnginePhase2Launches);
+    const std::uint64_t refits = counter(telemetry::Counter::kIndexRefits);
+    const auto curve = session.sweep(c.ladder, 5);
+    ASSERT_EQ(curve.size(), c.ladder.size());
+    const std::string what = std::to_string(c.ladder.size()) + " values";
+    EXPECT_EQ(counter(telemetry::Counter::kEnginePhase1Launches), phase1 + 1)
+        << what;
+    EXPECT_EQ(counter(telemetry::Counter::kEnginePhase2Launches), phase2 + 1)
+        << what;
+    EXPECT_EQ(counter(telemetry::Counter::kIndexRefits), refits + c.refits)
+        << what;
+
+    const std::string trace = telemetry::trace_json();
+    ASSERT_TRUE(is_valid_json(trace));
+    const std::vector<Span> spans = parse_spans(trace);
+    const auto sweep =
+        std::find_if(spans.begin(), spans.end(),
+                     [](const Span& sp) { return sp.name == "session.sweep"; });
+    ASSERT_NE(sweep, spans.end()) << what;
+    const double slack_us = 1.0;  // the JSON prints 9 significant digits
+    for (const auto& [site, want] :
+         {std::pair<const char*, std::uint64_t>{"engine.phase1", 1},
+          {"engine.phase2", 1},
+          {"index.refit", c.refits}}) {
+      std::uint64_t inside = 0;
+      for (const Span& sp : spans) {
+        if (sp.name != site) continue;
+        EXPECT_GE(sp.begin_us, sweep->begin_us - slack_us) << site;
+        EXPECT_LE(sp.end_us, sweep->end_us + slack_us) << site;
+        ++inside;
+      }
+      EXPECT_EQ(inside, want) << what << ": " << site;
+    }
+  }
+}
+
+TEST_F(TelemetryArmed, AdvanceTraceSplitsTheRepairIntoStages) {
+  // One advance() must show where its label repair went: a span per
+  // repair stage, each inside the session.repair span.
+  telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
+  const auto dataset = data::taxi_gps(1600, 99);
+  const std::span<const geom::Vec3> all(dataset.points);
+  Clusterer session(all.subspan(0, 1500));
+  (void)session.run(0.15f, 5);
+  (void)telemetry::trace_json();  // keep only the advance below
+  (void)session.advance(all.subspan(1500, 64), 64);
+
+  const std::string trace = telemetry::trace_json();
+  ASSERT_TRUE(is_valid_json(trace));
+  const std::vector<Span> spans = parse_spans(trace);
   const auto named = [&](const std::string& name) {
     return std::find_if(spans.begin(), spans.end(),
                         [&](const Span& sp) { return sp.name == name; });
