@@ -3,9 +3,11 @@
 // (RT spent only 48% of total time on clustering operations vs FDBSCAN's
 // 94%), while the clustering phases themselves are much faster.
 //
-// The second table sweeps every NeighborIndex backend through the unified
-// engine (dbscan/engine.hpp) on the same dataset, so the index-build vs
-// clustering trade is visible per backend, not just RT vs FDBSCAN.
+// The second table sweeps every NeighborIndex backend through the session
+// API (rtd::Clusterer) on the same dataset, so the index-build vs
+// clustering trade is visible per backend, not just RT vs FDBSCAN.  A
+// session run counts and clusters in one fused launch, so its tables show
+// one "count+cluster" column where the paper's engine has two phases.
 //
 //   ./bench_breakdown [--scale F] [--reps N]
 #include <cstdio>
@@ -97,8 +99,20 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------------
   std::printf("\n--- NeighborIndex backend sweep (rtd::Clusterer, n=%zu) "
               "---\n", total_n);
-  Table sweep({"backend", "build", "phase 1", "phase 2", "total",
+  Table sweep({"backend", "build", "count+cluster", "total",
                "isect/query"});
+  // A session run's query work: the fused launch (phase1) plus the rare
+  // overflow re-walks (phase2), per walked point.
+  const auto launch_seconds = [](const RunStats& st) {
+    return st.phase1.seconds + st.phase2.seconds;
+  };
+  const auto per_point = [](const RunStats& st, std::uint64_t first,
+                            std::uint64_t rewalk) {
+    return st.phase1.work.rays
+               ? static_cast<double>(first + rewalk) /
+                     static_cast<double>(st.phase1.work.rays)
+               : 0.0;
+  };
   for (const index::IndexKind kind : index::kAllIndexKinds) {
     if (kind == index::IndexKind::kBruteForce && total_n > 20000) {
       std::printf("  (skipping brute force at n=%zu: O(n^2) per phase)\n",
@@ -117,18 +131,17 @@ int main(int argc, char** argv) {
     bench::verify(dataset.points, params, rtr.clustering,
                   run.to_clustering(), index::to_string(kind));
     const auto& st = run.stats;
-    const double isect_per_query =
-        st.phase1.isect_per_ray() + st.phase2.isect_per_ray();
-    // total = build + phases (the pre-session column semantics), NOT the
-    // full run() wall time — run.seconds also covers the result epilogue
-    // (label finalization, membership table), which is not under test.
-    sweep.add_row({index::to_string(st.backend),
-                   Table::seconds(st.timings.index_build_seconds),
-                   Table::seconds(st.phase1.seconds),
-                   Table::seconds(st.phase2.seconds),
-                   Table::seconds(st.timings.index_build_seconds +
-                                  st.phase1.seconds + st.phase2.seconds),
-                   Table::num(isect_per_query, 1)});
+    // total = build + the query launch, NOT the full run() wall time —
+    // run.seconds also covers the result epilogue (label finalization,
+    // membership table), which is not under test.
+    sweep.add_row(
+        {index::to_string(st.backend),
+         Table::seconds(st.timings.index_build_seconds),
+         Table::seconds(launch_seconds(st)),
+         Table::seconds(st.timings.index_build_seconds + launch_seconds(st)),
+         Table::num(per_point(st, st.phase1.work.isect_calls,
+                              st.phase2.work.isect_calls),
+                    1)});
   }
   if (cfg.csv) {
     sweep.print_csv();
@@ -144,7 +157,7 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------------------
   std::printf("\n--- Binary vs wide BVH traversal "
               "(rtd::Clusterer, n=%zu) ---\n", total_n);
-  Table widths({"backend", "width", "build", "phase 1", "phase 2", "total",
+  Table widths({"backend", "width", "build", "count+cluster", "total",
                 "nodes/query", "isect/query"});
   for (const index::IndexKind kind :
        {index::IndexKind::kPointBvh, index::IndexKind::kBvhRt}) {
@@ -162,14 +175,15 @@ int main(int argc, char** argv) {
       widths.add_row(
           {index::to_string(kind), rt::to_string(width),
            Table::seconds(st.timings.index_build_seconds),
-           Table::seconds(st.phase1.seconds),
-           Table::seconds(st.phase2.seconds),
+           Table::seconds(launch_seconds(st)),
            Table::seconds(st.timings.index_build_seconds +
-                          st.phase1.seconds + st.phase2.seconds),
-           Table::num(st.phase1.nodes_per_ray() +
-                          st.phase2.nodes_per_ray(), 1),
-           Table::num(st.phase1.isect_per_ray() +
-                          st.phase2.isect_per_ray(), 1)});
+                          launch_seconds(st)),
+           Table::num(per_point(st, st.phase1.work.nodes_visited,
+                                st.phase2.work.nodes_visited),
+                      1),
+           Table::num(per_point(st, st.phase1.work.isect_calls,
+                                st.phase2.work.isect_calls),
+                      1)});
     }
   }
   if (cfg.csv) {

@@ -57,10 +57,11 @@ const std::vector<std::string>& all_sites() {
   // fault at every entry.
   static const std::vector<std::string> kSites = {
       "dsu.grow",                 // AtomicDisjointSet::reset growth realloc
-      "engine.phase1",            // full recount launch (run/sweep/heal)
+      "engine.fused",             // run()/heal count-and-cluster launch
+      "engine.phase1",            // full recount launch (sweep, capped run)
       "engine.phase1_insert",     // insert count maintenance
       "engine.phase1_remove",     // remove count maintenance
-      "engine.phase2",            // core-merge launch
+      "engine.phase2",            // core-merge launch (sweep, reused counts)
       "index.build",              // make_index backend construction
       "index.clone",              // NeighborIndex::clone (new version)
       "index.compacted_rebuild",  // CompactedIndex dense rebuild

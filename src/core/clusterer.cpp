@@ -126,6 +126,8 @@ struct Clusterer::Impl {
   // Reusable engine workspace: warm run() calls allocate nothing.
   std::optional<dsu::AtomicDisjointSet> dsu;
   std::vector<std::atomic<std::uint8_t>> claimed;
+  /// The fused launch's per-slot "count final" flags (run() only).
+  std::vector<std::atomic<std::uint8_t>> settled;
   std::vector<std::int32_t> root_scratch;
 
   // Incremental-maintenance scratch (capacities reused: warm mutations
@@ -374,11 +376,36 @@ struct Clusterer::Impl {
     }
   }
 
+  /// The fused launch of run(): counts into the session cache and the
+  /// clustering into the workspace, at `eps` over the live order.  Touches
+  /// scratch only, so a throw leaves the result as it was.
+  void count_cluster(const dbscan::Params& params, RunStats& stats) {
+    const std::size_t n = pts.size();
+    // A live slot outside the order would never settle (and its pairs
+    // never merge); ensure_order keeps every live slot, once.
+    if (order.size() != live_slots()) {
+      throw std::logic_error("Clusterer: launch order misses live slots");
+    }
+    reset_workspace(n);
+    if (settled.size() < n) {
+      settled = std::vector<std::atomic<std::uint8_t>>(n);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      settled[i].store(0, std::memory_order_relaxed);
+    }
+    const dbscan::CountClusterStats launch = dbscan::index_count_cluster(
+        *index, params, order, opts.threads, counts, *dsu, claimed, settled);
+    stats.phase1 = launch.phase1;
+    stats.phase2 = launch.phase2;
+  }
+
   /// The epilogue of run(), from the ε-neighbor counts in `cts` (the
-  /// session cache): core flags, phase 2 over the reusable workspace,
-  /// label finalization, membership table, totals.
+  /// session cache): core flags, phase 2 over the reusable workspace
+  /// unless the fused launch already `clustered`, label finalization,
+  /// membership table, totals.
   void finish_run(float eps, std::uint32_t min_pts,
-                  std::span<const std::uint32_t> cts, const Timer& total) {
+                  std::span<const std::uint32_t> cts, bool clustered,
+                  const Timer& total) {
     ClusterResult& r = result;
     const std::size_t n = pts.size();
 
@@ -392,10 +419,12 @@ struct Clusterer::Impl {
           (!has_dead || live[i]) && cts[i] + 1 >= min_pts ? 1 : 0;
     }
 
-    reset_workspace(n);
-    r.stats.phase2 = dbscan::index_phase2(*index, eps, order, r.is_core,
-                                          *dsu, claimed, opts.threads);
-    r.stats.timings.cluster_phase_seconds = r.stats.phase2.seconds;
+    if (!clustered) {
+      reset_workspace(n);
+      r.stats.phase2 = dbscan::index_phase2(*index, eps, order, r.is_core,
+                                            *dsu, claimed, opts.threads);
+      r.stats.timings.cluster_phase_seconds = r.stats.phase2.seconds;
+    }
 
     r.neighbor_counts.assign(cts.begin(), cts.end());
     finalize(r, 0, total);
@@ -479,22 +508,30 @@ struct Clusterer::Impl {
     r.stats.index_refitted = es.refitted;
     r.stats.timings.index_build_seconds = es.seconds;
 
-    // Phase 1 (core identification) — or the cached-counts fast path.  The
-    // cache survives refits: counts depend only on (points, eps).  Capped
-    // counts (early_exit) still decide the core test for any min_pts whose
-    // threshold min_pts - 1 lies at or below the recorded cap.
+    // The cached-counts fast path, or a counting launch: the fused one
+    // (counts and clustering in one walk) unless early exit caps the
+    // counts, which then only feed phase 1's core test.  The cache
+    // survives refits: counts depend only on (points, eps).  Capped counts
+    // still decide the core test for any min_pts whose threshold
+    // min_pts - 1 lies at or below the recorded cap.
     dbscan::Params params{eps, min_pts, resolved};
     const bool reuse = counts_valid && counts_eps == eps &&
                        (counts_cap == index::kNoCap ||
                         min_pts - 1 <= counts_cap);
+    const bool capped = counts_capped_by_early_exit();
+    const bool fused = !reuse && !capped;
     if (reuse) {
       r.stats.counts_reused = true;
     } else {
       counts_valid = false;  // a throw mid-launch would leave them torn
       try {
-        r.stats.phase1 =
-            dbscan::index_phase1(*index, params, order, opts.early_exit,
-                                 opts.threads, counts);
+        if (fused) {
+          count_cluster(params, r.stats);
+        } else {
+          r.stats.phase1 =
+              dbscan::index_phase1(*index, params, order, opts.early_exit,
+                                   opts.threads, counts);
+        }
       } catch (...) {
         restore_metadata();  // strong; the count cache is dropped, not torn
         throw;
@@ -504,7 +541,7 @@ struct Clusterer::Impl {
       // The RT backends ignore the early-exit hint (OptiX) and returned
       // exact counts — record them as such so any later min_pts reuses
       // them.
-      counts_cap = counts_capped_by_early_exit() ? min_pts - 1 : index::kNoCap;
+      counts_cap = capped ? min_pts - 1 : index::kNoCap;
       r.stats.timings.core_phase_seconds = r.stats.phase1.seconds;
     }
 
@@ -512,7 +549,7 @@ struct Clusterer::Impl {
     last_min_pts = min_pts;
     params_valid = true;
     try {
-      finish_run(eps, min_pts, counts, total);
+      finish_run(eps, min_pts, counts, fused, total);
     } catch (...) {
       // The result buffers are partially overwritten.  Committed state
       // (points, mask, counts) is coherent; only the labels are torn —

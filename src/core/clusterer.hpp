@@ -24,6 +24,8 @@
 //     kTriangles rescales its tessellation, kPointBvh and kBruteForce are
 //     radius-agnostic) and rebuilds only where it cannot (kGrid /
 //     kDenseBox re-bin their cells);
+//   * counting at a new eps also forms the clusters, in one launch that
+//     walks every point once (dbscan::index_count_cluster);
 //   * a min_pts-only change reuses the cached neighbor counts and pays just
 //     the cluster-formation phase (§VI-B).
 // Which of those paths a run took is recorded in ClusterResult::stats.
@@ -181,10 +183,18 @@ struct RunStats {
   /// the index over the live set.
   bool incremental = false;
   /// Per-phase wall clock.  index_build_seconds is the build OR refit cost
-  /// this run paid (0 when the index was reused as-is).
+  /// this run paid (0 when the index was reused as-is).  A run that counted
+  /// afresh with exact counts forms its clusters inside that counting
+  /// launch (dbscan::index_count_cluster): core_phase_seconds is that whole
+  /// launch and cluster_phase_seconds is 0.
   dbscan::PhaseTimings timings;
-  /// Work counters of the two query launches (rays, node visits,
-  /// Intersection calls) — zeroed for a phase that did not run.
+  /// Work counters of the query launches (rays, node visits, Intersection
+  /// calls) — zeroed for a phase that did not run.  After a fused launch,
+  /// phase1 is the launch (its work equals a count-only phase 1 over the
+  /// same index) and phase2 holds only the second walks of packets whose
+  /// neighbor pairs overflowed the launch's fixed buffer (its seconds stay
+  /// 0).  A run that reused its counts, or whose counts early exit caps,
+  /// runs the paper's separate phase 2, reported here as before.
   rt::LaunchStats phase1;
   rt::LaunchStats phase2;
 };

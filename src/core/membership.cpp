@@ -18,7 +18,13 @@ void Membership::assign(std::span<const std::int32_t> labels,
   if (lists_.size() < std::size_t{cluster_count} + 1) {
     lists_.resize(std::size_t{cluster_count} + 1);
   }
-  for (std::vector<std::uint32_t>& l : lists_) l.clear();
+  // Size every list first, so the fill below never regrows one.
+  sizes_.assign(lists_.size(), 0);
+  for (const std::int32_t label : labels) ++sizes_[list_index(label)];
+  for (std::size_t g = 0; g < lists_.size(); ++g) {
+    lists_[g].clear();
+    lists_[g].reserve(sizes_[g]);
+  }
   pos_.resize(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     std::vector<std::uint32_t>& l = lists_[list_index(labels[i])];

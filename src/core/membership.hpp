@@ -83,6 +83,7 @@ class Membership {
   /// smaller clustering keep their capacity for the next larger one.
   std::vector<std::vector<std::uint32_t>> lists_;
   std::vector<std::uint32_t> pos_;  ///< slot -> its index in its list
+  std::vector<std::uint32_t> sizes_;  ///< assign() scratch: group sizes
   std::uint32_t cluster_count_ = 0;
 };
 

@@ -254,13 +254,7 @@ rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
       // so do each merge once.
       if (j > i) dsu.unite(a, b);
     } else {
-      // Border point: Alg. 3's critical section (lines 12-15) — an atomic
-      // claim guarantees the point joins exactly one cluster.
-      std::uint8_t expected = 0;
-      if (claimed[b].compare_exchange_strong(expected, 1,
-                                             std::memory_order_acq_rel)) {
-        dsu.unite(a, b);
-      }
+      (void)claim_border(dsu, claimed, a, b);
     }
   };
   if (levels == 1) {
@@ -287,6 +281,106 @@ rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
           merge(i, j, off);
         }
       });
+}
+
+void CountClusterPacket::walk(const index::NeighborIndex& index, float eps,
+                              std::span<const std::uint32_t> ids,
+                              rt::TraversalStats& stats) {
+  ids_ = ids;
+  pairs_ = 0;
+  std::fill(std::begin(rows_), std::end(rows_), 0u);
+  index.query_sphere_packet(
+      ids, eps,
+      [&](std::uint32_t k, std::uint32_t j) {
+        ++rows_[k];
+        if (pairs_ < kPairCapacity) {
+          nbr_[pairs_] = j;
+          ray_[pairs_] = static_cast<std::uint8_t>(k);
+        }
+        ++pairs_;
+      },
+      stats);
+}
+
+void CountClusterPacket::settle(
+    std::span<std::uint32_t> counts,
+    std::span<std::atomic<std::uint8_t>> settled) const {
+  for (std::size_t k = 0; k < ids_.size(); ++k) counts[ids_[k]] = rows_[k];
+  // seq_cst, not release: the store must precede this packet's loads of
+  // the other ends' flags in the single total order (handle()).
+  for (const std::uint32_t i : ids_) {
+    settled[i].store(1, std::memory_order_seq_cst);
+  }
+}
+
+CountClusterStats index_count_cluster(
+    const index::NeighborIndex& index, const Params& params,
+    std::span<const std::uint32_t> order, int threads,
+    std::vector<std::uint32_t>& counts, dsu::AtomicDisjointSet& dsu,
+    std::span<std::atomic<std::uint8_t>> claimed,
+    std::span<std::atomic<std::uint8_t>> settled) {
+  const std::size_t n = index.size();
+  if (order.size() > n || dsu.size() < n || claimed.size() < n ||
+      settled.size() < n) {
+    throw std::invalid_argument(
+        "index_count_cluster: order must fit the index, and dsu, claimed "
+        "and settled hold a slot per point");
+  }
+  counts.assign(n, 0);
+  // Before the launch, like index_phase1: a throw from inside the parallel
+  // region would terminate.
+  RTD_STAGE("engine.fused");
+  telemetry::count(telemetry::Counter::kEngineFusedLaunches);
+
+  const std::uint32_t min_pts = params.min_pts;
+  const auto core = [&](std::uint32_t x) {
+    return counts[x] + 1 >= min_pts;
+  };
+  // Alg. 3 lines 9-16 for an ε-pair whose ends have both settled.
+  const auto link = [&](std::uint32_t i, std::uint32_t j) {
+    const bool core_i = core(i);
+    const bool core_j = core(j);
+    if (core_i && core_j) {
+      dsu.unite(i, j);
+    } else if (core_i) {
+      (void)claim_border(dsu, claimed, i, j);
+    } else if (core_j) {
+      (void)claim_border(dsu, claimed, j, i);
+    }
+  };
+  // Second walks are rare (a packet past kPairCapacity pairs): their work
+  // sums into atomics rather than per-worker accumulators.
+  std::atomic<std::uint64_t> rewalk_rays{0};
+  std::atomic<std::uint64_t> rewalk_nodes{0};
+  std::atomic<std::uint64_t> rewalk_aabb{0};
+  std::atomic<std::uint64_t> rewalk_isect{0};
+  std::atomic<std::uint64_t> rewalk_anyhit{0};
+  CountClusterStats out;
+  out.phase1 = rt::parallel_launch(
+      packet_count(order.size()), threads,
+      [&](rt::TraversalStats& stats, std::size_t p) {
+        CountClusterPacket packet;
+        packet.walk(index, params.eps, packet_at(order, p), stats);
+        packet.settle(counts, settled);
+        rt::TraversalStats rewalk;
+        packet.handle(index, params.eps, settled, rewalk, link);
+        if (rewalk.rays != 0) {
+          rewalk_rays.fetch_add(rewalk.rays, std::memory_order_relaxed);
+          rewalk_nodes.fetch_add(rewalk.nodes_visited,
+                                 std::memory_order_relaxed);
+          rewalk_aabb.fetch_add(rewalk.aabb_tests, std::memory_order_relaxed);
+          rewalk_isect.fetch_add(rewalk.isect_calls,
+                                 std::memory_order_relaxed);
+          rewalk_anyhit.fetch_add(rewalk.anyhit_calls,
+                                  std::memory_order_relaxed);
+        }
+      });
+  out.phase2.work.rays = rewalk_rays.load();
+  out.phase2.work.nodes_visited = rewalk_nodes.load();
+  out.phase2.work.aabb_tests = rewalk_aabb.load();
+  out.phase2.work.isect_calls = rewalk_isect.load();
+  out.phase2.work.anyhit_calls = rewalk_anyhit.load();
+  return out;
 }
 
 IndexEngineResult cluster_with_index(const index::NeighborIndex& index,

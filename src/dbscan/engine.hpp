@@ -1,5 +1,5 @@
-// The unified DBSCAN engine: two-phase union-find clustering over ANY
-// NeighborIndex backend.
+// The unified DBSCAN engine: union-find clustering over ANY NeighborIndex
+// backend.
 //
 // This is the paper's Algorithm 3 with the neighbor queries abstracted out:
 //   Phase 1 (core identification): one index query per point counts its
@@ -8,12 +8,18 @@
 //     neighbors (no neighbor lists stored — O(n) memory, §III-D) and merges
 //     clusters in a concurrent DisjointSet; border points are claimed
 //     atomically so each joins exactly one cluster.
+// cluster_with_index runs the two launches as the paper does; RT-DBSCAN
+// (core/rt_dbscan.cpp) is it over BvhRtIndex (or TriangleIndex for the
+// §VI-C tessellated geometry), FDBSCAN (dbscan/fdbscan.cpp) over
+// PointBvhIndex.  Swapping the index swaps the query substrate without
+// touching the clustering logic, which is what makes backend comparisons
+// honest.
 //
-// RT-DBSCAN (core/rt_dbscan.cpp) is this engine over BvhRtIndex (or
-// TriangleIndex for the §VI-C tessellated geometry); FDBSCAN
-// (dbscan/fdbscan.cpp) is this engine over PointBvhIndex.  Swapping the
-// index swaps the query substrate without touching the clustering logic,
-// which is what makes backend comparisons honest.
+// index_count_cluster fuses both phases into ONE launch (Clusterer::run()):
+// every point is walked once, and each ε-pair is merged by whichever end
+// settles its count second — the single-pass union-find DBSCAN of Patwary
+// et al. (PDSDBSCAN, SC'12).  No core is walked a second time, and the
+// clustering is the same up to border ambiguity.
 //
 // Every full pass launches its queries in Morton order of the points
 // (query_launch_order): spatially adjacent queries run back to back and
@@ -21,15 +27,16 @@
 // coherence RTNN [Zhu, PPoPP'22] gets from RT hardware.  Results do not
 // depend on the order; only scheduling does.
 //
-// The full passes — phase 1 and phase 2, for one ε or for a whole
-// Clusterer::sweep() ladder at once — also issue their queries as 4-ray
-// packets of Morton-adjacent points (NeighborIndex::query_count_packet /
-// query_sphere_packet).  On kBvhRt's wide layout one packet walk
-// (rt::traverse_points) fetches each node once for every ray that reaches
-// it; the work counters stay per-ray sums, equal to the single-ray walk's.
-// Isolated queries keep the single-ray walk, because their arrival order
-// carries no coherence: the incremental count captures below, the label
-// repair passes, snapshot reads and query_neighbors.
+// The full passes — phase 1 and phase 2 (for one ε or for a whole
+// Clusterer::sweep() ladder at once) and the fused launch — also issue
+// their queries as 4-ray packets of Morton-adjacent points
+// (NeighborIndex::query_count_packet / query_sphere_packet).  On kBvhRt's
+// wide layout one packet walk (rt::traverse_points) fetches each node once
+// for every ray that reaches it; the work counters stay per-ray sums, equal
+// to the single-ray walk's.  Isolated queries keep the single-ray walk,
+// because their arrival order carries no coherence: the incremental count
+// captures below, the label repair passes, snapshot reads and
+// query_neighbors.
 #pragma once
 
 #include <atomic>
@@ -176,6 +183,106 @@ rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<std::atomic<std::uint8_t>> claimed,
                              int threads,
                              std::span<const float> lower_eps2 = {});
+
+/// Alg. 3 lines 12-15, a border claim: the first core to claim `border`
+/// through its `claimed` flag unites the two; every later claim of it does
+/// nothing.  Returns whether this call made the claim.
+inline bool claim_border(dsu::AtomicDisjointSet& dsu,
+                         std::span<std::atomic<std::uint8_t>> claimed,
+                         std::uint32_t core, std::uint32_t border) {
+  std::uint8_t expected = 0;
+  if (!claimed[border].compare_exchange_strong(expected, 1,
+                                               std::memory_order_acq_rel)) {
+    return false;
+  }
+  dsu.unite(core, border);
+  return true;
+}
+
+/// What the fused launch did: `phase1` is the launch (its wall time, and
+/// the work of the one walk every packet makes — equal to a count-only
+/// index_phase1 over the same index and order); `phase2` holds only the
+/// work of the second walks of packets whose pairs overflowed
+/// CountClusterPacket's buffer (its seconds stay 0: that time is inside
+/// phase1's).
+struct CountClusterStats {
+  rt::LaunchStats phase1;
+  rt::LaunchStats phase2;
+};
+
+/// One task of index_count_cluster — one packet of consecutive order
+/// entries — split into its three steps, so the settle protocol can be
+/// driven step by step.  Lives on the task's stack: the pair buffer is
+/// fixed, so nothing allocates inside the parallel region.
+class CountClusterPacket {
+ public:
+  /// (k, j) pairs a packet buffers; past it, handle() walks again.
+  static constexpr std::size_t kPairCapacity = 2048;
+
+  /// Step 1: walk the packet `ids` once at `eps`.  Ray k's row — its
+  /// neighbors j — is counted in full and buffered while the packet's
+  /// pairs fit.
+  void walk(const index::NeighborIndex& index, float eps,
+            std::span<const std::uint32_t> ids, rt::TraversalStats& stats);
+
+  /// Step 2: write each ray's count (its row size) into counts[ids[k]],
+  /// then publish the ray: settled[ids[k]].store(1, seq_cst).
+  void settle(std::span<std::uint32_t> counts,
+              std::span<std::atomic<std::uint8_t>> settled) const;
+
+  /// Step 3: on_pair(ids[k], j) for every pair of the packet whose other
+  /// end j has settled (settled[j].load(seq_cst)); counts[j] is final
+  /// then.  Each end stores its own flag before it loads the other's, so
+  /// of the two ends of an ε-pair at least one sees the other settled: the
+  /// pair reaches on_pair once or twice, never zero times.  Rows that
+  /// overflowed the buffer are walked again at `eps`, into `rewalk`.
+  template <typename OnPair>
+  void handle(const index::NeighborIndex& index, float eps,
+              std::span<const std::atomic<std::uint8_t>> settled,
+              rt::TraversalStats& rewalk, OnPair&& on_pair) const {
+    const auto visit = [&](std::uint32_t k, std::uint32_t j) {
+      if (settled[j].load(std::memory_order_seq_cst) != 0) {
+        on_pair(ids_[k], j);
+      }
+    };
+    if (overflowed()) {
+      index.query_sphere_packet(ids_, eps, visit, rewalk);
+      return;
+    }
+    for (std::size_t m = 0; m < pairs_; ++m) visit(ray_[m], nbr_[m]);
+  }
+
+  /// Whether the walk found more pairs than the buffer holds.
+  [[nodiscard]] bool overflowed() const { return pairs_ > kPairCapacity; }
+
+ private:
+  std::span<const std::uint32_t> ids_;
+  std::uint32_t rows_[rt::kPacketWidth] = {};
+  std::size_t pairs_ = 0;  ///< pairs found; only the first kPairCapacity kept
+  std::uint32_t nbr_[kPairCapacity];
+  std::uint8_t ray_[kPairCapacity];
+};
+
+/// Phases 1 and 2 in ONE launch at params.eps: exact neighbor counts
+/// (excluding self) into `counts` and the clustering into `dsu`/`claimed`,
+/// as one CountClusterPacket per packet of `order`.  Once both ends of an
+/// ε-pair are settled, their counts decide it (Alg. 3 lines 9-16): two
+/// cores unite, a core and a non-core make a first-claim border
+/// (claim_border), two non-cores do nothing.  Handling a pair twice is
+/// harmless — unite is idempotent and the claim dedupes.  After the launch
+/// the core flags are counts[i] + 1 >= min_pts and the labels
+/// finalize_labels over dsu.find.
+///
+/// `order` must hold every live slot exactly once: a neighbor outside it
+/// never settles, so its pairs would never be handled.  `dsu` must hold n
+/// singletons, and `claimed`/`settled` n cleared flags, n = index.size()
+/// (std::invalid_argument otherwise).  The launch writes nothing else.
+CountClusterStats index_count_cluster(
+    const index::NeighborIndex& index, const Params& params,
+    std::span<const std::uint32_t> order, int threads,
+    std::vector<std::uint32_t>& counts, dsu::AtomicDisjointSet& dsu,
+    std::span<std::atomic<std::uint8_t>> claimed,
+    std::span<std::atomic<std::uint8_t>> settled);
 
 /// Full run: phase 1, core flags, phase 2, label finalization.  Sets the
 /// core/cluster phase timings and a total covering this call; the caller

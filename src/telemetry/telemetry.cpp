@@ -20,6 +20,7 @@ namespace {
 // Canonical metric names, indexed by enumerator.  Keep each block sorted —
 // the enum order mirrors it, and test_telemetry.cpp checks.
 constexpr const char* kCounterNames[kNumCounters] = {
+    "engine.fused.launches",
     "engine.phase1.launches",
     "engine.phase1_insert.launches",
     "engine.phase1_remove.launches",

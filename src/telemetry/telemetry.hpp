@@ -45,6 +45,7 @@ using stage::kTrace;
 // Monotonic event counters.  Enumerator order matches the sorted name list
 // in telemetry.cpp (keep both in sync; test_telemetry.cpp checks).
 enum class Counter : std::uint16_t {
+  kEngineFusedLaunches,        // engine.fused.launches
   kEnginePhase1Launches,       // engine.phase1.launches
   kEnginePhase1InsertLaunches, // engine.phase1_insert.launches
   kEnginePhase1RemoveLaunches, // engine.phase1_remove.launches

@@ -143,12 +143,11 @@ void clean_step(Clusterer& s, Rng& rng, float eps, std::uint32_t min_pts) {
 bool faulted_op(Clusterer& s, const IndexSnapshot& reader, Rng& rng,
                 const std::string& site, float& eps, std::uint32_t min_pts) {
   try {
-    if (site == "dsu.grow" || site == "engine.phase1" ||
-        site == "engine.phase2" || site == "index.refit" ||
-        site == "session.run") {
-      // A fresh ε forces a refit, a full recount + merge; dsu.grow needs n
-      // to have grown since the last finish_run, which the clean steps
-      // provide.
+    if (site == "dsu.grow" || site == "engine.fused" ||
+        site == "index.refit" || site == "session.run") {
+      // A fresh ε forces a refit and the fused count-and-merge launch;
+      // dsu.grow needs n to have grown since the last workspace reset,
+      // which the clean steps provide.
       eps = rng.uniformf(0.25f, 0.45f);
       (void)s.run(eps, min_pts);
     } else if (site == "engine.phase1_insert" || site == "index.insert" ||
@@ -175,7 +174,12 @@ bool faulted_op(Clusterer& s, const IndexSnapshot& reader, Rng& rng,
       s.remove(random_live_ids(rng, s, 1));
     } else if (site == "session.publish") {
       (void)s.snapshot();
-    } else if (site == "session.sweep" || site == "sweep.scratch") {
+    } else if (site == "engine.phase2") {
+      // run() at the cached ε reuses the counts and runs phase 2 alone.
+      (void)s.run(eps, min_pts);
+    } else if (site == "session.sweep" || site == "sweep.scratch" ||
+               site == "engine.phase1") {
+      // The sweep's counting launch: run() counts inside its fused one.
       const std::vector<float> ladder{eps * 0.8f, eps, eps * 1.2f};
       (void)s.sweep(ladder, min_pts);
     } else if (site == "snapshot.query_batch") {

@@ -246,6 +246,50 @@ TEST_F(FailpointGated, MidSweepFaultLeavesPreviousResultIntact) {
   EXPECT_EQ(taken.membership.cluster_count(), taken.cluster_count);
 }
 
+TEST_F(FailpointGated, FusedLaunchFaultIsStrongPhaseTwoOverReusedCountsDegrades) {
+  const auto base = data::taxi_gps(250, 49);
+  const auto extra = data::taxi_gps(600, 50);
+  std::span<const Vec3> add(extra.points);
+  Clusterer session(base.points, Options());
+  (void)session.run(0.3f, 5);
+
+  // A run at a fresh ε resets the workspace (reallocating it once the
+  // window outgrew it: dsu.grow) and runs the fused count-and-cluster
+  // launch.  Both touch only scratch, so a fault in either is strong; the
+  // count cache is dropped, and the next writer call rebuilds it.
+  float eps = 0.3f;
+  for (const char* site : {"dsu.grow", "engine.fused"}) {
+    (void)session.insert(add.subspan(0, 300));  // outgrow the workspace
+    add = add.subspan(300);
+    const ClusterResult prior = session.result();
+    eps += 0.05f;
+    const std::uint64_t fired = fail::fire_count(site);
+    fail::arm(site, {.action = fail::Action::kThrowError});
+    EXPECT_THROW((void)session.run(eps, 5), std::runtime_error) << site;
+    EXPECT_EQ(fail::fire_count(site), fired + 1) << site;
+    fail::disarm_all();
+    EXPECT_EQ(session.health(), SessionHealth::kHealthy) << site;
+    const ClusterResult& now = session.result();
+    EXPECT_EQ(now.eps, prior.eps) << site;
+    EXPECT_EQ(now.labels, prior.labels) << site;
+    EXPECT_EQ(now.is_core, prior.is_core) << site;
+    EXPECT_EQ(now.neighbor_counts, prior.neighbor_counts) << site;
+    EXPECT_FALSE(session.counts_cached()) << site;
+    (void)session.run(eps, 5);
+    expect_oracle_clean(session, site);
+  }
+
+  // Reused counts run phase 2 alone, while the result buffers are being
+  // rewritten: a fault there degrades, and the next writer call heals.
+  fail::arm("engine.phase2", {.action = fail::Action::kThrowError});
+  EXPECT_THROW((void)session.run(eps, 7), std::runtime_error);
+  fail::disarm_all();
+  EXPECT_EQ(session.health(), SessionHealth::kDegraded);
+  (void)session.insert(std::vector<Vec3>{{2.2f, 2.0f, 0.0f}});
+  EXPECT_EQ(session.health(), SessionHealth::kHealthy);
+  expect_oracle_clean(session, "phase 2 over reused counts");
+}
+
 TEST_F(FailpointGated, SnapshotPublishFaultLeavesReadersRetryable) {
   const auto base = data::taxi_gps(150, 48);
   Clusterer session(base.points, Options());

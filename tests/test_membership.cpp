@@ -60,6 +60,26 @@ TEST(Membership, AssignGroupsEverySlotByItsLabel) {
   expect_matches(m, {}, 0, "empty");
 }
 
+TEST(Membership, AssignListsEachGroupInSlotOrder) {
+  // A fresh assign fills each group in ascending slot order, also after
+  // an earlier assign left larger lists behind.
+  Rng rng(17);
+  Membership m;
+  for (const std::uint32_t clusters : {40u, 3u, 25u}) {
+    std::vector<std::int32_t> labels(5000);
+    for (auto& l : labels) {
+      l = static_cast<std::int32_t>(rng.below(clusters + 1)) - 1;
+    }
+    m.assign(labels, clusters);
+    expect_matches(m, labels, clusters, "assign");
+    for (std::int32_t g = kNoise; g < static_cast<std::int32_t>(clusters);
+         ++g) {
+      const auto group = g == kNoise ? m.noise() : m.members_of(g);
+      EXPECT_TRUE(std::is_sorted(group.begin(), group.end())) << "group " << g;
+    }
+  }
+}
+
 TEST(Membership, SwapRemoveFixesThePositionOfTheMovedSlot) {
   // Slot 0 leaves from the front of cluster 0's list, so the last member
   // (slot 3) takes its place; a later move of slot 3 must find it there.

@@ -438,6 +438,85 @@ TEST_F(TelemetryArmed, SweepIsOneCountingAndOneClusteringLaunch) {
   }
 }
 
+TEST_F(TelemetryArmed, ColdRunIsOneFusedLaunch) {
+  // run() at a fresh ε counts and clusters in ONE launch: one engine.fused
+  // span inside session.run and no phase-1 or phase-2 launch.  A
+  // minPts-only rerun reuses the counts and runs phase 2 alone; an
+  // early-exit session on a backend that caps its counts keeps both
+  // phases.
+  telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
+  const auto dataset = data::taxi_gps(3000, 98);
+  const auto counter = [](const Clusterer& s, telemetry::Counter c) {
+    return s.metrics().counter(c);
+  };
+  const auto spans_inside_run = [](const std::string& trace,
+                                   const char* site) {
+    const std::vector<Span> spans = parse_spans(trace);
+    const auto run =
+        std::find_if(spans.begin(), spans.end(),
+                     [](const Span& sp) { return sp.name == "session.run"; });
+    EXPECT_NE(run, spans.end());
+    const double slack_us = 1.0;  // the JSON prints 9 significant digits
+    std::uint64_t inside = 0;
+    for (const Span& sp : spans) {
+      if (sp.name == site && run != spans.end() &&
+          sp.begin_us >= run->begin_us - slack_us &&
+          sp.end_us <= run->end_us + slack_us) {
+        ++inside;
+      }
+    }
+    return inside;
+  };
+  struct Launches {
+    std::uint64_t fused, phase1, phase2;
+  };
+  const auto launches = [&](const Clusterer& s) {
+    return Launches{counter(s, telemetry::Counter::kEngineFusedLaunches),
+                    counter(s, telemetry::Counter::kEnginePhase1Launches),
+                    counter(s, telemetry::Counter::kEnginePhase2Launches)};
+  };
+
+  Clusterer session(dataset.points, Options()
+                                        .with_backend(index::IndexKind::kBvhRt)
+                                        .with_threads(1));
+  (void)telemetry::trace_json();  // keep only the run below
+  Launches before = launches(session);
+  (void)session.run(0.2f, 5);
+  std::string trace = telemetry::trace_json();
+  ASSERT_TRUE(is_valid_json(trace));
+  Launches after = launches(session);
+  EXPECT_EQ(after.fused, before.fused + 1);
+  EXPECT_EQ(after.phase1, before.phase1);
+  EXPECT_EQ(after.phase2, before.phase2);
+  EXPECT_EQ(spans_inside_run(trace, "engine.fused"), 1u);
+  EXPECT_EQ(spans_inside_run(trace, "engine.phase1"), 0u);
+  EXPECT_EQ(spans_inside_run(trace, "engine.phase2"), 0u);
+
+  before = after;
+  (void)session.run(0.2f, 9);
+  trace = telemetry::trace_json();
+  after = launches(session);
+  EXPECT_EQ(after.fused, before.fused);
+  EXPECT_EQ(after.phase2, before.phase2 + 1);
+  EXPECT_EQ(spans_inside_run(trace, "engine.phase2"), 1u);
+  EXPECT_EQ(spans_inside_run(trace, "engine.fused"), 0u);
+
+  Clusterer capped(dataset.points,
+                   Options()
+                       .with_backend(index::IndexKind::kPointBvh)
+                       .with_early_exit(true)
+                       .with_threads(1));
+  before = launches(capped);
+  (void)capped.run(0.2f, 5);
+  trace = telemetry::trace_json();
+  after = launches(capped);
+  EXPECT_EQ(after.fused, before.fused);
+  EXPECT_EQ(after.phase1, before.phase1 + 1);
+  EXPECT_EQ(after.phase2, before.phase2 + 1);
+  EXPECT_EQ(spans_inside_run(trace, "engine.phase1"), 1u);
+  EXPECT_EQ(spans_inside_run(trace, "engine.phase2"), 1u);
+}
+
 TEST_F(TelemetryArmed, AdvanceTraceSplitsTheRepairIntoStages) {
   // One advance() must show where its label repair went: a span per
   // repair stage, each inside the session.repair span.
