@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- NeighborIndex backend sweep (rtd::Clusterer, n=%zu) "
               "---\n", total_n);
   Table sweep({"backend", "build", "count+cluster", "total",
-               "isect/query"});
+               "nodes/query", "isect/query"});
   // A session run's query work: the fused launch (phase1) plus the rare
   // overflow re-walks (phase2), per walked point.
   const auto launch_seconds = [](const RunStats& st) {
@@ -139,6 +139,9 @@ int main(int argc, char** argv) {
          Table::seconds(st.timings.index_build_seconds),
          Table::seconds(launch_seconds(st)),
          Table::seconds(st.timings.index_build_seconds + launch_seconds(st)),
+         Table::num(per_point(st, st.phase1.work.nodes_visited,
+                              st.phase2.work.nodes_visited),
+                    1),
          Table::num(per_point(st, st.phase1.work.isect_calls,
                               st.phase2.work.isect_calls),
                     1)});
@@ -147,49 +150,6 @@ int main(int argc, char** argv) {
     sweep.print_csv();
   } else {
     sweep.print();
-  }
-
-  // -------------------------------------------------------------------------
-  // Traversal width sweep: the two BVH-backed backends run the same engine
-  // over both layouts.  nodes/query shows the pop reduction the SoA kernel
-  // buys; isect/query shows the (bounded) candidate inflation of the
-  // coarser wide leaves.
-  // -------------------------------------------------------------------------
-  std::printf("\n--- Binary vs wide BVH traversal "
-              "(rtd::Clusterer, n=%zu) ---\n", total_n);
-  Table widths({"backend", "width", "build", "count+cluster", "total",
-                "nodes/query", "isect/query"});
-  for (const index::IndexKind kind :
-       {index::IndexKind::kPointBvh, index::IndexKind::kBvhRt}) {
-    for (const rt::TraversalWidth width :
-         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
-      ClusterResult run;
-      bench::time_median(cfg.reps, [&] {
-        Clusterer session = Clusterer::borrowing(
-            dataset.points, Options().with_backend(kind).with_width(width));
-        run = session.run(eps, min_pts);
-      });
-      bench::verify(dataset.points, params, rtr.clustering,
-                    run.to_clustering(), rt::to_string(width));
-      const auto& st = run.stats;
-      widths.add_row(
-          {index::to_string(kind), rt::to_string(width),
-           Table::seconds(st.timings.index_build_seconds),
-           Table::seconds(launch_seconds(st)),
-           Table::seconds(st.timings.index_build_seconds +
-                          launch_seconds(st)),
-           Table::num(per_point(st, st.phase1.work.nodes_visited,
-                                st.phase2.work.nodes_visited),
-                      1),
-           Table::num(per_point(st, st.phase1.work.isect_calls,
-                                st.phase2.work.isect_calls),
-                      1)});
-    }
-  }
-  if (cfg.csv) {
-    widths.print_csv();
-  } else {
-    widths.print();
   }
   return 0;
 }

@@ -1,12 +1,12 @@
 // Substrate micro-benchmarks: BVH build and traversal throughput
-// (google-benchmark).  Characterizes the RT-core simulator itself,
-// including the binary-vs-wide traversal trade: the *_Wide benchmarks
-// mirror their binary counterparts over the collapsed 8-ary SoA layout,
-// the QuerySweep1M pair is the sphere-mode headline and the TriangleSweep
-// pair the §VI-C triangle-mode headline (scripts/bench_snapshot.sh).  The
-// BM_PointQueryTraversal* trio walks the same queries in Morton order, the
-// launch order of every full query pass; *Packet traces them as 4-ray
-// packets (rt::traverse_points), so compare items_per_second.
+// (google-benchmark).  Characterizes the RT-core simulator itself.  Ray
+// walks run over the collapsed 8-ary SoA layout, the one layout the ray
+// scenes trace: QuerySweep1M is the sphere-mode sweep and TriangleSweep the
+// §VI-C triangle-mode one (scripts/bench_snapshot.sh reports both).  The
+// overlap walk runs over both layouts, since index::PointTree ships both.
+// BM_PointQueryTraversalWide and *Packet walk the same queries in Morton
+// order, the launch order of every full query pass; *Packet traces them as
+// 4-ray packets (rt::traverse_points), so compare items_per_second.
 #include <benchmark/benchmark.h>
 
 #include <bit>
@@ -73,36 +73,6 @@ BENCHMARK(BM_CollapseWide)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_PointQueryTraversal(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto dataset = data::taxi_gps(n, 7);
-  std::vector<geom::Aabb> bounds;
-  for (const auto& p : dataset.points) {
-    bounds.push_back(geom::Aabb::of_sphere(p, 0.3f));
-  }
-  const auto bvh = rt::build_bvh(bounds, {});
-  const auto queries = morton_queries(dataset.points);
-  rt::TraversalStats stats;
-  std::size_t q = 0;
-  for (auto _ : state) {
-    std::uint64_t hits = 0;
-    rt::traverse(
-        bvh, geom::Ray::point_query(queries[q]),
-        [&](std::uint32_t) {
-          ++hits;
-          return rt::TraversalControl::kContinue;
-        },
-        stats);
-    benchmark::DoNotOptimize(hits);
-    q = (q + 1) % n;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PointQueryTraversal)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_OverlapQueryTraversal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -228,9 +198,9 @@ BENCHMARK(BM_OverlapQueryTraversalWide)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// The headline sweep: ε-sphere point queries against a 1M-point uniform
-// cube, binary vs wide.  One iteration = one query, cycling through the
-// dataset — the same access pattern as an engine phase-1 pass.
+// The sphere-mode sweep: ε-sphere point queries against a 1M-point uniform
+// cube.  One iteration = one query, cycling through the dataset — the same
+// access pattern as an engine phase-1 pass.
 // ---------------------------------------------------------------------------
 
 const data::Dataset& uniform_1m() {
@@ -239,43 +209,16 @@ const data::Dataset& uniform_1m() {
   return dataset;
 }
 
-const rt::Bvh& uniform_1m_bvh() {
-  static const rt::Bvh bvh = [] {
-    const auto& dataset = uniform_1m();
+void BM_QuerySweep1M_Wide(benchmark::State& state) {
+  const auto& dataset = uniform_1m();
+  static const rt::WideBvh wide = [&] {
     std::vector<geom::Aabb> bounds;
     bounds.reserve(dataset.points.size());
     for (const auto& p : dataset.points) {
       bounds.push_back(geom::Aabb::of_sphere(p, 1.0f));
     }
-    return rt::build_bvh(bounds, {});
+    return rt::collapse_bvh(rt::build_bvh(bounds, {}));
   }();
-  return bvh;
-}
-
-void BM_QuerySweep1M_Binary(benchmark::State& state) {
-  const auto& dataset = uniform_1m();
-  const auto& bvh = uniform_1m_bvh();
-  rt::TraversalStats stats;
-  std::size_t q = 0;
-  for (auto _ : state) {
-    std::uint64_t hits = 0;
-    rt::traverse(
-        bvh, geom::Ray::point_query(dataset.points[q]),
-        [&](std::uint32_t) {
-          ++hits;
-          return rt::TraversalControl::kContinue;
-        },
-        stats);
-    benchmark::DoNotOptimize(hits);
-    q = (q + 1) % dataset.points.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QuerySweep1M_Binary)->Unit(benchmark::kMicrosecond);
-
-void BM_QuerySweep1M_Wide(benchmark::State& state) {
-  const auto& dataset = uniform_1m();
-  static const rt::WideBvh wide = rt::collapse_bvh(uniform_1m_bvh());
   rt::TraversalStats stats;
   std::size_t q = 0;
   for (auto _ : state) {
@@ -295,18 +238,17 @@ void BM_QuerySweep1M_Wide(benchmark::State& state) {
 BENCHMARK(BM_QuerySweep1M_Wide)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// §VI-C triangle-mode sweeps: the same binary/wide trade over a
-// tessellated-sphere scene.  One iteration = one +z query ray through the
-// exact Moller-Trumbore filter (the AnyHit workload), cycling through the
-// data points.  Arg = TRIANGLE count: 10000 for the CI smoke pass,
-// 1000000 for the headline.
+// §VI-C triangle-mode sweep: the same walk over a tessellated-sphere
+// scene.  One iteration = one +z query ray through the exact
+// Moller-Trumbore filter (the AnyHit workload), cycling through the data
+// points.  Arg = TRIANGLE count: 10000 for the CI smoke pass, 1000000 for
+// the snapshot.
 // ---------------------------------------------------------------------------
 
 struct TriScene {
   std::vector<geom::Vec3> points;
   std::vector<geom::Triangle> triangles;
   float tmax = 0.0f;
-  rt::Bvh bvh;
   rt::WideBvh wide;
 };
 
@@ -317,8 +259,8 @@ const TriScene& tri_scene(std::size_t n_triangles) {
   TriScene& scene = cache[n_triangles];
   // Same workload shape as the sphere-mode QuerySweep: a uniform cube at
   // ~1 point/unit^3 with a unit-ish eps, so queries surface a handful of
-  // neighbors and the sweep measures TRAVERSAL, not the (width-invariant)
-  // pile of exact triangle tests a dense dataset would add on top.
+  // neighbors and the sweep measures TRAVERSAL, not the pile of exact
+  // triangle tests a dense dataset would add on top.
   constexpr float kEps = 1.0f;
   constexpr int kSubdiv = 0;  // 20 faces/sphere
   const auto n_points = n_triangles / 20;
@@ -332,14 +274,12 @@ const TriScene& tri_scene(std::size_t n_triangles) {
   for (const auto& t : scene.triangles) {
     bounds.push_back(t.bounds());
   }
-  scene.bvh = rt::build_bvh(bounds, {});
-  scene.wide = rt::collapse_bvh(scene.bvh);
+  scene.wide = rt::collapse_bvh(rt::build_bvh(bounds, {}));
   return scene;
 }
 
-template <typename TreeT>
-void triangle_sweep(benchmark::State& state, const TriScene& scene,
-                    const TreeT& tree) {
+void BM_TriangleSweep_Wide(benchmark::State& state) {
+  const auto& scene = tri_scene(static_cast<std::size_t>(state.range(0)));
   rt::TraversalStats stats;
   std::size_t q = 0;
   for (auto _ : state) {
@@ -347,7 +287,7 @@ void triangle_sweep(benchmark::State& state, const TriScene& scene,
     const geom::Ray ray{scene.points[q], {0.0f, 0.0f, 1.0f}, 0.0f,
                         scene.tmax};
     rt::traverse(
-        tree, ray,
+        scene.wide, ray,
         [&](std::uint32_t prim) {
           // The "hardware" exact triangle test — the §VI-C AnyHit workload.
           if (geom::ray_intersects_triangle(ray, scene.triangles[prim])) {
@@ -360,20 +300,6 @@ void triangle_sweep(benchmark::State& state, const TriScene& scene,
     q = (q + 1) % scene.points.size();
   }
   state.SetItemsProcessed(state.iterations());
-}
-
-void BM_TriangleSweep_Binary(benchmark::State& state) {
-  const auto& scene = tri_scene(static_cast<std::size_t>(state.range(0)));
-  triangle_sweep(state, scene, scene.bvh);
-}
-BENCHMARK(BM_TriangleSweep_Binary)
-    ->Arg(10000)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_TriangleSweep_Wide(benchmark::State& state) {
-  const auto& scene = tri_scene(static_cast<std::size_t>(state.range(0)));
-  triangle_sweep(state, scene, scene.wide);
 }
 BENCHMARK(BM_TriangleSweep_Wide)
     ->Arg(10000)

@@ -4,17 +4,9 @@
 // (triangles multiply the primitive count and add AnyHit invocations).
 //
 //   ./bench_triangle_mode [--scale F] [--reps N]
-//                         [--width auto|binary|wide]
-//
-// --width forces one traversal layout for every run (default auto); the
-// second table sweeps triangle mode across both layouts regardless,
-// so the §VI-C experiment reports the wide-kernel trade alongside the
-// sphere-vs-triangle one.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/rt_dbscan.hpp"
 #include "data/generators.hpp"
@@ -24,8 +16,7 @@ int main(int argc, char** argv) {
   const Flags flags = bench::parse_flags(argc, argv, {
       {"n", "points [20000]"},
       {"eps", "search radius [0.3]"},
-      {"minpts", "minPts [20]"},
-      cli::kWidthFlag});
+      {"minpts", "minPts [20]"}});
   const auto cfg = bench::BenchConfig::from_flags(flags);
   bench::print_header(
       "Sec VI-C: sphere Intersection program vs triangle+AnyHit geometry",
@@ -36,32 +27,30 @@ int main(int argc, char** argv) {
   const float eps = static_cast<float>(flags.get_double("eps", 0.3));
   const auto min_pts =
       static_cast<std::uint32_t>(flags.get_int("minpts", 20));
-  const auto width_arg = cli::width_flag(flags);
-  if (!width_arg) return EXIT_FAILURE;
-  const rt::TraversalWidth forced_width = *width_arg;
   const auto dataset = data::taxi_gps(n, 2023);
   const dbscan::Params params{eps, min_pts};
   const dbscan::Params tri_params{eps, min_pts, index::IndexKind::kTriangles};
 
   Table table({"geometry", "prims/point", "dev time", "slowdown", "cpu time",
-               "anyhit calls"});
+               "anyhit calls", "nodes/query"});
   const rt::CostModel model;
+  const auto nodes_per_query = [](const core::RtDbscanResult& r) {
+    return Table::num(r.phase1.nodes_per_ray() + r.phase2.nodes_per_ray(), 1);
+  };
 
-  core::RtDbscanOptions sphere_opts;
-  sphere_opts.device.build.width = forced_width;
   core::RtDbscanResult sphere_result;
   const double sphere_cpu = bench::time_median(cfg.reps, [&] {
-    sphere_result = core::rt_dbscan(dataset.points, params, sphere_opts);
+    sphere_result = core::rt_dbscan(dataset.points, params);
   });
   const double sphere_dev =
       bench::modeled_rt_seconds(sphere_result, dataset.size(), model);
   table.add_row({"spheres", "1", Table::seconds(sphere_dev), "1.00x",
-                 Table::seconds(sphere_cpu), "0"});
+                 Table::seconds(sphere_cpu), "0",
+                 nodes_per_query(sphere_result)});
 
   for (const int subdiv : {0, 1}) {
     core::RtDbscanOptions opts;
     opts.triangle_subdivisions = subdiv;
-    opts.device.build.width = forced_width;
     core::RtDbscanResult tri_result;
     const double tri_cpu = bench::time_median(cfg.reps, [&] {
       tri_result = core::rt_dbscan(dataset.points, tri_params, opts);
@@ -85,7 +74,8 @@ int main(int argc, char** argv) {
          Table::speedup(tri_dev / sphere_dev), Table::seconds(tri_cpu),
          Table::integer(static_cast<std::int64_t>(
              tri_result.phase1.work.anyhit_calls +
-             tri_result.phase2.work.anyhit_calls))});
+             tri_result.phase2.work.anyhit_calls)),
+         nodes_per_query(tri_result)});
   }
   if (cfg.csv) {
     table.print_csv();
@@ -94,41 +84,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\npaper: triangle mode 2x-5x slower; slowdown column should "
               "land in/near that band.\n");
-
-  // -------------------------------------------------------------------------
-  // Triangle-mode traversal width sweep: the §VI-C scene over the binary
-  // and wide (8-ary SoA) kernels.  Same clustering on both (verified);
-  // nodes/query shows the pop reduction the wide layout buys on the
-  // triangle-inflated tree.
-  // -------------------------------------------------------------------------
-  std::printf("\n--- triangle-mode traversal width sweep (icosphere s=1, "
-              "%zu tris) ---\n", dataset.size() * 80);
-  Table wsweep({"width", "cpu time", "speedup", "nodes/query",
-                "isect/query"});
-  double binary_cpu = 0.0;
-  for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
-    core::RtDbscanOptions opts;
-    opts.triangle_subdivisions = 1;
-    opts.device.build.width = width;
-    core::RtDbscanResult r;
-    const double cpu = bench::time_median(cfg.reps, [&] {
-      r = core::rt_dbscan(dataset.points, tri_params, opts);
-    });
-    bench::verify(dataset.points, params, sphere_result.clustering,
-                  r.clustering, rt::to_string(width));
-    if (width == rt::TraversalWidth::kBinary) binary_cpu = cpu;
-    wsweep.add_row(
-        {rt::to_string(width), Table::seconds(cpu),
-         Table::speedup(binary_cpu / cpu),
-         Table::num(r.phase1.nodes_per_ray() + r.phase2.nodes_per_ray(), 1),
-         Table::num(r.phase1.isect_per_ray() + r.phase2.isect_per_ray(),
-                    1)});
-  }
-  if (cfg.csv) {
-    wsweep.print_csv();
-  } else {
-    wsweep.print();
-  }
   return 0;
 }

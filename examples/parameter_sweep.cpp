@@ -6,7 +6,6 @@
 //     (rebuild only where the backend requires it, e.g. grid re-binning).
 //
 //   ./parameter_sweep [--n 50000] [--eps 0.3] [--backend auto]
-//                     [--width auto]
 #include <cstdio>
 #include <vector>
 
@@ -18,18 +17,15 @@ int main(int argc, char** argv) {
   const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
       {"n", "points [50000]"},
       {"eps", "base search radius [0.3]"},
-      rtd::cli::kBackendFlag,
-      rtd::cli::kWidthFlag});
+      rtd::cli::kBackendFlag});
   const auto n = static_cast<std::size_t>(flags.get_int("n", 50000));
   const float eps = static_cast<float>(flags.get_double("eps", 0.3));
   const auto backend = rtd::cli::backend_flag(flags);
-  const auto width = rtd::cli::width_flag(flags);
-  if (!backend || !width) return 1;
+  if (!backend) return 1;
 
   const auto dataset = rtd::data::taxi_gps(n);
-  rtd::Clusterer session(
-      dataset.points,
-      rtd::Options().with_backend(*backend).with_width(*width));
+  rtd::Clusterer session(dataset.points,
+                         rtd::Options().with_backend(*backend));
 
   std::printf("minPts sweep over %zu points, eps=%.3f\n", dataset.size(),
               static_cast<double>(eps));

@@ -1,13 +1,12 @@
 // Quickstart: cluster a synthetic 2-D dataset with the session API, with a
-// runtime-selectable neighbor backend and traversal width.
+// runtime-selectable neighbor backend.
 //
 //   ./quickstart [--n 20000] [--eps 0.4] [--minpts 10] [--backend auto]
-//                [--width auto] [--trace out.json]
+//                [--trace out.json]
 //
 // --backend is any rtd::index::IndexKind name (auto, bvhrt, triangles,
-// pointbvh, grid, densebox, brute); --width picks the BVH traversal layout
-// (auto, binary, wide); --trace drains the run's telemetry spans into a Chrome
-// trace-event JSON file.
+// pointbvh, grid, densebox, brute); --trace drains the run's telemetry spans
+// into a Chrome trace-event JSON file.
 // Demonstrates rtd::Clusterer — the session is built once, the first run()
 // pays the index build, and the second run() at a new min_pts reuses the
 // cached neighbor counts (phase 1 skipped).  This file is the README's
@@ -24,8 +23,7 @@ int main(int argc, char** argv) {
       {"n", "points [20000]"},
       {"eps", "search radius [0.4]"},
       {"minpts", "minPts [10]"},
-      rtd::cli::kBackendFlag,
-      rtd::cli::kWidthFlag});
+      rtd::cli::kBackendFlag});
   // Arms telemetry when --trace is given; writes the trace on scope exit.
   const rtd::cli::TraceSink trace(flags);
   const auto n = static_cast<std::size_t>(flags.get_int("n", 20000));
@@ -33,8 +31,7 @@ int main(int argc, char** argv) {
   const auto min_pts =
       static_cast<std::uint32_t>(flags.get_int("minpts", 10));
   const auto backend = rtd::cli::backend_flag(flags);
-  const auto width = rtd::cli::width_flag(flags);
-  if (!backend || !width) return 1;
+  if (!backend) return 1;
 
   // Five Gaussian blobs plus background noise in a 40x40 box.
   const rtd::data::Dataset dataset =
@@ -43,19 +40,17 @@ int main(int argc, char** argv) {
 
   // A session owns the dataset and a prebuilt neighbor index; run() is the
   // entire pipeline (per-point ε-queries + union-find clustering).
-  rtd::Clusterer session(
-      dataset.points,
-      rtd::Options().with_backend(*backend).with_width(*width));
+  rtd::Clusterer session(dataset.points,
+                         rtd::Options().with_backend(*backend));
   const rtd::ClusterResult& result = session.run(eps, min_pts);
 
   std::printf("rtd::Clusterer quickstart\n");
   std::printf("  points      : %zu\n", dataset.size());
   std::printf("  eps / minPts: %.3f / %u\n", static_cast<double>(eps),
               min_pts);
-  std::printf("  backend     : %s (requested %s), width %s\n",
+  std::printf("  backend     : %s (requested %s)\n",
               rtd::index::to_string(result.stats.backend),
-              rtd::index::to_string(*backend),
-              rtd::rt::to_string(result.stats.width));
+              rtd::index::to_string(*backend));
   std::printf("  clusters    : %u\n", result.cluster_count);
   std::printf("  noise points: %zu (%.1f%%)\n", result.noise_count(),
               100.0 * static_cast<double>(result.noise_count()) /

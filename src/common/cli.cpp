@@ -22,20 +22,6 @@ std::optional<index::IndexKind> backend_flag(const Flags& flags,
   return parsed;
 }
 
-std::optional<rt::TraversalWidth> width_flag(const Flags& flags,
-                                             rt::TraversalWidth fallback,
-                                             const char* name) {
-  if (!flags.has(name)) return fallback;
-  const std::string value = flags.get(name, "");
-  rt::TraversalWidth parsed;
-  if (!rt::parse_traversal_width(value.c_str(), parsed)) {
-    std::fprintf(stderr, "unknown --%s '%s' (choices: %s)\n", name,
-                 value.c_str(), kWidthChoices);
-    return std::nullopt;
-  }
-  return parsed;
-}
-
 TraceSink::TraceSink(const Flags& flags, const char* name) {
   if (!flags.has(name)) return;
   path_ = flags.get(name, "");

@@ -1,10 +1,10 @@
-// Shared command-line spellings for the runtime-selectable knobs every
-// example and bench binary exposes: --backend (index::IndexKind) and
-// --width (rt::TraversalWidth).
+// Shared command-line spellings for the runtime-selectable knob every
+// example and bench binary exposes, --backend (index::IndexKind), and the
+// shared --trace flag.
 //
-// This is the single source of truth for those flags — the accepted names
-// are exactly the to_string()/parse round-trips of the enums, and every
-// binary rejects unknown spellings with the same message.  Use:
+// This is the single source of truth for those flags — the accepted
+// backend names are exactly the to_string()/parse round-trips of the enum,
+// and every binary rejects unknown spellings with the same message.  Use:
 //
 //   const auto flags = rtd::Flags::parse_or_exit(argc, argv,
 //                                                {rtd::cli::kBackendFlag});
@@ -17,7 +17,6 @@
 
 #include "common/flags.hpp"
 #include "index/index_kind.hpp"
-#include "rt/bvh.hpp"
 
 namespace rtd::cli {
 
@@ -25,16 +24,11 @@ namespace rtd::cli {
 inline constexpr const char* kBackendChoices =
     "auto, brute, grid, densebox, pointbvh, bvhrt, triangles";
 
-/// Accepted --width spellings, for usage strings.
-inline constexpr const char* kWidthChoices = "auto, binary, wide";
-
 /// Declarations of the shared flags, for Flags::parse_or_exit().
 inline constexpr FlagSpec kBackendFlag{
     "backend",
     "neighbor index: auto, brute, grid, densebox, pointbvh, bvhrt, "
     "triangles [auto]"};
-inline constexpr FlagSpec kWidthFlag{
-    "width", "BVH traversal layout: auto, binary, wide [auto]"};
 inline constexpr FlagSpec kTraceFlag{
     "trace", "write the run's telemetry spans to this Chrome trace file"};
 
@@ -45,13 +39,6 @@ inline constexpr FlagSpec kTraceFlag{
 std::optional<index::IndexKind> backend_flag(
     const Flags& flags, index::IndexKind fallback = index::IndexKind::kAuto,
     const char* name = "backend");
-
-/// Parse `--<name>` (default "width") from `flags`; same contract as
-/// backend_flag().
-std::optional<rt::TraversalWidth> width_flag(
-    const Flags& flags,
-    rt::TraversalWidth fallback = rt::TraversalWidth::kAuto,
-    const char* name = "width");
 
 /// The shared `--trace <file>` flag: construct one at the top of main().
 /// When the flag is present, arms telemetry (metrics + trace spans) for the

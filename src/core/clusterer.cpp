@@ -199,7 +199,6 @@ struct Clusterer::Impl {
 
   [[nodiscard]] index::IndexBuildOptions build_options() const {
     index::IndexBuildOptions o;
-    o.build.width = opts.width;
     o.threads = opts.threads;
     o.triangle_subdivisions = opts.triangle_subdivisions;
     return o;
@@ -503,7 +502,6 @@ struct Clusterer::Impl {
       throw;
     }
     r.stats.backend = resolved;
-    r.stats.width = index->traversal_width();
     r.stats.index_rebuilt = es.rebuilt;
     r.stats.index_refitted = es.refitted;
     r.stats.timings.index_build_seconds = es.seconds;
@@ -1779,7 +1777,6 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
     r.eps = eps_values[v];
     r.min_pts = min_pts;
     r.stats.backend = im.resolved;
-    r.stats.width = im.index->traversal_width();
     if (v == 0) {
       r.stats.index_rebuilt = build.rebuilt;
       r.stats.index_refitted = build.refitted;
@@ -1936,7 +1933,6 @@ core::KdistResult Clusterer::kdist(std::uint32_t k) const {
 core::RtKnnResult Clusterer::knn(std::uint32_t k) const {
   const Impl& im = *impl_;
   core::RtKnnOptions o;
-  o.device.build.width = im.opts.width;
   o.device.threads = im.opts.threads;
   if (im.dead_count > 0) {
     return core::rt_knn(compact_live(im.pts, im.live), k, o);

@@ -113,7 +113,6 @@ inline constexpr std::int32_t kNoise = dbscan::kNoiseLabel;
 /// Session configuration: a fluent builder consumed by rtd::Clusterer.
 ///
 ///   rtd::Options().with_backend(rtd::index::IndexKind::kBvhRt)
-///                 .with_width(rtd::rt::TraversalWidth::kWide)
 ///                 .with_threads(4)
 ///
 /// The query launch order is not an option: every full query pass (run()'s
@@ -125,9 +124,6 @@ struct Options {
   /// the data (index::choose_index_kind) at the first run and stays pinned
   /// for the session so sweep results are comparable across eps.
   index::IndexKind backend = index::IndexKind::kAuto;
-  /// BVH traversal layout for the tree-backed backends (kBvhRt, kPointBvh,
-  /// kTriangles); kAuto applies the rt::kWideBvhMinPrims threshold.
-  rt::TraversalWidth width = rt::TraversalWidth::kAuto;
   /// Icosphere subdivision level for the kTriangles backend (20 * 4^s
   /// triangles/point).
   int triangle_subdivisions = 1;
@@ -141,7 +137,6 @@ struct Options {
   bool early_exit = false;
 
   Options& with_backend(index::IndexKind k) { backend = k; return *this; }
-  Options& with_width(rt::TraversalWidth w) { width = w; return *this; }
   Options& with_triangle_subdivisions(int s) {
     triangle_subdivisions = s;
     return *this;
@@ -156,10 +151,6 @@ struct RunStats {
   /// choice, not kAuto.  Exception: an empty-dataset run reports kAuto,
   /// since no index was ever built.
   index::IndexKind backend = index::IndexKind::kAuto;
-  /// The traversal layout the tree walked (kAuto resolved against the
-  /// primitive count).  kBinary for the non-tree backends — grid, dense-box
-  /// and brute force have no BVH walk.
-  rt::TraversalWidth width = rt::TraversalWidth::kBinary;
   /// This run built the index from scratch (first run, or an eps change on
   /// a backend whose try_set_eps cannot refit).
   bool index_rebuilt = false;
@@ -218,8 +209,8 @@ struct ClusterResult {
   /// The parameters this result was computed for.
   float eps = 0.0f;
   std::uint32_t min_pts = 0;
-  /// What the run did (refit vs rebuild, counts reuse, resolved backend and
-  /// width) and what each phase cost.
+  /// What the run did (refit vs rebuild, counts reuse, resolved backend)
+  /// and what each phase cost.
   RunStats stats;
   /// ε-neighbor count per point, excluding self.  Exact without
   /// Options::early_exit; with it, capped at the min_pts - 1 of the run

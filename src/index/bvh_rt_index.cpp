@@ -133,10 +133,7 @@ void BvhRtIndex::query_count_packet(std::span<const std::uint32_t> ids,
                                     std::span<std::uint32_t> counts,
                                     rt::TraversalStats& stats,
                                     std::uint32_t stop_at) const {
-  if (accel_->wide_bvh().empty()) {
-    NeighborIndex::query_count_packet(ids, eps, counts, stats, stop_at);
-    return;
-  }
+  (void)stop_at;  // OptiX: traversal cannot terminate early (§VI-B)
   std::fill(counts.begin(), counts.end(), 0u);
   trace_packet(ids, eps, stats,
                [&](std::uint32_t k, std::uint32_t) { ++counts[k]; });
@@ -145,10 +142,6 @@ void BvhRtIndex::query_count_packet(std::span<const std::uint32_t> ids,
 void BvhRtIndex::query_sphere_packet(std::span<const std::uint32_t> ids,
                                      float eps, PairVisitor visit,
                                      rt::TraversalStats& stats) const {
-  if (accel_->wide_bvh().empty()) {
-    NeighborIndex::query_sphere_packet(ids, eps, visit, stats);
-    return;
-  }
   trace_packet(ids, eps, stats, visit);
 }
 
@@ -159,7 +152,7 @@ void BvhRtIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
   const rt::SphereAccel& accel = *accel_;
   const auto& centers = accel.centers();
   rt::traverse_overlap(
-      accel.bvh(), accel.wide_bvh(), box,
+      accel.wide_bvh(), box,
       [&](std::uint32_t prim) {
         ++stats.isect_calls;
         if (!is_dead(prim) && box.contains(centers[prim])) visit(prim);

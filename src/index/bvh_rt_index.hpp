@@ -38,10 +38,6 @@ class BvhRtIndex final : public NeighborIndex {
   }
   [[nodiscard]] float build_eps() const override { return accel_->radius(); }
   [[nodiscard]] bool refittable() const override { return true; }
-  [[nodiscard]] rt::TraversalWidth traversal_width() const override {
-    return accel_->wide_bvh().empty() ? rt::TraversalWidth::kBinary
-                                      : rt::TraversalWidth::kWide;
-  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,
@@ -57,9 +53,8 @@ class BvhRtIndex final : public NeighborIndex {
                  rt::TraversalStats& stats) const override;
 
   /// Packet entries: one rt::traverse_points walk over the wide layout for
-  /// the whole packet, the delta tail scanned per ray.  A binary layout
-  /// runs the base class's per-query loop.  `stop_at` is ignored, as in
-  /// query_count.
+  /// the whole packet, the delta tail scanned per ray.  `stop_at` is
+  /// ignored, as in query_count.
   void query_count_packet(std::span<const std::uint32_t> ids, float eps,
                           std::span<std::uint32_t> counts,
                           rt::TraversalStats& stats,
@@ -105,7 +100,7 @@ class BvhRtIndex final : public NeighborIndex {
   bool do_try_insert(std::span<const geom::Vec3> all_points,
                      std::size_t first_new) override {
     (void)first_new;
-    tail_.absorb(all_points, ctx_.build_options());
+    tail_.absorb(all_points);
     points_ = all_points;
     return true;
   }

@@ -50,9 +50,6 @@ class CompactedIndex final : public NeighborIndex {
   [[nodiscard]] bool refittable() const override {
     return inner_->refittable();
   }
-  [[nodiscard]] rt::TraversalWidth traversal_width() const override {
-    return inner_->traversal_width();
-  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,

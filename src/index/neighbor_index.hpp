@@ -103,13 +103,6 @@ class NeighborIndex {
   /// Lets a caller skip cloning a version it would only rebuild.
   [[nodiscard]] virtual bool refittable() const { return false; }
 
-  /// The BVH layout queries walk: kWide when the tree backends collapsed
-  /// their tree (rt::BuildOptions::width), kBinary otherwise — also for the
-  /// backends without a BVH.
-  [[nodiscard]] virtual rt::TraversalWidth traversal_width() const {
-    return rt::TraversalWidth::kBinary;
-  }
-
   /// Retarget the index to a new build ε WITHOUT a rebuild, where the
   /// backend supports it.  Returns true on success — build_eps() now
   /// reports `eps` and queries at `eps` satisfy the radius constraint —

@@ -8,7 +8,6 @@ PointBvhIndex::PointBvhIndex(std::span<const geom::Vec3> points, float eps,
                              const rt::BuildOptions& build)
     : points_(points),
       eps_(eps),
-      build_(build),
       built_count_(points.size()),
       tree_(std::make_shared<PointTree>(points, build)),
       tail_(points.size()) {}
@@ -27,10 +26,10 @@ bool PointBvhIndex::do_try_remove(std::span<const std::uint32_t> ids) {
 }
 
 // Queries walk the main tree and then the delta tail through
-// for_each_candidate: the wide SoA kernel when a collapse ran, the binary
-// node walk otherwise.  The wide walks surface a conservative
-// candidate superset; the exact distance filter in every caller makes
-// results identical (test-enforced).
+// for_each_candidate: each tree walks its wide SoA kernel from
+// PointTree::kWideMinPoints points up, its binary node walk below.  Both
+// surface a conservative candidate superset; the exact distance filter in
+// every caller makes results equal brute force (test-enforced).
 
 void PointBvhIndex::query_sphere(const geom::Vec3& center, float eps,
                                  std::uint32_t self, NeighborVisitor visit,

@@ -33,10 +33,6 @@ class PointBvhIndex final : public NeighborIndex {
   }
   [[nodiscard]] float build_eps() const override { return eps_; }
   [[nodiscard]] bool refittable() const override { return true; }
-  [[nodiscard]] rt::TraversalWidth traversal_width() const override {
-    return tree_->wide.empty() ? rt::TraversalWidth::kBinary
-                               : rt::TraversalWidth::kWide;
-  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,
@@ -53,7 +49,7 @@ class PointBvhIndex final : public NeighborIndex {
   /// ablation benches).
   [[nodiscard]] const rt::Bvh& bvh() const { return tree_->bvh; }
   /// The collapsed wide layout; empty when queries walk the binary tree
-  /// (rt::BuildOptions::width, rt::use_wide_traversal).
+  /// (below PointTree::kWideMinPoints points).
   [[nodiscard]] const rt::WideBvh& wide_bvh() const { return tree_->wide; }
 
  private:
@@ -81,7 +77,7 @@ class PointBvhIndex final : public NeighborIndex {
   bool do_try_insert(std::span<const geom::Vec3> all_points,
                      std::size_t first_new) override {
     (void)first_new;
-    tail_.absorb(all_points, build_);
+    tail_.absorb(all_points);
     points_ = all_points;
     return true;
   }
@@ -114,7 +110,6 @@ class PointBvhIndex final : public NeighborIndex {
 
   std::span<const geom::Vec3> points_;
   float eps_;
-  rt::BuildOptions build_;  ///< the tail tree is built with it too
   std::size_t built_count_;  ///< prims the tree covers; the rest is delta
   std::size_t removed_since_refit_ = 0;
   CopyOnWrite<PointTree> tree_;

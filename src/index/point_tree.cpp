@@ -28,7 +28,8 @@ std::vector<geom::Aabb> point_bounds(std::span<const geom::Vec3> points,
 PointTree::PointTree(std::span<const geom::Vec3> points,
                      const rt::BuildOptions& build)
     : bvh(rt::build_bvh(point_bounds(points, build.parallel), build)),
-      wide(rt::derive_wide_layout(bvh, build, points.size())) {}
+      wide(points.size() >= kWideMinPoints ? rt::collapse_bvh(bvh)
+                                           : rt::WideBvh{}) {}
 
 void PointTree::refit(std::span<const geom::Vec3> points,
                       std::span<const std::uint8_t> dead) {
@@ -36,8 +37,7 @@ void PointTree::refit(std::span<const geom::Vec3> points,
   if (!wide.empty()) wide.refit_from(bvh);
 }
 
-void DeltaTail::absorb(std::span<const geom::Vec3> points,
-                       const rt::BuildOptions& build) {
+void DeltaTail::absorb(std::span<const geom::Vec3> points) {
   const std::size_t indexed = indexed_end_ - first_;
   if (points.size() - indexed_end_ <=
       std::max(kResidue, indexed / kResidueShare)) {
@@ -45,8 +45,7 @@ void DeltaTail::absorb(std::span<const geom::Vec3> points,
   }
   // Tail trees are small next to the main build: a serial build avoids a
   // parallel region per re-index on the writer's thread.
-  rt::BuildOptions serial = build;
-  serial.parallel = false;
+  const rt::BuildOptions serial{.parallel = false};
   tree_ = std::make_shared<const PointTree>(points.subspan(first_), serial);
   indexed_end_ = points.size();
 }

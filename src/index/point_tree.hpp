@@ -1,9 +1,10 @@
 // PointTree and DeltaTail — the trees the BVH-backed indexes query through.
 //
-// PointTree is a BVH over bare points (one degenerate box per point) in the
-// traversal layout the build options select: PointBvhIndex's main tree, and
-// the second tree both BVH backends build over their DELTA TAIL — the
-// points a live session appended after the main build.
+// PointTree is a BVH over bare points (one degenerate box per point):
+// PointBvhIndex's main tree, and the second tree both BVH backends build
+// over their DELTA TAIL — the points a live session appended after the main
+// build.  It is the one structure that keeps two traversal layouts, picked
+// by size (kWideMinPoints).
 //
 // DeltaTail owns that second tree.  Appended ids are first scanned
 // linearly (the RESIDUE); once the residue is long enough (see absorb),
@@ -29,8 +30,15 @@
 namespace rtd::index {
 
 /// BVH over `points` (primitive ids are positions in that span), with the
-/// wide layout when `build.width` resolves to one.
+/// wide layout from kWideMinPoints points up.
 struct PointTree {
+  /// Collapse to the wide layout at or above this many points.  Unlike the
+  /// ray scenes, neither layout wins everywhere here: the exact tests of
+  /// the wide leaves (up to rt::kWideLeafSize points each) outweigh the
+  /// saved node pops on small trees, and the wide walk wins on large ones
+  /// (docs/ARCHITECTURE.md, "The wide (8-ary) traversal layout").
+  static constexpr std::size_t kWideMinPoints = 4096;
+
   PointTree(std::span<const geom::Vec3> points, const rt::BuildOptions& build);
 
   /// Masked refit: tighten every node around the points whose dead[id] is
@@ -43,12 +51,17 @@ struct PointTree {
   template <typename Callback>
   void overlap(const geom::Aabb& box, Callback&& on_candidate,
                rt::TraversalStats& stats) const {
-    rt::traverse_overlap(bvh, wide, box,
-                         std::forward<Callback>(on_candidate), stats);
+    if (wide.empty()) {
+      rt::traverse_overlap(bvh, box, std::forward<Callback>(on_candidate),
+                           stats);
+    } else {
+      rt::traverse_overlap(wide, box, std::forward<Callback>(on_candidate),
+                           stats);
+    }
   }
 
   rt::Bvh bvh;
-  rt::WideBvh wide;  ///< collapsed layout; empty when traversal is binary
+  rt::WideBvh wide;  ///< collapsed layout; empty below kWideMinPoints
 };
 
 /// The ids [first, size) an index absorbed after its main build: a tree
@@ -71,8 +84,7 @@ class DeltaTail {
   /// Call after every append (`points` is the index's full span): once the
   /// residue passes max(kResidue, indexed / kResidueShare), build a fresh
   /// tree over the whole tail.  A throw leaves the tail as it was.
-  void absorb(std::span<const geom::Vec3> points,
-              const rt::BuildOptions& build);
+  void absorb(std::span<const geom::Vec3> points);
 
   /// on_candidate(id) -> rt::TraversalControl for every tail id whose point
   /// may lie in `box`: the tree's candidates, then every residue id; stops

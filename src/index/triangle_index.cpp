@@ -13,8 +13,7 @@ namespace rtd::index {
 TriangleIndex::TriangleIndex(std::span<const geom::Vec3> points, float eps,
                              int subdivisions,
                              const rt::Context::Options& options)
-    : build_(options.build),
-      accel_(std::make_shared<rt::TriangleAccel>(
+    : accel_(std::make_shared<rt::TriangleAccel>(
           rt::Context(options).build_triangles(points, eps, subdivisions))),
       points_(points),
       built_count_(points.size()),

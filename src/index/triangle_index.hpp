@@ -43,10 +43,6 @@ class TriangleIndex final : public NeighborIndex {
   }
   [[nodiscard]] float build_eps() const override { return accel_->radius(); }
   [[nodiscard]] bool refittable() const override { return true; }
-  [[nodiscard]] rt::TraversalWidth traversal_width() const override {
-    return accel_->wide_bvh().empty() ? rt::TraversalWidth::kBinary
-                                      : rt::TraversalWidth::kWide;
-  }
 
   void query_sphere(const geom::Vec3& center, float eps, std::uint32_t self,
                     NeighborVisitor visit,
@@ -75,12 +71,11 @@ class TriangleIndex final : public NeighborIndex {
   bool do_try_insert(std::span<const geom::Vec3> all_points,
                      std::size_t first_new) override {
     (void)first_new;
-    tail_.absorb(all_points, build_);
+    tail_.absorb(all_points);
     points_ = all_points;
     return true;
   }
 
-  rt::BuildOptions build_;  ///< the tail tree is built with it too
   CopyOnWrite<rt::TriangleAccel> accel_;
   std::span<const geom::Vec3> points_;  ///< full span incl. the delta tail
   std::size_t built_count_;  ///< owners the scene covers; the rest is delta

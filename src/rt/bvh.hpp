@@ -12,28 +12,6 @@
 
 namespace rtd::rt {
 
-/// Which traversal layout the structures owning a BVH use at query time.
-///
-/// kBinary walks the 2-ary node tree below directly; kWide collapses it
-/// into the 8-ary structure-of-arrays layout of rt/wide_bvh.hpp, whose
-/// one-node-tests-8-children kernel is the fast path on large trees.
-/// kAuto picks wide above a measured primitive-count threshold
-/// (rt::kWideBvhMinPrims).  This is a layout choice of the traversal
-/// *consumers* (SphereAccel, TriangleAccel, index::PointBvhIndex) —
-/// build_bvh() always produces the binary tree; the wide layout is
-/// derived from it.
-enum class TraversalWidth : std::uint8_t {
-  kAuto = 0,
-  kBinary,
-  kWide,
-};
-
-const char* to_string(TraversalWidth width);
-
-/// Parse "auto" / "binary" / "wide" (bench/CLI width flags).
-/// Returns false and leaves `out` untouched on an unknown name.
-bool parse_traversal_width(const char* name, TraversalWidth& out);
-
 /// One BVH node, 32 bytes of bounds + 8 bytes of topology.
 ///
 /// Internal nodes: `left_or_first` is the index of the left child and the
@@ -60,6 +38,9 @@ struct BuildStats {
 
 /// Flattened BVH over `prim_count` primitives.  Primitive bounds are supplied
 /// by the builder caller; the tree stores only a permutation of primitive ids.
+/// It is the build intermediate and the refit source of the wide layout
+/// (rt/wide_bvh.hpp) every ray scene walks; only index::PointTree walks it
+/// directly, below its wide-layout threshold.
 struct Bvh {
   std::vector<BvhNode> nodes;          ///< nodes[0] is the root
   std::vector<std::uint32_t> prim_index;  ///< leaf ranges index this table
@@ -95,16 +76,14 @@ struct Bvh {
              std::span<const std::uint8_t> dead);
 };
 
+/// Maximum primitives per binary leaf.  RT hardware uses small leaves; 4 is
+/// a common software default and what we validated against brute force.
+inline constexpr std::uint32_t kLeafSize = 4;
+
 /// Build settings.
 struct BuildOptions {
-  /// Maximum primitives per leaf.  RT hardware uses small leaves; 4 is a
-  /// common software default and what we validated against brute force.
-  std::uint32_t leaf_size = 4;
   /// Parallelize the build (Morton codes and the radix sort).
   bool parallel = true;
-  /// Traversal layout the owning structure derives from the built tree
-  /// (ignored by build_bvh itself — see TraversalWidth).
-  TraversalWidth width = TraversalWidth::kAuto;
 };
 
 /// Build a BVH over primitives with the given bounds.  This is the

@@ -115,7 +115,7 @@ class LbvhBuilder {
   void build_range(std::uint32_t node, std::uint32_t first,
                    std::uint32_t count, std::uint32_t depth) {
     max_depth = std::max(max_depth, depth);
-    if (count <= options.leaf_size) {
+    if (count <= kLeafSize) {
       make_leaf(node, first, count);
       return;
     }

@@ -36,9 +36,6 @@ class Context {
   explicit Context(Options options) : options_(options) {}
 
   [[nodiscard]] const Options& options() const { return options_; }
-  [[nodiscard]] const BuildOptions& build_options() const {
-    return options_.build;
-  }
 
   /// Build a sphere GAS (the paper's transformed input, §III-B).
   [[nodiscard]] SphereAccel build_spheres(std::vector<geom::Vec3> centers,

@@ -18,7 +18,7 @@ SphereAccel::SphereAccel(std::vector<geom::Vec3> centers, float radius,
     bounds[i] = geom::Aabb::of_sphere(centers_[i], radius_);
   });
   bvh_ = build_bvh(bounds, options);
-  wide_ = derive_wide_layout(bvh_, options, centers_.size());
+  wide_ = collapse_bvh(bvh_);
 }
 
 void SphereAccel::set_radius(float radius) {
@@ -33,7 +33,7 @@ void SphereAccel::set_radius(float radius) {
   bvh_.refit(bounds);
   // The wide layout shares the binary topology, so a refit replays in place
   // (no re-collapse).
-  if (!wide_.empty()) wide_.refit_from(bvh_);
+  wide_.refit_from(bvh_);
 }
 
 void SphereAccel::refit_live(std::span<const std::uint8_t> dead) {
@@ -42,7 +42,7 @@ void SphereAccel::refit_live(std::span<const std::uint8_t> dead) {
     bounds[i] = geom::Aabb::of_sphere(centers_[i], radius_);
   });
   bvh_.refit(bounds, dead);
-  if (!wide_.empty()) wide_.refit_from(bvh_);
+  wide_.refit_from(bvh_);
 }
 
 TriangleAccel::TriangleAccel(std::vector<geom::Triangle> triangles,
@@ -75,7 +75,7 @@ void TriangleAccel::build(const BuildOptions& options) {
     bounds[i] = triangles_[i].bounds();
   });
   bvh_ = build_bvh(bounds, options);
-  wide_ = derive_wide_layout(bvh_, options, triangles_.size());
+  wide_ = collapse_bvh(bvh_);
 }
 
 void TriangleAccel::set_radius(float radius) {
@@ -108,7 +108,7 @@ void TriangleAccel::set_radius(float radius) {
     bounds[i] = triangles_[i].bounds();
   });
   bvh_.refit(bounds);
-  if (!wide_.empty()) wide_.refit_from(bvh_);
+  wide_.refit_from(bvh_);
 }
 
 }  // namespace rtd::rt

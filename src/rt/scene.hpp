@@ -10,7 +10,6 @@
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "geom/ray.hpp"
@@ -42,21 +41,21 @@ class SphereAccel {
   }
   [[nodiscard]] const Bvh& bvh() const { return bvh_; }
   [[nodiscard]] const BuildStats& build_stats() const { return bvh_.stats; }
-  /// The collapsed wide layout; empty when the build resolved to binary
-  /// traversal (BuildOptions::width, rt::use_wide_traversal).
+  /// The collapsed wide layout every trace walks; empty only for an empty
+  /// scene.
   [[nodiscard]] const WideBvh& wide_bvh() const { return wide_; }
 
   /// Trace one ray.  `isect_program(prim_id)` is invoked for every candidate
   /// sphere whose AABB the ray hits; per OptiX semantics it cannot terminate
   /// traversal.  The program is responsible for the exact distance test —
-  /// helpers below provide it.  The walk runs over the wide layout when one
-  /// was built — a conservative candidate superset that the exact test
-  /// filters identically (test-enforced).
+  /// helpers below provide it.  The walk runs over the wide layout — a
+  /// conservative candidate superset that the exact test filters to the
+  /// brute-force answer (test-enforced).
   template <typename IsectProgram>
   void trace(const geom::Ray& ray, IsectProgram&& isect_program,
              TraversalStats& stats) const {
     traverse(
-        bvh_, wide_, ray,
+        wide_, ray,
         [&](std::uint32_t prim) {
           ++stats.isect_calls;
           isect_program(prim);
@@ -69,15 +68,10 @@ class SphereAccel {
   /// (rt::traverse_points): `isect_program(prim_id, rays)` fires once per
   /// candidate sphere with the mask of packet rays that reached it, and
   /// each of those rays counts one Intersection call — the counters equal
-  /// `packet.size` single trace() calls.  Requires the wide layout; an
-  /// accel whose build resolved to binary throws std::logic_error (its
-  /// callers trace ray by ray instead).
+  /// `packet.size` single trace() calls.
   template <typename IsectProgram>
   void trace_packet(const PointPacket& packet, IsectProgram&& isect_program,
                     TraversalStats& stats) const {
-    if (wide_.empty() && !bvh_.empty()) {
-      throw std::logic_error("SphereAccel::trace_packet: no wide layout");
-    }
     traverse_points(
         wide_, packet,
         [&](std::uint32_t prim, std::uint32_t rays) {
@@ -118,8 +112,8 @@ class SphereAccel {
  private:
   std::vector<geom::Vec3> centers_;
   float radius_;
-  Bvh bvh_;
-  WideBvh wide_;  ///< collapsed layout; empty when traversal is binary
+  Bvh bvh_;      ///< build intermediate and refit source
+  WideBvh wide_;  ///< the traversal layout, collapsed from bvh_
 };
 
 /// Acceleration structure over triangles, each owned by a data point
@@ -128,9 +122,8 @@ class SphereAccel {
 /// program, which is exactly the costly path the paper measured (§VI-C).
 ///
 /// Like SphereAccel, the triangle scene traverses the wide (8-ary SoA)
-/// layout when BuildOptions::width selects it — the ray-vs-8-slab kernel
-/// feeds the same exact ray-triangle filter, so results are identical and
-/// owner dedup in the AnyHit program is unchanged.
+/// layout — the ray-vs-8-slab kernel feeds the exact ray-triangle filter,
+/// and the AnyHit program dedups owners.
 class TriangleAccel {
  public:
   /// Generic build over arbitrary triangles.  set_radius() is unavailable
@@ -151,7 +144,8 @@ class TriangleAccel {
   }
   [[nodiscard]] const Bvh& bvh() const { return bvh_; }
   [[nodiscard]] const BuildStats& build_stats() const { return bvh_.stats; }
-  /// The collapsed wide layout; empty when traversal is binary.
+  /// The collapsed wide layout every trace walks; empty only for an empty
+  /// scene.
   [[nodiscard]] const WideBvh& wide_bvh() const { return wide_; }
   /// Owning data point of each triangle.
   [[nodiscard]] const std::vector<std::uint32_t>& owners() const {
@@ -184,7 +178,7 @@ class TriangleAccel {
   void trace(const geom::Ray& ray, AnyHitProgram&& anyhit,
              TraversalStats& stats) const {
     traverse(
-        bvh_, wide_, ray,
+        wide_, ray,
         [&](std::uint32_t prim) {
           ++stats.isect_calls;  // hardware ray-triangle test
           float t = 0.0f;
@@ -208,8 +202,8 @@ class TriangleAccel {
   float radius_ = 0.0f;
   float scale_ = 0.0f;
   bool rescalable_ = false;
-  Bvh bvh_;
-  WideBvh wide_;  ///< collapsed layout; empty when traversal is binary
+  Bvh bvh_;      ///< build intermediate and refit source
+  WideBvh wide_;  ///< the traversal layout, collapsed from bvh_
 };
 
 }  // namespace rtd::rt

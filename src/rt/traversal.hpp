@@ -11,9 +11,10 @@
 // experiment can report nodes visited / AABB tests / Intersection-program
 // calls alongside wall-clock time.
 //
-// Three walk families live here: the binary walks, the wide (8-ary SoA)
-// walks, and the 4-ray point-query packet walk over the wide layout
-// (traverse_points) that the full query passes use — up to four
+// Three walk families live here: the binary volume-overlap walk (only
+// index::PointTree below its wide threshold walks a binary tree), the
+// wide (8-ary SoA) walks, and the 4-ray point-query packet walk over the
+// wide layout (traverse_points) that the full query passes use — up to four
 // Morton-adjacent rays share each node fetch.  Its counters are per-ray
 // sums equal to the single-ray walk's; its lane compare and exact test
 // use SSE2, the x86-64 baseline (scalar bodies elsewhere).  Isolated
@@ -23,7 +24,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <utility>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -89,51 +89,6 @@ struct LaunchStats {
 /// optimization terminates as soon as minPts neighbors are found.
 enum class TraversalControl { kContinue, kTerminate };
 
-/// Walk the BVH with `ray`; invoke `on_candidate(prim_id)` for every
-/// primitive in every leaf whose AABB the ray intersects.
-///
-/// `on_candidate` must be invocable as `TraversalControl(std::uint32_t)`.
-/// Counters accumulate into `stats`.
-template <typename Callback>
-void traverse(const Bvh& bvh, const geom::Ray& ray, Callback&& on_candidate,
-              TraversalStats& stats) {
-  if (bvh.empty()) return;
-  ++stats.rays;
-
-  // Hardware traversal stacks are shallow and fixed-size; 64 covers any tree
-  // our builders produce (depth is checked in BuildStats and by tests).
-  std::uint32_t stack[64];
-  int top = 0;
-
-  ++stats.aabb_tests;
-  if (!geom::ray_intersects_aabb(ray, bvh.nodes[0].bounds)) return;
-  stack[top++] = 0;
-
-  while (top > 0) {
-    const BvhNode& node = bvh.nodes[stack[--top]];
-    ++stats.nodes_visited;
-
-    if (node.is_leaf()) {
-      for (std::uint32_t i = node.left_or_first;
-           i < node.left_or_first + node.count; ++i) {
-        if (on_candidate(bvh.prim_index[i]) == TraversalControl::kTerminate) {
-          return;
-        }
-      }
-      continue;
-    }
-
-    const std::uint32_t left = node.left_or_first;
-    stats.aabb_tests += 2;
-    if (geom::ray_intersects_aabb(ray, bvh.nodes[left].bounds)) {
-      stack[top++] = left;
-    }
-    if (geom::ray_intersects_aabb(ray, bvh.nodes[left + 1].bounds)) {
-      stack[top++] = left + 1;
-    }
-  }
-}
-
 /// Volume-overlap traversal: invoke `on_candidate(prim_id)` for every
 /// primitive in every leaf whose AABB overlaps `query`.
 ///
@@ -181,16 +136,16 @@ void traverse_overlap(const Bvh& bvh, const geom::Aabb& query,
 
 // ---------------------------------------------------------------------------
 // Wide (8-ary) walks — the SoA kernel of rt/wide_bvh.hpp.  Same
-// TraversalStats semantics as the binary walks above: one `ray` per
+// TraversalStats semantics as the binary overlap walk above: one `ray` per
 // traversal, one `nodes_visited` per node popped, one `aabb_tests` per
 // child slab tested (the root's bounds count once, exactly as the binary
 // walk tests the root before descending).  Candidate sets are a
-// CONSERVATIVE SUPERSET of the binary walk's (leaf lanes absorb whole
-// bottom subtrees, rt::kWideLeafSize) — callers apply the same exact
-// primitive filter they already owe the binary tree's inflated leaf
-// boxes, so exact results are identical (test-enforced).  A wide node
-// resolves eight children per pop: nodes_visited drops ~4x, which is the
-// measured point of the layout, and the counters make it visible.
+// CONSERVATIVE SUPERSET of the leaf-exact hits (leaf lanes absorb whole
+// bottom subtrees, rt::kWideLeafSize) — callers apply the exact
+// primitive filter they owe any BVH's inflated leaf boxes, so exact
+// results equal brute force (test-enforced).  A wide node resolves eight
+// children per pop: nodes_visited drops ~4x against the binary tree,
+// which is the measured point of the layout.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -283,14 +238,16 @@ inline std::uint32_t wide_overlap_hits(const WideBvhNode& node,
 
 }  // namespace detail
 
-/// Walk a wide BVH with `ray`; semantics identical to the binary
-/// traverse() above.  Internal children are pushed so the nearest
-/// one along each node's sort axis is popped first (the collapse pre-sorts
-/// lanes ascending; the walk flips direction with the ray) — a near-first
-/// SUBTREE order that helps kTerminate-capable callers exit early.  Leaf
-/// lanes resolve inline in far-to-near order within their node, so no
-/// global near-first ordering of candidates is guaranteed; callers
-/// needing distance order (a future closest-hit query) must sort.
+/// Walk a wide BVH with `ray`; invoke `on_candidate(prim_id)` for every
+/// primitive in every leaf lane whose AABB the ray intersects.
+/// `on_candidate` must be invocable as `TraversalControl(std::uint32_t)`;
+/// counters accumulate into `stats`.  Internal children are pushed so the
+/// nearest one along each node's sort axis is popped first (the collapse
+/// pre-sorts lanes ascending; the walk flips direction with the ray) — a
+/// near-first SUBTREE order that helps kTerminate-capable callers exit
+/// early.  Leaf lanes resolve inline in far-to-near order within their
+/// node, so no global near-first ordering of candidates is guaranteed;
+/// callers needing distance order (a future closest-hit query) must sort.
 template <typename Callback>
 void traverse(const WideBvh& bvh, const geom::Ray& ray,
               Callback&& on_candidate, TraversalStats& stats) {
@@ -353,7 +310,8 @@ void traverse(const WideBvh& bvh, const geom::Ray& ray,
 }
 
 /// Volume-overlap walk over a wide BVH; semantics identical to the binary
-/// traverse_overlap() above.
+/// traverse_overlap() above (the same candidates up to the leaf lanes'
+/// coarser grain).
 template <typename Callback>
 void traverse_overlap(const WideBvh& bvh, const geom::Aabb& query,
                       Callback&& on_candidate, TraversalStats& stats) {
@@ -573,39 +531,6 @@ void traverse_points(const WideBvh& bvh, const PointPacket& packet,
         RTD_PREFETCH(&bvh.nodes[node.child[lane]]);
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Layout dispatch — the one place that picks the walk for a structure that
-// owns both layouts of the same tree.  A non-empty wide layout wins; an
-// empty one (collapse skipped per rt::BuildOptions::width, or unavailable —
-// an oversize leaf makes collapse_bvh() return empty) falls back to the
-// binary walk.  Every consumer (SphereAccel, TriangleAccel, the BVH-backed
-// indexes) routes through these so the selection rule lives in exactly one
-// spot.
-// ---------------------------------------------------------------------------
-
-template <typename Callback>
-void traverse(const Bvh& bvh, const WideBvh& wide, const geom::Ray& ray,
-              Callback&& on_candidate, TraversalStats& stats) {
-  if (!wide.empty()) {
-    traverse(wide, ray, std::forward<Callback>(on_candidate), stats);
-  } else {
-    traverse(bvh, ray, std::forward<Callback>(on_candidate), stats);
-  }
-}
-
-template <typename Callback>
-void traverse_overlap(const Bvh& bvh, const WideBvh& wide,
-                      const geom::Aabb& query, Callback&& on_candidate,
-                      TraversalStats& stats) {
-  if (!wide.empty()) {
-    traverse_overlap(wide, query, std::forward<Callback>(on_candidate),
-                     stats);
-  } else {
-    traverse_overlap(bvh, query, std::forward<Callback>(on_candidate),
-                     stats);
   }
 }
 

@@ -4,30 +4,8 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
-#include <string_view>
 
 namespace rtd::rt {
-
-const char* to_string(TraversalWidth width) {
-  switch (width) {
-    case TraversalWidth::kAuto: return "auto";
-    case TraversalWidth::kBinary: return "binary";
-    case TraversalWidth::kWide: return "wide";
-  }
-  return "?";
-}
-
-bool parse_traversal_width(const char* name, TraversalWidth& out) {
-  const std::string_view s{name};
-  for (const TraversalWidth w :
-       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide}) {
-    if (s == to_string(w)) {
-      out = w;
-      return true;
-    }
-  }
-  return false;
-}
 
 namespace {
 
@@ -52,10 +30,13 @@ void set_lane_bounds(WideBvhNode& node, unsigned lane,
   node.hi[2][lane] = bounds.hi.z;
 }
 
+// A lane leaf holds one binary leaf (at most kLeafSize primitives) or a
+// whole subtree of at most kWideLeafSize; both fit the 16-bit lane count.
+static_assert(kLeafSize <= 0xffff && kWideLeafSize <= 0xffff);
+
 struct Collapser {
   const Bvh& source;
   WideBvh& out;
-  std::uint32_t wide_leaf_size;
   /// Per binary node: the contiguous prim_index range its subtree covers
   /// (children partition their parent's range in both builders).
   std::vector<std::uint32_t> subtree_first;
@@ -89,7 +70,7 @@ struct Collapser {
   /// the lane width (binary leaves always do — they cannot be split).
   [[nodiscard]] bool lane_leaf(std::uint32_t node_id) const {
     return source.nodes[node_id].is_leaf() ||
-           subtree_count[node_id] <= wide_leaf_size;
+           subtree_count[node_id] <= kWideLeafSize;
   }
 
   /// Cut up to kWideBvhArity binary subtrees under `binary_node` and emit
@@ -185,23 +166,14 @@ struct Collapser {
 
 }  // namespace
 
-WideBvh collapse_bvh(const Bvh& source, std::uint32_t wide_leaf_size) {
+WideBvh collapse_bvh(const Bvh& source) {
   WideBvh wide;
   if (source.empty()) return wide;
-  // Lane leaf counts are 16-bit; a tree built with a pathological
-  // leaf_size cannot be represented — return empty, owners keep the
-  // binary walk.
-  for (const BvhNode& node : source.nodes) {
-    if (node.is_leaf() && node.count > kWideMaxLeafCount) return wide;
-  }
   wide.prim_index = source.prim_index;
   wide.scene_bounds = source.scene_bounds;
   wide.nodes.reserve(source.nodes.size() / 8 + 1);
   wide.source_node.reserve(source.nodes.size() / 8 + 1);
-  Collapser collapser{source, wide,
-                      std::min(wide_leaf_size,
-                               static_cast<std::uint32_t>(kWideMaxLeafCount)),
-                      {}, {}};
+  Collapser collapser{source, wide, {}, {}};
   collapser.compute_subtree_ranges();
   collapser.emit(0, 1);
   return wide;
@@ -326,12 +298,6 @@ std::string WideBvh::validate(
     }
   }
   return {};
-}
-
-WideBvh derive_wide_layout(const Bvh& bvh, const BuildOptions& options,
-                           std::size_t prim_count) {
-  if (!use_wide_traversal(options.width, prim_count)) return {};
-  return collapse_bvh(bvh);
 }
 
 }  // namespace rtd::rt

@@ -5,9 +5,12 @@
 // straight-line, auto-vectorizable code instead of popping and branch-testing
 // seven binary nodes, which is how real RT hardware amortizes its traversal
 // units.  The wide tree is a pure *layout* derived from the binary tree: it
-// shares the primitive permutation (`prim_index` is copied verbatim), visits
-// the exact same candidate set, and can be REFIT from a refit binary tree
-// without re-collapsing (the lane→binary-node mapping is retained).
+// shares the primitive permutation (`prim_index` is copied verbatim), and
+// can be REFIT from a refit binary tree without re-collapsing (the
+// lane→binary-node mapping is retained).  It is the one layout the ray
+// scenes (SphereAccel, TriangleAccel) walk — the Ylitie, Karras & Laine
+// (HPG 2017) wide-only design; index::PointTree collapses only from
+// index::PointTree::kWideMinPoints points up.
 //
 // Children within a node are sorted by centroid along the node's widest
 // axis (`sort_axis`), so a directed traversal can visit them front-to-back
@@ -28,44 +31,10 @@ namespace rtd::rt {
 /// Branching factor of the wide tree.
 inline constexpr std::uint32_t kWideBvhArity = 8;
 
-/// kAuto threshold: collapse to the wide layout at or above this primitive
-/// count.  Measured on the single-core dev container (taxi sweep, exact
-/// filtered ε-queries): the wide walk wins 1.2-1.9x at every size from 1K
-/// up, and the O(n) collapse costs ~the work of a few hundred queries —
-/// amortized by any full query pass.  Below this threshold trees are
-/// small enough that single-shot uses would not amortize the collapse
-/// (and index::choose_index_kind picks non-BVH backends there anyway).
-inline constexpr std::size_t kWideBvhMinPrims = 4096;
-
-/// Resolve a TraversalWidth against a primitive count: should the owning
-/// structure collapse its binary tree into a wide layout?
-///
-/// Empty-input rule (uniform across widths): zero primitives NEVER build a
-/// wide tree — there is no binary tree to collapse either, and every walk
-/// on an empty structure returns immediately — so an explicit kWide
-/// request resolves to the (trivial) binary path at prim_count == 0,
-/// exactly like kAuto does.  For any non-zero count an
-/// explicit request is honored as asked; only kAuto applies the
-/// kWideBvhMinPrims amortization threshold.  Covered by
-/// tests/test_wide_bvh.cpp (WidthResolution).
-[[nodiscard]] inline bool use_wide_traversal(TraversalWidth width,
-                                             std::size_t prim_count) {
-  if (prim_count == 0) return false;
-  if (width == TraversalWidth::kBinary) return false;
-  if (width == TraversalWidth::kAuto) return prim_count >= kWideBvhMinPrims;
-  return true;  // kWide: explicit request, any non-empty size
-}
-
 /// Upper bound on the traversal stack for a wide walk: a pop can push up to
 /// (arity - 1) net entries, and the collapse never produces a tree deeper
 /// than the 64-level bound the binary builders guarantee.
 inline constexpr std::size_t kWideStackCapacity = 64 * (kWideBvhArity - 1) + 1;
-
-/// Largest leaf a single lane can reference (count is 16-bit to keep the
-/// node at four cache lines).  Binary leaves above this — only possible
-/// with an absurd BuildOptions::leaf_size — make collapse_bvh() return an
-/// empty tree, and the owners fall back to the binary walk.
-inline constexpr std::uint32_t kWideMaxLeafCount = 0xffff;
 
 /// One wide node: eight child slabs in SoA layout plus per-lane topology,
 /// exactly 256 bytes (four cache lines).
@@ -127,7 +96,7 @@ struct WideBvh {
   std::vector<std::array<std::uint32_t, kWideBvhArity>> source_node;
 };
 
-/// Default leaf width of the collapse: any binary subtree holding at most
+/// Leaf width of the collapse: any binary subtree holding at most
 /// this many primitives folds into ONE leaf lane (its primitives are a
 /// contiguous `prim_index` range, so the lane scans them linearly).
 /// Coarser than the binary leaf size on purpose — each lane absorbs a
@@ -139,24 +108,12 @@ inline constexpr std::uint32_t kWideLeafSize = 8;
 /// Collapse a binary BVH into the wide layout.  Greedy: each wide node
 /// starts from one binary node and repeatedly expands the largest-area
 /// expandable child until it holds kWideBvhArity children; binary subtrees
-/// with at most `wide_leaf_size` primitives become leaf lanes over their
+/// with at most kWideLeafSize primitives become leaf lanes over their
 /// contiguous prim_index range.  The wide walk therefore surfaces a
-/// (slightly) CONSERVATIVE superset of the binary walk's candidates —
+/// (slightly) CONSERVATIVE superset of the leaf-exact candidates —
 /// exactness lives in the caller's filter, same as for the binary tree's
 /// own inflated leaf boxes.  An empty source produces an empty wide tree;
 /// a single-leaf source produces one wide node with one leaf lane.
-[[nodiscard]] WideBvh collapse_bvh(const Bvh& source,
-                                   std::uint32_t wide_leaf_size =
-                                       kWideLeafSize);
-
-/// Materialize the wide layout an owner's BuildOptions::width selects,
-/// shared by every structure that owns a binary tree (SphereAccel,
-/// TriangleAccel, index::PointTree).  Empty when the width resolves to
-/// binary, or when collapse_bvh() could not represent the tree (oversize
-/// leaf) — the traversal dispatch falls back to the binary walk then
-/// (rt/traversal.hpp).
-[[nodiscard]] WideBvh derive_wide_layout(const Bvh& bvh,
-                                         const BuildOptions& options,
-                                         std::size_t prim_count);
+[[nodiscard]] WideBvh collapse_bvh(const Bvh& source);
 
 }  // namespace rtd::rt

@@ -100,13 +100,11 @@ TEST_P(BvhBuilderTest, RootBoundsEncloseScene) {
 }
 
 TEST_P(BvhBuilderTest, LeafSizeRespected) {
-  BuildOptions opts = options_for(GetParam());
-  opts.leaf_size = 8;
   const auto bounds = random_sphere_bounds(5000, 0.5f, 7);
-  const Bvh bvh = build_bvh(bounds, opts);
+  const Bvh bvh = build_bvh(bounds, options_for(GetParam()));
   for (const auto& node : bvh.nodes) {
     if (node.is_leaf()) {
-      EXPECT_LE(node.count, opts.leaf_size);
+      EXPECT_LE(node.count, kLeafSize);
       EXPECT_GE(node.count, 1u);
     }
   }
@@ -150,19 +148,6 @@ INSTANTIATE_TEST_SUITE_P(Builders, BvhBuilderTest,
                                       ? "Lbvh"
                                       : "SerialLbvh";
                          });
-
-TEST(BvhToString, TraversalWidthNames) {
-  for (const TraversalWidth w :
-       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide}) {
-    TraversalWidth parsed = TraversalWidth::kAuto;
-    ASSERT_TRUE(parse_traversal_width(to_string(w), parsed)) << to_string(w);
-    EXPECT_EQ(parsed, w);
-  }
-  EXPECT_STREQ(to_string(TraversalWidth::kWide), "wide");
-  TraversalWidth untouched = TraversalWidth::kBinary;
-  EXPECT_FALSE(parse_traversal_width("quantized", untouched));
-  EXPECT_EQ(untouched, TraversalWidth::kBinary);
-}
 
 }  // namespace
 }  // namespace rtd::rt

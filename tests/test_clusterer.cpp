@@ -1,6 +1,6 @@
 // Session API suite: rtd::Clusterer must produce clusterings identical to
 // fresh one-shot rtd::cluster() runs at every eps (for every backend and
-// traversal width) while REUSING its index — refit, not rebuild, on the
+// traversal layout) while REUSING its index — refit, not rebuild, on the
 // BVH-backed backends — and its structured results (membership views,
 // RunStats, neighbor counts) must agree with the raw labels.
 #include "core/clusterer.hpp"
@@ -14,6 +14,7 @@
 #include "core/api.hpp"
 #include "data/generators.hpp"
 #include "dbscan_test_util.hpp"
+#include "index/point_tree.hpp"
 
 namespace rtd {
 namespace {
@@ -115,17 +116,16 @@ TEST(ClustererSweep, MatchesOneShotClusterOnEveryBackend) {
   }
 }
 
-TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
-  // 6000 points: above rt::kWideBvhMinPrims, so kAuto also resolves wide;
-  // explicit widths are honored at any size.
-  const auto dataset = data::taxi_gps(6000, 62);
+TEST(ClustererSweep, MatchesOneShotOnBothTreeLayouts) {
+  // kBvhRt always walks the wide layout; kPointBvh walks its binary tree
+  // at 3000 points and its wide layout at 6000.
+  static_assert(3000 < index::PointTree::kWideMinPoints &&
+                6000 >= index::PointTree::kWideMinPoints);
   const std::uint32_t min_pts = 10;
-  for (const IndexKind kind : {IndexKind::kPointBvh, IndexKind::kBvhRt}) {
-    for (const rt::TraversalWidth width :
-         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide,
-          rt::TraversalWidth::kAuto}) {
-      Clusterer session(dataset.points,
-                        Options().with_backend(kind).with_width(width));
+  for (const std::size_t n : {3000u, 6000u}) {
+    const auto dataset = data::taxi_gps(n, 62);
+    for (const IndexKind kind : {IndexKind::kPointBvh, IndexKind::kBvhRt}) {
+      Clusterer session(dataset.points, Options().with_backend(kind));
       const auto curve = session.sweep(kSweepEps, min_pts);
       for (std::size_t s = 0; s < curve.size(); ++s) {
         // One build at ε_max; the ascending ladder refits nothing.
@@ -135,14 +135,8 @@ TEST(ClustererSweep, MatchesOneShotAcrossTraversalWidths) {
             cluster(dataset.points, kSweepEps[s], min_pts, kind);
         expect_identical_clustering(
             dataset.points, Params{kSweepEps[s], min_pts, kind}, curve[s],
-            fresh, rt::to_string(width));
+            fresh, index::to_string(kind));
       }
-      // The resolved layout is reported: explicit requests are honored,
-      // kAuto picks wide at this size.
-      const rt::TraversalWidth reported = curve.back().stats.width;
-      EXPECT_EQ(reported, width == rt::TraversalWidth::kBinary
-                              ? rt::TraversalWidth::kBinary
-                              : rt::TraversalWidth::kWide);
     }
   }
 }
@@ -560,49 +554,41 @@ TEST(ClustererTriangle, SweepMatchesOneShotAndRefits) {
 
 TEST(ClustererTriangle, EpsSweepRefitsInPlace) {
   // Each new ε rescales the tessellation and REFITS — results must match a
-  // from-scratch run at every ε, on both layouts: the same counts and core
-  // flags, and the same label on every core point (labels are numbered by
-  // each cluster's first core slot).  Border points within ε of two
-  // clusters may differ: run() claims them in its fused launch, rt_dbscan
-  // in its phase-2 launch.
+  // from-scratch run at every ε: the same counts and core flags, and the
+  // same label on every core point (labels are numbered by each cluster's
+  // first core slot).  Border points within ε of two clusters may differ:
+  // run() claims them in its fused launch, rt_dbscan in its phase-2
+  // launch.
   const auto dataset = data::taxi_gps(600, 94);
-  for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
-    Clusterer session(dataset.points, Options(kTriangleSession)
-                                          .with_triangle_subdivisions(0)
-                                          .with_threads(1)
-                                          .with_width(width));
-    (void)session.run(0.2f, 5);
-    for (const float eps : {0.45f, 0.15f, 0.3f}) {
-      const Params params{eps, 5};
-      const ClusterResult& swept = session.run(eps, params.min_pts);
-      EXPECT_TRUE(swept.stats.index_refitted) << eps;
-      EXPECT_FALSE(swept.stats.index_rebuilt) << eps;
-      EXPECT_FALSE(swept.stats.counts_reused) << eps;
-      EXPECT_EQ(swept.stats.width, width);
-      testutil::expect_matches_reference(dataset.points, params,
-                                         swept.to_clustering(),
-                                         "triangle session eps sweep");
-      core::RtDbscanOptions opts;
-      opts.triangle_subdivisions = 0;
-      opts.device.threads = 1;
-      opts.device.build.width = width;
-      const auto oneshot = core::rt_dbscan(
-          dataset.points, Params{eps, 5, IndexKind::kTriangles}, opts);
-      EXPECT_EQ(swept.neighbor_counts, oneshot.neighbor_counts)
-          << rt::to_string(width) << " eps=" << eps;
-      ASSERT_EQ(swept.is_core, oneshot.clustering.is_core)
-          << rt::to_string(width) << " eps=" << eps;
-      for (std::size_t i = 0; i < swept.labels.size(); ++i) {
-        if (!swept.is_core[i]) continue;
-        EXPECT_EQ(swept.labels[i], oneshot.clustering.labels[i])
-            << rt::to_string(width) << " eps=" << eps << " core " << i;
-      }
-      const auto eq = dbscan::check_equivalent(
-          dataset.points, params, oneshot.clustering, swept.to_clustering());
-      EXPECT_TRUE(eq.equivalent)
-          << rt::to_string(width) << " eps=" << eps << ": " << eq.reason;
+  Clusterer session(dataset.points, Options(kTriangleSession)
+                                        .with_triangle_subdivisions(0)
+                                        .with_threads(1));
+  (void)session.run(0.2f, 5);
+  for (const float eps : {0.45f, 0.15f, 0.3f}) {
+    const Params params{eps, 5};
+    const ClusterResult& swept = session.run(eps, params.min_pts);
+    EXPECT_TRUE(swept.stats.index_refitted) << eps;
+    EXPECT_FALSE(swept.stats.index_rebuilt) << eps;
+    EXPECT_FALSE(swept.stats.counts_reused) << eps;
+    testutil::expect_matches_reference(dataset.points, params,
+                                       swept.to_clustering(),
+                                       "triangle session eps sweep");
+    core::RtDbscanOptions opts;
+    opts.triangle_subdivisions = 0;
+    opts.device.threads = 1;
+    const auto oneshot = core::rt_dbscan(
+        dataset.points, Params{eps, 5, IndexKind::kTriangles}, opts);
+    EXPECT_EQ(swept.neighbor_counts, oneshot.neighbor_counts)
+        << "eps=" << eps;
+    ASSERT_EQ(swept.is_core, oneshot.clustering.is_core) << "eps=" << eps;
+    for (std::size_t i = 0; i < swept.labels.size(); ++i) {
+      if (!swept.is_core[i]) continue;
+      EXPECT_EQ(swept.labels[i], oneshot.clustering.labels[i])
+          << "eps=" << eps << " core " << i;
     }
+    const auto eq = dbscan::check_equivalent(
+        dataset.points, params, oneshot.clustering, swept.to_clustering());
+    EXPECT_TRUE(eq.equivalent) << "eps=" << eps << ": " << eq.reason;
   }
 }
 

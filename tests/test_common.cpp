@@ -138,8 +138,7 @@ const std::vector<FlagSpec> kTestFlags = {{"n", "points [100]"},
                                           {"a", "a"},
                                           {"b", "b"},
                                           {"c", "c"},
-                                          cli::kBackendFlag,
-                                          cli::kWidthFlag};
+                                          cli::kBackendFlag};
 
 Flags parse(std::vector<const char*> argv) {
   return Flags(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
@@ -220,30 +219,28 @@ TEST(FlagsDeathTest, ParseOrExitRejectsUnknownFlagAndAnswersHelp) {
   };
   EXPECT_EXIT(parse_or_exit({"prog", "--n", "3", "--no-such-flag"}),
               ::testing::ExitedWithCode(2), "unknown flag --no-such-flag");
+  // A removed flag fails the same way (the BVH layout is no option).
+  EXPECT_EXIT(parse_or_exit({"prog", "--width", "wide"}),
+              ::testing::ExitedWithCode(2), "unknown flag --width");
   EXPECT_EXIT(parse_or_exit({"prog", "--help"}), ::testing::ExitedWithCode(0),
               "");
   // A valid command line returns normally.
   parse_or_exit({"prog", "--n", "3", "--backend=grid"});
 }
 
-TEST(Cli, BackendAndWidthFlagsParseShareOneSpelling) {
-  // The shared helpers are the single source of truth for the --backend /
-  // --width CLI spellings across examples and benches.
-  const Flags flags =
-      parse({"prog", "--backend", "triangles", "--width", "wide"});
+TEST(Cli, BackendFlagParsesOneSpelling) {
+  // The shared helper is the single source of truth for the --backend CLI
+  // spellings across examples and benches.
+  const Flags flags = parse({"prog", "--backend", "triangles"});
   EXPECT_EQ(cli::backend_flag(flags), index::IndexKind::kTriangles);
-  EXPECT_EQ(cli::width_flag(flags), rt::TraversalWidth::kWide);
 
   const Flags empty = parse({"prog"});
   EXPECT_EQ(cli::backend_flag(empty), index::IndexKind::kAuto);
   EXPECT_EQ(cli::backend_flag(empty, index::IndexKind::kGrid),
             index::IndexKind::kGrid);
-  EXPECT_EQ(cli::width_flag(empty), rt::TraversalWidth::kAuto);
 
-  const Flags unknown =
-      parse({"prog", "--backend=kdtree", "--width=quantized"});
+  const Flags unknown = parse({"prog", "--backend=kdtree"});
   EXPECT_EQ(cli::backend_flag(unknown), std::nullopt);
-  EXPECT_EQ(cli::width_flag(unknown), std::nullopt);
 }
 
 TEST(Table, FormatsCells) {

@@ -3,8 +3,8 @@
 // slots) must be equivalent — in the dbscan/equivalence.hpp sense — to a
 // from-scratch rtd::cluster() over the live points.  Core flags, cluster
 // count and the noise set are deterministic and compared exactly; border
-// membership is checked geometrically.  Covers every backend, the traversal
-// widths of the tree backends, merge/split/promotion edge cases, the
+// membership is checked geometrically.  Covers every backend, both traversal
+// layouts of the point trees, merge/split/promotion edge cases, the
 // rebuild-threshold and tombstone (CompactedIndex) paths, snapshot
 // isolation across mutations, and a seeded randomized mutation soak.
 // Run under the `tsan`/`asan` presets for the sanitizer legs.
@@ -191,14 +191,15 @@ TEST(IncrementalParity, RemovalsMatchOracleOnEveryBackend) {
 }
 
 TEST(IncrementalParity, WidthParityOnTreeBackends) {
-  // Above rt::kWideBvhMinPrims so kWide exercises the SoA walk.
-  const auto base = data::taxi_gps(6000, 104);
+  // kPointBvh's main tree walks binary at 3000 points and wide at 6000
+  // (index::PointTree::kWideMinPoints); kBvhRt always walks wide.
+  static_assert(3000 < index::PointTree::kWideMinPoints &&
+                6000 >= index::PointTree::kWideMinPoints);
   const auto extra = data::taxi_gps(200, 105);
-  for (const IndexKind kind : {IndexKind::kPointBvh, IndexKind::kBvhRt}) {
-    for (const rt::TraversalWidth width :
-         {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
-      Clusterer session(base.points,
-                        Options().with_backend(kind).with_width(width));
+  for (const std::size_t n : {3000u, 6000u}) {
+    const auto base = data::taxi_gps(n, 104);
+    for (const IndexKind kind : {IndexKind::kPointBvh, IndexKind::kBvhRt}) {
+      Clusterer session(base.points, Options().with_backend(kind));
       (void)session.run(0.25f, 10);
       (void)session.insert(extra.points);
       std::vector<std::uint32_t> ids;
@@ -210,6 +211,25 @@ TEST(IncrementalParity, WidthParityOnTreeBackends) {
       session.remove(ids);
       expect_oracle_parity(session, index::to_string(kind));
     }
+  }
+}
+
+TEST(IncrementalParity, DeltaTailCrossesWideThreshold) {
+  // Inserts absorbed in place grow the kBvhRt delta tail past
+  // index::PointTree::kWideMinPoints ids, so its last re-index builds a
+  // wide tail tree.  The base is large enough that the mutation budget
+  // (live / 8) never forces a rebuild.
+  const auto base = data::taxi_gps(36000, 107);
+  const auto extra = data::taxi_gps(4400, 108);
+  static_assert(4400 > index::PointTree::kWideMinPoints);
+  Clusterer session(base.points, Options().with_backend(IndexKind::kBvhRt));
+  (void)session.run(0.1f, 8);
+  const std::span<const Vec3> add(extra.points);
+  for (std::size_t first = 0; first < add.size(); first += 1100) {
+    (void)session.insert(add.subspan(first, 1100));
+    EXPECT_TRUE(session.result().stats.incremental);
+    EXPECT_FALSE(session.result().stats.index_rebuilt) << first;
+    expect_oracle_parity(session, "delta tail");
   }
 }
 

@@ -271,7 +271,8 @@ TEST(NeighborIndex, QueryAllVisitsEveryPairOnce) {
 TEST(DeltaTail, CandidatesCoverEveryTailIdOnceAcrossRebuilds) {
   // Uneven append batches drive the tail past both re-index triggers
   // (kResidue, then indexed / kResidueShare once the indexed tail passes
-  // kResidue * kResidueShare), in every traversal layout.  After each append,
+  // kResidue * kResidueShare), and past index::PointTree::kWideMinPoints, so
+  // the tail tree walks both traversal layouts.  After each append,
   // every tail id must surface exactly once for a box holding all points,
   // no id below the tail may surface, and a small box must yield a
   // superset of the tail points inside it.
@@ -282,10 +283,8 @@ TEST(DeltaTail, CandidatesCoverEveryTailIdOnceAcrossRebuilds) {
   const std::span<const Vec3> all(pts);
   geom::Aabb everything;
   for (const Vec3& p : all) everything.grow(p);
-  for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
-    rt::BuildOptions build;
-    build.width = width;
+  static_assert(kLongTail > PointTree::kWideMinPoints);
+  {
     DeltaTail tail(kFirst);
     std::size_t size = kFirst;
     std::size_t step = 1;
@@ -293,7 +292,7 @@ TEST(DeltaTail, CandidatesCoverEveryTailIdOnceAcrossRebuilds) {
     while (size < all.size()) {
       size = std::min(all.size(), size + step);
       step = step * 7 % 389 + 1;
-      tail.absorb(all.first(size), build);
+      tail.absorb(all.first(size));
       ++rounds;
       const std::span<const Vec3> now = all.first(size);
       rt::TraversalStats stats;
@@ -509,22 +508,6 @@ void expect_packet_parity(const NeighborIndex& index, float eps,
   }
 }
 
-/// Both layouts of every backend (the non-tree backends ignore the width;
-/// kBvhRt's binary layout runs the per-query default loop).
-std::vector<std::unique_ptr<NeighborIndex>> all_backend_layouts(
-    std::span<const Vec3> points, float eps) {
-  std::vector<std::unique_ptr<NeighborIndex>> out;
-  for (const rt::TraversalWidth width :
-       {rt::TraversalWidth::kBinary, rt::TraversalWidth::kWide}) {
-    IndexBuildOptions options;
-    options.build.width = width;
-    for (const IndexKind kind : kAllIndexKinds) {
-      out.push_back(make_index(points, eps, kind, options));
-    }
-  }
-  return out;
-}
-
 /// Coherent ids (a Morton-order run) followed by far-apart random ids.
 std::vector<std::uint32_t> packet_probe_ids(std::span<const Vec3> points,
                                             std::uint64_t seed) {
@@ -541,7 +524,7 @@ std::vector<std::uint32_t> packet_probe_ids(std::span<const Vec3> points,
 TEST(NeighborIndexPacket, MatchesSingleQueriesOnEveryBackend) {
   for (const auto& c : parity_cases()) {
     const auto ids = packet_probe_ids(c.points, 201);
-    for (const auto& index : all_backend_layouts(c.points, c.eps)) {
+    for (const auto& index : all_backends(c.points, c.eps)) {
       expect_packet_parity(*index, c.eps, ids, c.name);
     }
   }
@@ -551,7 +534,7 @@ TEST(NeighborIndexPacket, MatchesSingleQueriesOnEveryBackend) {
                               {3, 9, 0}, {3, 4, 0}, {50, 0, 0}};
   const std::vector<std::uint32_t> all_ids{0, 1, 2, 3, 4, 5, 4, 0, 1, 2};
   for (const float eps : {1.0f, 5.0f}) {
-    for (const auto& index : all_backend_layouts(pts, eps)) {
+    for (const auto& index : all_backends(pts, eps)) {
       expect_packet_parity(*index, eps, all_ids, "boundary");
       std::uint32_t counts[2] = {};
       rt::TraversalStats stats;
@@ -570,7 +553,7 @@ TEST(NeighborIndexPacket, DeadIdsMatchAfterRemovalAndMaskedRefit) {
   std::vector<std::uint32_t> removed;
   for (std::uint32_t i = 0; i < pts.size(); i += 3) removed.push_back(i);
   const auto ids = packet_probe_ids(pts, 203);
-  for (const auto& index : all_backend_layouts(pts, eps)) {
+  for (const auto& index : all_backends(pts, eps)) {
     ASSERT_TRUE(index->try_remove(removed)) << index->name();
     expect_packet_parity(*index, eps, ids, "removed");
     expect_packet_parity(*index, eps, removed, "dead ids");
@@ -595,7 +578,7 @@ TEST(NeighborIndexPacket, DeltaTailIdsMatchAfterInsert) {
     ids.push_back(id);
   }
   int absorbed = 0;
-  for (const auto& index : all_backend_layouts(pts, eps)) {
+  for (const auto& index : all_backends(pts, eps)) {
     if (!index->try_insert(all, built)) continue;  // grid / dense-box
     ++absorbed;
     if (const auto* rt_index = dynamic_cast<const BvhRtIndex*>(index.get())) {
@@ -604,14 +587,14 @@ TEST(NeighborIndexPacket, DeltaTailIdsMatchAfterInsert) {
     }
     expect_packet_parity(*index, eps, ids, "tail");
   }
-  EXPECT_EQ(absorbed, 8);  // four insert-capable backends, two layouts
+  EXPECT_EQ(absorbed, 4);  // four insert-capable backends
 }
 
 TEST(NeighborIndexPacket, MatchesAfterEpsRefit) {
   const auto pts = data::gaussian_blobs(3000, 4, 0.6f, 10.0f, 3, 206).points;
   const auto ids = packet_probe_ids(pts, 207);
   int refit = 0;
-  for (const auto& index : all_backend_layouts(pts, 0.5f)) {
+  for (const auto& index : all_backends(pts, 0.5f)) {
     for (const float eps : {0.8f, 0.3f}) {
       if (!index->try_set_eps(eps)) continue;  // grid / dense-box
       ++refit;
@@ -619,13 +602,12 @@ TEST(NeighborIndexPacket, MatchesAfterEpsRefit) {
                            "refit to " + std::to_string(eps));
     }
   }
-  EXPECT_EQ(refit, 16);
+  EXPECT_EQ(refit, 8);
 }
 
 TEST(NeighborIndexPacket, KBvhRtRejectsOversizePacket) {
   const auto pts = data::uniform_cube(5000, 20.0f, 3, 208).points;
   const auto index = make_index(pts, 0.9f, IndexKind::kBvhRt);
-  ASSERT_EQ(index->traversal_width(), rt::TraversalWidth::kWide);
   const std::vector<std::uint32_t> five{0, 1, 2, 3, 4};
   std::vector<std::uint32_t> counts(5);
   rt::TraversalStats stats;

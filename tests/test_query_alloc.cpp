@@ -82,8 +82,8 @@ std::uint64_t allocations_during(FunctionRef<void()> f) {
 }
 
 TEST(QueryAllocation, WarmQueryAllPassAllocatesNothingOnAnyBackend) {
-  // Large enough that kPointBvh/kBvhRt run the wide SoA walk (n above
-  // rt::kWideBvhMinPrims), so the hot path under test is the shipped one.
+  // Large enough that kPointBvh runs the wide SoA walk (n above
+  // index::PointTree::kWideMinPoints), like kBvhRt at every size.
   const auto dataset = data::taxi_gps(10000, 77);
   const float eps = 0.15f;
 

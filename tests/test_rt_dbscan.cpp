@@ -288,9 +288,7 @@ TEST(RtDbscan, TriangleModeWideWidthsMatchSphereMode) {
   const auto dataset = data::taxi_gps(1200, 95);
   const Params params{0.3f, 10};
   const auto spheres = rt_dbscan(dataset.points, params);
-  RtDbscanOptions opts;
-  opts.device.build.width = rt::TraversalWidth::kWide;
-  const auto triangles = rt_dbscan(dataset.points, triangles_of(params), opts);
+  const auto triangles = rt_dbscan(dataset.points, triangles_of(params));
   const auto eq = dbscan::check_equivalent(
       dataset.points, params, spheres.clustering, triangles.clustering);
   EXPECT_TRUE(eq.equivalent) << eq.reason;

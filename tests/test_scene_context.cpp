@@ -128,15 +128,17 @@ TEST(Context, LaunchAggregatesPerThreadStats) {
 
 TEST(Context, BuildOptionsPropagate) {
   Context::Options opts;
-  opts.build.leaf_size = 2;
+  opts.build.parallel = false;
   Context ctx(opts);
+  EXPECT_FALSE(ctx.options().build.parallel);
   const auto dataset = data::taxi_gps(1000, 603);
   const auto accel = ctx.build_spheres(dataset.points, 0.3f);
   for (const auto& node : accel.bvh().nodes) {
     if (node.is_leaf()) {
-      EXPECT_LE(node.count, 2u);
+      EXPECT_LE(node.count, kLeafSize);
     }
   }
+  EXPECT_FALSE(accel.wide_bvh().empty());
 }
 
 }  // namespace

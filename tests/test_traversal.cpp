@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "rt/bvh.hpp"
+#include "rt/wide_bvh.hpp"
 
 namespace rtd::rt {
 namespace {
@@ -16,10 +17,14 @@ using geom::Aabb;
 using geom::Ray;
 using geom::Vec3;
 
+/// A built tree and its wide layout.  Rays walk the wide layout, the only
+/// ray walk; volume-overlap queries walk the binary tree (index::PointTree
+/// below its wide threshold).
 struct Scene {
   std::vector<Vec3> centers;
   std::vector<Aabb> bounds;
   Bvh bvh;
+  WideBvh wide;
 };
 
 /// The two code paths of the LBVH builder: the parallel build (radix sort)
@@ -42,6 +47,7 @@ Scene make_scene(std::size_t n, float radius, std::uint64_t seed,
     s.bounds.push_back(Aabb::of_sphere(s.centers.back(), radius));
   }
   s.bvh = build_bvh(s.bounds, options_for(mode));
+  s.wide = collapse_bvh(s.bvh);
   return s;
 }
 
@@ -50,7 +56,7 @@ std::set<std::uint32_t> candidates_via_bvh(const Scene& s, const Ray& ray,
   std::set<std::uint32_t> out;
   TraversalStats local;
   traverse(
-      s.bvh, ray,
+      s.wide, ray,
       [&](std::uint32_t prim) {
         out.insert(prim);
         return TraversalControl::kContinue;
@@ -68,10 +74,10 @@ std::set<std::uint32_t> candidates_brute(const Scene& s, const Ray& ray) {
   return out;
 }
 
-/// A leaf holds up to leaf_size primitives; reaching the leaf delivers all
-/// of them as candidates, so the candidate set is a SUPERSET of the exact
-/// per-primitive AABB hits (the Intersection program re-checks exactness —
-/// Alg. 2 line 6).  Filtering candidates by the primitive AABB must recover
+/// A leaf lane holds up to kWideLeafSize primitives; reaching the lane
+/// delivers all of them as candidates, so the candidate set is a SUPERSET
+/// of the exact per-primitive AABB hits (the Intersection program
+/// re-checks exactness — Alg. 2 line 6).  Filtering candidates by the primitive AABB must recover
 /// the brute-force hit set exactly, proving no hit is ever missed.
 void expect_complete_candidates(const Scene& s, const Ray& ray,
                                 int trial) {
@@ -114,7 +120,7 @@ TEST_P(TraversalTest, PointQueryExactSphereHitsMatchBruteForce) {
                  rng.uniformf(-1, 21)};
     std::set<std::uint32_t> via_bvh;
     traverse(
-        s.bvh, Ray::point_query(q),
+        s.wide, Ray::point_query(q),
         [&](std::uint32_t prim) {
           if (geom::distance_squared(q, s.centers[prim]) <=
               radius * radius) {
@@ -153,7 +159,7 @@ TEST_P(TraversalTest, QueriesFromDatasetPointsSeeTheirOwnSphere) {
   for (std::uint32_t i = 0; i < s.centers.size(); ++i) {
     bool saw_self = false;
     traverse(
-        s.bvh, Ray::point_query(s.centers[i]),
+        s.wide, Ray::point_query(s.centers[i]),
         [&](std::uint32_t prim) {
           if (prim == i) saw_self = true;
           return TraversalControl::kContinue;
@@ -171,7 +177,7 @@ TEST_P(TraversalTest, EarlyTerminationStopsTraversal) {
   TraversalStats full_stats;
   std::size_t full_count = 0;
   traverse(
-      s.bvh, ray,
+      s.wide, ray,
       [&](std::uint32_t) {
         ++full_count;
         return TraversalControl::kContinue;
@@ -182,7 +188,7 @@ TEST_P(TraversalTest, EarlyTerminationStopsTraversal) {
   TraversalStats early_stats;
   std::size_t early_count = 0;
   traverse(
-      s.bvh, ray,
+      s.wide, ray,
       [&](std::uint32_t) {
         ++early_count;
         return early_count >= 3 ? TraversalControl::kTerminate
@@ -200,8 +206,8 @@ TEST_P(TraversalTest, StatsCountWork) {
   EXPECT_EQ(stats.rays, 1u);
   EXPECT_GT(stats.nodes_visited, 0u);
   EXPECT_GT(stats.aabb_tests, 0u);
-  // Internal node visits perform two child tests each.
-  EXPECT_GE(stats.aabb_tests, stats.nodes_visited);
+  // Every node visit tests at least one child lane, after the root test.
+  EXPECT_GE(stats.aabb_tests, stats.nodes_visited + 1);
 }
 
 TEST_P(TraversalTest, MissedSceneVisitsOnlyRoot) {
@@ -251,10 +257,11 @@ TEST_P(TraversalTest, OverlapQueryCoversBruteForce) {
 }
 
 TEST_P(TraversalTest, EmptyBvhIsANoOp) {
-  Bvh bvh;
+  const WideBvh wide = collapse_bvh(build_bvh({}, options_for(GetParam())));
+  ASSERT_TRUE(wide.empty());
   TraversalStats stats;
   traverse(
-      bvh, Ray::point_query(Vec3{0, 0, 0}),
+      wide, Ray::point_query(Vec3{0, 0, 0}),
       [&](std::uint32_t) {
         ADD_FAILURE() << "callback on empty BVH";
         return TraversalControl::kContinue;
@@ -275,11 +282,13 @@ TEST_P(TraversalTest, StackDepthSufficientForAdversarialInput) {
   }
   const Bvh bvh = build_bvh(bounds, options_for(GetParam()));
   ASSERT_LE(bvh.stats.max_depth + 1, 64u) << "would overflow traversal stack";
+  const WideBvh wide = collapse_bvh(bvh);
+  ASSERT_LE(wide.max_depth, bvh.stats.max_depth);
 
   TraversalStats stats;
   std::size_t hits = 0;
   traverse(
-      bvh, Ray::point_query(centers[15000]),
+      wide, Ray::point_query(centers[15000]),
       [&](std::uint32_t) {
         ++hits;
         return TraversalControl::kContinue;

@@ -1,7 +1,7 @@
-// Wide (8-ary) BVH: collapse validation, binary-vs-wide traversal parity,
-// 4-ray packet-vs-single-ray parity, leaf-collapse edge cases, refit, and
-// wide-vs-binary clustering parity through every BVH-backed variant and
-// backend.
+// Wide (8-ary) BVH: collapse validation, wide-walk-vs-brute-force parity,
+// binary-vs-wide overlap parity, 4-ray packet-vs-single-ray parity,
+// leaf-collapse edge cases, refit, each structure's layout rule, and
+// clustering parity through every BVH-backed variant and backend.
 #include "rt/wide_bvh.hpp"
 
 #include <gtest/gtest.h>
@@ -18,9 +18,10 @@
 #include "dbscan/engine.hpp"
 #include "dbscan/fdbscan.hpp"
 #include "dbscan_test_util.hpp"
-#include "index/bvh_rt_index.hpp"
 #include "index/point_bvh_index.hpp"
+#include "index/point_tree.hpp"
 #include "rt/scene.hpp"
+#include "rt/tessellate.hpp"
 #include "rt/traversal.hpp"
 
 namespace rtd::rt {
@@ -39,8 +40,7 @@ std::vector<Aabb> sphere_bounds(std::span<const Vec3> points, float radius) {
   return bounds;
 }
 
-template <typename BvhT>
-std::vector<std::uint32_t> ray_candidates(const BvhT& bvh, const Ray& ray,
+std::vector<std::uint32_t> ray_candidates(const WideBvh& bvh, const Ray& ray,
                                           TraversalStats& stats) {
   std::vector<std::uint32_t> ids;
   traverse(
@@ -70,6 +70,18 @@ std::vector<std::uint32_t> overlap_candidates(const BvhT& bvh,
   return ids;
 }
 
+/// The primitives whose own AABB the ray hits, by brute force — the set
+/// any walk must surface (after its exact filter).
+std::vector<std::uint32_t> brute_ray_hits(std::span<const Aabb> bounds,
+                                          const Ray& ray) {
+  std::vector<std::uint32_t> ids;
+  traverse_brute_force(bounds, ray, [&](std::uint32_t prim) {
+    ids.push_back(prim);
+    return TraversalControl::kContinue;
+  });
+  return ids;
+}
+
 bool is_subset(const std::vector<std::uint32_t>& sub,
                const std::vector<std::uint32_t>& super) {
   return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
@@ -86,23 +98,24 @@ std::vector<std::uint32_t> neighbor_set(const index::NeighborIndex& idx,
   return ids;
 }
 
-/// The candidate contract of the wide walk: a SUPERSET of the binary
-/// walk's candidates (its leaf lanes absorb whole subtrees), and after the
-/// exact per-primitive test both reduce to the same set.
+/// The candidate contract of a walk: a SUPERSET of the `reference`
+/// candidates (the brute-force hits, or a finer tree's candidates — wide
+/// leaf lanes absorb whole subtrees), and after the exact per-primitive
+/// test both reduce to the same set.
 template <typename ExactTest>
-void expect_candidate_contract(const std::vector<std::uint32_t>& wide_ids,
-                               const std::vector<std::uint32_t>& binary_ids,
+void expect_candidate_contract(const std::vector<std::uint32_t>& walk_ids,
+                               const std::vector<std::uint32_t>& reference,
                                ExactTest&& exact, const char* what) {
-  EXPECT_TRUE(is_subset(binary_ids, wide_ids)) << what;
-  std::vector<std::uint32_t> wide_exact;
-  for (const auto id : wide_ids) {
-    if (exact(id)) wide_exact.push_back(id);
+  EXPECT_TRUE(is_subset(reference, walk_ids)) << what;
+  std::vector<std::uint32_t> walk_exact;
+  for (const auto id : walk_ids) {
+    if (exact(id)) walk_exact.push_back(id);
   }
-  std::vector<std::uint32_t> binary_exact;
-  for (const auto id : binary_ids) {
-    if (exact(id)) binary_exact.push_back(id);
+  std::vector<std::uint32_t> reference_exact;
+  for (const auto id : reference) {
+    if (exact(id)) reference_exact.push_back(id);
   }
-  EXPECT_EQ(wide_exact, binary_exact) << what;
+  EXPECT_EQ(walk_exact, reference_exact) << what;
 }
 
 TEST(WideBvh, CollapseValidatesOnSerialAndParallelBuilds) {
@@ -121,15 +134,14 @@ TEST(WideBvh, CollapseValidatesOnSerialAndParallelBuilds) {
   }
 }
 
-TEST(WideBvh, RayTraversalParityWithBinary) {
+TEST(WideBvh, RayTraversalParityWithBruteForce) {
   const auto dataset = data::taxi_gps(3000, 11);
   const auto bounds = sphere_bounds(dataset.points, 0.25f);
-  const Bvh binary = build_bvh(bounds, {});
-  const WideBvh wide = collapse_bvh(binary);
+  const WideBvh wide = collapse_bvh(build_bvh(bounds, {}));
   Rng rng(99);
 
-  TraversalStats binary_stats;
   TraversalStats wide_stats;
+  std::uint64_t queries = 0;
   for (std::size_t q = 0; q < dataset.points.size(); q += 37) {
     // The paper's degenerate point query...
     const Ray point_ray = Ray::point_query(dataset.points[q]);
@@ -139,7 +151,7 @@ TEST(WideBvh, RayTraversalParityWithBinary) {
       };
     };
     expect_candidate_contract(ray_candidates(wide, point_ray, wide_stats),
-                              ray_candidates(binary, point_ray, binary_stats),
+                              brute_ray_hits(bounds, point_ray),
                               ray_exact(point_ray), "point ray");
     // ...and ordinary finite rays, including axis-parallel ones (zero
     // direction components exercise the slab test's parallel branch).
@@ -151,13 +163,11 @@ TEST(WideBvh, RayTraversalParityWithBinary) {
                      0.0f,
                      q % 5 == 0 ? 2.0f : 1e30f};
     expect_candidate_contract(ray_candidates(wide, finite, wide_stats),
-                              ray_candidates(binary, finite, binary_stats),
+                              brute_ray_hits(bounds, finite),
                               ray_exact(finite), "finite ray");
+    queries += 2;
   }
-  // The point of the layout: far fewer node pops for the same exact
-  // results and the same per-query launch count.
-  EXPECT_EQ(wide_stats.rays, binary_stats.rays);
-  EXPECT_LT(wide_stats.nodes_visited, binary_stats.nodes_visited);
+  EXPECT_EQ(wide_stats.rays, queries);  // one launch per query
 }
 
 // ---------------------------------------------------------------------------
@@ -263,14 +273,12 @@ TEST(WidePacket, TraversePointsMatchesSingleRayWalks) {
 
 TEST(WidePacket, SphereAccelPacketMatchesTraceAndExactTest) {
   const auto dataset = data::gaussian_blobs(5000, 4, 0.4f, 10.0f, 3, 14);
-  BuildOptions options;
-  options.width = TraversalWidth::kWide;
   // Includes exact-boundary pairs: (0,0,0)-(3,4,0) sit exactly 5 apart.
   std::vector<Vec3> centers = dataset.points;
   centers.push_back({0.0f, 0.0f, 0.0f});
   centers.push_back({3.0f, 4.0f, 0.0f});
   for (const float radius : {0.3f, 5.0f}) {
-    const SphereAccel accel(centers, radius, options);
+    const SphereAccel accel(centers, radius);
     ASSERT_FALSE(accel.wide_bvh().empty());
     const std::size_t n = centers.size();
     for (std::size_t pos = 0; pos + 4 <= n; pos += 97) {
@@ -313,17 +321,6 @@ TEST(WidePacket, SphereAccelPacketMatchesTraceAndExactTest) {
       }
     }
   }
-
-  // A binary-only accel has no packet walk: its callers trace per ray.
-  BuildOptions binary;
-  binary.width = TraversalWidth::kBinary;
-  const SphereAccel flat(centers, 0.3f, binary);
-  PointPacket packet;
-  packet.push(centers[0]);
-  TraversalStats stats;
-  EXPECT_THROW(flat.trace_packet(
-                   packet, [](std::uint32_t, std::uint32_t) {}, stats),
-               std::logic_error);
 }
 
 TEST(WideBvh, OverlapTraversalParityWithBinary) {
@@ -361,7 +358,7 @@ TEST(WideBvh, LeafCollapseEdgeCases) {
   EXPECT_TRUE(
       ray_candidates(empty_wide, Ray::point_query({0, 0, 0}), stats).empty());
 
-  // n < arity, including the single-leaf tree (n <= leaf_size collapses the
+  // n < arity, including the single-leaf tree (n <= kLeafSize collapses the
   // whole dataset into one leaf lane) and duplicate coordinates.
   for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u}) {
     std::vector<Vec3> pts;
@@ -375,9 +372,8 @@ TEST(WideBvh, LeafCollapseEdgeCases) {
     for (std::size_t q = 0; q < n; ++q) {
       const Ray ray = Ray::point_query(pts[q]);
       TraversalStats s1;
-      TraversalStats s2;
       expect_candidate_contract(
-          ray_candidates(wide, ray, s1), ray_candidates(binary, ray, s2),
+          ray_candidates(wide, ray, s1), brute_ray_hits(bounds, ray),
           [&](std::uint32_t id) {
             return geom::ray_intersects_aabb(ray, bounds[id]);
           },
@@ -388,24 +384,20 @@ TEST(WideBvh, LeafCollapseEdgeCases) {
 
 TEST(WideBvh, RefitTracksRadiusSweep) {
   const auto dataset = data::taxi_gps(2000, 17);
-  BuildOptions opts;
-  opts.width = TraversalWidth::kWide;
-  SphereAccel accel(dataset.points, 0.2f, opts);
+  SphereAccel accel(dataset.points, 0.2f);
   ASSERT_FALSE(accel.wide_bvh().empty());
 
   for (const float radius : {0.4f, 0.1f, 0.25f}) {
     accel.set_radius(radius);
     const auto bounds = sphere_bounds(dataset.points, radius);
     EXPECT_EQ(accel.wide_bvh().validate(bounds), "") << radius;
-    // The refit wide layout keeps the candidate contract against the refit
-    // binary tree it mirrors, and exact-filtered results match the brute
-    // oracle.
+    // The refit wide layout surfaces every primitive whose refit box the
+    // ray hits, and exact-filtered results match the brute oracle.
     TraversalStats s1;
-    TraversalStats s2;
     const float r2 = radius * radius;
     for (std::size_t q = 0; q < dataset.points.size(); q += 97) {
       const Ray ray = Ray::point_query(dataset.points[q]);
-      EXPECT_TRUE(is_subset(ray_candidates(accel.bvh(), ray, s2),
+      EXPECT_TRUE(is_subset(brute_ray_hits(bounds, ray),
                             ray_candidates(accel.wide_bvh(), ray, s1)))
           << radius << " q=" << q;
       std::vector<std::uint32_t> exact;
@@ -427,136 +419,67 @@ TEST(WideBvh, RefitTracksRadiusSweep) {
   }
 }
 
+/// Every point of `points` within `eps` of `center`, self excluded.
+std::vector<std::uint32_t> brute_neighbors(std::span<const Vec3> points,
+                                           const Vec3& center, float eps,
+                                           std::uint32_t self) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t j = 0; j < points.size(); ++j) {
+    if (j != self && geom::distance_squared(center, points[j]) <= eps * eps) {
+      ids.push_back(j);
+    }
+  }
+  return ids;
+}
+
+// Each structure's layout: the ray scenes always walk the wide layout,
+// index::PointTree from PointTree::kWideMinPoints points up, and an empty
+// structure has no tree of either kind.
 TEST(WideBvh, WidthResolution) {
-  EXPECT_FALSE(use_wide_traversal(TraversalWidth::kBinary, 1u << 20));
-  EXPECT_TRUE(use_wide_traversal(TraversalWidth::kWide, 1));
-  EXPECT_FALSE(use_wide_traversal(TraversalWidth::kAuto,
-                                  kWideBvhMinPrims - 1));
-  EXPECT_TRUE(use_wide_traversal(TraversalWidth::kAuto, kWideBvhMinPrims));
-
-  // Unified empty-input rule: EVERY width resolves to the (trivial) binary
-  // path at zero primitives — an explicit kWide request is not "quietly
-  // disabled" at some other threshold, zero is the one size with nothing
-  // to collapse (see the use_wide_traversal header comment).
-  for (const TraversalWidth w :
-       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide}) {
-    EXPECT_FALSE(use_wide_traversal(w, 0)) << to_string(w);
+  // A one-sphere scene is already wide, and answers like brute force.
+  const std::vector<Vec3> one{Vec3{1.0f, 2.0f, 3.0f}};
+  const SphereAccel single(one, 0.5f);
+  EXPECT_FALSE(single.wide_bvh().empty());
+  EXPECT_EQ(single.wide_bvh().validate(sphere_bounds(one, 0.5f)), "");
+  for (const Vec3 probe : {Vec3{1.0f, 2.0f, 3.4f}, Vec3{1.0f, 2.0f, 3.6f}}) {
+    const Ray ray = Ray::point_query(probe);
+    std::vector<std::uint32_t> got;
+    TraversalStats stats;
+    single.trace(
+        ray,
+        [&](std::uint32_t prim) {
+          if (single.origin_inside(ray, prim)) got.push_back(prim);
+        },
+        stats);
+    EXPECT_EQ(got, brute_neighbors(one, probe, 0.5f, index::kNoSelf));
   }
 
-  EXPECT_STREQ(to_string(TraversalWidth::kAuto), "auto");
-  EXPECT_STREQ(to_string(TraversalWidth::kBinary), "binary");
-  EXPECT_STREQ(to_string(TraversalWidth::kWide), "wide");
-  for (const TraversalWidth w :
-       {TraversalWidth::kAuto, TraversalWidth::kBinary, TraversalWidth::kWide}) {
-    TraversalWidth parsed = TraversalWidth::kBinary;
-    EXPECT_TRUE(parse_traversal_width(to_string(w), parsed));
-    EXPECT_EQ(parsed, w);
-  }
-  TraversalWidth unused = TraversalWidth::kAuto;
-  EXPECT_FALSE(parse_traversal_width("narrow", unused));
-  EXPECT_EQ(unused, TraversalWidth::kAuto);
-
-  // kAuto materializes the wide layout only past the threshold.
-  const auto small = data::taxi_gps(512, 19);
+  // The point tree switches layouts at its threshold.
+  const auto small = data::taxi_gps(index::PointTree::kWideMinPoints - 1, 19);
   const index::PointBvhIndex small_idx(small.points, 0.3f);
   EXPECT_TRUE(small_idx.wide_bvh().empty());
-  const auto large = data::taxi_gps(kWideBvhMinPrims, 19);
+  const auto large = data::taxi_gps(index::PointTree::kWideMinPoints, 19);
   const index::PointBvhIndex large_idx(large.points, 0.3f);
   EXPECT_FALSE(large_idx.wide_bvh().empty());
 
-  // Explicit requests on empty inputs build nothing and stay on the
-  // (trivially empty) binary walk — on every owner.
+  // Empty inputs build nothing on every owner and answer nothing.
   const std::vector<Vec3> none;
-  index::IndexBuildOptions wide_opts;
-  wide_opts.build.width = TraversalWidth::kWide;
-  const index::PointBvhIndex empty_idx(none, 0.3f, wide_opts.build);
+  const index::PointBvhIndex empty_idx(none, 0.3f);
   EXPECT_TRUE(empty_idx.wide_bvh().empty());
   EXPECT_EQ(neighbor_set(empty_idx, Vec3{0, 0, 0}, 0.3f, index::kNoSelf),
             std::vector<std::uint32_t>{});
-  BuildOptions tri_opts;
-  tri_opts.width = TraversalWidth::kWide;
-  const TriangleAccel empty_tri({}, {}, tri_opts);
+  const SphereAccel empty_spheres(none, 0.3f);
+  EXPECT_TRUE(empty_spheres.wide_bvh().empty());
+  const TriangleAccel empty_tri({}, {});
   EXPECT_TRUE(empty_tri.wide_bvh().empty());
 }
 
-// Satellite: collapse_bvh() returns an EMPTY tree when a binary leaf
-// exceeds kWideMaxLeafCount (only reachable with an absurd
-// BuildOptions::leaf_size) — every owner must detect that and keep the
-// binary walk, not traverse a hollow wide tree.
-TEST(WideBvh, OversizeLeafFallsBackToBinaryOnEveryOwner) {
-  // One leaf holding > 0xffff primitives: 16-bit lane counts cannot
-  // represent it.
-  const std::size_t n = static_cast<std::size_t>(kWideMaxLeafCount) + 2;
-  const auto dataset = data::uniform_cube(n, 50.0f, 3, 43);
-  BuildOptions absurd;
-  absurd.leaf_size = 1u << 20;
-  absurd.width = TraversalWidth::kWide;
-
-  const auto bounds = sphere_bounds(dataset.points, 0.5f);
-  const Bvh binary = build_bvh(bounds, absurd);
-  ASSERT_TRUE(collapse_bvh(binary).empty());
-
-  // SphereAccel: explicit kWide request, collapse unrepresentable → the
-  // accel must report an empty wide tree and still answer correctly.
-  SphereAccel accel(dataset.points, 0.5f, absurd);
-  EXPECT_TRUE(accel.wide_bvh().empty());
-  TraversalStats stats;
-  const Ray probe = Ray::point_query(dataset.points[7]);
-  std::vector<std::uint32_t> got;
-  accel.trace(
-      probe,
-      [&](std::uint32_t prim) {
-        if (accel.origin_inside(probe, prim)) got.push_back(prim);
-      },
-      stats);
-  std::sort(got.begin(), got.end());
-  std::vector<std::uint32_t> oracle;
-  for (std::uint32_t j = 0; j < n; ++j) {
-    if (geom::distance_squared(dataset.points[7], dataset.points[j]) <=
-        0.25f) {
-      oracle.push_back(j);
-    }
-  }
-  EXPECT_EQ(got, oracle);
-
-  // PointBvhIndex detects the empty collapse the same way.
-  const index::PointBvhIndex idx(dataset.points, 0.5f, absurd);
-  EXPECT_TRUE(idx.wide_bvh().empty());
-  EXPECT_EQ(neighbor_set(idx, dataset.points[7], 0.5f, 7),
-            [&] {
-              std::vector<std::uint32_t> o;
-              for (std::uint32_t j = 0; j < n; ++j) {
-                if (j != 7 && geom::distance_squared(dataset.points[7],
-                                                     dataset.points[j]) <=
-                                  0.25f) {
-                  o.push_back(j);
-                }
-              }
-              return o;
-            }());
-
-  // TriangleAccel: an oversize-leaf build over triangles falls back too.
-  std::vector<geom::Triangle> tris;
-  std::vector<std::uint32_t> owners;
-  const std::size_t tri_n = static_cast<std::size_t>(kWideMaxLeafCount) + 2;
-  tris.reserve(tri_n);
-  owners.reserve(tri_n);
-  Rng rng(44);
-  for (std::uint32_t i = 0; i < tri_n; ++i) {
-    const Vec3 base{rng.uniformf(-40, 40), rng.uniformf(-40, 40),
-                    rng.uniformf(-40, 40)};
-    tris.push_back({base, base + Vec3{0.1f, 0, 0}, base + Vec3{0, 0.1f, 0}});
-    owners.push_back(i);
-  }
-  const TriangleAccel tri_accel(std::move(tris), std::move(owners), absurd);
-  EXPECT_TRUE(tri_accel.wide_bvh().empty());
-  EXPECT_FALSE(tri_accel.bvh().empty());
-}
-
 // ---------------------------------------------------------------------------
-// Index-layer and clustering parity: wide and binary must agree on neighbor
-// SETS and on the final Clustering, for every BVH-backed backend, across
-// the standard degenerate datasets.
+// Index-layer and clustering parity: every BVH-backed backend must answer
+// the brute-force neighbor SETS and the reference Clustering, across the
+// standard degenerate datasets.  Below PointTree::kWideMinPoints kPointBvh
+// walks its binary tree while kBvhRt walks its wide layout, so these cases
+// cover both layouts.
 // ---------------------------------------------------------------------------
 
 struct WidthCase {
@@ -585,143 +508,128 @@ std::vector<WidthCase> width_cases() {
   return cases;
 }
 
-std::unique_ptr<index::NeighborIndex> make_width_index(
-    std::span<const Vec3> points, float eps, index::IndexKind kind,
-    TraversalWidth width) {
-  index::IndexBuildOptions options;
-  options.build.width = width;
-  return index::make_index(points, eps, kind, options);
-}
+constexpr index::IndexKind kTreeKinds[] = {index::IndexKind::kPointBvh,
+                                           index::IndexKind::kBvhRt};
 
-TEST(WideBvhIndexParity, NeighborSetsMatchBinaryOnEveryBvhBackend) {
+TEST(WideBvhIndexParity, NeighborSetsMatchBruteForceOnEveryBvhBackend) {
   for (const auto& c : width_cases()) {
-    for (const index::IndexKind kind :
-         {index::IndexKind::kPointBvh, index::IndexKind::kBvhRt}) {
-      const auto binary =
-          make_width_index(c.points, c.eps, kind, TraversalWidth::kBinary);
-      {
-        const TraversalWidth width = TraversalWidth::kWide;
-        const auto wide = make_width_index(c.points, c.eps, kind, width);
-        for (std::uint32_t q = 0; q < c.points.size(); q += 17) {
-          EXPECT_EQ(neighbor_set(*wide, c.points[q], c.eps, q),
-                    neighbor_set(*binary, c.points[q], c.eps, q))
-              << c.name << " " << index::to_string(kind) << " "
-              << to_string(width) << " q=" << q;
-        }
-        // query_count agrees too (including through the early-exit cap).
-        for (std::uint32_t q = 0; q < c.points.size(); q += 41) {
-          TraversalStats s1;
-          TraversalStats s2;
-          EXPECT_EQ(wide->query_count(c.points[q], c.eps, q, s1),
-                    binary->query_count(c.points[q], c.eps, q, s2))
-              << c.name << " " << index::to_string(kind) << " "
-              << to_string(width);
-        }
+    const auto brute =
+        index::make_index(c.points, c.eps, index::IndexKind::kBruteForce);
+    for (const index::IndexKind kind : kTreeKinds) {
+      const auto tree = index::make_index(c.points, c.eps, kind);
+      for (std::uint32_t q = 0; q < c.points.size(); q += 17) {
+        EXPECT_EQ(neighbor_set(*tree, c.points[q], c.eps, q),
+                  neighbor_set(*brute, c.points[q], c.eps, q))
+            << c.name << " " << index::to_string(kind) << " q=" << q;
+      }
+      for (std::uint32_t q = 0; q < c.points.size(); q += 41) {
+        TraversalStats s1;
+        TraversalStats s2;
+        EXPECT_EQ(tree->query_count(c.points[q], c.eps, q, s1),
+                  brute->query_count(c.points[q], c.eps, q, s2))
+            << c.name << " " << index::to_string(kind);
       }
     }
   }
 }
 
-TEST(WideBvhIndexParity, QueryBoxMatchesBinaryOnEveryBvhBackend) {
-  // query_box routes through the same layout dispatch as the sphere
-  // queries.
+std::vector<std::uint32_t> box_set(const index::NeighborIndex& idx,
+                                   const Aabb& box) {
+  std::vector<std::uint32_t> ids;
+  TraversalStats stats;
+  idx.query_box(box, [&](std::uint32_t j) { ids.push_back(j); }, stats);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(WideBvhIndexParity, QueryBoxMatchesBruteForceOnEveryBvhBackend) {
   const auto c = width_cases().front();
-  const auto box_set = [](const index::NeighborIndex& idx, const Aabb& box,
-                          TraversalStats& stats) {
-    std::vector<std::uint32_t> ids;
-    idx.query_box(box, [&](std::uint32_t j) { ids.push_back(j); }, stats);
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
-  for (const index::IndexKind kind :
-       {index::IndexKind::kPointBvh, index::IndexKind::kBvhRt}) {
-    const auto binary =
-        make_width_index(c.points, c.eps, kind, TraversalWidth::kBinary);
-    {
-      const TraversalWidth width = TraversalWidth::kWide;
-      const auto other = make_width_index(c.points, c.eps, kind, width);
-      TraversalStats sb;
-      TraversalStats so;
-      for (std::uint32_t q = 0; q < c.points.size(); q += 97) {
-        const Aabb box = Aabb::of_sphere(c.points[q], 1.3f * c.eps);
-        EXPECT_EQ(box_set(*other, box, so), box_set(*binary, box, sb))
-            << index::to_string(kind) << " " << to_string(width)
-            << " q=" << q;
-      }
-      // The wide layout must actually be WALKED: a silent binary fallback
-      // would pop the same node count as the binary index.
-      EXPECT_LT(so.nodes_visited, sb.nodes_visited)
-          << index::to_string(kind) << " " << to_string(width);
+  const auto brute =
+      index::make_index(c.points, c.eps, index::IndexKind::kBruteForce);
+  for (const index::IndexKind kind : kTreeKinds) {
+    const auto tree = index::make_index(c.points, c.eps, kind);
+    for (std::uint32_t q = 0; q < c.points.size(); q += 97) {
+      const Aabb box = Aabb::of_sphere(c.points[q], 1.3f * c.eps);
+      EXPECT_EQ(box_set(*tree, box), box_set(*brute, box))
+          << index::to_string(kind) << " q=" << q;
     }
+  }
+}
+
+// kPointBvh on both sides of PointTree::kWideMinPoints: the binary tree
+// at 4,095 points and the wide layout at 4,096 answer queries and run()
+// like brute force.
+TEST(PointTreeLayout, BothSidesOfThresholdMatchBruteForce) {
+  const float eps = 0.3f;
+  for (const std::size_t n : {index::PointTree::kWideMinPoints - 1,
+                              index::PointTree::kWideMinPoints}) {
+    const auto dataset = data::taxi_gps(n, 23);
+    const index::PointBvhIndex tree(dataset.points, eps);
+    EXPECT_EQ(tree.wide_bvh().empty(), n < index::PointTree::kWideMinPoints);
+    const auto brute = index::make_index(dataset.points, eps,
+                                         index::IndexKind::kBruteForce);
+    for (std::uint32_t q = 0; q < n; q += 13) {
+      EXPECT_EQ(neighbor_set(tree, dataset.points[q], eps, q),
+                neighbor_set(*brute, dataset.points[q], eps, q))
+          << "n=" << n << " q=" << q;
+      const Aabb box = Aabb::of_sphere(dataset.points[q], 1.3f * eps);
+      EXPECT_EQ(box_set(tree, box), box_set(*brute, box))
+          << "n=" << n << " q=" << q;
+    }
+    Clusterer session(dataset.points,
+                      Options().with_backend(index::IndexKind::kPointBvh));
+    const ClusterResult& run = session.run(eps, 8);
+    EXPECT_EQ(run.stats.backend, index::IndexKind::kPointBvh);
+    testutil::expect_matches_reference(dataset.points, {eps, 8},
+                                       run.to_clustering(), "pointbvh run");
   }
 }
 
 TEST(WideBvhClusteringParity, EngineIdenticalAcrossWidths) {
-  const dbscan::Params params{0.6f, 5};
   for (const auto& c : width_cases()) {
-    dbscan::Params p = params;
-    p.eps = c.eps;
-    for (const index::IndexKind kind :
-         {index::IndexKind::kPointBvh, index::IndexKind::kBvhRt}) {
-      const auto binary =
-          make_width_index(c.points, p.eps, kind, TraversalWidth::kBinary);
-      const auto run_b = dbscan::cluster_with_index(*binary, p);
-      {
-        const TraversalWidth width = TraversalWidth::kWide;
-        const auto wide = make_width_index(c.points, p.eps, kind, width);
-        const auto run_w = dbscan::cluster_with_index(*wide, p);
-        // Identical, not merely equivalent: the candidate sets match
-        // per-query after the exact filter, so the whole two-phase run
-        // replays bit-for-bit.
-        EXPECT_EQ(run_w.clustering.labels, run_b.clustering.labels)
-            << c.name << " " << index::to_string(kind) << " "
-            << to_string(width);
-        EXPECT_EQ(run_w.clustering.is_core, run_b.clustering.is_core)
-            << c.name << " " << index::to_string(kind) << " "
-            << to_string(width);
-        EXPECT_EQ(run_w.neighbor_counts, run_b.neighbor_counts)
-            << c.name << " " << index::to_string(kind) << " "
-            << to_string(width);
-        testutil::expect_matches_reference(c.points, p, run_w.clustering,
-                                           c.name);
-      }
-    }
+    const dbscan::Params p{c.eps, 5};
+    // kPointBvh walks the binary tree here, kBvhRt the wide layout.
+    const auto binary =
+        index::make_index(c.points, p.eps, index::IndexKind::kPointBvh);
+    const auto wide =
+        index::make_index(c.points, p.eps, index::IndexKind::kBvhRt);
+    const auto run_b = dbscan::cluster_with_index(*binary, p);
+    const auto run_w = dbscan::cluster_with_index(*wide, p);
+    // Identical, not merely equivalent: the neighbor sets match per query
+    // after the exact filter, so the whole two-phase run replays
+    // bit-for-bit.
+    EXPECT_EQ(run_w.clustering.labels, run_b.clustering.labels) << c.name;
+    EXPECT_EQ(run_w.clustering.is_core, run_b.clustering.is_core) << c.name;
+    EXPECT_EQ(run_w.neighbor_counts, run_b.neighbor_counts) << c.name;
+    testutil::expect_matches_reference(c.points, p, run_w.clustering,
+                                       c.name);
   }
 }
 
-TEST(WideBvhClusteringParity, VariantsMatchReferenceWithForcedWide) {
-  const auto dataset = data::taxi_gps(2500, 61);
+TEST(WideBvhClusteringParity, VariantsMatchReferenceOnWideTrees) {
+  // At the point tree's threshold every tree here walks its wide layout.
+  const auto dataset = data::taxi_gps(index::PointTree::kWideMinPoints, 61);
   const dbscan::Params params{0.3f, 8};
 
-  // FDBSCAN over a forced-wide point BVH (with and without early exit).
+  // FDBSCAN over the point BVH (with and without early exit).
   for (const bool early_exit : {false, true}) {
     dbscan::FdbscanOptions options;
-    options.build.width = TraversalWidth::kWide;
     options.early_exit = early_exit;
     const auto fd = dbscan::fdbscan(dataset.points, params, options);
     testutil::expect_matches_reference(dataset.points, params, fd.clustering,
-                                       "fdbscan+wide");
+                                       "fdbscan");
   }
 
-  // RT-DBSCAN over a forced-wide sphere scene matches the reference, and
-  // forced-binary and forced-wide RT runs are identical point for point.
-  core::RtDbscanOptions narrow;
-  narrow.device.build.width = TraversalWidth::kBinary;
-  core::RtDbscanOptions wide;
-  wide.device.build.width = TraversalWidth::kWide;
-  const auto rt_b = core::rt_dbscan(dataset.points, params, narrow);
-  const auto rt_w = core::rt_dbscan(dataset.points, params, wide);
-  testutil::expect_matches_reference(dataset.points, params, rt_w.clustering,
-                                     "rt_dbscan+wide");
-  EXPECT_EQ(rt_w.clustering.labels, rt_b.clustering.labels);
-  EXPECT_EQ(rt_w.neighbor_counts, rt_b.neighbor_counts);
+  // RT-DBSCAN over the sphere scene.
+  const auto rt = core::rt_dbscan(dataset.points, params);
+  testutil::expect_matches_reference(dataset.points, params, rt.clustering,
+                                     "rt_dbscan");
 }
 
 // ---------------------------------------------------------------------------
 // Triangle mode (§VI-C) on the wide kernel: the tessellated scene must
-// surface identical owner sets and identical clusterings across binary and
-// wide, on the standard degenerate datasets, and the wide layout must
-// refit through a TriangleAccel ε sweep.
+// surface the brute-force owner sets and the reference clustering, at every
+// size, and the wide layout must refit through a TriangleAccel ε sweep.
 // ---------------------------------------------------------------------------
 
 /// Owner set a +z §VI-C query ray hits (exact AnyHit dedup), sorted.
@@ -738,20 +646,45 @@ std::vector<std::uint32_t> traced_owner_set(const TriangleAccel& accel,
   return owners;
 }
 
-TEST(TriangleWideParity, KAutoCollapsesAtThreshold) {
-  // >= kWideBvhMinPrims TRIANGLES (not points): 256 spheres x 20 faces.
-  const auto dataset = data::taxi_gps(256, 53);
-  const TriangleAccel big(dataset.points, 0.3f, /*subdivisions=*/0, {});
-  ASSERT_GE(big.triangle_count(), kWideBvhMinPrims);
-  EXPECT_FALSE(big.wide_bvh().empty());  // kAuto default picked wide
-
-  const auto small = data::taxi_gps(64, 53);
-  const TriangleAccel tiny(small.points, 0.3f, 0, {});
-  ASSERT_LT(tiny.triangle_count(), kWideBvhMinPrims);
-  EXPECT_TRUE(tiny.wide_bvh().empty());
+/// The same owner set by brute force over the tessellation's triangles.
+std::vector<std::uint32_t> brute_owner_set(const TessellatedSpheres& mesh,
+                                           const Vec3& origin, float tmax) {
+  std::vector<std::uint32_t> owners;
+  const geom::Ray ray{origin, {0.0f, 0.0f, 1.0f}, 0.0f, tmax};
+  for (std::size_t t = 0; t < mesh.triangles.size(); ++t) {
+    if (geom::ray_intersects_triangle(ray, mesh.triangles[t])) {
+      owners.push_back(mesh.owners[t]);
+    }
+  }
+  std::sort(owners.begin(), owners.end());
+  owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
+  return owners;
 }
 
-TEST(TriangleWideParity, OwnerSetsIdenticalAcrossWidths) {
+TEST(TriangleWideParity, SmallSceneCollapsesToWide) {
+  // Under 4096 triangles (64 spheres x 20 faces) the scene still walks the
+  // wide layout, and answers like brute force.
+  const auto small = data::taxi_gps(64, 53);
+  const float eps = 0.3f;
+  const TriangleAccel tiny(small.points, eps, /*subdivisions=*/0);
+  ASSERT_LT(tiny.triangle_count(), 4096u);
+  ASSERT_FALSE(tiny.wide_bvh().empty());
+  const TessellatedSpheres mesh = tessellate_spheres(small.points, eps, 0);
+  const float tmax = 1.01f * (eps + tiny.vertex_scale());
+  TraversalStats stats;
+  for (std::uint32_t q = 0; q < small.points.size(); ++q) {
+    EXPECT_EQ(traced_owner_set(tiny, small.points[q], tmax, stats),
+              brute_owner_set(mesh, small.points[q], tmax))
+        << "q=" << q;
+  }
+
+  const auto large = data::taxi_gps(256, 53);
+  const TriangleAccel big(large.points, eps, 0);
+  ASSERT_GE(big.triangle_count(), 4096u);
+  EXPECT_FALSE(big.wide_bvh().empty());
+}
+
+TEST(TriangleWideParity, OwnerSetsMatchBruteForce) {
   struct TriCase {
     const char* name;
     std::vector<Vec3> points;
@@ -767,28 +700,15 @@ TEST(TriangleWideParity, OwnerSetsIdenticalAcrossWidths) {
   cases.push_back({"all_duplicates", std::move(dups), 0.5f});
 
   for (const auto& c : cases) {
-    BuildOptions binary_opts;
-    binary_opts.width = TraversalWidth::kBinary;
-    const TriangleAccel binary(c.points, c.eps, 1, binary_opts);
-    const float tmax = 1.01f * (c.eps + binary.vertex_scale());
-    {
-      const TraversalWidth width = TraversalWidth::kWide;
-      BuildOptions opts;
-      opts.width = width;
-      const TriangleAccel other(c.points, c.eps, 1, opts);
-      ASSERT_FALSE(other.wide_bvh().empty()) << c.name;
-      TraversalStats s1;
-      TraversalStats s2;
-      for (std::size_t q = 0; q < c.points.size(); q += 7) {
-        EXPECT_EQ(traced_owner_set(other, c.points[q], tmax, s1),
-                  traced_owner_set(binary, c.points[q], tmax, s2))
-            << c.name << " " << to_string(width) << " q=" << q;
-      }
-      // The point of the kernel: same exact hits, fewer node pops.
-      EXPECT_LT(s1.nodes_visited, s2.nodes_visited)
-          << c.name << " " << to_string(width);
-      EXPECT_EQ(s1.anyhit_calls, s2.anyhit_calls)
-          << c.name << " " << to_string(width);
+    const TriangleAccel accel(c.points, c.eps, 1);
+    ASSERT_FALSE(accel.wide_bvh().empty()) << c.name;
+    const TessellatedSpheres mesh = tessellate_spheres(c.points, c.eps, 1);
+    const float tmax = 1.01f * (c.eps + accel.vertex_scale());
+    TraversalStats stats;
+    for (std::size_t q = 0; q < c.points.size(); q += 7) {
+      EXPECT_EQ(traced_owner_set(accel, c.points[q], tmax, stats),
+                brute_owner_set(mesh, c.points[q], tmax))
+          << c.name << " q=" << q;
     }
   }
 }
@@ -796,77 +716,60 @@ TEST(TriangleWideParity, OwnerSetsIdenticalAcrossWidths) {
 TEST(TriangleWideParity, ClusteringsIdenticalAcrossWidths) {
   const auto dataset = data::gaussian_blobs(700, 4, 0.4f, 9.0f, 3, 67);
   const dbscan::Params params{0.5f, 6};
-  const dbscan::Params tri{params.eps, params.min_pts,
-                           index::IndexKind::kTriangles};
-  core::RtDbscanOptions base;
-  base.triangle_subdivisions = 1;
-
-  core::RtDbscanOptions binary = base;
-  binary.device.build.width = TraversalWidth::kBinary;
-  const auto rt_b = core::rt_dbscan(dataset.points, tri, binary);
-  testutil::expect_matches_reference(dataset.points, params, rt_b.clustering,
-                                     "triangles+binary");
-
-  {
-    const TraversalWidth width = TraversalWidth::kWide;
-    core::RtDbscanOptions opts = base;
-    opts.device.build.width = width;
-    const auto rt_w = core::rt_dbscan(dataset.points, tri, opts);
-    EXPECT_EQ(rt_w.clustering.labels, rt_b.clustering.labels)
-        << to_string(width);
-    EXPECT_EQ(rt_w.clustering.is_core, rt_b.clustering.is_core)
-        << to_string(width);
-    EXPECT_EQ(rt_w.neighbor_counts, rt_b.neighbor_counts)
-        << to_string(width);
-    // AnyHit counts match too: the exact triangle filter runs before the
-    // program, so the wide superset only inflates candidate tests.
-    EXPECT_EQ(rt_w.phase1.work.anyhit_calls, rt_b.phase1.work.anyhit_calls)
-        << to_string(width);
-  }
+  core::RtDbscanOptions opts;
+  opts.triangle_subdivisions = 1;
+  // The triangle scene walks its wide layout; kPointBvh at 700 points walks
+  // its binary tree.
+  const auto tri = core::rt_dbscan(
+      dataset.points,
+      {params.eps, params.min_pts, index::IndexKind::kTriangles}, opts);
+  const auto point = dbscan::cluster_with_index(
+      *index::make_index(dataset.points, params.eps,
+                         index::IndexKind::kPointBvh),
+      params);
+  testutil::expect_matches_reference(dataset.points, params, tri.clustering,
+                                     "triangles");
+  EXPECT_EQ(tri.clustering.labels, point.clustering.labels);
+  EXPECT_EQ(tri.clustering.is_core, point.clustering.is_core);
+  EXPECT_EQ(tri.neighbor_counts, point.neighbor_counts);
 }
 
 TEST(TriangleWideParity, RefitAfterEpsSweepKeepsParity) {
   const auto dataset = data::taxi_gps(500, 71);
-  for (const TraversalWidth width :
-       {TraversalWidth::kBinary, TraversalWidth::kWide}) {
-    BuildOptions opts;
-    opts.width = width;
-    TriangleAccel accel(dataset.points, 0.2f, 1, opts);
-    for (const float eps : {0.45f, 0.15f, 0.3f}) {
-      accel.set_radius(eps);
-      EXPECT_FLOAT_EQ(accel.radius(), eps);
-      // Refit accel vs from-scratch accel: identical owner sets per query.
-      const TriangleAccel fresh(dataset.points, eps, 1, opts);
-      EXPECT_NEAR(accel.vertex_scale(), fresh.vertex_scale(),
-                  1e-4f * fresh.vertex_scale());
-      const float tmax = 1.01f * (eps + fresh.vertex_scale());
-      TraversalStats s1;
-      for (std::size_t q = 0; q < dataset.points.size(); q += 23) {
-        // The refit mesh is bit-near but not bit-identical to a fresh
-        // tessellation (raw shell crossings in the eps..circumradius band
-        // may differ by ulps); what the clustering consumes is the owner
-        // set after the exact distance filter — that must match the brute
-        // oracle exactly, circumscription guarantees no true neighbor is
-        // missed.
-        const auto owners = traced_owner_set(accel, dataset.points[q], tmax,
-                                             s1);
-        std::vector<std::uint32_t> exact;
-        for (const auto id : owners) {
-          if (geom::distance_squared(dataset.points[q], dataset.points[id]) <=
-              eps * eps) {
-            exact.push_back(id);
-          }
+  TriangleAccel accel(dataset.points, 0.2f, 1);
+  for (const float eps : {0.45f, 0.15f, 0.3f}) {
+    accel.set_radius(eps);
+    EXPECT_FLOAT_EQ(accel.radius(), eps);
+    // Refit accel vs from-scratch accel: identical owner sets per query.
+    const TriangleAccel fresh(dataset.points, eps, 1);
+    EXPECT_NEAR(accel.vertex_scale(), fresh.vertex_scale(),
+                1e-4f * fresh.vertex_scale());
+    const float tmax = 1.01f * (eps + fresh.vertex_scale());
+    TraversalStats s1;
+    for (std::size_t q = 0; q < dataset.points.size(); q += 23) {
+      // The refit mesh is bit-near but not bit-identical to a fresh
+      // tessellation (raw shell crossings in the eps..circumradius band
+      // may differ by ulps); what the clustering consumes is the owner
+      // set after the exact distance filter — that must match the brute
+      // oracle exactly, circumscription guarantees no true neighbor is
+      // missed.
+      const auto owners = traced_owner_set(accel, dataset.points[q], tmax,
+                                           s1);
+      std::vector<std::uint32_t> exact;
+      for (const auto id : owners) {
+        if (geom::distance_squared(dataset.points[q], dataset.points[id]) <=
+            eps * eps) {
+          exact.push_back(id);
         }
-        std::vector<std::uint32_t> oracle;
-        for (std::uint32_t j = 0; j < dataset.points.size(); ++j) {
-          if (geom::distance_squared(dataset.points[q], dataset.points[j]) <=
-              eps * eps) {
-            oracle.push_back(j);
-          }
-        }
-        EXPECT_EQ(exact, oracle) << to_string(width) << " eps=" << eps
-                                 << " q=" << q;
       }
+      std::vector<std::uint32_t> oracle;
+      for (std::uint32_t j = 0; j < dataset.points.size(); ++j) {
+        if (geom::distance_squared(dataset.points[q], dataset.points[j]) <=
+            eps * eps) {
+          oracle.push_back(j);
+        }
+      }
+      EXPECT_EQ(exact, oracle) << "eps=" << eps << " q=" << q;
     }
   }
 }
