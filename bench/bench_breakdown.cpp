@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
     }
     ClusterResult run;
     bench::time_median(cfg.reps, [&] {
-      // Options defaults (early_exit off) match the engine defaults the
+      // A default session counts exactly, like the engine defaults the
       // pre-session code measured, keeping columns comparable across
       // BENCH_PR3/4/5 snapshots.
       Clusterer session = Clusterer::borrowing(

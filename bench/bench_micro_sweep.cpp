@@ -61,11 +61,10 @@ void BM_EpsSweepRebuild(benchmark::State& state, IndexKind kind) {
   for (auto _ : state) {
     std::uint64_t acc = 0;
     for (const float eps : ladder) {
-      // Borrowing + early-exit: exactly what a one-shot rtd::cluster()
-      // call per eps pays.
+      // A default borrowing session: exactly what a one-shot
+      // rtd::cluster() call per eps pays.
       rtd::Clusterer session = rtd::Clusterer::borrowing(
-          data.points,
-          rtd::Options().with_backend(kind).with_early_exit(true));
+          data.points, rtd::Options().with_backend(kind));
       acc += session.run(eps, kMinPts).cluster_count;
     }
     benchmark::DoNotOptimize(acc);

@@ -17,8 +17,8 @@
 //   rtd::ClusterResult b = session.run(0.5f, 20);   // returns a view into
 //   auto curve = session.sweep(eps_values, 10);     // session storage
 //
-//   // Pin the neighbor-query backend instead of the kAuto heuristic:
-//   auto rt = rtd::cluster(points, 0.5f, 10, rtd::index::IndexKind::kBvhRt);
+//   // Pick another neighbor-query backend than the default RT pipeline:
+//   auto grid = rtd::cluster(points, 0.5f, 10, rtd::index::IndexKind::kGrid);
 //
 // For baselines, the RT primitive, custom NeighborIndex backends, or the RT
 // device itself, include the specific headers re-exported below.
@@ -35,21 +35,16 @@ namespace rtd {
 
 /// Cluster `points` with DBSCAN(eps, min_pts).
 ///
-/// A thin wrapper over a throwaway rtd::Clusterer session — use the session
-/// directly when you will run more than once on the same data (parameter
-/// sweeps reuse the index; this function rebuilds it every call).
+/// Exactly one run() of a throwaway borrowing rtd::Clusterer session with
+/// `backend` and otherwise default Options — use the session directly when
+/// you will run more than once on the same data (parameter sweeps reuse the
+/// index; this function rebuilds it every call).
 ///
 /// `backend` selects the neighbor-index backend answering the ε-queries
-/// (see index::IndexKind and docs/ARCHITECTURE.md).  The default kAuto
-/// picks one from point count and density; kBvhRt forces the paper's RT
-/// pipeline.  All backends produce equivalent clusterings (identical core
-/// points and clusters; border-point ties may resolve differently, as
-/// DBSCAN permits).
-///
-/// Note: this wrapper enables the early-exit phase-1 optimization, so
-/// this run's neighbor_counts are capped at its min_pts - 1 on backends
-/// whose traversal can stop early.  Use a Clusterer with the default
-/// Options::early_exit = false when you need exact counts.
+/// (see index::IndexKind and docs/ARCHITECTURE.md).  The default kAuto is
+/// kBvhRt, the paper's RT pipeline.  All backends produce equivalent
+/// clusterings (identical core points and clusters; border-point ties may
+/// resolve differently, as DBSCAN permits).
 ClusterResult cluster(std::span<const geom::Vec3> points, float eps,
                       std::uint32_t min_pts,
                       index::IndexKind backend = index::IndexKind::kAuto);

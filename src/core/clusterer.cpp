@@ -68,14 +68,13 @@ struct Clusterer::Impl {
   /// (core/point_buffer.hpp).
   std::shared_ptr<PointBuffer> storage;
   std::span<const Vec3> pts;
-  Options opts;
+  Options opts;  ///< backend resolved at construction (never kAuto)
 
   // --- the NeighborIndex session state ------------------------------------
   /// Built at the first run.  Shared (not unique) so a published
   /// IndexSnapshot can keep its version alive after the session moves on
   /// to a clone or a rebuild.
   std::shared_ptr<index::NeighborIndex> index;
-  IndexKind resolved = IndexKind::kAuto;  ///< kAuto pinned at first build
   float index_eps = 0.0f;
   /// Query launch order over the LIVE slots only — rebuilt lazily after
   /// mutations (ensure_order).  Engine phases launch one query per entry.
@@ -121,7 +120,6 @@ struct Clusterer::Impl {
   std::vector<std::uint32_t> counts;
   bool counts_valid = false;
   float counts_eps = 0.0f;
-  std::uint32_t counts_cap = index::kNoCap;  ///< kNoCap = exact
 
   // Reusable engine workspace: warm run() calls allocate nothing.
   std::optional<dsu::AtomicDisjointSet> dsu;
@@ -204,13 +202,6 @@ struct Clusterer::Impl {
     return o;
   }
 
-  /// Whether the resolved backend stops counting at a phase-1 cap: the RT
-  /// scenes cannot terminate traversal (OptiX) and return exact counts.
-  [[nodiscard]] bool counts_capped_by_early_exit() const {
-    return opts.early_exit && resolved != IndexKind::kBvhRt &&
-           resolved != IndexKind::kTriangles;
-  }
-
   [[nodiscard]] bool is_live_slot(std::size_t i) const {
     return live.empty() || live[i] != 0;
   }
@@ -252,17 +243,12 @@ struct Clusterer::Impl {
   /// full span would resurrect them.  Caller holds publish_mu whenever a
   /// snapshot could exist.  Resets the absorbed-mutation budget.
   void build_index_now(float eps) RTD_REQUIRES(publish_mu) {
-    if (resolved == IndexKind::kAuto) {
-      resolved = opts.backend == IndexKind::kAuto
-                     ? index::choose_index_kind(pts, eps)
-                     : opts.backend;
-    }
     index.reset();  // release the old structure before building anew
     if (dead_count == 0) {
-      index = index::make_index(pts, eps, resolved, build_options());
+      index = index::make_index(pts, eps, opts.backend, build_options());
     } else {
       index = std::make_shared<index::CompactedIndex>(
-          pts, std::span<const std::uint8_t>(live), eps, resolved,
+          pts, std::span<const std::uint8_t>(live), eps, opts.backend,
           build_options());
     }
     index_eps = eps;
@@ -343,7 +329,7 @@ struct Clusterer::Impl {
     if (!index) {
       throw std::logic_error(
           "Clusterer: no index to snapshot yet — run() or sweep() builds "
-          "it (kAuto needs an eps to resolve against)");
+          "it");
     }
     // The stage covers only the creation slow path — the steady-state
     // atomic load above (the serving fast path) stays untraced.  A throw
@@ -475,7 +461,7 @@ struct Clusterer::Impl {
     r.eps = eps;
     r.min_pts = min_pts;
     r.stats = RunStats{};
-    r.stats.backend = resolved;
+    r.stats.backend = opts.backend;
 
     if (n == 0) {
       r.labels.clear();
@@ -501,45 +487,26 @@ struct Clusterer::Impl {
       restore_metadata();  // strong: a failed build left no index behind
       throw;
     }
-    r.stats.backend = resolved;
     r.stats.index_rebuilt = es.rebuilt;
     r.stats.index_refitted = es.refitted;
     r.stats.timings.index_build_seconds = es.seconds;
 
-    // The cached-counts fast path, or a counting launch: the fused one
-    // (counts and clustering in one walk) unless early exit caps the
-    // counts, which then only feed phase 1's core test.  The cache
-    // survives refits: counts depend only on (points, eps).  Capped counts
-    // still decide the core test for any min_pts whose threshold
-    // min_pts - 1 lies at or below the recorded cap.
-    dbscan::Params params{eps, min_pts, resolved};
-    const bool reuse = counts_valid && counts_eps == eps &&
-                       (counts_cap == index::kNoCap ||
-                        min_pts - 1 <= counts_cap);
-    const bool capped = counts_capped_by_early_exit();
-    const bool fused = !reuse && !capped;
+    // The cached counts at this ε, whatever its min_pts (phase 2 alone
+    // follows), or the fused launch that counts and clusters in one walk.
+    // The cache survives refits: counts depend only on (points, eps).
+    const bool reuse = counts_valid && counts_eps == eps;
     if (reuse) {
       r.stats.counts_reused = true;
     } else {
       counts_valid = false;  // a throw mid-launch would leave them torn
       try {
-        if (fused) {
-          count_cluster(params, r.stats);
-        } else {
-          r.stats.phase1 =
-              dbscan::index_phase1(*index, params, order, opts.early_exit,
-                                   opts.threads, counts);
-        }
+        count_cluster(dbscan::Params{eps, min_pts, opts.backend}, r.stats);
       } catch (...) {
         restore_metadata();  // strong; the count cache is dropped, not torn
         throw;
       }
       counts_valid = true;
       counts_eps = eps;
-      // The RT backends ignore the early-exit hint (OptiX) and returned
-      // exact counts — record them as such so any later min_pts reuses
-      // them.
-      counts_cap = capped ? min_pts - 1 : index::kNoCap;
       r.stats.timings.core_phase_seconds = r.stats.phase1.seconds;
     }
 
@@ -547,7 +514,7 @@ struct Clusterer::Impl {
     last_min_pts = min_pts;
     params_valid = true;
     try {
-      finish_run(eps, min_pts, counts, fused, total);
+      finish_run(eps, min_pts, counts, !reuse, total);
     } catch (...) {
       // The result buffers are partially overwritten.  Committed state
       // (points, mask, counts) is coherent; only the labels are torn —
@@ -587,12 +554,6 @@ struct Clusterer::Impl {
       throw std::logic_error(
           "Clusterer: mutations maintain the last clustering — run() or "
           "sweep() first (and again after take_result())");
-    }
-    if (counts_cap != index::kNoCap) {
-      throw std::logic_error(
-          "Clusterer: incremental maintenance needs exact neighbor counts — "
-          "early-exit sessions cache capped ones (create the session "
-          "without Options::early_exit to stream)");
     }
     dbscan::require_finite(add);
     const std::size_t n = pts.size();
@@ -803,7 +764,6 @@ struct Clusterer::Impl {
     st.timings.core_phase_seconds = st.phase1.seconds;
     counts_valid = true;
     counts_eps = eps;
-    counts_cap = index::kNoCap;
     last_eps = eps;
     last_min_pts = min_pts;
     params_valid = true;
@@ -1597,6 +1557,8 @@ Clusterer::Clusterer(std::vector<Vec3> points, Options options)
   impl_->storage = std::make_shared<PointBuffer>(std::move(points));
   impl_->pts = impl_->storage->written();
   impl_->opts = options;
+  impl_->opts.backend =
+      index::resolve_auto(options.backend, IndexKind::kBvhRt);
 }
 
 Clusterer::Clusterer(std::span<const Vec3> points, Options options)
@@ -1746,7 +1708,7 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   const Impl::EnsureStats build = im.ensure_index(eps_max);
   im.ensure_order();
   const rt::LaunchStats phase1 = dbscan::index_phase1(
-      *im.index, dbscan::Params{eps_max, min_pts, im.resolved}, im.order,
+      *im.index, dbscan::Params{eps_max, min_pts, im.opts.backend}, im.order,
       false, im.opts.threads, im.sweep_counts, lower_eps2);
   {
     RTD_STAGE("sweep.scratch");
@@ -1776,7 +1738,7 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
     ClusterResult& r = out[v];
     r.eps = eps_values[v];
     r.min_pts = min_pts;
-    r.stats.backend = im.resolved;
+    r.stats.backend = im.opts.backend;
     if (v == 0) {
       r.stats.index_rebuilt = build.rebuilt;
       r.stats.index_refitted = build.refitted;
@@ -1814,7 +1776,6 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   }
   im.counts_valid = true;
   im.counts_eps = last.eps;
-  im.counts_cap = index::kNoCap;
   im.last_eps = last.eps;
   im.last_min_pts = min_pts;
   im.params_valid = true;
@@ -1942,7 +1903,7 @@ core::RtKnnResult Clusterer::knn(std::uint32_t k) const {
 
 std::span<const Vec3> Clusterer::points() const { return impl_->pts; }
 const Options& Clusterer::options() const { return impl_->opts; }
-index::IndexKind Clusterer::backend() const { return impl_->resolved; }
+index::IndexKind Clusterer::backend() const { return impl_->opts.backend; }
 
 std::optional<float> Clusterer::current_eps() const {
   const Impl& im = *impl_;
@@ -2055,9 +2016,6 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
       break;
     } else if ((r.is_core[i] != 0) !=
                (r.neighbor_counts[i] + 1 >= r.min_pts)) {
-      // Holds for capped counts too: a count is only ever capped at a
-      // cap >= min_pts - 1 (the reuse rule enforces it), so the stored
-      // value decides the core test exactly.
       fail("slot " + std::to_string(i) +
            " core flag disagrees with its neighbor count");
       break;
@@ -2106,12 +2064,9 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
   if (level == ValidationLevel::kQuick || !rep.ok) return rep;
 
   // kCounts: exact ε-neighbor recount over the live set (O(live²) —
-  // diagnostics, not a hot path).  Exact comparison needs exact counts;
-  // an early-exit session caps them, so only the core DECISION is checked
-  // there.
+  // diagnostics, not a hot path).
   {
     const float eps2 = r.eps * r.eps;
-    const bool exact = !im.counts_capped_by_early_exit();
     for (std::size_t i = 0; i < n && rep.ok; ++i) {
       if (!im.is_live_slot(i)) continue;
       std::uint32_t truth = 0;
@@ -2119,13 +2074,10 @@ ValidationReport Clusterer::validate(ValidationLevel level) const {
         if (j == i || !im.is_live_slot(j)) continue;
         truth += geom::distance_squared(im.pts[i], im.pts[j]) <= eps2;
       }
-      if (exact && truth != r.neighbor_counts[i]) {
+      if (truth != r.neighbor_counts[i]) {
         fail("slot " + std::to_string(i) + " neighbor count " +
              std::to_string(r.neighbor_counts[i]) +
              " != exact recount " + std::to_string(truth));
-      } else if ((r.is_core[i] != 0) != (truth + 1 >= r.min_pts)) {
-        fail("slot " + std::to_string(i) +
-             " core flag disagrees with the exact recount");
       }
     }
   }

@@ -17,8 +17,8 @@
 //   want to keep side by side, or bind a reference only to the latest.)
 //
 // Lifecycle per run(eps, min_pts):
-//   * first run builds the index (backend per Options, kAuto resolved once
-//     from the data and pinned for the session's lifetime);
+//   * the backend is fixed when the session is constructed (kAuto is
+//     kBvhRt, the paper's RT pipeline); the first run builds the index;
 //   * an eps change REFITS the index in place where the backend supports it
 //     (NeighborIndex::try_set_eps: kBvhRt refits the sphere scene,
 //     kTriangles rescales its tessellation, kPointBvh and kBruteForce are
@@ -120,9 +120,9 @@ inline constexpr std::int32_t kNoise = dbscan::kNoiseLabel;
 /// in Morton order of the points, so neighboring queries walk the same
 /// subtrees back to back (RTNN-style launch coherence).
 struct Options {
-  /// Neighbor-index backend answering the ε-queries.  kAuto resolves from
-  /// the data (index::choose_index_kind) at the first run and stays pinned
-  /// for the session so sweep results are comparable across eps.
+  /// Neighbor-index backend answering the ε-queries.  kAuto resolves to
+  /// kBvhRt, the paper's RT pipeline, when the session is constructed; the
+  /// backend stays fixed for the session's lifetime.
   index::IndexKind backend = index::IndexKind::kAuto;
   /// Icosphere subdivision level for the kTriangles backend (20 * 4^s
   /// triangles/point).
@@ -130,11 +130,6 @@ struct Options {
   /// Thread count for index builds, the launch-order sort and query
   /// launches; 0 = all hardware threads.
   int threads = 0;
-  /// Stop phase-1 counting at min_pts (FDBSCAN §VI-B) on backends whose
-  /// traversal can terminate.  Off by default in sessions: exact counts are
-  /// reusable across ANY later min_pts at the same eps, capped ones only
-  /// for smaller min_pts.
-  bool early_exit = false;
 
   Options& with_backend(index::IndexKind k) { backend = k; return *this; }
   Options& with_triangle_subdivisions(int s) {
@@ -142,14 +137,11 @@ struct Options {
     return *this;
   }
   Options& with_threads(int t) { threads = t; return *this; }
-  Options& with_early_exit(bool e) { early_exit = e; return *this; }
 };
 
 /// What one run() actually did and what it cost, per phase.
 struct RunStats {
-  /// The backend that answered the queries — the heuristic's concrete
-  /// choice, not kAuto.  Exception: an empty-dataset run reports kAuto,
-  /// since no index was ever built.
+  /// The session's concrete backend (never kAuto in a run's stats).
   index::IndexKind backend = index::IndexKind::kAuto;
   /// This run built the index from scratch (first run, or an eps change on
   /// a backend whose try_set_eps cannot refit).
@@ -175,17 +167,17 @@ struct RunStats {
   bool incremental = false;
   /// Per-phase wall clock.  index_build_seconds is the build OR refit cost
   /// this run paid (0 when the index was reused as-is).  A run that counted
-  /// afresh with exact counts forms its clusters inside that counting
-  /// launch (dbscan::index_count_cluster): core_phase_seconds is that whole
-  /// launch and cluster_phase_seconds is 0.
+  /// afresh forms its clusters inside that counting launch
+  /// (dbscan::index_count_cluster): core_phase_seconds is that whole launch
+  /// and cluster_phase_seconds is 0.
   dbscan::PhaseTimings timings;
   /// Work counters of the query launches (rays, node visits, Intersection
   /// calls) — zeroed for a phase that did not run.  After a fused launch,
   /// phase1 is the launch (its work equals a count-only phase 1 over the
   /// same index) and phase2 holds only the second walks of packets whose
   /// neighbor pairs overflowed the launch's fixed buffer (its seconds stay
-  /// 0).  A run that reused its counts, or whose counts early exit caps,
-  /// runs the paper's separate phase 2, reported here as before.
+  /// 0).  A run that reused its counts runs the paper's separate phase 2,
+  /// reported here as before.
   rt::LaunchStats phase1;
   rt::LaunchStats phase2;
 };
@@ -212,10 +204,7 @@ struct ClusterResult {
   /// What the run did (refit vs rebuild, counts reuse, resolved backend)
   /// and what each phase cost.
   RunStats stats;
-  /// ε-neighbor count per point, excluding self.  Exact without
-  /// Options::early_exit; with it, capped at the min_pts - 1 of the run
-  /// that COMPUTED them (a count-cache-reusing rerun at a smaller min_pts
-  /// keeps the caching run's higher cap).
+  /// Exact ε-neighbor count per point, excluding self.
   std::vector<std::uint32_t> neighbor_counts;
 
   /// Member lists: dataset indices grouped by cluster id, plus the noise
@@ -316,8 +305,8 @@ class Clusterer {
  public:
   /// Take ownership of `points` (no copy).  Throws std::invalid_argument on
   /// non-finite coordinates or invalid Options (a negative
-  /// triangle_subdivisions).  The index itself is built
-  /// lazily at the first run — kAuto needs an ε to resolve against.
+  /// triangle_subdivisions).  The backend is fixed here (kAuto is kBvhRt);
+  /// the index itself is built at the first run's ε.
   explicit Clusterer(std::vector<geom::Vec3> points, Options options = {});
   /// Copying constructor for callers that keep their own storage.
   explicit Clusterer(std::span<const geom::Vec3> points,
@@ -360,10 +349,9 @@ class Clusterer {
   /// incrementally (see the file comment).  Returns the slot id of the
   /// first inserted point; the batch occupies [returned, returned + count).
   /// WRITER operation.  Requires a current result — call after run() or
-  /// sweep(), not before and not after take_result() (std::logic_error),
-  /// and not on an early-exit session (its cached counts are capped, and
-  /// maintenance needs exact ones).  Throws
-  /// std::invalid_argument on non-finite coordinates (session unchanged).
+  /// sweep(), not before and not after take_result() (std::logic_error).
+  /// Throws std::invalid_argument on non-finite coordinates (session
+  /// unchanged).
   /// The index absorbs the batch while the accumulated mutation delta
   /// stays under the rebuild threshold (max(64, live/8) slots) — in place,
   /// or on a clone of the index when a snapshot holds it (a new version
@@ -465,8 +453,8 @@ class Clusterer {
   /// may hold the snapshot for any length of time — a writer retargeting ε
   /// or mutating the session moves on to a clone of the index instead of
   /// mutating this one.
-  /// Throws std::logic_error before the first run()/sweep() (kAuto needs an
-  /// ε to resolve against, so there is no index yet).
+  /// Throws std::logic_error before the first run()/sweep() (the index is
+  /// built at the first run's ε, so there is none yet).
   [[nodiscard]] std::shared_ptr<const IndexSnapshot> snapshot() const;
 
   /// Genuinely const read: the ε-neighbors of `center` at the SNAPSHOT's
@@ -506,17 +494,18 @@ class Clusterer {
   /// The session's dataset, in query order.
   [[nodiscard]] std::span<const geom::Vec3> points() const;
   [[nodiscard]] std::size_t size() const { return points().size(); }
+  /// The session's Options; `backend` reads the resolved kind (never
+  /// kAuto).
   [[nodiscard]] const Options& options() const;
 
-  /// The concrete backend the session resolved to, or kAuto before the
-  /// first run (kAuto needs an ε to resolve against).
+  /// The concrete backend the session was constructed with (never kAuto).
   [[nodiscard]] index::IndexKind backend() const;
   /// The ε the session index is currently built/refit for; nullopt before
   /// the first run.
   [[nodiscard]] std::optional<float> current_eps() const;
   /// True once neighbor counts are cached.  The cache is keyed on the ε
-  /// they were computed for: a run() at that ε skips phase 1 if its
-  /// min_pts is covered (always, without Options::early_exit).
+  /// they were computed for: a run() at that ε, at any min_pts, skips
+  /// phase 1.
   [[nodiscard]] bool counts_cached() const;
 
   // --- Failure model (docs/ARCHITECTURE.md has the per-operation table) ----

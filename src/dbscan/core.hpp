@@ -44,11 +44,10 @@ struct Params {
   /// Which neighbor-index backend answers the ε-queries.  kAuto resolves to
   /// the consuming algorithm's traditional substrate (grid for the
   /// sequential reference, brute force for G-DBSCAN, point-BVH for
-  /// FDBSCAN) or, for the generic engine, to the density heuristic
-  /// index::choose_index_kind().  Consistency is enforced: entry points
-  /// that receive a pre-built index (dbscan::cluster_with_index) reject a
-  /// concrete value that contradicts it, and core::rt_dbscan rejects
-  /// anything but kAuto/kBvhRt/kTriangles.
+  /// FDBSCAN) or, for the generic engine, to kBvhRt (index::make_index).
+  /// Consistency is enforced: entry points that receive a pre-built index
+  /// (dbscan::cluster_with_index) reject a concrete value that contradicts
+  /// it, and core::rt_dbscan rejects anything but kAuto/kBvhRt/kTriangles.
   index::IndexKind index = index::IndexKind::kAuto;
 
   /// ε², the quantity every exact distance filter compares against.

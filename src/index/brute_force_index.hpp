@@ -1,11 +1,9 @@
 // BruteForceIndex — the O(n)-per-query reference backend.
 //
 // No build step, no auxiliary structure: every query scans all points.  This
-// is both the correctness oracle the parity tests compare every other
-// backend against, and the fastest choice for tiny datasets where any index
-// build costs more than it saves (the kAuto cutoff in choose_index_kind).
-// It is also what G-DBSCAN's original GPU kernels do, which is why that
-// algorithm defaults to this backend.
+// is the correctness oracle the parity tests compare every other backend
+// against.  It is also what G-DBSCAN's original GPU kernels do, which is why
+// that algorithm defaults to this backend.
 #pragma once
 
 #include <memory>

@@ -9,8 +9,7 @@
 //     tests (the "dense box" certificate);
 //   * nearest corner beyond eps   -> reject the cell outright;
 //   * otherwise                   -> exact per-member distance tests.
-// On crowded data most members resolve through the first branch, which is
-// what the kAuto occupancy heuristic selects this backend for.  The cell
+// On crowded data most members resolve through the first branch.  The cell
 // structure is also exposed directly (for_each_cell) because the
 // FDBSCAN-DenseBox variant turns cells with >= minPts members into free core
 // points.

@@ -3,9 +3,9 @@
 //
 // Wraps dbscan::GridIndex (cell edge = build ε, queries examine the 27
 // surrounding cells).  Build is a single counting-sort pass, far cheaper
-// than any BVH; queries degrade when ε-cells are crowded, which is what the
-// kAuto density heuristic watches for.  The one-ring query only covers radii
-// up to the cell edge, so query eps must be <= build_eps.
+// than any BVH; queries degrade when ε-cells are crowded.  The one-ring
+// query only covers radii up to the cell edge, so query eps must be
+// <= build_eps.
 #pragma once
 
 #include <memory>

@@ -16,10 +16,10 @@ namespace rtd::index {
 /// See docs/ARCHITECTURE.md for the selection guide and the exact contract
 /// every backend satisfies.
 enum class IndexKind : std::uint8_t {
-  /// Pick a backend from the data: point count / density heuristic
-  /// (choose_index_kind), or the consuming algorithm's traditional
-  /// substrate where one exists (grid for the sequential reference,
-  /// brute force for G-DBSCAN, point-BVH for FDBSCAN).
+  /// The default: the consuming algorithm's traditional substrate where
+  /// one exists (grid for the sequential reference, brute force for
+  /// G-DBSCAN, point-BVH for FDBSCAN), kBvhRt everywhere else (make_index,
+  /// Clusterer, rtd::cluster).
   kAuto = 0,
   /// Linear scan over all points.  No build cost, O(n) per query; the
   /// reference backend every other one is tested against.
@@ -41,7 +41,7 @@ enum class IndexKind : std::uint8_t {
   /// The paper's §VI-C alternative: each ε-sphere tessellated into
   /// triangles, hits delivered through an AnyHit program (rt::TriangleAccel).
   /// Same baked-radius and no-early-exit semantics as kBvhRt, measured 2-5x
-  /// slower; never picked by kAuto.
+  /// slower.
   kTriangles,
 };
 

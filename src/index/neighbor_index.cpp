@@ -188,36 +188,13 @@ rt::LaunchStats NeighborIndex::query_all(float eps, PairVisitor visit,
       });
 }
 
-IndexKind choose_index_kind(std::span<const geom::Vec3> points, float eps) {
-  const std::size_t n = points.size();
-  // Tiny datasets: any build costs more than it saves.
-  if (n <= 2048) return IndexKind::kBruteForce;
-
-  geom::Aabb bounds;
-  for (const auto& p : points) bounds.grow(p);
-  const geom::Vec3 ext = bounds.extent();
-  // Expected occupancy of an ε-edged cell: how crowded neighborhoods are.
-  double cells = 1.0;
-  for (const float e : {ext.x, ext.y, ext.z}) {
-    cells *= std::max(1.0, static_cast<double>(e) /
-                               static_cast<double>(eps));
-  }
-  const double occupancy = static_cast<double>(n) / cells;
-  // Very dense: whole-cell certificates resolve most members for free.
-  if (occupancy >= 64.0) return IndexKind::kDenseBox;
-  // Mid-size: the grid's O(n) counting-sort build wins on build cost.
-  if (n <= 65536) return IndexKind::kGrid;
-  // Large: the paper's regime — hardware-style BVH over ε-spheres.
-  return IndexKind::kBvhRt;
-}
-
 std::unique_ptr<NeighborIndex> make_index(std::span<const geom::Vec3> points,
                                           float eps, IndexKind kind,
                                           const IndexBuildOptions& options) {
   if (eps <= 0.0f) {
     throw std::invalid_argument("make_index: eps must be positive");
   }
-  if (kind == IndexKind::kAuto) kind = choose_index_kind(points, eps);
+  kind = resolve_auto(kind, IndexKind::kBvhRt);
   RTD_STAGE("index.build");
   telemetry::count(telemetry::Counter::kIndexBuilds);
   // Honor the requested build parallelism (the tree backends build with

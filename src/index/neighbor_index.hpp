@@ -297,22 +297,9 @@ struct IndexBuildOptions {
   int threads = 0;
 };
 
-/// The kAuto heuristic: pick a backend from point count and density.
-///
-///  * tiny datasets (n <= 2048) — brute force: no build cost beats any tree;
-///  * very dense data (expected ε-cell occupancy >= 64) — dense-box: whole
-///    cells resolve without distance tests;
-///  * mid-size (n <= 65536) — grid: O(1) build, 27-cell queries;
-///  * large — the RT sphere BVH, the paper's regime.
-///
-/// Thresholds are rough single-machine measurements (see
-/// docs/ARCHITECTURE.md), deliberately deterministic so runs reproduce.
-[[nodiscard]] IndexKind choose_index_kind(std::span<const geom::Vec3> points,
-                                          float eps);
-
-/// Build a neighbor index over `points` for radius `eps`.  kAuto resolves
-/// via choose_index_kind().  The returned index references `points` — the
-/// caller keeps the storage alive for the index's lifetime.
+/// Build a neighbor index over `points` for radius `eps`.  kAuto builds
+/// kBvhRt, the paper's RT pipeline.  The returned index references
+/// `points` — the caller keeps the storage alive for the index's lifetime.
 [[nodiscard]] std::unique_ptr<NeighborIndex> make_index(
     std::span<const geom::Vec3> points, float eps,
     IndexKind kind = IndexKind::kAuto, const IndexBuildOptions& options = {});

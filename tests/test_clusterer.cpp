@@ -169,53 +169,6 @@ TEST(Clusterer, MinPtsRerunReusesCountsAndMatchesOneShot) {
   EXPECT_TRUE(session.counts_cached());
 }
 
-TEST(Clusterer, EarlyExitCapsCountsButReusesWhereValid) {
-  const auto dataset = data::single_blob(2000, 0.5f, 64);
-  const float eps = 0.4f;
-  Clusterer session(dataset.points,
-                    Options()
-                        .with_backend(IndexKind::kPointBvh)
-                        .with_early_exit(true));
-  const ClusterResult& first = session.run(eps, 20);
-  // Capped counts: nothing exceeds the cap by more than a traversal step
-  // allows, and core flags are still exact.
-  const ClusterResult fresh20 =
-      cluster(dataset.points, eps, 20, IndexKind::kPointBvh);
-  expect_identical_clustering(dataset.points,
-                              Params{eps, 20, IndexKind::kPointBvh}, first,
-                              fresh20, "early-exit first run");
-  // Smaller min_pts is decidable from counts capped at 19 -> reuse.
-  const ClusterResult& smaller = session.run(eps, 10);
-  EXPECT_TRUE(smaller.stats.counts_reused);
-  const ClusterResult fresh10 =
-      cluster(dataset.points, eps, 10, IndexKind::kPointBvh);
-  expect_identical_clustering(dataset.points,
-                              Params{eps, 10, IndexKind::kPointBvh}, smaller,
-                              fresh10, "early-exit smaller minPts");
-  // Larger min_pts is NOT decidable from capped counts -> recompute.
-  const ClusterResult& larger = session.run(eps, 40);
-  EXPECT_FALSE(larger.stats.counts_reused);
-  const ClusterResult fresh40 =
-      cluster(dataset.points, eps, 40, IndexKind::kPointBvh);
-  expect_identical_clustering(dataset.points,
-                              Params{eps, 40, IndexKind::kPointBvh}, larger,
-                              fresh40, "early-exit larger minPts");
-
-  // The RT backend ignores the early-exit hint (OptiX) and counts exactly,
-  // so even a LARGER min_pts reuses its cache.
-  Clusterer rt_session(dataset.points, Options()
-                                           .with_backend(IndexKind::kBvhRt)
-                                           .with_early_exit(true));
-  (void)rt_session.run(eps, 20);
-  const ClusterResult& rt_larger = rt_session.run(eps, 40);
-  EXPECT_TRUE(rt_larger.stats.counts_reused);
-  const ClusterResult rt_fresh =
-      cluster(dataset.points, eps, 40, IndexKind::kBvhRt);
-  expect_identical_clustering(dataset.points,
-                              Params{eps, 40, IndexKind::kBvhRt}, rt_larger,
-                              rt_fresh, "rt exact counts despite early_exit");
-}
-
 // ---------------------------------------------------------------------------
 // Structured results: membership views, counts, stats.
 // ---------------------------------------------------------------------------
@@ -276,13 +229,45 @@ TEST(Clusterer, NeighborCountsAreExactWithoutEarlyExit) {
   }
 }
 
+TEST(Clusterer, OneShotCountsAreExactAndItsSessionStreams) {
+  // rtd::cluster() is one run() of a default borrowing session, so its
+  // counts are exact on every backend (a traversal that could stop at
+  // min_pts does not), and the same session maintains its result.
+  const auto dataset = data::single_blob(1500, 0.5f, 69);
+  const float eps = 0.3f;
+  const std::uint32_t min_pts = 8;
+  const ClusterResult one_shot =
+      cluster(dataset.points, eps, min_pts, IndexKind::kPointBvh);
+  ASSERT_EQ(one_shot.neighbor_counts.size(), dataset.size());
+  const float eps2 = eps * eps;
+  std::size_t above_cap = 0;
+  for (std::uint32_t i = 0; i < dataset.size(); ++i) {
+    std::uint32_t expected = 0;
+    for (std::uint32_t j = 0; j < dataset.size(); ++j) {
+      expected += j != i && geom::distance_squared(dataset.points[i],
+                                                   dataset.points[j]) <= eps2;
+    }
+    EXPECT_EQ(one_shot.neighbor_counts[i], expected) << i;
+    above_cap += expected > min_pts - 1;
+  }
+  EXPECT_GT(above_cap, 0u);  // a min_pts - 1 cap would show
+
+  Clusterer session = Clusterer::borrowing(
+      dataset.points, Options().with_backend(IndexKind::kPointBvh));
+  (void)session.run(eps, min_pts);
+  const std::vector<Vec3> extra = {{0.1f, 0.1f, 0.0f}, {9.0f, 9.0f, 0.0f}};
+  EXPECT_EQ(session.insert(extra), dataset.size());
+  EXPECT_TRUE(session.validate(ValidationLevel::kDeep).ok);
+}
+
 TEST(Clusterer, AutoBackendIsResolvedReportedAndPinned) {
   const auto dataset = data::taxi_gps(3000, 67);
   Clusterer session(dataset.points);
-  EXPECT_EQ(session.backend(), IndexKind::kAuto);  // not resolved yet
+  // kAuto is the RT pipeline, fixed before any index exists.
+  EXPECT_EQ(session.backend(), IndexKind::kBvhRt);
   EXPECT_EQ(session.current_eps(), std::nullopt);
   const ClusterResult& r = session.run(0.3f, 10);
-  EXPECT_NE(r.stats.backend, IndexKind::kAuto);
+  EXPECT_EQ(r.stats.backend, IndexKind::kBvhRt);
   EXPECT_EQ(r.stats.backend, session.backend());
   EXPECT_EQ(session.current_eps(), 0.3f);
   const IndexKind pinned = session.backend();

@@ -104,13 +104,16 @@ void expect_result_consistent(const Clusterer& session, const char* what) {
 }
 
 /// `r` (a result over the session's slots) restricted to the live slots is
-/// equivalent to a from-scratch cluster() over the live points.
+/// equivalent to a from-scratch cluster() over the live points.  The
+/// oracle runs on the grid: an O(n) build that shares no traversal code
+/// with the tree backends or the default kBvhRt.
 void expect_live_parity(const Clusterer& session, const ClusterResult& r,
                         const char* what) {
   const LiveView v = live_view(session, r);
   const float eps = r.eps;
   const std::uint32_t min_pts = r.min_pts;
-  const ClusterResult oracle = cluster(v.points, eps, min_pts);
+  const ClusterResult oracle =
+      cluster(v.points, eps, min_pts, IndexKind::kGrid);
   ASSERT_EQ(v.clustering.labels.size(), oracle.labels.size()) << what;
   EXPECT_EQ(v.clustering.is_core, oracle.is_core)
       << what << ": core flags diverge from the from-scratch oracle";
@@ -1023,9 +1026,8 @@ TEST(IncrementalSplitSites, PinnedSeedsMatchOracle) {
     IndexKind kind;
     bool inserts;
   };
-  for (const Pin& pin : {Pin{1216, IndexKind::kAuto, false},
-                         Pin{2008, IndexKind::kAuto, false},
-                         Pin{736, IndexKind::kAuto, true},
+  for (const Pin& pin : {Pin{1216, IndexKind::kBruteForce, false},
+                         Pin{2008, IndexKind::kBruteForce, false},
                          Pin{736, IndexKind::kBruteForce, true},
                          Pin{736, IndexKind::kDenseBox, true}}) {
     if (!cut_rounds_match_oracle(pin.seed, pin.kind, pin.inserts)) return;
@@ -1035,7 +1037,9 @@ TEST(IncrementalSplitSites, PinnedSeedsMatchOracle) {
 TEST(IncrementalSoak, DiscWithChainsCutsMatchOracle) {
   for (std::uint64_t seed = 1000; seed < 1150; ++seed) {
     const bool inserts = seed % 2 == 1;
-    if (!cut_rounds_match_oracle(seed, IndexKind::kAuto, inserts)) return;
+    if (!cut_rounds_match_oracle(seed, IndexKind::kBruteForce, inserts)) {
+      return;
+    }
   }
 }
 
@@ -1058,16 +1062,6 @@ TEST(IncrementalErrors, MutationsNeedACurrentResult) {
   (void)session.run(0.3f, 4);  // a rerun restores the baseline
   (void)session.insert(std::vector<Vec3>{{0.5f, 0.5f, 0.0f}});
   expect_oracle_parity(session, "recovered after take_result");
-}
-
-TEST(IncrementalErrors, EarlyExitSessionsRefuseToStream) {
-  const auto base = data::taxi_gps(300, 120);
-  Clusterer session(base.points, Options()
-                                     .with_backend(IndexKind::kPointBvh)
-                                     .with_early_exit(true));
-  (void)session.run(0.3f, 6);  // caches CAPPED counts
-  EXPECT_THROW((void)session.insert(std::vector<Vec3>{{0, 0, 0}}),
-               std::logic_error);
 }
 
 TEST(IncrementalParity, TriangleSessionAdvanceMatchesFreshRecluster) {

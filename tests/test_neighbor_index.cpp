@@ -359,9 +359,7 @@ TEST(NeighborIndex, FactoryResolvesAutoAndRejectsBadEps) {
   const auto small = data::taxi_gps(100, 43);
   const auto index = make_index(small.points, 0.3f);
   ASSERT_NE(index, nullptr);
-  EXPECT_EQ(index->kind(), IndexKind::kBruteForce);  // tiny => brute
-  EXPECT_NE(index->kind(), IndexKind::kAuto);
-  EXPECT_EQ(choose_index_kind(small.points, 0.3f), IndexKind::kBruteForce);
+  EXPECT_EQ(index->kind(), IndexKind::kBvhRt);  // kAuto is the RT pipeline
   EXPECT_THROW(make_index(small.points, 0.0f), std::invalid_argument);
 }
 

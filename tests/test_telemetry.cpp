@@ -441,9 +441,7 @@ TEST_F(TelemetryArmed, SweepIsOneCountingAndOneClusteringLaunch) {
 TEST_F(TelemetryArmed, ColdRunIsOneFusedLaunch) {
   // run() at a fresh ε counts and clusters in ONE launch: one engine.fused
   // span inside session.run and no phase-1 or phase-2 launch.  A
-  // minPts-only rerun reuses the counts and runs phase 2 alone; an
-  // early-exit session on a backend that caps its counts keeps both
-  // phases.
+  // minPts-only rerun reuses the counts and runs phase 2 alone.
   telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
   const auto dataset = data::taxi_gps(3000, 98);
   const auto counter = [](const Clusterer& s, telemetry::Counter c) {
@@ -500,21 +498,6 @@ TEST_F(TelemetryArmed, ColdRunIsOneFusedLaunch) {
   EXPECT_EQ(after.phase2, before.phase2 + 1);
   EXPECT_EQ(spans_inside_run(trace, "engine.phase2"), 1u);
   EXPECT_EQ(spans_inside_run(trace, "engine.fused"), 0u);
-
-  Clusterer capped(dataset.points,
-                   Options()
-                       .with_backend(index::IndexKind::kPointBvh)
-                       .with_early_exit(true)
-                       .with_threads(1));
-  before = launches(capped);
-  (void)capped.run(0.2f, 5);
-  trace = telemetry::trace_json();
-  after = launches(capped);
-  EXPECT_EQ(after.fused, before.fused);
-  EXPECT_EQ(after.phase1, before.phase1 + 1);
-  EXPECT_EQ(after.phase2, before.phase2 + 1);
-  EXPECT_EQ(spans_inside_run(trace, "engine.phase1"), 1u);
-  EXPECT_EQ(spans_inside_run(trace, "engine.phase2"), 1u);
 }
 
 TEST_F(TelemetryArmed, AdvanceTraceSplitsTheRepairIntoStages) {
