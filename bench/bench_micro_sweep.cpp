@@ -2,12 +2,12 @@
 // ε ladder clustered (a) by constructing a fresh session per ε — what a
 // caller of the one-shot rtd::cluster() pays — and (b) by one
 // rtd::Clusterer::sweep, whose plan builds the index ONCE at the ladder
-// maximum and clusters every value from two launches there: one counting
-// launch and one cluster-formation launch with a union-find per value.
-// No entry refits; the index is retargeted once, to the last value, after
-// the ladder commits (NeighborIndex::try_set_eps; none for an ascending
-// ladder).  The gap is the amortized index builds plus the k-1 counting
-// and k-1 cluster-formation launches the plan avoids; scripts/bench_snapshot.sh
+// maximum and clusters every value from one fused count-and-cluster
+// launch there, with a union-find per value.  No entry refits; the index
+// is retargeted once, to the last value, after the ladder commits
+// (NeighborIndex::try_set_eps; none for an ascending ladder).  The gap is
+// the amortized index builds plus the k-1 launches the plan avoids;
+// scripts/bench_snapshot.sh
 // gates session ≥ 1.3x over rebuild on the BVH-backed backends
 // (BENCH_PR5.json; its shipped snapshot records 1.4-2.3x across all four
 // indexed backends).

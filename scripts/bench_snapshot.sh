@@ -16,8 +16,8 @@
 # so the perf harness doubles as a regression gate:
 #   * session sweep: rtd::Clusterer::sweep must stay >= 1.3x over
 #     rebuild-per-eps on the BVH-backed backends (PR 5 floor — the index
-#     is built once and refit per step, and one shared counting launch
-#     serves every ladder value's phase 1);
+#     is built once at the ladder maximum, and one fused count-and-cluster
+#     launch serves every ladder value);
 #   * serving: aggregate QPS of the concurrent snapshot read path at R
 #     reader threads must stay >= 0.9x the single-reader QPS for every
 #     quiescent row (PR 6 floor — the steady-state read path is one atomic
@@ -139,8 +139,8 @@ snapshot = {
             "benchmark": "BM_EpsSweep{Rebuild,Session} (5-value eps "
                          "ladder, 60K sparse uniform cube, single core): "
                          "fresh session per eps vs one Clusterer::sweep "
-                         "(index built once + refit, shared phase-1 "
-                         "counting launch)",
+                         "(index built once, one fused "
+                         "count-and-cluster launch)",
             "backends": session_sweep,
             "target": "session >= 1.3x on the BVH backends "
                       "(bvhrt, pointbvh)",

@@ -57,11 +57,11 @@ const std::vector<std::string>& all_sites() {
   // fault at every entry.
   static const std::vector<std::string> kSites = {
       "dsu.grow",                 // AtomicDisjointSet::reset growth realloc
-      "engine.fused",             // run()/heal count-and-cluster launch
-      "engine.phase1",            // full recount launch (sweep, capped run)
+      "engine.fused",             // run()/heal/sweep count-and-cluster launch
+      "engine.phase1",            // cluster_with_index counting launch
       "engine.phase1_insert",     // insert count maintenance
       "engine.phase1_remove",     // remove count maintenance
-      "engine.phase2",            // core-merge launch (sweep, reused counts)
+      "engine.phase2",            // core-merge launch (reused counts)
       "index.build",              // make_index backend construction
       "index.clone",              // NeighborIndex::clone (new version)
       "index.compacted_rebuild",  // CompactedIndex dense rebuild
@@ -81,7 +81,7 @@ const std::vector<std::string>& all_sites() {
       "session.run",              // Clusterer::run / heal re-cluster
       "session.sweep",            // Clusterer::sweep ladder
       "snapshot.query_batch",     // IndexSnapshot::query_batch CSR fill
-      "sweep.scratch",            // sweep shared-scratch sizing
+      "sweep.scratch",            // sweep union-find/claim/settle workspace
   };
   return kSites;
 }

@@ -179,12 +179,11 @@ struct Clusterer::Impl {
   std::optional<dsu::AtomicDisjointSet> site_dsu;  ///< cut grouping + seeds
 
   // sweep() scratch: the ladder's distinct ε² values as levels, sorted
-  // descending; its counts, point-major (sweep_counts[i * levels + l]) so
-  // one query's counters share a cache line; and its core flags,
-  // level-major (sweep_core[l * n + i]), the layout of the levels' slots in
-  // the shared dsu/claimed workspace.  O(k_unique · n).
+  // descending, and its counts, point-major (sweep_counts[i * levels + l])
+  // so a pair's level walk reads one cache line per end.  Level l owns the
+  // slots [l·n, (l+1)·n) of the shared dsu/claimed workspace.
+  // O(k_unique · n).
   std::vector<std::uint32_t> sweep_counts;
-  std::vector<std::uint8_t> sweep_core;
   std::vector<float> sweep_eps2;
 
   ClusterResult result;
@@ -361,23 +360,29 @@ struct Clusterer::Impl {
     }
   }
 
-  /// The fused launch of run(): counts into the session cache and the
-  /// clustering into the workspace, at `eps` over the live order.  Touches
-  /// scratch only, so a throw leaves the result as it was.
-  void count_cluster(const dbscan::Params& params, RunStats& stats) {
-    const std::size_t n = pts.size();
-    // A live slot outside the order would never settle (and its pairs
-    // never merge); ensure_order keeps every live slot, once.
+  /// The workspace of a fused launch over `slots` union-find slots (n per
+  /// ladder level) plus n cleared settle flags.  A live slot outside the
+  /// order would never settle (and its pairs never merge); ensure_order
+  /// keeps every live slot, once.
+  void reset_launch(std::size_t slots) {
     if (order.size() != live_slots()) {
       throw std::logic_error("Clusterer: launch order misses live slots");
     }
-    reset_workspace(n);
+    reset_workspace(slots);
+    const std::size_t n = pts.size();
     if (settled.size() < n) {
       settled = std::vector<std::atomic<std::uint8_t>>(n);
     }
     for (std::size_t i = 0; i < n; ++i) {
       settled[i].store(0, std::memory_order_relaxed);
     }
+  }
+
+  /// The fused launch of run(): counts into the session cache and the
+  /// clustering into the workspace, at `eps` over the live order.  Touches
+  /// scratch only, so a throw leaves the result as it was.
+  void count_cluster(const dbscan::Params& params, RunStats& stats) {
+    reset_launch(pts.size());
     const dbscan::CountClusterStats launch = dbscan::index_count_cluster(
         *index, params, order, opts.threads, counts, *dsu, claimed, settled);
     stats.phase1 = launch.phase1;
@@ -1685,13 +1690,13 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
     return out;
   }
 
-  // The whole ladder is two launches over one index at ε_max.  Its
-  // distinct ε² values become levels, sorted descending so a pair's first
-  // failing level ends its walk; duplicates share a level.  One counting
-  // launch buckets every neighbor's exact d² into its point's levels, and
-  // one cluster-formation launch joins each pair into every level where it
-  // is an ε-edge (dbscan/engine.hpp) — no per-entry refit or traversal.
-  // Every value was validated finite above, so the sort is NaN-free.
+  // The whole ladder is one fused count-and-cluster launch over one index
+  // at ε_max (dbscan/engine.hpp).  Its distinct ε² values become levels,
+  // sorted descending so a pair's first failing level ends its walk;
+  // duplicates share a level.  Each pair's exact d² is bucketed into its
+  // ends' level counts and joined into every level where it is an ε-edge —
+  // no per-entry refit or traversal.  Every value was validated finite
+  // above, so the sort is NaN-free.
   const std::size_t n = im.pts.size();
   std::vector<float>& eps2 = im.sweep_eps2;
   eps2.clear();
@@ -1700,33 +1705,21 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
   eps2.erase(std::unique(eps2.begin(), eps2.end()), eps2.end());
   const std::size_t levels = eps2.size();
   const float eps_max = *std::max_element(eps_values.begin(), eps_values.end());
-  const std::span<const float> lower_eps2 = std::span(eps2).subspan(1);
 
   // Everything up to the commit touches only the index and scratch: a
-  // throw in either launch leaves the previous result intact — strong.
+  // throw in the launch or the scratch leaves the previous result intact —
+  // strong.
   const Timer total;  // entry 0 is charged with the shared work
   const Impl::EnsureStats build = im.ensure_index(eps_max);
   im.ensure_order();
-  const rt::LaunchStats phase1 = dbscan::index_phase1(
-      *im.index, dbscan::Params{eps_max, min_pts, im.opts.backend}, im.order,
-      false, im.opts.threads, im.sweep_counts, lower_eps2);
   {
     RTD_STAGE("sweep.scratch");
-    // Tombstoned slots are never core (their counts are 0, but a min_pts
-    // of 1 would otherwise resurrect them).
-    im.sweep_core.resize(levels * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool live = im.is_live_slot(i);
-      for (std::size_t l = 0; l < levels; ++l) {
-        im.sweep_core[l * n + i] =
-            live && im.sweep_counts[i * levels + l] + 1 >= min_pts ? 1 : 0;
-      }
-    }
-    im.reset_workspace(levels * n);
+    im.reset_launch(levels * n);
   }
-  const rt::LaunchStats phase2 = dbscan::index_phase2(
-      *im.index, eps_max, im.order, im.sweep_core, *im.dsu, im.claimed,
-      im.opts.threads, lower_eps2);
+  const dbscan::CountClusterStats launch = dbscan::index_count_cluster(
+      *im.index, dbscan::Params{eps_max, min_pts, im.opts.backend}, im.order,
+      im.opts.threads, im.sweep_counts, *im.dsu, im.claimed, im.settled,
+      std::span(eps2).subspan(1));
 
   out.resize(eps_values.size());
   for (std::size_t v = 0; v < out.size(); ++v) {
@@ -1743,18 +1736,20 @@ std::vector<ClusterResult> Clusterer::sweep(std::span<const float> eps_values,
       r.stats.index_rebuilt = build.rebuilt;
       r.stats.index_refitted = build.refitted;
       r.stats.timings.index_build_seconds = build.seconds;
-      r.stats.phase1 = phase1;
-      r.stats.phase2 = phase2;
-      r.stats.timings.core_phase_seconds = phase1.seconds;
-      r.stats.timings.cluster_phase_seconds = phase2.seconds;
+      r.stats.phase1 = launch.phase1;
+      r.stats.phase2 = launch.phase2;
+      r.stats.timings.core_phase_seconds = launch.phase1.seconds;
     } else {
       r.stats.counts_reused = true;
     }
-    const auto level_core = std::span(im.sweep_core).subspan(l * n, n);
-    r.is_core.assign(level_core.begin(), level_core.end());
+    // Tombstoned slots are never core (their counts are 0, but a min_pts
+    // of 1 would otherwise resurrect them).
     r.neighbor_counts.resize(n);
+    r.is_core.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      r.neighbor_counts[i] = im.sweep_counts[i * levels + l];
+      const std::uint32_t count = im.sweep_counts[i * levels + l];
+      r.neighbor_counts[i] = count;
+      r.is_core[i] = im.is_live_slot(i) && count + 1 >= min_pts ? 1 : 0;
     }
     im.finalize(r, l * n, v == 0 ? total : entry_timer);
   }

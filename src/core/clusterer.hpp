@@ -166,10 +166,10 @@ struct RunStats {
   /// the index over the live set.
   bool incremental = false;
   /// Per-phase wall clock.  index_build_seconds is the build OR refit cost
-  /// this run paid (0 when the index was reused as-is).  A run that counted
-  /// afresh forms its clusters inside that counting launch
-  /// (dbscan::index_count_cluster): core_phase_seconds is that whole launch
-  /// and cluster_phase_seconds is 0.
+  /// this run paid (0 when the index was reused as-is).  A run (or sweep
+  /// entry 0) that counted afresh forms its clusters inside that counting
+  /// launch (dbscan::index_count_cluster): core_phase_seconds is that whole
+  /// launch and cluster_phase_seconds is 0.
   dbscan::PhaseTimings timings;
   /// Work counters of the query launches (rays, node visits, Intersection
   /// calls) — zeroed for a phase that did not run.  After a fused launch,
@@ -395,13 +395,13 @@ class Clusterer {
   /// k-dist-style parameter exploration loop of §VI-B, executed as a
   /// session-optimized plan instead of k independent runs:
   ///   * the index is built (or retargeted) ONCE at max(eps_values);
-  ///   * ONE counting launch buckets every neighbor's exact d² against all
-  ///     ladder values at once (a query at ε_max covers every smaller
-  ///     ε-ball, and d² <= ε² is exactly the filter each backend applies);
-  ///   * ONE cluster-formation launch at ε_max gives each core pair its d²
-  ///     once and joins it into every ladder value where it is an ε-edge,
-  ///     each value with its own union-find and border claims
-  ///     (dbscan::index_phase2 over a ladder);
+  ///   * ONE fused count-and-cluster launch at ε_max — run()'s launch,
+  ///     over a ladder (dbscan::index_count_cluster) — walks every point
+  ///     once, buckets each pair's exact d² against all ladder values (a
+  ///     query at ε_max covers every smaller ε-ball, and d² <= ε² is
+  ///     exactly the filter each backend applies), and joins the pair into
+  ///     every ladder value where it is an ε-edge and one end is core, each
+  ///     value with its own union-find and border claims;
   ///   * per entry only label finalization runs — no refit, no traversal;
   ///   * after the ladder commits, the index is retargeted once to the
   ///     last value's ε where the backend refits (none for an ascending
@@ -409,12 +409,12 @@ class Clusterer {
   ///     answers any smaller query radius.
   /// Every entry is an identical clustering to a fresh run at its eps (the
   /// parity suite enforces it); entry stats record the shared work (index
-  /// step, both launches) on entry 0 and counts_reused on the rest, and the
+  /// step, the launch) on entry 0 and counts_reused on the rest, and the
   /// final retarget on the last entry.  Each element is an independent
   /// owning copy; the session result and count cache become the last
   /// entry's.
   ///
-  /// Both launches and every entry's finalization run before anything
+  /// The launch and every entry's finalization run before anything
   /// commits, so a fault in them is strong: health, result() and the count
   /// cache stay those of the previous call.  Only a fault while the last
   /// entry is copied into the result degrades the session.
@@ -424,8 +424,8 @@ class Clusterer {
   /// can never drive max(eps_values) or the bucketing pass).  Duplicate
   /// values are legal: duplicates share ONE ladder level (their clusterings
   /// are identical by definition) and each occurrence still yields its own
-  /// result entry, in input order.  Scratch — counts, core flags, union-find
-  /// and claim flags per level — is therefore O(k_unique·n), the one
+  /// result entry, in input order.  Scratch — counts, union-find and claim
+  /// flags per level — is therefore O(k_unique·n), the one
   /// deliberate deviation from the engine's O(n) memory.
   std::vector<ClusterResult> sweep(std::span<const float> eps_values,
                                    std::uint32_t min_pts);

@@ -22,7 +22,8 @@ namespace {
 /// their rays stay Morton-adjacent.
 constexpr std::size_t kPhase2Window = 8 * rt::kPacketWidth;
 
-/// A ladder's lower levels must descend strictly below the launch ε.
+/// A ladder's lower levels must descend strictly below the launch ε (the
+/// fused launch's level walk stops at the first level that fails).
 void check_ladder(float eps, std::span<const float> lower_eps2) {
   float above = eps * eps;
   for (const float e2 : lower_eps2) {
@@ -33,38 +34,6 @@ void check_ladder(float eps, std::span<const float> lower_eps2) {
     }
     above = e2;
   }
-}
-
-/// Phase 2's launch: each task gathers the level-0 cores of a window of
-/// consecutive `order` entries (on the stack) into full packets, queries
-/// them at `eps` and hands every (core, neighbor) pair to `on_pair`.  Like
-/// phase 1, the order defines which points query (live sessions pass a
-/// live-only order; dead slots are never core, so skipping is free).
-template <typename OnPair>
-rt::LaunchStats phase2_launch(const index::NeighborIndex& index, float eps,
-                              std::span<const std::uint32_t> order,
-                              std::span<const std::uint8_t> is_core,
-                              int threads, const OnPair& on_pair) {
-  const std::size_t windows =
-      (order.size() + kPhase2Window - 1) / kPhase2Window;
-  return rt::parallel_launch(
-      windows, threads, [&](rt::TraversalStats& stats, std::size_t w) {
-        std::uint32_t cores[kPhase2Window] = {};
-        std::size_t c = 0;
-        const std::size_t end =
-            std::min(order.size(), (w + 1) * kPhase2Window);
-        for (std::size_t q = w * kPhase2Window; q < end; ++q) {
-          if (is_core[order[q]]) cores[c++] = order[q];
-        }
-        const std::span<const std::uint32_t> gathered(cores, c);
-        for (std::size_t p = 0; p < packet_count(c); ++p) {
-          const std::span<const std::uint32_t> ids = packet_at(gathered, p);
-          index.query_sphere_packet(
-              ids, eps,
-              [&](std::uint32_t k, std::uint32_t j) { on_pair(ids[k], j); },
-              stats);
-        }
-      });
 }
 
 }  // namespace
@@ -101,12 +70,8 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
                              const Params& params,
                              std::span<const std::uint32_t> order,
                              bool early_exit, int threads,
-                             std::vector<std::uint32_t>& counts,
-                             std::span<const float> lower_eps2) {
-  check_ladder(params.eps, lower_eps2);
-  const std::size_t n = index.size();
-  const std::size_t levels = 1 + lower_eps2.size();
-  counts.assign(n * levels, 0);
+                             std::vector<std::uint32_t>& counts) {
+  counts.assign(index.size(), 0);
   // Counting to minPts-1 (excluding self) is enough to decide the core
   // test `count + 1 >= minPts`; backends that cannot terminate traversal
   // (the RT pipeline) ignore the cap and return exact counts.
@@ -121,41 +86,16 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
   // One query per ORDER entry, not per slot: a live session passes an order
   // that skips tombstoned slots, whose counts stay 0 from the assign above.
   // Each task is one packet of consecutive (Morton-adjacent) entries.
-  if (levels == 1) {
-    return rt::parallel_launch(
-        packet_count(order.size()), threads,
-        [&](rt::TraversalStats& stats, std::size_t p) {
-          const std::span<const std::uint32_t> ids = packet_at(order, p);
-          std::uint32_t got[rt::kPacketWidth] = {};
-          index.query_count_packet(ids, params.eps, {got, ids.size()}, stats,
-                                   cap);
-          for (std::size_t k = 0; k < ids.size(); ++k) {
-            counts[ids[k]] = got[k];
-          }
-        });
-  }
-  // A ladder: each neighbor's exact d² is bucketed into the prefix of
-  // levels whose ε² admits it (levels descend), into the point's row.
-  const std::span<const geom::Vec3> pts = index.points();
-  const float top_eps2 = params.eps * params.eps;
   return rt::parallel_launch(
       packet_count(order.size()), threads,
       [&](rt::TraversalStats& stats, std::size_t p) {
         const std::span<const std::uint32_t> ids = packet_at(order, p);
-        index.query_sphere_packet(
-            ids, params.eps,
-            [&](std::uint32_t k, std::uint32_t j) {
-              const std::uint32_t i = ids[k];
-              const float d2 = geom::distance_squared(pts[i], pts[j]);
-              if (!(d2 <= top_eps2)) return;
-              std::uint32_t* const row = counts.data() + i * levels;
-              ++row[0];
-              for (std::size_t l = 1; l < levels && d2 <= lower_eps2[l - 1];
-                   ++l) {
-                ++row[l];
-              }
-            },
-            stats);
+        std::uint32_t got[rt::kPacketWidth] = {};
+        index.query_count_packet(ids, params.eps, {got, ids.size()}, stats,
+                                 cap);
+        for (std::size_t k = 0; k < ids.size(); ++k) {
+          counts[ids[k]] = got[k];
+        }
       });
 }
 
@@ -230,82 +170,96 @@ rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<const std::uint8_t> is_core,
                              dsu::AtomicDisjointSet& dsu,
                              std::span<std::atomic<std::uint8_t>> claimed,
-                             int threads, std::span<const float> lower_eps2) {
-  check_ladder(eps, lower_eps2);
+                             int threads) {
   const std::size_t n = index.size();
-  const std::size_t levels = 1 + lower_eps2.size();
-  const std::size_t slots = n * levels;
-  if (is_core.size() != slots || claimed.size() < slots ||
-      dsu.size() < slots || slots > std::numeric_limits<std::uint32_t>::max()) {
+  if (is_core.size() != n || claimed.size() < n || dsu.size() < n) {
     throw std::invalid_argument(
-        "index_phase2: is_core must hold one flag per point and level, and "
-        "dsu/claimed at least as many 32-bit-addressable slots");
+        "index_phase2: is_core must hold one flag per point, and dsu and "
+        "claimed at least as many slots");
   }
   RTD_STAGE("engine.phase2");
   telemetry::count(telemetry::Counter::kEnginePhase2Launches);
 
-  // Alg. 3 lines 9-16 for the pair (i, j) at the level whose slots start at
-  // `off`; i is core there.
-  const auto merge = [&](std::uint32_t i, std::uint32_t j, std::size_t off) {
-    const auto a = static_cast<std::uint32_t>(off + i);
-    const auto b = static_cast<std::uint32_t>(off + j);
-    if (is_core[b]) {
-      // Core-core merge (Alg. 3 line 10); pairs are seen from both ends,
-      // so do each merge once.
-      if (j > i) dsu.unite(a, b);
-    } else {
-      (void)claim_border(dsu, claimed, a, b);
-    }
-  };
-  if (levels == 1) {
-    // The backend's own filter already decided d² <= ε²: no recompute.
-    return phase2_launch(index, eps, order, is_core, threads,
-                         [&](std::uint32_t i, std::uint32_t j) {
-                           merge(i, j, 0);
-                         });
-  }
-  // A ladder: the pair joins every level where it is an ε-edge and i is
-  // core — a prefix, since levels descend and a point core at some ε is
-  // core at every larger one.
-  const std::span<const geom::Vec3> pts = index.points();
-  const float top_eps2 = eps * eps;
-  return phase2_launch(
-      index, eps, order, is_core, threads,
-      [&](std::uint32_t i, std::uint32_t j) {
-        const float d2 = geom::distance_squared(pts[i], pts[j]);
-        if (!(d2 <= top_eps2)) return;
-        merge(i, j, 0);
-        std::size_t off = n;
-        for (std::size_t l = 1; l < levels; ++l, off += n) {
-          if (!(d2 <= lower_eps2[l - 1]) || !is_core[off + i]) break;
-          merge(i, j, off);
+  // Each task gathers the cores of a window of consecutive `order` entries
+  // (on the stack) into full packets.  Like phase 1, the order defines
+  // which points query (live sessions pass a live-only order; dead slots
+  // are never core, so skipping is free).
+  const std::size_t windows =
+      (order.size() + kPhase2Window - 1) / kPhase2Window;
+  return rt::parallel_launch(
+      windows, threads, [&](rt::TraversalStats& stats, std::size_t w) {
+        std::uint32_t cores[kPhase2Window] = {};
+        std::size_t c = 0;
+        const std::size_t end =
+            std::min(order.size(), (w + 1) * kPhase2Window);
+        for (std::size_t q = w * kPhase2Window; q < end; ++q) {
+          if (is_core[order[q]]) cores[c++] = order[q];
+        }
+        const std::span<const std::uint32_t> gathered(cores, c);
+        for (std::size_t p = 0; p < packet_count(c); ++p) {
+          const std::span<const std::uint32_t> ids = packet_at(gathered, p);
+          // Alg. 3 lines 9-16 for the pair (i, j), i core; the backend's
+          // own filter already decided d² <= ε².
+          index.query_sphere_packet(
+              ids, eps,
+              [&](std::uint32_t k, std::uint32_t j) {
+                const std::uint32_t i = ids[k];
+                if (is_core[j]) {
+                  // Core-core merge (Alg. 3 line 10); pairs are seen from
+                  // both ends, so do each merge once.
+                  if (j > i) dsu.unite(i, j);
+                } else {
+                  (void)claim_border(dsu, claimed, i, j);
+                }
+              },
+              stats);
         }
       });
 }
 
 void CountClusterPacket::walk(const index::NeighborIndex& index, float eps,
+                              std::span<const float> lower_eps2,
                               std::span<const std::uint32_t> ids,
-                              rt::TraversalStats& stats) {
+                              std::span<std::uint32_t> counts,
+                              rt::TraversalStats& stats,
+                              rt::TraversalStats& rewalk) {
   ids_ = ids;
-  pairs_ = 0;
-  std::fill(std::begin(rows_), std::end(rows_), 0u);
+  std::uint32_t rows[rt::kPacketWidth];
+  pairs_ = index.query_pairs_packet(ids, eps, pairs_buf_,
+                                    {rows, ids.size()}, stats);
+  // Level 0 is the walk's own ε: every pair counts.  The lower levels
+  // bucket each pair's d² into the prefix whose ε² admits it.
+  const std::size_t levels = 1 + lower_eps2.size();
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    std::uint32_t* const row = counts.data() + ids[k] * levels;
+    row[0] = rows[k];
+    std::fill(row + 1, row + levels, 0u);
+  }
+  if (levels == 1) return;
+  const auto bucket = [&](std::uint32_t k, float d2) {
+    std::uint32_t* const row = counts.data() + ids[k] * levels;
+    for (std::size_t l = 1; l < levels && d2 <= lower_eps2[l - 1]; ++l) {
+      ++row[l];
+    }
+  };
+  if (!overflowed()) {
+    for (std::size_t m = 0; m < pairs_; ++m) {
+      bucket(pairs_buf_[m].ray, pairs_buf_[m].d2);
+    }
+    return;
+  }
+  // The buffer dropped pairs: walk again to bucket them all.
+  const std::span<const geom::Vec3> pts = index.points();
   index.query_sphere_packet(
       ids, eps,
       [&](std::uint32_t k, std::uint32_t j) {
-        ++rows_[k];
-        if (pairs_ < kPairCapacity) {
-          nbr_[pairs_] = j;
-          ray_[pairs_] = static_cast<std::uint8_t>(k);
-        }
-        ++pairs_;
+        bucket(k, geom::distance_squared(pts[ids[k]], pts[j]));
       },
-      stats);
+      rewalk);
 }
 
 void CountClusterPacket::settle(
-    std::span<std::uint32_t> counts,
     std::span<std::atomic<std::uint8_t>> settled) const {
-  for (std::size_t k = 0; k < ids_.size(); ++k) counts[ids_[k]] = rows_[k];
   // seq_cst, not release: the store must precede this packet's loads of
   // the other ends' flags in the single total order (handle()).
   for (const std::uint32_t i : ids_) {
@@ -318,34 +272,49 @@ CountClusterStats index_count_cluster(
     std::span<const std::uint32_t> order, int threads,
     std::vector<std::uint32_t>& counts, dsu::AtomicDisjointSet& dsu,
     std::span<std::atomic<std::uint8_t>> claimed,
-    std::span<std::atomic<std::uint8_t>> settled) {
+    std::span<std::atomic<std::uint8_t>> settled,
+    std::span<const float> lower_eps2) {
+  check_ladder(params.eps, lower_eps2);
   const std::size_t n = index.size();
-  if (order.size() > n || dsu.size() < n || claimed.size() < n ||
-      settled.size() < n) {
+  const std::size_t levels = 1 + lower_eps2.size();
+  const std::size_t slots = n * levels;
+  if (order.size() > n || dsu.size() < slots || claimed.size() < slots ||
+      settled.size() < n || slots > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument(
-        "index_count_cluster: order must fit the index, and dsu, claimed "
-        "and settled hold a slot per point");
+        "index_count_cluster: order must fit the index, settled hold a flag "
+        "per point, and dsu and claimed a 32-bit-addressable slot per point "
+        "and level");
   }
-  counts.assign(n, 0);
+  counts.assign(slots, 0);
   // Before the launch, like index_phase1: a throw from inside the parallel
   // region would terminate.
   RTD_STAGE("engine.fused");
   telemetry::count(telemetry::Counter::kEngineFusedLaunches);
 
   const std::uint32_t min_pts = params.min_pts;
-  const auto core = [&](std::uint32_t x) {
-    return counts[x] + 1 >= min_pts;
-  };
-  // Alg. 3 lines 9-16 for an ε-pair whose ends have both settled.
-  const auto link = [&](std::uint32_t i, std::uint32_t j) {
-    const bool core_i = core(i);
-    const bool core_j = core(j);
-    if (core_i && core_j) {
-      dsu.unite(i, j);
-    } else if (core_i) {
-      (void)claim_border(dsu, claimed, i, j);
-    } else if (core_j) {
-      (void)claim_border(dsu, claimed, j, i);
+  // Alg. 3 lines 9-16 for an ε-pair whose ends have both settled, at every
+  // level where it is an ε-edge (level 0: every pair of the walk) and one
+  // end is core — a prefix, since levels descend and a point core at some
+  // ε is core at every larger one.  Level l owns the slots [l·n, (l+1)·n).
+  const auto link = [&](std::uint32_t i, std::uint32_t j, float d2) {
+    const std::uint32_t* const row_i = counts.data() + i * levels;
+    const std::uint32_t* const row_j = counts.data() + j * levels;
+    std::size_t off = 0;
+    for (std::size_t l = 0; l < levels; ++l, off += n) {
+      if (l > 0 && !(d2 <= lower_eps2[l - 1])) return;
+      const bool core_i = row_i[l] + 1 >= min_pts;
+      const bool core_j = row_j[l] + 1 >= min_pts;
+      const auto a = static_cast<std::uint32_t>(off + i);
+      const auto b = static_cast<std::uint32_t>(off + j);
+      if (core_i && core_j) {
+        dsu.unite(a, b);
+      } else if (core_i) {
+        (void)claim_border(dsu, claimed, a, b);
+      } else if (core_j) {
+        (void)claim_border(dsu, claimed, b, a);
+      } else {
+        return;
+      }
     }
   };
   // Second walks are rare (a packet past kPairCapacity pairs): their work
@@ -360,9 +329,10 @@ CountClusterStats index_count_cluster(
       packet_count(order.size()), threads,
       [&](rt::TraversalStats& stats, std::size_t p) {
         CountClusterPacket packet;
-        packet.walk(index, params.eps, packet_at(order, p), stats);
-        packet.settle(counts, settled);
         rt::TraversalStats rewalk;
+        packet.walk(index, params.eps, lower_eps2, packet_at(order, p),
+                    counts, stats, rewalk);
+        packet.settle(settled);
         packet.handle(index, params.eps, settled, rewalk, link);
         if (rewalk.rays != 0) {
           rewalk_rays.fetch_add(rewalk.rays, std::memory_order_relaxed);

@@ -15,11 +15,15 @@
 // touching the clustering logic, which is what makes backend comparisons
 // honest.
 //
-// index_count_cluster fuses both phases into ONE launch (Clusterer::run()):
-// every point is walked once, and each ε-pair is merged by whichever end
-// settles its count second — the single-pass union-find DBSCAN of Patwary
-// et al. (PDSDBSCAN, SC'12).  No core is walked a second time, and the
-// clustering is the same up to border ambiguity.
+// index_count_cluster fuses both phases into ONE launch: every point is
+// walked once, and each ε-pair is merged by whichever end settles its count
+// second — the single-pass union-find DBSCAN of Patwary et al. (PDSDBSCAN,
+// SC'12).  No core is walked a second time, and the clustering is the same
+// up to border ambiguity.  The same launch clusters a whole ε ladder at
+// ε_max (Clusterer::sweep(); Clusterer::run() is the one-level case): each
+// pair's d² is bucketed into every level whose ε admits it — the OPTICS
+// observation (Ankerst et al., SIGMOD'99) that one ε_max neighbourhood pass
+// yields the clustering for every smaller ε.
 //
 // Every full pass launches its queries in Morton order of the points
 // (query_launch_order): spatially adjacent queries run back to back and
@@ -27,13 +31,12 @@
 // coherence RTNN [Zhu, PPoPP'22] gets from RT hardware.  Results do not
 // depend on the order; only scheduling does.
 //
-// The full passes — phase 1 and phase 2 (for one ε or for a whole
-// Clusterer::sweep() ladder at once) and the fused launch — also issue
+// The full passes — phase 1, phase 2 and the fused launch — also issue
 // their queries as 4-ray packets of Morton-adjacent points
-// (NeighborIndex::query_count_packet / query_sphere_packet).  On kBvhRt's
-// wide layout one packet walk (rt::traverse_points) fetches each node once
-// for every ray that reaches it; the work counters stay per-ray sums, equal
-// to the single-ray walk's.  Isolated queries keep the single-ray walk,
+// (NeighborIndex::query_count_packet / query_sphere_packet /
+// query_pairs_packet).  On kBvhRt's wide layout one packet walk
+// (rt::traverse_points) fetches each node once for every ray that reaches
+// it; the work counters stay per-ray sums, equal to the single-ray walk's.  Isolated queries keep the single-ray walk,
 // because their arrival order carries no coherence: the incremental count
 // captures below, the label repair passes, snapshot reads and
 // query_neighbors.
@@ -87,27 +90,14 @@ struct IndexEngineResult {
     std::span<const std::uint32_t> ids, std::size_t p);
 
 /// Phase 1 over any index: per-point ε-neighbor counts (excluding self)
-/// into `counts`, queried in `order` as packets of consecutive entries.
-///
-/// One level (`lower_eps2` empty, the default): counts[i] at params.eps,
-/// through NeighborIndex::query_count_packet, capped at minPts-1 with
-/// `early_exit`.
-///
-/// A LADDER of levels — params.eps, then the ε² values of `lower_eps2`,
-/// strictly descending below params.eps² — is counted by the same one
-/// launch at params.eps (Clusterer::sweep()): every neighbor's exact d² is
-/// bucketed into the prefix of levels with d² <= ε², so counts[i·levels +
-/// l] (point-major, so a query's counters share a cache line) is point
-/// i's count at level l.  A query at the largest ε enumerates a superset
-/// of every smaller ε-ball, and d² <= ε² is the filter every backend
-/// applies, so column l equals a one-level phase 1 at level l's ε.  Ladder
-/// counts are exact (`early_exit` is ignored).
+/// at params.eps into `counts`, queried in `order` as packets of
+/// consecutive entries through NeighborIndex::query_count_packet, capped
+/// at minPts-1 with `early_exit`.
 rt::LaunchStats index_phase1(const index::NeighborIndex& index,
                              const Params& params,
                              std::span<const std::uint32_t> order,
                              bool early_exit, int threads,
-                             std::vector<std::uint32_t>& counts,
-                             std::span<const float> lower_eps2 = {});
+                             std::vector<std::uint32_t>& counts);
 
 /// Incremental phase-1 maintenance for a REMOVAL batch: for every id in
 /// `removed`, one ε-query discovers its neighbors and decrements their
@@ -155,34 +145,16 @@ rt::LaunchStats index_phase1_insert(const index::NeighborIndex& index,
 /// Phase 2 over any index: concurrent union-find merges initiated by core
 /// points (Alg. 3 lines 7-18); border points claimed atomically through
 /// `claimed`.  The core entries of each small window of `order` are
-/// gathered into packets (NeighborIndex::query_sphere_packet).
-///
-/// One level (`lower_eps2` empty, the default): `is_core`, `dsu` and
-/// `claimed` are indexed by point, and the backend's filter decides the
-/// ε-edges.
-///
-/// A LADDER of levels (eps, then `lower_eps2` as for index_phase1) is
-/// clustered by ONE launch at eps — the OPTICS observation (Ankerst et al.,
-/// SIGMOD'99) that an ε_max neighbourhood pass yields the clustering for
-/// every smaller ε.  Level l owns the slots [l·n, (l+1)·n) of `is_core`
-/// (its core flags), `dsu` and `claimed`, so it is an independent
-/// clustering; the points core at level 0 query.  A pair (i, j) found at
-/// eps gets d² once and joins every level where d² <= ε² and i is core: a
-/// core j is a merge, a non-core j a first-claim border, exactly as a
-/// one-level phase 2 at that level's ε.  Levels descend and a point core
-/// at some ε is core at every larger one, so the first level that fails
-/// either test ends the pair's walk.  After the launch, level l's labels
-/// are finalize_labels over find(l·n + x) − l·n.
-///
-/// Throws std::invalid_argument for a malformed ladder or when `is_core`
-/// does not hold levels·n flags, or `dsu`/`claimed` fewer slots.
+/// gathered into packets (NeighborIndex::query_sphere_packet), and the
+/// backend's filter decides the ε-edges.  Throws std::invalid_argument when
+/// `is_core` does not hold one flag per point, or `dsu`/`claimed` fewer
+/// slots.
 rt::LaunchStats index_phase2(const index::NeighborIndex& index, float eps,
                              std::span<const std::uint32_t> order,
                              std::span<const std::uint8_t> is_core,
                              dsu::AtomicDisjointSet& dsu,
                              std::span<std::atomic<std::uint8_t>> claimed,
-                             int threads,
-                             std::span<const float> lower_eps2 = {});
+                             int threads);
 
 /// Alg. 3 lines 12-15, a border claim: the first core to claim `border`
 /// through its `claimed` flag unites the two; every later claim of it does
@@ -214,42 +186,62 @@ struct CountClusterStats {
 /// entries — split into its three steps, so the settle protocol can be
 /// driven step by step.  Lives on the task's stack: the pair buffer is
 /// fixed, so nothing allocates inside the parallel region.
+///
+/// The ladder is the walk's `eps` (level 0), then the ε² values of
+/// `lower_eps2`, strictly descending; levels = 1 + lower_eps2.size().  Point x's row is
+/// counts[x·levels, (x+1)·levels) — point-major, so a pair's level walk
+/// reads one cache line per end.
 class CountClusterPacket {
  public:
-  /// (k, j) pairs a packet buffers; past it, handle() walks again.
+  /// (k, j, d²) pairs a packet buffers; past it, the packet walks again.
   static constexpr std::size_t kPairCapacity = 2048;
 
-  /// Step 1: walk the packet `ids` once at `eps`.  Ray k's row — its
-  /// neighbors j — is counted in full and buffered while the packet's
-  /// pairs fit.
+  /// Step 1: walk the packet `ids` once at `eps`
+  /// (NeighborIndex::query_pairs_packet, into `stats`) and write each
+  /// ray's row: level 0 counts every pair of the walk, level l >= 1 the
+  /// pairs with d² <= lower_eps2[l-1].  The packet owns its rays' rows, so
+  /// it writes them in place.  A ladder packet whose pairs overflowed the
+  /// buffer walks again into `rewalk` to bucket them.
   void walk(const index::NeighborIndex& index, float eps,
-            std::span<const std::uint32_t> ids, rt::TraversalStats& stats);
+            std::span<const float> lower_eps2,
+            std::span<const std::uint32_t> ids,
+            std::span<std::uint32_t> counts, rt::TraversalStats& stats,
+            rt::TraversalStats& rewalk);
 
-  /// Step 2: write each ray's count (its row size) into counts[ids[k]],
-  /// then publish the ray: settled[ids[k]].store(1, seq_cst).
-  void settle(std::span<std::uint32_t> counts,
-              std::span<std::atomic<std::uint8_t>> settled) const;
+  /// Step 2: publish the rays, their rows now final:
+  /// settled[ids[k]].store(1, seq_cst).
+  void settle(std::span<std::atomic<std::uint8_t>> settled) const;
 
-  /// Step 3: on_pair(ids[k], j) for every pair of the packet whose other
-  /// end j has settled (settled[j].load(seq_cst)); counts[j] is final
+  /// Step 3: on_pair(ids[k], j, d²) for every pair of the packet whose
+  /// other end j has settled (settled[j].load(seq_cst)); j's row is final
   /// then.  Each end stores its own flag before it loads the other's, so
   /// of the two ends of an ε-pair at least one sees the other settled: the
   /// pair reaches on_pair once or twice, never zero times.  Rows that
-  /// overflowed the buffer are walked again at `eps`, into `rewalk`.
+  /// overflowed the buffer are walked again at `eps`, into `rewalk`, with
+  /// d² = geom::distance_squared (the buffered value, bit for bit).
   template <typename OnPair>
   void handle(const index::NeighborIndex& index, float eps,
               std::span<const std::atomic<std::uint8_t>> settled,
               rt::TraversalStats& rewalk, OnPair&& on_pair) const {
-    const auto visit = [&](std::uint32_t k, std::uint32_t j) {
-      if (settled[j].load(std::memory_order_seq_cst) != 0) {
-        on_pair(ids_[k], j);
-      }
-    };
     if (overflowed()) {
-      index.query_sphere_packet(ids_, eps, visit, rewalk);
+      const std::span<const geom::Vec3> pts = index.points();
+      index.query_sphere_packet(
+          ids_, eps,
+          [&](std::uint32_t k, std::uint32_t j) {
+            if (settled[j].load(std::memory_order_seq_cst) != 0) {
+              on_pair(ids_[k], j,
+                      geom::distance_squared(pts[ids_[k]], pts[j]));
+            }
+          },
+          rewalk);
       return;
     }
-    for (std::size_t m = 0; m < pairs_; ++m) visit(ray_[m], nbr_[m]);
+    for (std::size_t m = 0; m < pairs_; ++m) {
+      const index::PacketPair& pair = pairs_buf_[m];
+      if (settled[pair.neighbor].load(std::memory_order_seq_cst) != 0) {
+        on_pair(ids_[pair.ray], pair.neighbor, pair.d2);
+      }
+    }
   }
 
   /// Whether the walk found more pairs than the buffer holds.
@@ -257,32 +249,38 @@ class CountClusterPacket {
 
  private:
   std::span<const std::uint32_t> ids_;
-  std::uint32_t rows_[rt::kPacketWidth] = {};
   std::size_t pairs_ = 0;  ///< pairs found; only the first kPairCapacity kept
-  std::uint32_t nbr_[kPairCapacity];
-  std::uint8_t ray_[kPairCapacity];
+  index::PacketPair pairs_buf_[kPairCapacity];
 };
 
-/// Phases 1 and 2 in ONE launch at params.eps: exact neighbor counts
-/// (excluding self) into `counts` and the clustering into `dsu`/`claimed`,
-/// as one CountClusterPacket per packet of `order`.  Once both ends of an
-/// ε-pair are settled, their counts decide it (Alg. 3 lines 9-16): two
-/// cores unite, a core and a non-core make a first-claim border
-/// (claim_border), two non-cores do nothing.  Handling a pair twice is
-/// harmless — unite is idempotent and the claim dedupes.  After the launch
-/// the core flags are counts[i] + 1 >= min_pts and the labels
-/// finalize_labels over dsu.find.
+/// Phases 1 and 2 in ONE launch at params.eps, for one level or a whole
+/// ladder (`lower_eps2`, as for CountClusterPacket): exact neighbor counts
+/// (excluding self) of every level into `counts` (n·levels, point-major)
+/// and each level's clustering into its slots [l·n, (l+1)·n) of
+/// `dsu`/`claimed`, as one CountClusterPacket per packet of `order`.  Once
+/// both ends of an ε-pair are settled, their counts decide it at every
+/// level l whose ε admits its d² (Alg. 3 lines 9-16): two cores unite, a
+/// core and a non-core make a first-claim border (claim_border).  The
+/// pair's level walk ends at the first level where it is no ε-edge or
+/// neither end is core: levels descend, and a core at some ε is a core at
+/// every larger one.  Handling a pair twice is harmless — unite is
+/// idempotent and the claim dedupes.  After the launch level l's core
+/// flags are counts[i·levels + l] + 1 >= min_pts and its labels
+/// finalize_labels over dsu.find(l·n + x) − l·n.  Clusterer::run() is the
+/// one-level case (`lower_eps2` empty, the default).
 ///
 /// `order` must hold every live slot exactly once: a neighbor outside it
-/// never settles, so its pairs would never be handled.  `dsu` must hold n
-/// singletons, and `claimed`/`settled` n cleared flags, n = index.size()
+/// never settles, so its pairs would never be handled.  `dsu` must hold
+/// n·levels singletons, `claimed` n·levels cleared flags and `settled` n,
+/// n = index.size(); the ladder must descend strictly below params.eps²
 /// (std::invalid_argument otherwise).  The launch writes nothing else.
 CountClusterStats index_count_cluster(
     const index::NeighborIndex& index, const Params& params,
     std::span<const std::uint32_t> order, int threads,
     std::vector<std::uint32_t>& counts, dsu::AtomicDisjointSet& dsu,
     std::span<std::atomic<std::uint8_t>> claimed,
-    std::span<std::atomic<std::uint8_t>> settled);
+    std::span<std::atomic<std::uint8_t>> settled,
+    std::span<const float> lower_eps2 = {});
 
 /// Full run: phase 1, core flags, phase 2, label finalization.  Sets the
 /// core/cluster phase timings and a total covering this call; the caller

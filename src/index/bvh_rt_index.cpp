@@ -107,10 +107,11 @@ void BvhRtIndex::trace_packet(std::span<const std::uint32_t> ids, float eps,
         // The Intersection program of every ray in `rays` at once: one
         // dead check, one 4-wide point-in-sphere test.
         if (is_dead(prim)) return;
-        for (std::uint32_t in = accel.origins_inside(packet, prim) & rays;
+        float d2[rt::kPacketWidth];
+        for (std::uint32_t in = accel.origins_inside(packet, prim, d2) & rays;
              in != 0; in &= in - 1) {
           const auto k = static_cast<std::uint32_t>(std::countr_zero(in));
-          if (prim != ids[k]) on_pair(k, prim);
+          if (prim != ids[k]) on_pair(k, prim, d2[k]);
         }
       },
       stats);
@@ -120,10 +121,8 @@ void BvhRtIndex::trace_packet(std::span<const std::uint32_t> ids, float eps,
     const geom::Vec3& center = points_[self];
     scan_tail(geom::Aabb::of_sphere(center, eps), stats,
               [&](std::uint32_t j) {
-                if (j != self &&
-                    geom::distance_squared(center, points_[j]) <= eps2) {
-                  on_pair(k, j);
-                }
+                const float d2 = geom::distance_squared(center, points_[j]);
+                if (j != self && d2 <= eps2) on_pair(k, j, d2);
               });
   }
 }
@@ -135,14 +134,32 @@ void BvhRtIndex::query_count_packet(std::span<const std::uint32_t> ids,
                                     std::uint32_t stop_at) const {
   (void)stop_at;  // OptiX: traversal cannot terminate early (§VI-B)
   std::fill(counts.begin(), counts.end(), 0u);
-  trace_packet(ids, eps, stats,
-               [&](std::uint32_t k, std::uint32_t) { ++counts[k]; });
+  trace_packet(ids, eps, stats, [&](std::uint32_t k, std::uint32_t, float) {
+    ++counts[k];
+  });
 }
 
 void BvhRtIndex::query_sphere_packet(std::span<const std::uint32_t> ids,
                                      float eps, PairVisitor visit,
                                      rt::TraversalStats& stats) const {
-  trace_packet(ids, eps, stats, visit);
+  trace_packet(ids, eps, stats,
+               [&](std::uint32_t k, std::uint32_t j, float) { visit(k, j); });
+}
+
+std::size_t BvhRtIndex::query_pairs_packet(std::span<const std::uint32_t> ids,
+                                           float eps,
+                                           std::span<PacketPair> pairs,
+                                           std::span<std::uint32_t> rows,
+                                           rt::TraversalStats& stats) const {
+  std::fill(rows.begin(), rows.end(), 0u);
+  std::size_t found = 0;
+  trace_packet(ids, eps, stats,
+               [&](std::uint32_t k, std::uint32_t j, float d2) {
+                 ++rows[k];
+                 if (found < pairs.size()) pairs[found] = {k, j, d2};
+                 ++found;
+               });
+  return found;
 }
 
 void BvhRtIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,

@@ -54,7 +54,8 @@ class BvhRtIndex final : public NeighborIndex {
 
   /// Packet entries: one rt::traverse_points walk over the wide layout for
   /// the whole packet, the delta tail scanned per ray.  `stop_at` is
-  /// ignored, as in query_count.
+  /// ignored, as in query_count; query_pairs_packet keeps the d² lanes the
+  /// 4-wide exact test computed.
   void query_count_packet(std::span<const std::uint32_t> ids, float eps,
                           std::span<std::uint32_t> counts,
                           rt::TraversalStats& stats,
@@ -62,6 +63,10 @@ class BvhRtIndex final : public NeighborIndex {
   void query_sphere_packet(std::span<const std::uint32_t> ids, float eps,
                            PairVisitor visit,
                            rt::TraversalStats& stats) const override;
+  std::size_t query_pairs_packet(std::span<const std::uint32_t> ids,
+                                 float eps, std::span<PacketPair> pairs,
+                                 std::span<std::uint32_t> rows,
+                                 rt::TraversalStats& stats) const override;
 
   /// REFIT the sphere scene to a new radius (accel update, not rebuild);
   /// subsequent queries must use the new eps.
@@ -126,8 +131,9 @@ class BvhRtIndex final : public NeighborIndex {
     });
   }
 
-  /// The packet walk behind both packet entries: `on_pair(k, j)` for every
-  /// exact neighbor j of ids[k], scene first, then each ray's tail scan.
+  /// The packet walk behind the packet entries: `on_pair(k, j, d2)` for
+  /// every exact neighbor j of ids[k] at squared distance d2, scene first,
+  /// then each ray's tail scan.
   template <typename OnPair>
   void trace_packet(std::span<const std::uint32_t> ids, float eps,
                     rt::TraversalStats& stats, OnPair&& on_pair) const;

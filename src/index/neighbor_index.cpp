@@ -165,6 +165,26 @@ void NeighborIndex::query_sphere_packet(std::span<const std::uint32_t> ids,
   }
 }
 
+std::size_t NeighborIndex::query_pairs_packet(
+    std::span<const std::uint32_t> ids, float eps,
+    std::span<PacketPair> pairs, std::span<std::uint32_t> rows,
+    rt::TraversalStats& stats) const {
+  const std::span<const geom::Vec3> pts = points();
+  std::fill(rows.begin(), rows.end(), 0u);
+  std::size_t found = 0;
+  query_sphere_packet(
+      ids, eps,
+      [&](std::uint32_t k, std::uint32_t j) {
+        ++rows[k];
+        if (found < pairs.size()) {
+          pairs[found] = {k, j, geom::distance_squared(pts[ids[k]], pts[j])};
+        }
+        ++found;
+      },
+      stats);
+  return found;
+}
+
 void NeighborIndex::query_box(const geom::Aabb& box, NeighborVisitor visit,
                               rt::TraversalStats& stats) const {
   // Default: counted linear scan.  Grid/tree backends override.

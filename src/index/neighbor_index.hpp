@@ -55,6 +55,15 @@ using NeighborVisitor = FunctionRef<void(std::uint32_t)>;
 /// Batched visitor: receives (query point index, neighbor index) pairs.
 using PairVisitor = FunctionRef<void(std::uint32_t, std::uint32_t)>;
 
+/// One pair of a buffered packet query (query_pairs_packet): ray k of the
+/// packet, its neighbor j, and their squared distance.  No member
+/// initializers, so a stack buffer of them costs nothing to declare.
+struct PacketPair {
+  std::uint32_t ray;       ///< k: the query of dataset point ids[k]
+  std::uint32_t neighbor;  ///< j
+  float d2;                ///< geom::distance_squared(points()[ids[k]], points()[j])
+};
+
 /// Abstract fixed-radius neighbor index over an immutable point set.
 ///
 /// An index is built once over `points` for a build radius ε (the factory
@@ -197,9 +206,9 @@ class NeighborIndex {
   /// counters equal ids.size() single queries; only the visit order
   /// differs.  1 <= ids.size() <= rt::kPacketWidth.
   ///
-  /// The defaults loop the single-query virtuals.  kBvhRt overrides both
-  /// on its wide layout: one packet walk (rt::traverse_points) shares each
-  /// node fetch among the rays that reach it.
+  /// The defaults loop the single-query virtuals.  kBvhRt overrides all
+  /// three on its wide layout: one packet walk (rt::traverse_points) shares
+  /// each node fetch among the rays that reach it.
 
   /// counts[k] = query_count(points()[ids[k]], eps, ids[k], stats, stop_at).
   /// `counts` has ids.size() entries.
@@ -214,6 +223,21 @@ class NeighborIndex {
   virtual void query_sphere_packet(std::span<const std::uint32_t> ids,
                                    float eps, PairVisitor visit,
                                    rt::TraversalStats& stats) const;
+
+  /// Buffered query_sphere_packet: the pairs (k, j) it would visit, in its
+  /// order, each with its d², written into `pairs` while they fit; rows[k]
+  /// is ray k's pair count (`rows` has ids.size() entries).  Returns the
+  /// number of pairs found — past pairs.size() when the buffer overflowed,
+  /// and the pairs that did not fit are dropped (rows still count them).
+  /// One virtual call per packet, where the visitor entry pays an indirect
+  /// call per pair.  The default is query_sphere_packet plus
+  /// geom::distance_squared; kBvhRt stores the d² its 4-wide exact test
+  /// computed, which is that value bit for bit.
+  virtual std::size_t query_pairs_packet(std::span<const std::uint32_t> ids,
+                                         float eps,
+                                         std::span<PacketPair> pairs,
+                                         std::span<std::uint32_t> rows,
+                                         rt::TraversalStats& stats) const;
 
   /// Visit every dataset index whose point lies inside `box` (closed).  Used
   /// by the dense-box DBSCAN phase that replaces per-point sphere queries

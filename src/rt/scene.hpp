@@ -91,10 +91,13 @@ class SphereAccel {
   }
 
   /// origin_inside() for a whole packet: bit k set iff ray k's origin is
-  /// within sphere `prim`.  Bits beyond packet.size are garbage.
-  [[nodiscard]] std::uint32_t origins_inside(const PointPacket& packet,
-                                             std::uint32_t prim) const {
-    return detail::packet_within(packet, centers_[prim], radius_ * radius_);
+  /// within sphere `prim`, and d2[k] the squared distance that test
+  /// compared.  Bits and lanes beyond packet.size are garbage.
+  [[nodiscard]] std::uint32_t origins_inside(
+      const PointPacket& packet, std::uint32_t prim,
+      float (&d2)[kPacketWidth]) const {
+    return detail::packet_within(packet, centers_[prim], radius_ * radius_,
+                                 d2);
   }
 
   /// Change the shared sphere radius and REFIT the BVH in place (topology

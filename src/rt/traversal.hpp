@@ -431,23 +431,26 @@ inline std::uint32_t point_ray_hits4(const WideBvhNode& node, unsigned first,
 /// The exact test for a whole packet: bit k set iff
 /// geom::distance_squared(packet.origin(k), c) <= r2, evaluated with the
 /// scalar expression's operations in its order (bit-identical verdicts).
-/// Bits of unused slots are garbage; callers mask them.
+/// d2[k] receives the squared distance the verdict compared, bit-identical
+/// to the scalar one.  Bits and lanes of unused slots are garbage; callers
+/// mask them.
 inline std::uint32_t packet_within(const PointPacket& packet,
-                                   const geom::Vec3& c, float r2) {
+                                   const geom::Vec3& c, float r2,
+                                   float (&d2)[kPacketWidth]) {
 #if defined(__SSE2__)
   const __m128 dx = _mm_sub_ps(_mm_load_ps(packet.x), _mm_set1_ps(c.x));
   const __m128 dy = _mm_sub_ps(_mm_load_ps(packet.y), _mm_set1_ps(c.y));
   const __m128 dz = _mm_sub_ps(_mm_load_ps(packet.z), _mm_set1_ps(c.z));
-  const __m128 d2 = _mm_add_ps(
+  const __m128 d = _mm_add_ps(
       _mm_add_ps(_mm_mul_ps(dx, dx), _mm_mul_ps(dy, dy)), _mm_mul_ps(dz, dz));
+  _mm_storeu_ps(d2, d);
   return static_cast<std::uint32_t>(
-      _mm_movemask_ps(_mm_cmple_ps(d2, _mm_set1_ps(r2))));
+      _mm_movemask_ps(_mm_cmple_ps(d, _mm_set1_ps(r2))));
 #else
   std::uint32_t inside = 0;
   for (std::uint32_t k = 0; k < kPacketWidth; ++k) {
-    inside |= static_cast<std::uint32_t>(
-                  geom::distance_squared(packet.origin(k), c) <= r2)
-              << k;
+    d2[k] = geom::distance_squared(packet.origin(k), c);
+    inside |= static_cast<std::uint32_t>(d2[k] <= r2) << k;
   }
   return inside;
 #endif

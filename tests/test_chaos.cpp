@@ -26,7 +26,9 @@
 #include "core/clusterer.hpp"
 #include "core/index_snapshot.hpp"
 #include "data/generators.hpp"
+#include "dbscan/engine.hpp"
 #include "index/index_kind.hpp"
+#include "index/neighbor_index.hpp"
 
 namespace rtd {
 namespace {
@@ -177,11 +179,15 @@ bool faulted_op(Clusterer& s, const IndexSnapshot& reader, Rng& rng,
     } else if (site == "engine.phase2") {
       // run() at the cached ε reuses the counts and runs phase 2 alone.
       (void)s.run(eps, min_pts);
-    } else if (site == "session.sweep" || site == "sweep.scratch" ||
-               site == "engine.phase1") {
-      // The sweep's counting launch: run() counts inside its fused one.
+    } else if (site == "session.sweep" || site == "sweep.scratch") {
       const std::vector<float> ladder{eps * 0.8f, eps, eps * 1.2f};
       (void)s.sweep(ladder, min_pts);
+    } else if (site == "engine.phase1") {
+      // Sessions count inside the fused launch, run() and sweep() alike;
+      // the one-shot engine still runs the paper's counting launch.  It
+      // owns its index, so the session is untouched.
+      const auto idx = index::make_index(s.points(), eps, s.backend());
+      (void)dbscan::cluster_with_index(*idx, dbscan::Params{eps, min_pts});
     } else if (site == "snapshot.query_batch") {
       (void)reader.query_batch(reader.points().subspan(0, 16), reader.eps(),
                                /*threads=*/1);

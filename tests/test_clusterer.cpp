@@ -67,14 +67,20 @@ TEST(ClustererSweep, MatchesOneShotClusterOnEveryBackend) {
       EXPECT_EQ(r.eps, kSweepEps[s]);
       EXPECT_EQ(r.min_pts, min_pts);
       EXPECT_EQ(r.stats.backend, kind);
-      // Entry 0 carries the one index build (at ε_max) and the two shared
-      // launches; later entries only finalize their level — an ascending
+      // Entry 0 carries the one index build (at ε_max) and the one fused
+      // launch; later entries only finalize their level — an ascending
       // ladder ends at ε_max, so nothing after entry 0 refits or rebuilds.
+      // As after run(), phase2 holds only the second walks of packets
+      // whose pairs overflowed the launch's buffer (none here), and no
+      // separate cluster-formation time.
       if (s == 0) {
         EXPECT_TRUE(r.stats.index_rebuilt) << index::to_string(kind);
         EXPECT_FALSE(r.stats.counts_reused) << index::to_string(kind);
-        EXPECT_GT(r.stats.phase1.work.rays, 0u) << index::to_string(kind);
-        EXPECT_GT(r.stats.phase2.work.rays, 0u) << index::to_string(kind);
+        EXPECT_EQ(r.stats.phase1.work.rays, dataset.size())
+            << index::to_string(kind);
+        EXPECT_EQ(r.stats.phase2.work.rays, 0u) << index::to_string(kind);
+        EXPECT_EQ(r.stats.phase2.seconds, 0.0) << index::to_string(kind);
+        EXPECT_EQ(r.stats.timings.cluster_phase_seconds, 0.0);
       } else {
         EXPECT_FALSE(r.stats.index_rebuilt)
             << index::to_string(kind) << " step " << s;
@@ -83,7 +89,7 @@ TEST(ClustererSweep, MatchesOneShotClusterOnEveryBackend) {
         EXPECT_TRUE(r.stats.counts_reused)
             << index::to_string(kind) << " step " << s;
         EXPECT_EQ(r.stats.phase1.work.rays, 0u);  // shared pass, not rerun
-        EXPECT_EQ(r.stats.phase2.work.rays, 0u);  // shared launch, likewise
+        EXPECT_EQ(r.stats.phase2.work.rays, 0u);  // likewise
       }
       const ClusterResult fresh =
           cluster(dataset.points, kSweepEps[s], min_pts, kind);

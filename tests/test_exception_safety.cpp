@@ -15,8 +15,10 @@
 #include "common/failpoint.hpp"
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
+#include "dbscan/engine.hpp"
 #include "dbscan/equivalence.hpp"
 #include "index/index_kind.hpp"
+#include "index/neighbor_index.hpp"
 
 namespace rtd {
 namespace {
@@ -214,12 +216,12 @@ TEST_F(FailpointGated, MidSweepFaultLeavesPreviousResultIntact) {
   Clusterer session(base.points, Options());
   const ClusterResult before = session.run(0.3f, 5);
 
-  // The ladder's whole query work — the counting launch, the core-flag
-  // scratch and the one cluster-formation launch — runs before any entry
-  // commits, so a fault in any of them is strong: health, the result and
-  // the count cache stay those of the previous run.
+  // The ladder's whole query work — the scratch sizing and the one fused
+  // count-and-cluster launch — runs before any entry commits, so a fault
+  // in either is strong: health, the result and the count cache stay
+  // those of the previous run.
   const std::vector<float> ladder{0.25f, 0.35f, 0.45f};
-  for (const char* site : {"engine.phase1", "sweep.scratch", "engine.phase2"}) {
+  for (const char* site : {"sweep.scratch", "engine.fused"}) {
     fail::arm(site, {.action = fail::Action::kThrowError});
     EXPECT_THROW((void)session.sweep(ladder, 5), std::runtime_error) << site;
     fail::disarm_all();
@@ -244,6 +246,31 @@ TEST_F(FailpointGated, MidSweepFaultLeavesPreviousResultIntact) {
   const ClusterResult taken = session.take_result();
   EXPECT_EQ(taken.eps, ladder.back());
   EXPECT_EQ(taken.membership.cluster_count(), taken.cluster_count);
+}
+
+TEST_F(FailpointGated, OneShotEngineLaunchFaultLeavesTheIndexReusable) {
+  // Sessions count inside the fused launch; the one-shot engine
+  // (cluster_with_index, behind rt_dbscan and fdbscan) still runs the
+  // paper's counting and cluster-formation launches.  A fault at either
+  // throws before its launch starts, and the next call over the same
+  // index clusters correctly.
+  const auto base = data::taxi_gps(300, 51);
+  const dbscan::Params params{0.3f, 5, IndexKind::kAuto};
+  const auto idx = index::make_index(base.points, params.eps);
+  for (const char* site : {"engine.phase1", "engine.phase2"}) {
+    const std::uint64_t fired = fail::fire_count(site);
+    fail::arm(site, {.action = fail::Action::kThrowError});
+    EXPECT_THROW((void)dbscan::cluster_with_index(*idx, params),
+                 std::runtime_error)
+        << site;
+    EXPECT_EQ(fail::fire_count(site), fired + 1) << site;
+    fail::disarm_all();
+    const dbscan::IndexEngineResult again =
+        dbscan::cluster_with_index(*idx, params);
+    const auto res =
+        dbscan::check_valid(base.points, params, again.clustering);
+    EXPECT_TRUE(res.equivalent) << site << ": " << res.reason;
+  }
 }
 
 TEST_F(FailpointGated, FusedLaunchFaultIsStrongPhaseTwoOverReusedCountsDegrades) {

@@ -1,11 +1,12 @@
-// The fused count-and-cluster launch behind Clusterer::run()
-// (dbscan::index_count_cluster): parity with a sequential reference on
-// every backend and thread count, its work accounting, and the settle
-// protocol of its packets driven step by step.
+// The fused count-and-cluster launch behind Clusterer::run() and
+// Clusterer::sweep() (dbscan::index_count_cluster): parity with a
+// sequential reference on every backend and thread count, every ladder
+// level against a one-level run at its ε, its work accounting, and the
+// settle protocol of its packets driven step by step.
 //
-// The suites are named FusedParity / FusedProtocol so they can be run
-// alone, repeated at four OpenMP threads (CI), where the interleavings of
-// the settle protocol actually race.
+// The suites are named FusedParity / FusedLadder / FusedProtocol so they
+// can be run alone, repeated at four OpenMP threads (CI), where the
+// interleavings of the settle protocol actually race.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,6 +314,266 @@ TEST(FusedParity, RejectsUndersizedWorkspace) {
 }
 
 // ---------------------------------------------------------------------------
+// FusedLadder: sweep() clusters its whole ladder in the same fused launch;
+// every level must equal a one-level fused run() at its ε.
+// ---------------------------------------------------------------------------
+
+/// `r` restricted to the live slots of `session` (their points into
+/// `live`, when given).
+Clustering live_clustering(const Clusterer& session, const ClusterResult& r,
+                           std::vector<Vec3>* live = nullptr) {
+  Clustering out;
+  const std::span<const Vec3> pts = session.points();
+  for (std::uint32_t i = 0; i < pts.size(); ++i) {
+    if (!session.is_live(i)) continue;
+    if (live != nullptr) live->push_back(pts[i]);
+    out.labels.push_back(r.labels[i]);
+    out.is_core.push_back(r.is_core[i]);
+  }
+  out.cluster_count = r.cluster_count;
+  return out;
+}
+
+/// Sweep `ladder` on `session`, then run() once at each distinct value —
+/// each run counts afresh, through a one-level fused launch.  Every entry
+/// must carry that run's counts and core flags exactly, and a clustering
+/// equivalent to it (and to the sequential reference) over the live
+/// points.  Returns the entries.
+std::vector<ClusterResult> expect_sweep_matches_runs(
+    Clusterer& session, const std::vector<float>& ladder,
+    std::uint32_t min_pts, const std::string& what) {
+  std::vector<ClusterResult> entries = session.sweep(ladder, min_pts);
+  EXPECT_EQ(entries.size(), ladder.size()) << what;
+  if (entries.size() != ladder.size()) return entries;
+  // Entry 0 carries the one launch: every live point walked once.
+  EXPECT_FALSE(entries[0].stats.counts_reused) << what;
+  EXPECT_EQ(entries[0].stats.phase1.work.rays, session.live_count()) << what;
+  EXPECT_EQ(entries[0].stats.phase2.seconds, 0.0) << what;
+  EXPECT_EQ(entries[0].stats.timings.cluster_phase_seconds, 0.0) << what;
+  for (std::size_t v = 1; v < entries.size(); ++v) {
+    EXPECT_TRUE(entries[v].stats.counts_reused) << what;
+    EXPECT_EQ(entries[v].stats.phase1.work.rays, 0u) << what;
+    EXPECT_EQ(entries[v].stats.phase2.work.rays, 0u) << what;
+  }
+
+  // The distinct values, the session's cached ε (the last entry's) last,
+  // so no run() reuses counts.
+  std::vector<float> values = ladder;
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  values.erase(std::find(values.begin(), values.end(), ladder.back()));
+  values.push_back(ladder.back());
+  if (values.size() == 1) (void)session.run(0.5f * values[0], min_pts);
+  for (const float eps : values) {
+    const ClusterResult run = session.run(eps, min_pts);
+    const std::string at = what + " eps=" + std::to_string(eps);
+    EXPECT_FALSE(run.stats.counts_reused) << at;
+    std::vector<Vec3> live;
+    const Clustering want = live_clustering(session, run, &live);
+    const Params params{eps, min_pts};
+    bool checked_sequential = false;
+    for (std::size_t v = 0; v < ladder.size(); ++v) {
+      if (ladder[v] != eps) continue;
+      const ClusterResult& e = entries[v];
+      EXPECT_EQ(e.eps, eps) << at;
+      EXPECT_EQ(e.neighbor_counts, run.neighbor_counts) << at;
+      EXPECT_EQ(e.is_core, run.is_core) << at;
+      EXPECT_EQ(e.cluster_count, run.cluster_count) << at;
+      const auto eq = dbscan::check_equivalent(live, params, want,
+                                               live_clustering(session, e));
+      EXPECT_TRUE(eq.equivalent) << at << ": " << eq.reason;
+      if (!checked_sequential) {
+        expect_matches_sequential(session, e, at);
+        checked_sequential = true;
+      }
+    }
+  }
+  return entries;
+}
+
+TEST(FusedLadder, EveryBackendAtOneTwoAndFourThreads) {
+  // An unsorted ladder with duplicates: its distinct values are the
+  // levels, each entry comes back in input order.
+  const auto dataset = data::taxi_gps(2500, 230);
+  const std::vector<float> ladder = {0.3f, 0.2f, 0.45f, 0.2f, 0.12f, 0.45f};
+  for (const IndexKind kind : kAllIndexKinds) {
+    for (const int threads : kThreadCounts) {
+      Clusterer session(dataset.points, session_options(kind, threads));
+      (void)expect_sweep_matches_runs(session, ladder, 8,
+                                      label(kind, threads));
+    }
+  }
+}
+
+TEST(FusedLadder, DuplicatesAndPairsExactlyAtEveryLevel) {
+  // An integer lattice with every site stacked 1-3 deep and ladder values
+  // 1, 2 and 3: each level has pairs at exactly its ε (d² = 1, 4, 9 are
+  // exact), and duplicates are neighbors at distance 0.
+  std::vector<Vec3> pts;
+  Rng rng(231);
+  for (int x = 0; x < 12; ++x) {
+    for (int y = 0; y < 12; ++y) {
+      if (rng.below(5) == 0) continue;
+      const std::uint64_t copies = 1 + rng.below(3);
+      for (std::uint64_t c = 0; c < copies; ++c) {
+        pts.push_back(Vec3::xy(static_cast<float>(x), static_cast<float>(y)));
+      }
+    }
+  }
+  const std::vector<float> ladder = {2.0f, 1.0f, 3.0f, 2.0f};
+  for (const IndexKind kind : kAllIndexKinds) {
+    for (const int threads : kThreadCounts) {
+      Clusterer session(pts, session_options(kind, threads));
+      for (const std::uint32_t min_pts : {4u, 11u, 25u}) {
+        (void)expect_sweep_matches_runs(
+            session, ladder, min_pts,
+            label(kind, threads) + " minPts=" + std::to_string(min_pts));
+      }
+    }
+  }
+}
+
+TEST(FusedLadder, TombstonesWithMinPtsOne) {
+  // min_pts 1 makes every live point core, so a dead slot — count 0 — is
+  // the one slot the launch's core test alone would resurrect.  Small
+  // tombstone batches are absorbed (masked); a large one rebuilds over
+  // the live set (CompactedIndex).
+  const auto base = data::taxi_gps(1500, 232);
+  const auto extra = data::taxi_gps(600, 233);
+  const std::span<const Vec3> add(extra.points);
+  const std::vector<float> ladder = {0.2f, 0.35f, 0.1f};
+  for (const IndexKind kind : kAllIndexKinds) {
+    for (const int threads : kThreadCounts) {
+      Clusterer session(base.points, session_options(kind, threads));
+      (void)session.run(0.3f, 1);
+      (void)session.advance(add.subspan(0, 40), 40);
+      (void)expect_sweep_matches_runs(session, ladder, 1,
+                                      label(kind, threads) + " absorbed");
+      (void)session.advance(add.subspan(40, 400), 400);
+      (void)expect_sweep_matches_runs(session, ladder, 1,
+                                      label(kind, threads) + " rebuilt");
+    }
+  }
+}
+
+TEST(FusedLadder, DeltaTailIdsAfterInsert) {
+  // A small insert joins the tree backends' delta tail; the sweep walks
+  // tail ids alongside the tree.
+  const auto base = data::taxi_gps(1500, 234);
+  const auto extra = data::taxi_gps(120, 235);
+  const std::vector<float> ladder = {0.4f, 0.25f, 0.32f};
+  for (const IndexKind kind : kAllIndexKinds) {
+    for (const int threads : kThreadCounts) {
+      Clusterer session(base.points, session_options(kind, threads));
+      (void)session.run(0.3f, 8);
+      (void)session.insert(extra.points);
+      (void)expect_sweep_matches_runs(session, ladder, 8,
+                                      label(kind, threads));
+    }
+  }
+}
+
+TEST(FusedLadder, DenseBlobForcesTheOverflowRewalk) {
+  // 900 points in a ball far smaller than ε_max overflow every packet's
+  // buffer.  A ladder packet walks twice more — once to bucket its levels,
+  // once to handle its pairs — where run() at ε_max walks once more, over
+  // the same order.
+  std::vector<Vec3> pts;
+  Rng rng(236);
+  for (int k = 0; k < 900; ++k) {
+    pts.push_back({rng.uniformf(0.0f, 0.1f), rng.uniformf(0.0f, 0.1f),
+                   rng.uniformf(0.0f, 0.1f)});
+  }
+  for (int k = 0; k < 300; ++k) {
+    pts.push_back({rng.uniformf(-3.0f, 3.0f), rng.uniformf(-3.0f, 3.0f),
+                   rng.uniformf(-3.0f, 3.0f)});
+  }
+  const std::vector<float> ladder = {0.05f, 0.5f, 0.2f};
+  for (const IndexKind kind : kAllIndexKinds) {
+    for (const int threads : kThreadCounts) {
+      Clusterer fresh(pts, session_options(kind, threads));
+      const std::uint64_t run_rewalk =
+          fresh.run(0.5f, 6).stats.phase2.work.rays;
+      EXPECT_GT(run_rewalk, 0u) << label(kind, threads);
+      Clusterer session(pts, session_options(kind, threads));
+      const auto entries = expect_sweep_matches_runs(session, ladder, 6,
+                                                     label(kind, threads));
+      ASSERT_FALSE(entries.empty());
+      EXPECT_EQ(entries[0].stats.phase2.work.rays, 2 * run_rewalk)
+          << label(kind, threads);
+    }
+  }
+}
+
+TEST(FusedLadder, WalkWorkEqualsACountOnlyPhaseOneAtTheTopLevel) {
+  // The ladder launch's one walk is phase 1's walk at ε_max: on the same
+  // index and order, the same level-0 counts and exactly the same work.
+  const auto dataset = data::taxi_gps(3000, 237);
+  const Params params{0.4f, 8};
+  const std::vector<float> lower_eps2 = {0.3f * 0.3f, 0.2f * 0.2f};
+  const std::size_t levels = 1 + lower_eps2.size();
+  for (const IndexKind kind : kAllIndexKinds) {
+    index::IndexBuildOptions build;
+    build.threads = 1;
+    const auto idx = index::make_index(dataset.points, params.eps, kind, build);
+    const std::vector<std::uint32_t> order =
+        dbscan::query_launch_order(dataset.points, true, 1);
+    std::vector<std::uint32_t> counts;
+    const rt::LaunchStats phase1 =
+        dbscan::index_phase1(*idx, params, order, false, 1, counts);
+
+    const std::size_t n = dataset.size();
+    dsu::AtomicDisjointSet dsu(n * levels);
+    std::vector<std::atomic<std::uint8_t>> claimed(n * levels);
+    std::vector<std::atomic<std::uint8_t>> settled(n);
+    std::vector<std::uint32_t> ladder_counts;
+    const dbscan::CountClusterStats fused =
+        dbscan::index_count_cluster(*idx, params, order, 1, ladder_counts,
+                                    dsu, claimed, settled, lower_eps2);
+    const char* what = index::to_string(kind);
+    ASSERT_EQ(ladder_counts.size(), n * levels) << what;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(ladder_counts[i * levels], counts[i]) << what << " " << i;
+    }
+    EXPECT_EQ(fused.phase1.work.rays, phase1.work.rays) << what;
+    EXPECT_EQ(fused.phase1.work.nodes_visited, phase1.work.nodes_visited)
+        << what;
+    EXPECT_EQ(fused.phase1.work.aabb_tests, phase1.work.aabb_tests) << what;
+    EXPECT_EQ(fused.phase1.work.isect_calls, phase1.work.isect_calls)
+        << what;
+    EXPECT_EQ(fused.phase1.work.anyhit_calls, phase1.work.anyhit_calls)
+        << what;
+    EXPECT_EQ(fused.phase2.work.rays, 0u) << what;  // no packet overflowed
+  }
+}
+
+TEST(FusedLadder, RejectsMalformedLaddersAndUndersizedWorkspace) {
+  const auto dataset = data::taxi_gps(200, 238);
+  const std::size_t n = dataset.size();
+  const auto idx =
+      index::make_index(dataset.points, 0.3f, IndexKind::kBruteForce);
+  const std::vector<std::uint32_t> order =
+      dbscan::query_launch_order(dataset.points, true, 1);
+  dsu::AtomicDisjointSet dsu(2 * n);
+  std::vector<std::atomic<std::uint8_t>> claimed(2 * n);
+  std::vector<std::atomic<std::uint8_t>> settled(n);
+  std::vector<std::uint32_t> counts;
+  const auto launch = [&](std::vector<float> lower_eps2) {
+    (void)dbscan::index_count_cluster(*idx, Params{0.3f, 5}, order, 1,
+                                      counts, dsu, claimed, settled,
+                                      lower_eps2);
+  };
+  // Not below the launch ε², not strictly descending, not positive.
+  EXPECT_THROW(launch({0.1f}), std::invalid_argument);
+  EXPECT_THROW(launch({0.04f, 0.05f}), std::invalid_argument);
+  EXPECT_THROW(launch({0.04f, 0.04f}), std::invalid_argument);
+  EXPECT_THROW(launch({0.0f}), std::invalid_argument);
+  // Three levels need 3n union-find slots and claim flags.
+  EXPECT_THROW(launch({0.04f, 0.01f}), std::invalid_argument);
+  EXPECT_NO_THROW(launch({0.04f}));
+}
+
+// ---------------------------------------------------------------------------
 // FusedProtocol: the walk / settle / handle steps of two packets that share
 // ε-pairs, in every interleaving of the two step sequences.
 // ---------------------------------------------------------------------------
@@ -328,32 +589,47 @@ std::vector<unsigned> interleavings() {
 }
 
 /// Drive packets A and B (together every point of `pts`) through one
-/// interleaving and check the protocol's promises: every ε-pair is
-/// handled at least once, every border is claimed exactly once, no other
-/// point is claimed, and the clustering matches the sequential reference.
-void drive(std::span<const Vec3> pts, const Params& params,
-           std::span<const std::uint32_t> ids_a,
+/// interleaving over `ladder` (ε values, strictly descending; the walk
+/// runs at ladder[0]) and check the protocol's promises at every level:
+/// exact counts, every ε-pair of the walk handled at least once, every
+/// border of a level claimed exactly once and no other point, and each
+/// level's clustering equivalent to the sequential reference at its ε.
+void drive(std::span<const Vec3> pts, std::span<const float> ladder,
+           std::uint32_t min_pts, std::span<const std::uint32_t> ids_a,
            std::span<const std::uint32_t> ids_b, unsigned mask,
            const std::string& what) {
   const std::size_t n = pts.size();
+  const std::size_t levels = ladder.size();
+  std::vector<float> lower_eps2;
+  for (std::size_t l = 1; l < levels; ++l) {
+    lower_eps2.push_back(ladder[l] * ladder[l]);
+  }
   const auto idx =
-      index::make_index(pts, params.eps, IndexKind::kBruteForce);
-  std::vector<std::uint32_t> counts(n, 0);
+      index::make_index(pts, ladder[0], IndexKind::kBruteForce);
+  std::vector<std::uint32_t> counts(n * levels, 0);
   std::vector<std::atomic<std::uint8_t>> settled(n);
-  std::vector<std::atomic<std::uint8_t>> claimed(n);
-  dsu::AtomicDisjointSet dsu(n);
+  std::vector<std::atomic<std::uint8_t>> claimed(n * levels);
+  dsu::AtomicDisjointSet dsu(n * levels);
   std::set<std::pair<std::uint32_t, std::uint32_t>> handled;
-  std::vector<int> claims(n, 0);
-  const auto on_pair = [&](std::uint32_t i, std::uint32_t j) {
+  std::vector<int> claims(n * levels, 0);
+  const auto core = [&](std::uint32_t x, std::size_t l) {
+    return counts[x * levels + l] + 1 >= min_pts;
+  };
+  const auto on_pair = [&](std::uint32_t i, std::uint32_t j, float d2) {
     handled.insert({std::min(i, j), std::max(i, j)});
-    const bool core_i = counts[i] + 1 >= params.min_pts;
-    const bool core_j = counts[j] + 1 >= params.min_pts;
-    if (core_i && core_j) {
-      dsu.unite(i, j);
-    } else if (core_i) {
-      claims[j] += dbscan::claim_border(dsu, claimed, i, j) ? 1 : 0;
-    } else if (core_j) {
-      claims[i] += dbscan::claim_border(dsu, claimed, j, i) ? 1 : 0;
+    for (std::size_t l = 0; l < levels; ++l) {
+      if (l > 0 && !(d2 <= lower_eps2[l - 1])) return;
+      const auto a = static_cast<std::uint32_t>(l * n + i);
+      const auto b = static_cast<std::uint32_t>(l * n + j);
+      if (core(i, l) && core(j, l)) {
+        dsu.unite(a, b);
+      } else if (core(i, l)) {
+        claims[b] += dbscan::claim_border(dsu, claimed, a, b) ? 1 : 0;
+      } else if (core(j, l)) {
+        claims[a] += dbscan::claim_border(dsu, claimed, b, a) ? 1 : 0;
+      } else {
+        return;
+      }
     }
   };
 
@@ -366,61 +642,77 @@ void drive(std::span<const Vec3> pts, const Params& params,
     const int p = (mask >> s) & 1u;
     switch (next_step[p]++) {
       case 0:
-        packets[p].walk(*idx, params.eps, ids[p], stats);
+        packets[p].walk(*idx, ladder[0], lower_eps2, ids[p], counts, stats,
+                        rewalk);
         break;
       case 1:
-        packets[p].settle(counts, settled);
+        packets[p].settle(settled);
         break;
       default:
-        packets[p].handle(*idx, params.eps, settled, rewalk, on_pair);
+        packets[p].handle(*idx, ladder[0], settled, rewalk, on_pair);
         break;
     }
   }
 
-  const std::vector<std::uint32_t> want = reference_counts(pts, params.eps);
-  ASSERT_EQ(counts, want) << what;
-  const float eps2 = params.eps_squared();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    bool near_core = false;
-    for (std::uint32_t j = 0; j < n; ++j) {
-      if (i == j || geom::distance_squared(pts[i], pts[j]) > eps2) continue;
-      EXPECT_EQ(handled.count({std::min(i, j), std::max(i, j)}), 1u)
-          << what << ": pair (" << i << ", " << j << ") never handled";
-      near_core = near_core || want[j] + 1 >= params.min_pts;
+  for (std::size_t l = 0; l < levels; ++l) {
+    const std::string at = what + ", level " + std::to_string(l);
+    const std::vector<std::uint32_t> want = reference_counts(pts, ladder[l]);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(counts[i * levels + l], want[i]) << at << ": point " << i;
     }
-    const bool core = want[i] + 1 >= params.min_pts;
-    EXPECT_EQ(claims[i], !core && near_core ? 1 : 0)
-        << what << ": point " << i << " claimed " << claims[i] << " times";
+    const float eps2 = ladder[l] * ladder[l];
+    for (std::uint32_t i = 0; i < n; ++i) {
+      bool near_core = false;
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (i == j || geom::distance_squared(pts[i], pts[j]) > eps2) continue;
+        EXPECT_EQ(handled.count({std::min(i, j), std::max(i, j)}), 1u)
+            << at << ": pair (" << i << ", " << j << ") never handled";
+        near_core = near_core || want[j] + 1 >= min_pts;
+      }
+      const bool is_core = want[i] + 1 >= min_pts;
+      EXPECT_EQ(claims[l * n + i], !is_core && near_core ? 1 : 0)
+          << at << ": point " << i << " claimed " << claims[l * n + i]
+          << " times";
+    }
+    const Params params{ladder[l], min_pts};
+    Clustering got;
+    got.is_core.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) got.is_core[i] = core(i, l) ? 1 : 0;
+    const auto base = static_cast<std::uint32_t>(l * n);
+    dbscan::finalize_labels(
+        n, [&](std::uint32_t x) { return dsu.find(base + x) - base; },
+        got.is_core, got);
+    const Clustering reference = dbscan::sequential_dbscan(pts, params);
+    const auto eq = dbscan::check_equivalent(pts, params, reference, got);
+    EXPECT_TRUE(eq.equivalent) << at << ": " << eq.reason;
   }
-  Clustering got;
-  got.is_core.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    got.is_core[i] = counts[i] + 1 >= params.min_pts ? 1 : 0;
-  }
-  dbscan::finalize_labels(
-      n, [&](std::uint32_t x) { return dsu.find(x); }, got.is_core, got);
-  const Clustering reference = dbscan::sequential_dbscan(pts, params);
-  const auto eq = dbscan::check_equivalent(pts, params, reference, got);
-  EXPECT_TRUE(eq.equivalent) << what << ": " << eq.reason;
 }
 
 TEST(FusedProtocol, EveryInterleavingOfTwoPacketsHandlesEveryPair) {
-  // A line at spacing 1 with ε = 1 (pairs exactly at ε): points 1-6 have
-  // two neighbors and are core at minPts 3, the ends are borders.  Two
-  // splits: alternating points (every pair crosses the packets) and
-  // halves (pairs inside each packet plus one crossing pair).
+  // A line at spacing 1/2.  One level at ε = 1/2 (pairs exactly at ε):
+  // points 1-6 have two neighbors and are core at minPts 3, the ends are
+  // borders.  The two-level ladder {1, 1/2} adds ε = 1, where every point
+  // is core, and the three-level one ε = 3/2.  Two splits: alternating
+  // points (every pair crosses the packets) and halves (pairs inside each
+  // packet plus crossing pairs).
   std::vector<Vec3> line;
-  for (int k = 0; k < 8; ++k) line.push_back(Vec3::xy(static_cast<float>(k), 0.0f));
-  const Params params{1.0f, 3};
+  for (int k = 0; k < 8; ++k) {
+    line.push_back(Vec3::xy(0.5f * static_cast<float>(k), 0.0f));
+  }
   const std::vector<std::uint32_t> even = {0, 2, 4, 6};
   const std::vector<std::uint32_t> odd = {1, 3, 5, 7};
   const std::vector<std::uint32_t> low = {0, 1, 2, 3};
   const std::vector<std::uint32_t> high = {4, 5, 6, 7};
-  for (const unsigned mask : interleavings()) {
-    drive(line, params, even, odd, mask,
-          "alternating, mask " + std::to_string(mask));
-    drive(line, params, low, high, mask,
-          "halves, mask " + std::to_string(mask));
+  const std::vector<std::vector<float>> ladders = {
+      {0.5f}, {1.0f, 0.5f}, {1.5f, 1.0f, 0.5f}};
+  for (const auto& ladder : ladders) {
+    const std::string levels = std::to_string(ladder.size()) + " levels";
+    for (const unsigned mask : interleavings()) {
+      drive(line, ladder, 3, even, odd, mask,
+            levels + ", alternating, mask " + std::to_string(mask));
+      drive(line, ladder, 3, low, high, mask,
+            levels + ", halves, mask " + std::to_string(mask));
+    }
   }
 }
 
@@ -428,22 +720,24 @@ TEST(FusedProtocol, BordersBetweenClustersAreClaimedExactlyOnce) {
   // Random 8-point scenes in a small square: several cores per scene and
   // borders within ε of cores in both packets, the case where the two
   // ends' claims could collide.  Every split of the 8 points into two
-  // packets of four, every interleaving.
+  // packets of four, every interleaving, at ε = 1 alone and as the top of
+  // the ladder {1, 0.8}.
   Rng rng(222);
   int scenes_with_shared_borders = 0;
+  const std::uint32_t min_pts = 4;
+  const std::vector<std::vector<float>> ladders = {{1.0f}, {1.0f, 0.8f}};
   for (int scene = 0; scene < 12; ++scene) {
     std::vector<Vec3> pts;
     for (int k = 0; k < 8; ++k) {
       pts.push_back(
           Vec3::xy(rng.uniformf(0.0f, 2.5f), rng.uniformf(0.0f, 2.5f)));
     }
-    const Params params{1.0f, 4};
     const std::vector<std::uint32_t> counts = reference_counts(pts, 1.0f);
     for (std::uint32_t b = 0; b < 8; ++b) {
-      if (counts[b] + 1 >= params.min_pts) continue;
+      if (counts[b] + 1 >= min_pts) continue;
       int core_nbrs = 0;
       for (std::uint32_t c = 0; c < 8; ++c) {
-        if (c != b && counts[c] + 1 >= params.min_pts &&
+        if (c != b && counts[c] + 1 >= min_pts &&
             geom::distance_squared(pts[b], pts[c]) <= 1.0f) {
           ++core_nbrs;
         }
@@ -460,11 +754,15 @@ TEST(FusedProtocol, BordersBetweenClustersAreClaimedExactlyOnce) {
       for (std::uint32_t k = 0; k < 8; ++k) {
         ((split >> k) & 1u ? a : b).push_back(k);
       }
-      for (const unsigned mask : interleavings()) {
-        drive(pts, params, a, b, mask,
-              "scene " + std::to_string(scene) + ", split " +
-                  std::to_string(split) + ", mask " + std::to_string(mask));
-        if (::testing::Test::HasFailure()) return;
+      for (const auto& ladder : ladders) {
+        for (const unsigned mask : interleavings()) {
+          drive(pts, ladder, min_pts, a, b, mask,
+                "scene " + std::to_string(scene) + ", split " +
+                    std::to_string(split) + ", " +
+                    std::to_string(ladder.size()) + " levels, mask " +
+                    std::to_string(mask));
+          if (::testing::Test::HasFailure()) return;
+        }
       }
     }
   }
@@ -474,33 +772,52 @@ TEST(FusedProtocol, BordersBetweenClustersAreClaimedExactlyOnce) {
 TEST(FusedProtocol, OverflowedPacketWalksAgainAndHandlesEveryPair) {
   // Four rays with ~700 neighbors each overflow the pair buffer; handle()
   // walks the packet again (its work lands in `rewalk`) and still handles
-  // every pair whose other end settled.
+  // every pair whose other end settled.  Over a two-level ladder the walk
+  // itself also walks again, to bucket the pairs the buffer dropped.
   std::vector<Vec3> pts;
   Rng rng(223);
   for (int k = 0; k < 700; ++k) {
     pts.push_back({rng.uniformf(0.0f, 0.1f), rng.uniformf(0.0f, 0.1f), 0.0f});
   }
-  const Params params{0.5f, 5};
-  const auto idx = index::make_index(pts, params.eps, IndexKind::kBruteForce);
+  const float eps = 0.5f;
+  const float lower = 0.05f;
+  const auto idx = index::make_index(pts, eps, IndexKind::kBruteForce);
   const std::size_t n = pts.size();
-  std::vector<std::uint32_t> counts(n, 0);
-  std::vector<std::atomic<std::uint8_t>> settled(n);
+  const std::vector<std::uint32_t> at_lower = reference_counts(pts, lower);
   const std::vector<std::uint32_t> ids = {0, 1, 2, 3};
-  dbscan::CountClusterPacket packet;
-  rt::TraversalStats stats;
-  packet.walk(*idx, params.eps, ids, stats);
-  EXPECT_TRUE(packet.overflowed());
-  packet.settle(counts, settled);
-  for (const std::uint32_t i : ids) EXPECT_EQ(counts[i], n - 1);
-  // Settle every other point too, as their packets would.
-  for (std::size_t j = 4; j < n; ++j) settled[j].store(1);
-  rt::TraversalStats rewalk;
-  std::size_t pairs = 0;
-  packet.handle(*idx, params.eps, settled, rewalk,
-                [&](std::uint32_t, std::uint32_t) { ++pairs; });
-  EXPECT_EQ(pairs, 4 * (n - 1));
-  EXPECT_EQ(rewalk.rays, stats.rays);
-  EXPECT_EQ(rewalk.isect_calls, stats.isect_calls);
+  for (const std::size_t levels : {1u, 2u}) {
+    const std::vector<float> lower_eps2(levels - 1, lower * lower);
+    std::vector<std::uint32_t> counts(n * levels, 0);
+    std::vector<std::atomic<std::uint8_t>> settled(n);
+    dbscan::CountClusterPacket packet;
+    rt::TraversalStats stats;
+    rt::TraversalStats rewalk;
+    packet.walk(*idx, eps, lower_eps2, ids, counts, stats, rewalk);
+    EXPECT_TRUE(packet.overflowed());
+    EXPECT_EQ(rewalk.rays, levels == 1 ? 0u : stats.rays);
+    packet.settle(settled);
+    for (const std::uint32_t i : ids) {
+      EXPECT_EQ(counts[i * levels], n - 1);
+      if (levels == 2) {
+        EXPECT_EQ(counts[i * levels + 1], at_lower[i]);
+      }
+    }
+    // Settle every other point too, as their packets would.
+    for (std::size_t j = 4; j < n; ++j) settled[j].store(1);
+    const rt::TraversalStats before = rewalk;
+    std::size_t pairs = 0;
+    std::size_t below = 0;
+    packet.handle(*idx, eps, settled, rewalk,
+                  [&](std::uint32_t i, std::uint32_t j, float d2) {
+                    ++pairs;
+                    EXPECT_EQ(d2, geom::distance_squared(pts[i], pts[j]));
+                    below += d2 <= lower * lower ? 1 : 0;
+                  });
+    EXPECT_EQ(pairs, 4 * (n - 1));
+    EXPECT_EQ(below, at_lower[0] + at_lower[1] + at_lower[2] + at_lower[3]);
+    EXPECT_EQ(rewalk.rays - before.rays, stats.rays);
+    EXPECT_EQ(rewalk.isect_calls - before.isect_calls, stats.isect_calls);
+  }
 }
 
 }  // namespace

@@ -5,13 +5,15 @@
 // duplicates reported — so the DBSCAN engine can swap backends freely.
 // These tests enforce set parity against a hand-rolled brute-force oracle
 // on generated and degenerate datasets, packet parity (the packet entries
-// against the single-query virtuals, counters included), and clustering
+// against the single-query virtuals, counters included; the buffered pair
+// entry against the visitor entry, d² bit for bit), and clustering
 // equivalence of every DBSCAN variant across every backend.
 #include "index/neighbor_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <span>
 #include <string>
@@ -457,8 +459,59 @@ void expect_same_work(const rt::TraversalStats& packet,
   EXPECT_EQ(packet.isect_calls, single.isect_calls) << what;
 }
 
-/// Cut `ids` into packets of 1, 2, 3, 4, 1, ... ids and check both packet
-/// entries of every packet against the single-query virtuals.
+/// The buffered entry of `packet` against the pairs the visitor entry
+/// visited, in its order, and its work.
+void expect_pairs_entry_parity(const NeighborIndex& index, float eps,
+                               std::span<const std::uint32_t> packet,
+                               const PairSet& visited,
+                               const rt::TraversalStats& visited_stats,
+                               const std::string& where) {
+  const std::span<const Vec3> pts = index.points();
+  std::vector<std::uint32_t> want_rows(packet.size(), 0);
+  for (const auto& [k, j] : visited) ++want_rows[k];
+
+  std::vector<PacketPair> buffer(visited.size() + 1);
+  std::vector<std::uint32_t> rows(packet.size(), 12345u);
+  rt::TraversalStats stats;
+  const std::size_t found =
+      index.query_pairs_packet(packet, eps, buffer, rows, stats);
+  ASSERT_EQ(found, visited.size()) << where;
+  for (std::size_t m = 0; m < found; ++m) {
+    const auto [k, j] = visited[m];
+    EXPECT_EQ(buffer[m].ray, k) << where << " pair " << m;
+    EXPECT_EQ(buffer[m].neighbor, j) << where << " pair " << m;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(buffer[m].d2),
+              std::bit_cast<std::uint32_t>(
+                  geom::distance_squared(pts[packet[k]], pts[j])))
+        << where << " pair " << m;
+  }
+  EXPECT_EQ(rows, want_rows) << where;
+  expect_same_work(stats, visited_stats, where + " buffered");
+  EXPECT_EQ(stats.anyhit_calls, visited_stats.anyhit_calls) << where;
+
+  // A full buffer keeps the first pairs and still counts every pair.
+  if (visited.empty()) return;
+  std::vector<PacketPair> small(visited.size() / 2);
+  std::vector<std::uint32_t> small_rows(packet.size(), 12345u);
+  rt::TraversalStats small_stats;
+  EXPECT_EQ(index.query_pairs_packet(packet, eps, small, small_rows,
+                                     small_stats),
+            visited.size())
+      << where;
+  EXPECT_EQ(small_rows, want_rows) << where;
+  for (std::size_t m = 0; m < small.size(); ++m) {
+    EXPECT_EQ(small[m].ray, buffer[m].ray) << where << " pair " << m;
+    EXPECT_EQ(small[m].neighbor, buffer[m].neighbor) << where << " pair " << m;
+  }
+  expect_same_work(small_stats, visited_stats, where + " full buffer");
+}
+
+/// Cut `ids` into packets of 1, 2, 3, 4, 1, ... ids and check the packet
+/// entries of every packet against the single-query virtuals, and the
+/// buffered entry against the visitor entry: the same pairs in the same
+/// order, each with geom::distance_squared's d² bit for bit, the same
+/// work, and on a buffer too small for the packet the first pairs plus
+/// the true pair count and rows.
 void expect_packet_parity(const NeighborIndex& index, float eps,
                           std::span<const std::uint32_t> ids,
                           const std::string& what) {
@@ -486,6 +539,8 @@ void expect_packet_parity(const NeighborIndex& index, float eps,
           packet_pairs.emplace_back(k, j);
         },
         packet_stats);
+    expect_pairs_entry_parity(index, eps, packet, packet_pairs, packet_stats,
+                              where);
     std::sort(single_pairs.begin(), single_pairs.end());
     std::sort(packet_pairs.begin(), packet_pairs.end());
     EXPECT_EQ(packet_pairs, single_pairs) << where;

@@ -374,11 +374,12 @@ std::vector<Span> parse_spans(const std::string& trace) {
   return spans;
 }
 
-TEST_F(TelemetryArmed, SweepIsOneCountingAndOneClusteringLaunch) {
-  // A sweep is two launches at the ladder's ε_max whatever its length: one
-  // engine.phase1 and one engine.phase2 span inside session.sweep.  An
-  // ascending ladder ends at ε_max and refits nothing; any other ladder
-  // refits once, when it retargets the index to its last ε.
+TEST_F(TelemetryArmed, SweepIsOneFusedLaunch) {
+  // A sweep is one fused count-and-cluster launch at the ladder's ε_max
+  // whatever its length: one engine.fused span inside session.sweep, and no
+  // engine.phase1 or engine.phase2 launch.  An ascending ladder ends at
+  // ε_max and refits nothing; any other ladder refits once, when it
+  // retargets the index to its last ε.
   telemetry::arm(telemetry::kMetrics | telemetry::kTrace);
   const auto dataset = data::taxi_gps(3000, 99);
   Clusterer session(dataset.points, Options()
@@ -399,6 +400,8 @@ TEST_F(TelemetryArmed, SweepIsOneCountingAndOneClusteringLaunch) {
   for (const Case& c : cases) {
     (void)session.run(0.3f, 5);     // the index starts at ε_max
     (void)telemetry::trace_json();  // keep only the sweep below
+    const std::uint64_t fused =
+        counter(telemetry::Counter::kEngineFusedLaunches);
     const std::uint64_t phase1 =
         counter(telemetry::Counter::kEnginePhase1Launches);
     const std::uint64_t phase2 =
@@ -407,9 +410,11 @@ TEST_F(TelemetryArmed, SweepIsOneCountingAndOneClusteringLaunch) {
     const auto curve = session.sweep(c.ladder, 5);
     ASSERT_EQ(curve.size(), c.ladder.size());
     const std::string what = std::to_string(c.ladder.size()) + " values";
-    EXPECT_EQ(counter(telemetry::Counter::kEnginePhase1Launches), phase1 + 1)
+    EXPECT_EQ(counter(telemetry::Counter::kEngineFusedLaunches), fused + 1)
         << what;
-    EXPECT_EQ(counter(telemetry::Counter::kEnginePhase2Launches), phase2 + 1)
+    EXPECT_EQ(counter(telemetry::Counter::kEnginePhase1Launches), phase1)
+        << what;
+    EXPECT_EQ(counter(telemetry::Counter::kEnginePhase2Launches), phase2)
         << what;
     EXPECT_EQ(counter(telemetry::Counter::kIndexRefits), refits + c.refits)
         << what;
@@ -423,8 +428,9 @@ TEST_F(TelemetryArmed, SweepIsOneCountingAndOneClusteringLaunch) {
     ASSERT_NE(sweep, spans.end()) << what;
     const double slack_us = 1.0;  // the JSON prints 9 significant digits
     for (const auto& [site, want] :
-         {std::pair<const char*, std::uint64_t>{"engine.phase1", 1},
-          {"engine.phase2", 1},
+         {std::pair<const char*, std::uint64_t>{"engine.fused", 1},
+          {"engine.phase1", 0},
+          {"engine.phase2", 0},
           {"index.refit", c.refits}}) {
       std::uint64_t inside = 0;
       for (const Span& sp : spans) {

@@ -302,9 +302,16 @@ TEST(WidePacket, SphereAccelPacketMatchesTraceAndExactTest) {
       accel.trace_packet(
           packet,
           [&](std::uint32_t prim, std::uint32_t mask) {
-            const std::uint32_t in = accel.origins_inside(packet, prim) & mask;
+            float d2[4];
+            const std::uint32_t in =
+                accel.origins_inside(packet, prim, d2) & mask;
             for (std::uint32_t k = 0; k < 4; ++k) {
-              if ((in >> k) & 1u) packed.emplace_back(k, prim);
+              if ((in >> k) & 1u) {
+                packed.emplace_back(k, prim);
+                // The lane's d² is the scalar one, bit for bit.
+                EXPECT_EQ(d2[k], geom::distance_squared(packet.origin(k),
+                                                        accel.center(prim)));
+              }
             }
           },
           packet_stats);
