@@ -61,7 +61,7 @@ BENCHMARK(BM_BuildLbvh)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 void BM_CollapseWide(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto bounds = sphere_bounds(n, 0.3f);
-  const auto bvh = rt::build_bvh(bounds, {});
+  const auto bvh = rt::build_bvh(bounds);
   for (auto _ : state) {
     auto wide = rt::collapse_bvh(bvh);
     benchmark::DoNotOptimize(wide.nodes.data());
@@ -81,7 +81,7 @@ void BM_OverlapQueryTraversal(benchmark::State& state) {
   for (const auto& p : dataset.points) {
     bounds.push_back(geom::Aabb::of_point(p));
   }
-  const auto bvh = rt::build_bvh(bounds, {});
+  const auto bvh = rt::build_bvh(bounds);
   rt::TraversalStats stats;
   std::size_t q = 0;
   for (auto _ : state) {
@@ -110,7 +110,7 @@ void BM_PointQueryTraversalWide(benchmark::State& state) {
   for (const auto& p : dataset.points) {
     bounds.push_back(geom::Aabb::of_sphere(p, 0.3f));
   }
-  const auto wide = rt::collapse_bvh(rt::build_bvh(bounds, {}));
+  const auto wide = rt::collapse_bvh(rt::build_bvh(bounds));
   const auto queries = morton_queries(dataset.points);
   rt::TraversalStats stats;
   std::size_t q = 0;
@@ -142,7 +142,7 @@ void BM_PointQueryTraversalPacket(benchmark::State& state) {
   for (const auto& p : dataset.points) {
     bounds.push_back(geom::Aabb::of_sphere(p, 0.3f));
   }
-  const auto wide = rt::collapse_bvh(rt::build_bvh(bounds, {}));
+  const auto wide = rt::collapse_bvh(rt::build_bvh(bounds));
   const auto queries = morton_queries(dataset.points);
   rt::TraversalStats stats;
   std::size_t q = 0;
@@ -175,7 +175,7 @@ void BM_OverlapQueryTraversalWide(benchmark::State& state) {
   for (const auto& p : dataset.points) {
     bounds.push_back(geom::Aabb::of_point(p));
   }
-  const auto wide = rt::collapse_bvh(rt::build_bvh(bounds, {}));
+  const auto wide = rt::collapse_bvh(rt::build_bvh(bounds));
   rt::TraversalStats stats;
   std::size_t q = 0;
   for (auto _ : state) {
@@ -217,7 +217,7 @@ void BM_QuerySweep1M_Wide(benchmark::State& state) {
     for (const auto& p : dataset.points) {
       bounds.push_back(geom::Aabb::of_sphere(p, 1.0f));
     }
-    return rt::collapse_bvh(rt::build_bvh(bounds, {}));
+    return rt::collapse_bvh(rt::build_bvh(bounds));
   }();
   rt::TraversalStats stats;
   std::size_t q = 0;
@@ -274,7 +274,7 @@ const TriScene& tri_scene(std::size_t n_triangles) {
   for (const auto& t : scene.triangles) {
     bounds.push_back(t.bounds());
   }
-  scene.wide = rt::collapse_bvh(rt::build_bvh(bounds, {}));
+  scene.wide = rt::collapse_bvh(rt::build_bvh(bounds));
   return scene;
 }
 

@@ -61,7 +61,7 @@ void BM_AtomicUniteParallel(benchmark::State& state) {
   const auto pairs = random_pairs(n, n);
   for (auto _ : state) {
     dsu::AtomicDisjointSet s(n);
-    parallel_for(pairs.size(), [&](std::size_t i) {
+    parallel_for(pairs.size(), 0, [&](std::size_t i) {
       s.unite(pairs[i].first, pairs[i].second);
     });
     benchmark::DoNotOptimize(&s);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   const double refit_total = bench::time_median(cfg.reps, [&] {
     auto accel = ctx.build_spheres(dataset.points, eps_sweep.front());
     for (std::size_t i = 1; i < eps_sweep.size(); ++i) {
-      accel.set_radius(eps_sweep[i]);
+      accel.set_radius(eps_sweep[i], ctx.options().threads);
     }
   });
 

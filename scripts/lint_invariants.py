@@ -29,6 +29,15 @@ Rules (each can be listed with --list-rules):
   header-self-contained   Every header under src/ compiles standalone (a
                           generated one-include TU, -fsyntax-only), so no
                           header depends on its includer's include order.
+  ambient-threads         Under src/, omp_set_num_threads,
+                          omp_get_max_threads, ThreadCountGuard and
+                          `#pragma omp` appear only in the thread-count
+                          layer (common/parallel.hpp, rt/radix_sort.hpp) and
+                          the CUDA-DClust+ port (dbscan/dclustplus.cpp).
+                          Every other launch takes its thread count as an
+                          argument; reading or changing OpenMP's ambient
+                          setting anywhere else brings back a second carrier
+                          of the same decision.
   stale-suppression       Every entry in .tsan-suppressions carries a
                           `# lint:covers <regex>` marker naming the source
                           construct it suppresses for; entries whose regex no
@@ -61,6 +70,12 @@ OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b", re.MULTILINE)
 THREAD_LOCAL_RE = re.compile(r"\bstatic\s+thread_local\b|\bthread_local\s+static\b")
 THREAD_LOCAL_WAIVER_RE = re.compile(r"lint:allow\(static-thread-local\):\s*\S")
 COVERS_RE = re.compile(r"^#\s*lint:covers\s+(\S.*)$")
+AMBIENT_THREADS_RE = re.compile(
+    r"\bomp_set_num_threads\b|\bomp_get_max_threads\b|\bThreadCountGuard\b"
+    r"|^\s*#\s*pragma\s+omp\b", re.MULTILINE)
+# The files that may name OpenMP's thread machinery (src/-relative).
+AMBIENT_THREADS_ALLOWED = frozenset({
+    "common/parallel.hpp", "rt/radix_sort.hpp", "dbscan/dclustplus.cpp"})
 
 
 @dataclass
@@ -299,6 +314,27 @@ def check_thread_local_headers(repo: Path) -> list[Violation]:
     return violations
 
 
+# --- rule: ambient-threads ---------------------------------------------------
+
+def check_ambient_threads(repo: Path) -> list[Violation]:
+    violations = []
+    src = repo / "src"
+    for path in source_files(repo):
+        if path.relative_to(src).as_posix() in AMBIENT_THREADS_ALLOWED:
+            continue
+        text = path.read_text(encoding="utf-8", errors="replace")
+        clean = strip_comments_and_strings(text)
+        for m in AMBIENT_THREADS_RE.finditer(clean):
+            violations.append(Violation(
+                "ambient-threads", str(path.relative_to(repo)),
+                line_of(clean, m.start()),
+                f"'{m.group(0).strip()}' outside the thread-count layer "
+                "(common/parallel.hpp, rt/radix_sort.hpp): pass the launch "
+                "its thread count (parallel_for & co., radix_sort_pairs) "
+                "instead of reading or changing OpenMP's setting"))
+    return violations
+
+
 # --- rule: header-self-contained ---------------------------------------------
 
 def find_cxx(explicit: str | None) -> str | None:
@@ -403,6 +439,7 @@ RULES = [
     ("stage-site-registry / stage-site-docs",
      lambda repo, args: check_stage_sites(repo)),
     ("thread-local-header", lambda repo, args: check_thread_local_headers(repo)),
+    ("ambient-threads", lambda repo, args: check_ambient_threads(repo)),
     ("header-self-contained",
      lambda repo, args: [] if args.skip_compile
      else check_headers_self_contained(repo, args.cxx)),

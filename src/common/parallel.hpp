@@ -2,8 +2,13 @@
 //
 // In the paper these loops are CUDA kernel launches over shader/RT cores; in
 // this reproduction they are OpenMP parallel regions.  Centralizing the
-// pattern here keeps every algorithm file free of raw pragmas and lets tests
-// force single-threaded execution deterministically.
+// pattern here keeps every algorithm file free of raw pragmas.
+//
+// Every launch takes its thread count, as a CUDA launch states its grid:
+//  * 0 means hardware_threads(), i.e. omp_get_max_threads();
+//  * a resolved 1 runs the loop inline on the caller, with no OpenMP region;
+//  * any other count is passed to its region as num_threads(t).
+// The library never changes OpenMP's thread-count setting.
 //
 // Concurrency contracts (machine-checked; see docs/ARCHITECTURE.md "Static
 // analysis & concurrency contracts" and scripts/lint_invariants.py):
@@ -13,28 +18,35 @@
 //    (RTD_STAGE throwing from inside a parallel region would terminate
 //    the process — the linter rejects any lexically-nested site).
 //  * `static thread_local` names referenced from a loop body resolve to the
-//    EXECUTING worker's instance, not the launching thread's — the PR 6
-//    trap documented in rt/parallel_launch.hpp.  Per-thread state crosses
+//    EXECUTING worker's instance, not the launching thread's — the trap
+//    documented in rt/parallel_launch.hpp.  Per-thread state crosses
 //    into a region via make()/make_ctx() factories below, never via
 //    thread_local storage owned by the launcher.
-//  * ThreadCountGuard mutates process-global OpenMP state: construct it
-//    only from a single-writer context (benchmark mains, the session's
-//    serialized launch path), never concurrently with another launch.
+//  * Only this header, rt/radix_sort.hpp and dbscan/dclustplus.cpp name
+//    OpenMP under src/ (lint rule `ambient-threads`).
 #pragma once
 
 #include <omp.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace rtd {
 
-/// Number of worker threads OpenMP will use for parallel regions.
+/// The count a `threads = 0` launch resolves to: OpenMP's current
+/// thread-count setting.
 inline int hardware_threads() { return omp_get_max_threads(); }
 
-/// Scoped override of the OpenMP thread count (used by tests and by the
-/// thread-scaling benchmarks).  Restores the previous value on destruction.
+/// A launch's thread count: `threads`, or hardware_threads() for 0.
+inline int resolve_threads(int threads) {
+  return threads > 0 ? threads : hardware_threads();
+}
+
+/// Scoped override of OpenMP's thread-count setting, restored on
+/// destruction.  It changes exactly one thing: what a `threads = 0` launch
+/// resolves to on the constructing thread.  The library never constructs
+/// one; benchmark mains and tests use it to stand in for a caller's
+/// setting.
 class ThreadCountGuard {
  public:
   explicit ThreadCountGuard(int threads)
@@ -49,23 +61,36 @@ class ThreadCountGuard {
   int previous_;
 };
 
-/// parallel_for(n, f): invoke f(i) for i in [0, n) across all threads.
+/// parallel_for(n, threads, f): invoke f(i) for i in [0, n).
 /// Dynamic scheduling: per-point DBSCAN work is highly irregular (a ray in a
 /// dense region touches far more BVH nodes than one in a sparse region).
 template <typename F>
-void parallel_for(std::size_t n, F&& f) {
-#pragma omp parallel for schedule(dynamic, 64)
+void parallel_for(std::size_t n, int threads, F&& f) {
+  const int t = resolve_threads(threads);
+  if (t == 1) {
+    for (std::size_t i = 0; i < n; ++i) f(i);
+    return;
+  }
+#pragma omp parallel for schedule(dynamic, 64) num_threads(t)
   for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
     f(static_cast<std::size_t>(i));
   }
 }
 
-/// parallel_for with a per-thread context object: g() constructs the context
-/// once per thread, f(ctx, i) uses it.  Avoids false sharing of per-thread
-/// accumulators (e.g. traversal statistics, RNG streams).
+/// parallel_for with a per-thread context object: make_ctx(tid) constructs
+/// the context once per worker (tid < the resolved thread count), f(ctx, i)
+/// uses it.  Avoids false sharing of per-thread accumulators (e.g.
+/// traversal statistics, RNG streams).
 template <typename MakeCtx, typename F>
-void parallel_for_ctx(std::size_t n, MakeCtx&& make_ctx, F&& f) {
-#pragma omp parallel
+void parallel_for_ctx(std::size_t n, int threads, MakeCtx&& make_ctx,
+                      F&& f) {
+  const int t = resolve_threads(threads);
+  if (t == 1) {
+    auto ctx = make_ctx(std::size_t{0});
+    for (std::size_t i = 0; i < n; ++i) f(ctx, i);
+    return;
+  }
+#pragma omp parallel num_threads(t)
   {
     auto ctx = make_ctx(static_cast<std::size_t>(omp_get_thread_num()));
 #pragma omp for schedule(dynamic, 64)
@@ -84,9 +109,16 @@ void parallel_for_ctx(std::size_t n, MakeCtx&& make_ctx, F&& f) {
 /// parallel-for concurrently (e.g. many serving threads launching query
 /// batches at once) and keeps the hot loop free of false sharing.
 template <typename Make, typename F, typename Combine>
-void parallel_for_accumulate(std::size_t n, Make&& make, F&& f,
+void parallel_for_accumulate(std::size_t n, int threads, Make&& make, F&& f,
                              Combine&& combine) {
-#pragma omp parallel
+  const int t = resolve_threads(threads);
+  if (t == 1) {
+    auto acc = make();
+    for (std::size_t i = 0; i < n; ++i) f(acc, i);
+    combine(acc);
+    return;
+  }
+#pragma omp parallel num_threads(t)
   {
     auto acc = make();
 #pragma omp for schedule(dynamic, 64) nowait
@@ -96,17 +128,6 @@ void parallel_for_accumulate(std::size_t n, Make&& make, F&& f,
 #pragma omp critical(rtd_parallel_for_accumulate)
     combine(acc);
   }
-}
-
-/// Sum a value computed per index over all threads (reduction).
-template <typename F>
-std::uint64_t parallel_count(std::size_t n, F&& predicate) {
-  std::uint64_t total = 0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    total += predicate(static_cast<std::size_t>(i)) ? 1u : 0u;
-  }
-  return total;
 }
 
 }  // namespace rtd

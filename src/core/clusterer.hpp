@@ -127,8 +127,10 @@ struct Options {
   /// Icosphere subdivision level for the kTriangles backend (20 * 4^s
   /// triangles/point).
   int triangle_subdivisions = 1;
-  /// Thread count for index builds, the launch-order sort and query
-  /// launches; 0 = all hardware threads.
+  /// Thread count of every launch the session makes: index builds and
+  /// refits, the launch-order sort and the query launches.  0 means
+  /// omp_get_max_threads() and 1 runs inline on the caller; the session
+  /// never changes OpenMP's own setting.
   int threads = 0;
 
   Options& with_backend(index::IndexKind k) { backend = k; return *this; }

@@ -36,7 +36,8 @@ struct RtDbscanOptions {
   /// Icosphere subdivision level for Params::index == kTriangles
   /// (20 * 4^s triangles/point).
   int triangle_subdivisions = 1;
-  /// RT device configuration (BVH build settings, threads).
+  /// RT device configuration: the thread count of the scene build, the
+  /// launch order and both launches.
   rt::Context::Options device;
 };
 

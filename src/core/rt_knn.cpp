@@ -148,7 +148,7 @@ RtKnnResult rt_knn(std::span<const Vec3> points, std::uint32_t k,
   // Tiny datasets (every other point is a neighbor) cannot converge by
   // radius; answer them directly.
   if (n - 1 <= k) {
-    parallel_for(n, [&](std::size_t i) {
+    parallel_for(n, options.device.threads, [&](std::size_t i) {
       for (std::uint32_t j = 0; j < n; ++j) {
         if (j != i) {
           heaps.offer(i, j, geom::distance_squared(points[i], points[j]));

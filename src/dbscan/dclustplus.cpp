@@ -39,9 +39,7 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
   out.is_core.assign(n, 0);
   if (n == 0) return result;
 
-  const int threads =
-      options.threads > 0 ? options.threads : hardware_threads();
-  ThreadCountGuard guard(threads);
+  const int threads = resolve_threads(options.threads);
   const std::uint32_t chains_per_round =
       options.chains_per_round > 0
           ? options.chains_per_round
@@ -57,7 +55,7 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
 
   // Coreness pass (see port notes in the header).
   std::vector<std::uint32_t> degree(n, 0);
-  parallel_for(n, [&](std::size_t i) {
+  parallel_for(n, threads, [&](std::size_t i) {
     std::uint32_t candidates = 0;
     std::uint32_t d = 0;
     index.for_candidates(points[i], [&](std::uint32_t u) {
@@ -75,7 +73,7 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
   // Chain expansion rounds.
   phase.restart();
   std::vector<std::atomic<std::uint32_t>> owner(n);
-  parallel_for(n, [&](std::size_t i) {
+  parallel_for(n, threads, [&](std::size_t i) {
     owner[i].store(kUnprocessed, std::memory_order_relaxed);
   });
 
@@ -111,7 +109,7 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
     const std::uint32_t base_chain = chain_counter;
     chain_counter += static_cast<std::uint32_t>(seeds.size());
 
-#pragma omp parallel for schedule(dynamic, 1)
+#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
     for (std::int64_t s = 0; s < static_cast<std::int64_t>(seeds.size());
          ++s) {
       const std::uint32_t chain = base_chain + static_cast<std::uint32_t>(s);

@@ -54,15 +54,14 @@ std::vector<std::uint32_t> query_launch_order(
   std::vector<std::uint32_t> order(points.size());
   std::iota(order.begin(), order.end(), 0u);
   if (!morton || points.size() < 2) return order;
-  const ThreadCountGuard guard(threads > 0 ? threads : hardware_threads());
   geom::Aabb bounds;
   for (const auto& p : points) bounds.grow(p);
   std::vector<std::uint32_t> codes(points.size());
-  parallel_for(points.size(), [&](std::size_t i) {
+  parallel_for(points.size(), threads, [&](std::size_t i) {
     codes[i] = geom::morton3_in(bounds, points[i]);
   });
   // Stable over the iota values: equal codes stay in slot order.
-  rt::radix_sort_pairs(codes, order);
+  rt::radix_sort_pairs(codes, order, threads);
   return order;
 }
 
@@ -396,7 +395,7 @@ IndexEngineResult cluster_with_index(const index::NeighborIndex& index,
 
   dsu::AtomicDisjointSet dsu(n);
   std::vector<std::atomic<std::uint8_t>> claimed(n);
-  parallel_for(n, [&](std::size_t i) {
+  parallel_for(n, options.threads, [&](std::size_t i) {
     claimed[i].store(0, std::memory_order_relaxed);
   });
 

@@ -58,8 +58,8 @@ struct IndexEngineOptions {
   /// Stop phase-1 counting at minPts (FDBSCAN §VI-B).  Honored by backends
   /// whose traversal can terminate; the RT backend ignores it (OptiX).
   bool early_exit = false;
-  /// Thread count for the launch-order sort and both phases; 0 = all
-  /// hardware threads.
+  /// Thread count of every launch: the launch-order sort, the claim reset
+  /// and both phases; 0 = all hardware threads.
   int threads = 0;
 };
 
@@ -75,8 +75,9 @@ struct IndexEngineResult {
 
 /// Query launch order: identity, or the Morton (Z-curve) order of the
 /// points — a stable radix sort of their codes, so slots sharing a code
-/// keep slot order.  The sort runs under `threads` (0 = all hardware
-/// threads) and restores the caller's OpenMP thread count.
+/// keep slot order.  The codes and the sort run on `threads` workers:
+/// 0 means omp_get_max_threads() and 1 runs inline on the caller; OpenMP's
+/// own setting is never changed.
 [[nodiscard]] std::vector<std::uint32_t> query_launch_order(
     std::span<const geom::Vec3> points, bool morton, int threads = 0);
 

@@ -32,8 +32,8 @@ FdbscanResult fdbscan(std::span<const geom::Vec3> points,
   // keeps that, an explicit Params::index swaps it.
   const index::IndexKind kind =
       index::resolve_auto(params.index, index::IndexKind::kPointBvh);
-  const auto idx = index::make_index(
-      points, params.eps, kind, {options.build, options.threads});
+  const auto idx = index::make_index(points, params.eps, kind,
+                                     {.threads = options.threads});
   const double build_seconds = phase.seconds();
 
   IndexEngineOptions engine_options;

@@ -21,7 +21,6 @@
 #include <span>
 
 #include "dbscan/core.hpp"
-#include "rt/bvh.hpp"
 #include "rt/traversal.hpp"
 
 namespace rtd::dbscan {
@@ -29,10 +28,8 @@ namespace rtd::dbscan {
 struct FdbscanOptions {
   /// Stop the phase-1 traversal once minPts neighbors are found (§VI-B).
   bool early_exit = false;
-  /// BVH construction settings (same builder family as the RT simulator so
-  /// RT-vs-FDBSCAN comparisons isolate the pipeline, not the tree).
-  rt::BuildOptions build;
-  /// Thread count; 0 = all hardware threads.
+  /// Thread count of the index build and every launch; 0 = all hardware
+  /// threads.
   int threads = 0;
 
   static FdbscanOptions with_early_exit(bool on) {

@@ -47,9 +47,7 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   out.is_core.assign(n, 0);
   if (n == 0) return result;
 
-  const int threads =
-      options.threads > 0 ? options.threads : hardware_threads();
-  ThreadCountGuard guard(threads);
+  const int threads = resolve_threads(options.threads);
   const float eps2 = params.eps_squared();
 
   Timer total;
@@ -80,8 +78,7 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   std::unique_ptr<index::NeighborIndex> owned;
   const index::NeighborIndex* index = &grid;
   if (kind != index::IndexKind::kDenseBox) {
-    owned = index::make_index(points, params.eps, kind,
-                              {options.build, options.threads});
+    owned = index::make_index(points, params.eps, kind, {.threads = threads});
     index = owned.get();
   }
   out.timings.index_build_seconds = phase.seconds();
@@ -92,7 +89,7 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
       options.early_exit ? params.min_pts - 1 : index::kNoCap;
   std::vector<rt::TraversalStats> stats1(static_cast<std::size_t>(threads));
   parallel_for_ctx(
-      n,
+      n, threads,
       [&](std::size_t tid) { return &stats1[tid]; },
       [&](rt::TraversalStats* st, std::size_t i) {
         if (dense_cell_of[i] != kNoDenseCell) return;  // proven core for free
@@ -107,7 +104,7 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   phase.restart();
   dsu::AtomicDisjointSet dsu(n);
   std::vector<std::atomic<std::uint8_t>> claimed(n);
-  parallel_for(n, [&](std::size_t i) {
+  parallel_for(n, threads, [&](std::size_t i) {
     claimed[i].store(0, std::memory_order_relaxed);
   });
 
@@ -121,7 +118,7 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   // 2b. Per-point queries for cores OUTSIDE dense boxes (as in FDBSCAN).
   std::vector<rt::TraversalStats> stats2(static_cast<std::size_t>(threads));
   parallel_for_ctx(
-      n,
+      n, threads,
       [&](std::size_t tid) { return &stats2[tid]; },
       [&](rt::TraversalStats* st, std::size_t i) {
         if (!out.is_core[i] || dense_cell_of[i] != kNoDenseCell) return;
@@ -153,7 +150,7 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   // so float rounding at the boundary can never exclude a true neighbor;
   // the exact member-distance test below is authoritative.
   parallel_for_ctx(
-      dense_cells.size(),
+      dense_cells.size(), threads,
       [&](std::size_t tid) { return &stats2[tid]; },
       [&](rt::TraversalStats* st, std::size_t c) {
         const auto& members = dense_cells[c];

@@ -28,9 +28,7 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
   out.is_core.assign(n, 0);
   if (n == 0) return result;
 
-  const int threads =
-      options.threads > 0 ? options.threads : hardware_threads();
-  ThreadCountGuard guard(threads);
+  const int threads = resolve_threads(options.threads);
 
   Timer total;
   Timer phase;
@@ -41,14 +39,15 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
   // explicit Params::index substitutes a smarter one.
   const index::IndexKind kind =
       index::resolve_auto(params.index, index::IndexKind::kBruteForce);
-  const auto index = index::make_index(points, params.eps, kind);
+  const auto index =
+      index::make_index(points, params.eps, kind, {.threads = threads});
 
   // Pass 1 (GPU kernel "vertices degree calculation"): degree count per
   // point.  Degrees include the point itself (+1: the index excludes self).
   std::vector<std::uint32_t> degree(n, 0);
   std::vector<rt::TraversalStats> pass_stats(static_cast<std::size_t>(threads));
   parallel_for_ctx(
-      n,
+      n, threads,
       [&](std::size_t tid) { return &pass_stats[tid]; },
       [&](rt::TraversalStats* st, std::size_t i) {
         degree[i] = index->query_count(points[i], params.eps,
@@ -73,7 +72,7 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
   // self-edge first, then the index's enumeration order).
   std::vector<std::uint32_t> adjacency(edges);
   parallel_for_ctx(
-      n,
+      n, threads,
       [&](std::size_t tid) { return &pass_stats[tid]; },
       [&](rt::TraversalStats* st, std::size_t i) {
         std::uint64_t w = offset[i];
@@ -97,7 +96,7 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
   // points are absorbed but not expanded.
   phase.restart();
   std::vector<std::atomic<std::uint8_t>> visited(n);
-  parallel_for(n, [&](std::size_t i) {
+  parallel_for(n, threads, [&](std::size_t i) {
     visited[i].store(0, std::memory_order_relaxed);
   });
 
@@ -119,7 +118,7 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
       ++result.bfs_levels;
       for (auto& buf : next_buffers) buf.clear();
       parallel_for_ctx(
-          frontier.size(),
+          frontier.size(), threads,
           [&](std::size_t tid) { return &next_buffers[tid]; },
           [&](std::vector<std::uint32_t>* next, std::size_t fi) {
             const std::uint32_t v = frontier[fi];

@@ -17,12 +17,14 @@ BvhRtIndex::BvhRtIndex(std::span<const geom::Vec3> points, float eps,
           std::vector<geom::Vec3>(points.begin(), points.end()), eps))),
       points_(points),
       built_count_(points.size()),
-      tail_(points.size()) {}
+      tail_(points.size()) {
+  set_threads(options.threads);
+}
 
 bool BvhRtIndex::do_try_remove(std::span<const std::uint32_t> ids) {
   removed_since_refit_ += ids.size();
   if (removed_since_refit_ >= refit_threshold() && built_count_ > 0) {
-    accel_.mut().refit_live(dead_mask());
+    accel_.mut().refit_live(dead_mask(), threads());
     removed_since_refit_ = 0;
   }
   return true;

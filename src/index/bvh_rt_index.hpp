@@ -28,7 +28,8 @@ namespace rtd::index {
 class BvhRtIndex final : public NeighborIndex {
  public:
   /// "optixAccelBuild": copies the points into the sphere scene and builds
-  /// the hardware-style BVH.
+  /// the hardware-style BVH on options.threads workers; the writer
+  /// operations keep that budget.
   BvhRtIndex(std::span<const geom::Vec3> points, float eps,
              const rt::Context::Options& options = {});
 
@@ -70,7 +71,7 @@ class BvhRtIndex final : public NeighborIndex {
 
   /// REFIT the sphere scene to a new radius (accel update, not rebuild);
   /// subsequent queries must use the new eps.
-  void set_radius(float eps) { accel_.mut().set_radius(eps); }
+  void set_radius(float eps) { accel_.mut().set_radius(eps, threads()); }
 
   /// The underlying acceleration structure (build statistics, RT k-NN).
   /// It covers the build-time points; appended ones live in the delta tail.
@@ -92,7 +93,7 @@ class BvhRtIndex final : public NeighborIndex {
   /// owns the eps validation.  The delta-tail tree is over bare points, so
   /// the refit covers it trivially (the exact test reads the radius).
   bool do_try_set_eps(float eps) override {
-    accel_.mut().set_radius(eps);
+    accel_.mut().set_radius(eps, threads());
     return true;
   }
 

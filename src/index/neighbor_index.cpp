@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/stage.hpp"
 #include "common/timer.hpp"
 #include "index/brute_force_index.hpp"
@@ -27,13 +26,6 @@ namespace {
 void count_outcome(bool ok, telemetry::Counter accepted,
                    telemetry::Counter declined) noexcept {
   telemetry::count(ok ? accepted : declined);
-}
-
-rt::Context::Options device_options(const IndexBuildOptions& options) {
-  rt::Context::Options device;
-  device.build = options.build;
-  device.threads = options.threads;
-  return device;
 }
 
 }  // namespace
@@ -65,11 +57,7 @@ bool NeighborIndex::try_set_eps(float eps) {
     telemetry::count(telemetry::Counter::kIndexRefitsDeclined);
     return false;
   }
-  bool ok = false;
-  {
-    const ThreadCountGuard guard(threads_ > 0 ? threads_ : hardware_threads());
-    ok = do_try_set_eps(eps);
-  }
+  const bool ok = do_try_set_eps(eps);
   count_outcome(ok, telemetry::Counter::kIndexRefits,
                 telemetry::Counter::kIndexRefitsDeclined);
   return ok;
@@ -122,11 +110,7 @@ bool NeighborIndex::try_remove(std::span<const std::uint32_t> ids) {
   has_dead_ = true;
   // The mask is set BEFORE the hook so a masked refit inside it sees the
   // whole batch; on a false return the caller discards the index anyway.
-  bool ok = false;
-  {
-    const ThreadCountGuard guard(threads_ > 0 ? threads_ : hardware_threads());
-    ok = do_try_remove(ids);
-  }
+  const bool ok = do_try_remove(ids);
   count_outcome(ok, telemetry::Counter::kIndexRemovesAbsorbed,
                 telemetry::Counter::kIndexRemovesDeclined);
   return ok;
@@ -217,10 +201,6 @@ std::unique_ptr<NeighborIndex> make_index(std::span<const geom::Vec3> points,
   kind = resolve_auto(kind, IndexKind::kBvhRt);
   RTD_STAGE("index.build");
   telemetry::count(telemetry::Counter::kIndexBuilds);
-  // Honor the requested build parallelism (the tree backends build with
-  // parallel_for / parallel builders).
-  const ThreadCountGuard guard(
-      options.threads > 0 ? options.threads : hardware_threads());
   std::unique_ptr<NeighborIndex> index;
   switch (kind) {
     case IndexKind::kBruteForce:
@@ -233,20 +213,21 @@ std::unique_ptr<NeighborIndex> make_index(std::span<const geom::Vec3> points,
       index = std::make_unique<DenseBoxIndex>(points, eps);
       break;
     case IndexKind::kPointBvh:
-      index = std::make_unique<PointBvhIndex>(points, eps, options.build);
+      index = std::make_unique<PointBvhIndex>(points, eps, options.threads);
       break;
     case IndexKind::kBvhRt:
-      index =
-          std::make_unique<BvhRtIndex>(points, eps, device_options(options));
+      index = std::make_unique<BvhRtIndex>(
+          points, eps, rt::Context::Options{options.threads});
       break;
     case IndexKind::kTriangles:
       index = std::make_unique<TriangleIndex>(
-          points, eps, options.triangle_subdivisions, device_options(options));
+          points, eps, options.triangle_subdivisions,
+          rt::Context::Options{options.threads});
       break;
     case IndexKind::kAuto: break;  // resolved above
   }
   if (!index) throw std::invalid_argument("make_index: unknown IndexKind");
-  // The writer operations (refits) run under the build's thread budget.
+  // The writer operations (refits) keep the build's thread budget.
   index->set_threads(options.threads);
   return index;
 }

@@ -35,7 +35,6 @@
 #include "geom/aabb.hpp"
 #include "geom/vec3.hpp"
 #include "index/index_kind.hpp"
-#include "rt/bvh.hpp"
 #include "rt/traversal.hpp"
 
 namespace rtd::index {
@@ -172,10 +171,11 @@ class NeighborIndex {
   /// Number of ids currently masked dead.
   [[nodiscard]] std::size_t removed_count() const { return dead_count_; }
 
-  /// Thread budget of the writer operations that run parallel loops —
+  /// Thread budget of the writer operations that run parallel loops:
   /// try_set_eps (the RT scenes' radius refit) and try_remove (the tree
-  /// backends' masked refit) run under it and restore the caller's OpenMP
-  /// thread count; 0 keeps the caller's.  make_index() sets it from
+  /// backends' masked refit) pass it to every launch they make.  0 means
+  /// omp_get_max_threads() and 1 runs inline on the caller; OpenMP's own
+  /// setting is never changed.  make_index() sets it from
   /// IndexBuildOptions::threads, and clone() keeps it.
   void set_threads(int threads) { threads_ = threads; }
   [[nodiscard]] int threads() const { return threads_; }
@@ -310,14 +310,12 @@ class NeighborIndex {
 
 /// Build configuration shared by the tree-based backends.
 struct IndexBuildOptions {
-  /// BVH construction settings (the tree backends: point-BVH, RT spheres,
-  /// triangles).
-  rt::BuildOptions build;
   /// kTriangles only: icosphere subdivision level (20·4^s triangles per
   /// point).
   int triangle_subdivisions = 1;
-  /// Thread count for index construction and batched queries; 0 = all
-  /// hardware threads.
+  /// Thread count of every launch the build makes, and the index's writer
+  /// budget (NeighborIndex::threads()): 0 means omp_get_max_threads() and
+  /// 1 runs inline on the caller; OpenMP's own setting is never changed.
   int threads = 0;
 };
 

@@ -5,12 +5,14 @@
 namespace rtd::index {
 
 PointBvhIndex::PointBvhIndex(std::span<const geom::Vec3> points, float eps,
-                             const rt::BuildOptions& build)
+                             int threads)
     : points_(points),
       eps_(eps),
       built_count_(points.size()),
-      tree_(std::make_shared<PointTree>(points, build)),
-      tail_(points.size()) {}
+      tree_(std::make_shared<PointTree>(points, threads)),
+      tail_(points.size()) {
+  set_threads(threads);
+}
 
 bool PointBvhIndex::do_try_remove(std::span<const std::uint32_t> ids) {
   removed_since_refit_ += ids.size();
@@ -19,7 +21,7 @@ bool PointBvhIndex::do_try_remove(std::span<const std::uint32_t> ids) {
     // keep their topology position but stop widening any bounds).  The
     // mask the base class set covers this batch already.  A tree another
     // version shares is copied first.
-    tree_.mut().refit(points_.first(built_count_), dead_mask());
+    tree_.mut().refit(points_.first(built_count_), dead_mask(), threads());
     removed_since_refit_ = 0;
   }
   return true;

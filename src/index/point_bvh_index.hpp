@@ -21,9 +21,10 @@ namespace rtd::index {
 /// Point-BVH neighbor index (software volume-overlap traversal).
 class PointBvhIndex final : public NeighborIndex {
  public:
-  /// Build a BVH over per-point AABBs with the given builder settings.
+  /// Build a BVH over per-point AABBs on `threads` workers (0 = all
+  /// hardware threads); the writer operations keep that budget.
   PointBvhIndex(std::span<const geom::Vec3> points, float eps,
-                const rt::BuildOptions& build = {});
+                int threads = 0);
 
   [[nodiscard]] IndexKind kind() const override {
     return IndexKind::kPointBvh;

@@ -10,30 +10,24 @@ namespace rtd::index {
 namespace {
 
 std::vector<geom::Aabb> point_bounds(std::span<const geom::Vec3> points,
-                                     bool parallel) {
+                                     int threads) {
   std::vector<geom::Aabb> bounds(points.size());
-  const auto fill = [&](std::size_t i) {
+  parallel_for(points.size(), threads, [&](std::size_t i) {
     bounds[i] = geom::Aabb::of_point(points[i]);
-  };
-  if (parallel) {
-    parallel_for(points.size(), fill);
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) fill(i);
-  }
+  });
   return bounds;
 }
 
 }  // namespace
 
-PointTree::PointTree(std::span<const geom::Vec3> points,
-                     const rt::BuildOptions& build)
-    : bvh(rt::build_bvh(point_bounds(points, build.parallel), build)),
+PointTree::PointTree(std::span<const geom::Vec3> points, int threads)
+    : bvh(rt::build_bvh(point_bounds(points, threads), threads)),
       wide(points.size() >= kWideMinPoints ? rt::collapse_bvh(bvh)
                                            : rt::WideBvh{}) {}
 
 void PointTree::refit(std::span<const geom::Vec3> points,
-                      std::span<const std::uint8_t> dead) {
-  bvh.refit(point_bounds(points, /*parallel=*/true), dead);
+                      std::span<const std::uint8_t> dead, int threads) {
+  bvh.refit(point_bounds(points, threads), dead);
   if (!wide.empty()) wide.refit_from(bvh);
 }
 
@@ -43,10 +37,9 @@ void DeltaTail::absorb(std::span<const geom::Vec3> points) {
       std::max(kResidue, indexed / kResidueShare)) {
     return;
   }
-  // Tail trees are small next to the main build: a serial build avoids a
-  // parallel region per re-index on the writer's thread.
-  const rt::BuildOptions serial{.parallel = false};
-  tree_ = std::make_shared<const PointTree>(points.subspan(first_), serial);
+  // Tail trees are small next to the main build: a one-thread build avoids
+  // a parallel region per re-index on the writer's thread.
+  tree_ = std::make_shared<const PointTree>(points.subspan(first_), 1);
   indexed_end_ = points.size();
 }
 

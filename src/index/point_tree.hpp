@@ -39,12 +39,14 @@ struct PointTree {
   /// (docs/ARCHITECTURE.md, "The wide (8-ary) traversal layout").
   static constexpr std::size_t kWideMinPoints = 4096;
 
-  PointTree(std::span<const geom::Vec3> points, const rt::BuildOptions& build);
+  /// Build on `threads` workers (common/parallel.hpp).
+  PointTree(std::span<const geom::Vec3> points, int threads);
 
   /// Masked refit: tighten every node around the points whose dead[id] is
   /// 0 (`dead` covers at least points.size() ids); topology unchanged.
+  /// The box pass runs on `threads` workers.
   void refit(std::span<const geom::Vec3> points,
-             std::span<const std::uint8_t> dead);
+             std::span<const std::uint8_t> dead, int threads);
 
   /// Candidate walk: on_candidate(id) for every point in a leaf whose box
   /// overlaps `box` (a superset — callers apply the exact filter).

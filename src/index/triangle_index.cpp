@@ -17,7 +17,9 @@ TriangleIndex::TriangleIndex(std::span<const geom::Vec3> points, float eps,
           rt::Context(options).build_triangles(points, eps, subdivisions))),
       points_(points),
       built_count_(points.size()),
-      tail_(points.size()) {}
+      tail_(points.size()) {
+  set_threads(options.threads);
+}
 
 void TriangleIndex::query_sphere(const geom::Vec3& center, float eps,
                                  std::uint32_t self, NeighborVisitor visit,

@@ -31,7 +31,8 @@ namespace rtd::index {
 class TriangleIndex final : public NeighborIndex {
  public:
   /// Tessellate one ε-sphere per point at `subdivisions` (20·4^s triangles
-  /// per point, rt/tessellate.hpp) and build the triangle scene.
+  /// per point, rt/tessellate.hpp) and build the triangle scene, on
+  /// options.threads workers; the writer operations keep that budget.
   TriangleIndex(std::span<const geom::Vec3> points, float eps,
                 int subdivisions, const rt::Context::Options& options = {});
 
@@ -62,7 +63,7 @@ class TriangleIndex final : public NeighborIndex {
   /// Refit contract: the tessellation rescales about its centers and the
   /// BVH refits in place (TriangleAccel::set_radius) — no retessellation.
   bool do_try_set_eps(float eps) override {
-    accel_.mut().set_radius(eps);
+    accel_.mut().set_radius(eps, threads());
     return true;
   }
 

@@ -80,19 +80,15 @@ struct Bvh {
 /// a common software default and what we validated against brute force.
 inline constexpr std::uint32_t kLeafSize = 4;
 
-/// Build settings.
-struct BuildOptions {
-  /// Parallelize the build (Morton codes and the radix sort).
-  bool parallel = true;
-};
-
 /// Build a BVH over primitives with the given bounds.  This is the
 /// simulator's `optixAccelBuild`, and like the hardware builders it is an
 /// LBVH: primitives sorted along a Morton curve of their centroids, the
 /// tree derived from the sorted order — very fast builds, slightly worse
 /// traversal quality than a SAH builder (which measured slower end to end
-/// here: its 6-10x longer builds never paid back in traversal).
-Bvh build_bvh(std::span<const geom::Aabb> prim_bounds,
-              const BuildOptions& options = {});
+/// here: its 6-10x longer builds never paid back in traversal).  The
+/// Morton codes and their radix sort run on `threads` workers
+/// (common/parallel.hpp: 0 = hardware_threads()); the tree is the same at
+/// every thread count.
+Bvh build_bvh(std::span<const geom::Aabb> prim_bounds, int threads = 0);
 
 }  // namespace rtd::rt

@@ -27,9 +27,8 @@ using geom::Vec3;
 // --------------------------------------------------------------------------
 class LbvhBuilder {
  public:
-  LbvhBuilder(std::span<const Aabb> bounds, const BuildOptions& opts,
-              Bvh& out)
-      : prim_bounds(bounds), options(opts), bvh(out) {}
+  LbvhBuilder(std::span<const Aabb> bounds, int threads, Bvh& out)
+      : prim_bounds(bounds), threads_(threads), bvh(out) {}
 
   std::uint32_t max_depth = 0;
 
@@ -39,37 +38,14 @@ class LbvhBuilder {
     // 1. Morton codes of primitive centroids, normalized to scene bounds.
     codes_.resize(n);
     const Aabb scene = bvh.scene_bounds;
-    const auto encode = [&](std::size_t i) {
+    parallel_for(n, threads_, [&](std::size_t i) {
       codes_[i] = geom::morton3_in(scene, prim_bounds[i].center());
-    };
-    if (options.parallel) {
-      parallel_for(n, encode);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) encode(i);
-    }
+    });
     bvh.prim_index.resize(n);
     std::iota(bvh.prim_index.begin(), bvh.prim_index.end(), 0u);
 
     // 2. Sort primitive ids by code (the hardware builder's radix sort).
-    if (options.parallel) {
-      radix_sort_pairs(codes_, bvh.prim_index);
-    } else {
-      std::vector<std::uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0u);
-      // Ties broken by id: the stable order the radix sort produces.
-      std::sort(order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return codes_[a] < codes_[b] ||
-                         (codes_[a] == codes_[b] && a < b);
-                });
-      std::vector<std::uint32_t> sorted_codes(n), sorted_prims(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        sorted_codes[i] = codes_[order[i]];
-        sorted_prims[i] = bvh.prim_index[order[i]];
-      }
-      codes_.swap(sorted_codes);
-      bvh.prim_index.swap(sorted_prims);
-    }
+    radix_sort_pairs(codes_, bvh.prim_index, threads_);
 
     // 3. Emit hierarchy top-down over the sorted order.
     bvh.nodes.reserve(2 * static_cast<std::size_t>(n));
@@ -143,7 +119,7 @@ class LbvhBuilder {
   }
 
   std::span<const Aabb> prim_bounds;
-  const BuildOptions& options;
+  int threads_;
   Bvh& bvh;
   std::vector<std::uint32_t> codes_;
 };
@@ -162,15 +138,14 @@ float compute_sah_cost(const Bvh& bvh) {
 
 }  // namespace
 
-Bvh build_bvh(std::span<const geom::Aabb> prim_bounds,
-              const BuildOptions& options) {
+Bvh build_bvh(std::span<const geom::Aabb> prim_bounds, int threads) {
   Timer timer;
   Bvh bvh;
   if (prim_bounds.empty()) return bvh;
 
   for (const auto& b : prim_bounds) bvh.scene_bounds.grow(b);
 
-  LbvhBuilder builder(prim_bounds, options, bvh);
+  LbvhBuilder builder(prim_bounds, threads, bvh);
   builder.build();
 
   bvh.stats.build_seconds = timer.seconds();

@@ -1,8 +1,9 @@
 // RT device context — the simulator's stand-in for an OptiX/OWL context.
 //
-// A Context owns the build configuration ("driver settings") and runs ray
-// launches: parallel invocations of a user RayGen program over a 1-D launch
-// grid, exactly the shape of `owlLaunch2D`/`optixLaunch` the paper uses.
+// A Context owns the thread budget of its builds and launches, and runs
+// ray launches: parallel invocations of a user RayGen program over a 1-D
+// launch grid, exactly the shape of `owlLaunch2D`/`optixLaunch` the paper
+// uses.
 // Launch results carry aggregated hardware work counters so experiments can
 // report traversal work alongside wall-clock time.
 #pragma once
@@ -27,8 +28,8 @@ namespace rtd::rt {
 class Context {
  public:
   struct Options {
-    BuildOptions build;
-    /// Thread count for launches; 0 = all hardware threads.
+    /// Thread count for scene builds and launches; 0 = all hardware
+    /// threads.
     int threads = 0;
   };
 
@@ -40,7 +41,7 @@ class Context {
   /// Build a sphere GAS (the paper's transformed input, §III-B).
   [[nodiscard]] SphereAccel build_spheres(std::vector<geom::Vec3> centers,
                                           float radius) const {
-    return SphereAccel(std::move(centers), radius, options_.build);
+    return SphereAccel(std::move(centers), radius, options_.threads);
   }
 
   /// Build a triangle GAS from tessellated spheres (§VI-C mode).  Uses the
@@ -49,7 +50,7 @@ class Context {
   [[nodiscard]] TriangleAccel build_triangles(
       std::span<const geom::Vec3> centers, float radius,
       int subdivisions) const {
-    return TriangleAccel(centers, radius, subdivisions, options_.build);
+    return TriangleAccel(centers, radius, subdivisions, options_.threads);
   }
 
   /// Launch `ray_count` parallel RayGen program invocations.

@@ -35,27 +35,12 @@ namespace rtd::rt {
 template <typename F>
 LaunchStats parallel_launch(std::size_t n, int threads, F&& f) {
   Timer timer;
-  const int t = threads > 0 ? threads : hardware_threads();
   LaunchStats out;
-
-  if (t == 1) {
-    TraversalStats stats;
-    for (std::size_t i = 0; i < n; ++i) f(stats, i);
-    out.seconds = timer.seconds();
-    out.work = stats;
-    return out;
-  }
-
-  TraversalStats total;
-  {
-    ThreadCountGuard guard(t);
-    parallel_for_accumulate(
-        n, [] { return TraversalStats{}; },
-        [&](TraversalStats& stats, std::size_t i) { f(stats, i); },
-        [&](const TraversalStats& stats) { total += stats; });
-  }
+  parallel_for_accumulate(
+      n, threads, [] { return TraversalStats{}; },
+      [&](TraversalStats& stats, std::size_t i) { f(stats, i); },
+      [&](const TraversalStats& stats) { out.work += stats; });
   out.seconds = timer.seconds();
-  out.work = total;
   return out;
 }
 

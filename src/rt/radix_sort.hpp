@@ -5,19 +5,40 @@
 // as a real parallel sort rather than calling std::sort.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include <omp.h>
+#include "common/parallel.hpp"
 
 namespace rtd::rt {
 
 /// Sort `keys` ascending, applying the same permutation to `values`.
-/// Stable; three passes of 11/11/10 bits; parallel histogram + scatter.
+/// Stable; three passes of 11/11/10 bits; parallel histogram + scatter on
+/// `threads` workers (common/parallel.hpp: 0 = hardware_threads(), 1 runs
+/// inline).  The input splits into one contiguous chunk per thread, so the
+/// result is the same at every thread count.
 inline void radix_sort_pairs(std::vector<std::uint32_t>& keys,
-                             std::vector<std::uint32_t>& values) {
+                             std::vector<std::uint32_t>& values,
+                             int threads) {
   const std::size_t n = keys.size();
   if (n < 2) return;
+
+  const int t = resolve_threads(threads);
+  const auto chunks = static_cast<std::size_t>(t);
+  // Chunk c covers [c·n/chunks, (c+1)·n/chunks).  Both passes of a digit
+  // see the same chunks whatever team OpenMP hands the region.
+  const auto for_each_chunk = [&](auto&& body) {
+    if (t == 1) {
+      body(std::size_t{0}, std::size_t{0}, n);
+      return;
+    }
+#pragma omp parallel for schedule(static, 1) num_threads(t)
+    for (int c = 0; c < t; ++c) {
+      const auto uc = static_cast<std::size_t>(c);
+      body(uc, uc * n / chunks, (uc + 1) * n / chunks);
+    }
+  };
 
   std::vector<std::uint32_t> keys_tmp(n);
   std::vector<std::uint32_t> values_tmp(n);
@@ -35,48 +56,37 @@ inline void radix_sort_pairs(std::vector<std::uint32_t>& keys,
     const std::uint32_t radix = 1u << bits;
     const std::uint32_t mask = radix - 1;
 
-    const int threads = omp_get_max_threads();
-    // Per-thread digit histograms, laid out [thread][digit].
-    std::vector<std::uint64_t> hist(
-        static_cast<std::size_t>(threads) * radix, 0);
+    // Per-chunk digit histograms, laid out [chunk][digit].
+    std::vector<std::uint64_t> hist(chunks * radix, 0);
 
-#pragma omp parallel
-    {
-      const int tid = omp_get_thread_num();
-      std::uint64_t* my_hist = hist.data() +
-                               static_cast<std::size_t>(tid) * radix;
-#pragma omp for schedule(static)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-        ++my_hist[((*src_k)[static_cast<std::size_t>(i)] >> shift) & mask];
+    for_each_chunk([&](std::size_t c, std::size_t lo, std::size_t hi) {
+      std::uint64_t* my_hist = hist.data() + c * radix;
+      for (std::size_t i = lo; i < hi; ++i) {
+        ++my_hist[((*src_k)[i] >> shift) & mask];
       }
-    }
+    });
 
-    // Exclusive scan over digits, interleaving threads to preserve stability:
-    // for digit d, thread 0's elements scatter before thread 1's.
+    // Exclusive scan over digits, interleaving chunks to preserve
+    // stability: for digit d, chunk 0's elements scatter before chunk 1's.
     std::uint64_t running = 0;
     for (std::uint32_t d = 0; d < radix; ++d) {
-      for (int t = 0; t < threads; ++t) {
-        std::uint64_t& h = hist[static_cast<std::size_t>(t) * radix + d];
+      for (std::size_t c = 0; c < chunks; ++c) {
+        std::uint64_t& h = hist[c * radix + d];
         const std::uint64_t count = h;
         h = running;
         running += count;
       }
     }
 
-#pragma omp parallel
-    {
-      const int tid = omp_get_thread_num();
-      std::uint64_t* my_hist = hist.data() +
-                               static_cast<std::size_t>(tid) * radix;
-#pragma omp for schedule(static)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        const std::uint32_t key = (*src_k)[idx];
+    for_each_chunk([&](std::size_t c, std::size_t lo, std::size_t hi) {
+      std::uint64_t* my_hist = hist.data() + c * radix;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint32_t key = (*src_k)[i];
         const std::uint64_t pos = my_hist[(key >> shift) & mask]++;
         (*dst_k)[pos] = key;
-        (*dst_v)[pos] = (*src_v)[idx];
+        (*dst_v)[pos] = (*src_v)[i];
       }
-    }
+    });
 
     std::swap(src_k, dst_k);
     std::swap(src_v, dst_v);

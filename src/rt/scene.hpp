@@ -27,9 +27,10 @@ namespace rtd::rt {
 class SphereAccel {
  public:
   /// "optixAccelBuild": copies the centers (device upload) and builds the
-  /// BVH over the per-sphere AABBs.
+  /// BVH over the per-sphere AABBs on `threads` workers (0 = all hardware
+  /// threads).
   SphereAccel(std::vector<geom::Vec3> centers, float radius,
-              const BuildOptions& options = {});
+              int threads = 0);
 
   [[nodiscard]] std::size_t size() const { return centers_.size(); }
   [[nodiscard]] float radius() const { return radius_; }
@@ -102,15 +103,16 @@ class SphereAccel {
 
   /// Change the shared sphere radius and REFIT the BVH in place (topology
   /// unchanged — it depends only on the centers).  This is the cheap path
-  /// for ε sweeps: an accel-update instead of a full rebuild.
-  void set_radius(float radius);
+  /// for ε sweeps: an accel-update instead of a full rebuild.  The box
+  /// pass runs on `threads` workers.
+  void set_radius(float radius, int threads);
 
   /// REFIT the BVH around the live spheres only: primitives with
   /// dead[prim] != 0 are dropped from the leaf unions (Bvh's masked refit),
   /// tightening traversal after incremental removals without touching the
   /// topology.  `dead` must cover every primitive (size >= size()); the
-  /// radius is unchanged.
-  void refit_live(std::span<const std::uint8_t> dead);
+  /// radius is unchanged.  The box pass runs on `threads` workers.
+  void refit_live(std::span<const std::uint8_t> dead, int threads);
 
  private:
   std::vector<geom::Vec3> centers_;
@@ -133,14 +135,14 @@ class TriangleAccel {
   /// through this constructor (the accel does not know the tessellation
   /// centers) — use the tessellating constructor below for ε sweeps.
   TriangleAccel(std::vector<geom::Triangle> triangles,
-                std::vector<std::uint32_t> owners,
-                const BuildOptions& options = {});
+                std::vector<std::uint32_t> owners, int threads = 0);
 
   /// Tessellate one ε-sphere of `radius` per center (rt/tessellate.hpp) and
-  /// build over the result.  Retains the centers and scale, which enables
-  /// set_radius(): the ε-sweep refit path.
+  /// build over the result, both on `threads` workers (0 = all hardware
+  /// threads).  Retains the centers and scale, which enables set_radius():
+  /// the ε-sweep refit path.
   TriangleAccel(std::span<const geom::Vec3> centers, float radius,
-                int subdivisions, const BuildOptions& options = {});
+                int subdivisions, int threads = 0);
 
   [[nodiscard]] std::size_t triangle_count() const {
     return triangles_.size();
@@ -172,7 +174,8 @@ class TriangleAccel {
   /// topology is unchanged and an accel-update replaces the full
   /// retessellate+rebuild an ε sweep used to pay.  Throws std::logic_error
   /// for accels built from arbitrary triangles (no centers to scale about).
-  void set_radius(float radius);
+  /// The rescale and box passes run on `threads` workers.
+  void set_radius(float radius, int threads);
 
   /// Trace one ray; `anyhit(owner_point, t)` fires for each triangle the ray
   /// actually intersects.  A ray crossing a tessellated sphere hits several
@@ -195,7 +198,7 @@ class TriangleAccel {
   }
 
  private:
-  void build(const BuildOptions& options);
+  void build(int threads);
 
   std::vector<geom::Triangle> triangles_;
   std::vector<std::uint32_t> owners_;

@@ -87,7 +87,8 @@ float insphere_radius(std::span<const Triangle> unit_mesh) {
 }
 
 TessellatedSpheres tessellate_spheres(std::span<const Vec3> centers,
-                                      float radius, int subdivisions) {
+                                      float radius, int subdivisions,
+                                      int threads) {
   // Degenerate-input guards: a non-positive (or NaN) radius, or an invalid
   // subdivision level, would otherwise emit NaN/inf vertex scale factors
   // that poison every BVH bound built over the mesh.
@@ -115,7 +116,7 @@ TessellatedSpheres tessellate_spheres(std::span<const Vec3> centers,
   out.triangles.resize(centers.size() * unit.size());
   out.owners.resize(centers.size() * unit.size());
 
-  parallel_for(centers.size(), [&](std::size_t i) {
+  parallel_for(centers.size(), threads, [&](std::size_t i) {
     const Vec3 c = centers[i];
     const std::size_t base = i * unit.size();
     for (std::size_t f = 0; f < unit.size(); ++f) {

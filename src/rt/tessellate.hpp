@@ -35,9 +35,11 @@ struct TessellatedSpheres {
   float scale = 0.0f;  ///< applied vertex scale (>= radius: circumscribed)
 };
 
-/// Tessellate a sphere of `radius` around each center.  The mesh is scaled by
-/// radius / insphere_radius so the true ε-ball is fully enclosed.
+/// Tessellate a sphere of `radius` around each center, on `threads` workers
+/// (0 = all hardware threads).  The mesh is scaled by radius /
+/// insphere_radius so the true ε-ball is fully enclosed.
 TessellatedSpheres tessellate_spheres(std::span<const geom::Vec3> centers,
-                                      float radius, int subdivisions);
+                                      float radius, int subdivisions,
+                                      int threads = 0);
 
 }  // namespace rtd::rt

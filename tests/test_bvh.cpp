@@ -26,30 +26,26 @@ std::vector<Aabb> random_sphere_bounds(std::size_t n, float radius,
   return bounds;
 }
 
-/// The two code paths of the LBVH builder: the parallel build (radix sort)
-/// and the serial one (std::sort) the delta-tail trees use.
-enum class LbvhMode { kParallel, kSerial };
+/// The build thread counts every builder test runs at: four workers, and
+/// the one-thread build the delta-tail trees use (inline, no OpenMP region).
+enum class BuildThreads { kFour, kOne };
 
-BuildOptions options_for(LbvhMode mode) {
-  BuildOptions opts;
-  opts.parallel = mode == LbvhMode::kParallel;
-  return opts;
-}
+int threads_of(BuildThreads b) { return b == BuildThreads::kFour ? 4 : 1; }
 
-class BvhBuilderTest : public ::testing::TestWithParam<LbvhMode> {};
+class BvhBuilderTest : public ::testing::TestWithParam<BuildThreads> {};
 
 TEST_P(BvhBuilderTest, EmptyInputGivesEmptyBvh) {
-  BuildOptions opts = options_for(GetParam());
-  const Bvh bvh = build_bvh({}, opts);
+  const int threads = threads_of(GetParam());
+  const Bvh bvh = build_bvh({}, threads);
   EXPECT_TRUE(bvh.empty());
   EXPECT_EQ(bvh.prim_count(), 0u);
   EXPECT_TRUE(bvh.validate({}).empty());
 }
 
 TEST_P(BvhBuilderTest, SinglePrimitiveIsLeafRoot) {
-  BuildOptions opts = options_for(GetParam());
+  const int threads = threads_of(GetParam());
   const std::vector<Aabb> bounds{Aabb::of_sphere(Vec3{1, 2, 3}, 0.5f)};
-  const Bvh bvh = build_bvh(bounds, opts);
+  const Bvh bvh = build_bvh(bounds, threads);
   ASSERT_EQ(bvh.nodes.size(), 1u);
   EXPECT_TRUE(bvh.nodes[0].is_leaf());
   EXPECT_EQ(bvh.nodes[0].count, 1u);
@@ -57,10 +53,10 @@ TEST_P(BvhBuilderTest, SinglePrimitiveIsLeafRoot) {
 }
 
 TEST_P(BvhBuilderTest, ValidStructureOnRandomInput) {
-  BuildOptions opts = options_for(GetParam());
+  const int threads = threads_of(GetParam());
   for (const std::size_t n : {2u, 3u, 17u, 100u, 1000u, 20000u}) {
     const auto bounds = random_sphere_bounds(n, 1.0f, n);
-    const Bvh bvh = build_bvh(bounds, opts);
+    const Bvh bvh = build_bvh(bounds, threads);
     EXPECT_EQ(bvh.prim_count(), n);
     const std::string err = bvh.validate(bounds);
     EXPECT_TRUE(err.empty()) << "n=" << n << ": " << err;
@@ -70,30 +66,30 @@ TEST_P(BvhBuilderTest, ValidStructureOnRandomInput) {
 TEST_P(BvhBuilderTest, ValidOnAllIdenticalPrimitives) {
   // Degenerate: all Morton codes equal; builders must fall back to median
   // splits and still terminate with a valid tree.
-  BuildOptions opts = options_for(GetParam());
+  const int threads = threads_of(GetParam());
   const std::vector<Aabb> bounds(5000, Aabb::of_sphere(Vec3{5, 5, 5}, 1.0f));
-  const Bvh bvh = build_bvh(bounds, opts);
+  const Bvh bvh = build_bvh(bounds, threads);
   const std::string err = bvh.validate(bounds);
   EXPECT_TRUE(err.empty()) << err;
   EXPECT_LE(bvh.stats.max_depth, 40u);  // balanced despite degeneracy
 }
 
 TEST_P(BvhBuilderTest, ValidOnCollinearPoints) {
-  BuildOptions opts = options_for(GetParam());
+  const int threads = threads_of(GetParam());
   std::vector<Aabb> bounds;
   for (int i = 0; i < 3000; ++i) {
     bounds.push_back(
         Aabb::of_sphere(Vec3{static_cast<float>(i) * 0.01f, 0, 0}, 0.05f));
   }
-  const Bvh bvh = build_bvh(bounds, opts);
+  const Bvh bvh = build_bvh(bounds, threads);
   const std::string err = bvh.validate(bounds);
   EXPECT_TRUE(err.empty()) << err;
 }
 
 TEST_P(BvhBuilderTest, RootBoundsEncloseScene) {
-  BuildOptions opts = options_for(GetParam());
+  const int threads = threads_of(GetParam());
   const auto bounds = random_sphere_bounds(2000, 0.5f, 99);
-  const Bvh bvh = build_bvh(bounds, opts);
+  const Bvh bvh = build_bvh(bounds, threads);
   for (const auto& b : bounds) {
     EXPECT_TRUE(bvh.nodes[0].bounds.contains(b));
   }
@@ -101,7 +97,7 @@ TEST_P(BvhBuilderTest, RootBoundsEncloseScene) {
 
 TEST_P(BvhBuilderTest, LeafSizeRespected) {
   const auto bounds = random_sphere_bounds(5000, 0.5f, 7);
-  const Bvh bvh = build_bvh(bounds, options_for(GetParam()));
+  const Bvh bvh = build_bvh(bounds, threads_of(GetParam()));
   for (const auto& node : bvh.nodes) {
     if (node.is_leaf()) {
       EXPECT_LE(node.count, kLeafSize);
@@ -111,9 +107,9 @@ TEST_P(BvhBuilderTest, LeafSizeRespected) {
 }
 
 TEST_P(BvhBuilderTest, StatsAreConsistent) {
-  BuildOptions opts = options_for(GetParam());
+  const int threads = threads_of(GetParam());
   const auto bounds = random_sphere_bounds(10000, 0.5f, 21);
-  const Bvh bvh = build_bvh(bounds, opts);
+  const Bvh bvh = build_bvh(bounds, threads);
   EXPECT_EQ(bvh.stats.node_count, bvh.nodes.size());
   std::uint32_t leaves = 0;
   for (const auto& n : bvh.nodes) leaves += n.is_leaf();
@@ -126,25 +122,31 @@ TEST_P(BvhBuilderTest, StatsAreConsistent) {
 }
 
 TEST_P(BvhBuilderTest, ParallelAndSerialProduceValidTrees) {
-  BuildOptions opts = options_for(GetParam());
+  // Same builder on same input: the tree is node-for-node the same at every
+  // thread count (the radix sort is stable and chunked per thread).
   const auto bounds = random_sphere_bounds(8000, 0.5f, 33);
-  opts.parallel = true;
-  const Bvh par = build_bvh(bounds, opts);
-  opts.parallel = false;
-  const Bvh ser = build_bvh(bounds, opts);
-  EXPECT_TRUE(par.validate(bounds).empty());
-  EXPECT_TRUE(ser.validate(bounds).empty());
-  // Same builder on same input: identical topology regardless of the sort
-  // implementation (both sorts are stable).
-  EXPECT_EQ(par.nodes.size(), ser.nodes.size());
-  EXPECT_EQ(par.prim_index, ser.prim_index);
+  const Bvh base = build_bvh(bounds, threads_of(GetParam()));
+  EXPECT_TRUE(base.validate(bounds).empty());
+  for (const int threads : {1, 2, 3, 4}) {
+    const Bvh other = build_bvh(bounds, threads);
+    EXPECT_EQ(other.prim_index, base.prim_index) << threads << " threads";
+    ASSERT_EQ(other.nodes.size(), base.nodes.size()) << threads << " threads";
+    for (std::size_t i = 0; i < base.nodes.size(); ++i) {
+      const BvhNode& a = base.nodes[i];
+      const BvhNode& b = other.nodes[i];
+      ASSERT_EQ(a.left_or_first, b.left_or_first) << "node " << i;
+      ASSERT_EQ(a.count, b.count) << "node " << i;
+      ASSERT_EQ(a.bounds.lo, b.bounds.lo) << "node " << i;
+      ASSERT_EQ(a.bounds.hi, b.bounds.hi) << "node " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Builders, BvhBuilderTest,
-                         ::testing::Values(LbvhMode::kParallel,
-                                           LbvhMode::kSerial),
+                         ::testing::Values(BuildThreads::kFour,
+                                           BuildThreads::kOne),
                          [](const auto& param_info) {
-                           return param_info.param == LbvhMode::kParallel
+                           return param_info.param == BuildThreads::kFour
                                       ? "Lbvh"
                                       : "SerialLbvh";
                          });

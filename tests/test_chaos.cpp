@@ -141,17 +141,28 @@ void clean_step(Clusterer& s, Rng& rng, float eps, std::uint32_t min_pts) {
 
 /// The operation that reaches `site`, with the fault armed by the caller:
 /// a writer call on `s`, or a read on the held snapshot `reader`.  Returns
-/// true if the op threw.
+/// true if the op threw.  `longest_ladder` is the longest ladder any sweep
+/// of the soak has run so far.
 bool faulted_op(Clusterer& s, const IndexSnapshot& reader, Rng& rng,
-                const std::string& site, float& eps, std::uint32_t min_pts) {
+                const std::string& site, float& eps, std::uint32_t min_pts,
+                std::size_t& longest_ladder) {
   try {
-    if (site == "dsu.grow" || site == "engine.fused" ||
-        site == "index.refit" || site == "session.run") {
-      // A fresh ε forces a refit and the fused count-and-merge launch;
-      // dsu.grow needs n to have grown since the last workspace reset,
-      // which the clean steps provide.
+    if (site == "engine.fused" || site == "index.refit" ||
+        site == "session.run") {
+      // A fresh ε forces a refit and the fused count-and-merge launch.
       eps = rng.uniformf(0.25f, 0.45f);
       (void)s.run(eps, min_pts);
+    } else if (site == "dsu.grow") {
+      // The union-find workspace only grows, to levels·n slots per sweep.
+      // A ladder one level longer than any the soak has run needs more
+      // slots than every earlier workspace reset left, whatever ran before.
+      eps = rng.uniformf(0.25f, 0.45f);
+      const std::size_t levels = ++longest_ladder;
+      std::vector<float> ladder;
+      for (std::size_t l = 0; l < levels; ++l) {
+        ladder.push_back(eps * (1.0f - 0.05f * static_cast<float>(l)));
+      }
+      (void)s.sweep(ladder, min_pts);
     } else if (site == "engine.phase1_insert" || site == "index.insert" ||
                site == "repair.union" || site == "repair.relabel" ||
                site == "repair.commit" ||
@@ -181,6 +192,7 @@ bool faulted_op(Clusterer& s, const IndexSnapshot& reader, Rng& rng,
       (void)s.run(eps, min_pts);
     } else if (site == "session.sweep" || site == "sweep.scratch") {
       const std::vector<float> ladder{eps * 0.8f, eps, eps * 1.2f};
+      longest_ladder = std::max(longest_ladder, ladder.size());
       (void)s.sweep(ladder, min_pts);
     } else if (site == "engine.phase1") {
       // Sessions count inside the fused launch, run() and sweep() alike;
@@ -222,6 +234,7 @@ void chaos_soak(IndexKind kind) {
     fired_before.push_back(fail::fire_count(site));
   }
   std::size_t steps = 0;
+  std::size_t longest_ladder = 1;  // run() resets n slots: a 1-level ladder
   const int kCycles = 7;  // 7 × 25 stages × (clean + faulted) ≥ 200 steps
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     for (std::size_t si = 0; si < sites.size(); ++si) {
@@ -256,10 +269,18 @@ void chaos_soak(IndexKind kind) {
       }
 
       const ObservableState before = capture(session);
+      const std::uint64_t fired_so_far = fail::fire_count(site);
       fail::arm(site, cfg);
-      const bool threw = faulted_op(session, *held, rng, site, eps, min_pts);
+      const bool threw = faulted_op(session, *held, rng, site, eps, min_pts,
+                                    longest_ladder);
       fail::disarm_all();
       ++steps;
+      if (site == "dsu.grow") {
+        // Its op outgrows every earlier workspace, so the fault fires on
+        // every cycle, not only while the window happens to outgrow it.
+        EXPECT_EQ(fail::fire_count(site), fired_so_far + 1) << what;
+        EXPECT_TRUE(threw) << what;
+      }
 
       if (threw) {
         if (session.health() == SessionHealth::kHealthy) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -286,18 +290,12 @@ TEST(ScopedAccumulator, AddsOnDestruction) {
 }
 
 TEST(Parallel, ParallelForCoversAllIndices) {
-  std::vector<std::atomic<int>> hits(1000);
-  for (auto& h : hits) h.store(0);
-  parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, ParallelCountMatchesSequential) {
-  const auto count =
-      parallel_count(10000, [](std::size_t i) { return i % 3 == 0; });
-  std::uint64_t expected = 0;
-  for (std::size_t i = 0; i < 10000; ++i) expected += (i % 3 == 0);
-  EXPECT_EQ(count, expected);
+  for (const int threads : {0, 1, 3}) {
+    std::vector<std::atomic<int>> hits(1000);
+    for (auto& h : hits) h.store(0);
+    parallel_for(1000, threads, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads;
+  }
 }
 
 TEST(Parallel, ThreadCountGuardRestores) {
@@ -305,17 +303,88 @@ TEST(Parallel, ThreadCountGuardRestores) {
   {
     ThreadCountGuard guard(2);
     EXPECT_EQ(hardware_threads(), 2);
+    EXPECT_EQ(resolve_threads(0), 2);
+    EXPECT_EQ(resolve_threads(5), 5);
   }
   EXPECT_EQ(hardware_threads(), before);
 }
 
 TEST(Parallel, SingleThreadedIsDeterministic) {
-  ThreadCountGuard guard(1);
   std::vector<int> order;
-  parallel_for(100, [&](std::size_t i) {
+  parallel_for(100, 1, [&](std::size_t i) {
     order.push_back(static_cast<int>(i));
   });
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+/// What one helper body saw: the largest team size, whether any call ran
+/// inside an OpenMP region, and whether any ran off the calling thread.
+struct TeamProbe {
+  std::atomic<int> max_team{0};
+  std::atomic<bool> in_parallel{false};
+  std::atomic<bool> off_caller{false};
+  std::thread::id caller = std::this_thread::get_id();
+
+  void record() {
+    int seen = max_team.load();
+    const int team = omp_get_num_threads();
+    while (team > seen && !max_team.compare_exchange_weak(seen, team)) {
+    }
+    if (omp_in_parallel() != 0) in_parallel.store(true);
+    if (std::this_thread::get_id() != caller) off_caller.store(true);
+  }
+};
+
+/// Runs each of the three helpers at `threads` over 256 indices and
+/// returns one probe per helper.
+std::vector<std::unique_ptr<TeamProbe>> probe_helpers(int threads) {
+  std::vector<std::unique_ptr<TeamProbe>> probes;
+  for (int k = 0; k < 3; ++k) probes.push_back(std::make_unique<TeamProbe>());
+  constexpr std::size_t kN = 256;
+  parallel_for(kN, threads, [&](std::size_t) { probes[0]->record(); });
+  parallel_for_ctx(
+      kN, threads, [](std::size_t tid) { return tid; },
+      [&](std::size_t, std::size_t) { probes[1]->record(); });
+  std::size_t combined = 0;
+  parallel_for_accumulate(
+      kN, threads, [] { return std::size_t{0}; },
+      [&](std::size_t& acc, std::size_t) {
+        ++acc;
+        probes[2]->record();
+      },
+      [&](std::size_t acc) { combined += acc; });
+  EXPECT_EQ(combined, kN);
+  return probes;
+}
+
+TEST(Parallel, EveryHelperRunsOnItsThreadCount) {
+  // The count a launch is given wins over the caller's OpenMP setting.
+  const ThreadCountGuard ambient(3);
+  const auto probes = probe_helpers(2);
+  for (std::size_t k = 0; k < probes.size(); ++k) {
+    EXPECT_EQ(probes[k]->max_team.load(), 2) << "helper " << k;
+    EXPECT_TRUE(probes[k]->in_parallel.load()) << "helper " << k;
+  }
+  EXPECT_EQ(omp_get_max_threads(), 3);
+}
+
+TEST(Parallel, OneThreadRunsInlineOnTheCaller) {
+  const ThreadCountGuard ambient(3);
+  const auto probes = probe_helpers(1);
+  for (std::size_t k = 0; k < probes.size(); ++k) {
+    EXPECT_FALSE(probes[k]->in_parallel.load()) << "helper " << k;
+    EXPECT_FALSE(probes[k]->off_caller.load()) << "helper " << k;
+    EXPECT_EQ(probes[k]->max_team.load(), 1) << "helper " << k;
+  }
+  EXPECT_EQ(omp_get_max_threads(), 3);
+}
+
+TEST(Parallel, ZeroThreadsResolvesToTheCallersSetting) {
+  const ThreadCountGuard ambient(3);
+  const auto probes = probe_helpers(0);
+  for (std::size_t k = 0; k < probes.size(); ++k) {
+    EXPECT_EQ(probes[k]->max_team.load(), 3) << "helper " << k;
+  }
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ TEST(AtomicDisjointSet, ConcurrentRandomUnionsMatchSequential) {
   const auto ref_labels = ref.canonical_labels();
 
   AtomicDisjointSet con(n);
-  parallel_for(ops, [&](std::size_t i) {
+  parallel_for(ops, 4, [&](std::size_t i) {
     con.unite(pairs[i].first, pairs[i].second);
   });
   const auto con_labels = con.canonical_labels();
@@ -123,7 +123,7 @@ TEST(AtomicDisjointSet, ConcurrentChainStress) {
   // contention; the final structure must be a single set.
   const std::size_t n = 100000;
   AtomicDisjointSet dsu(n);
-  parallel_for(n - 1, [&](std::size_t i) {
+  parallel_for(n - 1, 4, [&](std::size_t i) {
     dsu.unite(static_cast<std::uint32_t>(i),
               static_cast<std::uint32_t>(i + 1));
   });
@@ -136,7 +136,7 @@ TEST(AtomicDisjointSet, ConcurrentDisjointBlocksStayDisjoint) {
   const std::size_t blocks = 100;
   const std::size_t block_size = 1000;
   AtomicDisjointSet dsu(blocks * block_size);
-  parallel_for(blocks * (block_size - 1), [&](std::size_t k) {
+  parallel_for(blocks * (block_size - 1), 4, [&](std::size_t k) {
     const std::size_t block = k / (block_size - 1);
     const std::size_t off = k % (block_size - 1);
     const auto base = static_cast<std::uint32_t>(block * block_size);

@@ -89,7 +89,7 @@ TEST(Fdbscan, SerialAndParallelBuildsGiveEquivalentResults) {
   const Params params{0.5f, 10};
   FdbscanOptions parallel;
   FdbscanOptions serial;
-  serial.build.parallel = false;
+  serial.threads = 1;
   const auto a = fdbscan(dataset.points, params, parallel);
   const auto b = fdbscan(dataset.points, params, serial);
   const auto eq =

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <memory>
 #include <span>
@@ -365,7 +366,8 @@ TEST(NeighborIndex, FactoryResolvesAutoAndRejectsBadEps) {
   EXPECT_THROW(make_index(small.points, 0.0f), std::invalid_argument);
 }
 
-/// Records the OpenMP thread count each writer hook runs under.
+/// Records the team size of a parallel loop each writer hook launches on
+/// the index's budget, as the tree backends' refits do.
 class ThreadProbeIndex final : public NeighborIndex {
  public:
   explicit ThreadProbeIndex(std::span<const Vec3> points) : points_(points) {}
@@ -389,24 +391,35 @@ class ThreadProbeIndex final : public NeighborIndex {
     return std::make_unique<ThreadProbeIndex>(*this);
   }
   bool do_try_set_eps(float eps) override {
-    set_eps_threads = omp_get_max_threads();
+    set_eps_threads = team_size();
     eps_ = eps;
     return true;
   }
   bool do_try_remove(std::span<const std::uint32_t>) override {
-    remove_threads = omp_get_max_threads();
+    remove_threads = team_size();
     return true;
   }
 
  private:
+  [[nodiscard]] int team_size() const {
+    std::atomic<int> team{0};
+    parallel_for(64, threads(), [&](std::size_t) {
+      int seen = team.load();
+      const int now = omp_get_num_threads();
+      while (now > seen && !team.compare_exchange_weak(seen, now)) {
+      }
+    });
+    return team.load();
+  }
+
   std::span<const Vec3> points_;
   float eps_ = 0.3f;
 };
 
 TEST(NeighborIndex, WriterOperationsRunUnderTheIndexThreadBudget) {
-  // The refits behind try_set_eps and try_remove use parallel_for: they
-  // must run under the index's budget, not whatever OpenMP thread count
-  // the caller left, and hand the caller's count back.
+  // The refits behind try_set_eps and try_remove launch parallel loops:
+  // they must run on the index's budget, not whatever OpenMP thread count
+  // the caller left, and never change the caller's count.
   const auto pts = data::taxi_gps(64, 5).points;
   const ThreadCountGuard caller(3);
   ThreadProbeIndex probe(pts);

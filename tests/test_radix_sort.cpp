@@ -12,12 +12,13 @@
 namespace rtd::rt {
 namespace {
 
-void check_sorted_with_payload(std::vector<std::uint32_t> keys) {
+void check_sorted_with_payload(std::vector<std::uint32_t> keys,
+                               int threads) {
   std::vector<std::uint32_t> values(keys.size());
   std::iota(values.begin(), values.end(), 0u);
   const std::vector<std::uint32_t> original = keys;
 
-  radix_sort_pairs(keys, values);
+  radix_sort_pairs(keys, values, threads);
 
   ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   // The payload must carry the permutation: values[i] is the original index
@@ -30,6 +31,14 @@ void check_sorted_with_payload(std::vector<std::uint32_t> keys) {
   std::sort(sorted_values.begin(), sorted_values.end());
   for (std::size_t i = 0; i < sorted_values.size(); ++i) {
     EXPECT_EQ(sorted_values[i], i);
+  }
+}
+
+/// Inline (one thread) and chunked (four threads).
+void check_sorted_with_payload(const std::vector<std::uint32_t>& keys) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    check_sorted_with_payload(keys, threads);
   }
 }
 
@@ -89,7 +98,8 @@ TEST(RadixSort, StabilityPreservesEqualKeyOrder) {
   std::iota(values.begin(), values.end(), 0u);
   const std::vector<std::uint32_t> original = keys;
 
-  radix_sort_pairs(keys, values);
+  // Four chunks: equal keys from different chunks must keep input order.
+  radix_sort_pairs(keys, values, 4);
 
   for (std::size_t i = 1; i < keys.size(); ++i) {
     if (keys[i] == keys[i - 1]) {
@@ -107,11 +117,10 @@ TEST(RadixSort, MatchesStdSortAcrossThreadCounts) {
   std::sort(expected.begin(), expected.end());
 
   for (const int threads : {1, 2, 7, 24}) {
-    ThreadCountGuard guard(threads);
     std::vector<std::uint32_t> keys = base;
     std::vector<std::uint32_t> values(keys.size());
     std::iota(values.begin(), values.end(), 0u);
-    radix_sort_pairs(keys, values);
+    radix_sort_pairs(keys, values, threads);
     EXPECT_EQ(keys, expected) << "threads=" << threads;
   }
 }

@@ -54,7 +54,7 @@ TEST(SphereAccelRefit, QueriesMatchFreshBuildAfterSetRadius) {
   const auto dataset = data::taxi_gps(3000, 402);
   Context ctx;
   SphereAccel refitted = ctx.build_spheres(dataset.points, 0.2f);
-  refitted.set_radius(0.5f);
+  refitted.set_radius(0.5f, 0);
   const SphereAccel fresh = ctx.build_spheres(dataset.points, 0.5f);
 
   TraversalStats stats;
@@ -69,8 +69,8 @@ TEST(SphereAccelRefit, QueriesMatchFreshBuildAfterSetRadius) {
 TEST(SphereAccelRefit, RejectsNonPositiveRadius) {
   Context ctx;
   SphereAccel accel = ctx.build_spheres({{0, 0, 0}}, 1.0f);
-  EXPECT_THROW(accel.set_radius(0.0f), std::invalid_argument);
-  EXPECT_THROW(accel.set_radius(-2.0f), std::invalid_argument);
+  EXPECT_THROW(accel.set_radius(0.0f, 1), std::invalid_argument);
+  EXPECT_THROW(accel.set_radius(-2.0f, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ TEST(TriangleAccel, RejectsMismatchedOwners) {
   auto mesh = tessellate_spheres(std::vector<Vec3>{{0, 0, 0}}, 1.0f, 0);
   mesh.owners.pop_back();
   EXPECT_THROW(TriangleAccel(std::move(mesh.triangles),
-                             std::move(mesh.owners), BuildOptions{}),
+                             std::move(mesh.owners)),
                std::invalid_argument);
 }
 
@@ -127,10 +127,12 @@ TEST(Context, LaunchAggregatesPerThreadStats) {
 }
 
 TEST(Context, BuildOptionsPropagate) {
+  // Options::threads reaches the builds as well as the launches; the tree
+  // is the same at every thread count.
   Context::Options opts;
-  opts.build.parallel = false;
+  opts.threads = 1;
   Context ctx(opts);
-  EXPECT_FALSE(ctx.options().build.parallel);
+  EXPECT_EQ(ctx.options().threads, 1);
   const auto dataset = data::taxi_gps(1000, 603);
   const auto accel = ctx.build_spheres(dataset.points, 0.3f);
   for (const auto& node : accel.bvh().nodes) {
@@ -139,6 +141,9 @@ TEST(Context, BuildOptionsPropagate) {
     }
   }
   EXPECT_FALSE(accel.wide_bvh().empty());
+  const auto four = Context({.threads = 4}).build_spheres(dataset.points, 0.3f);
+  EXPECT_EQ(accel.bvh().prim_index, four.bvh().prim_index);
+  EXPECT_EQ(accel.bvh().nodes.size(), four.bvh().nodes.size());
 }
 
 }  // namespace

@@ -27,18 +27,14 @@ struct Scene {
   WideBvh wide;
 };
 
-/// The two code paths of the LBVH builder: the parallel build (radix sort)
-/// and the serial one (std::sort) the delta-tail trees use.
-enum class LbvhMode { kParallel, kSerial };
+/// The build thread counts every traversal test runs at: four workers,
+/// and the one-thread build the delta-tail trees use.
+enum class BuildThreads { kFour, kOne };
 
-BuildOptions options_for(LbvhMode mode) {
-  BuildOptions opts;
-  opts.parallel = mode == LbvhMode::kParallel;
-  return opts;
-}
+int threads_of(BuildThreads b) { return b == BuildThreads::kFour ? 4 : 1; }
 
 Scene make_scene(std::size_t n, float radius, std::uint64_t seed,
-                 LbvhMode mode) {
+                 BuildThreads mode) {
   Rng rng(seed);
   Scene s;
   for (std::size_t i = 0; i < n; ++i) {
@@ -46,7 +42,7 @@ Scene make_scene(std::size_t n, float radius, std::uint64_t seed,
                              rng.uniformf(0, 20)});
     s.bounds.push_back(Aabb::of_sphere(s.centers.back(), radius));
   }
-  s.bvh = build_bvh(s.bounds, options_for(mode));
+  s.bvh = build_bvh(s.bounds, threads_of(mode));
   s.wide = collapse_bvh(s.bvh);
   return s;
 }
@@ -96,7 +92,7 @@ void expect_complete_candidates(const Scene& s, const Ray& ray,
   EXPECT_EQ(filtered, brute) << "trial " << trial;
 }
 
-class TraversalTest : public ::testing::TestWithParam<LbvhMode> {};
+class TraversalTest : public ::testing::TestWithParam<BuildThreads> {};
 
 TEST_P(TraversalTest, PointQueryCandidatesCoverBruteForce) {
   const Scene s = make_scene(3000, 0.7f, 17, GetParam());
@@ -257,7 +253,7 @@ TEST_P(TraversalTest, OverlapQueryCoversBruteForce) {
 }
 
 TEST_P(TraversalTest, EmptyBvhIsANoOp) {
-  const WideBvh wide = collapse_bvh(build_bvh({}, options_for(GetParam())));
+  const WideBvh wide = collapse_bvh(build_bvh({}, threads_of(GetParam())));
   ASSERT_TRUE(wide.empty());
   TraversalStats stats;
   traverse(
@@ -280,7 +276,7 @@ TEST_P(TraversalTest, StackDepthSufficientForAdversarialInput) {
     centers.push_back(Vec3{t, t, t});
     bounds.push_back(Aabb::of_sphere(centers.back(), 0.5f));
   }
-  const Bvh bvh = build_bvh(bounds, options_for(GetParam()));
+  const Bvh bvh = build_bvh(bounds, threads_of(GetParam()));
   ASSERT_LE(bvh.stats.max_depth + 1, 64u) << "would overflow traversal stack";
   const WideBvh wide = collapse_bvh(bvh);
   ASSERT_LE(wide.max_depth, bvh.stats.max_depth);
@@ -298,10 +294,10 @@ TEST_P(TraversalTest, StackDepthSufficientForAdversarialInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Builders, TraversalTest,
-                         ::testing::Values(LbvhMode::kParallel,
-                                           LbvhMode::kSerial),
+                         ::testing::Values(BuildThreads::kFour,
+                                           BuildThreads::kOne),
                          [](const auto& param_info) {
-                           return param_info.param == LbvhMode::kParallel
+                           return param_info.param == BuildThreads::kFour
                                       ? "Lbvh"
                                       : "SerialLbvh";
                          });

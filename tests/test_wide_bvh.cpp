@@ -121,23 +121,21 @@ void expect_candidate_contract(const std::vector<std::uint32_t>& walk_ids,
 TEST(WideBvh, CollapseValidatesOnSerialAndParallelBuilds) {
   const auto dataset = data::taxi_gps(4000, 7);
   const auto bounds = sphere_bounds(dataset.points, 0.3f);
-  for (const bool parallel : {true, false}) {
-    BuildOptions opts;
-    opts.parallel = parallel;
-    const Bvh binary = build_bvh(bounds, opts);
+  for (const int threads : {4, 1}) {
+    const Bvh binary = build_bvh(bounds, threads);
     ASSERT_EQ(binary.validate(bounds), "");
     const WideBvh wide = collapse_bvh(binary);
-    EXPECT_EQ(wide.validate(bounds), "") << parallel;
-    EXPECT_EQ(wide.prim_index, binary.prim_index) << parallel;
-    EXPECT_LT(wide.nodes.size(), binary.nodes.size()) << parallel;
-    EXPECT_LE(wide.max_depth, binary.stats.max_depth) << parallel;
+    EXPECT_EQ(wide.validate(bounds), "") << threads;
+    EXPECT_EQ(wide.prim_index, binary.prim_index) << threads;
+    EXPECT_LT(wide.nodes.size(), binary.nodes.size()) << threads;
+    EXPECT_LE(wide.max_depth, binary.stats.max_depth) << threads;
   }
 }
 
 TEST(WideBvh, RayTraversalParityWithBruteForce) {
   const auto dataset = data::taxi_gps(3000, 11);
   const auto bounds = sphere_bounds(dataset.points, 0.25f);
-  const WideBvh wide = collapse_bvh(build_bvh(bounds, {}));
+  const WideBvh wide = collapse_bvh(build_bvh(bounds));
   Rng rng(99);
 
   TraversalStats wide_stats;
@@ -227,7 +225,7 @@ void expect_packet_walk_parity(const WideBvh& wide,
 TEST(WidePacket, TraversePointsMatchesSingleRayWalks) {
   const auto dataset = data::taxi_gps(3000, 12);
   const auto bounds = sphere_bounds(dataset.points, 0.25f);
-  const WideBvh wide = collapse_bvh(build_bvh(bounds, {}));
+  const WideBvh wide = collapse_bvh(build_bvh(bounds));
   ASSERT_FALSE(wide.empty());
 
   // Coherent: a Morton-ordered run of dataset points.
@@ -255,7 +253,7 @@ TEST(WidePacket, TraversePointsMatchesSingleRayWalks) {
   expect_packet_walk_parity(wide, scattered, "scattered");
 
   // After a radius refit the lanes' bounds moved; parity must hold.
-  Bvh refit = build_bvh(bounds, {});
+  Bvh refit = build_bvh(bounds);
   WideBvh refit_wide = collapse_bvh(refit);
   refit.refit(sphere_bounds(dataset.points, 0.6f));
   refit_wide.refit_from(refit);
@@ -333,7 +331,7 @@ TEST(WidePacket, SphereAccelPacketMatchesTraceAndExactTest) {
 TEST(WideBvh, OverlapTraversalParityWithBinary) {
   const auto dataset = data::uniform_cube(2500, 15.0f, 3, 13);
   const auto bounds = sphere_bounds(dataset.points, 0.0f);
-  const Bvh binary = build_bvh(bounds, {});
+  const Bvh binary = build_bvh(bounds);
   const WideBvh wide = collapse_bvh(binary);
 
   TraversalStats binary_stats;
@@ -358,7 +356,7 @@ TEST(WideBvh, OverlapTraversalParityWithBinary) {
 
 TEST(WideBvh, LeafCollapseEdgeCases) {
   // Empty scene.
-  const Bvh empty_binary = build_bvh({}, {});
+  const Bvh empty_binary = build_bvh({});
   const WideBvh empty_wide = collapse_bvh(empty_binary);
   EXPECT_TRUE(empty_wide.empty());
   TraversalStats stats;
@@ -373,7 +371,7 @@ TEST(WideBvh, LeafCollapseEdgeCases) {
       pts.push_back(Vec3::xy(static_cast<float>(i % 3), 0.0f));  // dups
     }
     const auto bounds = sphere_bounds(pts, 0.5f);
-    const Bvh binary = build_bvh(bounds, {});
+    const Bvh binary = build_bvh(bounds);
     const WideBvh wide = collapse_bvh(binary);
     ASSERT_EQ(wide.validate(bounds), "") << "n=" << n;
     for (std::size_t q = 0; q < n; ++q) {
@@ -395,7 +393,7 @@ TEST(WideBvh, RefitTracksRadiusSweep) {
   ASSERT_FALSE(accel.wide_bvh().empty());
 
   for (const float radius : {0.4f, 0.1f, 0.25f}) {
-    accel.set_radius(radius);
+    accel.set_radius(radius, 0);
     const auto bounds = sphere_bounds(dataset.points, radius);
     EXPECT_EQ(accel.wide_bvh().validate(bounds), "") << radius;
     // The refit wide layout surfaces every primitive whose refit box the
@@ -745,7 +743,7 @@ TEST(TriangleWideParity, RefitAfterEpsSweepKeepsParity) {
   const auto dataset = data::taxi_gps(500, 71);
   TriangleAccel accel(dataset.points, 0.2f, 1);
   for (const float eps : {0.45f, 0.15f, 0.3f}) {
-    accel.set_radius(eps);
+    accel.set_radius(eps, 0);
     EXPECT_FLOAT_EQ(accel.radius(), eps);
     // Refit accel vs from-scratch accel: identical owner sets per query.
     const TriangleAccel fresh(dataset.points, eps, 1);
@@ -784,9 +782,9 @@ TEST(TriangleWideParity, RefitAfterEpsSweepKeepsParity) {
 TEST(TriangleWideParity, GenericAccelRejectsSetRadius) {
   std::vector<geom::Triangle> tris{{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}}};
   std::vector<std::uint32_t> owners{0};
-  TriangleAccel accel(std::move(tris), std::move(owners), {});
+  TriangleAccel accel(std::move(tris), std::move(owners));
   EXPECT_FALSE(accel.rescalable());
-  EXPECT_THROW(accel.set_radius(0.5f), std::logic_error);
+  EXPECT_THROW(accel.set_radius(0.5f, 1), std::logic_error);
 }
 
 }  // namespace
