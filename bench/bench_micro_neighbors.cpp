@@ -1,39 +1,23 @@
-// Substrate micro-benchmarks: the RT-FindNeighborhood primitive vs grid and
-// brute-force neighbor queries (google-benchmark), plus a sweep of every
-// NeighborIndex backend through the uniform query_sphere / query_all
-// contract — the apples-to-apples comparison the pluggable index layer
-// exists for.
+// Substrate micro-benchmarks: grid and brute-force neighbor queries, one
+// RT-FindNeighborhood launch over a BvhRtIndex (google-benchmark), plus a
+// sweep of every NeighborIndex backend through the uniform query_count /
+// query_sphere / query_all contract — the apples-to-apples comparison the
+// pluggable index layer exists for (BM_IndexQueryCount/bvhrt is the single
+// RT query).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 
-#include "core/rt_find_neighbors.hpp"
 #include "data/generators.hpp"
 #include "dbscan/grid_index.hpp"
-#include "index/neighbor_index.hpp"
-#include "rt/context.hpp"
+#include "index/bvh_rt_index.hpp"
+#include "rt/parallel_launch.hpp"
 
 namespace {
 
 using namespace rtd;
 
 constexpr float kEps = 0.3f;
-
-void BM_RtCountNeighbors(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto dataset = data::taxi_gps(n, 7);
-  rt::Context ctx;
-  const auto accel = ctx.build_spheres(dataset.points, kEps);
-  rt::TraversalStats stats;
-  std::uint32_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::rt_count_neighbors(accel, dataset.points[q], q, stats));
-    q = (q + 1) % static_cast<std::uint32_t>(n);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RtCountNeighbors)->Arg(10000)->Arg(100000);
 
 void BM_GridCountNeighbors(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -70,13 +54,13 @@ BENCHMARK(BM_BruteCountNeighbors)->Arg(10000)->Arg(100000);
 void BM_RtParallelLaunch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto dataset = data::taxi_gps(n, 7);
-  rt::Context ctx;
-  const auto accel = ctx.build_spheres(dataset.points, kEps);
+  const index::BvhRtIndex scene(dataset.points, kEps);
+  const index::NeighborIndex& index = scene;
   std::vector<std::uint32_t> counts(n);
   for (auto _ : state) {
-    ctx.launch(n, [&](std::size_t i, rt::TraversalStats& st) {
-      counts[i] = core::rt_count_neighbors(
-          accel, dataset.points[i], static_cast<std::uint32_t>(i), st);
+    rt::parallel_launch(n, 0, [&](rt::TraversalStats& st, std::size_t i) {
+      counts[i] = index.query_count(dataset.points[i], kEps,
+                                    static_cast<std::uint32_t>(i), st);
     });
     benchmark::DoNotOptimize(counts.data());
   }

@@ -10,7 +10,7 @@
 #include "common/table.hpp"
 #include "core/clusterer.hpp"
 #include "data/generators.hpp"
-#include "rt/context.hpp"
+#include "rt/scene.hpp"
 
 int main(int argc, char** argv) {
   using namespace rtd;
@@ -24,21 +24,20 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("n", 100000)));
   const auto dataset = data::taxi_gps(n, 2023);
   const std::vector<float> eps_sweep{0.1f, 0.2f, 0.3f, 0.4f, 0.5f};
-  const rt::Context ctx;
 
   // Rebuild path: fresh accel per eps.
   const double rebuild_total = bench::time_median(cfg.reps, [&] {
     for (const float eps : eps_sweep) {
-      const auto accel = ctx.build_spheres(dataset.points, eps);
+      const rt::SphereAccel accel(dataset.points, eps);
       (void)accel;
     }
   });
 
   // Refit path: one build, then bounds updates.
   const double refit_total = bench::time_median(cfg.reps, [&] {
-    auto accel = ctx.build_spheres(dataset.points, eps_sweep.front());
+    rt::SphereAccel accel(dataset.points, eps_sweep.front());
     for (std::size_t i = 1; i < eps_sweep.size(); ++i) {
-      accel.set_radius(eps_sweep[i], ctx.options().threads);
+      accel.set_radius(eps_sweep[i], 0);
     }
   });
 

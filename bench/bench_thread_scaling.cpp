@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "core/rt_dbscan.hpp"
 #include "dbscan/fdbscan.hpp"
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
   double rt_single = 0.0;
   for (int threads = 1; threads <= max_threads; threads *= 2) {
     core::RtDbscanOptions rt_opts;
-    rt_opts.device.threads = threads;
+    rt_opts.threads = threads;
     dbscan::FdbscanOptions fd_opts;
     fd_opts.threads = threads;
 

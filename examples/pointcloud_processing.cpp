@@ -20,6 +20,7 @@
 #include "common/timer.hpp"
 #include "core/rt_knn.hpp"
 #include "geom/eigen3.hpp"
+#include "index/neighbor_index.hpp"
 
 namespace {
 
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
     neighborhood.clear();
     neighborhood.push_back(cloud[i]);
     for (const auto j : knn.neighbors_of(i)) {
-      if (j != rtd::core::kNoSelf) neighborhood.push_back(cloud[j]);
+      if (j != rtd::index::kNoSelf) neighborhood.push_back(cloud[j]);
     }
     const auto cov =
         rtd::geom::covariance3(neighborhood.begin(), neighborhood.end());

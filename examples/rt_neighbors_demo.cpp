@@ -1,7 +1,9 @@
 // Using the RT-FindNeighborhood primitive directly (Algorithm 2), outside
-// of DBSCAN: kernel density estimation over a point cloud.  Shows that the
-// primitive generalizes to any fixed-radius-neighbor algorithm, as the
-// paper's related work (force-directed layout, photon mapping) does.
+// of DBSCAN: kernel density estimation over a point cloud.  The sphere
+// scene is an index::BvhRtIndex and the queries one rt::parallel_launch,
+// which shows that the primitive generalizes to any fixed-radius-neighbor
+// algorithm, as the paper's related work (force-directed layout, photon
+// mapping) does.
 //
 //   ./rt_neighbors_demo [--n 50000] [--radius 0.5]
 #include <algorithm>
@@ -9,9 +11,9 @@
 #include <vector>
 
 #include "common/flags.hpp"
-#include "core/rt_find_neighbors.hpp"
 #include "data/generators.hpp"
-#include "rt/context.hpp"
+#include "index/bvh_rt_index.hpp"
+#include "rt/parallel_launch.hpp"
 
 int main(int argc, char** argv) {
   const rtd::Flags flags = rtd::Flags::parse_or_exit(argc, argv, {
@@ -21,8 +23,9 @@ int main(int argc, char** argv) {
   const float radius = static_cast<float>(flags.get_double("radius", 0.5));
 
   const auto dataset = rtd::data::two_rings(n);
-  rtd::rt::Context ctx;
-  const auto accel = ctx.build_spheres(dataset.points, radius);
+  const rtd::index::BvhRtIndex scene(dataset.points, radius);
+  const rtd::index::NeighborIndex& index = scene;
+  const auto& accel = scene.accel();
   std::printf("RT neighbor primitive demo: %zu points, radius %.2f\n",
               dataset.size(), static_cast<double>(radius));
   std::printf("  BVH: %u nodes, built in %.2f ms\n",
@@ -31,10 +34,10 @@ int main(int argc, char** argv) {
 
   // One ray per point: local density = neighbor count / disk area.
   std::vector<std::uint32_t> counts(dataset.size());
-  const auto launch = ctx.launch(
-      dataset.size(), [&](std::size_t i, rtd::rt::TraversalStats& st) {
-        counts[i] = rtd::core::rt_count_neighbors(
-            accel, dataset.points[i], static_cast<std::uint32_t>(i), st);
+  const auto launch = rtd::rt::parallel_launch(
+      dataset.size(), 0, [&](rtd::rt::TraversalStats& st, std::size_t i) {
+        counts[i] = index.query_count(dataset.points[i], radius,
+                                      static_cast<std::uint32_t>(i), st);
       });
 
   std::printf("  launch: %.2f ms, %.1f BVH nodes/ray, %.1f isect calls/ray\n",

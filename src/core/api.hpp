@@ -20,13 +20,15 @@
 //   // Pick another neighbor-query backend than the default RT pipeline:
 //   auto grid = rtd::cluster(points, 0.5f, 10, rtd::index::IndexKind::kGrid);
 //
-// For baselines, the RT primitive, custom NeighborIndex backends, or the RT
-// device itself, include the specific headers re-exported below.
+// The RT-FindNeighborhood primitive (Alg. 2) outside DBSCAN is a
+// NeighborIndex: make_index(points, eps, IndexKind::kBvhRt), or
+// index/bvh_rt_index.hpp directly.  For baselines, custom NeighborIndex
+// backends or the RT scenes themselves (rt/scene.hpp), include the
+// specific headers.
 #pragma once
 
 #include "core/clusterer.hpp"
 #include "core/rt_dbscan.hpp"
-#include "core/rt_find_neighbors.hpp"
 #include "dbscan/core.hpp"
 #include "dbscan/equivalence.hpp"
 #include "index/neighbor_index.hpp"

@@ -33,16 +33,8 @@ using index::IndexKind;
 /// "No entry" sentinel for the slot -> mini-DSU-node maps.
 constexpr std::uint32_t kNoneId = std::numeric_limits<std::uint32_t>::max();
 
-void validate_eps(float eps) {
-  // NaN fails every comparison, so test the accepting condition: a NaN or
-  // +inf radius must throw, not silently build a degenerate index.
-  if (!(eps > 0.0f) || !std::isfinite(eps)) {
-    throw std::invalid_argument("Clusterer: eps must be positive and finite");
-  }
-}
-
 void validate_run_params(float eps, std::uint32_t min_pts) {
-  validate_eps(eps);
+  dbscan::require_eps(eps, "Clusterer");
   if (min_pts == 0) {
     throw std::invalid_argument("Clusterer: min_pts must be >= 1");
   }
@@ -1799,7 +1791,7 @@ std::vector<std::uint32_t> Clusterer::query_neighbors(const Vec3& center,
   // Both arguments are validated BEFORE ensure_index below, so a garbage
   // request can never retarget the session index to a degenerate ε or scan
   // against a NaN center.
-  validate_eps(eps);
+  dbscan::require_eps(eps, "Clusterer");
   validate_center(center);
   Impl& im = *impl_;
   std::vector<std::uint32_t> ids;
@@ -1869,27 +1861,25 @@ std::vector<Vec3> compact_live(std::span<const Vec3> pts,
 
 core::KdistResult Clusterer::kdist(std::uint32_t k) const {
   const Impl& im = *impl_;
+  std::vector<Vec3> live;
+  if (im.dead_count > 0) live = compact_live(im.pts, im.live);
+  const std::span<const Vec3> pts =
+      im.dead_count > 0 ? std::span<const Vec3>(live) : im.pts;
   if (k == 0) {
-    // Ester et al.'s default: k = 2 * dims.  Flat z = const data is 2-D.
-    bool flat = true;
-    for (const Vec3& p : im.pts) {
-      if (p.z != im.pts.front().z) {
-        flat = false;
-        break;
-      }
-    }
+    // Ester et al.'s default: k = 2 * dims.  Flat z = const data is 2-D;
+    // the flatness is judged on the points the graph is built from.
+    const bool flat = std::all_of(pts.begin(), pts.end(), [&](const Vec3& p) {
+      return p.z == pts.front().z;
+    });
     k = flat ? 4 : 6;
   }
-  if (im.dead_count > 0) {
-    return core::kdist_graph(compact_live(im.pts, im.live), k);
-  }
-  return core::kdist_graph(im.pts, k);
+  return core::kdist_graph(pts, k);
 }
 
 core::RtKnnResult Clusterer::knn(std::uint32_t k) const {
   const Impl& im = *impl_;
   core::RtKnnOptions o;
-  o.device.threads = im.opts.threads;
+  o.threads = im.opts.threads;
   if (im.dead_count > 0) {
     return core::rt_knn(compact_live(im.pts, im.live), k, o);
   }

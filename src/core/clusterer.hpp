@@ -490,7 +490,7 @@ class Clusterer {
   }
 
   /// All-points k-nearest-neighbors on the RT device (rounds of
-  /// fixed-radius queries).  Standalone passthrough: builds its own scenes.
+  /// fixed-radius queries).  Standalone passthrough: builds its own scene.
   [[nodiscard]] core::RtKnnResult knn(std::uint32_t k) const;
 
   /// The session's dataset, in query order.

@@ -1,12 +1,12 @@
 #include "core/index_snapshot.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/stage.hpp"
+#include "dbscan/core.hpp"
 #include "rt/parallel_launch.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -16,13 +16,6 @@ namespace {
 
 using geom::Vec3;
 using index::IndexKind;
-
-void validate_query_eps(float eps) {
-  if (!(eps > 0.0f) || !std::isfinite(eps)) {
-    throw std::invalid_argument(
-        "IndexSnapshot: eps must be positive and finite");
-  }
-}
 
 void validate_center(const Vec3& center) {
   if (!geom::is_finite(center)) {
@@ -49,7 +42,7 @@ IndexSnapshot::IndexSnapshot(
   if (!index_) {
     throw std::invalid_argument("IndexSnapshot: null index");
   }
-  validate_query_eps(eps);
+  dbscan::require_eps(eps, "IndexSnapshot");
   radius_agnostic_ = backend_radius_agnostic(index_->kind());
 }
 
@@ -117,7 +110,7 @@ void IndexSnapshot::query_neighbors_into(
       telemetry::Histogram::kSnapshotReadLatency);
   telemetry::count(telemetry::Counter::kSnapshotReads);
   validate_center(center);
-  validate_query_eps(eps);
+  dbscan::require_eps(eps, "IndexSnapshot");
   out.clear();
   rt::TraversalStats stats;
   visit_neighbors(center, eps, self,
@@ -131,7 +124,7 @@ std::uint32_t IndexSnapshot::query_count(const Vec3& center, float eps,
       telemetry::Histogram::kSnapshotReadLatency);
   telemetry::count(telemetry::Counter::kSnapshotReads);
   validate_center(center);
-  validate_query_eps(eps);
+  dbscan::require_eps(eps, "IndexSnapshot");
   std::uint32_t count = 0;
   rt::TraversalStats stats;
   visit_neighbors(center, eps, self, [&](std::uint32_t) { ++count; }, stats);
@@ -154,7 +147,7 @@ void IndexSnapshot::query_batch_into(std::span<const Vec3> centers, float eps,
   const telemetry::LatencyTimer lat(
       telemetry::Histogram::kQueryBatchLatency);
   telemetry::count(telemetry::Counter::kSnapshotQueryBatches);
-  validate_query_eps(eps);
+  dbscan::require_eps(eps, "IndexSnapshot");
   // Validate every center up front: the launch lambdas below run inside a
   // parallel region, where a thrown std::invalid_argument would terminate.
   for (std::size_t q = 0; q < centers.size(); ++q) {

@@ -15,9 +15,7 @@ namespace {
 using index::IndexKind;
 
 void validate_params(const dbscan::Params& params) {
-  if (params.eps <= 0.0f) {
-    throw std::invalid_argument("rt_dbscan: eps must be positive");
-  }
+  dbscan::require_eps(params.eps, "rt_dbscan");
   if (params.min_pts == 0) {
     throw std::invalid_argument("rt_dbscan: min_pts must be >= 1");
   }
@@ -52,7 +50,7 @@ RtDbscanResult rt_dbscan(std::span<const geom::Vec3> points,
     result.accel_build = index.accel().build_stats();
     const double build_seconds = total.seconds();
     dbscan::IndexEngineOptions engine;
-    engine.threads = options.device.threads;
+    engine.threads = options.threads;
     dbscan::IndexEngineResult run =
         dbscan::cluster_with_index(index, params, engine);
     result.clustering = std::move(run.clustering);
@@ -64,9 +62,9 @@ RtDbscanResult rt_dbscan(std::span<const geom::Vec3> points,
   if (params.index == IndexKind::kTriangles) {
     cluster(index::TriangleIndex(points, params.eps,
                                  options.triangle_subdivisions,
-                                 options.device));
+                                 options.threads));
   } else {
-    cluster(index::BvhRtIndex(points, params.eps, options.device));
+    cluster(index::BvhRtIndex(points, params.eps, options.threads));
   }
   result.clustering.timings.total_seconds = total.seconds();
   return result;

@@ -28,7 +28,8 @@
 #include <vector>
 
 #include "dbscan/core.hpp"
-#include "rt/context.hpp"
+#include "rt/bvh.hpp"
+#include "rt/traversal.hpp"
 
 namespace rtd::core {
 
@@ -36,9 +37,9 @@ struct RtDbscanOptions {
   /// Icosphere subdivision level for Params::index == kTriangles
   /// (20 * 4^s triangles/point).
   int triangle_subdivisions = 1;
-  /// RT device configuration: the thread count of the scene build, the
-  /// launch order and both launches.
-  rt::Context::Options device;
+  /// Thread count of the scene build, the launch order and both launches;
+  /// 0 = all hardware threads.
+  int threads = 0;
 };
 
 struct RtDbscanResult {

@@ -4,19 +4,22 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
-#include "core/rt_find_neighbors.hpp"
 #include "dbscan/core.hpp"
 #include "geom/aabb.hpp"
+#include "index/bvh_rt_index.hpp"
+#include "rt/parallel_launch.hpp"
 
 namespace rtd::core {
 
 namespace {
 
 using geom::Vec3;
+using index::kNoSelf;
 
 /// Per-query bounded max-heap of the k best (distance^2, index) pairs.
 /// Flat storage across all queries to keep the launch allocation-free.
@@ -107,12 +110,10 @@ class KBestHeaps {
   std::vector<std::uint32_t> count_;
 };
 
-float initial_radius_from_density(std::span<const Vec3> points,
+float initial_radius_from_density(const geom::Aabb& bounds, std::size_t size,
                                   std::uint32_t k) {
-  geom::Aabb bounds;
-  for (const auto& p : points) bounds.grow(p);
   const Vec3 e = bounds.extent();
-  const auto n = static_cast<float>(points.size());
+  const auto n = static_cast<float>(size);
   const bool flat = e.z <= 0.0f;
   if (flat) {
     const float area = std::max(e.x * e.y, 1e-12f);
@@ -130,8 +131,18 @@ float initial_radius_from_density(std::span<const Vec3> points,
 RtKnnResult rt_knn(std::span<const Vec3> points, std::uint32_t k,
                    const RtKnnOptions& options) {
   if (k == 0) throw std::invalid_argument("rt_knn: k must be >= 1");
-  if (options.growth <= 1.0f) {
-    throw std::invalid_argument("rt_knn: growth must be > 1");
+  // Accepting-condition tests, so NaN (which fails every comparison) is
+  // rejected too.
+  if (!(options.growth > 1.0f) || !std::isfinite(options.growth)) {
+    throw std::invalid_argument("rt_knn: growth must be finite and > 1");
+  }
+  if (options.max_rounds < 1) {
+    throw std::invalid_argument("rt_knn: max_rounds must be >= 1");
+  }
+  if (!(options.initial_radius >= 0.0f) ||
+      !std::isfinite(options.initial_radius)) {
+    throw std::invalid_argument(
+        "rt_knn: initial_radius must be finite and >= 0 (0 = from density)");
   }
   dbscan::require_finite(points);
 
@@ -142,13 +153,12 @@ RtKnnResult rt_knn(std::span<const Vec3> points, std::uint32_t k,
   result.distances.assign(n * k, std::numeric_limits<float>::infinity());
   if (n == 0) return result;
 
-  const rt::Context ctx(options.device);
   KBestHeaps heaps(n, k);
 
   // Tiny datasets (every other point is a neighbor) cannot converge by
   // radius; answer them directly.
   if (n - 1 <= k) {
-    parallel_for(n, options.device.threads, [&](std::size_t i) {
+    parallel_for(n, options.threads, [&](std::size_t i) {
       for (std::uint32_t j = 0; j < n; ++j) {
         if (j != i) {
           heaps.offer(i, j, geom::distance_squared(points[i], points[j]));
@@ -160,29 +170,39 @@ RtKnnResult rt_knn(std::span<const Vec3> points, std::uint32_t k,
     return result;
   }
 
+  geom::Aabb bounds;
+  for (const auto& p : points) bounds.grow(p);
   float radius = options.initial_radius > 0.0f
                      ? options.initial_radius
-                     : initial_radius_from_density(points, k);
+                     : initial_radius_from_density(bounds, n, k);
+  // A radius of twice the bounding diagonal reaches every point from every
+  // query, so the growth stops there (and never overflows to +inf).
+  const float reach = 2.0f * geom::length(bounds.extent());
 
   // Active (unconverged) query ids; shrinks between rounds.
   std::vector<std::uint32_t> active(n);
   for (std::uint32_t i = 0; i < n; ++i) active[i] = i;
 
-  std::vector<Vec3> point_copy(points.begin(), points.end());
-
+  // One sphere scene per call: built in round 1, refit to the grown radius
+  // after that.  A declined refit (an armed index.refit failpoint) builds
+  // a fresh scene instead.
+  std::optional<index::BvhRtIndex> scene;
   while (!active.empty() && result.rounds < options.max_rounds) {
     ++result.rounds;
     Timer build_timer;
-    const rt::SphereAccel accel = ctx.build_spheres(point_copy, radius);
+    if (!scene || !scene->try_set_eps(radius)) {
+      scene.emplace(points, radius, options.threads);
+    }
     result.accel_build_seconds += build_timer.seconds();
 
     const float r2 = radius * radius;
-    const rt::LaunchStats launch = ctx.launch(
-        active.size(), [&](std::size_t a, rt::TraversalStats& st) {
+    const rt::LaunchStats launch = rt::parallel_launch(
+        active.size(), options.threads,
+        [&](rt::TraversalStats& st, std::size_t a) {
           const std::uint32_t i = active[a];
           heaps.reset(i);
-          rt_for_neighbors(
-              accel, points[i], i,
+          scene->query_sphere(
+              points[i], radius, i,
               [&](std::uint32_t j) {
                 heaps.offer(i, j,
                             geom::distance_squared(points[i], points[j]));
@@ -205,7 +225,7 @@ RtKnnResult rt_knn(std::span<const Vec3> points, std::uint32_t k,
       }
     }
     active.swap(still_active);
-    radius *= options.growth;
+    radius = std::min(radius * options.growth, std::max(radius, reach));
   }
 
   // Round cap hit: emit best-effort results for the stragglers.

@@ -13,41 +13,46 @@
 //   3. a query is CONVERGED when its heap holds k points whose k-th
 //      distance is <= the current radius (every point within the radius is
 //      guaranteed reported, so nothing nearer can exist outside the heap);
-//   4. rebuild the sphere GAS with doubled radius and relaunch only the
-//      unconverged queries, until all converge.
+//   4. refit the sphere GAS to the grown radius (the §VI-B accel update:
+//      one index::BvhRtIndex is built per call and try_set_eps moves its
+//      radius) and relaunch only the unconverged queries, until all
+//      converge.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "core/rt_find_neighbors.hpp"  // kNoSelf padding sentinel
-#include "rt/context.hpp"
+#include "geom/vec3.hpp"
+#include "rt/traversal.hpp"
 
 namespace rtd::core {
 
 struct RtKnnOptions {
-  /// Starting search radius; 0 = derive from dataset density (recommended).
+  /// Starting search radius (finite, >= 0); 0 = derive from dataset
+  /// density (recommended).
   float initial_radius = 0.0f;
-  /// Radius multiplier between rounds.
+  /// Radius multiplier between rounds (finite, > 1).
   float growth = 2.0f;
-  /// Safety cap on rounds (radius grows geometrically, so this bounds the
-  /// radius at initial * growth^max_rounds).
+  /// Safety cap on rounds, >= 1 (radius grows geometrically, so this
+  /// bounds the radius at initial * growth^(max_rounds - 1)).
   int max_rounds = 24;
-  rt::Context::Options device;
+  /// Thread count of the scene build, the refits and the launches; 0 = all
+  /// hardware threads.
+  int threads = 0;
 };
 
 struct RtKnnResult {
   std::uint32_t k = 0;
   /// Row-major [n x k]: indices of the k nearest other points of point i,
-  /// ascending by distance.  Padded with kNoSelf when the dataset has
+  /// ascending by distance.  Padded with index::kNoSelf when the dataset has
   /// fewer than k+1 points.
   std::vector<std::uint32_t> indices;
   /// Matching distances (not squared); padded with +inf.
   std::vector<float> distances;
 
   int rounds = 0;                 ///< fixed-radius rounds executed
-  double accel_build_seconds = 0; ///< total GAS (re)build time
+  double accel_build_seconds = 0; ///< GAS build + per-round refit time
   rt::LaunchStats launches;       ///< aggregated over all rounds
 
   [[nodiscard]] std::span<const std::uint32_t> neighbors_of(

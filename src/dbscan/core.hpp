@@ -33,6 +33,16 @@ inline void require_finite(std::span<const geom::Vec3> points) {
   }
 }
 
+/// Reject an ε that is not positive and finite (NaN, ±inf, <= 0), naming
+/// the entry point `who`.  Called by every clustering entry point, index
+/// factory and session before any index is built.
+inline void require_eps(float eps, const char* who) {
+  if (!geom::is_valid_radius(eps)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": eps must be positive and finite");
+  }
+}
+
 /// DBSCAN inputs (§II-C): ε is the neighborhood radius, minPts the neighbor
 /// count (including the point itself, the convention of the original paper's
 /// |N_eps(p)| >= minPts with p in N_eps(p)) required for a core point.

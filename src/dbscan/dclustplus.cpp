@@ -24,9 +24,7 @@ constexpr std::uint32_t kNoiseCandidate = 0xfffffffeu;
 DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
                              const Params& params,
                              const DclustPlusOptions& options) {
-  if (params.eps <= 0.0f) {
-    throw std::invalid_argument("dclust_plus: eps must be positive");
-  }
+  require_eps(params.eps, "dclust_plus");
   if (params.min_pts == 0) {
     throw std::invalid_argument("dclust_plus: min_pts must be >= 1");
   }

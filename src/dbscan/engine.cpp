@@ -355,9 +355,7 @@ CountClusterStats index_count_cluster(
 IndexEngineResult cluster_with_index(const index::NeighborIndex& index,
                                      const Params& params,
                                      const IndexEngineOptions& options) {
-  if (params.eps <= 0.0f) {
-    throw std::invalid_argument("cluster_with_index: eps must be positive");
-  }
+  require_eps(params.eps, "cluster_with_index");
   if (params.min_pts == 0) {
     throw std::invalid_argument("cluster_with_index: min_pts must be >= 1");
   }

@@ -10,9 +10,7 @@ namespace rtd::dbscan {
 
 FdbscanResult fdbscan(std::span<const geom::Vec3> points,
                       const Params& params, const FdbscanOptions& options) {
-  if (params.eps <= 0.0f) {
-    throw std::invalid_argument("fdbscan: eps must be positive");
-  }
+  require_eps(params.eps, "fdbscan");
   if (params.min_pts == 0) {
     throw std::invalid_argument("fdbscan: min_pts must be >= 1");
   }

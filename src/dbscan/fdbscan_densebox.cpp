@@ -32,9 +32,7 @@ Aabb bounds_of_members(std::span<const Vec3> points,
 DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
                                 const Params& params,
                                 const FdbscanOptions& options) {
-  if (params.eps <= 0.0f) {
-    throw std::invalid_argument("fdbscan_densebox: eps must be positive");
-  }
+  require_eps(params.eps, "fdbscan_densebox");
   if (params.min_pts == 0) {
     throw std::invalid_argument("fdbscan_densebox: min_pts must be >= 1");
   }

@@ -13,9 +13,7 @@ namespace rtd::dbscan {
 
 GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
                       const GdbscanOptions& options) {
-  if (params.eps <= 0.0f) {
-    throw std::invalid_argument("gdbscan: eps must be positive");
-  }
+  require_eps(params.eps, "gdbscan");
   if (params.min_pts == 0) {
     throw std::invalid_argument("gdbscan: min_pts must be >= 1");
   }

@@ -11,9 +11,7 @@ namespace rtd::dbscan {
 
 Clustering sequential_dbscan(std::span<const geom::Vec3> points,
                              const Params& params) {
-  if (params.eps <= 0.0f) {
-    throw std::invalid_argument("sequential_dbscan: eps must be positive");
-  }
+  require_eps(params.eps, "sequential_dbscan");
   if (params.min_pts == 0) {
     throw std::invalid_argument("sequential_dbscan: min_pts must be >= 1");
   }

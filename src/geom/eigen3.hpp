@@ -49,8 +49,8 @@ struct Eigen3 {
 Eigen3 eigen_symmetric3(const Sym3& m);
 
 /// Covariance matrix of a point set around its mean; returns point count.
-/// The caller typically feeds neighborhoods from rt_knn or
-/// rt_find_neighbors.
+/// The caller typically feeds neighborhoods from rt_knn or a
+/// NeighborIndex ε-query.
 template <typename Iter>
 Sym3 covariance3(Iter begin, Iter end, Vec3* mean_out = nullptr) {
   Vec3 mean{};

@@ -108,6 +108,13 @@ inline bool is_finite(const Vec3& v) {
   return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
 }
 
+/// A usable sphere radius / ε: positive and finite.  Written as the
+/// accepting condition because NaN fails every comparison, so a
+/// `radius <= 0` test would let NaN (and +inf) through.
+inline bool is_valid_radius(float radius) {
+  return radius > 0.0f && std::isfinite(radius);
+}
+
 inline std::ostream& operator<<(std::ostream& os, const Vec3& v) {
   return os << '(' << v.x << ", " << v.y << ", " << v.z << ')';
 }

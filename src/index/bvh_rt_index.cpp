@@ -11,14 +11,14 @@
 namespace rtd::index {
 
 BvhRtIndex::BvhRtIndex(std::span<const geom::Vec3> points, float eps,
-                       const rt::Context::Options& options)
-    : ctx_(options),
-      accel_(std::make_shared<rt::SphereAccel>(ctx_.build_spheres(
-          std::vector<geom::Vec3>(points.begin(), points.end()), eps))),
+                       int threads)
+    : accel_(std::make_shared<rt::SphereAccel>(
+          std::vector<geom::Vec3>(points.begin(), points.end()), eps,
+          threads)),
       points_(points),
       built_count_(points.size()),
       tail_(points.size()) {
-  set_threads(options.threads);
+  set_threads(threads);
 }
 
 bool BvhRtIndex::do_try_remove(std::span<const std::uint32_t> ids) {
@@ -35,8 +35,8 @@ void BvhRtIndex::require_radius(float eps) const {
     throw std::invalid_argument(
         "BvhRtIndex: query eps " + std::to_string(eps) +
         " differs from the scene radius " + std::to_string(accel_->radius()) +
-        " (the radius is baked into the sphere geometry; use set_radius to "
-        "refit)");
+        " (the radius is baked into the sphere geometry; refit with "
+        "try_set_eps)");
   }
 }
 

@@ -1,13 +1,13 @@
 // BvhRtIndex — the paper's RT pipeline behind the NeighborIndex contract.
 //
-// Wraps rt::Context + rt::SphereAccel: the input transformation of §III-B
+// Wraps rt::SphereAccel: the input transformation of §III-B
 // (one solid ε-sphere per point, hardware BVH over the sphere AABBs) with
 // queries as infinitesimally short rays whose Intersection program performs
 // the exact point-in-sphere test (Algorithm 2).  Two OptiX semantics carry
 // through the interface faithfully:
 //   * the radius is baked into the geometry, so query eps must equal the
-//     build eps (use set_radius() to REFIT for an ε sweep — 5-10x cheaper
-//     than a rebuild, §VI-B);
+//     build eps (try_set_eps() REFITS for an ε sweep — 5-10x cheaper than a
+//     rebuild, §VI-B);
 //   * an Intersection program cannot terminate traversal, so query_count
 //     ignores its early-exit hint and always pays the full query (§VI-B —
 //     the trade bench_fig9_early_exit measures).
@@ -20,7 +20,7 @@
 #include "common/copy_on_write.hpp"
 #include "index/neighbor_index.hpp"
 #include "index/point_tree.hpp"
-#include "rt/context.hpp"
+#include "rt/scene.hpp"
 
 namespace rtd::index {
 
@@ -28,10 +28,9 @@ namespace rtd::index {
 class BvhRtIndex final : public NeighborIndex {
  public:
   /// "optixAccelBuild": copies the points into the sphere scene and builds
-  /// the hardware-style BVH on options.threads workers; the writer
-  /// operations keep that budget.
-  BvhRtIndex(std::span<const geom::Vec3> points, float eps,
-             const rt::Context::Options& options = {});
+  /// the hardware-style BVH on `threads` workers (0 = all hardware
+  /// threads); the writer operations keep that budget.
+  BvhRtIndex(std::span<const geom::Vec3> points, float eps, int threads = 0);
 
   [[nodiscard]] IndexKind kind() const override { return IndexKind::kBvhRt; }
   [[nodiscard]] std::span<const geom::Vec3> points() const override {
@@ -69,27 +68,21 @@ class BvhRtIndex final : public NeighborIndex {
                                  std::span<std::uint32_t> rows,
                                  rt::TraversalStats& stats) const override;
 
-  /// REFIT the sphere scene to a new radius (accel update, not rebuild);
-  /// subsequent queries must use the new eps.
-  void set_radius(float eps) { accel_.mut().set_radius(eps, threads()); }
-
   /// The underlying acceleration structure (build statistics, RT k-NN).
   /// It covers the build-time points; appended ones live in the delta tail.
   [[nodiscard]] const rt::SphereAccel& accel() const { return *accel_; }
-  /// The RT device context the scene was built with.
-  [[nodiscard]] const rt::Context& context() const { return ctx_; }
 
  private:
   /// Versioning: the clone shares the sphere scene (copied by the first
-  /// set_radius or masked refit of either version) and the tail tree.
+  /// refit or masked refit of either version) and the tail tree.
   std::unique_ptr<NeighborIndex> do_clone() override {
     accel_.share();
     return std::make_unique<BvhRtIndex>(*this);
   }
 
-  /// Refit contract: always satisfiable — set_radius() rescales the sphere
-  /// scene and refits every traversal layout in place, 5-10x cheaper than
-  /// a rebuild (§VI-B).  Reached through NeighborIndex::try_set_eps, which
+  /// Refit contract: always satisfiable — SphereAccel::set_radius rescales
+  /// the sphere scene and refits every traversal layout in place, 5-10x
+  /// cheaper than a rebuild (§VI-B); subsequent queries use the new eps.  Reached through NeighborIndex::try_set_eps, which
   /// owns the eps validation.  The delta-tail tree is over bare points, so
   /// the refit covers it trivially (the exact test reads the radius).
   bool do_try_set_eps(float eps) override {
@@ -139,7 +132,6 @@ class BvhRtIndex final : public NeighborIndex {
   void trace_packet(std::span<const std::uint32_t> ids, float eps,
                     rt::TraversalStats& stats, OnPair&& on_pair) const;
 
-  rt::Context ctx_;
   CopyOnWrite<rt::SphereAccel> accel_;
   std::span<const geom::Vec3> points_;  ///< full span incl. the delta tail
   std::size_t built_count_;  ///< prims the scene covers; the rest is delta

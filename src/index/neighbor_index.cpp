@@ -1,12 +1,12 @@
 #include "index/neighbor_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "common/stage.hpp"
 #include "common/timer.hpp"
+#include "dbscan/core.hpp"
 #include "index/brute_force_index.hpp"
 #include "index/bvh_rt_index.hpp"
 #include "index/densebox_index.hpp"
@@ -47,11 +47,8 @@ std::unique_ptr<NeighborIndex> NeighborIndex::clone() {
 
 bool NeighborIndex::try_set_eps(float eps) {
   // The ε argument is validated here, once, so a bad sweep value fails
-  // loudly on every backend — supported or not.  NaN fails every
-  // comparison, hence the accepting-condition form.
-  if (!(eps > 0.0f) || !std::isfinite(eps)) {
-    throw std::invalid_argument("try_set_eps: eps must be positive and finite");
-  }
+  // loudly on every backend — supported or not.
+  dbscan::require_eps(eps, "try_set_eps");
   RTD_STAGE_AS(stage, "index.refit");
   if (stage.declined()) {
     telemetry::count(telemetry::Counter::kIndexRefitsDeclined);
@@ -195,9 +192,7 @@ rt::LaunchStats NeighborIndex::query_all(float eps, PairVisitor visit,
 std::unique_ptr<NeighborIndex> make_index(std::span<const geom::Vec3> points,
                                           float eps, IndexKind kind,
                                           const IndexBuildOptions& options) {
-  if (eps <= 0.0f) {
-    throw std::invalid_argument("make_index: eps must be positive");
-  }
+  dbscan::require_eps(eps, "make_index");
   kind = resolve_auto(kind, IndexKind::kBvhRt);
   RTD_STAGE("index.build");
   telemetry::count(telemetry::Counter::kIndexBuilds);
@@ -216,13 +211,11 @@ std::unique_ptr<NeighborIndex> make_index(std::span<const geom::Vec3> points,
       index = std::make_unique<PointBvhIndex>(points, eps, options.threads);
       break;
     case IndexKind::kBvhRt:
-      index = std::make_unique<BvhRtIndex>(
-          points, eps, rt::Context::Options{options.threads});
+      index = std::make_unique<BvhRtIndex>(points, eps, options.threads);
       break;
     case IndexKind::kTriangles:
       index = std::make_unique<TriangleIndex>(
-          points, eps, options.triangle_subdivisions,
-          rt::Context::Options{options.threads});
+          points, eps, options.triangle_subdivisions, options.threads);
       break;
     case IndexKind::kAuto: break;  // resolved above
   }

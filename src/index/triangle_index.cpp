@@ -11,14 +11,13 @@
 namespace rtd::index {
 
 TriangleIndex::TriangleIndex(std::span<const geom::Vec3> points, float eps,
-                             int subdivisions,
-                             const rt::Context::Options& options)
-    : accel_(std::make_shared<rt::TriangleAccel>(
-          rt::Context(options).build_triangles(points, eps, subdivisions))),
+                             int subdivisions, int threads)
+    : accel_(std::make_shared<rt::TriangleAccel>(points, eps, subdivisions,
+                                                 threads)),
       points_(points),
       built_count_(points.size()),
       tail_(points.size()) {
-  set_threads(options.threads);
+  set_threads(threads);
 }
 
 void TriangleIndex::query_sphere(const geom::Vec3& center, float eps,

@@ -23,7 +23,7 @@
 #include "common/copy_on_write.hpp"
 #include "index/neighbor_index.hpp"
 #include "index/point_tree.hpp"
-#include "rt/context.hpp"
+#include "rt/scene.hpp"
 
 namespace rtd::index {
 
@@ -32,9 +32,10 @@ class TriangleIndex final : public NeighborIndex {
  public:
   /// Tessellate one ε-sphere per point at `subdivisions` (20·4^s triangles
   /// per point, rt/tessellate.hpp) and build the triangle scene, on
-  /// options.threads workers; the writer operations keep that budget.
+  /// `threads` workers (0 = all hardware threads); the writer operations
+  /// keep that budget.
   TriangleIndex(std::span<const geom::Vec3> points, float eps,
-                int subdivisions, const rt::Context::Options& options = {});
+                int subdivisions, int threads = 0);
 
   [[nodiscard]] IndexKind kind() const override {
     return IndexKind::kTriangles;

@@ -1,9 +1,9 @@
-// Launch harness — the one batched-execution pattern behind
-// rt::Context::launch, the index layer's query_all and the DBSCAN engine
-// phases.  Split out of rt/traversal.hpp so the traversal header stays a
-// pure walk-kernel header (it now carries both the binary and the wide
-// walk) and so the harness's threading deps (OpenMP wrappers, timers)
-// don't leak into every traversal user.
+// Launch harness — the one batched-execution pattern behind the index
+// layer's query_all, the DBSCAN engine phases and rt_knn's rounds: the
+// simulator's optixLaunch over a 1-D grid.  Split out of rt/traversal.hpp
+// so the traversal header stays a pure walk-kernel header (it now carries
+// both the binary and the wide walk) and so the harness's threading deps
+// (OpenMP wrappers, timers) don't leak into every traversal user.
 #pragma once
 
 #include <cstddef>

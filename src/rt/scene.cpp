@@ -10,8 +10,9 @@ namespace rtd::rt {
 SphereAccel::SphereAccel(std::vector<geom::Vec3> centers, float radius,
                          int threads)
     : centers_(std::move(centers)), radius_(radius) {
-  if (radius <= 0.0f) {
-    throw std::invalid_argument("SphereAccel: radius must be positive");
+  if (!geom::is_valid_radius(radius)) {
+    throw std::invalid_argument(
+        "SphereAccel: radius must be positive and finite");
   }
   std::vector<geom::Aabb> bounds(centers_.size());
   parallel_for(centers_.size(), threads, [&](std::size_t i) {
@@ -22,8 +23,9 @@ SphereAccel::SphereAccel(std::vector<geom::Vec3> centers, float radius,
 }
 
 void SphereAccel::set_radius(float radius, int threads) {
-  if (radius <= 0.0f) {
-    throw std::invalid_argument("SphereAccel: radius must be positive");
+  if (!geom::is_valid_radius(radius)) {
+    throw std::invalid_argument(
+        "SphereAccel: radius must be positive and finite");
   }
   radius_ = radius;
   std::vector<geom::Aabb> bounds(centers_.size());
@@ -85,8 +87,9 @@ void TriangleAccel::set_radius(float radius, int threads) {
         "TriangleAccel: set_radius requires the tessellating constructor "
         "(arbitrary triangle sets have no centers to rescale about)");
   }
-  if (radius <= 0.0f) {
-    throw std::invalid_argument("TriangleAccel: radius must be positive");
+  if (!geom::is_valid_radius(radius)) {
+    throw std::invalid_argument(
+        "TriangleAccel: radius must be positive and finite");
   }
   if (radius == radius_) return;
   // The tessellation is linear in the radius: every vertex sits at

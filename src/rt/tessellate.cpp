@@ -92,8 +92,9 @@ TessellatedSpheres tessellate_spheres(std::span<const Vec3> centers,
   // Degenerate-input guards: a non-positive (or NaN) radius, or an invalid
   // subdivision level, would otherwise emit NaN/inf vertex scale factors
   // that poison every BVH bound built over the mesh.
-  if (!(radius > 0.0f) || !std::isfinite(radius)) {
-    throw std::invalid_argument("tessellate_spheres: radius must be positive");
+  if (!geom::is_valid_radius(radius)) {
+    throw std::invalid_argument(
+        "tessellate_spheres: radius must be positive and finite");
   }
   if (subdivisions < 0) {
     throw std::invalid_argument(

@@ -56,8 +56,9 @@ struct TraversalStats {
 };
 
 /// Result of one batched launch (a set of traversals): wall time plus
-/// hardware counters summed over rays.  Produced by rt::Context::launch and
-/// by the batched index::NeighborIndex::query_all.
+/// hardware counters summed over rays.  Produced by rt::parallel_launch,
+/// which every batched query (NeighborIndex::query_all, the DBSCAN engine
+/// phases, rt_knn's rounds) runs through.
 struct LaunchStats {
   double seconds = 0.0;   ///< wall-clock time of the whole batch
   TraversalStats work;    ///< hardware work counters summed over all rays

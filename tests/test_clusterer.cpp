@@ -502,6 +502,22 @@ TEST(Clusterer, KdistAndKnnPassthrough) {
   EXPECT_EQ(nn.indices.size(), dataset.size() * 3);
 }
 
+TEST(Clusterer, KdistDefaultKJudgesFlatnessOnLivePoints) {
+  // A flat session that inserted and then removed one off-plane point is
+  // flat again: its tombstone must not make k = 0 pick the 3-D default.
+  const auto dataset = data::taxi_gps(400, 72);
+  Clusterer session(dataset.points);
+  (void)session.run(0.3f, 5);
+  const std::vector<Vec3> off_plane{{0.5f, 0.5f, 3.0f}};
+  const std::size_t id = session.insert(off_plane);
+  EXPECT_EQ(session.kdist().k, 6u);
+  const std::vector<std::uint32_t> ids{static_cast<std::uint32_t>(id)};
+  session.remove(ids);
+  const auto kd = session.kdist();
+  EXPECT_EQ(kd.k, 4u);
+  EXPECT_EQ(kd.sorted_kdist, core::kdist_graph(dataset.points, 4).sorted_kdist);
+}
+
 // ---------------------------------------------------------------------------
 // Triangle (§VI-C) sessions: the kTriangles backend through the one
 // session path.
@@ -566,7 +582,7 @@ TEST(ClustererTriangle, EpsSweepRefitsInPlace) {
                                        "triangle session eps sweep");
     core::RtDbscanOptions opts;
     opts.triangle_subdivisions = 0;
-    opts.device.threads = 1;
+    opts.threads = 1;
     const auto oneshot = core::rt_dbscan(
         dataset.points, Params{eps, 5, IndexKind::kTriangles}, opts);
     EXPECT_EQ(swept.neighbor_counts, oneshot.neighbor_counts)

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -363,7 +365,14 @@ TEST(NeighborIndex, FactoryResolvesAutoAndRejectsBadEps) {
   const auto index = make_index(small.points, 0.3f);
   ASSERT_NE(index, nullptr);
   EXPECT_EQ(index->kind(), IndexKind::kBvhRt);  // kAuto is the RT pipeline
-  EXPECT_THROW(make_index(small.points, 0.0f), std::invalid_argument);
+  for (const float eps : {0.0f, -1.0f, std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    for (const IndexKind kind :
+         {IndexKind::kAuto, IndexKind::kGrid, IndexKind::kTriangles}) {
+      EXPECT_THROW(make_index(small.points, eps, kind), std::invalid_argument)
+          << eps << " " << index::to_string(kind);
+    }
+  }
 }
 
 /// Records the team size of a parallel loop each writer hook launches on

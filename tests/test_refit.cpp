@@ -1,11 +1,13 @@
 // BVH refit + SphereAccel::set_radius.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
-#include "core/rt_find_neighbors.hpp"
 #include "data/generators.hpp"
+#include "index/bvh_rt_index.hpp"
 #include "rt/bvh.hpp"
-#include "rt/context.hpp"
+#include "rt/scene.hpp"
 
 namespace rtd::rt {
 namespace {
@@ -51,26 +53,32 @@ TEST(BvhRefit, EmptyBvhIsNoOp) {
 }
 
 TEST(SphereAccelRefit, QueriesMatchFreshBuildAfterSetRadius) {
+  // Through the sphere index, whose try_set_eps is SphereAccel::set_radius.
   const auto dataset = data::taxi_gps(3000, 402);
-  Context ctx;
-  SphereAccel refitted = ctx.build_spheres(dataset.points, 0.2f);
-  refitted.set_radius(0.5f, 0);
-  const SphereAccel fresh = ctx.build_spheres(dataset.points, 0.5f);
+  index::BvhRtIndex refitted(dataset.points, 0.2f);
+  ASSERT_TRUE(refitted.try_set_eps(0.5f));
+  const index::BvhRtIndex fresh(dataset.points, 0.5f);
+  const index::NeighborIndex& a = refitted;
+  const index::NeighborIndex& b = fresh;
 
   TraversalStats stats;
   for (std::uint32_t i = 0; i < dataset.size(); i += 37) {
-    EXPECT_EQ(core::rt_count_neighbors(refitted, dataset.points[i], i, stats),
-              core::rt_count_neighbors(fresh, dataset.points[i], i, stats))
+    EXPECT_EQ(a.query_count(dataset.points[i], 0.5f, i, stats),
+              b.query_count(dataset.points[i], 0.5f, i, stats))
         << "point " << i;
   }
-  EXPECT_EQ(refitted.radius(), 0.5f);
+  EXPECT_EQ(refitted.accel().radius(), 0.5f);
 }
 
 TEST(SphereAccelRefit, RejectsNonPositiveRadius) {
-  Context ctx;
-  SphereAccel accel = ctx.build_spheres({{0, 0, 0}}, 1.0f);
+  SphereAccel accel({{0, 0, 0}}, 1.0f);
   EXPECT_THROW(accel.set_radius(0.0f, 1), std::invalid_argument);
   EXPECT_THROW(accel.set_radius(-2.0f, 1), std::invalid_argument);
+  EXPECT_THROW(accel.set_radius(std::numeric_limits<float>::quiet_NaN(), 1),
+               std::invalid_argument);
+  EXPECT_THROW(accel.set_radius(std::numeric_limits<float>::infinity(), 1),
+               std::invalid_argument);
+  EXPECT_EQ(accel.radius(), 1.0f);
 }
 
 }  // namespace

@@ -227,7 +227,7 @@ TEST(LaunchOrder, SingleThreadSessionRestoresCallerThreadCount) {
   (void)session.run(0.3f, 8);
   EXPECT_EQ(omp_get_max_threads(), 3);
   RtDbscanOptions serial;
-  serial.device.threads = 1;
+  serial.threads = 1;
   (void)rt_dbscan(dataset.points, {0.3f, 8}, serial);
   EXPECT_EQ(omp_get_max_threads(), 3);
 }
@@ -236,7 +236,7 @@ TEST(RtDbscan, SingleThreadMatchesParallel) {
   const auto dataset = data::two_rings(2000, 85);
   const Params params{0.8f, 5};
   RtDbscanOptions serial;
-  serial.device.threads = 1;
+  serial.threads = 1;
   const auto a = rt_dbscan(dataset.points, params, serial);
   const auto b = rt_dbscan(dataset.points, params);
   const auto eq = dbscan::check_equivalent(dataset.points, params,

@@ -3,16 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "data/generators.hpp"
+#include "index/neighbor_index.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace rtd::core {
 namespace {
 
 using geom::Vec3;
+using index::kNoSelf;
 
 /// Brute-force kNN reference (indices of the k nearest other points).
 std::vector<std::uint32_t> brute_knn(std::span<const Vec3> points,
@@ -138,6 +142,47 @@ TEST(RtKnn, ReportsRoundsAndWork) {
   EXPECT_GE(r.rounds, 1);
   EXPECT_GT(r.launches.work.rays, 0u);
   EXPECT_GT(r.accel_build_seconds, 0.0);
+}
+
+TEST(RtKnn, RefitRoundsMatchBruteForceAtOneAndFourThreads) {
+  // A radius far below the spacing forces several rounds; every round after
+  // the first refits the one sphere scene instead of building another.
+  const auto dataset = data::taxi_gps(2000, 208);
+  for (const int threads : {1, 4}) {
+    telemetry::disarm_all();
+    telemetry::reset();
+    telemetry::arm(telemetry::kMetrics);
+    RtKnnOptions opts;
+    opts.initial_radius = 1e-4f;
+    opts.threads = threads;
+    const auto r = rt_knn(dataset.points, 6, opts);
+    const std::uint64_t refits =
+        telemetry::snapshot().counter(telemetry::Counter::kIndexRefits);
+    telemetry::disarm_all();
+    telemetry::reset();
+    EXPECT_GE(r.rounds, 3) << threads << " threads";
+    EXPECT_EQ(refits, static_cast<std::uint64_t>(r.rounds - 1))
+        << threads << " threads";
+    for (std::uint32_t i = 0; i < dataset.size(); i += 19) {
+      expect_knn_matches(dataset.points, r, i);
+    }
+  }
+}
+
+TEST(RtKnn, HugeGrowthStopsAtTheDatasetReach) {
+  // Ten points 10 apart: nothing within the first radius, and the second
+  // (2 * FLT_MAX) is capped at twice the bounding diagonal instead of
+  // overflowing to +inf.
+  std::vector<Vec3> pts;
+  for (int i = 0; i < 10; ++i) pts.push_back(Vec3::xy(10.0f * static_cast<float>(i), 0.0f));
+  RtKnnOptions opts;
+  opts.initial_radius = 2.0f;
+  opts.growth = std::numeric_limits<float>::max();
+  const auto r = rt_knn(pts, 3, opts);
+  EXPECT_EQ(r.rounds, 2);
+  for (std::uint32_t i = 0; i < pts.size(); ++i) {
+    expect_knn_matches(pts, r, i);
+  }
 }
 
 TEST(RtKnn, ExplicitInitialRadiusHonored) {

@@ -1,4 +1,4 @@
-// SphereAccel / TriangleAccel / Context launch behaviour.
+// SphereAccel / TriangleAccel scenes and the rt::parallel_launch harness.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,7 +6,7 @@
 
 #include "common/rng.hpp"
 #include "data/generators.hpp"
-#include "rt/context.hpp"
+#include "rt/parallel_launch.hpp"
 #include "rt/scene.hpp"
 #include "rt/tessellate.hpp"
 
@@ -18,8 +18,7 @@ using geom::Vec3;
 
 TEST(SphereAccel, BuildsValidBvhOverSpheres) {
   const auto dataset = data::taxi_gps(2000, 601);
-  Context ctx;
-  const auto accel = ctx.build_spheres(dataset.points, 0.4f);
+  const SphereAccel accel(dataset.points, 0.4f);
   EXPECT_EQ(accel.size(), dataset.size());
   EXPECT_EQ(accel.radius(), 0.4f);
   EXPECT_GT(accel.build_stats().node_count, 0u);
@@ -32,8 +31,7 @@ TEST(SphereAccel, BuildsValidBvhOverSpheres) {
 }
 
 TEST(SphereAccel, OriginInsideMatchesDistance) {
-  Context ctx;
-  const auto accel = ctx.build_spheres({{0, 0, 0}, {3, 0, 0}}, 1.0f);
+  const SphereAccel accel({{0, 0, 0}, {3, 0, 0}}, 1.0f);
   const Ray at_origin = Ray::point_query(Vec3{0.5f, 0, 0});
   EXPECT_TRUE(accel.origin_inside(at_origin, 0));
   EXPECT_FALSE(accel.origin_inside(at_origin, 1));
@@ -46,8 +44,7 @@ TEST(SphereAccel, IntersectionProgramCannotTerminate) {
   // early-out channel (the paper's §VI-B constraint).  Verify all overlapping
   // spheres are reported even when the "program" stops recording.
   std::vector<Vec3> centers(50, Vec3{1, 1, 1});  // all overlapping
-  Context ctx;
-  const auto accel = ctx.build_spheres(centers, 1.0f);
+  const SphereAccel accel(centers, 1.0f);
   TraversalStats st;
   std::size_t calls = 0;
   accel.trace(Ray::point_query(Vec3{1, 1, 1}),
@@ -66,8 +63,7 @@ TEST(TriangleAccel, RejectsMismatchedOwners) {
 
 TEST(TriangleAccel, AnyHitReceivesOwnersAndHitT) {
   const std::vector<Vec3> centers{{0, 0, 0}, {10, 0, 0}};
-  Context ctx;
-  const auto accel = ctx.build_triangles(centers, 1.0f, 1);
+  const TriangleAccel accel(centers, 1.0f, 1);
   EXPECT_EQ(accel.triangle_count(), 2u * 80u);
 
   // Ray from inside sphere 0, along +z: every anyhit owner must be 0 and
@@ -86,24 +82,20 @@ TEST(TriangleAccel, AnyHitReceivesOwnersAndHitT) {
   EXPECT_GE(st.isect_calls, st.anyhit_calls);
 }
 
-TEST(Context, LaunchRunsEveryRayExactlyOnce) {
-  Context ctx;
+TEST(ParallelLaunch, RunsEveryRayExactlyOnce) {
   std::vector<std::atomic<int>> hits(10000);
   for (auto& h : hits) h.store(0);
-  const auto stats = ctx.launch(hits.size(),
-                                [&](std::size_t i, TraversalStats&) {
-                                  hits[i].fetch_add(1);
-                                });
+  const auto stats = parallel_launch(hits.size(), 0,
+                                     [&](TraversalStats&, std::size_t i) {
+                                       hits[i].fetch_add(1);
+                                     });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_GT(stats.seconds, 0.0);
 }
 
-TEST(Context, ThreadOptionLimitsWorkers) {
-  Context::Options opts;
-  opts.threads = 2;
-  Context ctx(opts);
+TEST(ParallelLaunch, HonoursTheWorkerCount) {
   std::atomic<int> max_tid{0};
-  ctx.launch(1000, [&](std::size_t, TraversalStats&) {
+  parallel_launch(1000, 2, [&](TraversalStats&, std::size_t) {
     int tid = omp_get_thread_num();
     int cur = max_tid.load();
     while (tid > cur && !max_tid.compare_exchange_weak(cur, tid)) {
@@ -112,12 +104,11 @@ TEST(Context, ThreadOptionLimitsWorkers) {
   EXPECT_LT(max_tid.load(), 2);
 }
 
-TEST(Context, LaunchAggregatesPerThreadStats) {
+TEST(ParallelLaunch, SumsPerThreadStats) {
   const auto dataset = data::taxi_gps(3000, 602);
-  Context ctx;
-  const auto accel = ctx.build_spheres(dataset.points, 0.3f);
-  const auto stats = ctx.launch(
-      dataset.size(), [&](std::size_t i, TraversalStats& st) {
+  const SphereAccel accel(dataset.points, 0.3f);
+  const auto stats = parallel_launch(
+      dataset.size(), 4, [&](TraversalStats& st, std::size_t i) {
         accel.trace(Ray::point_query(dataset.points[i]),
                     [](std::uint32_t) {}, st);
       });
@@ -126,22 +117,17 @@ TEST(Context, LaunchAggregatesPerThreadStats) {
   EXPECT_GT(stats.nodes_per_ray(), 1.0);
 }
 
-TEST(Context, BuildOptionsPropagate) {
-  // Options::threads reaches the builds as well as the launches; the tree
-  // is the same at every thread count.
-  Context::Options opts;
-  opts.threads = 1;
-  Context ctx(opts);
-  EXPECT_EQ(ctx.options().threads, 1);
+TEST(SphereAccel, SameTreeAtEveryThreadCount) {
+  // The build's thread count changes how it runs, never the tree.
   const auto dataset = data::taxi_gps(1000, 603);
-  const auto accel = ctx.build_spheres(dataset.points, 0.3f);
+  const SphereAccel accel(dataset.points, 0.3f, 1);
   for (const auto& node : accel.bvh().nodes) {
     if (node.is_leaf()) {
       EXPECT_LE(node.count, kLeafSize);
     }
   }
   EXPECT_FALSE(accel.wide_bvh().empty());
-  const auto four = Context({.threads = 4}).build_spheres(dataset.points, 0.3f);
+  const SphereAccel four(dataset.points, 0.3f, 4);
   EXPECT_EQ(accel.bvh().prim_index, four.bvh().prim_index);
   EXPECT_EQ(accel.bvh().nodes.size(), four.bvh().nodes.size());
 }

@@ -1,6 +1,7 @@
-// Input-validation / failure-injection tests: non-finite coordinates must
-// be rejected up front by every clustering entry point (a single NaN makes
-// every distance comparison false and silently produces all-noise output).
+// Input-validation / failure-injection tests: non-finite coordinates and a
+// non-finite ε must be rejected up front by every clustering entry point (a
+// single NaN makes every distance comparison false and silently produces
+// all-noise output).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,10 +10,14 @@
 #include "core/rt_dbscan.hpp"
 #include "core/rt_knn.hpp"
 #include "dbscan/dclustplus.hpp"
+#include "dbscan/engine.hpp"
 #include "dbscan/fdbscan.hpp"
+#include "dbscan/fdbscan_densebox.hpp"
 #include "dbscan/gdbscan.hpp"
 #include "dbscan/sequential.hpp"
 #include "data/generators.hpp"
+#include "index/neighbor_index.hpp"
+#include "rt/scene.hpp"
 
 namespace rtd {
 namespace {
@@ -68,6 +73,59 @@ TEST(Validation, AllEntryPointsRejectInfinity) {
                std::invalid_argument);
   EXPECT_THROW(dbscan::fdbscan(pts, params), std::invalid_argument);
   EXPECT_THROW(core::rt_dbscan(pts, params), std::invalid_argument);
+}
+
+TEST(Validation, AllEntryPointsRejectNonFiniteEps) {
+  const auto pts = data::taxi_gps(200, 503).points;
+  const auto grid = index::make_index(pts, 0.5f, index::IndexKind::kGrid);
+  rt::SphereAccel accel(pts, 0.5f);
+  for (const float eps : {kNan, kInf}) {
+    const Params params{eps, 3};
+    EXPECT_THROW(core::rt_dbscan(pts, params), std::invalid_argument) << eps;
+    // A multi-threaded run must throw on the caller, not inside a launch.
+    EXPECT_THROW(core::rt_dbscan(pts, params, {.threads = 4}),
+                 std::invalid_argument)
+        << eps;
+    EXPECT_THROW(core::rt_dbscan(pts, {eps, 3, index::IndexKind::kTriangles}),
+                 std::invalid_argument)
+        << eps;
+    EXPECT_THROW(dbscan::fdbscan(pts, params), std::invalid_argument) << eps;
+    EXPECT_THROW(dbscan::gdbscan(pts, params), std::invalid_argument) << eps;
+    EXPECT_THROW(dbscan::sequential_dbscan(pts, params), std::invalid_argument)
+        << eps;
+    EXPECT_THROW(dbscan::fdbscan_densebox(pts, params), std::invalid_argument)
+        << eps;
+    EXPECT_THROW(dbscan::dclust_plus(pts, params), std::invalid_argument)
+        << eps;
+    EXPECT_THROW(dbscan::cluster_with_index(*grid, params),
+                 std::invalid_argument)
+        << eps;
+    EXPECT_THROW(index::make_index(pts, eps), std::invalid_argument) << eps;
+    EXPECT_THROW(rt::SphereAccel(pts, eps), std::invalid_argument) << eps;
+    EXPECT_THROW(accel.set_radius(eps, 1), std::invalid_argument) << eps;
+  }
+  EXPECT_EQ(accel.radius(), 0.5f);
+
+  // rt_knn's round options: growth must be finite and > 1, at least one
+  // round, and the initial radius finite and >= 0 (0 = from density).
+  const auto knn_rejects = [&](auto set) {
+    core::RtKnnOptions opts;
+    set(opts);
+    EXPECT_THROW(core::rt_knn(pts, 3, opts), std::invalid_argument);
+  };
+  knn_rejects([](core::RtKnnOptions& o) { o.growth = kNan; });
+  knn_rejects([](core::RtKnnOptions& o) { o.growth = kInf; });
+  knn_rejects([](core::RtKnnOptions& o) { o.growth = 0.5f; });
+  knn_rejects([](core::RtKnnOptions& o) { o.max_rounds = 0; });
+  knn_rejects([](core::RtKnnOptions& o) { o.initial_radius = kNan; });
+  knn_rejects([](core::RtKnnOptions& o) { o.initial_radius = -1.0f; });
+  knn_rejects([](core::RtKnnOptions& o) { o.initial_radius = kInf; });
+  // The probe that used to return +inf distances: a tiny start radius with a
+  // NaN growth.
+  knn_rejects([](core::RtKnnOptions& o) {
+    o.initial_radius = 1e-9f;
+    o.growth = kNan;
+  });
 }
 
 TEST(Validation, FiniteDataPasses) {
