@@ -3,14 +3,16 @@
 
 Rules (each can be listed with --list-rules):
 
-  stage-in-omp            RTD_STAGE / RTD_STAGE_AS must never appear
-                          lexically inside an `#pragma omp parallel` region:
-                          a fault thrown from a worker thread cannot cross
-                          the OpenMP region boundary and terminates the
-                          process, and a per-worker span would hammer the
-                          thread rings from inside the hot launch and skew
-                          the very latencies it reports.  Stages belong at
-                          serial boundaries only.
+  stage-in-launch         RTD_STAGE / RTD_STAGE_AS must never appear
+                          lexically inside the arguments of a launch
+                          (parallel_for, parallel_for_accumulate,
+                          rt::parallel_launch), i.e. in a loop body: a
+                          per-index fault would fire on the pool workers
+                          once per index instead of once per launch, and a
+                          per-worker span would hammer the thread rings from
+                          inside the hot launch and skew the very latencies
+                          it reports.  Stages belong at serial boundaries
+                          only.
   stage-site-registry     Every stage name used in code is in the canonical
                           all_sites() table (src/common/stage.cpp), every
                           canonical name is used at least once, and the table
@@ -20,7 +22,7 @@ Rules (each can be listed with --list-rules):
                           soak's coverage dispatch (tests/test_chaos.cpp), so
                           new stages cannot land undocumented or untested.
   thread-local-header     No `static thread_local` in headers: names
-                          referenced from inside an OMP worker lambda resolve
+                          referenced from inside a launch body resolve
                           to the EXECUTING thread's instance, not the
                           launching thread's (the PR 6 parallel_launch trap).
                           A deliberate per-thread arena carries a waiver:
@@ -29,15 +31,13 @@ Rules (each can be listed with --list-rules):
   header-self-contained   Every header under src/ compiles standalone (a
                           generated one-include TU, -fsyntax-only), so no
                           header depends on its includer's include order.
-  ambient-threads         Under src/, omp_set_num_threads,
-                          omp_get_max_threads, ThreadCountGuard and
-                          `#pragma omp` appear only in the thread-count
-                          layer (common/parallel.hpp, rt/radix_sort.hpp) and
-                          the CUDA-DClust+ port (dbscan/dclustplus.cpp).
-                          Every other launch takes its thread count as an
-                          argument; reading or changing OpenMP's ambient
-                          setting anywhere else brings back a second carrier
-                          of the same decision.
+  ambient-threads         Under src/, no OpenMP name at all (`#pragma omp`,
+                          `omp_*`, <omp.h>): every launch runs on the worker
+                          pool in common/parallel.hpp.  ThreadCountGuard
+                          appears only in that header, which declares it:
+                          every launch takes its thread count as an
+                          argument, and a guard anywhere else would bring
+                          back a second carrier of the same decision.
   stale-suppression       Every entry in .tsan-suppressions carries a
                           `# lint:covers <regex>` marker naming the source
                           construct it suppresses for; entries whose regex no
@@ -66,16 +66,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 STAGE_RE = re.compile(r"RTD_STAGE(?:_AS\s*\(\s*\w+\s*,|\s*\()\s*\"([^\"]+)\"")
-OMP_PARALLEL_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b", re.MULTILINE)
+LAUNCH_CALL_RE = re.compile(
+    r"\b(?:parallel_for|parallel_for_accumulate|parallel_launch)\s*\(")
 THREAD_LOCAL_RE = re.compile(r"\bstatic\s+thread_local\b|\bthread_local\s+static\b")
 THREAD_LOCAL_WAIVER_RE = re.compile(r"lint:allow\(static-thread-local\):\s*\S")
 COVERS_RE = re.compile(r"^#\s*lint:covers\s+(\S.*)$")
-AMBIENT_THREADS_RE = re.compile(
-    r"\bomp_set_num_threads\b|\bomp_get_max_threads\b|\bThreadCountGuard\b"
-    r"|^\s*#\s*pragma\s+omp\b", re.MULTILINE)
-# The files that may name OpenMP's thread machinery (src/-relative).
-AMBIENT_THREADS_ALLOWED = frozenset({
-    "common/parallel.hpp", "rt/radix_sort.hpp", "dbscan/dclustplus.cpp"})
+OPENMP_RE = re.compile(
+    r"^\s*#\s*pragma\s+omp\b|\bomp_\w+|\bomp\.h\b", re.MULTILINE)
+GUARD_RE = re.compile(r"\bThreadCountGuard\b")
+# The one file that may name ThreadCountGuard (src/-relative).
+GUARD_ALLOWED = "common/parallel.hpp"
 
 
 @dataclass
@@ -147,65 +147,40 @@ def line_of(text: str, offset: int) -> int:
     return text.count("\n", 0, offset) + 1
 
 
-# --- rule: stage-in-omp -----------------------------------------------------
+# --- rule: stage-in-launch --------------------------------------------------
 
-def omp_region_span(clean: str, pragma_end: int) -> tuple[int, int]:
-    """Lexical extent of the structured block following a pragma at
-    `pragma_end` (offset just past the pragma line).  The block is either the
-    first braced compound (to its matching close) or, for single-statement
-    `parallel for` bodies, up to the first `;` at paren depth 0 outside any
-    brace."""
-    i, n = pragma_end, len(clean)
-    paren = 0
-    brace = 0
-    start = i
-    while i < n:
-        c = clean[i]
-        if c == "(":
-            paren += 1
-        elif c == ")":
-            paren -= 1
-        elif c == "{":
-            brace += 1
-        elif c == "}":
-            brace -= 1
-            if brace == 0:
-                return (start, i + 1)
-        elif c == ";" and paren == 0 and brace == 0:
-            return (start, i + 1)
-        elif c == "#" and brace == 0 and clean[i:].lstrip("# ").startswith("pragma"):
-            # A sibling pragma before any block opened: treat conservatively
-            # as part of the same region chain (e.g. `#pragma omp for` right
-            # after `#pragma omp parallel`).
-            pass
-        i += 1
-    return (start, n)
+def call_args_span(clean: str, open_paren: int) -> tuple[int, int]:
+    """Offsets of a call's argument list: from the `(` at `open_paren` to its
+    matching `)` (or the end of the text)."""
+    depth = 0
+    for i in range(open_paren, len(clean)):
+        if clean[i] == "(":
+            depth += 1
+        elif clean[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return (open_paren, i + 1)
+    return (open_paren, len(clean))
 
 
-def check_stage_in_omp(repo: Path) -> list[Violation]:
+def check_stage_in_launch(repo: Path) -> list[Violation]:
     violations = []
     for path in source_files(repo):
         text = path.read_text(encoding="utf-8", errors="replace")
-        if "RTD_STAGE" not in text or "pragma omp parallel" not in text:
+        if "RTD_STAGE" not in text:
             continue
         clean = strip_comments_and_strings(text)
         rel = str(path.relative_to(repo))
-        for m in OMP_PARALLEL_RE.finditer(clean):
-            line_end = clean.find("\n", m.end())
-            # Handle `\`-continued pragma lines.
-            while line_end != -1 and clean[line_end - 1] == "\\":
-                line_end = clean.find("\n", line_end + 1)
-            if line_end == -1:
-                line_end = len(clean)
-            lo, hi = omp_region_span(clean, line_end)
+        for m in LAUNCH_CALL_RE.finditer(clean):
+            lo, hi = call_args_span(clean, m.end() - 1)
             for st in re.finditer(r"RTD_STAGE(?:_AS)?\b", clean[lo:hi]):
                 violations.append(Violation(
-                    "stage-in-omp", rel, line_of(clean, lo + st.start()),
-                    "stage inside an '#pragma omp parallel' region "
-                    f"(region opened at line {line_of(clean, m.start())}); "
-                    "a fault thrown on a worker thread aborts the process "
-                    "and a per-worker span skews the latencies it reports — "
-                    "move the stage to a serial boundary"))
+                    "stage-in-launch", rel, line_of(clean, lo + st.start()),
+                    "stage inside a launch body (launch at line "
+                    f"{line_of(clean, m.start())}); a fault would fire and a "
+                    "span open once per index on the pool workers, and the "
+                    "span would skew the latencies it reports — move the "
+                    "stage to the serial boundary before the launch"))
     return violations
 
 
@@ -306,8 +281,8 @@ def check_thread_local_headers(repo: Path) -> list[Violation]:
                 continue
             violations.append(Violation(
                 "thread-local-header", str(path.relative_to(repo)), i + 1,
-                "`static thread_local` in a header: inside an OMP worker "
-                "lambda this resolves to the EXECUTING thread's instance, "
+                "`static thread_local` in a header: inside a launch body "
+                "this resolves to the EXECUTING thread's instance, "
                 "not the launcher's (the rt/parallel_launch.hpp trap).  If "
                 "the per-thread lifetime is genuinely intended, waive with "
                 "`// lint:allow(static-thread-local): <reason>`"))
@@ -320,18 +295,22 @@ def check_ambient_threads(repo: Path) -> list[Violation]:
     violations = []
     src = repo / "src"
     for path in source_files(repo):
-        if path.relative_to(src).as_posix() in AMBIENT_THREADS_ALLOWED:
-            continue
         text = path.read_text(encoding="utf-8", errors="replace")
         clean = strip_comments_and_strings(text)
-        for m in AMBIENT_THREADS_RE.finditer(clean):
+        rel = str(path.relative_to(repo))
+        for m in OPENMP_RE.finditer(clean):
             violations.append(Violation(
-                "ambient-threads", str(path.relative_to(repo)),
-                line_of(clean, m.start()),
-                f"'{m.group(0).strip()}' outside the thread-count layer "
-                "(common/parallel.hpp, rt/radix_sort.hpp): pass the launch "
+                "ambient-threads", rel, line_of(clean, m.start()),
+                f"'{m.group(0).strip()}': OpenMP under src/ — launch on the "
+                "worker pool (parallel_for & co. in common/parallel.hpp)"))
+        if path.relative_to(src).as_posix() == GUARD_ALLOWED:
+            continue
+        for m in GUARD_RE.finditer(clean):
+            violations.append(Violation(
+                "ambient-threads", rel, line_of(clean, m.start()),
+                f"'{m.group(0)}' outside {GUARD_ALLOWED}: pass the launch "
                 "its thread count (parallel_for & co., radix_sort_pairs) "
-                "instead of reading or changing OpenMP's setting"))
+                "instead of changing the caller's setting"))
     return violations
 
 
@@ -361,7 +340,7 @@ def check_headers_self_contained(repo: Path, cxx: str | None) -> list[Violation]
         tu = tmp / f"lint_tu_{index}.cpp"
         tu.write_text(f'#include "{header.relative_to(src).as_posix()}"\n')
         proc = subprocess.run(
-            [compiler, "-std=c++20", "-fsyntax-only", "-fopenmp",
+            [compiler, "-std=c++20", "-fsyntax-only",
              "-I", str(src), str(tu)],
             capture_output=True, text=True)
         if proc.returncode == 0:
@@ -435,7 +414,7 @@ def check_suppressions(repo: Path) -> list[Violation]:
 # --- driver -------------------------------------------------------------------
 
 RULES = [
-    ("stage-in-omp", lambda repo, args: check_stage_in_omp(repo)),
+    ("stage-in-launch", lambda repo, args: check_stage_in_launch(repo)),
     ("stage-site-registry / stage-site-docs",
      lambda repo, args: check_stage_sites(repo)),
     ("thread-local-header", lambda repo, args: check_thread_local_headers(repo)),

@@ -4,7 +4,7 @@
 // benchmark in docs/BENCHMARKS.md is exactly reproducible from its seed.  We use
 // xoshiro256++ (public-domain, Blackman & Vigna) seeded through splitmix64,
 // which is both faster and statistically stronger than std::mt19937 and has a
-// trivially copyable state that is cheap to fork per OpenMP thread.
+// trivially copyable state that is cheap to fork per worker thread.
 #pragma once
 
 #include <cmath>

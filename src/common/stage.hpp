@@ -18,10 +18,10 @@
 // clears the bit.  A malformed spec there is fatal: the process terminates
 // with the std::invalid_argument naming the bad token (README, "Stages").
 //
-// Stages belong at serial boundaries only — NEVER inside an OpenMP parallel
-// region (a fault thrown on a worker terminates the process; a per-worker
-// span skews the latencies it reports): scripts/lint_invariants.py rule
-// stage-in-omp.  Site names are canonical: all_sites() lists them sorted,
+// Stages belong at serial boundaries only — NEVER inside a launch body (a
+// fault would fire once per index on the pool workers; a per-worker span
+// skews the latencies it reports): scripts/lint_invariants.py rule
+// stage-in-launch.  Site names are canonical: all_sites() lists them sorted,
 // and the linter cross-checks every use against it, the docs table and the
 // chaos soak.
 

@@ -129,8 +129,8 @@ struct Options {
   int triangle_subdivisions = 1;
   /// Thread count of every launch the session makes: index builds and
   /// refits, the launch-order sort and the query launches.  0 means
-  /// omp_get_max_threads() and 1 runs inline on the caller; the session
-  /// never changes OpenMP's own setting.
+  /// hardware_concurrency() and 1 runs inline on the caller; a throw from
+  /// any worker reaches the caller.
   int threads = 0;
 
   Options& with_backend(index::IndexKind k) { backend = k; return *this; }

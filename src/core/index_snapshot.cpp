@@ -142,14 +142,14 @@ void IndexSnapshot::query_batch_into(std::span<const Vec3> centers, float eps,
                                      int threads,
                                      BatchQueryResult& out) const {
   // Span + histogram wrap BOTH launches from this serial boundary (never
-  // inside the parallel regions below).
+  // inside the launch bodies below).
   RTD_STAGE("snapshot.query_batch");
   const telemetry::LatencyTimer lat(
       telemetry::Histogram::kQueryBatchLatency);
   telemetry::count(telemetry::Counter::kSnapshotQueryBatches);
   dbscan::require_eps(eps, "IndexSnapshot");
-  // Validate every center up front: the launch lambdas below run inside a
-  // parallel region, where a thrown std::invalid_argument would terminate.
+  // Validate every center up front, so a bad one throws before any query
+  // runs.
   for (std::size_t q = 0; q < centers.size(); ++q) {
     if (!geom::is_finite(centers[q])) {
       throw std::invalid_argument(

@@ -107,11 +107,9 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
     const std::uint32_t base_chain = chain_counter;
     chain_counter += static_cast<std::uint32_t>(seeds.size());
 
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-    for (std::int64_t s = 0; s < static_cast<std::int64_t>(seeds.size());
-         ++s) {
+    parallel_for(seeds.size(), threads, [&](std::size_t s) {
       const std::uint32_t chain = base_chain + static_cast<std::uint32_t>(s);
-      const std::uint32_t seed = seeds[static_cast<std::size_t>(s)];
+      const std::uint32_t seed = seeds[s];
 
       // Claim the seed; it may have been absorbed by a chain from an
       // earlier round (or a concurrent one) in the meantime.  A stolen core
@@ -124,7 +122,7 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
           chain_sets.unite(chain, expected);
           collision_count.fetch_add(1, std::memory_order_relaxed);
         }
-        continue;
+        return;
       }
 
       std::vector<std::uint32_t> frontier{seed};
@@ -159,7 +157,7 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
         frontier.swap(next);
       }
       distance_tests.fetch_add(chain_tests, std::memory_order_relaxed);
-    }
+    });
   }
   result.chain_count = chain_counter;
   result.collision_count = collision_count.load();

@@ -8,7 +8,8 @@
 //
 // Port notes (deviations from the CUDA original; docs/BENCHMARKS.md lists
 // the benches that compare against this port):
-//  * chains run on OpenMP threads instead of CUDA blocks;
+//  * chains run on the worker pool (common/parallel.hpp) instead of CUDA
+//    blocks, one chain per chunk;
 //  * neighbor counts are precomputed in a parallel pass so chain expansion
 //    and collision handling always know point coreness (the original
 //    interleaves this; precomputation changes constants, not asymptotics);

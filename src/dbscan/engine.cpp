@@ -76,9 +76,9 @@ rt::LaunchStats index_phase1(const index::NeighborIndex& index,
   // (the RT pipeline) ignore the cap and return exact counts.
   const std::uint32_t cap =
       early_exit ? params.min_pts - 1 : index::kNoCap;
-  // Before the launch: a throw from inside the parallel region would
-  // terminate, so faults inject at the serial boundary only.  The span
-  // wraps the launch from outside for the same reason.
+  // Before the launch: a fault injects once per launch, at the serial
+  // boundary, and the span wraps the launch from outside (a throw from a
+  // body would reach the caller, but a stage there would fire per packet).
   RTD_STAGE("engine.phase1");
   telemetry::count(telemetry::Counter::kEnginePhase1Launches);
 
@@ -285,8 +285,7 @@ CountClusterStats index_count_cluster(
         "and level");
   }
   counts.assign(slots, 0);
-  // Before the launch, like index_phase1: a throw from inside the parallel
-  // region would terminate.
+  // Before the launch, like index_phase1: once per launch, not per packet.
   RTD_STAGE("engine.fused");
   telemetry::count(telemetry::Counter::kEngineFusedLaunches);
 

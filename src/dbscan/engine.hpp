@@ -76,8 +76,7 @@ struct IndexEngineResult {
 /// Query launch order: identity, or the Morton (Z-curve) order of the
 /// points — a stable radix sort of their codes, so slots sharing a code
 /// keep slot order.  The codes and the sort run on `threads` workers:
-/// 0 means omp_get_max_threads() and 1 runs inline on the caller; OpenMP's
-/// own setting is never changed.
+/// 0 means hardware_concurrency() and 1 runs inline on the caller.
 [[nodiscard]] std::vector<std::uint32_t> query_launch_order(
     std::span<const geom::Vec3> points, bool morton, int threads = 0);
 

@@ -10,6 +10,7 @@
 #include "geom/aabb.hpp"
 #include "index/densebox_index.hpp"
 #include "index/neighbor_index.hpp"
+#include "rt/parallel_launch.hpp"
 
 namespace rtd::dbscan {
 
@@ -45,7 +46,6 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   out.is_core.assign(n, 0);
   if (n == 0) return result;
 
-  const int threads = resolve_threads(options.threads);
   const float eps2 = params.eps_squared();
 
   Timer total;
@@ -76,7 +76,8 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   std::unique_ptr<index::NeighborIndex> owned;
   const index::NeighborIndex* index = &grid;
   if (kind != index::IndexKind::kDenseBox) {
-    owned = index::make_index(points, params.eps, kind, {.threads = threads});
+    owned = index::make_index(points, params.eps, kind,
+                              {.threads = options.threads});
     index = owned.get();
   }
   out.timings.index_build_seconds = phase.seconds();
@@ -85,24 +86,20 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   phase.restart();
   const std::uint32_t cap =
       options.early_exit ? params.min_pts - 1 : index::kNoCap;
-  std::vector<rt::TraversalStats> stats1(static_cast<std::size_t>(threads));
-  parallel_for_ctx(
-      n, threads,
-      [&](std::size_t tid) { return &stats1[tid]; },
-      [&](rt::TraversalStats* st, std::size_t i) {
+  result.phase1_work = rt::parallel_launch(
+      n, options.threads, [&](rt::TraversalStats& st, std::size_t i) {
         if (dense_cell_of[i] != kNoDenseCell) return;  // proven core for free
         const std::uint32_t count = index->query_count(
-            points[i], params.eps, static_cast<std::uint32_t>(i), *st, cap);
+            points[i], params.eps, static_cast<std::uint32_t>(i), st, cap);
         out.is_core[i] = count + 1 >= params.min_pts ? 1 : 0;
-      });
-  for (auto& s : stats1) result.phase1_work += s;
+      }).work;
   out.timings.core_phase_seconds = phase.seconds();
 
   // Phase 2.
   phase.restart();
   dsu::AtomicDisjointSet dsu(n);
   std::vector<std::atomic<std::uint8_t>> claimed(n);
-  parallel_for(n, threads, [&](std::size_t i) {
+  parallel_for(n, options.threads, [&](std::size_t i) {
     claimed[i].store(0, std::memory_order_relaxed);
   });
 
@@ -114,11 +111,8 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   }
 
   // 2b. Per-point queries for cores OUTSIDE dense boxes (as in FDBSCAN).
-  std::vector<rt::TraversalStats> stats2(static_cast<std::size_t>(threads));
-  parallel_for_ctx(
-      n, threads,
-      [&](std::size_t tid) { return &stats2[tid]; },
-      [&](rt::TraversalStats* st, std::size_t i) {
+  result.phase2_work = rt::parallel_launch(
+      n, options.threads, [&](rt::TraversalStats& st, std::size_t i) {
         if (!out.is_core[i] || dense_cell_of[i] != kNoDenseCell) return;
         index->query_sphere(
             points[i], params.eps, static_cast<std::uint32_t>(i),
@@ -139,18 +133,17 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
                 }
               }
             },
-            *st);
-      });
+            st);
+      }).work;
 
   // 2c. One inflated-box query per dense cell: connects the cell to
   // everything within eps of ANY member (first-member-in-range early break),
   // replacing |cell| per-point queries.  The box is padded a hair beyond ε
   // so float rounding at the boundary can never exclude a true neighbor;
   // the exact member-distance test below is authoritative.
-  parallel_for_ctx(
-      dense_cells.size(), threads,
-      [&](std::size_t tid) { return &stats2[tid]; },
-      [&](rt::TraversalStats* st, std::size_t c) {
+  result.phase2_work += rt::parallel_launch(
+      dense_cells.size(), options.threads,
+      [&](rt::TraversalStats& st, std::size_t c) {
         const auto& members = dense_cells[c];
         const std::uint32_t rep = members[0];
         const float pad = 1.0001f * params.eps;
@@ -182,9 +175,8 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
                 }
               }
             },
-            *st);
-      });
-  for (auto& s : stats2) result.phase2_work += s;
+            st);
+      }).work;
   out.timings.cluster_phase_seconds = phase.seconds();
 
   finalize_labels(

@@ -8,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "index/neighbor_index.hpp"
+#include "rt/parallel_launch.hpp"
 
 namespace rtd::dbscan {
 
@@ -26,8 +27,6 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
   out.is_core.assign(n, 0);
   if (n == 0) return result;
 
-  const int threads = resolve_threads(options.threads);
-
   Timer total;
   Timer phase;
 
@@ -38,20 +37,17 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
   const index::IndexKind kind =
       index::resolve_auto(params.index, index::IndexKind::kBruteForce);
   const auto index =
-      index::make_index(points, params.eps, kind, {.threads = threads});
+      index::make_index(points, params.eps, kind, {.threads = options.threads});
 
   // Pass 1 (GPU kernel "vertices degree calculation"): degree count per
   // point.  Degrees include the point itself (+1: the index excludes self).
   std::vector<std::uint32_t> degree(n, 0);
-  std::vector<rt::TraversalStats> pass_stats(static_cast<std::size_t>(threads));
-  parallel_for_ctx(
-      n, threads,
-      [&](std::size_t tid) { return &pass_stats[tid]; },
-      [&](rt::TraversalStats* st, std::size_t i) {
+  rt::TraversalStats work = rt::parallel_launch(
+      n, options.threads, [&](rt::TraversalStats& st, std::size_t i) {
         degree[i] = index->query_count(points[i], params.eps,
-                                       static_cast<std::uint32_t>(i), *st) +
+                                       static_cast<std::uint32_t>(i), st) +
                     1;
-      });
+      }).work;
 
   // Exclusive scan for CSR offsets ("adjacency lists start indices").
   std::vector<std::uint64_t> offset(n + 1, 0);
@@ -69,24 +65,21 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
   // Pass 2 ("adjacency lists assembly"): query again, writing ids (the
   // self-edge first, then the index's enumeration order).
   std::vector<std::uint32_t> adjacency(edges);
-  parallel_for_ctx(
-      n, threads,
-      [&](std::size_t tid) { return &pass_stats[tid]; },
-      [&](rt::TraversalStats* st, std::size_t i) {
+  work += rt::parallel_launch(
+      n, options.threads, [&](rt::TraversalStats& st, std::size_t i) {
         std::uint64_t w = offset[i];
         adjacency[w++] = static_cast<std::uint32_t>(i);
         index->query_sphere(points[i], params.eps,
                             static_cast<std::uint32_t>(i),
                             [&](std::uint32_t j) { adjacency[w++] = j; },
-                            *st);
-      });
+                            st);
+      }).work;
   for (std::size_t i = 0; i < n; ++i) {
     out.is_core[i] = degree[i] >= params.min_pts ? 1 : 0;
   }
   // Candidate distance tests the device would execute across both passes
   // (brute force: exactly 2n², the paper's count).
-  result.distance_tests = 0;
-  for (const auto& st : pass_stats) result.distance_tests += st.isect_calls;
+  result.distance_tests = work.isect_calls;
   result.graph_build_seconds = phase.seconds();
 
   // Cluster identification: level-synchronous parallel BFS from each
@@ -94,14 +87,13 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
   // points are absorbed but not expanded.
   phase.restart();
   std::vector<std::atomic<std::uint8_t>> visited(n);
-  parallel_for(n, threads, [&](std::size_t i) {
+  parallel_for(n, options.threads, [&](std::size_t i) {
     visited[i].store(0, std::memory_order_relaxed);
   });
 
   std::int32_t next_cluster = 0;
   std::vector<std::uint32_t> frontier;
-  std::vector<std::vector<std::uint32_t>> next_buffers(
-      static_cast<std::size_t>(threads));
+  std::vector<std::uint32_t> next;
 
   for (std::uint32_t seed = 0; seed < n; ++seed) {
     if (!out.is_core[seed]) continue;
@@ -114,11 +106,11 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
 
     while (!frontier.empty()) {
       ++result.bfs_levels;
-      for (auto& buf : next_buffers) buf.clear();
-      parallel_for_ctx(
-          frontier.size(), threads,
-          [&](std::size_t tid) { return &next_buffers[tid]; },
-          [&](std::vector<std::uint32_t>* next, std::size_t fi) {
+      next.clear();
+      parallel_for_accumulate(
+          frontier.size(), options.threads,
+          [] { return std::vector<std::uint32_t>{}; },
+          [&](std::vector<std::uint32_t>& found, std::size_t fi) {
             const std::uint32_t v = frontier[fi];
             if (!out.is_core[v]) return;  // border: absorbed, not expanded
             for (std::uint64_t e = offset[v]; e < offset[v + 1]; ++e) {
@@ -127,14 +119,14 @@ GdbscanResult gdbscan(std::span<const geom::Vec3> points, const Params& params,
               if (visited[u].compare_exchange_strong(
                       expected, 1, std::memory_order_acq_rel)) {
                 out.labels[u] = cluster;
-                next->push_back(u);
+                found.push_back(u);
               }
             }
+          },
+          [&](const std::vector<std::uint32_t>& found) {
+            next.insert(next.end(), found.begin(), found.end());
           });
-      frontier.clear();
-      for (const auto& buf : next_buffers) {
-        frontier.insert(frontier.end(), buf.begin(), buf.end());
-      }
+      frontier.swap(next);
     }
   }
 

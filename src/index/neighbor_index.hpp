@@ -174,8 +174,8 @@ class NeighborIndex {
   /// Thread budget of the writer operations that run parallel loops:
   /// try_set_eps (the RT scenes' radius refit) and try_remove (the tree
   /// backends' masked refit) pass it to every launch they make.  0 means
-  /// omp_get_max_threads() and 1 runs inline on the caller; OpenMP's own
-  /// setting is never changed.  make_index() sets it from
+  /// hardware_concurrency() and 1 runs inline on the caller; a throw from
+  /// any worker reaches the caller.  make_index() sets it from
   /// IndexBuildOptions::threads, and clone() keeps it.
   void set_threads(int threads) { threads_ = threads; }
   [[nodiscard]] int threads() const { return threads_; }
@@ -314,8 +314,8 @@ struct IndexBuildOptions {
   /// point).
   int triangle_subdivisions = 1;
   /// Thread count of every launch the build makes, and the index's writer
-  /// budget (NeighborIndex::threads()): 0 means omp_get_max_threads() and
-  /// 1 runs inline on the caller; OpenMP's own setting is never changed.
+  /// budget (NeighborIndex::threads()): 0 means hardware_concurrency() and
+  /// 1 runs inline on the caller.
   int threads = 0;
 };
 

@@ -38,7 +38,7 @@ void DeltaTail::absorb(std::span<const geom::Vec3> points) {
     return;
   }
   // Tail trees are small next to the main build: a one-thread build avoids
-  // a parallel region per re-index on the writer's thread.
+  // waking the worker pool per re-index on the writer's thread.
   tree_ = std::make_shared<const PointTree>(points.subspan(first_), 1);
   indexed_end_ = points.size();
 }

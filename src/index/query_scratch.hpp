@@ -42,8 +42,8 @@ struct QueryScratch {
   /// This thread's arena.
   static QueryScratch& local() {
     // The arena is borrowed and returned strictly within the executing
-    // thread (ownership contract above) and never handed across an OMP
-    // region boundary, so executing-thread resolution is exactly right.
+    // thread (ownership contract above) and never handed to another worker
+    // of a launch, so executing-thread resolution is exactly right.
     // lint:allow(static-thread-local): per-thread arena by design
     static thread_local QueryScratch scratch;
     return scratch;

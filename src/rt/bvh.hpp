@@ -87,7 +87,7 @@ inline constexpr std::uint32_t kLeafSize = 4;
 /// traversal quality than a SAH builder (which measured slower end to end
 /// here: its 6-10x longer builds never paid back in traversal).  The
 /// Morton codes and their radix sort run on `threads` workers
-/// (common/parallel.hpp: 0 = hardware_threads()); the tree is the same at
+/// (common/parallel.hpp: 0 = hardware_concurrency()); the tree is the same at
 /// every thread count.
 Bvh build_bvh(std::span<const geom::Aabb> prim_bounds, int threads = 0);
 

@@ -3,7 +3,7 @@
 // simulator's optixLaunch over a 1-D grid.  Split out of rt/traversal.hpp
 // so the traversal header stays a pure walk-kernel header (it now carries
 // both the binary and the wide walk) and so the harness's threading deps
-// (OpenMP wrappers, timers) don't leak into every traversal user.
+// (the worker pool, timers) don't leak into every traversal user.
 #pragma once
 
 #include <cstddef>
@@ -15,16 +15,16 @@
 namespace rtd::rt {
 
 /// Launch harness: run `f(stats, i)` for i in [0, n) across `threads`
-/// workers (0 = all hardware threads), timing the batch and summing the
-/// per-thread work counters.
+/// workers (0 = hardware_concurrency()), timing the batch and summing the
+/// per-thread work counters.  A throw from `f` on any worker reaches the
+/// caller.
 ///
 /// Zero-allocation and launcher-agnostic: each worker accumulates into a
-/// TraversalStats on its OWN stack inside the parallel region and the
-/// per-worker totals are merged once at region end
-/// (parallel_for_accumulate), so no per-thread accumulator storage is
-/// shared across threads at all.  Any number of threads may run launches
-/// concurrently (the serving read path does); a single-thread launch runs
-/// inline without entering an OpenMP region.
+/// TraversalStats on its OWN stack and the per-worker totals are merged
+/// once at the end (parallel_for_accumulate), so no per-thread accumulator
+/// storage is shared across threads at all.  Any number of threads may run
+/// launches concurrently (the serving read path does); a single-thread
+/// launch runs inline on the caller.
 ///
 /// (An earlier revision staged the accumulators in a `static thread_local`
 /// vector owned by the launching thread and handed workers slots of it —

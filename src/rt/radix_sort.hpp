@@ -15,8 +15,8 @@ namespace rtd::rt {
 
 /// Sort `keys` ascending, applying the same permutation to `values`.
 /// Stable; three passes of 11/11/10 bits; parallel histogram + scatter on
-/// `threads` workers (common/parallel.hpp: 0 = hardware_threads(), 1 runs
-/// inline).  The input splits into one contiguous chunk per thread, so the
+/// `threads` workers (common/parallel.hpp: 0 = hardware_concurrency(), 1
+/// runs inline).  The input splits into one contiguous chunk per thread, so the
 /// result is the same at every thread count.
 inline void radix_sort_pairs(std::vector<std::uint32_t>& keys,
                              std::vector<std::uint32_t>& values,
@@ -27,17 +27,11 @@ inline void radix_sort_pairs(std::vector<std::uint32_t>& keys,
   const int t = resolve_threads(threads);
   const auto chunks = static_cast<std::size_t>(t);
   // Chunk c covers [c·n/chunks, (c+1)·n/chunks).  Both passes of a digit
-  // see the same chunks whatever team OpenMP hands the region.
+  // see the same chunks whichever worker runs each one.
   const auto for_each_chunk = [&](auto&& body) {
-    if (t == 1) {
-      body(std::size_t{0}, std::size_t{0}, n);
-      return;
-    }
-#pragma omp parallel for schedule(static, 1) num_threads(t)
-    for (int c = 0; c < t; ++c) {
-      const auto uc = static_cast<std::size_t>(c);
-      body(uc, uc * n / chunks, (uc + 1) * n / chunks);
-    }
+    parallel_for(chunks, t, [&](std::size_t c) {
+      body(c, c * n / chunks, (c + 1) * n / chunks);
+    });
   };
 
   std::vector<std::uint32_t> keys_tmp(n);

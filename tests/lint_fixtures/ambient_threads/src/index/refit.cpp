@@ -1,5 +1,5 @@
-// Seeded violation: a writer op that changes OpenMP's thread-count setting
-// around its refit instead of passing the refit its thread count.
+// Seeded violation: a writer op that changes the caller's thread-count
+// setting around its refit instead of passing the refit its thread count.
 #include "common/parallel.hpp"
 
 namespace fixture {

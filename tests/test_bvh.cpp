@@ -27,7 +27,7 @@ std::vector<Aabb> random_sphere_bounds(std::size_t n, float radius,
 }
 
 /// The build thread counts every builder test runs at: four workers, and
-/// the one-thread build the delta-tail trees use (inline, no OpenMP region).
+/// the one-thread build the delta-tail trees use (inline on the caller).
 enum class BuildThreads { kFour, kOne };
 
 int threads_of(BuildThreads b) { return b == BuildThreads::kFour ? 4 : 1; }

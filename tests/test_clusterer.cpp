@@ -364,9 +364,6 @@ TEST(ClustererSweep, DuplicateLadderValuesShareColumnsAndMatch) {
   EXPECT_EQ(curve[1].neighbor_counts, curve[4].neighbor_counts);
 }
 
-// LadderSweep runs OpenMP teams of four, so it stays outside the TSan job's
-// suite filter: that build's OpenMP runtime is uninstrumented, and TSan
-// cannot see its barriers.
 TEST(LadderSweep, UnsortedLadderWithDuplicatesMatchesOnEveryBackend) {
   // Nine values, unsorted, with duplicates: the levels are the distinct
   // values sorted descending, and every entry still comes back in input

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -18,6 +16,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "team_probe.hpp"
 
 namespace rtd {
 namespace {
@@ -317,40 +316,22 @@ TEST(Parallel, SingleThreadedIsDeterministic) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-/// What one helper body saw: the largest team size, whether any call ran
-/// inside an OpenMP region, and whether any ran off the calling thread.
-struct TeamProbe {
-  std::atomic<int> max_team{0};
-  std::atomic<bool> in_parallel{false};
-  std::atomic<bool> off_caller{false};
-  std::thread::id caller = std::this_thread::get_id();
-
-  void record() {
-    int seen = max_team.load();
-    const int team = omp_get_num_threads();
-    while (team > seen && !max_team.compare_exchange_weak(seen, team)) {
-    }
-    if (omp_in_parallel() != 0) in_parallel.store(true);
-    if (std::this_thread::get_id() != caller) off_caller.store(true);
+/// Runs each of the two helpers at `threads` over 256 indices and returns
+/// one probe per helper, whose latch waits for the resolved count.
+std::vector<std::unique_ptr<testutil::TeamProbe>> probe_helpers(int threads) {
+  std::vector<std::unique_ptr<testutil::TeamProbe>> probes;
+  for (int k = 0; k < 2; ++k) {
+    probes.push_back(
+        std::make_unique<testutil::TeamProbe>(resolve_threads(threads)));
   }
-};
-
-/// Runs each of the three helpers at `threads` over 256 indices and
-/// returns one probe per helper.
-std::vector<std::unique_ptr<TeamProbe>> probe_helpers(int threads) {
-  std::vector<std::unique_ptr<TeamProbe>> probes;
-  for (int k = 0; k < 3; ++k) probes.push_back(std::make_unique<TeamProbe>());
   constexpr std::size_t kN = 256;
   parallel_for(kN, threads, [&](std::size_t) { probes[0]->record(); });
-  parallel_for_ctx(
-      kN, threads, [](std::size_t tid) { return tid; },
-      [&](std::size_t, std::size_t) { probes[1]->record(); });
   std::size_t combined = 0;
   parallel_for_accumulate(
       kN, threads, [] { return std::size_t{0}; },
       [&](std::size_t& acc, std::size_t) {
         ++acc;
-        probes[2]->record();
+        probes[1]->record();
       },
       [&](std::size_t acc) { combined += acc; });
   EXPECT_EQ(combined, kN);
@@ -358,33 +339,108 @@ std::vector<std::unique_ptr<TeamProbe>> probe_helpers(int threads) {
 }
 
 TEST(Parallel, EveryHelperRunsOnItsThreadCount) {
-  // The count a launch is given wins over the caller's OpenMP setting.
+  // The count a launch is given wins over the caller's setting.
   const ThreadCountGuard ambient(3);
+  const auto caller = std::this_thread::get_id();
   const auto probes = probe_helpers(2);
   for (std::size_t k = 0; k < probes.size(); ++k) {
-    EXPECT_EQ(probes[k]->max_team.load(), 2) << "helper " << k;
-    EXPECT_TRUE(probes[k]->in_parallel.load()) << "helper " << k;
+    EXPECT_EQ(probes[k]->team(), 2) << "helper " << k;
+    EXPECT_TRUE(probes[k]->off(caller)) << "helper " << k;
   }
-  EXPECT_EQ(omp_get_max_threads(), 3);
+  EXPECT_EQ(hardware_threads(), 3);
 }
 
 TEST(Parallel, OneThreadRunsInlineOnTheCaller) {
   const ThreadCountGuard ambient(3);
+  const auto caller = std::this_thread::get_id();
   const auto probes = probe_helpers(1);
   for (std::size_t k = 0; k < probes.size(); ++k) {
-    EXPECT_FALSE(probes[k]->in_parallel.load()) << "helper " << k;
-    EXPECT_FALSE(probes[k]->off_caller.load()) << "helper " << k;
-    EXPECT_EQ(probes[k]->max_team.load(), 1) << "helper " << k;
+    EXPECT_FALSE(probes[k]->off(caller)) << "helper " << k;
+    EXPECT_EQ(probes[k]->team(), 1) << "helper " << k;
   }
-  EXPECT_EQ(omp_get_max_threads(), 3);
+  EXPECT_EQ(hardware_threads(), 3);
 }
 
 TEST(Parallel, ZeroThreadsResolvesToTheCallersSetting) {
   const ThreadCountGuard ambient(3);
   const auto probes = probe_helpers(0);
   for (std::size_t k = 0; k < probes.size(); ++k) {
-    EXPECT_EQ(probes[k]->max_team.load(), 3) << "helper " << k;
+    EXPECT_EQ(probes[k]->team(), 3) << "helper " << k;
   }
+}
+
+TEST(Parallel, NestedLaunchRunsInlineOnTheExecutingThread) {
+  std::atomic<int> off_thread{0};
+  std::atomic<int> ran{0};
+  parallel_for(64, 4, [&](std::size_t) {
+    const auto outer = std::this_thread::get_id();
+    parallel_for(16, 4, [&](std::size_t) {
+      if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
+      ran.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(ran.load(), 64 * 16);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+/// Launches both helpers at `threads` over 1000 indices with a body that
+/// throws at index 537; returns how many of the two calls threw to the
+/// caller with the body's exception.
+int throws_reaching_the_caller(int threads) {
+  const auto body = [](std::size_t i) {
+    if (i == 537) throw std::runtime_error("index 537");
+  };
+  int reached = 0;
+  try {
+    parallel_for(1000, threads, body);
+  } catch (const std::runtime_error& e) {
+    reached += std::string(e.what()) == "index 537" ? 1 : 0;
+  }
+  try {
+    parallel_for_accumulate(
+        1000, threads, [] { return 0; },
+        [&](int&, std::size_t i) { body(i); }, [](int) {});
+  } catch (const std::runtime_error& e) {
+    reached += std::string(e.what()) == "index 537" ? 1 : 0;
+  }
+  return reached;
+}
+
+TEST(Parallel, BodyThrowReachesTheCaller) {
+  for (const int threads : {1, 2, 4}) {
+    EXPECT_EQ(throws_reaching_the_caller(threads), 2) << threads;
+  }
+}
+
+TEST(Parallel, PoolStaysUsableAfterAThrow) {
+  ASSERT_EQ(throws_reaching_the_caller(4), 2);
+  std::vector<std::atomic<int>> hits(5000);
+  for (auto& h : hits) h.store(0);
+  parallel_for(hits.size(), 4, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(throws_reaching_the_caller(2), 2);
+}
+
+TEST(Parallel, ConcurrentLaunchesFromFourThreadsAllFinish) {
+  constexpr std::size_t kN = 20000;
+  const std::uint64_t want = std::uint64_t{kN} * (kN - 1) / 2;
+  std::vector<std::uint64_t> sums(4, 0);
+  std::vector<std::thread> launchers;
+  for (std::size_t k = 0; k < sums.size(); ++k) {
+    launchers.emplace_back([&sums, k] {
+      for (int round = 0; round < 20; ++round) {
+        std::uint64_t sum = 0;
+        parallel_for_accumulate(
+            kN, 4, [] { return std::uint64_t{0}; },
+            [](std::uint64_t& acc, std::size_t i) { acc += i; },
+            [&](std::uint64_t acc) { sum += acc; });
+        if (sum != want) return;  // sums[k] stays short of 20 rounds
+        sums[k] += sum;
+      }
+    });
+  }
+  for (auto& t : launchers) t.join();
+  for (const auto sum : sums) EXPECT_EQ(sum, 20 * want);
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <algorithm>
 #include <set>
 #include <vector>
@@ -158,18 +156,13 @@ TEST(AtomicDisjointSet, SameSetUnderConcurrentMutation) {
   // sets.  We merge only even indices; odd indices stay singletons.
   const std::size_t n = 10000;
   AtomicDisjointSet dsu(n);
-#pragma omp parallel
-  {
-#pragma omp for schedule(dynamic, 16)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(n / 2) - 1; ++i) {
-      dsu.unite(static_cast<std::uint32_t>(2 * i),
-                static_cast<std::uint32_t>(2 * i + 2));
-      // Interleaved queries on odd elements (never united).
-      EXPECT_FALSE(
-          dsu.same_set(static_cast<std::uint32_t>(2 * i + 1),
-                       static_cast<std::uint32_t>(2 * i + 3)));
-    }
-  }
+  parallel_for(n / 2 - 1, 4, [&](std::size_t i) {
+    dsu.unite(static_cast<std::uint32_t>(2 * i),
+              static_cast<std::uint32_t>(2 * i + 2));
+    // Interleaved queries on odd elements (never united).
+    EXPECT_FALSE(dsu.same_set(static_cast<std::uint32_t>(2 * i + 1),
+                              static_cast<std::uint32_t>(2 * i + 3)));
+  });
   EXPECT_EQ(dsu.set_count(), 1u + n / 2);
 }
 

@@ -5,8 +5,8 @@
 // settle protocol of its packets driven step by step.
 //
 // The suites are named FusedParity / FusedLadder / FusedProtocol so they
-// can be run alone, repeated at four OpenMP threads (CI), where the
-// interleavings of the settle protocol actually race.
+// can be run alone: repeated in a Release build and under ThreadSanitizer
+// (CI), where their four-thread launches race the settle protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>

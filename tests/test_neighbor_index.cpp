@@ -36,6 +36,7 @@
 #include "index/bvh_rt_index.hpp"
 #include "index/grid_index.hpp"
 #include "index/point_tree.hpp"
+#include "team_probe.hpp"
 
 namespace rtd::index {
 namespace {
@@ -411,14 +412,9 @@ class ThreadProbeIndex final : public NeighborIndex {
 
  private:
   [[nodiscard]] int team_size() const {
-    std::atomic<int> team{0};
-    parallel_for(64, threads(), [&](std::size_t) {
-      int seen = team.load();
-      const int now = omp_get_num_threads();
-      while (now > seen && !team.compare_exchange_weak(seen, now)) {
-      }
-    });
-    return team.load();
+    testutil::TeamProbe team(resolve_threads(threads()));
+    parallel_for(64, threads(), [&](std::size_t) { team.record(); });
+    return team.team();
   }
 
   std::span<const Vec3> points_;
@@ -427,8 +423,8 @@ class ThreadProbeIndex final : public NeighborIndex {
 
 TEST(NeighborIndex, WriterOperationsRunUnderTheIndexThreadBudget) {
   // The refits behind try_set_eps and try_remove launch parallel loops:
-  // they must run on the index's budget, not whatever OpenMP thread count
-  // the caller left, and never change the caller's count.
+  // they must run on the index's budget, not the caller's setting, and
+  // never change the caller's setting.
   const auto pts = data::taxi_gps(64, 5).points;
   const ThreadCountGuard caller(3);
   ThreadProbeIndex probe(pts);
@@ -437,7 +433,7 @@ TEST(NeighborIndex, WriterOperationsRunUnderTheIndexThreadBudget) {
   EXPECT_EQ(probe.set_eps_threads, 1);
   EXPECT_TRUE(probe.try_remove(std::vector<std::uint32_t>{2, 7}));
   EXPECT_EQ(probe.remove_threads, 1);
-  EXPECT_EQ(omp_get_max_threads(), 3);
+  EXPECT_EQ(hardware_threads(), 3);
   // A clone keeps the budget; 0 keeps the caller's count.
   auto copy = probe.clone();
   EXPECT_EQ(copy->threads(), 1);

@@ -1,7 +1,6 @@
 #include "core/rt_dbscan.hpp"
 
 #include <gtest/gtest.h>
-#include <omp.h>
 
 #include <algorithm>
 #include <atomic>
@@ -220,16 +219,17 @@ TEST(LaunchOrder, MortonOrderIsAStableSortOfTheCodes) {
 
 TEST(LaunchOrder, SingleThreadSessionRestoresCallerThreadCount) {
   // The session sorts its launch order under its own thread count; the
-  // caller's OpenMP setting must survive run() (and the one-shot engine).
+  // caller's ThreadCountGuard setting must survive run() (and the one-shot
+  // engine).
   const ThreadCountGuard caller(3);
   const auto dataset = data::taxi_gps(2000, 92);
   Clusterer session(dataset.points, Options().with_threads(1));
   (void)session.run(0.3f, 8);
-  EXPECT_EQ(omp_get_max_threads(), 3);
+  EXPECT_EQ(hardware_threads(), 3);
   RtDbscanOptions serial;
   serial.threads = 1;
   (void)rt_dbscan(dataset.points, {0.3f, 8}, serial);
-  EXPECT_EQ(omp_get_max_threads(), 3);
+  EXPECT_EQ(hardware_threads(), 3);
 }
 
 TEST(RtDbscan, SingleThreadMatchesParallel) {

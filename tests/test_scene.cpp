@@ -3,12 +3,14 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "data/generators.hpp"
 #include "rt/parallel_launch.hpp"
 #include "rt/scene.hpp"
 #include "rt/tessellate.hpp"
+#include "team_probe.hpp"
 
 namespace rtd::rt {
 namespace {
@@ -94,14 +96,12 @@ TEST(ParallelLaunch, RunsEveryRayExactlyOnce) {
 }
 
 TEST(ParallelLaunch, HonoursTheWorkerCount) {
-  std::atomic<int> max_tid{0};
-  parallel_launch(1000, 2, [&](TraversalStats&, std::size_t) {
-    int tid = omp_get_thread_num();
-    int cur = max_tid.load();
-    while (tid > cur && !max_tid.compare_exchange_weak(cur, tid)) {
-    }
-  });
-  EXPECT_LT(max_tid.load(), 2);
+  // Two threads run the launch: the caller and one worker, no more.
+  testutil::TeamProbe probe(2);
+  parallel_launch(1000, 2,
+                  [&](TraversalStats&, std::size_t) { probe.record(); });
+  EXPECT_EQ(probe.team(), 2);
+  EXPECT_TRUE(probe.off(std::this_thread::get_id()));
 }
 
 TEST(ParallelLaunch, SumsPerThreadStats) {

@@ -414,8 +414,7 @@ TEST(ServingConcurrent, ReadersNeverTearWhileWriterRefits) {
 
   for (const IndexKind kind : {IndexKind::kBvhRt, IndexKind::kGrid}) {
     // threads=1: every query launch runs inline on the calling thread, so
-    // reader parallelism comes from the std::threads below (and TSan sees
-    // every access — no uninstrumented OpenMP runtime on the read path).
+    // reader parallelism comes from the std::threads below.
     Clusterer session(dataset.points,
                       Options().with_backend(kind).with_threads(1));
     (void)session.run(eps1, 5);

@@ -128,6 +128,28 @@ TEST(Validation, AllEntryPointsRejectNonFiniteEps) {
   });
 }
 
+TEST(Validation, ForeignEpsThrowsOnTheCallerAtEveryThreadCount) {
+  // An ε the index cannot serve is caught inside the launch, by the
+  // backend's query: the throw must reach the caller at four threads as it
+  // does at one, not end the process.
+  const auto pts = data::taxi_gps(2000, 504).points;
+  const struct {
+    index::IndexKind kind;
+    float eps;  // the index is built at 0.5
+  } cases[] = {{index::IndexKind::kBvhRt, 0.4f},
+               {index::IndexKind::kTriangles, 0.4f},
+               {index::IndexKind::kGrid, 0.6f}};
+  for (const auto& c : cases) {
+    const auto index = index::make_index(pts, 0.5f, c.kind);
+    for (const int threads : {1, 4}) {
+      EXPECT_THROW(dbscan::cluster_with_index(*index, {c.eps, 5},
+                                              {.threads = threads}),
+                   std::invalid_argument)
+          << index::to_string(c.kind) << " threads=" << threads;
+    }
+  }
+}
+
 TEST(Validation, FiniteDataPasses) {
   const auto dataset = data::taxi_gps(50, 502);
   EXPECT_NO_THROW(dbscan::require_finite(dataset.points));
