@@ -9,8 +9,8 @@
 #include <atomic>
 
 #include "data/generators.hpp"
-#include "dbscan/grid_index.hpp"
 #include "index/bvh_rt_index.hpp"
+#include "index/grid_index.hpp"
 #include "rt/parallel_launch.hpp"
 
 namespace {
@@ -22,11 +22,13 @@ constexpr float kEps = 0.3f;
 void BM_GridCountNeighbors(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto dataset = data::taxi_gps(n, 7);
-  const dbscan::GridIndex index(dataset.points, kEps);
+  const index::GridIndex grid(dataset.points, kEps);
+  rt::TraversalStats stats;
   std::uint32_t q = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        index.count_neighbors(dataset.points[q], kEps));
+        grid.query_count(dataset.points[q], kEps, index::kNoSelf, stats,
+                         index::kNoCap));
     q = (q + 1) % static_cast<std::uint32_t>(n);
   }
   state.SetItemsProcessed(state.iterations());

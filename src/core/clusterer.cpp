@@ -1195,7 +1195,7 @@ struct Clusterer::Impl {
             if (sparse) {
               const Vec3& pu = pts[u];
               const auto [it, fresh] =
-                  cell_seen.try_emplace(cell_key(pu, inv_h), u);
+                  cell_seen.try_emplace(index::cell_key(pu, inv_h), u);
               if (!fresh &&
                   geom::distance_squared(pu, pts[it->second]) <= eps2) {
                 // The cell's owner already expanded here (the packed key

@@ -10,7 +10,9 @@
 // cell side ε/√3 two points of one cell lie within ε of each other, and two
 // points within ε sit in cells at most 2 apart on every axis.
 //
-//   1. Each seed gets the 64-bit key of its cell (21 bits per axis) and the
+//   1. Each seed gets the 64-bit key of its cell (index::cell_key, the
+//      packed key every grid in index/cell_grid.hpp uses: 21 bits per
+//      axis, the grid anchored at the coordinate origin) and the
 //      (key, seed) pairs are sorted.
 //   2. In a run of equal keys, a seed unites with the first of the run's
 //      heads that is within ε of it, or becomes a head itself.  Every union
@@ -39,38 +41,9 @@
 
 #include "common/prefetch.hpp"
 #include "geom/vec3.hpp"
+#include "index/cell_grid.hpp"
 
 namespace rtd {
-
-/// Bits of one axis in a packed cell key.
-inline constexpr int kCellKeyBits = 21;
-inline constexpr std::uint64_t kCellKeyMask =
-    (std::uint64_t{1} << kCellKeyBits) - 1;
-
-/// The packed key of p's cell in a grid of side 1 / inv_h: x, y and z
-/// cell indices modulo 2^21, x in the high field.  Indices are clamped to
-/// ±2^62 first, so the integer conversion is defined for every finite
-/// coordinate.
-inline std::uint64_t cell_key(const geom::Vec3& p, double inv_h) {
-  const auto field = [inv_h](float v) {
-    const double c = std::clamp(std::floor(static_cast<double>(v) * inv_h),
-                                -0x1p62, 0x1p62);
-    return static_cast<std::uint64_t>(static_cast<std::int64_t>(c)) &
-           kCellKeyMask;
-  };
-  return field(p.x) << (2 * kCellKeyBits) | field(p.y) << kCellKeyBits |
-         field(p.z);
-}
-
-/// `key` moved by (dx, dy, dz) cells, each field wrapping like cell_key's.
-inline std::uint64_t shift_cell_key(std::uint64_t key, int dx, int dy,
-                                    int dz) {
-  const auto field = [key](int shift, int d) {
-    return ((key >> shift) + static_cast<std::uint64_t>(d)) & kCellKeyMask;
-  };
-  return field(2 * kCellKeyBits, dx) << (2 * kCellKeyBits) |
-         field(kCellKeyBits, dy) << kCellKeyBits | field(0, dz);
-}
 
 /// One run of equal keys in SeedClosureScratch::keyed, with its heads.
 struct SeedCellRun {
@@ -109,7 +82,7 @@ std::size_t close_seeds(std::span<const geom::Vec3> pts,
   for (std::uint32_t q = 0; q < s; ++q) {
     // The seeds are scattered slots: fetch a few ahead.
     if (q + 16 < s) RTD_PREFETCH(&pts[seeds[q + 16]]);
-    keyed[q] = {cell_key(pts[seeds[q]], inv_h), q};
+    keyed[q] = {index::cell_key(pts[seeds[q]], inv_h), q};
   }
   std::sort(keyed.begin(), keyed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -190,8 +163,8 @@ std::size_t close_seeds(std::span<const geom::Vec3> pts,
     if (lo <= hi) {
       visit(lo, hi);
     } else {
-      visit(lo & ~kCellKeyMask, hi);
-      visit(lo, lo | kCellKeyMask);
+      visit(lo & ~index::kCellKeyMask, hi);
+      visit(lo, lo | index::kCellKeyMask);
     }
   };
   // Two passes: the adjacent cells first (±1; in a dense set they settle
@@ -206,8 +179,8 @@ std::size_t close_seeds(std::span<const geom::Vec3> pts,
       for (int dx = 0; dx <= reach; ++dx) {
         for (int dy = dx == 0 ? 0 : -reach; dy <= reach; ++dy) {
           const int dz_lo = dx == 0 && dy == 0 ? 1 : -reach;
-          link_range(a, shift_cell_key(a.key, dx, dy, dz_lo),
-                     shift_cell_key(a.key, dx, dy, reach));
+          link_range(a, index::shift_cell_key(a.key, dx, dy, dz_lo),
+                     index::shift_cell_key(a.key, dx, dy, reach));
         }
       }
     }

@@ -6,8 +6,8 @@
 
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
-#include "dbscan/grid_index.hpp"
 #include "dsu/atomic_disjoint_set.hpp"
+#include "index/grid_index.hpp"
 
 namespace rtd::dbscan {
 
@@ -46,22 +46,19 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
   Timer total;
   Timer phase;
 
-  // Index structure build (the GPU-side grid of CUDA-DClust+).
-  GridIndex index(points, params.eps);
-  const float eps2 = params.eps_squared();
+  // Index structure build (the GPU-side grid of CUDA-DClust+).  Every
+  // candidate the grid examines is one device distance test.
+  const index::GridIndex grid(points, params.eps);
   std::atomic<std::uint64_t> distance_tests{0};
 
-  // Coreness pass (see port notes in the header).
+  // Coreness pass (see port notes in the header); the count includes the
+  // point itself.
   std::vector<std::uint32_t> degree(n, 0);
   parallel_for(n, threads, [&](std::size_t i) {
-    std::uint32_t candidates = 0;
-    std::uint32_t d = 0;
-    index.for_candidates(points[i], [&](std::uint32_t u) {
-      ++candidates;
-      if (geom::distance_squared(points[i], points[u]) <= eps2) ++d;
-    });
-    degree[i] = d;
-    distance_tests.fetch_add(candidates, std::memory_order_relaxed);
+    rt::TraversalStats st;
+    degree[i] = grid.query_count(points[i], params.eps, index::kNoSelf, st,
+                                 index::kNoCap);
+    distance_tests.fetch_add(st.isect_calls, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < n; ++i) {
     out.is_core[i] = degree[i] >= params.min_pts ? 1 : 0;
@@ -127,17 +124,13 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
 
       std::vector<std::uint32_t> frontier{seed};
       std::vector<std::uint32_t> next;
-      std::uint64_t chain_tests = 0;
+      rt::TraversalStats st;
       while (!frontier.empty()) {
         next.clear();
         for (const std::uint32_t v : frontier) {
           // Only core points extend the chain.
           if (!out.is_core[v]) continue;
-          index.for_candidates(points[v], [&](std::uint32_t u) {
-            ++chain_tests;
-            if (geom::distance_squared(points[v], points[u]) > eps2) {
-              return;
-            }
+          grid.query_sphere(points[v], params.eps, v, [&](std::uint32_t u) {
             std::uint32_t cur = owner[u].load(std::memory_order_acquire);
             while (cur == kUnprocessed || cur == kNoiseCandidate) {
               if (owner[u].compare_exchange_weak(cur, chain,
@@ -152,11 +145,11 @@ DclustPlusResult dclust_plus(std::span<const geom::Vec3> points,
               chain_sets.unite(chain, cur);
               collision_count.fetch_add(1, std::memory_order_relaxed);
             }
-          });
+          }, st);
         }
         frontier.swap(next);
       }
-      distance_tests.fetch_add(chain_tests, std::memory_order_relaxed);
+      distance_tests.fetch_add(st.isect_calls, std::memory_order_relaxed);
     });
   }
   result.chain_count = chain_counter;

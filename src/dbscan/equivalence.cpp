@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dbscan/grid_index.hpp"
+#include "index/grid_index.hpp"
 
 namespace rtd::dbscan {
 
@@ -86,15 +86,16 @@ EquivalenceResult check_equivalent(std::span<const geom::Vec3> points,
 
   // 4. Border validity in both clusterings: the assigned cluster must have a
   //    core point within eps.
-  GridIndex index(points, params.eps);
+  const index::GridIndex grid(points, params.eps);
+  rt::TraversalStats stats;
   auto check_borders = [&](const Clustering& c,
                            const char* name) -> EquivalenceResult {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::uint32_t i = 0; i < n; ++i) {
       if (c.is_core[i] || c.labels[i] == kNoiseLabel) continue;
       bool valid = false;
-      index.for_neighbors(points[i], params.eps, [&](std::uint32_t j) {
+      grid.query_sphere(points[i], params.eps, i, [&](std::uint32_t j) {
         if (c.is_core[j] && c.labels[j] == c.labels[i]) valid = true;
-      });
+      }, stats);
       if (!valid) {
         std::ostringstream os;
         os << name << ": border point " << i << " assigned to cluster "
@@ -124,11 +125,14 @@ EquivalenceResult check_valid(std::span<const geom::Vec3> points,
   }
   if (n == 0) return ok();
 
-  GridIndex index(points, params.eps);
+  const index::GridIndex grid(points, params.eps);
+  rt::TraversalStats stats;
 
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::uint32_t i = 0; i < n; ++i) {
     // Core flags must match the true neighbor counts (self included).
-    const std::uint32_t count = index.count_neighbors(points[i], params.eps);
+    const std::uint32_t count =
+        grid.query_count(points[i], params.eps, index::kNoSelf, stats,
+                         index::kNoCap);
     const bool should_be_core = count >= params.min_pts;
     if (bool(c.is_core[i]) != should_be_core) {
       std::ostringstream os;
@@ -139,11 +143,11 @@ EquivalenceResult check_valid(std::span<const geom::Vec3> points,
 
     bool has_core_neighbor_same_label = false;
     bool has_core_neighbor = false;
-    index.for_neighbors(points[i], params.eps, [&](std::uint32_t j) {
-      if (j == i || !c.is_core[j]) return;
+    grid.query_sphere(points[i], params.eps, i, [&](std::uint32_t j) {
+      if (!c.is_core[j]) return;
       has_core_neighbor = true;
       if (c.labels[j] == c.labels[i]) has_core_neighbor_same_label = true;
-    });
+    }, stats);
 
     if (c.is_core[i]) {
       if (c.labels[i] == kNoiseLabel) {
@@ -154,13 +158,12 @@ EquivalenceResult check_valid(std::span<const geom::Vec3> points,
       // Directly reachable cores must share a cluster.
       bool core_neighbor_mismatch = false;
       std::uint32_t witness = 0;
-      index.for_neighbors(points[i], params.eps, [&](std::uint32_t j) {
-        if (j == i || !c.is_core[j]) return;
-        if (c.labels[j] != c.labels[i]) {
+      grid.query_sphere(points[i], params.eps, i, [&](std::uint32_t j) {
+        if (c.is_core[j] && c.labels[j] != c.labels[i]) {
           core_neighbor_mismatch = true;
           witness = j;
         }
-      });
+      }, stats);
       if (core_neighbor_mismatch) {
         std::ostringstream os;
         os << "adjacent core points " << i << " and " << witness

@@ -21,12 +21,12 @@ using geom::Vec3;
 
 constexpr std::uint32_t kNoDenseCell = 0xffffffffu;
 
-Aabb bounds_of_members(std::span<const Vec3> points,
-                       std::span<const std::uint32_t> members) {
-  Aabb box;
-  for (const auto m : members) box.grow(points[m]);
-  return box;
-}
+/// A cell with >= minPts members: spans into the grid's member storage and
+/// the members' tight bounds.
+struct DenseCell {
+  std::span<const std::uint32_t> members;
+  Aabb bounds;
+};
 
 }  // namespace
 
@@ -55,13 +55,14 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   // that any two cell-mates are ε-neighbors) plus the per-point query
   // backend — traditionally the point BVH, swappable via Params::index.
   const index::DenseBoxIndex grid(points, params.eps);
-  // Spans into the grid's member storage — `grid` outlives every use.
-  std::vector<std::span<const std::uint32_t>> dense_cells;
+  // `grid` outlives every use of the spans.
+  std::vector<DenseCell> dense_cells;
   std::vector<std::uint32_t> dense_cell_of(n, kNoDenseCell);
-  grid.for_each_cell([&](std::span<const std::uint32_t> members) {
+  grid.for_each_cell([&](std::span<const std::uint32_t> members,
+                         const Aabb& bounds) {
     if (members.size() < params.min_pts) return;
     const auto cell_idx = static_cast<std::uint32_t>(dense_cells.size());
-    dense_cells.push_back(members);
+    dense_cells.push_back({members, bounds});
     for (const auto m : members) {
       out.is_core[m] = 1;  // diagonal <= eps: every cell-mate is a neighbor
       dense_cell_of[m] = cell_idx;
@@ -104,9 +105,9 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   });
 
   // 2a. Pre-union every dense cell (free: the cell is one component).
-  for (const auto& members : dense_cells) {
-    for (std::size_t m = 1; m < members.size(); ++m) {
-      dsu.unite(members[0], members[m]);
+  for (const DenseCell& cell : dense_cells) {
+    for (std::size_t m = 1; m < cell.members.size(); ++m) {
+      dsu.unite(cell.members[0], cell.members[m]);
     }
   }
 
@@ -144,10 +145,10 @@ DenseboxResult fdbscan_densebox(std::span<const Vec3> points,
   result.phase2_work += rt::parallel_launch(
       dense_cells.size(), options.threads,
       [&](rt::TraversalStats& st, std::size_t c) {
-        const auto& members = dense_cells[c];
+        const auto members = dense_cells[c].members;
         const std::uint32_t rep = members[0];
         const float pad = 1.0001f * params.eps;
-        Aabb query = bounds_of_members(points, members);
+        Aabb query = dense_cells[c].bounds;
         query.lo -= Vec3{pad, pad, pad};
         query.hi += Vec3{pad, pad, pad};
         index->query_box(

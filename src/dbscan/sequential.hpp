@@ -2,8 +2,9 @@
 //
 // This is the semantic ground truth: every parallel implementation in this
 // repository must produce an equivalent clustering (see equivalence.hpp).
-// Neighbor queries use a GridIndex so tests stay fast, but the cluster
-// expansion logic follows Algorithm 1 line by line.
+// Neighbor queries run on the kGrid backend (index::GridIndex) by default,
+// so tests stay fast — Params::index swaps it — but the cluster expansion
+// logic follows Algorithm 1 line by line.
 #pragma once
 
 #include <span>

@@ -1,7 +1,7 @@
 // Sequential disjoint-set (union-find) with union by rank and full path
-// compression (Hopcroft & Ullman [19] in the paper).  Used by the sequential
-// reference DBSCAN and by tests as the ground truth for the concurrent
-// variant.
+// compression (Hopcroft & Ullman [19] in the paper).  The library itself
+// does not use it: the tests take it as the ground truth for the
+// concurrent variant, and bench_micro_dsu compares the two.
 #pragma once
 
 #include <cstdint>

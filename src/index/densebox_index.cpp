@@ -37,80 +37,29 @@ DenseBoxIndex::DenseBoxIndex(std::span<const Vec3> points, float eps)
     : points_(points), eps_(eps) {
   Aabb bounds;
   for (const auto& p : points_) bounds.grow(p);
-  origin_ = points_.empty() ? Vec3{0, 0, 0} : bounds.lo;
   // Cell diagonal <= eps: the certificate that any two cell-mates are
   // ε-neighbors.  Flat (z = const) data only needs the 2-D diagonal.
   const bool flat = points_.empty() || bounds.extent().z <= 0.0f;
-  cell_ = eps / std::sqrt(flat ? 2.0f : 3.0f);
-  // The cell key packs biased coordinates into 21 bits per axis (2^20 of
-  // headroom below the origin for query coordinates).  Beyond that,
-  // distinct cells would silently alias and a bogus dense-cell
-  // certificate could fuse far-apart points — fail loudly instead.
+  const float edge = eps / std::sqrt(flat ? 2.0f : 3.0f);
+  // Beyond 2^20 cells on an axis, distinct cells could alias one packed
+  // key and a bogus dense-cell certificate could fuse far-apart points —
+  // fail loudly instead.
   const geom::Vec3 extent = bounds.extent();
   for (const float e : {extent.x, extent.y, extent.z}) {
-    if (e / cell_ >= static_cast<float>(1 << 20)) {
+    if (e / edge >= static_cast<float>(1 << 20)) {
       throw std::invalid_argument(
           "DenseBoxIndex: more than 2^20 cells on one axis (extent/eps too "
           "large for the 21-bit cell key)");
     }
   }
-  auto cells = std::make_shared<CellMap>();
-  cells->reserve(points_.size() / 4);
-  for (std::uint32_t i = 0; i < points_.size(); ++i) {
-    const std::int64_t cx = coord(points_[i].x, origin_.x);
-    const std::int64_t cy = coord(points_[i].y, origin_.y);
-    const std::int64_t cz = coord(points_[i].z, origin_.z);
-    cmax_[0] = std::max(cmax_[0], cx);
-    cmax_[1] = std::max(cmax_[1], cy);
-    cmax_[2] = std::max(cmax_[2], cz);
-    Cell& c = (*cells)[key(cx, cy, cz)];
-    c.bounds.grow(points_[i]);
-    c.members.push_back(i);
-  }
-  cells_ = std::move(cells);
-}
-
-std::int64_t DenseBoxIndex::coord(float v, float lo) const {
-  return static_cast<std::int64_t>(std::floor((v - lo) / cell_));
-}
-
-std::uint64_t DenseBoxIndex::key(std::int64_t x, std::int64_t y,
-                                 std::int64_t z) {
-  // 21 bits per axis, biased to keep query coordinates non-negative (same
-  // packing as dbscan::GridIndex).
-  constexpr std::int64_t kBias = 1 << 20;
-  return (static_cast<std::uint64_t>(x + kBias) << 42) |
-         (static_cast<std::uint64_t>(y + kBias) << 21) |
-         static_cast<std::uint64_t>(z + kBias);
-}
-
-template <typename CellFn>
-bool DenseBoxIndex::for_cells_overlapping(const Aabb& box,
-                                          CellFn&& f) const {
-  if (points_.empty()) return true;
-  const auto clamp = [](std::int64_t v, std::int64_t hi) {
-    return std::clamp<std::int64_t>(v, 0, hi);
-  };
-  const std::int64_t x0 = clamp(coord(box.lo.x, origin_.x), cmax_[0]);
-  const std::int64_t x1 = clamp(coord(box.hi.x, origin_.x), cmax_[0]);
-  const std::int64_t y0 = clamp(coord(box.lo.y, origin_.y), cmax_[1]);
-  const std::int64_t y1 = clamp(coord(box.hi.y, origin_.y), cmax_[1]);
-  const std::int64_t z0 = clamp(coord(box.lo.z, origin_.z), cmax_[2]);
-  const std::int64_t z1 = clamp(coord(box.hi.z, origin_.z), cmax_[2]);
-  const double span = static_cast<double>(x1 - x0 + 1) *
-                      static_cast<double>(y1 - y0 + 1) *
-                      static_cast<double>(z1 - z0 + 1);
-  if (span > static_cast<double>(points_.size()) + 1024.0) return false;
-  for (std::int64_t cz = z0; cz <= z1; ++cz) {
-    for (std::int64_t cy = y0; cy <= y1; ++cy) {
-      for (std::int64_t cx = x0; cx <= x1; ++cx) {
-        const auto it = cells_->find(key(cx, cy, cz));
-        if (it == cells_->end()) continue;
-        if (!f(it->second)) return true;
-      }
+  auto cells = std::make_shared<Cells>(Cells{CellGrid(points_, edge), {}});
+  cells->bounds.resize(cells->grid.num_cells());
+  for (std::uint32_t c = 0; c < cells->grid.num_cells(); ++c) {
+    for (const auto m : cells->grid.members(c)) {
+      cells->bounds[c].grow(points_[m]);
     }
   }
-  return true;
+  cells_ = std::move(cells);
 }
 
 template <typename OnNeighbor>
@@ -120,21 +69,20 @@ void DenseBoxIndex::for_neighbors_until(const Vec3& center, float eps,
                                         OnNeighbor&& on_neighbor) const {
   const float eps2 = eps * eps;
   const Aabb ball = Aabb::of_sphere(center, eps);
-  const bool walked = for_cells_overlapping(ball, [&](const Cell& c) {
+  const bool walked = cells_->grid.for_box(ball, [&](std::uint32_t c) {
     ++stats.aabb_tests;
-    if (min_distance_squared(center, c.bounds.lo, c.bounds.hi) > eps2) {
-      return true;
-    }
-    if (max_distance_squared(center, c.bounds.lo, c.bounds.hi) <= eps2) {
+    const Aabb& b = cells_->bounds[c];
+    if (min_distance_squared(center, b.lo, b.hi) > eps2) return true;
+    if (max_distance_squared(center, b.lo, b.hi) <= eps2) {
       // Whole-cell certificate: every LIVE member is a neighbor, no tests
       // (removals don't re-tighten cell bounds, so the certificate stays
       // valid for the survivors — a dead member only ever widened it).
-      for (const auto m : c.members) {
+      for (const auto m : cells_->grid.members(c)) {
         if (m != self && !is_dead(m) && !on_neighbor(m)) return false;
       }
       return true;
     }
-    for (const auto m : c.members) {
+    for (const auto m : cells_->grid.members(c)) {
       ++stats.isect_calls;
       if (m != self && !is_dead(m) &&
           geom::distance_squared(center, points_[m]) <= eps2) {
@@ -180,15 +128,16 @@ std::uint32_t DenseBoxIndex::query_count(const Vec3& center, float eps,
 
 void DenseBoxIndex::query_box(const Aabb& box, NeighborVisitor visit,
                               rt::TraversalStats& stats) const {
-  const bool walked = for_cells_overlapping(box, [&](const Cell& c) {
+  const bool walked = cells_->grid.for_box(box, [&](std::uint32_t c) {
     ++stats.aabb_tests;
-    if (box.contains(c.bounds)) {
-      for (const auto m : c.members) {
+    const auto members = cells_->grid.members(c);
+    if (box.contains(cells_->bounds[c])) {
+      for (const auto m : members) {
         if (!is_dead(m)) visit(m);
       }
       return true;
     }
-    for (const auto m : c.members) {
+    for (const auto m : members) {
       ++stats.isect_calls;
       if (!is_dead(m) && box.contains(points_[m])) visit(m);
     }
@@ -203,9 +152,9 @@ void DenseBoxIndex::query_box(const Aabb& box, NeighborVisitor visit,
 }
 
 void DenseBoxIndex::for_each_cell(
-    FunctionRef<void(std::span<const std::uint32_t>)> f) const {
-  for (const auto& [k, cell] : *cells_) {
-    f(cell.members);
+    FunctionRef<void(std::span<const std::uint32_t>, const Aabb&)> f) const {
+  for (std::uint32_t c = 0; c < cells_->grid.num_cells(); ++c) {
+    f(cells_->grid.members(c), cells_->bounds[c]);
   }
 }
 

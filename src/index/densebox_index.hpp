@@ -1,10 +1,10 @@
 // DenseBoxIndex — dense-box grid (Prokopenko et al.'s certificate idea) as a
 // neighbor-query backend.
 //
-// A Cartesian grid whose cell DIAGONAL is <= the build ε (edge = ε/√dims):
-// any two points sharing a cell are provably within ε of each other.  A
-// sphere query walks the cells overlapping the query ball and classifies
-// each whole cell first:
+// A CellGrid whose cell DIAGONAL is <= the build ε (edge = ε/√dims): any
+// two points sharing a cell are provably within ε of each other.  A sphere
+// query walks the cells overlapping the query ball and classifies each
+// whole cell first:
 //   * farthest corner within eps  -> accept every member, zero distance
 //     tests (the "dense box" certificate);
 //   * nearest corner beyond eps   -> reject the cell outright;
@@ -18,9 +18,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "index/cell_grid.hpp"
 #include "index/neighbor_index.hpp"
 
 namespace rtd::index {
@@ -30,7 +30,9 @@ namespace rtd::index {
 class DenseBoxIndex final : public NeighborIndex {
  public:
   /// Build the grid with cell diagonal `eps` (edge = ε/√3, or ε/√2 for flat
-  /// z = const data) over `points`.
+  /// z = const data) over `points`.  std::invalid_argument when an axis
+  /// spans 2^20 cells or more: the certificates trust whole cells, so the
+  /// cell key must not alias.
   DenseBoxIndex(std::span<const geom::Vec3> points, float eps);
 
   [[nodiscard]] IndexKind kind() const override {
@@ -52,20 +54,16 @@ class DenseBoxIndex final : public NeighborIndex {
   void query_box(const geom::Aabb& box, NeighborVisitor visit,
                  rt::TraversalStats& stats) const override;
 
-  /// Cell edge length (ε/√dims).
-  [[nodiscard]] float cell_edge() const { return cell_; }
-
-  /// Number of non-empty cells.
-  [[nodiscard]] std::size_t cell_count() const { return cells_->size(); }
-
-  /// Enumerate every non-empty cell's member ids (dataset indices).  Cell
-  /// order is unspecified but stable for a given build.
+  /// Enumerate every non-empty cell: its member ids (dataset indices) and
+  /// the tight bounds of those members.  Cell order is unspecified but
+  /// stable for a given build.
   void for_each_cell(
-      FunctionRef<void(std::span<const std::uint32_t>)> f) const;
+      FunctionRef<void(std::span<const std::uint32_t>, const geom::Aabb&)> f)
+      const;
 
  private:
-  /// Versioning: the clone shares the cell table, which no mutation
-  /// touches, and copies the dead mask.
+  /// Versioning: the clone shares the cells, which no mutation touches,
+  /// and copies the dead mask.
   std::unique_ptr<NeighborIndex> do_clone() override {
     return std::make_unique<DenseBoxIndex>(*this);
   }
@@ -78,27 +76,6 @@ class DenseBoxIndex final : public NeighborIndex {
   // for_each_cell still enumerates dead members — its one consumer
   // (fdbscan_densebox) always builds a fresh index.
 
-  struct Cell {
-    /// TIGHT bounds of the members (not the nominal cell box): exact for
-    /// both certificates — min-distance beyond ε to this box proves no
-    /// member is a neighbor, farthest corner within ε proves all are —
-    /// immune to the ulp-level misplacement of a member relative to its
-    /// nominal cell box, and collapses to zero z-extent on flat data.
-    geom::Aabb bounds;
-    std::vector<std::uint32_t> members;
-  };
-
-  [[nodiscard]] std::int64_t coord(float v, float lo) const;
-  [[nodiscard]] static std::uint64_t key(std::int64_t x, std::int64_t y,
-                                         std::int64_t z);
-
-  /// Walk the non-empty cells overlapping `box`.  Returns false WITHOUT
-  /// visiting anything when the walk would cover more cells than there are
-  /// points (e.g. a query radius far above the build ε) — callers then
-  /// degrade to a linear scan, which is cheaper by construction.
-  template <typename CellFn>
-  bool for_cells_overlapping(const geom::Aabb& box, CellFn&& f) const;
-
   /// The one ε-sphere walk behind query_sphere AND query_count: cell
   /// certificates, exact member tests, work counters and the oversized-
   /// radius linear-scan fallback live here once.  `on_neighbor(m)` fires
@@ -109,13 +86,19 @@ class DenseBoxIndex final : public NeighborIndex {
                            std::uint32_t self, rt::TraversalStats& stats,
                            OnNeighbor&& on_neighbor) const;
 
+  struct Cells {
+    CellGrid grid;
+    /// TIGHT bounds of each cell's members (not the nominal cell box):
+    /// exact for both certificates — min-distance beyond ε to this box
+    /// proves no member is a neighbor, farthest corner within ε proves all
+    /// are — immune to the ulp-level misplacement of a member relative to
+    /// its nominal cell box, and collapses to zero z-extent on flat data.
+    std::vector<geom::Aabb> bounds;
+  };
+
   std::span<const geom::Vec3> points_;
   float eps_;
-  float cell_ = 0.0f;
-  geom::Vec3 origin_;
-  std::int64_t cmax_[3] = {0, 0, 0};  ///< max occupied cell coord per axis
-  using CellMap = std::unordered_map<std::uint64_t, Cell>;
-  std::shared_ptr<const CellMap> cells_;  ///< immutable; versions share it
+  std::shared_ptr<const Cells> cells_;  ///< immutable; versions share it
 };
 
 }  // namespace rtd::index

@@ -1,17 +1,17 @@
-// GridIndex (adapter) — the uniform hash grid behind the NeighborIndex
-// contract.
+// GridIndex — the uniform grid behind the NeighborIndex contract.
 //
-// Wraps dbscan::GridIndex (cell edge = build ε, queries examine the 27
-// surrounding cells).  Build is a single counting-sort pass, far cheaper
-// than any BVH; queries degrade when ε-cells are crowded.  The one-ring
-// query only covers radii up to the cell edge, so query eps must be
-// <= build_eps.
+// A CellGrid with cell edge = build ε: a query examines every point in the
+// 27 cells around it, so the one-ring covers radii up to the cell edge and
+// query eps must be <= build_eps.  Build is a single counting-sort pass,
+// far cheaper than any BVH; queries degrade when ε-cells are crowded.  The
+// sequential reference, CUDA-DClust+ and the check_equivalent oracle run
+// on it.
 #pragma once
 
 #include <memory>
 #include <span>
 
-#include "dbscan/grid_index.hpp"
+#include "index/cell_grid.hpp"
 #include "index/neighbor_index.hpp"
 
 namespace rtd::index {
@@ -20,7 +20,8 @@ namespace rtd::index {
 /// 27 cells around the query) counts one Intersection-program call.
 class GridIndex final : public NeighborIndex {
  public:
-  /// Build the grid with cell edge `eps` over `points`.
+  /// Build the grid with cell edge `eps` over `points`
+  /// (std::invalid_argument unless `eps` is positive and finite).
   GridIndex(std::span<const geom::Vec3> points, float eps);
 
   [[nodiscard]] IndexKind kind() const override { return IndexKind::kGrid; }
@@ -40,10 +41,6 @@ class GridIndex final : public NeighborIndex {
   void query_box(const geom::Aabb& box, NeighborVisitor visit,
                  rt::TraversalStats& stats) const override;
 
-  /// The wrapped grid, for consumers that need raw candidate enumeration
-  /// (the CUDA-DClust+ port counts device distance tests that way).
-  [[nodiscard]] const dbscan::GridIndex& grid() const { return *grid_; }
-
  private:
   /// Versioning: the clone shares the cell arrays, which no mutation
   /// touches, and copies the dead mask.
@@ -51,16 +48,15 @@ class GridIndex final : public NeighborIndex {
     return std::make_unique<GridIndex>(*this);
   }
 
-  // Mutation contract: inserts decline (base do_try_insert — the wrapped
-  // grid's cell arrays hold their own membership copy, so the caller
-  // rebuilds); removals ride the base dead mask, filtered in the candidate
-  // loops above.
+  // Mutation contract: inserts decline (base do_try_insert — the cells
+  // hold their own membership copy, so the caller rebuilds); removals ride
+  // the base dead mask, filtered in the candidate loops.
 
   void require_radius(float eps) const;
 
   std::span<const geom::Vec3> points_;
   float eps_;
-  std::shared_ptr<const dbscan::GridIndex> grid_;  ///< immutable; shared
+  std::shared_ptr<const CellGrid> grid_;  ///< immutable; shared
 };
 
 }  // namespace rtd::index

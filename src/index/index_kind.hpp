@@ -24,10 +24,10 @@ enum class IndexKind : std::uint8_t {
   /// Linear scan over all points.  No build cost, O(n) per query; the
   /// reference backend every other one is tested against.
   kBruteForce,
-  /// Uniform hash grid with cell edge = build ε (wraps dbscan::GridIndex);
-  /// a query examines the 27 surrounding cells.
+  /// Uniform grid (index::CellGrid) with cell edge = build ε; a query
+  /// examines the 27 surrounding cells.
   kGrid,
-  /// Dense-box grid with cell diagonal = build ε: whole cells can be
+  /// The same grid with cell diagonal = build ε: whole cells can be
   /// accepted (all members within ε) or rejected without per-point
   /// distance tests.
   kDenseBox,

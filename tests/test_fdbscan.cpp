@@ -88,6 +88,7 @@ TEST(Fdbscan, SerialAndParallelBuildsGiveEquivalentResults) {
   const auto dataset = data::road_network(3000, 33);
   const Params params{0.5f, 10};
   FdbscanOptions parallel;
+  parallel.threads = 4;
   FdbscanOptions serial;
   serial.threads = 1;
   const auto a = fdbscan(dataset.points, params, parallel);
@@ -97,16 +98,31 @@ TEST(Fdbscan, SerialAndParallelBuildsGiveEquivalentResults) {
   EXPECT_TRUE(eq.equivalent) << eq.reason;
 }
 
+void expect_same_work(const rt::TraversalStats& a,
+                      const rt::TraversalStats& b, const char* phase) {
+  EXPECT_EQ(a.rays, b.rays) << phase;
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited) << phase;
+  EXPECT_EQ(a.aabb_tests, b.aabb_tests) << phase;
+  EXPECT_EQ(a.isect_calls, b.isect_calls) << phase;
+  EXPECT_EQ(a.anyhit_calls, b.anyhit_calls) << phase;
+}
+
 TEST(Fdbscan, SingleThreadMatchesParallel) {
+  // The Fig. 9 configuration (early exit on): one thread and four give
+  // the same clustering from the same traversal work.
   const auto dataset = data::two_rings(3000, 34);
   const Params params{0.8f, 5};
-  FdbscanOptions serial;
+  auto serial = FdbscanOptions::with_early_exit(true);
   serial.threads = 1;
+  auto parallel = FdbscanOptions::with_early_exit(true);
+  parallel.threads = 4;
   const auto a = fdbscan(dataset.points, params, serial);
-  const auto b = fdbscan(dataset.points, params);
+  const auto b = fdbscan(dataset.points, params, parallel);
   const auto eq =
       check_equivalent(dataset.points, params, a.clustering, b.clustering);
   EXPECT_TRUE(eq.equivalent) << eq.reason;
+  expect_same_work(a.phase1_work, b.phase1_work, "phase 1");
+  expect_same_work(a.phase2_work, b.phase2_work, "phase 2");
 }
 
 TEST(Fdbscan, ReportsTraversalWork) {

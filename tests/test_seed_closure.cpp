@@ -173,7 +173,8 @@ TEST(SeedClosure, AliasedAndWrappingCellKeys) {
   const auto far = static_cast<float>(h * static_cast<double>(1 << 21));
   const Vec3 a{0.2f, 0.2f, 0.2f};
   const Vec3 b{far + 0.2f, 0.2f, 0.2f};
-  ASSERT_EQ(cell_key(a, inv_h), cell_key(b, inv_h));  // the alias itself
+  // The alias itself.
+  ASSERT_EQ(index::cell_key(a, inv_h), index::cell_key(b, inv_h));
   std::vector<Vec3> pts;
   Rng rng(0xA11A5);
   for (const float ox : {0.0f, far, -far}) {
@@ -187,7 +188,8 @@ TEST(SeedClosure, AliasedAndWrappingCellKeys) {
       }
     }
   }
-  ASSERT_EQ(cell_key({-0.1f, 0.0f, 0.0f}, inv_h) >> 42, kCellKeyMask);
+  ASSERT_EQ(index::cell_key({-0.1f, 0.0f, 0.0f}, inv_h) >> 42,
+            index::kCellKeyMask);
   std::vector<std::uint32_t> seeds(pts.size());
   for (std::uint32_t q = 0; q < seeds.size(); ++q) seeds[q] = q;
   expect_closure_matches(pts, seeds, eps, "aliased blobs");

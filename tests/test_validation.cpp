@@ -7,10 +7,12 @@
 #include <cmath>
 #include <limits>
 
+#include "core/clusterer.hpp"
 #include "core/rt_dbscan.hpp"
 #include "core/rt_knn.hpp"
 #include "dbscan/dclustplus.hpp"
 #include "dbscan/engine.hpp"
+#include "dbscan/equivalence.hpp"
 #include "dbscan/fdbscan.hpp"
 #include "dbscan/fdbscan_densebox.hpp"
 #include "dbscan/gdbscan.hpp"
@@ -164,6 +166,32 @@ TEST(Validation, ExtremeButFiniteCoordinatesWork) {
   EXPECT_EQ(r.clustering.size(), pts.size());
   const auto ref = dbscan::sequential_dbscan(pts, {2.0f, 2});
   EXPECT_EQ(r.clustering.cluster_count, ref.cluster_count);
+
+  // 1e14 / 1e-6 = 1e20 cells on the x axis: the cell coordinate exceeds
+  // int64 and the 21-bit cell key, so every uniform-grid user must clamp
+  // it.  Truth is the brute-force reference: the two near points form one
+  // cluster and the two far duplicates another.
+  const std::vector<Vec3> far{
+      {0, 0, 0}, {1e-7f, 0, 0}, {1e14f, 0, 0}, {1e14f, 0, 0}};
+  const float eps = 1e-6f;
+  const auto truth = dbscan::sequential_dbscan(
+      far, {eps, 2, index::IndexKind::kBruteForce});
+  ASSERT_EQ(truth.cluster_count, 2u);
+  const auto expect_truth = [&](const dbscan::Clustering& c,
+                                const char* who) {
+    const auto eq = dbscan::check_equivalent(far, {eps, 2}, truth, c);
+    EXPECT_TRUE(eq.equivalent) << who << ": " << eq.reason;
+  };
+  expect_truth(
+      dbscan::sequential_dbscan(far, {eps, 2, index::IndexKind::kGrid}),
+      "sequential_dbscan (kGrid)");
+  expect_truth(dbscan::dclust_plus(far, {eps, 2}).clustering, "dclust_plus");
+  Clusterer session(far, Options().with_backend(index::IndexKind::kGrid));
+  expect_truth(session.run(eps, 2).to_clustering(), "kGrid session");
+  EXPECT_TRUE(dbscan::check_valid(far, {eps, 2}, truth).equivalent);
+  // Dense-box certificates trust whole cells, so aliasing is refused.
+  EXPECT_THROW(index::make_index(far, eps, index::IndexKind::kDenseBox),
+               std::invalid_argument);
 }
 
 }  // namespace
