@@ -1,16 +1,16 @@
-// Substrate micro-benchmarks: grid and brute-force neighbor queries, one
-// RT-FindNeighborhood launch over a BvhRtIndex (google-benchmark), plus a
-// sweep of every NeighborIndex backend through the uniform query_count /
-// query_sphere / query_all contract — the apples-to-apples comparison the
-// pluggable index layer exists for (BM_IndexQueryCount/bvhrt is the single
-// RT query).
+// Substrate micro-benchmarks (google-benchmark): a brute-force neighbor
+// count without any index, one RT-FindNeighborhood launch over a
+// BvhRtIndex, and a sweep of every NeighborIndex backend through the
+// uniform query_count / query_sphere / query_all contract — the
+// apples-to-apples comparison the pluggable index layer exists for
+// (BM_IndexQueryCount/grid is the grid query, BM_IndexQueryCount/bvhrt the
+// single RT query).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 
 #include "data/generators.hpp"
 #include "index/bvh_rt_index.hpp"
-#include "index/grid_index.hpp"
 #include "rt/parallel_launch.hpp"
 
 namespace {
@@ -18,22 +18,6 @@ namespace {
 using namespace rtd;
 
 constexpr float kEps = 0.3f;
-
-void BM_GridCountNeighbors(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto dataset = data::taxi_gps(n, 7);
-  const index::GridIndex grid(dataset.points, kEps);
-  rt::TraversalStats stats;
-  std::uint32_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        grid.query_count(dataset.points[q], kEps, index::kNoSelf, stats,
-                         index::kNoCap));
-    q = (q + 1) % static_cast<std::uint32_t>(n);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GridCountNeighbors)->Arg(10000)->Arg(100000);
 
 void BM_BruteCountNeighbors(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -72,7 +72,8 @@ const std::vector<std::string>& all_sites() {
       "repair.commit",            // label repair: touched flags + counts
       "repair.relabel",           // label repair: stable ids + member moves
       "repair.split",             // label repair: cut-group split detection
-      "repair.union",             // label repair: mini-DSU union pass
+      "repair.touch",             // label repair: scratch reset + touched set
+      "repair.union",             // label repair: W's union pass
       "session.advance",          // Clusterer::advance window step
       "session.insert",           // Clusterer::insert batch
       "session.publish",          // snapshot creation before the swap

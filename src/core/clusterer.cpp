@@ -1,23 +1,17 @@
 #include "core/clusterer.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <cmath>
 #include <functional>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "common/mutex.hpp"
-#include "common/prefetch.hpp"
 #include "common/stage.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/timer.hpp"
+#include "core/label_repair.hpp"
 #include "core/point_buffer.hpp"
-#include "core/seed_closure.hpp"
 #include "dbscan/engine.hpp"
 #include "dbscan/equivalence.hpp"
 #include "index/compacted_index.hpp"
@@ -29,9 +23,6 @@ namespace {
 
 using geom::Vec3;
 using index::IndexKind;
-
-/// "No entry" sentinel for the slot -> mini-DSU-node maps.
-constexpr std::uint32_t kNoneId = std::numeric_limits<std::uint32_t>::max();
 
 void validate_run_params(float eps, std::uint32_t min_pts) {
   dbscan::require_eps(eps, "Clusterer");
@@ -120,55 +111,16 @@ struct Clusterer::Impl {
   std::vector<std::atomic<std::uint8_t>> settled;
   std::vector<std::int32_t> root_scratch;
 
-  // Incremental-maintenance scratch (capacities reused: warm mutations
-  // below the rebuild threshold allocate only at the documented growth
-  // points — point-buffer growth, mask/scratch/member-list growth to a new
-  // high-water mark, DSU growth).  The slot-sized maps (wloc, claim_owner) and
-  // cluster_affected are never filled wholesale: each repair clears the
-  // entries the previous one set through that one's dirty lists (wlist,
-  // claimed_slots, affected_list), so a repair a fault interrupted leaves
-  // nothing stale behind either.
+  // Mutation state (capacities reused: warm mutations below the rebuild
+  // threshold allocate only at the documented growth points — point-buffer
+  // growth, mask/scratch/member-list growth to a new high-water mark).
   std::vector<std::uint32_t> rem_sorted;     ///< validated removal batch
   std::vector<std::uint32_t> expire_scratch; ///< advance() expiry ids
-  std::vector<std::uint32_t> touched;  ///< slots whose count changed
-  std::vector<std::uint8_t> cluster_affected;  ///< old cluster lost a core
-  std::vector<std::uint32_t> affected_list;  ///< .. its set entries
-  std::vector<std::uint32_t> wloc;   ///< slot -> mini-DSU node, kNoneId out
-  std::vector<std::uint32_t> wlist;  ///< mini-DSU node -> slot
-  std::vector<std::uint8_t> claim;   ///< in-W border claims (serial CAS)
-  std::vector<std::uint32_t> claim_owner;  ///< out-of-W noise -> claiming node
-  std::vector<std::uint32_t> claimed_slots;  ///< .. its set entries
-  /// The repair's union-find (parent links, the lower index is the root):
-  /// W's nodes, then one ANCHOR node per old cluster the repair reaches,
-  /// created on first use (anchor()), so its size follows the repair and
-  /// not the cluster count.
-  std::vector<std::uint32_t> mini_parent;
-  std::vector<std::uint32_t> anchor_node;  ///< old cluster -> node, kNoneId
-  std::vector<std::uint32_t> anchored;     ///< .. its set entries, by node
-  std::vector<std::uint32_t> stay_count;   ///< anchor -> members it keeps
-  std::vector<std::uint32_t> root_keeper;  ///< root -> the list it builds in
-  std::vector<std::uint32_t> hole_list;    ///< freed ids below the new count
-  /// (freed id, list built for it): the swaps that finish a relabel.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> renumber;
   std::vector<std::uint32_t> rem_nbr_ids;     ///< removal-batch neighbor CSR
   std::vector<std::uint32_t> rem_nbr_starts;  ///< .. per-removed-id offsets
   std::vector<std::uint32_t> ins_nbr_ids;     ///< insert-batch neighbor CSR
   std::vector<std::uint32_t> ins_nbr_starts;  ///< .. per-new-id offsets
-  std::vector<std::uint32_t> cut_list;    ///< removed/demoted cores, by label
-  std::vector<std::uint32_t> grow_list;   ///< promoted cores + inserted slots
-  std::vector<std::uint32_t> cut_order;   ///< cut indices grouped by ε-site
-  std::vector<std::uint32_t> cut_root;    ///< cut index -> its ε-site's root
-  std::vector<std::uint32_t> seed_list;   ///< cut-adjacent surviving cores
-  std::vector<std::uint32_t> bfs_queue;   ///< connectivity-proof frontier
-  std::vector<std::uint32_t> bfs_origin;  ///< .. origin seed per entry
-  std::vector<std::uint32_t> bfs_pending;  ///< frontier entries per seed root
-  SeedClosureScratch seed_closure;        ///< seed fast-path buffers
-  std::unordered_map<std::uint64_t, std::uint32_t> cell_seen;  ///< sparse tier
-  std::vector<std::uint32_t> seed_mark;   ///< slot epochs: is a seed
-  std::vector<std::uint32_t> visit_mark;  ///< slot epochs: BFS visited
-  std::vector<std::uint32_t> visit_origin;  ///< .. owning seed, same epoch
-  std::uint32_t mark_epoch = 0;           ///< current epoch for the 3 above
-  std::optional<dsu::AtomicDisjointSet> site_dsu;  ///< cut grouping + seeds
+  core::LabelRepair repair;  ///< the incremental phase 2 and its scratch
 
   // sweep() scratch: the ladder's distinct ε² values as levels, sorted
   // descending, and its counts, point-major (sweep_counts[i * levels + l])
@@ -195,13 +147,6 @@ struct Clusterer::Impl {
 
   [[nodiscard]] bool is_live_slot(std::size_t i) const {
     return live.empty() || live[i] != 0;
-  }
-
-  /// Post-mutation core flag during a label repair (counts and the live
-  /// mask already hold the batch; result.is_core still holds the old flags
-  /// until the relabel).
-  [[nodiscard]] bool core_now(std::size_t i) const {
-    return is_live_slot(i) && counts[i] + 1 >= last_min_pts;
   }
 
   [[nodiscard]] std::size_t live_slots() const {
@@ -765,10 +710,21 @@ struct Clusterer::Impl {
     last_min_pts = min_pts;
     params_valid = true;
 
-    // Stage 5 — label repair.  The result buffers are rewritten in place;
-    // rollback is impossible mid-way, so a throw degrades.
+    // Stage 5 — label repair (core/label_repair.hpp).  The result buffers
+    // are rewritten in place; rollback is impossible mid-way, so a throw
+    // degrades.
     try {
-      maintain_labels(first_new, eps);
+      RTD_STAGE("session.repair");
+      const Timer repair_timer;
+      st.phase2.work += repair.run(
+          {.points = pts, .live = live, .counts = counts, .index = index.get(),
+           .removed = rem_sorted, .removed_nbr_ids = rem_nbr_ids,
+           .removed_nbr_starts = rem_nbr_starts, .first_new = first_new,
+           .inserted_nbr_ids = ins_nbr_ids,
+           .inserted_nbr_starts = ins_nbr_starts},
+          result);
+      st.phase2.seconds += repair_timer.seconds();
+      st.timings.cluster_phase_seconds = st.phase2.seconds;
     } catch (...) {
       set_health(SessionHealth::kDegraded);
       result_current = false;
@@ -786,753 +742,6 @@ struct Clusterer::Impl {
     telemetry::gauge_set(telemetry::Gauge::kSessionPendingMutations,
                          static_cast<std::int64_t>(pending_mutations));
     return first_new;
-  }
-
-  /// Join slot i to the repair set W (wlist), wloc being the slot -> node
-  /// map.  The dirty list is appended before the map entry is set, so a
-  /// throwing append leaves nothing marked that the next repair cannot
-  /// clear.
-  void add_w(std::uint32_t i) {
-    if (wloc[i] == kNoneId) {
-      wlist.push_back(i);
-      wloc[i] = static_cast<std::uint32_t>(wlist.size() - 1);
-    }
-  }
-
-  /// Flag old cluster c for full repair (a proven or possible split).
-  void mark_affected(std::int32_t c) {
-    std::uint8_t& flag = cluster_affected[static_cast<std::size_t>(c)];
-    if (!flag) {
-      affected_list.push_back(static_cast<std::uint32_t>(c));
-      flag = 1;
-    }
-  }
-
-  /// Re-cluster old cluster c from scratch: flag it and put every live
-  /// member into W.
-  void recluster(std::int32_t c) {
-    mark_affected(c);
-    for (const std::uint32_t m : result.members_of(c)) {
-      if (is_live_slot(m)) add_w(m);
-    }
-  }
-
-  [[nodiscard]] std::uint32_t mini_find(std::uint32_t x) {
-    while (mini_parent[x] != x) {
-      mini_parent[x] = mini_parent[mini_parent[x]];  // path halving
-      x = mini_parent[x];
-    }
-    return x;
-  }
-
-  void mini_unite(std::uint32_t a, std::uint32_t b) {
-    a = mini_find(a);
-    b = mini_find(b);
-    if (a != b) mini_parent[std::max(a, b)] = std::min(a, b);
-  }
-
-  /// The anchor node of old cluster c, created on first use with c's
-  /// whole membership as its kept count.  The dirty list is appended
-  /// first, as in add_w.
-  std::uint32_t anchor(std::int32_t c) {
-    std::uint32_t& node = anchor_node[static_cast<std::size_t>(c)];
-    if (node == kNoneId) {
-      anchored.push_back(static_cast<std::uint32_t>(c));
-      stay_count.push_back(
-          static_cast<std::uint32_t>(result.members_of(c).size()));
-      const auto fresh = static_cast<std::uint32_t>(mini_parent.size());
-      mini_parent.push_back(fresh);
-      node = fresh;
-    }
-    return node;
-  }
-
-  /// A fresh epoch for seed_mark / visit_mark.
-  std::uint32_t next_epoch() {
-    if (++mark_epoch == 0) {  // wrap: invalidate all stale marks once
-      std::fill(seed_mark.begin(), seed_mark.end(), 0u);
-      std::fill(visit_mark.begin(), visit_mark.end(), 0u);
-      mark_epoch = 1;
-    }
-    return mark_epoch;
-  }
-
-  /// Localized label repair after one mutation batch — the incremental
-  /// phase 2.  Correctness rests on two monotonicity facts:
-  ///   * insertions cannot SPLIT a cluster (ε-edges only appear), and
-  ///   * removals cannot MERGE clusters (ε-edges only disappear);
-  /// so only clusters that LOST a core point (removal or demotion) can
-  /// change shape; every other cluster keeps its partition.  For clusters
-  /// that did lose cores, split detection (detect_splits) certifies most
-  /// of them intact by connecting the cut-adjacent surviving cores —
-  /// usually by plain distance checks, else a localized BFS — so the
-  /// repair set W stays small: the cut's non-core neighbors, demoted
-  /// cores, promoted cores, and the inserted batch; only a PROVEN split
-  /// expands a cluster's full membership into W.  A miniature union-find
-  /// over W plus one ANCHOR node per old cluster it reaches re-runs phase
-  /// 2's union rules from W's cores (an inserted core replays the row
-  /// its count maintenance captured instead of querying); the relabel pass
-  /// then maps old labels through the anchors, so intact clusters merge
-  /// or persist without their members ever being queried.
-  ///
-  /// No step walks every slot: core flags can flip only where a neighbor
-  /// count changed (the touched set), scratch is cleared through dirty
-  /// lists, old clusters enter the union-find only when the repair reaches
-  /// them, cluster ids are stable (relabel_repair), and each relabelled
-  /// slot moves between member lists in O(1), so the cost is
-  /// O(|touched| + |W| + the clusters reached) plus the members of merged
-  /// or renumbered clusters.
-  void maintain_labels(std::size_t first_new, float eps) {
-    RTD_STAGE("session.repair");
-    const Timer phase_timer;
-    ClusterResult& r = result;
-    const std::size_t n = pts.size();
-    const std::uint32_t c_old = r.cluster_count;
-
-    // r.is_core and r.labels keep the PRE-mutation state until the relabel
-    // (the affected-set logic needs both).  The inserted slots grow in as
-    // non-core noise — a new slot is never an old core nor an old member —
-    // so every old-state read stays in bounds.
-    r.labels.resize(n, kNoise);
-    r.is_core.resize(n, 0);
-    r.neighbor_counts.resize(n, 0);
-    r.membership.grow(n);
-
-    // Clear what the previous repair marked (completed or interrupted by a
-    // fault), then grow to the slot count: grown entries start clear.
-    // (Scratch buffers grow via resize, not assign: resize grows
-    // geometrically, so warm mutations on a growing session amortize to
-    // allocation-free instead of reallocating.)
-    for (const std::uint32_t i : wlist) wloc[i] = kNoneId;
-    wlist.clear();
-    for (const std::uint32_t i : claimed_slots) claim_owner[i] = kNoneId;
-    claimed_slots.clear();
-    for (const std::uint32_t c : affected_list) cluster_affected[c] = 0;
-    affected_list.clear();
-    for (const std::uint32_t c : anchored) anchor_node[c] = kNoneId;
-    anchored.clear();
-    stay_count.clear();
-    wloc.resize(n, kNoneId);
-    claim_owner.resize(n, kNoneId);
-    cluster_affected.resize(c_old, 0);
-    anchor_node.resize(c_old, kNoneId);
-    seed_mark.resize(n);
-    visit_mark.resize(n);
-    visit_origin.resize(n);  // valid only where visit_mark holds the epoch
-
-    // The touched set: the removed ids, their captured neighbors, the
-    // inserted slots and their pre-existing neighbors — every slot whose
-    // count changed, so the only slots whose core flag can have flipped.
-    // (seed_mark dedupes; split detection takes fresh epochs after.)  Each
-    // neighbor CSR holds the last batch that had a side of its kind.
-    //
-    // A slot is classified the moment it is first touched, so its scattered
-    // is_core / counts / live loads are paid once here rather than in one
-    // walk per list:
-    //  * CUT nodes — old cores that are no longer cores (removed, or
-    //    demoted by the batch).  Only paths through them can break, so
-    //    only their clusters can split or shed borders.
-    //  * GROW nodes — promoted border/noise points and the inserted batch
-    //    (always live); they join W after split detection.
-    const std::uint32_t touch_epoch = next_epoch();
-    touched.clear();
-    cut_list.clear();
-    grow_list.clear();
-    const auto touch = [&](std::uint32_t i) {
-      if (seed_mark[i] == touch_epoch) return;
-      seed_mark[i] = touch_epoch;
-      touched.push_back(i);
-      const bool was_core = r.is_core[i] != 0;
-      const bool is_core = core_now(i);
-      if (was_core && !is_core && r.labels[i] >= 0) cut_list.push_back(i);
-      if (i >= first_new || (!was_core && is_core)) grow_list.push_back(i);
-    };
-    if (!rem_sorted.empty()) {
-      for (const std::uint32_t i : rem_sorted) touch(i);
-      for (const std::uint32_t j : rem_nbr_ids) touch(j);
-    }
-    if (first_new < n) {
-      for (std::size_t i = first_new; i < n; ++i) {
-        touch(static_cast<std::uint32_t>(i));
-      }
-      for (const std::uint32_t j : ins_nbr_ids) touch(j);
-    }
-
-    std::sort(cut_list.begin(), cut_list.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return r.labels[a] != r.labels[b] ? r.labels[a] < r.labels[b]
-                                                  : a < b;
-              });
-
-    rt::TraversalStats work;
-    {
-      RTD_STAGE("repair.split");
-      detect_splits(eps, work);
-    }
-    for (const std::uint32_t i : grow_list) add_w(i);
-    // Query W in slot order: a re-clustered membership arrives in member
-    // list order, which edits scramble, and slot order keeps the
-    // neighboring queries of a trajectory-ordered stream close in memory.
-    std::sort(wlist.begin(), wlist.end());
-    for (std::uint32_t w = 0; w < wlist.size(); ++w) wloc[wlist[w]] = w;
-
-    mini_parent.resize(wlist.size());
-    std::iota(mini_parent.begin(), mini_parent.end(), 0u);
-    claim.resize(wlist.size());
-    std::fill(claim.begin(), claim.end(), std::uint8_t{0});
-    {
-      RTD_STAGE("repair.union");
-      union_pass(first_new, eps, work);
-    }
-    {
-      RTD_STAGE("repair.border");
-      border_pass(first_new, eps, work);
-    }
-    {
-      RTD_STAGE("repair.relabel");
-      relabel_repair();
-    }
-    {
-      // The touched slots' core flags and counts: the only ones that moved.
-      RTD_STAGE("repair.commit");
-      for (std::size_t k = 0; k < touched.size(); ++k) {
-        if (k + 16 < touched.size()) {  // scattered slots: fetch ahead
-          RTD_PREFETCH(&r.neighbor_counts[touched[k + 16]]);
-          RTD_PREFETCH(&counts[touched[k + 16]]);
-        }
-        const std::uint32_t i = touched[k];
-        r.is_core[i] = core_now(i) ? 1 : 0;
-        r.neighbor_counts[i] = counts[i];
-      }
-    }
-
-    RunStats& st = r.stats;
-    st.phase2.work += work;
-    st.phase2.seconds += phase_timer.seconds();
-    st.timings.cluster_phase_seconds = st.phase2.seconds;
-  }
-
-  /// Split detection, per cluster that lost a core.  A cluster splits only
-  /// if some ε-connected GROUP of its cut nodes (an ε-site) disconnects the
-  /// surviving cores around it: any old core-path between surviving cores
-  /// enters and leaves a cut group through cut-adjacent surviving cores
-  /// ("seeds"), so if every group's seeds stay mutually reachable through
-  /// surviving cores, every old path can be rerouted and the cluster is
-  /// intact — its out-of-W members keep their label through the cluster
-  /// anchor, and only the LOCAL damage joins W: demoted cores and the
-  /// non-core neighbors of cut nodes (their witness core may be gone).
-  /// The groups are fixed before any seed search.  The proof is usually
-  /// free: seeds joined by chains of direct ε-edges unite by distance
-  /// alone (close_seeds, O(s log s) over ε/√3 cells for any seed count);
-  /// only unresolved groups pay a search over surviving cores, which
-  /// costs the splinters' size when a group really splits.  The verdict
-  /// is per cluster: at most one split site keeps an open residual under
-  /// the old label (two residuals of one cluster may be disconnected), so
-  /// a second split site, or one whose every component was exhausted,
-  /// re-clusters the whole membership.
-  void detect_splits(float eps, rt::TraversalStats& work) {
-    const ClusterResult& r = result;
-    const float eps2 = eps * eps;
-    if (!site_dsu.has_value()) site_dsu.emplace(0);
-    for (std::size_t lo = 0; lo < cut_list.size();) {
-      const std::int32_t c = r.labels[cut_list[lo]];
-      std::size_t hi = lo;
-      while (hi < cut_list.size() && r.labels[cut_list[hi]] == c) ++hi;
-      const std::size_t k = hi - lo;
-
-      // A cut this large is most of the cluster: detection would cost a
-      // comparable number of queries to the repair it tries to avoid, so
-      // expand the membership directly (big batches converge toward the
-      // full-recluster path anyway).
-      if (k * 8 >= r.members_of(c).size()) {
-        recluster(c);
-        lo = hi;
-        continue;
-      }
-
-      // ε-transitive grouping of this cluster's cut nodes: consecutive cut
-      // nodes on an old path are within ε, so a maximal cut run lies in one
-      // group and its flanking seeds belong to that group's seed set.  The
-      // grouping is frozen into cut_root: the seed search reuses site_dsu.
-      site_dsu->reset(k);
-      for (std::size_t a = 0; a < k; ++a) {
-        for (std::size_t b = a + 1; b < k; ++b) {
-          if (geom::distance_squared(pts[cut_list[lo + a]],
-                                     pts[cut_list[lo + b]]) <= eps2) {
-            site_dsu->unite(static_cast<std::uint32_t>(a),
-                            static_cast<std::uint32_t>(b));
-          }
-        }
-      }
-      cut_order.resize(k);
-      cut_root.resize(k);
-      for (std::size_t a = 0; a < k; ++a) {
-        cut_order[a] = static_cast<std::uint32_t>(a);
-        cut_root[a] = site_dsu->find(static_cast<std::uint32_t>(a));
-      }
-      std::sort(cut_order.begin(), cut_order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return cut_root[a] != cut_root[b] ? cut_root[a] < cut_root[b]
-                                                    : a < b;
-                });
-
-      bool residual_kept = false;  // a split site of c kept its residual
-      for (std::size_t glo = 0; glo < k;) {
-        const std::uint32_t root = cut_root[cut_order[glo]];
-        std::size_t ghi = glo;
-        while (ghi < k && cut_root[cut_order[ghi]] == root) ++ghi;
-
-        // Seeds: surviving old cores adjacent to any cut node of the
-        // group.  Non-core neighbors of this cluster join W — their
-        // witness core may be in the cut.  (Removed nodes' neighborhoods
-        // were captured during count maintenance; demoted nodes are live
-        // and queried here, cheaply — their counts dropped below minPts.)
-        const std::uint32_t epoch = next_epoch();
-        seed_list.clear();
-        const auto classify = [&](std::uint32_t j) {
-          if (!is_live_slot(j)) return;
-          if (core_now(j)) {
-            if (r.is_core[j] && r.labels[j] == c && seed_mark[j] != epoch) {
-              seed_mark[j] = epoch;
-              seed_list.push_back(j);
-            }
-          } else if (r.labels[j] == c) {
-            add_w(j);
-          }
-        };
-        for (std::size_t g = glo; g < ghi; ++g) {
-          const std::uint32_t x = cut_list[lo + cut_order[g]];
-          if (is_live_slot(x)) {
-            add_w(x);  // demoted: border of a neighbor cluster, or noise
-            index->query_sphere(pts[x], eps, x, classify, work);
-          } else {
-            const auto pos = static_cast<std::size_t>(
-                std::lower_bound(rem_sorted.begin(), rem_sorted.end(), x) -
-                rem_sorted.begin());
-            for (std::uint32_t t = rem_nbr_starts[pos];
-                 t < rem_nbr_starts[pos + 1]; ++t) {
-              classify(rem_nbr_ids[t]);
-            }
-          }
-        }
-        const std::size_t s = seed_list.size();
-        if (s <= 1) {  // ≤ 1 flanking core: nothing to disconnect
-          glo = ghi;
-          continue;
-        }
-
-        // Query-free fast path: seeds joined by chains of direct ε-edges
-        // unite by distance alone, in O(s log s) through their ε/√3 cells
-        // (core/seed_closure.hpp).  The DSU survives into the search below
-        // as its starting components (the cut grouping was frozen into
-        // cut_root above).
-        site_dsu->reset(s);
-        std::size_t comps =
-            close_seeds(pts, seed_list, eps, *site_dsu, seed_closure);
-
-        // Multi-source component search over the cluster's surviving
-        // cores: every seed floods in FIFO rounds and fronts UNITE where
-        // they meet.  The search stops once the seeds prove connected, or
-        // once at most one component still has a frontier.
-        //
-        // It runs in two tiers.  The SPARSE tier expands at most one node
-        // per ε/√3 grid cell: a later pop landing in an expanded cell
-        // within ε of its owner merges with it outright (same-cell IS an
-        // ε-witness) and is not queried, so proving "connected" costs
-        // about the flooded area in cells, not in points — unions only
-        // ever happen on real ε-witnesses, so a comps==1 verdict is
-        // sound.  Sparse expansion can MISS connections, so a leftover
-        // comps>1 is not yet a split: the EXHAUSTIVE tier re-floods,
-        // expanding every node.  There, an exhausted component is a
-        // COMPLETE connected component — a splinter the cut really broke
-        // off — and its visited cores join W for re-labeling, while the
-        // surviving component keeps its label through the cluster anchor
-        // without ever being fully flooded (the search stops when one
-        // active frontier remains).  A real split reaches the exhaustive
-        // tier but costs the splinters' size, never the cluster's.
-        std::size_t active = 0;
-        const auto flood = [&](bool sparse) {
-          const std::uint32_t fe = next_epoch();
-          bfs_queue.clear();
-          bfs_origin.clear();
-          bfs_pending.assign(s, 0u);
-          if (sparse) cell_seen.clear();
-          active = 0;
-          const auto adjust = [&](std::uint32_t comp, bool up) {
-            std::uint32_t& p = bfs_pending[comp];
-            if (up) {
-              if (p++ == 0) ++active;
-            } else {
-              if (--p == 0) --active;
-            }
-          };
-          for (std::uint32_t q = 0; q < s; ++q) {
-            const std::uint32_t slot = seed_list[q];
-            visit_mark[slot] = fe;
-            visit_origin[slot] = q;
-            bfs_queue.push_back(slot);
-            bfs_origin.push_back(q);
-            adjust(site_dsu->find(q), true);
-          }
-          const auto merge = [&](std::uint32_t a, std::uint32_t b) {
-            const std::uint32_t ra = site_dsu->find(a);
-            const std::uint32_t rb = site_dsu->find(b);
-            if (ra == rb) return;
-            const std::uint32_t pending = bfs_pending[ra] + bfs_pending[rb];
-            if (bfs_pending[ra] > 0 && bfs_pending[rb] > 0) --active;
-            bfs_pending[ra] = 0;
-            bfs_pending[rb] = 0;
-            site_dsu->unite(ra, rb);
-            bfs_pending[site_dsu->find(ra)] = pending;
-            --comps;
-          };
-          const double inv_h = std::sqrt(3.0) / static_cast<double>(eps);
-          for (std::size_t head = 0;
-               head < bfs_queue.size() && comps > 1 && active > 1; ++head) {
-            const std::uint32_t u = bfs_queue[head];
-            const std::uint32_t uo = bfs_origin[head];
-            adjust(site_dsu->find(uo), false);
-            if (sparse) {
-              const Vec3& pu = pts[u];
-              const auto [it, fresh] =
-                  cell_seen.try_emplace(index::cell_key(pu, inv_h), u);
-              if (!fresh &&
-                  geom::distance_squared(pu, pts[it->second]) <= eps2) {
-                // The cell's owner already expanded here (the packed key
-                // can alias distant cells, hence the distance check):
-                // merge through the same-cell witness and skip the query.
-                merge(uo, visit_origin[it->second]);
-                continue;
-              }
-            }
-            index->query_sphere(
-                pts[u], eps, u,
-                [&](std::uint32_t j) {
-                  if (!core_now(j) || !r.is_core[j] ||
-                      r.labels[j] != c) {
-                    return;
-                  }
-                  if (visit_mark[j] == fe) {
-                    merge(uo, visit_origin[j]);
-                  } else {
-                    visit_mark[j] = fe;
-                    visit_origin[j] = uo;
-                    bfs_queue.push_back(j);
-                    bfs_origin.push_back(uo);
-                    adjust(site_dsu->find(uo), true);
-                  }
-                },
-                work);
-          }
-        };
-        if (comps > 1) flood(true);
-        if (comps > 1) {
-          flood(false);
-          if (comps > 1) {
-            // Proven split.  A second split site of c, or one with no open
-            // residual, re-clusters the whole membership; that covers
-            // every later group of c too.
-            if (residual_kept || active == 0) {
-              recluster(c);
-              break;
-            }
-            // The still-active residual keeps the label; every other
-            // component was flooded to exhaustion, so its visited cores
-            // ARE the splinter and join W.
-            residual_kept = true;
-            mark_affected(c);
-            std::uint32_t residual = kNoneId;
-            for (std::uint32_t q = 0; q < s; ++q) {
-              if (bfs_pending[site_dsu->find(q)] > 0) {
-                residual = site_dsu->find(q);
-                break;
-              }
-            }
-            for (std::size_t e = 0; e < bfs_queue.size(); ++e) {
-              if (site_dsu->find(bfs_origin[e]) != residual) {
-                add_w(bfs_queue[e]);
-              }
-            }
-          }
-        }
-        glo = ghi;
-      }
-      lo = hi;
-    }
-  }
-
-  /// The ε-neighbors of inserted slot i, as index_phase1_insert captured
-  /// them (stage 4): the same query on the same index state — removals
-  /// were masked before it, and nothing mutates the index between stage 4
-  /// and the repair — so the row holds what a fresh query would visit, in
-  /// the same order.
-  [[nodiscard]] std::span<const std::uint32_t> inserted_row(
-      std::uint32_t i, std::size_t first_new) const {
-    const std::size_t k = i - first_new;
-    return std::span<const std::uint32_t>(ins_nbr_ids)
-        .subspan(ins_nbr_starts[k], ins_nbr_starts[k + 1] - ins_nbr_starts[k]);
-  }
-
-  /// Pass A — phase 2's union rules, run only from W's core points:
-  /// core-core merges (to an in-W node or an out-of-W cluster anchor),
-  /// in-W border claims, and first-claim capture of out-of-W points a
-  /// new core now reaches (old noise, or borders of split clusters).
-  /// Out-of-W cores anchor to their old label: their cluster is proven
-  /// intact, or they are the residual component of a split (splinters
-  /// joined W).  Out-of-W borders of intact clusters keep their labels
-  /// the same way: a border whose witness core was cut is in some cut
-  /// node's neighbor list and therefore in W.  Inserted slots replay
-  /// their captured rows (inserted_row) instead of querying again.
-  void union_pass(std::size_t first_new, float eps,
-                  rt::TraversalStats& work) {
-    const ClusterResult& r = result;
-    const auto w_count = static_cast<std::uint32_t>(wlist.size());
-    for (std::uint32_t w = 0; w < w_count; ++w) {
-      const std::uint32_t i = wlist[w];
-      if (!core_now(i)) continue;
-      const auto visit = [&](std::uint32_t j) {
-        const std::uint32_t wj = wloc[j];
-        if (wj != kNoneId) {
-          if (core_now(j)) {
-            if (j > i) mini_unite(w, wj);
-          } else if (!claim[wj]) {
-            claim[wj] = 1;
-            mini_unite(w, wj);
-          }
-        } else if (core_now(j)) {
-          // Out-of-W core: proven intact, or the residual component of a
-          // split cluster (splinters joined W; a splinter core within ε
-          // of a residual core would have merged with it during
-          // detection's flood).  Either way its old label is its valid
-          // cluster identity.
-          mini_unite(w, anchor(r.labels[j]));
-        } else if (claim_owner[j] == kNoneId &&
-                   (r.labels[j] == kNoise ||
-                    cluster_affected[static_cast<std::size_t>(
-                        r.labels[j])])) {
-          // Old noise a new core now reaches, or a border of a SPLIT
-          // cluster whose witness core may have ended up in w's side (a
-          // splinter): w is a core within ε, so w's cluster is a valid
-          // home — claim it.  Borders of intact clusters keep their
-          // anchor: their witness either survived out of W or sits in W
-          // with its old label's identity.
-          claimed_slots.push_back(j);
-          claim_owner[j] = w;
-        }
-      };
-      if (i >= first_new) {
-        for (const std::uint32_t j : inserted_row(i, first_new)) visit(j);
-      } else {
-        index->query_sphere(pts[i], eps, i, visit, work);
-      }
-    }
-  }
-
-  /// Pass B — unclaimed non-core W members: border iff ANY live core is
-  /// within ε (pass A only queried from in-W cores; an out-of-W core can
-  /// hold them too).  Attach to the first one found, else noise.  An
-  /// inserted slot walks its captured row and stops at that first core.
-  void border_pass(std::size_t first_new, float eps,
-                   rt::TraversalStats& work) {
-    const ClusterResult& r = result;
-    const auto w_count = static_cast<std::uint32_t>(wlist.size());
-    for (std::uint32_t w = 0; w < w_count; ++w) {
-      const std::uint32_t i = wlist[w];
-      if (core_now(i) || claim[w]) continue;
-      const auto visit = [&](std::uint32_t j) {
-        if (claim[w] || !core_now(j)) return;
-        claim[w] = 1;
-        const std::uint32_t wj = wloc[j];
-        mini_unite(w, wj != kNoneId ? wj : anchor(r.labels[j]));
-      };
-      if (i >= first_new) {
-        for (const std::uint32_t j : inserted_row(i, first_new)) {
-          visit(j);
-          if (claim[w]) break;
-        }
-      } else {
-        index->query_sphere(pts[i], eps, i, visit, work);
-      }
-    }
-  }
-
-  /// The relabel, with STABLE cluster ids.  A mini-DSU class holding old
-  /// clusters' anchors keeps the id of the largest of them, so a cluster W
-  /// does not touch keeps its id and only the smaller side of a merge is
-  /// relabelled (enumerated through the old members_of()).  Classes
-  /// without an anchor — new clusters, splinters — take freed ids first,
-  /// and ids stay dense: the highest kept ids move down into any holes
-  /// left, one cluster relabelled per hole.  Visits W, the claimed slots,
-  /// the removed batch, the anchored clusters and the members of merged or
-  /// moved clusters only; the member lists follow with O(1) moves and
-  /// list swaps (core/membership.hpp).
-  void relabel_repair() {
-    ClusterResult& r = result;
-    Membership& groups = r.membership;
-    const std::uint32_t c_old = r.cluster_count;
-    const auto w_count = static_cast<std::uint32_t>(wlist.size());
-    const auto old_size = [&](std::uint32_t c) {
-      return groups.members_of(static_cast<std::int32_t>(c)).size();
-    };
-    const auto labeled = [&](std::uint32_t w) {
-      return claim[w] != 0 || core_now(wlist[w]);
-    };
-
-    // A cluster that loses a member gets an anchor too, so the anchored
-    // clusters are exactly those whose members or id the repair can
-    // change: every other one keeps its members, and its id unless that
-    // id must move down into a hole.  stay_count ends as the members each
-    // anchored cluster keeps: all but those in W, claimed by a W core, or
-    // removed.  Only a kept member can tie an anchor to anything, so an
-    // anchor with none is an empty singleton.
-    const std::array<std::span<const std::uint32_t>, 3> leavers = {
-        wlist, claimed_slots, rem_sorted};
-    for (const auto slots : leavers) {
-      for (const std::uint32_t i : slots) {
-        if (r.labels[i] >= 0) --stay_count[anchor(r.labels[i]) - w_count];
-      }
-    }
-    const auto a_count = static_cast<std::uint32_t>(anchored.size());
-
-    // Count the final classes: every cluster without an anchor keeps
-    // itself; one per root holding a kept anchor (keeper: its largest
-    // cluster, ties to the lower id); one per root of labeled W nodes
-    // only.  root_scratch holds the final id per root, root_keeper the
-    // member list the class is built in — its keeper's old list, or for a
-    // new class a scratch list past every old and new id.
-    constexpr std::uint32_t kNewClass = kNoneId - 1;
-    root_keeper.assign(mini_parent.size(), kNoneId);
-    root_scratch.assign(mini_parent.size(), kNoise);
-    std::uint32_t c_new = c_old - a_count;
-    for (std::uint32_t k = 0; k < a_count; ++k) {
-      if (stay_count[k] == 0) continue;
-      const std::uint32_t c = anchored[k];
-      std::uint32_t& keeper = root_keeper[mini_find(w_count + k)];
-      if (keeper == kNoneId) {
-        keeper = c;
-        ++c_new;
-      } else if (old_size(c) > old_size(keeper) ||
-                 (old_size(c) == old_size(keeper) && c < keeper)) {
-        keeper = c;
-      }
-    }
-    for (std::uint32_t w = 0; w < w_count; ++w) {
-      if (!labeled(w)) continue;
-      std::uint32_t& keeper = root_keeper[mini_find(w)];
-      if (keeper == kNoneId) {
-        keeper = kNewClass;
-        ++c_new;
-      }
-    }
-    // Whether old cluster c is kept as a class of its own members.
-    const auto kept = [&](std::uint32_t c) {
-      const std::uint32_t node = anchor_node[c];
-      return node == kNoneId || (stay_count[node - w_count] > 0 &&
-                                 root_keeper[mini_find(node)] == c);
-    };
-
-    // Dense ids.  Kept ids below c_new stay; the holes below c_new go to
-    // the new classes first, then to the kept ids at or above c_new,
-    // highest first.  There are exactly as many holes as takers: c_new
-    // counts every kept cluster and every new class, so the holes below
-    // c_new number the new classes plus the kept ids at or above c_new.
-    // A hole is the id of an anchored cluster that is not kept, or a new
-    // id past c_old.  Each taker is recorded in `renumber` with the list
-    // it builds in, swapped into place at the end.
-    hole_list.clear();
-    for (const std::uint32_t c : anchored) {
-      if (c < c_new && !kept(c)) hole_list.push_back(c);
-    }
-    for (std::uint32_t c = c_old; c < c_new; ++c) hole_list.push_back(c);
-    std::sort(hole_list.begin(), hole_list.end());
-    renumber.clear();
-    for (std::uint32_t k = 0; k < a_count; ++k) {
-      const std::uint32_t c = anchored[k];
-      if (c < c_new && kept(c)) {
-        root_scratch[mini_find(w_count + k)] = static_cast<std::int32_t>(c);
-      }
-    }
-    std::uint32_t scratch = std::max(c_old, c_new);
-    for (std::uint32_t w = 0; w < w_count; ++w) {
-      if (!labeled(w)) continue;
-      const std::uint32_t root = mini_find(w);
-      if (root_keeper[root] == kNewClass) {
-        const std::uint32_t hole = hole_list[renumber.size()];
-        renumber.emplace_back(hole, scratch);
-        root_keeper[root] = scratch++;
-        root_scratch[root] = static_cast<std::int32_t>(hole);
-      }
-    }
-    for (std::uint32_t c = c_old; c-- > c_new;) {
-      if (!kept(c)) continue;
-      const std::uint32_t hole = hole_list[renumber.size()];
-      renumber.emplace_back(hole, c);
-      if (anchor_node[c] != kNoneId) {
-        root_scratch[mini_find(anchor_node[c])] =
-            static_cast<std::int32_t>(hole);
-      } else {
-        // Untouched by the repair: only its id moves.
-        for (const std::uint32_t m :
-             groups.members_of(static_cast<std::int32_t>(c))) {
-          r.labels[m] = static_cast<std::int32_t>(hole);
-        }
-      }
-    }
-    assert(renumber.size() == hole_list.size());
-
-    // Relabel: each slot that changes class moves from its old list to the
-    // list its class is built in.  The inserted slots start in noise.
-    const auto relabel_slot = [&](std::uint32_t i, std::int32_t label,
-                                  std::uint32_t list) {
-      groups.move(i, r.labels[i],
-                  label == kNoise ? kNoise : static_cast<std::int32_t>(list));
-      r.labels[i] = label;
-    };
-    const auto join_root = [&](std::uint32_t i, std::uint32_t root) {
-      relabel_slot(i, root_scratch[root], root_keeper[root]);
-    };
-    for (std::uint32_t w = 0; w < w_count; ++w) {
-      if (labeled(w)) {
-        join_root(wlist[w], mini_find(w));
-      } else {
-        relabel_slot(wlist[w], kNoise, kNoneId);
-      }
-    }
-    // Claimed: old noise a new core reached, or a border of a split
-    // cluster re-homed by a W core (its old witness may be in a splinter;
-    // the claiming core is a live witness by construction).
-    for (const std::uint32_t i : claimed_slots) {
-      join_root(i, mini_find(claim_owner[i]));
-    }
-    for (const std::uint32_t i : rem_sorted) relabel_slot(i, kNoise, kNoneId);
-    // What is left in an anchored cluster's list are exactly its kept
-    // members.  Those of a cluster merged into a larger one join the
-    // keeper's list (even when the keeper moved down into this cluster's
-    // own freed id); those of a keeper that moved down into a hole keep
-    // their list, which the swaps below renumber.
-    for (std::uint32_t k = 0; k < a_count; ++k) {
-      if (stay_count[k] == 0) continue;
-      const std::uint32_t c = anchored[k];
-      const std::uint32_t root = mini_find(w_count + k);
-      const std::int32_t id = root_scratch[root];
-      const std::uint32_t keeper = root_keeper[root];
-      if (keeper == c && id == static_cast<std::int32_t>(c)) continue;
-      const auto cluster = static_cast<std::int32_t>(c);
-      for (const std::uint32_t m : groups.members_of(cluster)) {
-        r.labels[m] = id;
-      }
-      if (keeper != c) {
-        groups.merge(cluster, static_cast<std::int32_t>(keeper));
-      }
-    }
-    // Each freed id takes its list: a hole holds an emptied old list, and
-    // every source sits at or above c_new, so no swap disturbs a later one.
-    for (const auto& [hole, list] : renumber) {
-      groups.swap_groups(static_cast<std::int32_t>(hole),
-                         static_cast<std::int32_t>(list));
-    }
-    groups.set_cluster_count(c_new);
-    r.cluster_count = c_new;
   }
 };
 

@@ -1,14 +1,15 @@
 // rtd::close_seeds — which seeds of a cut group are joined by chains of
 // direct ε-edges, computed without comparing every pair.
 //
-// Label repair's split detection (Clusterer, repair.split) collects the
-// surviving cores around a group of cut nodes — the "seeds" — and must
-// know which of them are still connected before it pays for a flood over
-// the index.  Many are joined by a single ε-edge.  This header finds the
-// transitive closure of those direct seed-to-seed edges, exactly, by the
-// cell argument of exact grid DBSCAN (Gan & Tao, SIGMOD'15): in a grid of
-// cell side ε/√3 two points of one cell lie within ε of each other, and two
-// points within ε sit in cells at most 2 apart on every axis.
+// Label repair's split detection (core::LabelRepair, repair.split)
+// collects the surviving cores around a group of cut nodes — the "seeds" —
+// and must know which of them are still connected before it pays for a
+// flood over the index.  Many are joined by a single ε-edge.  This header
+// finds the transitive closure of those direct seed-to-seed edges,
+// exactly, by the cell argument of exact grid DBSCAN (Gan & Tao,
+// SIGMOD'15): in a grid of cell side ε/√3 two points of one cell lie within
+// ε of each other, and two points within ε sit in cells at most 2 apart on
+// every axis.
 //
 //   1. Each seed gets the 64-bit key of its cell (index::cell_key, the
 //      packed key every grid in index/cell_grid.hpp uses: 21 bits per

@@ -1,40 +1,26 @@
 #include "dsu/disjoint_set.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace rtd::dsu {
 
-DisjointSet::DisjointSet(std::size_t n)
-    : parent_(n), rank_(n, 0), size_(n, 1), set_count_(n) {
+void DisjointSet::reset(std::size_t n) {
+  // resize, not assign: growth stays geometric, so a caller whose sizes
+  // creep upward reallocates O(log) times, not every time.
+  parent_.resize(n);
   std::iota(parent_.begin(), parent_.end(), 0u);
+  size_.resize(n);
+  std::fill(size_.begin(), size_.end(), 1u);
+  set_count_ = n;
 }
 
-std::uint32_t DisjointSet::find(std::uint32_t x) {
-  std::uint32_t root = x;
-  while (parent_[root] != root) root = parent_[root];
-  // Full path compression.
-  while (parent_[x] != root) {
-    const std::uint32_t next = parent_[x];
-    parent_[x] = root;
-    x = next;
-  }
-  return root;
-}
-
-bool DisjointSet::unite(std::uint32_t a, std::uint32_t b) {
-  std::uint32_t ra = find(a);
-  std::uint32_t rb = find(b);
-  if (ra == rb) return false;
-  if (rank_[ra] < rank_[rb]) std::swap(ra, rb);
-  parent_[rb] = ra;
-  size_[ra] += size_[rb];
-  if (rank_[ra] == rank_[rb]) ++rank_[ra];
-  --set_count_;
-  return true;
-}
-
-std::size_t DisjointSet::set_size(std::uint32_t x) {
-  return size_[find(x)];
+std::uint32_t DisjointSet::add() {
+  const auto x = static_cast<std::uint32_t>(parent_.size());
+  parent_.push_back(x);
+  size_.push_back(1);
+  ++set_count_;
+  return x;
 }
 
 std::vector<std::uint32_t> DisjointSet::canonical_labels() {

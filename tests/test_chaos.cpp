@@ -164,8 +164,8 @@ bool faulted_op(Clusterer& s, const IndexSnapshot& reader, Rng& rng,
       }
       (void)s.sweep(ladder, min_pts);
     } else if (site == "engine.phase1_insert" || site == "index.insert" ||
-               site == "repair.union" || site == "repair.relabel" ||
-               site == "repair.commit" ||
+               site == "repair.touch" || site == "repair.union" ||
+               site == "repair.relabel" || site == "repair.commit" ||
                site == "session.insert" || site == "session.repair") {
       (void)s.insert(cluster_batch(rng, 2 + rng.below(10)));
     } else if (site == "engine.phase1_remove" || site == "index.remove" ||

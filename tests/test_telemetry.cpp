@@ -527,8 +527,9 @@ TEST_F(TelemetryArmed, AdvanceTraceSplitsTheRepairIntoStages) {
   const auto repair = named("session.repair");
   ASSERT_NE(repair, spans.end());
   const double slack_us = 1.0;  // the JSON prints 9 significant digits
-  for (const char* stage : {"repair.split", "repair.union", "repair.border",
-                            "repair.relabel", "repair.commit"}) {
+  for (const char* stage : {"repair.touch", "repair.split", "repair.union",
+                            "repair.border", "repair.relabel",
+                            "repair.commit"}) {
     const auto it = named(stage);
     ASSERT_NE(it, spans.end()) << stage;
     EXPECT_GE(it->begin_us, repair->begin_us - slack_us) << stage;
